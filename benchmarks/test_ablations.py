@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import emit
+from repro.api import RunOptions
 from repro.bench.reporting import format_table
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
@@ -39,7 +40,9 @@ def _coupled(policy_line, buddy=True, exports=240, request_period=20.0,
             got.append(m)
         answers[ctx.rank] = got
 
-    cs = CoupledSimulation(config, preset=FAST_TEST, buddy_help=buddy, seed=11)
+    cs = CoupledSimulation(
+        config, options=RunOptions(preset=FAST_TEST, buddy_help=buddy, seed=11)
+    )
     dec = BlockDecomposition((8, 8), (2, 1))
     deci = BlockDecomposition((8, 8), (1, 2))
     cs.add_program("E", main=e_main, regions={"d": RegionDef(dec)})

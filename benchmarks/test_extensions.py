@@ -10,6 +10,7 @@ here as extensions:
 import numpy as np
 
 from conftest import emit
+from repro.api import RunOptions
 from repro.bench.reporting import format_table
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
@@ -39,10 +40,12 @@ def _run_finite(capacity_blocks, buddy):
 
     cs = CoupledSimulation(
         CONFIG,
-        preset=FAST_TEST,
-        buddy_help=buddy,
-        buffer_capacity_bytes=capacity_blocks * BLOCK_BYTES,
-        buffer_policy="block",
+        options=RunOptions(
+            preset=FAST_TEST,
+            buddy_help=buddy,
+            buffer_capacity_bytes=capacity_blocks * BLOCK_BYTES,
+            buffer_policy="block",
+        ),
     )
     cs.add_program("E", main=e_main,
                    regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
@@ -111,7 +114,7 @@ def test_nonblocking_import_overlap(benchmark):
                     yield from ctx.import_wait(handle)
             finish[ctx.rank] = ctx.sim.now
 
-        cs = CoupledSimulation(CONFIG, preset=FAST_TEST)
+        cs = CoupledSimulation(CONFIG, options=RunOptions(preset=FAST_TEST))
         cs.add_program("E", main=e_main,
                        regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         cs.add_program("I", main=i_main,

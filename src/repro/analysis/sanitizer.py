@@ -34,7 +34,7 @@ the protocol invariants the paper's correctness argument rests on:
   message chaos but a genuine protocol bug (a corrupted answer cache
   or a Property-1 violation surfacing through retransmission).
 
-Enable it with ``CoupledSimulation(..., sanitize=True)`` or by setting
+Enable it with ``RunOptions(sanitize=True)`` or by setting
 ``REPRO_SANITIZE=1`` in the environment.  In strict mode (the default)
 an ERROR finding raises :class:`SanitizerError` at the violating event;
 otherwise findings accumulate in :attr:`ProtocolSanitizer.report`.

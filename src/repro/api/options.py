@@ -1,11 +1,10 @@
 """Frozen run configuration for the :mod:`repro.api` facade.
 
-One immutable :class:`RunOptions` value captures everything that used
-to travel as loose constructor keywords into
+One immutable :class:`RunOptions` value captures everything
+configurable about a run.  It is the only way to configure
 :class:`~repro.core.coupler.CoupledSimulation` and
-:class:`~repro.core.live.LiveCoupledSimulation`.  Both runtimes accept
-``options=RunOptions(...)`` directly; the old keywords still work but
-emit a single :class:`DeprecationWarning` per construction.
+:class:`~repro.core.live.LiveCoupledSimulation`
+(``options=RunOptions(...)``).
 
 Being frozen, options values are safe to share between runs, stash in
 benchmark specs, and derive with :func:`dataclasses.replace`.

@@ -10,7 +10,9 @@ A typical session (see ``examples/quickstart.py``)::
     F.forcing U.forcing REGL 2.5
     '''
 
-    cs = CoupledSimulation(config, preset=PAPER_CLUSTER, buddy_help=True)
+    cs = CoupledSimulation(
+        config, options=RunOptions(preset=PAPER_CLUSTER, buddy_help=True)
+    )
     cs.add_program("F", main=f_main,
                    regions={"forcing": RegionDef(BlockDecomposition((1024, 1024), (4, 1)))})
     cs.add_program("U", main=u_main,
@@ -21,6 +23,12 @@ A typical session (see ``examples/quickstart.py``)::
 :class:`ProcessContext` API — ``yield from ctx.export(...)``,
 ``yield from ctx.import_(...)``, ``yield from ctx.compute(...)`` and
 intra-program collectives through ``ctx.comm``.
+
+This module is the DES *adapter* of :mod:`repro.core.protocol`: the
+protocol itself (resolution, rep dispatch, directives, agent handling,
+the send path, tracing hooks) lives there once; here are the virtual
+clock, the DES mailboxes, generator scheduling, the cost models and the
+per-process stats.
 
 Topology per program: ``nprocs`` application processes (each with a
 *control* agent servicing rep traffic concurrently, standing in for
@@ -42,109 +50,41 @@ paper measures it — inside the export call.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
-from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
-from repro.core.exceptions import ConfigError, FrameworkError
-from repro.core.exporter import ExportDecision, RegionExportState
-from repro.core.importer import RegionImportState
+from repro.core import wire
+from repro.core.config import CouplingConfig
+from repro.core.exporter import ExportDecision
 from repro.core.properties import OperationLog, check_property1
-from repro.core.rep import (
-    AnswerImporter,
-    BuddyHelp,
-    DeliverAnswer,
-    ExporterRep,
-    ForwardRequest,
-    ForwardToExporter,
-    ImporterRep,
+from repro.core.protocol import (
+    ContextBase,
+    ImportHandle,
+    ProtocolDriver,
+    RegionDef,
+    RuntimePort,
+    _ProgramRuntime,
 )
-from repro.data.decomposition import BlockDecomposition
 from repro.data.region import RectRegion
-from repro.data.schedule import CommSchedule
 from repro.des import AnyOf, Event, Simulator
-from repro.des.channel import Delivery
-from repro.match.result import FinalAnswer, MatchKind, MatchResponse
-from repro.obs.trace import CausalLog, TraceContext
+from repro.match.result import MatchKind
 from repro.util.rng import RngRegistry
 from repro.util import tracing
-from repro.util.tracing import NullTracer
 from repro.util.validation import require, require_positive
-from repro.vmpi.des_backend import DesCommunicator, DesWorld
+from repro.vmpi.des_backend import DesWorld
 
 if TYPE_CHECKING:
     from repro.api.options import RunOptions
 
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated keyword-argument constructor path.
-_UNSET: Any = object()
-
-
-# Wire messages are shared with the live threaded runtime so both speak
-# exactly the same protocol (see repro.core.wire).
-from repro.core.wire import (  # noqa: E402  (import after docstring helpers)
-    CTL_NBYTES as _CTL_NBYTES,
-    AnswerToImpRep as _AnswerToImpRep,
-    AnswerToProc as _AnswerToProc,
-    BuddyMsg as _BuddyMsg,
-    DataPiece as _DataPiece,
-    Frame as _Frame,
-    FwdRequest as _FwdRequest,
-    ImpProcRequest as _ImpProcRequest,
-    ProcResponse as _ProcResponse,
-    ReqToExpRep as _ReqToExpRep,
-    frame_nbytes as _frame_nbytes,
-)
+__all__ = ["CoupledSimulation", "ImportHandle", "ProcessContext", "RegionDef"]
 
 
 # ---------------------------------------------------------------------------
-# declarations and per-process state
+# per-process stats
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegionDef:
-    """A program's declaration of one coupled region.
-
-    Attributes
-    ----------
-    decomp:
-        How the region's global index space is distributed over the
-        program's processes.  ``decomp.nprocs`` must equal the
-        program's process count.
-    dtype:
-        Element type (drives wire sizes and importer assembly).
-    section:
-        Optional sub-box of the global index space this program couples
-        through (``None`` = the whole space).  The paper couples
-        "shared boundaries or overlapped regions between physical
-        models": a connection transfers the *intersection* of the two
-        sides' sections.  Exports still buffer the rank's whole local
-        block (that is the exported data object); the section only
-        restricts what travels.
-    """
-
-    decomp: BlockDecomposition
-    dtype: Any = np.float64
-    section: RectRegion | None = None
-
-    @property
-    def itemsize(self) -> int:
-        """Bytes per element."""
-        return int(np.dtype(self.dtype).itemsize)
-
-    def effective_section(self) -> RectRegion:
-        """The declared section, defaulting to the full index space."""
-        return (
-            self.section
-            if self.section is not None
-            else self.decomp.bounding_region()
-        )
-
 
 @dataclass
 class ExportRecord:
@@ -154,17 +94,6 @@ class ExportRecord:
     decision: ExportDecision
     cost: float
     at: float  # virtual time at call start
-
-
-@dataclass
-class ImportHandle:
-    """An outstanding non-blocking import (see ``import_begin``)."""
-
-    region: str
-    connection_id: str
-    ts: float
-    record: Any
-    done: bool = False
 
 
 @dataclass
@@ -201,49 +130,10 @@ class ProcessStats:
         return out
 
 
-class _ConnRuntime:
-    """Resolved per-connection runtime info (schedule, endpoints)."""
-
-    def __init__(self, spec: ConnectionSpec) -> None:
-        self.spec = spec
-        self.schedule: CommSchedule | None = None
-        self.exp_def: RegionDef | None = None
-        self.imp_def: RegionDef | None = None
-        #: Per-exporter-rank send plan: (dst_rank, region, slices, nbytes)
-        #: with the slice tuples precomputed at finalize time.
-        self.send_plans: dict[int, tuple[tuple[int, RectRegion, tuple[slice, ...], int], ...]] = {}
-        #: Per-importer-rank assembly slices, keyed by piece region.
-        self.recv_slices: dict[int, dict[RectRegion, tuple[slice, ...]]] = {}
-
-    @property
-    def cid(self) -> str:
-        return self.spec.connection_id
-
-
-class _ProgramRuntime:
-    """One registered program: spec, regions, communicators, contexts."""
-
-    def __init__(
-        self,
-        name: str,
-        nprocs: int,
-        main: Callable[["ProcessContext"], Generator[Event, Any, Any]] | None,
-        regions: dict[str, RegionDef],
-        comms: list[DesCommunicator],
-    ) -> None:
-        self.name = name
-        self.nprocs = nprocs
-        self.main = main
-        self.regions = regions
-        self.comms = comms
-        self.contexts: list[ProcessContext] = []
-        self.exp_rep: ExporterRep | None = None
-        self.imp_rep: ImporterRep | None = None
-        self.alive = nprocs
-
-
-class ProcessContext:
+class ProcessContext(ContextBase):
     """The per-process API handed to user ``main(ctx)`` generators."""
+
+    _rt: "CoupledSimulation"
 
     def __init__(
         self,
@@ -251,62 +141,12 @@ class ProcessContext:
         program: _ProgramRuntime,
         rank: int,
     ) -> None:
-        self._coupler = coupler
-        self._program = program
-        self.program = program.name
-        self.rank = rank
-        self.nprocs = program.nprocs
-        #: Intra-program communicator (vmpi, DES backend).
-        self.comm = program.comms[rank]
+        super().__init__(
+            coupler, program, rank, capacity_bytes=coupler.buffer_capacity_bytes
+        )
         self.sim: Simulator = coupler.sim
         self.stats = ProcessStats()
         self._rng = coupler.rng.stream(f"compute/{self.program}.{rank}")
-        # Per-region framework state.
-        self.export_states: dict[str, RegionExportState] = {}
-        self.import_states: dict[str, RegionImportState] = {}
-        for rname in program.regions:
-            exp_conns = coupler.config.connections_exporting(self.program, rname)
-            if exp_conns:
-                self.export_states[rname] = RegionExportState(
-                    rname,
-                    exp_conns,
-                    capacity_bytes=coupler.buffer_capacity_bytes,
-                    strict_order=coupler.strict_order,
-                    match_backend=coupler.match_backend,
-                )
-            imp_conns = coupler.config.connections_importing(self.program, rname)
-            if imp_conns:
-                require(
-                    len(imp_conns) == 1,
-                    f"region {self.program}.{rname} is imported over "
-                    f"{len(imp_conns)} connections; at most one exporter "
-                    "per imported region is supported",
-                )
-                self.import_states[rname] = RegionImportState(
-                    rname, imp_conns[0].connection_id
-                )
-        # Regions declared but absent from any connection still get an
-        # (empty) export state so exports are legal no-ops.
-        for rname in program.regions:
-            if rname not in self.export_states and rname not in self.import_states:
-                self.export_states[rname] = RegionExportState(rname, [])
-        #: Arrival bookkeeping for buddy answers, keyed by
-        #: ``(connection_id, request_ts)``: ``(arrived_at, recv_span)``.
-        #: Feeds the per-window buddy-help lead times.
-        self._buddy_arrivals: dict[tuple[str, float], tuple[float, Any]] = {}
-        #: Trace context of the last FwdRequest per request, so the
-        #: (possibly much later) match response can name its cause.
-        self._causal_fwd: dict[tuple[str, float], TraceContext | None] = {}
-
-    # -- identity helpers -------------------------------------------------
-    @property
-    def who(self) -> str:
-        """Trace identity, e.g. ``"F.p2"``."""
-        return f"{self.program}.p{self.rank}"
-
-    def local_region(self, region: str) -> RectRegion:
-        """This rank's owned sub-box of *region*."""
-        return self._program.regions[region].decomp.local_region(self.rank)
 
     # -- time ------------------------------------------------------------------
     def compute(self, seconds: float) -> Generator[Event, Any, float]:
@@ -314,8 +154,8 @@ class ProcessContext:
         require(seconds >= 0, "compute time must be >= 0")
         yield self.sim.timeout(seconds)
         self.stats.compute_time += seconds
-        if self._coupler._prov is not None:
-            self._coupler._prov.on_op(
+        if self._rt._prov is not None:
+            self._rt._prov.on_op(
                 self.program, self.rank, {"op": "compute", "seconds": seconds}
             )
         return seconds
@@ -328,16 +168,16 @@ class ProcessContext:
         *scale* injects load imbalance (the paper's slowed process
         ``p_s`` does "extra computational work").
         """
-        t = self._coupler.preset.compute.iteration_time(
+        t = self._rt.preset.compute.iteration_time(
             elements, rng=self._rng, scale=scale
         )
         yield self.sim.timeout(t)
         self.stats.compute_time += t
-        if self._coupler._prov is not None:
+        if self._rt._prov is not None:
             # Recorded as (elements, scale), not the drawn time: replay
             # re-issues the same draw from the same named stream, which
             # keeps the shared per-rank RNG in lock-step with exports.
-            self._coupler._prov.on_op(
+            self._rt._prov.on_op(
                 self.program,
                 self.rank,
                 {
@@ -362,23 +202,8 @@ class ProcessContext:
         Figure-4 micro-benchmark measures buffering cost without
         shipping real payloads).  Returns the framework's decision.
         """
-        st = self.export_states.get(region)
-        require(st is not None, f"{self.program} declares no region {region!r}")
-        assert st is not None
-        rdef = self._program.regions[region]
-        local = self.local_region(region)
-        if data is not None:
-            expected = local.shape
-            require(
-                tuple(data.shape) == expected,
-                f"export {region}@{ts}: local block shape {data.shape} != "
-                f"decomposition shape {expected}",
-            )
-            nbytes = int(data.nbytes)
-        else:
-            nbytes = local.size * rdef.itemsize
-
-        coupler = self._coupler
+        st, nbytes = self._export_target(region, ts, data)
+        coupler = self._rt
         # Finite buffers with backpressure: if this export will need
         # space the buffer cannot currently provide, stall until the
         # agent's evictions (driven by requests/answers) free room.
@@ -414,9 +239,8 @@ class ProcessContext:
                 # Without the rep's disseminated answer this object
                 # would have been buffered (and freed unsent later):
                 # credit the avoided memcpy to buddy-help.
-                self.stats.buddy_skips += 1
                 self.stats.buddy_saved_time += memcpy_cost
-                self._note_buddy_skip(ts, outcome, t0)
+                coupler._buddy_skip(self, ts, outcome)
             if tracer.enabled:
                 tracer.record(
                     tracing.EXPORT_SKIP, self.who, t0, timestamp=ts, region=region
@@ -433,27 +257,11 @@ class ProcessContext:
         if charge > 0:
             yield self.sim.timeout(charge)
 
-        # Transfers: this export *is* the match for these connections.
-        for cid in outcome.send_connections:
-            coupler._send_pieces(self, region, cid, ts)
-        for cid, m in outcome.post_sends:
-            coupler._send_pieces(self, region, cid, m)
-        # Slow-path responses: open requests that became decidable.
-        for cid, response in outcome.new_responses:
-            coupler._send_response(self, cid, response)
+        coupler._after_export(self, region, ts, outcome)
         # Threshold-driven eviction uncovered by this call.
-        evicted = st.collect_evictions()
+        evicted = coupler._evict(self, st)
         if evicted:
-            free_cost = coupler.preset.memory.free_buffers_time(len(evicted))
-            if tracer.enabled:
-                tracer.record(
-                    tracing.BUFFER_REMOVE,
-                    self.who,
-                    self.sim.now,
-                    timestamp=evicted[-1].ts,
-                    low=evicted[0].ts,
-                    high=evicted[-1].ts,
-                )
+            free_cost = coupler.preset.memory.free_buffers_time(evicted)
             yield self.sim.timeout(free_cost)
             charge += free_cost
 
@@ -462,57 +270,11 @@ class ProcessContext:
         )
         if coupler.operation_log is not None:
             coupler.operation_log.log(self.program, self.rank, "export", region, ts)
-        if coupler._prov is not None:
-            coupler._prov.on_op(
-                self.program,
-                self.rank,
-                {
-                    "op": "export",
-                    "region": region,
-                    "ts": ts,
-                    "dtype": None if data is None else np.dtype(data.dtype).name,
-                },
-            )
+        self._record_export(region, ts, data)
         return outcome.decision
 
-    def _note_buddy_skip(self, ts: float, outcome: Any, now: float) -> None:
-        """Record the buddy-help lead of a skipped window.
-
-        The lead is the time from the enabling buddy answer's arrival
-        to the skip decision it enabled — how much of a head start the
-        rep's dissemination gave this process over deciding locally.
-        """
-        enabler = outcome.buddy_enabler
-        if enabler is None:
-            return
-        cid, request_ts = enabler
-        arrival = self._buddy_arrivals.get((cid, request_ts))
-        if arrival is None:
-            return
-        arrived_at, recv_span = arrival
-        lead = now - arrived_at
-        self.stats.buddy_lead_times.append((ts, request_ts, lead))
-        coupler = self._coupler
-        if coupler.causal is not None:
-            tid = (
-                recv_span.trace_id
-                if recv_span is not None
-                else coupler.causal.trace_for(cid, request_ts)
-            )
-            coupler.causal.record(
-                tid,
-                "buddy_skip",
-                self.who,
-                now,
-                parents=() if recv_span is None else (recv_span.span_id,),
-                connection=cid,
-                request=request_ts,
-                export_ts=ts,
-                lead=lead,
-            )
-
     # -- import -----------------------------------------------------------------
-    def import_begin(self, region: str, ts: float) -> "ImportHandle":
+    def import_begin(self, region: str, ts: float) -> ImportHandle:
         """Post the request for *ts* without waiting (non-blocking).
 
         Returns an :class:`ImportHandle` to pass to
@@ -522,46 +284,10 @@ class ProcessContext:
         with useful work.  Requests must still be issued collectively
         and in increasing timestamp order.
         """
-        ist = self.import_states.get(region)
-        require(ist is not None, f"{self.program} imports no region {region!r}")
-        assert ist is not None
-        coupler = self._coupler
-        cid = ist.connection_id
-        now = self.sim.now
-        tr: TraceContext | None = None
-        if coupler.causal is not None:
-            tid = coupler.causal.trace_for(cid, ts)
-            tr = coupler.causal.record(
-                tid, "request", self.who, now,
-                connection=cid, request=ts, rank=self.rank,
-            )
-            coupler._causal_req[(cid, ts, self.rank)] = tr
-        record = ist.start_request(
-            ts, now, trace_id=None if tr is None else tr.trace_id
-        )
-        if coupler.tracer.enabled:
-            coupler.tracer.record(
-                tracing.IMPORT_REQUEST, self.who, self.sim.now, request=ts
-            )
-        coupler._net_send(
-            ("cpl", self.program, self.rank),
-            ("rep", self.program),
-            _ImpProcRequest(
-                connection_id=cid, request_ts=ts, rank=self.rank, trace=tr
-            ),
-        )
-        if coupler.operation_log is not None:
-            coupler.operation_log.log(self.program, self.rank, "import", region, ts)
-        if coupler._prov is not None:
-            coupler._prov.on_op(
-                self.program,
-                self.rank,
-                {"op": "import_begin", "region": region, "ts": ts},
-            )
-        return ImportHandle(region=region, connection_id=cid, ts=ts, record=record)
+        return self._rt._import_begin(self, region, ts)
 
     def import_wait(
-        self, handle: "ImportHandle"
+        self, handle: ImportHandle
     ) -> Generator[Event, Any, tuple[float | None, np.ndarray | None]]:
         """Block until the request behind *handle* resolves.
 
@@ -570,8 +296,7 @@ class ProcessContext:
         declared decomposition (``None`` in cost-only runs).
         """
         require(not handle.done, "import handle already completed")
-        ist = self.import_states[handle.region]
-        coupler = self._coupler
+        coupler = self._rt
         cid = handle.connection_id
         ts = handle.ts
         if coupler._prov is not None:
@@ -580,98 +305,49 @@ class ProcessContext:
                 self.rank,
                 {"op": "import_wait", "region": handle.region, "ts": ts},
             )
-        conn_rt = coupler._connections[cid]
-        box = coupler._cpl_mailbox(self.program, self.rank)
+        box = coupler.world.network.mailbox(("cpl", self.program, self.rank))
         answer_ev = box.get_matching(
-            lambda d: isinstance(d.payload, _AnswerToProc)
+            lambda d: isinstance(d.payload, wire.AnswerToProc)
             and d.payload.connection_id == cid
             and d.payload.answer.request_ts == ts
         )
         delivery = yield from self._await_with_retransmit(answer_ev, handle)
-        answer: FinalAnswer = delivery.payload.answer
-        ist.on_answer(handle.record, answer, self.sim.now)
-        handle.done = True
-        ans_span: TraceContext | None = None
-        if coupler.causal is not None:
-            ans_span = self._causal_answered(
-                cid, ts, delivery.payload.trace, str(answer.kind)
-            )
-        if answer.kind is MatchKind.NO_MATCH:
-            ist.complete(handle.record, self.sim.now)
-            if ans_span is not None:
-                assert coupler.causal is not None
-                coupler.causal.record(
-                    ans_span.trace_id, "complete", self.who, self.sim.now,
-                    parents=(ans_span.span_id,),
-                    connection=cid, request=ts, kind=str(answer.kind), pieces=0,
-                )
+        msg: wire.AnswerToProc = delivery.payload
+        span = coupler._import_answered(self, handle, msg)
+        if msg.answer.kind is MatchKind.NO_MATCH:
             return (None, None)
-        m = answer.matched_ts
+        m = msg.answer.matched_ts
         assert m is not None
-        schedule = conn_rt.schedule
+        schedule = coupler._connections[cid].schedule
         assert schedule is not None
-        expected = schedule.recvs_for(self.rank)
+        expected = len(schedule.recvs_for(self.rank))
         # Keyed by (src_rank, region) so duplicated and re-sent pieces
         # collapse to one piece per scheduled transfer.
-        pieces: dict[tuple[int, RectRegion], _DataPiece] = {}
-        while len(pieces) < len(expected):
+        pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
+        while len(pieces) < expected:
             piece_ev = box.get_matching(
-                lambda d: isinstance(d.payload, _DataPiece)
+                lambda d: isinstance(d.payload, wire.DataPiece)
                 and d.payload.connection_id == cid
                 and d.payload.match_ts == m
             )
             d = yield from self._await_with_retransmit(piece_ev, handle)
             pieces.setdefault((d.payload.src_rank, d.payload.region), d.payload)
-        block = self._assemble(handle.region, list(pieces.values()))
-        ist.complete(handle.record, self.sim.now)
-        if ans_span is not None:
-            assert coupler.causal is not None
-            coupler.causal.record(
-                ans_span.trace_id, "complete", self.who, self.sim.now,
-                parents=(ans_span.span_id,),
-                connection=cid, request=ts, kind=str(answer.kind),
-                pieces=len(pieces),
-            )
-        if coupler.tracer.enabled:
-            coupler.tracer.record(
-                tracing.IMPORT_COMPLETE, self.who, self.sim.now, timestamp=m
-            )
+        block = coupler._import_complete(
+            self, handle, msg, list(pieces.values()), span
+        )
         return (m, block)
 
-    def _causal_answered(
-        self, cid: str, ts: float, incoming: TraceContext | None, kind: str
-    ) -> TraceContext:
-        """Record the 'answered' span when the final answer is consumed."""
-        coupler = self._coupler
-        assert coupler.causal is not None
-        root = coupler._causal_req.get((cid, ts, self.rank))
-        if incoming is not None:
-            tid = incoming.trace_id
-        elif root is not None:
-            tid = root.trace_id
-        else:
-            tid = coupler.causal.trace_for(cid, ts)
-        parents = tuple(x.span_id for x in (incoming, root) if x is not None)
-        return coupler.causal.record(
-            tid, "answered", self.who, self.sim.now,
-            parents=parents, connection=cid, request=ts, kind=kind,
-        )
-
     def _await_with_retransmit(
-        self, get_ev: Event, handle: "ImportHandle"
+        self, get_ev: Event, handle: ImportHandle
     ) -> Generator[Event, Any, Any]:
         """Wait for *get_ev*; retransmit the request on timeout.
 
         Without a retransmission timeout this is a plain wait (the
-        classic reliable-network protocol).  With one, the importing
-        process owns the single retransmission timer of its request:
-        on expiry it re-sends the :class:`ImpProcRequest` (a fresh
-        send, fresh sequence number) and every hop recovers
-        idempotently — the rep re-drives the cross-program request, the
-        exporter rep re-answers from its final-answer cache, and agents
-        re-send buffered pieces.  Backoff doubles per attempt.
+        classic reliable-network protocol).  With one, each expiry
+        re-sends the request (see ``ProtocolDriver._retransmit``);
+        backoff doubles per attempt.
         """
-        coupler = self._coupler
+        coupler = self._rt
         rto = coupler._rto
         if rto is None:
             result = yield get_ev
@@ -683,50 +359,7 @@ class ProcessContext:
             if get_ev.triggered:
                 return get_ev.value
             attempt += 1
-            if attempt > coupler.max_retransmits:
-                raise FrameworkError(
-                    f"{self.who}: request {handle.connection_id}@{handle.ts:g} "
-                    f"unanswered after {coupler.max_retransmits} retransmissions"
-                )
-            coupler.retransmissions += 1
-            if coupler.tracer.enabled:
-                coupler.tracer.record(
-                    tracing.RETRANSMIT,
-                    self.who,
-                    self.sim.now,
-                    request=handle.ts,
-                    attempt=attempt,
-                    rto=rto * (2 ** min(attempt, 6)),
-                )
-            tr: TraceContext | None = None
-            if coupler.causal is not None:
-                # Retransmissions keep the ORIGINAL trace id: the DAG
-                # of one import survives the fault layer intact.
-                root = coupler._causal_req.get(
-                    (handle.connection_id, handle.ts, self.rank)
-                )
-                tid = (
-                    root.trace_id
-                    if root is not None
-                    else coupler.causal.trace_for(handle.connection_id, handle.ts)
-                )
-                tr = coupler.causal.record(
-                    tid, "retransmit", self.who, self.sim.now,
-                    parents=() if root is None else (root.span_id,),
-                    connection=handle.connection_id,
-                    request=handle.ts,
-                    attempt=attempt,
-                )
-            coupler._net_send(
-                ("cpl", self.program, self.rank),
-                ("rep", self.program),
-                _ImpProcRequest(
-                    connection_id=handle.connection_id,
-                    request_ts=handle.ts,
-                    rank=self.rank,
-                    trace=tr,
-                ),
-            )
+            coupler._retransmit(self, handle, attempt, rto * (2 ** min(attempt, 6)))
 
     def import_(
         self, region: str, ts: float
@@ -737,32 +370,18 @@ class ProcessContext:
         return result
 
     def _assemble(
-        self, region: str, pieces: list[_DataPiece]
+        self, region: str, pieces: list[wire.DataPiece]
     ) -> np.ndarray | None:
-        rdef = self._program.regions[region]
-        local = self.local_region(region)
-        if any(p.data is None for p in pieces):
-            return None
-        if local.is_empty:
-            return np.zeros(local.shape, dtype=rdef.dtype)
-        block = np.zeros(local.shape, dtype=rdef.dtype)
-        slice_map: dict[RectRegion, tuple[slice, ...]] = {}
-        if pieces:
-            crt = self._coupler._connections[pieces[0].connection_id]
-            slice_map = crt.recv_slices.get(self.rank, {})
-        for p in pieces:
-            sl = slice_map.get(p.region)
-            if sl is None:
-                sl = p.region.to_slices(origin=local.lo)
-            block[sl] = p.data
-        return block
+        # Defined on this class (like CoupledSimulation._send_pieces) so
+        # perf/tracing.py can book redistribution to the data layer.
+        return super()._assemble(region, pieces)
 
 
 # ---------------------------------------------------------------------------
 # the coupler
 # ---------------------------------------------------------------------------
 
-class CoupledSimulation:
+class CoupledSimulation(ProtocolDriver):
     """A set of coupled programs on one virtual clock.
 
     Parameters
@@ -771,161 +390,95 @@ class CoupledSimulation:
         A :class:`CouplingConfig` or raw configuration text.
     options:
         A frozen :class:`~repro.api.options.RunOptions` carrying every
-        setting below — the preferred construction path
-        (``CoupledSimulation(config, options=RunOptions(...))``).  The
-        individual keyword arguments remain as a deprecated
-        compatibility shim: passing any of them emits one
-        :class:`DeprecationWarning` and builds the equivalent options
-        value.
-    preset:
-        Cost-model bundle (default: fast test costs).
-    buddy_help:
-        Enable the paper's optimization (default on; the benchmarks
-        compare both settings).
-    seed:
-        Root RNG seed (compute jitter etc.).
-    tracer:
-        A :class:`~repro.util.tracing.Tracer` for Figure-5/7/8 style
-        event traces (default: record nothing).
-    buffer_capacity_bytes:
-        Optional bound on each process's framework buffer (the finite
-        buffer space named as future work in the paper's Section 6).
-    buffer_policy:
-        What an export does when buffering would exceed the capacity:
-        ``"error"`` raises :class:`FrameworkError` (default);
-        ``"block"`` applies backpressure — the exporting process stalls
-        until eviction (driven by arriving requests/answers) frees
-        space.  Stalled time accrues in ``stats.backpressure_time``.
-    record_operations:
-        Record every export/import call into an
-        :class:`~repro.core.properties.OperationLog` so Property-1
-        conformance can be checked after the run
-        (:meth:`check_property1`).
-    sanitize:
-        Enable the online protocol sanitizer
-        (:mod:`repro.analysis.sanitizer`): ``True`` or ``"strict"``
-        raises :class:`~repro.analysis.sanitizer.SanitizerError` at the
-        first invariant violation; ``"report"`` only accumulates
-        findings in :attr:`sanitizer`.  Default (``None``) consults the
-        ``REPRO_SANITIZE`` environment variable (``1``/``strict`` or
-        ``report``; empty/``0`` disables).
-    fault_plan:
-        Optional :class:`repro.faults.FaultPlan`; the coupler's network
-        becomes a :class:`repro.faults.network.FaultyNetwork` executing
-        it, and the protocol switches to resilient mode (relaxed
-        request ordering, idempotent reps, request retransmission).
-    batch_control:
-        Coalesce each representative's per-tick fan-out of control
-        messages into per-destination :class:`~repro.core.wire.Frame`
-        batches (default off).  Framing changes the modelled wire
-        timing — one latency per frame instead of per member — so runs
-        are *answer*-equivalent but not trace-identical to unbatched
-        runs; the fault layer then draws once per frame.
-    retransmit_timeout:
-        Base request-timeout (virtual seconds) of the importer-side
-        retransmission loop; backoff doubles it per attempt.  ``None``
-        derives a bound from the network latency and the fault plan's
-        delay knobs when a plan is given, else disables retransmission
-        (the classic reliable-network protocol).
-    max_retransmits:
-        Retransmission attempts per request before the importer gives
-        up with :class:`FrameworkError`.
+        setting (documented field by field there); defaults to
+        ``RunOptions()``.  How this runtime reads the ones whose
+        meaning depends on it:
+
+        * ``buffer_policy="block"`` applies backpressure — an export
+          that would exceed ``buffer_capacity_bytes`` stalls until
+          eviction (driven by arriving requests/answers) frees space;
+          stalled time accrues in ``stats.backpressure_time``.
+        * ``sanitize=None`` consults the ``REPRO_SANITIZE`` environment
+          variable (``1``/``strict`` or ``report``; empty/``0``
+          disables).
+        * ``fault_plan`` turns the network into a
+          :class:`repro.faults.network.FaultyNetwork` executing it and
+          switches the protocol to resilient mode (relaxed request
+          ordering, idempotent reps, request retransmission).
+        * ``retransmit_timeout=None`` derives a bound from the network
+          latency and the fault plan's delay knobs when a plan is
+          given, else disables retransmission (the classic
+          reliable-network protocol); ``max_retransmits`` defaults
+          to 12.
+        * ``batch_control`` changes the modelled wire timing — one
+          latency per frame instead of per member — so runs are
+          *answer*-equivalent but not trace-identical to unbatched
+          runs; the fault layer then draws once per frame.
     """
 
     def __init__(
         self,
         config: CouplingConfig | str,
-        preset: Any = _UNSET,
-        buddy_help: Any = _UNSET,
-        seed: Any = _UNSET,
-        tracer: Any = _UNSET,
-        buffer_capacity_bytes: Any = _UNSET,
-        buffer_policy: Any = _UNSET,
-        record_operations: Any = _UNSET,
-        sanitize: Any = _UNSET,
-        fault_plan: Any = _UNSET,
-        retransmit_timeout: Any = _UNSET,
-        max_retransmits: Any = _UNSET,
-        batch_control: Any = _UNSET,
         *,
         options: "RunOptions | None" = None,
     ) -> None:
-        # Imported lazily: repro.api.facade imports this module.
-        from repro.api.options import RunOptions
+        if options is None:
+            # Imported lazily: repro.api.facade imports this module.
+            from repro.api.options import RunOptions
 
-        legacy = {
-            name: value
-            for name, value in (
-                ("preset", preset),
-                ("buddy_help", buddy_help),
-                ("seed", seed),
-                ("tracer", tracer),
-                ("buffer_capacity_bytes", buffer_capacity_bytes),
-                ("buffer_policy", buffer_policy),
-                ("record_operations", record_operations),
-                ("sanitize", sanitize),
-                ("fault_plan", fault_plan),
-                ("retransmit_timeout", retransmit_timeout),
-                ("max_retransmits", max_retransmits),
-                ("batch_control", batch_control),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if options is not None:
-                raise ConfigError(
-                    "pass either options=RunOptions(...) or legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "CoupledSimulation(preset=..., seed=..., ...) keyword arguments "
-                "are deprecated; pass options=repro.RunOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = RunOptions(**legacy)
-        elif options is None:
             options = RunOptions()
-        #: The frozen options this simulation was built from.
-        self.options = options
         preset = options.preset
-        buddy_help = options.buddy_help
-        seed = options.seed
-        tracer = options.tracer
-        buffer_capacity_bytes = options.buffer_capacity_bytes
-        buffer_policy = options.buffer_policy
-        record_operations = options.record_operations
-        sanitize = options.sanitize
         fault_plan = options.fault_plan
-        retransmit_timeout = options.retransmit_timeout
+        self.world = DesWorld(
+            latency=preset.network.latency,
+            bandwidth=preset.network.bandwidth,
+            congestion=preset.network.congestion,
+            seed=options.seed,
+            fault_plan=fault_plan,
+        )
+        self.sim: Simulator = self.world.sim
+        sim = self.sim
+        rto = options.retransmit_timeout
+        if rto is None and fault_plan is not None:
+            # Comfortably above one fault-free round trip plus the worst
+            # jitter/reorder hold-back, so spurious retransmissions stay
+            # rare while lost requests still recover quickly.
+            lat = preset.network.latency
+            rto = max(
+                1e-3,
+                8.0
+                * (
+                    lat
+                    + fault_plan.delay_jitter
+                    + fault_plan.effective_reorder_delay(lat)
+                ),
+            )
         max_retransmits = (
             12 if options.max_retransmits is None else options.max_retransmits
         )
-        batch_control = options.batch_control
-        # Provenance needs the causal DAG to certify replays, so
-        # recording implies causal tracing (reflected in the log header).
-        causal_trace = options.causal_trace or options.provenance is not None
-        telemetry_sinks = options.telemetry_sinks
-        telemetry_interval = options.telemetry_interval
-        require(buffer_policy in ("error", "block"), "buffer_policy: 'error' or 'block'")
-        self.config = parse_config(config) if isinstance(config, str) else config
-        self.config.validate()
+        require_positive(max_retransmits, "max_retransmits")
+        super().__init__(
+            config,
+            options,
+            RuntimePort(now=lambda: sim.now, send=self.world.network.send),
+            rto=rto,
+            max_retransmits=max_retransmits,
+        )
         self.preset = preset
-        self.buddy_help = buddy_help
-        self.rng = RngRegistry(seed=seed)
-        #: Provenance recorder (opt-in).  ``None`` keeps every hot-path
-        #: hook to one attribute check per event.
-        self._prov = None
-        if options.provenance is not None:
-            # Imported lazily: the core stays importable without the
-            # obs package and pays nothing when recording is off.
-            from repro.obs.prov import ProvenanceRecorder
-
-            self._prov = ProvenanceRecorder(options.provenance)
+        self.fault_plan = fault_plan
+        self.rng = RngRegistry(seed=options.seed)
+        if self._prov is not None:
             # Installed before any subsystem opens a stream, so every
             # draw of the run lands in the log.
             self.rng.set_recorder(self._prov.on_rng)
-        self.tracer = tracer if tracer is not None else NullTracer()
+            self.world.rng.set_recorder(self._prov.on_rng)
+            fault_rngs = getattr(self.world.network, "_rngs", None)
+            if fault_rngs is not None:
+                fault_rngs.set_recorder(self._prov.on_rng)
+            # The hook is the recorder's list append — no indirection on
+            # the kernel's heap branch beyond one attribute check.
+            sim._sched_hook = self._prov.sched.append
+        sanitize = options.sanitize
         if sanitize is None:
             env = os.environ.get("REPRO_SANITIZE", "")
             if env in ("", "0"):
@@ -938,8 +491,6 @@ class CoupledSimulation:
             sanitize in (False, True, "strict", "report"),
             "sanitize: True/'strict', 'report', or False",
         )
-        #: The online sanitizer, when enabled (findings in ``.report``).
-        self.sanitizer = None
         if sanitize:
             # Imported lazily: the core stays importable without the
             # analysis package and pays nothing when sanitizing is off.
@@ -947,96 +498,16 @@ class CoupledSimulation:
 
             self.sanitizer = ProtocolSanitizer(self.config, strict=sanitize != "report")
             self.tracer = self.sanitizer.wrap_tracer(self.tracer)
-        self.buffer_capacity_bytes = buffer_capacity_bytes
-        self.buffer_policy = buffer_policy
-        #: Poll interval while stalled on a full buffer.
-        self.backpressure_poll = 1.0e-4
-        #: Optional Property-1 operation log (see record_operations).
-        self.operation_log: OperationLog | None = (
-            OperationLog() if record_operations else None
-        )
-        self.world = DesWorld(
-            latency=preset.network.latency,
-            bandwidth=preset.network.bandwidth,
-            congestion=preset.network.congestion,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-        self.fault_plan = fault_plan
-        if self._prov is not None:
-            self.world.rng.set_recorder(self._prov.on_rng)
-            fault_rngs = getattr(self.world.network, "_rngs", None)
-            if fault_rngs is not None:
-                fault_rngs.set_recorder(self._prov.on_rng)
         if fault_plan is not None:
             # The faulty network narrates drops/dups/delays into the
             # same (possibly sanitizer-wrapped) tracer as the protocol.
             self.world.network.tracer = self.tracer
-        #: Resilient mode: relaxed ordering + idempotent reps + (when a
-        #: timeout applies) importer-side retransmission.
-        self.resilient = fault_plan is not None or retransmit_timeout is not None
-        self.strict_order = not self.resilient
-        #: Which match engine every exporter process uses (validated by
-        #: ``RunOptions.__post_init__``; decisions are backend-independent).
-        self.match_backend = options.match_backend
-        require_positive(max_retransmits, "max_retransmits")
-        self.max_retransmits = max_retransmits
-        if retransmit_timeout is not None:
-            require_positive(retransmit_timeout, "retransmit_timeout")
-            self._rto: float | None = retransmit_timeout
-        elif fault_plan is not None:
-            # Comfortably above one fault-free round trip plus the worst
-            # jitter/reorder hold-back, so spurious retransmissions stay
-            # rare while lost requests still recover quickly.
-            lat = preset.network.latency
-            self._rto = max(
-                1e-3,
-                8.0
-                * (
-                    lat
-                    + fault_plan.delay_jitter
-                    + fault_plan.effective_reorder_delay(lat)
-                ),
-            )
-        else:
-            self._rto = None
-        #: Resilience counters (reported by the chaos benchmark).
-        self.retransmissions = 0
-        self.dup_discards = 0
-        #: Modelled framework traffic, split by plane kind.  Control
-        #: bytes include every retransmitted/duplicated control message
-        #: at full CTL_NBYTES — the DES timing model charges them all.
-        self.ctl_messages = 0
-        self.ctl_bytes = 0
-        self.data_messages = 0
-        self.data_bytes = 0
-        #: Control-plane frame batching (see class docstring).
-        self.batch_control = batch_control
-        self.frames_sent = 0
-        self.framed_messages = 0
-        self._wire_seq = 0
-        #: Causal tracing (opt-in).  ``None`` keeps the hot path to a
-        #: single attribute check per send.
-        self.causal: CausalLog | None = CausalLog() if causal_trace else None
-        self._causal_req: dict[tuple[str, float, int], TraceContext] = {}
-        self._causal_resp: dict[tuple[str, float], list[int]] = {}
-        self._causal_agg: dict[tuple[str, float], TraceContext] = {}
-        self._causal_ans: dict[tuple[str, float], TraceContext] = {}
-        #: Streaming telemetry (opt-in).  Sinks receive periodic
-        #: snapshots from a dedicated simulation process.
-        self.telemetry_sinks: tuple[Any, ...] = tuple(telemetry_sinks or ())
-        require_positive(telemetry_interval, "telemetry_interval")
-        self.telemetry_interval = telemetry_interval
-        self.sim: Simulator = self.world.sim
-        if self._prov is not None:
-            # The hook is the recorder's list append — no indirection on
-            # the kernel's heap branch beyond one attribute check.
-            self.sim._sched_hook = self._prov.sched.append
-        self._programs: dict[str, _ProgramRuntime] = {}
-        self._connections: dict[str, _ConnRuntime] = {
-            c.connection_id: _ConnRuntime(c) for c in self.config.connections
-        }
-        self._started = False
+        self.buffer_capacity_bytes = options.buffer_capacity_bytes
+        self.buffer_policy = options.buffer_policy
+        #: Poll interval while stalled on a full buffer.
+        self.backpressure_poll = 1.0e-4
+        if options.record_operations:
+            self.operation_log = OperationLog()
 
     # -- setup ------------------------------------------------------------
     def add_program(
@@ -1054,41 +525,15 @@ class CoupledSimulation:
         *main* is the per-process generator function (optional for
         passive programs driven by tests).
         """
-        require(not self._started, "cannot add programs after run()")
-        require(name not in self._programs, f"program {name!r} already added")
-        spec = self.config.programs.get(name)
-        if nprocs is None:
-            if spec is None:
-                raise ConfigError(
-                    f"program {name!r} is not in the configuration; pass nprocs="
-                )
-            nprocs = spec.nprocs
-        require_positive(nprocs, "nprocs")
-        regions = dict(regions or {})
-        for rname, rdef in regions.items():
-            require(
-                rdef.decomp.nprocs == nprocs,
-                f"region {name}.{rname}: decomposition is over "
-                f"{rdef.decomp.nprocs} ranks but the program has {nprocs}",
-            )
-        comms = self.world.create_program(name, nprocs)
-        for r in range(nprocs):
-            self.world.network.register(("ctl", name, r))
-            self.world.network.register(("cpl", name, r))
-        self.world.network.register(("rep", name))
-        prog = _ProgramRuntime(name, nprocs, main, regions, comms)
-        self._programs[name] = prog
-        return prog
-
-    def context(self, program: str, rank: int) -> ProcessContext:
-        """The :class:`ProcessContext` of one process (after run() started)."""
-        return self._programs[program].contexts[rank]
+        return self._add_program(
+            name, main, regions, nprocs,
+            self.world.create_program, self.world.network.register,
+        )
 
     # -- run ----------------------------------------------------------------
     def run(self, until: float | None = None) -> None:
         """Finalize the wiring and run the simulation."""
-        if not self._started:
-            self._finalize_setup()
+        self.start()
         self.sim.run(until)
 
     def start(self) -> None:
@@ -1097,629 +542,66 @@ class CoupledSimulation:
             self._finalize_setup()
 
     def _finalize_setup(self) -> None:
-        self._started = True
-        # Resolve connections: both endpoints must be registered with
-        # matching region declarations (the paper's early detection of
-        # incorrect couplings).
-        for crt in self._connections.values():
-            spec = crt.spec
-            for side, ep in (("exporter", spec.exporter), ("importer", spec.importer)):
-                prog = self._programs.get(ep.program)
-                if prog is None:
-                    raise ConfigError(
-                        f"connection {crt.cid}: {side} program {ep.program!r} "
-                        "was never added"
-                    )
-                if ep.region not in prog.regions:
-                    raise ConfigError(
-                        f"connection {crt.cid}: program {ep.program!r} does not "
-                        f"declare region {ep.region!r}"
-                    )
-            crt.exp_def = self._programs[spec.exporter.program].regions[
-                spec.exporter.region
-            ]
-            crt.imp_def = self._programs[spec.importer.program].regions[
-                spec.importer.region
-            ]
-            if (
-                crt.exp_def.decomp.global_shape
-                != crt.imp_def.decomp.global_shape
-            ):
-                raise ConfigError(
-                    f"connection {crt.cid}: exporter global shape "
-                    f"{crt.exp_def.decomp.global_shape} != importer global shape "
-                    f"{crt.imp_def.decomp.global_shape}"
-                )
-            transfer = crt.exp_def.effective_section().intersect(
-                crt.imp_def.effective_section()
-            )
-            if transfer.is_empty:
-                raise ConfigError(
-                    f"connection {crt.cid}: the exporter and importer sections "
-                    "do not overlap — nothing would ever be transferred"
-                )
-            crt.schedule = CommSchedule.build_cached(
-                crt.exp_def.decomp, crt.imp_def.decomp, transfer
-            )
-            # Precompute the per-rank wire plans once: every export of
-            # this connection reuses the same slice tuples, so the hot
-            # path sends zero-copy views with no index arithmetic.
-            itemsize = crt.exp_def.itemsize
-            crt.send_plans = {
-                r: tuple(
-                    (
-                        item.dst_rank,
-                        item.region,
-                        item.region.to_slices(
-                            origin=crt.exp_def.decomp.local_region(r).lo
-                        ),
-                        item.region.size * itemsize,
-                    )
-                    for item in crt.schedule.sends_for(r)
-                )
-                for r in range(crt.exp_def.decomp.nprocs)
-            }
-            crt.recv_slices = {
-                r: {
-                    item.region: item.region.to_slices(
-                        origin=crt.imp_def.decomp.local_region(r).lo
-                    )
-                    for item in crt.schedule.recvs_for(r)
-                }
-                for r in range(crt.imp_def.decomp.nprocs)
-            }
-
-        # Build reps, contexts, agents and mains.
+        self._resolve(ProcessContext, "des")
         for prog in self._programs.values():
-            exp_cids = [
-                c.connection_id
-                for c in self.config.connections
-                if c.exporter.program == prog.name
-            ]
-            imp_cids = [
-                c.connection_id
-                for c in self.config.connections
-                if c.importer.program == prog.name
-            ]
-            if exp_cids:
-                prog.exp_rep = ExporterRep(
-                    prog.name,
-                    prog.nprocs,
-                    exp_cids,
-                    buddy_help=self.buddy_help,
-                    strict_order=self.strict_order,
-                )
-                if self.sanitizer is not None:
-                    prog.exp_rep = self.sanitizer.wrap_rep(prog.exp_rep)
-            if imp_cids:
-                prog.imp_rep = ImporterRep(prog.name, prog.nprocs, imp_cids)
-                if self.sanitizer is not None:
-                    prog.imp_rep = self.sanitizer.wrap_imp_rep(prog.imp_rep)
-            prog.contexts = [
-                ProcessContext(self, prog, r) for r in range(prog.nprocs)
-            ]
             self.sim.process(self._rep_proc(prog), name=f"{prog.name}.rep")
-            for r in range(prog.nprocs):
+            for ctx in prog.contexts:
                 self.sim.process(
-                    self._agent_proc(prog.contexts[r]), name=f"{prog.name}.agent{r}"
+                    self._agent_proc(ctx), name=f"{prog.name}.agent{ctx.rank}"
                 )
             if prog.main is not None:
-                for r in range(prog.nprocs):
+                for ctx in prog.contexts:
                     self.sim.process(
-                        self._main_proc(prog.contexts[r]), name=f"{prog.name}.{r}"
+                        self._main_proc(ctx), name=f"{prog.name}.{ctx.rank}"
                     )
         if self.telemetry_sinks:
             self.sim.process(self._telemetry_proc(), name="telemetry")
-        if self._prov is not None:
-            from repro.obs.prov import build_header
 
-            self._prov.set_header(build_header(self, "des"))
-
-    # -- network helpers ------------------------------------------------------
-    def _stamp(self, payload: Any) -> Any:
-        """Give *payload* a fresh wire sequence number if unstamped."""
-        if getattr(payload, "seq", None) == -1:
-            self._wire_seq += 1
-            payload = dataclasses.replace(payload, seq=self._wire_seq)
-        return payload
-
-    def _net_send(self, src: Any, dst: Any, payload: Any, nbytes: int = _CTL_NBYTES) -> None:
-        payload = self._stamp(payload)
-        if isinstance(payload, _DataPiece):
-            self.data_messages += 1
-            self.data_bytes += nbytes
-            plane = "data"
-        else:
-            self.ctl_messages += 1
-            self.ctl_bytes += nbytes
-            plane = "ctl"
-        if self._prov is not None:
-            self._prov.on_wire(
-                self.sim.now,
-                getattr(payload, "seq", -1),
-                src,
-                dst,
-                type(payload).__name__,
-                plane,
-                nbytes,
-                getattr(payload, "trace", None),
-            )
-        self.world.network.send(src, dst, payload, nbytes=nbytes)
-
-    def _flush_frames(
-        self, src: Any, out: list[tuple[Any, Any, int]]
-    ) -> None:
-        """Send collected ``(dst, payload, nbytes)`` control sends as frames.
-
-        Sends to the same destination mailbox coalesce into one
-        :class:`~repro.core.wire.Frame` (members individually stamped so
-        receiver-side dedup is unchanged); singletons go out bare.
-        """
-        by_dst: dict[Any, list[tuple[Any, int]]] = {}
-        for dst, payload, nbytes in out:
-            by_dst.setdefault(dst, []).append((payload, nbytes))
-        for dst, entries in by_dst.items():
-            if len(entries) == 1:
-                payload, nbytes = entries[0]
-                self._net_send(src, dst, payload, nbytes=nbytes)
-                continue
-            members = tuple(self._stamp(p) for p, _ in entries)
-            total = _frame_nbytes(sum(n for _, n in entries))
-            self.frames_sent += 1
-            self.framed_messages += len(members)
-            self._net_send(
-                src, dst, _Frame(messages=members, nbytes=total), nbytes=total
-            )
-
-    def _cpl_mailbox(self, program: str, rank: int):
-        return self.world.network.mailbox(("cpl", program, rank))
-
-    # -- causal tracing -------------------------------------------------------
-    def _causal_child(
-        self,
-        name: str,
-        who: str,
-        cause: TraceContext | None,
-        cid: str,
-        request_ts: float,
-        extra_parents: tuple[int, ...] = (),
-        **attrs: Any,
-    ) -> TraceContext:
-        """Record a span caused by *cause* (or rooted at the request key)."""
-        assert self.causal is not None
-        tid = (
-            cause.trace_id
-            if cause is not None
-            else self.causal.trace_for(cid, request_ts)
-        )
-        parents = (() if cause is None else (cause.span_id,)) + tuple(extra_parents)
-        return self.causal.record(
-            tid,
-            name,
-            who,
-            self.sim.now,
-            parents=parents,
-            connection=cid,
-            request=request_ts,
-            **attrs,
-        )
-
-    # -- data plane ----------------------------------------------------------------
-    def _send_pieces(self, ctx: ProcessContext, region: str, cid: str, m: float) -> None:
-        """Transfer this rank's scheduled pieces of the matched object."""
-        crt = self._connections[cid]
-        spec = crt.spec
-        schedule = crt.schedule
-        assert schedule is not None and crt.exp_def is not None
-        st = ctx.export_states[region]
-        if not st.buffer.has(m):
-            if st.buffer.was_sent(m):
-                # Already transferred (a retransmission-driven re-send
-                # by the agent can beat this call and evict the entry);
-                # the importer deduplicates pieces, nothing to do.
-                return
-            raise FrameworkError(
-                f"{ctx.who}: match @{m:g} of {cid} is no longer buffered — "
-                "pipelined imports combined with control-message loss can "
-                "evict a pending match (see docs/resilience.md)"
-            )
-        entry = st.buffer.get(m)
-        if not entry.sent:
-            st.buffer.mark_sent(m)
-        payload = entry.payload
-        imp_prog = spec.importer.program
-        src_addr = ("cpl", ctx.program, ctx.rank)
-        # Zero-copy: each piece is a view into the buffered payload
-        # (never mutated after buffering), selected by the slice tuple
-        # precomputed at finalize time.
-        for dst_rank, piece_region, slices, nbytes in crt.send_plans.get(ctx.rank, ()):
-            data = payload[slices] if payload is not None else None
-            self._net_send(
-                src_addr,
-                ("cpl", imp_prog, dst_rank),
-                _DataPiece(
-                    connection_id=cid,
-                    match_ts=m,
-                    src_rank=ctx.rank,
-                    region=piece_region,
-                    data=data,
-                    nbytes=nbytes,
-                ),
-                nbytes=nbytes,
-            )
-        if self.tracer.enabled:
-            self.tracer.record(
-                tracing.EXPORT_SEND, ctx.who, self.sim.now, timestamp=m
-            )
-
-    def _send_response(
-        self,
-        ctx: ProcessContext,
-        cid: str,
-        response: MatchResponse,
-        out: list[tuple[Any, Any, int]] | None = None,
-    ) -> None:
-        if self.tracer.enabled:
-            self.tracer.record(
-                tracing.REQUEST_REPLY,
-                ctx.who,
-                self.sim.now,
-                cid=cid,
-                request=response.request_ts,
-                answer=str(response.kind),
-                latest=(None if response.latest_export_ts == float("-inf")
-                        else response.latest_export_ts),
-            )
-        tr: TraceContext | None = None
-        if self.causal is not None:
-            tr = self._causal_child(
-                "match",
-                ctx.who,
-                ctx._causal_fwd.get((cid, response.request_ts)),
-                cid,
-                response.request_ts,
-                kind=str(response.kind),
-                rank=ctx.rank,
-            )
-        if self._prov is not None:
-            self._prov.on_match(
-                self.sim.now,
-                cid,
-                ctx.rank,
-                response.request_ts,
-                str(response.kind),
-                response.latest_export_ts,
-                self.match_backend,
-            )
-        payload = _ProcResponse(
-            connection_id=cid, rank=ctx.rank, response=response, trace=tr
-        )
-        if out is None:
-            self._net_send(("cpl", ctx.program, ctx.rank), ("rep", ctx.program), payload)
-        else:
-            out.append((("rep", ctx.program), payload, _CTL_NBYTES))
+    def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
+        # Defined on this class so perf/tracing.py can book every piece
+        # transfer (whoever triggers it) to the data layer.
+        super()._send_pieces(ctx, region, cid, m)
 
     # -- processes ---------------------------------------------------------------
-    def _region_of_connection(self, prog: str, cid: str) -> str:
-        spec = self._connections[cid].spec
-        require(spec.exporter.program == prog, f"{cid} does not export from {prog}")
-        return spec.exporter.region
-
-    def _seq_duplicate(self, msg: Any, seen: set[int], who: str) -> bool:
-        """Wire-level duplicate detection by sequence number."""
-        seq = getattr(msg, "seq", -1)
-        if seq < 0:
-            return False
-        if seq in seen:
-            self.dup_discards += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.DUP_DISCARD,
-                    who,
-                    self.sim.now,
-                    msg=type(msg).__name__,
-                    seq=seq,
-                )
-            return True
-        seen.add(seq)
-        return False
-
     def _agent_proc(self, ctx: ProcessContext) -> Generator[Event, Any, None]:
         """The framework service agent of one application process."""
         box = self.world.network.mailbox(("ctl", ctx.program, ctx.rank))
+        src = ("cpl", ctx.program, ctx.rank)
+        who = f"{ctx.who}.agent"
         free_time = self.preset.memory.free_time
         seen: set[int] = set()
         while True:
-            delivery: Delivery = yield box.get()
-            deliveries = [delivery]
+            deliveries = [(yield box.get())]
             if self.batch_control:
                 deliveries.extend(box.drain())
-            out: list[tuple[Any, Any, int]] | None = (
-                [] if self.batch_control else None
-            )
+            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
             for delivery in deliveries:
-                unit = delivery.payload
-                members = unit.messages if isinstance(unit, _Frame) else (unit,)
-                for msg in members:
-                    if self._seq_duplicate(msg, seen, f"{ctx.who}.agent"):
-                        continue
-                    if isinstance(msg, _FwdRequest):
-                        region = self._region_of_connection(ctx.program, msg.connection_id)
-                        st = ctx.export_states[region]
-                        if self.tracer.enabled:
-                            self.tracer.record(
-                                tracing.REQUEST_RECV,
-                                ctx.who,
-                                self.sim.now,
-                                cid=msg.connection_id,
-                                request=msg.request_ts,
-                            )
-                        if self.causal is not None:
-                            ctx._causal_fwd[(msg.connection_id, msg.request_ts)] = (
-                                msg.trace
-                            )
-                        outcome = st.on_request(msg.connection_id, msg.request_ts)
-                        self._send_response(ctx, msg.connection_id, outcome.response, out)
-                        if outcome.applied is not None and outcome.applied.send_now is not None:
-                            self._send_pieces(
-                                ctx, region, msg.connection_id, outcome.applied.send_now
-                            )
-                        yield from self._agent_evict(ctx, st, free_time)
-                    elif isinstance(msg, _BuddyMsg):
-                        region = self._region_of_connection(ctx.program, msg.connection_id)
-                        st = ctx.export_states[region]
-                        if self.tracer.enabled:
-                            self.tracer.record(
-                                tracing.BUDDY_RECV,
-                                ctx.who,
-                                self.sim.now,
-                                cid=msg.connection_id,
-                                request=msg.answer.request_ts,
-                                answer="YES" if msg.answer.is_match else "NO",
-                                match=msg.answer.matched_ts
-                                if msg.answer.matched_ts is not None
-                                else msg.answer.request_ts,
-                            )
-                        recv_tr: TraceContext | None = None
-                        if self.causal is not None:
-                            recv_tr = self._causal_child(
-                                "buddy_recv",
-                                ctx.who,
-                                msg.trace,
-                                msg.connection_id,
-                                msg.answer.request_ts,
-                                rank=ctx.rank,
-                            )
-                        # Arrival bookkeeping is unconditional (one dict
-                        # write, off the hot path): buddy-help lead times
-                        # are reported even without causal tracing.
-                        ctx._buddy_arrivals[
-                            (msg.connection_id, msg.answer.request_ts)
-                        ] = (self.sim.now, recv_tr)
-                        applied = st.on_buddy_answer(msg.connection_id, msg.answer)
-                        ctx.stats.buddy_answers_received += 1
-                        if applied.send_now is not None:
-                            self._send_pieces(ctx, region, msg.connection_id, applied.send_now)
-                        yield from self._agent_evict(ctx, st, free_time)
-                    else:
-                        raise FrameworkError(f"agent received unexpected message {msg!r}")
+                for msg in self._fresh(delivery.payload, seen, who):
+                    evicted = self._agent_handle(ctx, msg, out)
+                    if evicted:
+                        yield self.sim.timeout(free_time * evicted)
             if out:
-                self._flush_frames(("cpl", ctx.program, ctx.rank), out)
-
-    def _agent_evict(
-        self, ctx: ProcessContext, st: RegionExportState, free_time: float
-    ) -> Generator[Event, Any, None]:
-        evicted = st.collect_evictions()
-        if evicted:
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.BUFFER_REMOVE,
-                    ctx.who,
-                    self.sim.now,
-                    timestamp=evicted[-1].ts,
-                    low=evicted[0].ts,
-                    high=evicted[-1].ts,
-                )
-            yield self.sim.timeout(free_time * len(evicted))
+                self._flush_frames(src, out)
 
     def _rep_proc(self, prog: _ProgramRuntime) -> Generator[Event, Any, None]:
         """The program's representative process."""
         box = self.world.network.mailbox(("rep", prog.name))
+        src = ("rep", prog.name)
+        who = f"{prog.name}.rep"
         seen: set[int] = set()
         while True:
-            delivery: Delivery = yield box.get()
-            deliveries = [delivery]
+            deliveries = [(yield box.get())]
             if self.batch_control:
                 # Per-tick coalescing: everything already queued behind
                 # this delivery arrived no later than now, so handle the
                 # whole backlog in one go and frame the combined fan-out.
                 deliveries.extend(box.drain())
-            out: list[tuple[Any, Any, int]] | None = (
-                [] if self.batch_control else None
-            )
+            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
             for delivery in deliveries:
-                unit = delivery.payload
-                # An incoming frame unpacks to its members; each member
-                # is deduplicated and processed exactly as a bare arrival.
-                members = unit.messages if isinstance(unit, _Frame) else (unit,)
-                for msg in members:
-                    if self._seq_duplicate(msg, seen, f"{prog.name}.rep"):
-                        continue
+                for msg in self._fresh(delivery.payload, seen, who):
                     self._rep_handle(prog, msg, out)
             if out:
-                self._flush_frames(("rep", prog.name), out)
-
-    def _rep_handle(
-        self,
-        prog: _ProgramRuntime,
-        msg: Any,
-        out: list[tuple[Any, Any, int]] | None,
-    ) -> None:
-        """Dispatch one rep message to the right state machine."""
-        cause: TraceContext | None = getattr(msg, "trace", None)
-        if isinstance(msg, _ReqToExpRep):
-            assert prog.exp_rep is not None
-            directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
-        elif isinstance(msg, _ProcResponse):
-            assert prog.exp_rep is not None
-            if self.causal is not None and cause is not None:
-                # The aggregate span joins every per-process match span
-                # gathered for this request, not just the finalizing one.
-                self._causal_resp.setdefault(
-                    (msg.connection_id, msg.response.request_ts), []
-                ).append(cause.span_id)
-            directives = prog.exp_rep.on_response(
-                msg.connection_id, msg.rank, msg.response
-            )
-        elif isinstance(msg, _ImpProcRequest):
-            assert prog.imp_rep is not None
-            directives = prog.imp_rep.on_process_request(
-                msg.connection_id, msg.request_ts, msg.rank
-            )
-        elif isinstance(msg, _AnswerToImpRep):
-            assert prog.imp_rep is not None
-            if self.causal is not None and cause is not None:
-                self._causal_ans[(msg.connection_id, msg.answer.request_ts)] = cause
-            directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
-        else:
-            raise FrameworkError(f"rep received unexpected message {msg!r}")
-        for d in directives:
-            self._execute_directive(prog, d, out, cause=cause)
-
-    def _execute_directive(
-        self,
-        prog: _ProgramRuntime,
-        d: Any,
-        out: list[tuple[Any, Any, int]] | None = None,
-        cause: TraceContext | None = None,
-    ) -> None:
-        """Send the wire message(s) a rep directive implies.
-
-        With *out* given (batch mode), rep/ctl-plane sends are collected
-        for per-destination framing by the caller; data-plane deliveries
-        (``cpl`` mailboxes) always go out bare — importer mailboxes match
-        on member payload types.  *cause* is the trace context of the
-        rep message that produced the directive (causal tracing only).
-        """
-        rep_addr = ("rep", prog.name)
-        rep_who = f"{prog.name}.rep"
-
-        def send_ctl(dst: Any, payload: Any) -> None:
-            if out is None:
-                self._net_send(rep_addr, dst, payload)
-            else:
-                out.append((dst, payload, _CTL_NBYTES))
-
-        if isinstance(d, ForwardRequest):
-            tr: TraceContext | None = None
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "fan_out", rep_who, cause, d.connection_id, d.request_ts,
-                    rank=d.rank,
-                )
-            send_ctl(
-                ("ctl", prog.name, d.rank),
-                _FwdRequest(
-                    connection_id=d.connection_id,
-                    request_ts=d.request_ts,
-                    trace=tr,
-                ),
-            )
-        elif isinstance(d, AnswerImporter):
-            imp_prog = self._connections[d.connection_id].spec.importer.program
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.REP_FINALIZE,
-                    rep_who,
-                    self.sim.now,
-                    request=d.answer.request_ts,
-                    answer=str(d.answer.kind),
-                )
-            tr = None
-            if self.causal is not None:
-                key = (d.connection_id, d.answer.request_ts)
-                prior = self._causal_agg.get(key)
-                extra = tuple(self._causal_resp.pop(key, ()))
-                if prior is not None:
-                    extra = (prior.span_id,) + extra
-                attrs: dict[str, Any] = {"kind": str(d.answer.kind)}
-                finfo = getattr(prog.exp_rep, "finalize_info", None)
-                info = finfo(d.connection_id, d.answer.request_ts) if finfo else None
-                if info is not None:
-                    attrs["case"], attrs["finalizing_rank"] = info
-                if prior is not None:
-                    attrs["cached"] = True
-                tr = self._causal_child(
-                    "aggregate", rep_who, cause, d.connection_id,
-                    d.answer.request_ts, extra_parents=extra, **attrs,
-                )
-                self._causal_agg.setdefault(key, tr)
-            send_ctl(
-                ("rep", imp_prog),
-                _AnswerToImpRep(
-                    connection_id=d.connection_id, answer=d.answer, trace=tr
-                ),
-            )
-        elif isinstance(d, BuddyHelp):
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.BUDDY_SEND,
-                    rep_who,
-                    self.sim.now,
-                    request=d.answer.request_ts,
-                    answer="YES" if d.answer.is_match else "NO",
-                    match=d.answer.matched_ts
-                    if d.answer.matched_ts is not None
-                    else d.answer.request_ts,
-                )
-            tr = None
-            if self.causal is not None:
-                agg = self._causal_agg.get((d.connection_id, d.answer.request_ts))
-                tr = self._causal_child(
-                    "buddy_notify",
-                    rep_who,
-                    agg if agg is not None else cause,
-                    d.connection_id,
-                    d.answer.request_ts,
-                    rank=d.rank,
-                )
-            send_ctl(
-                ("ctl", prog.name, d.rank),
-                _BuddyMsg(connection_id=d.connection_id, answer=d.answer, trace=tr),
-            )
-        elif isinstance(d, ForwardToExporter):
-            exp_prog = self._connections[d.connection_id].spec.exporter.program
-            tr = None
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "rep_forward", rep_who, cause, d.connection_id, d.request_ts
-                )
-            send_ctl(
-                ("rep", exp_prog),
-                _ReqToExpRep(
-                    connection_id=d.connection_id,
-                    request_ts=d.request_ts,
-                    trace=tr,
-                ),
-            )
-        elif isinstance(d, DeliverAnswer):
-            tr = None
-            if self.causal is not None:
-                ans = self._causal_ans.get((d.connection_id, d.answer.request_ts))
-                extra = () if ans is None else (ans.span_id,)
-                tr = self._causal_child(
-                    "answer", rep_who, cause, d.connection_id,
-                    d.answer.request_ts, extra_parents=extra, rank=d.rank,
-                )
-            self._net_send(
-                rep_addr,
-                ("cpl", prog.name, d.rank),
-                _AnswerToProc(
-                    connection_id=d.connection_id, answer=d.answer, trace=tr
-                ),
-            )
-        else:  # pragma: no cover - defensive
-            raise FrameworkError(f"unknown directive {d!r}")
+                self._flush_frames(src, out)
 
     def _telemetry_proc(self) -> Generator[Event, Any, None]:
         """Periodic telemetry flush; ends with the last user main.
@@ -1733,8 +615,9 @@ class CoupledSimulation:
         from repro.obs.stream import emit_snapshot
 
         def running() -> bool:
-            mains = [p for p in self._programs.values() if p.main is not None]
-            return any(p.alive > 0 for p in mains) if mains else False
+            return any(
+                p.alive > 0 for p in self._programs.values() if p.main is not None
+            )
 
         emitted_final = False
         while running():
@@ -1751,25 +634,21 @@ class CoupledSimulation:
             yield from ctx._program.main(ctx)
         finally:
             ctx._program.alive -= 1
-            for region, st in ctx.export_states.items():
-                responses, post_sends = st.close()
-                for cid, m in post_sends:
-                    self._send_pieces(ctx, region, cid, m)
-                for cid, response in responses:
-                    self._send_response(ctx, cid, response)
+            self._close_exports(ctx)
 
     # -- reporting -------------------------------------------------------------
     def check_property1(self, raise_on_violation: bool = True) -> list[str]:
         """Verify Property 1 over the recorded operation log.
 
-        Requires ``record_operations=True`` at construction.  Returns
+        Requires ``RunOptions(record_operations=True)``.  Returns
         violation descriptions (empty when conformant); raises
         :class:`~repro.core.exceptions.PropertyViolationError` by
         default when any are found.
         """
         require(
             self.operation_log is not None,
-            "construct CoupledSimulation(record_operations=True) to check Property 1",
+            "construct CoupledSimulation with "
+            "options=RunOptions(record_operations=True) to check Property 1",
         )
         assert self.operation_log is not None
         return check_property1(
@@ -1779,7 +658,3 @@ class CoupledSimulation:
     def export_series(self, program: str, rank: int) -> list[float]:
         """The Figure-4 y-series of one process: per-export call cost."""
         return self.context(program, rank).stats.export_times()
-
-    def buffer_stats(self, program: str, rank: int, region: str):
-        """Buffer counters (Eq. 1-2 ledgers) of one process's region."""
-        return self.context(program, rank).export_states[region].buffer.stats()

@@ -1,11 +1,9 @@
 """The live coupling runtime: OS threads and wall-clock time.
 
-:class:`LiveCoupledSimulation` runs the *same* coupling protocol as the
-DES runtime (:mod:`repro.core.coupler`) — identical state machines
-(:class:`~repro.core.exporter.RegionExportState`,
-:class:`~repro.core.rep.ExporterRep`/:class:`~repro.core.rep.ImporterRep`)
-and identical wire messages (:mod:`repro.core.wire`) — but on real
-threads:
+:class:`LiveCoupledSimulation` is the thread *adapter* of
+:mod:`repro.core.protocol` — it runs the same protocol driver as the
+DES runtime (:mod:`repro.core.coupler`), hence identical state machines,
+wire messages, counters and trace events — but on real threads:
 
 * each program runs ``nprocs`` application threads, ``nprocs``
   framework *agent* threads (the service thread of the paper's
@@ -16,6 +14,10 @@ threads:
 * ``ctx.compute(seconds)`` really sleeps (scaled by ``time_scale`` so
   demos stay fast).
 
+What this module supplies to the driver is the run-relative wall clock,
+thread mailboxes, the per-process and per-rep locks (with the
+race-monitor hooks), blocking waits and shutdown.
+
 The DES runtime remains the tool for the paper's experiments (virtual
 time is deterministic); this runtime demonstrates — and tests — that
 the framework logic is runtime-independent, and is what a downstream
@@ -24,50 +26,34 @@ user would embed in real applications.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
 from repro.core import wire
-from repro.core.config import CouplingConfig, parse_config
-from repro.core.coupler import RegionDef
-from repro.core.exceptions import ConfigError, FrameworkError
-from repro.core.exporter import ExportDecision, RegionExportState
-from repro.core.importer import RegionImportState
-from repro.core.rep import (
-    AnswerImporter,
-    BuddyHelp,
-    DeliverAnswer,
-    ExporterRep,
-    ForwardRequest,
-    ForwardToExporter,
-    ImporterRep,
+from repro.core.config import CouplingConfig
+from repro.core.exporter import ExportDecision
+from repro.core.protocol import (
+    ContextBase,
+    ImportHandle,
+    ProtocolDriver,
+    RegionDef,
+    RuntimePort,
+    _ProgramRuntime,
 )
 from repro.data.region import RectRegion
-from repro.data.schedule import CommSchedule
-from repro.match.result import FinalAnswer, MatchKind
-from repro.obs.trace import CausalLog, TraceContext
+from repro.match.result import MatchKind
 from repro.util import tracing
-from repro.util.tracing import NullTracer
 from repro.util.validation import require, require_positive
-from repro.vmpi.thread_backend import (
-    MailboxTimeout,
-    ThreadCommunicator,
-    ThreadMailbox,
-    ThreadWorld,
-)
+from repro.vmpi.thread_backend import MailboxTimeout, ThreadMailbox, ThreadWorld
 
 if TYPE_CHECKING:
     from repro.api.options import RunOptions
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated keyword-argument constructor path.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -105,71 +91,18 @@ class LiveStats:
         return sum(r.seconds for r in self.export_records)
 
 
-class _LiveProgram:
-    def __init__(self, name, nprocs, main, regions, comms):
-        self.name = name
-        self.nprocs = nprocs
-        self.main = main
-        self.regions: dict[str, RegionDef] = regions
-        self.comms: list[ThreadCommunicator] = comms
-        self.contexts: list[LiveProcessContext] = []
-        self.exp_rep: ExporterRep | None = None
-        self.imp_rep: ImporterRep | None = None
-        self.rep_lock = threading.Lock()
-        #: Application threads still running (telemetry snapshots).
-        self.alive = nprocs if main is not None else 0
-
-
-class LiveProcessContext:
+class LiveProcessContext(ContextBase):
     """The per-process API of the live runtime (blocking calls)."""
 
-    def __init__(self, runtime: "LiveCoupledSimulation", program: _LiveProgram, rank: int):
-        self._rt = runtime
-        self._program = program
-        self.program = program.name
-        self.rank = rank
-        self.nprocs = program.nprocs
-        #: Intra-program communicator (vmpi thread backend).
-        self.comm = program.comms[rank]
+    _rt: "LiveCoupledSimulation"
+
+    def __init__(
+        self, runtime: "LiveCoupledSimulation", program: _ProgramRuntime, rank: int
+    ) -> None:
+        super().__init__(runtime, program, rank)
         self.stats = LiveStats()
         #: Guards the export states shared with this process's agent.
-        self.lock = threading.RLock()
-        self.export_states: dict[str, RegionExportState] = {}
-        self.import_states: dict[str, RegionImportState] = {}
-        config = runtime.config
-        for rname in program.regions:
-            exp = config.connections_exporting(self.program, rname)
-            if exp:
-                self.export_states[rname] = RegionExportState(
-                    rname,
-                    exp,
-                    strict_order=runtime.strict_order,
-                    match_backend=runtime.match_backend,
-                )
-            imp = config.connections_importing(self.program, rname)
-            if imp:
-                require(len(imp) == 1, f"region {rname}: one exporter only")
-                self.import_states[rname] = RegionImportState(
-                    rname, imp[0].connection_id
-                )
-        for rname in program.regions:
-            if rname not in self.export_states and rname not in self.import_states:
-                self.export_states[rname] = RegionExportState(rname, [])
-        #: Buddy-answer arrival bookkeeping (``(cid, request_ts)`` →
-        #: ``(arrived_at, recv_span)``); feeds per-window lead times.
-        self._buddy_arrivals: dict[tuple[str, float], tuple[float, Any]] = {}
-        #: Trace context of the last FwdRequest per request (causal).
-        self._causal_fwd: dict[tuple[str, float], TraceContext | None] = {}
-
-    # -- identity --------------------------------------------------------
-    @property
-    def who(self) -> str:
-        """Trace identity, e.g. ``"F.p2"``."""
-        return f"{self.program}.p{self.rank}"
-
-    def local_region(self, region: str) -> RectRegion:
-        """This rank's owned sub-box of *region*."""
-        return self._program.regions[region].decomp.local_region(self.rank)
+        self.lock = runtime._locks[("ctx", self.who)] = threading.RLock()
 
     # -- time -----------------------------------------------------------------
     def compute(self, seconds: float) -> None:
@@ -188,94 +121,35 @@ class LiveProcessContext:
         Buffering performs an actual copy of *data*; its measured
         duration lands in the buffer ledger and the export record.
         """
-        st = self.export_states.get(region)
-        require(st is not None, f"{self.program} declares no region {region!r}")
-        assert st is not None
-        local = self.local_region(region)
-        if data is not None:
-            require(
-                tuple(data.shape) == local.shape,
-                f"export {region}@{ts}: block shape {data.shape} != {local.shape}",
-            )
-            nbytes = int(data.nbytes)
-        else:
-            nbytes = local.size * self._program.regions[region].itemsize
+        st, nbytes = self._export_target(region, ts, data)
+        rt = self._rt
         t0 = time.perf_counter()
-        with self.lock:
-            self._rt._race_enter(
-                ("ctx", self.who),
-                (("match", self.who, region), "write", "export.on_export"),
-                (("ledger", self.who, region), "write", "export.buffer"),
-            )
+        with rt._locked(
+            ("ctx", self.who),
+            (("match", self.who, region), "write", "export.on_export"),
+            (("ledger", self.who, region), "write", "export.buffer"),
+        ):
             outcome = st.on_export(ts, nbytes, memcpy_cost=0.0)
+            kind: str | None = None
             if outcome.decision in (ExportDecision.BUFFER, ExportDecision.SEND):
                 copy_start = time.perf_counter()
-                payload = data.copy() if data is not None else None
-                copied = time.perf_counter() - copy_start
-                entry = st.buffer.get(ts)
-                entry.payload = payload
-                st.buffer.record_cost(ts, copied)
-            for cid in outcome.send_connections:
-                self._rt._send_pieces(self, region, cid, ts)
-            for cid, m in outcome.post_sends:
-                self._rt._send_pieces(self, region, cid, m)
-            for cid, response in outcome.new_responses:
-                self._rt._send_response(self, cid, response)
-            st.collect_evictions()
-            self._rt._race_exit(("ctx", self.who))
+                st.buffer.get(ts).payload = data.copy() if data is not None else None
+                st.buffer.record_cost(ts, time.perf_counter() - copy_start)
+                kind = tracing.EXPORT_MEMCPY
+            elif outcome.decision is ExportDecision.SKIP:
+                kind = tracing.EXPORT_SKIP
+            if kind is not None and rt.tracer.enabled:
+                rt.tracer.record(kind, self.who, rt.elapsed(), timestamp=ts)
+            rt._after_export(self, region, ts, outcome)
+            rt._evict(self, st)
         elapsed = time.perf_counter() - t0
         if outcome.buddy_skip:
-            self.stats.buddy_skips += 1
-            self._note_buddy_skip(ts, outcome)
+            rt._buddy_skip(self, ts, outcome)
         self.stats.export_records.append(
             LiveExportRecord(ts=ts, decision=outcome.decision, seconds=elapsed)
         )
-        if self._rt.tracer.enabled:
-            kind = (
-                tracing.EXPORT_SKIP
-                if outcome.decision is ExportDecision.SKIP
-                else tracing.EXPORT_MEMCPY
-            )
-            self._rt.tracer.record(kind, self.who, time.perf_counter(), timestamp=ts)
-        if self._rt._prov is not None:
-            self._rt._prov.on_op(
-                self.program,
-                self.rank,
-                {
-                    "op": "export",
-                    "region": region,
-                    "ts": ts,
-                    "dtype": None if data is None else np.dtype(data.dtype).name,
-                },
-            )
+        self._record_export(region, ts, data)
         return outcome.decision
-
-    def _note_buddy_skip(self, ts: float, outcome: Any) -> None:
-        """Record the lead time (and causal span) of a buddy-enabled skip."""
-        rt = self._rt
-        enabler = getattr(outcome, "buddy_enabler", None)
-        if enabler is None:
-            return
-        arrival = self._buddy_arrivals.get(enabler)
-        if arrival is None:
-            return
-        arrived_at, recv_span = arrival
-        now = rt.elapsed()
-        cid, request_ts = enabler
-        lead = now - arrived_at
-        self.stats.buddy_lead_times.append((ts, request_ts, lead))
-        if rt.causal is not None and recv_span is not None:
-            rt.causal.record(
-                recv_span.trace_id,
-                "buddy_skip",
-                self.who,
-                now,
-                parents=(recv_span.span_id,),
-                connection=cid,
-                request=request_ts,
-                export_ts=ts,
-                lead=lead,
-            )
 
     # -- import -------------------------------------------------------------------
     def import_(
@@ -289,118 +163,48 @@ class LiveProcessContext:
         :class:`~repro.core.wire.ImpProcRequest` with exponential
         backoff, and the rep/exporter chain re-answers idempotently.
         """
-        ist = self.import_states.get(region)
-        require(ist is not None, f"{self.program} imports no region {region!r}")
-        assert ist is not None
         rt = self._rt
-        cid = ist.connection_id
-        if rt._prov is not None:
-            # One combined row: the live API has no begin/wait split.
-            rt._prov.on_op(
-                self.program,
-                self.rank,
-                {"op": "import_begin", "region": region, "ts": ts},
-            )
-        tr: TraceContext | None = None
-        if rt.causal is not None:
-            tid = rt.causal.trace_for(cid, ts)
-            tr = rt.causal.record(
-                tid, "request", self.who, rt.elapsed(),
-                connection=cid, request=ts, rank=self.rank,
-            )
-            rt._causal_req[(cid, ts, self.rank)] = tr
-        record = ist.start_request(
-            ts, rt.elapsed(), trace_id=None if tr is None else tr.trace_id
-        )
-        rt._post(
-            ("rep", self.program),
-            wire.ImpProcRequest(
-                connection_id=cid, request_ts=ts, rank=self.rank, trace=tr
-            ),
-        )
-        box = rt._mailbox("cpl", self.program, self.rank)
+        handle = rt._import_begin(self, region, ts)
+        cid = handle.connection_id
+        box = rt.world.mailbox(("cpl", self.program, self.rank))
         timeout = rt.default_timeout if timeout is None else timeout
-        answer_msg = self._get_with_retransmit(
+        msg: wire.AnswerToProc = self._get_with_retransmit(
             box,
             lambda m: isinstance(m, wire.AnswerToProc)
             and m.connection_id == cid
             and m.answer.request_ts == ts,
-            cid,
-            ts,
+            handle,
             timeout,
         )
-        answer: FinalAnswer = answer_msg.answer
-        ist.on_answer(record, answer, rt.elapsed())
-        ans_span: TraceContext | None = None
-        if rt.causal is not None:
-            ans_span = self._causal_answered(
-                cid, ts, getattr(answer_msg, "trace", None), str(answer.kind)
-            )
-        if answer.kind is MatchKind.NO_MATCH:
-            ist.complete(record, rt.elapsed())
-            if rt.causal is not None and ans_span is not None:
-                rt.causal.record(
-                    ans_span.trace_id, "complete", self.who, rt.elapsed(),
-                    parents=(ans_span.span_id,),
-                    connection=cid, request=ts,
-                    kind=str(answer.kind), pieces=0,
-                )
+        span = rt._import_answered(self, handle, msg)
+        if msg.answer.kind is MatchKind.NO_MATCH:
             return (None, None)
-        m = answer.matched_ts
+        m = msg.answer.matched_ts
         assert m is not None
         schedule = rt._connections[cid].schedule
         assert schedule is not None
-        expected = list(schedule.recvs_for(self.rank))
+        expected = len(schedule.recvs_for(self.rank))
         # Keyed by (src_rank, region) so duplicated or re-driven pieces
         # collapse instead of double-counting.
         pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
-        while len(pieces) < len(expected):
+        while len(pieces) < expected:
             piece = self._get_with_retransmit(
                 box,
-                lambda msg: isinstance(msg, wire.DataPiece)
-                and msg.connection_id == cid
-                and msg.match_ts == m,
-                cid,
-                ts,
+                lambda p: isinstance(p, wire.DataPiece)
+                and p.connection_id == cid
+                and p.match_ts == m,
+                handle,
                 timeout,
             )
             pieces.setdefault((piece.src_rank, piece.region), piece)
-        block = self._assemble(region, list(pieces.values()))
-        ist.complete(record, rt.elapsed())
-        if rt.causal is not None and ans_span is not None:
-            rt.causal.record(
-                ans_span.trace_id, "complete", self.who, rt.elapsed(),
-                parents=(ans_span.span_id,),
-                connection=cid, request=ts,
-                kind=str(answer.kind), pieces=len(pieces),
-            )
+        block = rt._import_complete(self, handle, msg, list(pieces.values()), span)
         return (m, block)
-
-    def _causal_answered(
-        self, cid: str, ts: float, incoming: TraceContext | None, kind: str
-    ) -> TraceContext | None:
-        """Record the importer-side ``answered`` span of one import."""
-        rt = self._rt
-        assert rt.causal is not None
-        root = rt._causal_req.get((cid, ts, self.rank))
-        if incoming is not None:
-            tid = incoming.trace_id
-        elif root is not None:
-            tid = root.trace_id
-        else:
-            tid = rt.causal.trace_for(cid, ts)
-        parents = tuple(x.span_id for x in (incoming, root) if x is not None)
-        return rt.causal.record(
-            tid, "answered", self.who, rt.elapsed(),
-            parents=parents, connection=cid, request=ts, kind=kind,
-        )
 
     def _get_with_retransmit(
         self,
         box: ThreadMailbox,
         pred: Callable[[Any], bool],
-        cid: str,
-        request_ts: float,
+        handle: ImportHandle,
         timeout: float | None,
     ) -> Any:
         """Blocking receive; on a resilient runtime, re-ask on timeout."""
@@ -414,225 +218,83 @@ class LiveProcessContext:
                 return box.get(pred, timeout=rto)
             except MailboxTimeout:
                 attempt += 1
-                if attempt > rt.max_retransmits:
-                    raise FrameworkError(
-                        f"{self.who}: request {cid}@{request_ts:g} unanswered "
-                        f"after {rt.max_retransmits} retransmissions"
-                    ) from None
-                with rt._count_lock:
-                    rt.retransmissions += 1
-                if rt.tracer.enabled:
-                    rt.tracer.record(
-                        tracing.RETRANSMIT,
-                        self.who,
-                        time.perf_counter(),
-                        request=request_ts,
-                        attempt=attempt,
-                        rto=rto,
-                    )
-                tr: TraceContext | None = None
-                if rt.causal is not None:
-                    # Retransmissions keep the ORIGINAL trace id so the
-                    # causal DAG survives the fault layer intact.
-                    root = rt._causal_req.get((cid, request_ts, self.rank))
-                    tid = (
-                        root.trace_id
-                        if root is not None
-                        else rt.causal.trace_for(cid, request_ts)
-                    )
-                    tr = rt.causal.record(
-                        tid, "retransmit", self.who, rt.elapsed(),
-                        parents=() if root is None else (root.span_id,),
-                        connection=cid, request=request_ts, attempt=attempt,
-                    )
-                rt._post(
-                    ("rep", self.program),
-                    wire.ImpProcRequest(
-                        connection_id=cid,
-                        request_ts=request_ts,
-                        rank=self.rank,
-                        trace=tr,
-                    ),
-                )
-
-    def _assemble(self, region: str, pieces: list[wire.DataPiece]) -> np.ndarray | None:
-        rdef = self._program.regions[region]
-        local = self.local_region(region)
-        if any(p.data is None for p in pieces):
-            return None
-        block = np.zeros(local.shape, dtype=rdef.dtype)
-        slice_map: dict[RectRegion, tuple[slice, ...]] = {}
-        if pieces:
-            crt = self._rt._connections[pieces[0].connection_id]
-            slice_map = crt.recv_slices.get(self.rank, {})
-        for p in pieces:
-            sl = slice_map.get(p.region)
-            if sl is None:
-                sl = p.region.to_slices(origin=local.lo)
-            block[sl] = p.data
-        return block
+                rt._retransmit(self, handle, attempt, rto)
 
 
-class LiveCoupledSimulation:
+class LiveCoupledSimulation(ProtocolDriver):
     """Threaded, wall-clock twin of :class:`CoupledSimulation`.
 
     Parameters
     ----------
     config:
         A :class:`CouplingConfig` or configuration text (Figure 2).
-    buddy_help:
-        Enable the paper's optimization.
-    time_scale:
-        Multiplier applied to ``ctx.compute`` sleeps (use < 1 to speed
-        demos up).
-    default_timeout:
-        Blocking-receive timeout (deadlock diagnosis).
-    fault_injector:
-        A callable ``f(world, address, msg)`` installed as
-        :attr:`ThreadWorld.fault_hook` — typically a
-        :class:`repro.faults.injectors.LiveFaultInjector`.  Setting it
-        switches the runtime to resilient mode (relaxed request
-        ordering + retransmission).
-    retransmit_timeout:
-        Base retransmission timeout in wall seconds.  Defaults to
-        ``0.25`` when a fault injector is installed; set explicitly to
-        enable resilience without chaos.
-    max_retransmits:
-        Give-up bound per blocking receive (exponential backoff,
-        exponent capped at 6).
-    batch_control:
-        Coalesce each representative's fan-out of control messages into
-        per-destination :class:`~repro.core.wire.Frame` batches (default
-        off).  Fault injectors then act once per frame.
+    options:
+        A frozen :class:`~repro.api.options.RunOptions` (documented
+        field by field there); defaults to
+        ``RunOptions(runtime="live")``.  How this runtime reads the
+        ones whose meaning depends on it:
+
+        * ``fault_injector`` is installed as
+          :attr:`ThreadWorld.fault_hook` and switches the runtime to
+          resilient mode (relaxed request ordering + retransmission);
+          with ``batch_control`` it acts once per frame.
+        * ``retransmit_timeout`` is in wall seconds and defaults to
+          ``0.25`` when a fault injector is installed; set it
+          explicitly to enable resilience without chaos.
+          ``max_retransmits`` (default 8) bounds each blocking receive
+          (exponential backoff, exponent capped at 6).
+        * ``default_timeout`` is the blocking-receive timeout
+          (deadlock diagnosis).
+        * ``provenance`` logs are audit-only — wall-clock scheduling is
+          not replayable — but capture the same wire/match/operation
+          record as the DES runtime.
     """
 
     def __init__(
         self,
         config: CouplingConfig | str,
-        buddy_help: Any = _UNSET,
-        time_scale: Any = _UNSET,
-        default_timeout: Any = _UNSET,
-        tracer: Any = _UNSET,
-        fault_injector: Any = _UNSET,
-        retransmit_timeout: Any = _UNSET,
-        max_retransmits: Any = _UNSET,
-        batch_control: Any = _UNSET,
         *,
         options: "RunOptions | None" = None,
     ) -> None:
-        # Imported lazily: repro.api.facade imports this module.
-        from repro.api.options import RunOptions
+        if options is None:
+            # Imported lazily: repro.api.facade imports this module.
+            from repro.api.options import RunOptions
 
-        legacy = {
-            name: value
-            for name, value in (
-                ("buddy_help", buddy_help),
-                ("time_scale", time_scale),
-                ("default_timeout", default_timeout),
-                ("tracer", tracer),
-                ("fault_injector", fault_injector),
-                ("retransmit_timeout", retransmit_timeout),
-                ("max_retransmits", max_retransmits),
-                ("batch_control", batch_control),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if options is not None:
-                raise ConfigError(
-                    "pass either options=RunOptions(...) or legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "LiveCoupledSimulation(buddy_help=..., time_scale=..., ...) "
-                "keyword arguments are deprecated; pass "
-                "options=repro.RunOptions(runtime='live', ...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = RunOptions(runtime="live", **legacy)
-        elif options is None:
             options = RunOptions(runtime="live")
-        #: The frozen options this simulation was built from.
-        self.options = options
-        buddy_help = options.buddy_help
-        time_scale = options.time_scale
-        default_timeout = options.default_timeout
-        tracer = options.tracer
-        fault_injector = options.fault_injector
-        retransmit_timeout = options.retransmit_timeout
+        require_positive(options.time_scale, "time_scale")
         max_retransmits = (
             8 if options.max_retransmits is None else options.max_retransmits
         )
-        batch_control = options.batch_control
-        self.config = parse_config(config) if isinstance(config, str) else config
-        self.config.validate()
-        require_positive(time_scale, "time_scale")
         require(max_retransmits >= 0, "max_retransmits must be >= 0")
-        self.buddy_help = buddy_help
-        self.time_scale = time_scale
-        self.default_timeout = default_timeout
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.world = ThreadWorld(default_timeout=default_timeout)
-        self.world.fault_hook = fault_injector
-        self.resilient = fault_injector is not None or retransmit_timeout is not None
-        self.strict_order = not self.resilient
-        #: Which match engine every exporter process uses (validated by
-        #: ``RunOptions.__post_init__``; decisions are backend-independent).
-        self.match_backend = options.match_backend
-        if retransmit_timeout is not None:
-            require_positive(retransmit_timeout, "retransmit_timeout")
-            self._rto: float | None = retransmit_timeout
-        else:
-            self._rto = 0.25 if fault_injector is not None else None
-        self.max_retransmits = max_retransmits
-        self.retransmissions = 0
-        self.dup_discards = 0
-        self.batch_control = batch_control
-        self.frames_sent = 0
-        self.framed_messages = 0
-        self._count_lock = threading.Lock()
-        self._wire_seq = 0
-        #: Provenance recorder (opt-in).  Live logs are audit-only —
-        #: wall-clock scheduling is not replayable — but they capture
-        #: the same wire/match/operation record as the DES runtime.
-        #: Recorder appends are single ``list.append``/dict-op calls,
-        #: atomic under the GIL, so no extra lock is needed.
-        self._prov = None
-        if options.provenance is not None:
-            # Imported lazily: the core stays importable without the
-            # obs package and pays nothing when recording is off.
-            from repro.obs.prov import ProvenanceRecorder
-
-            self._prov = ProvenanceRecorder(options.provenance)
-        #: Causal tracing (opt-in, same span vocabulary as the DES
-        #: runtime).  The aux dicts are written by at most one thread
-        #: per key (CPython dict ops are atomic under the GIL).
-        self.causal: CausalLog | None = (
-            CausalLog()
-            if options.causal_trace or self._prov is not None
-            else None
-        )
+        self.time_scale = options.time_scale
+        self.default_timeout = options.default_timeout
+        self.world = ThreadWorld(default_timeout=options.default_timeout)
+        self.world.fault_hook = options.fault_injector
         #: Happens-before race detection (opt-in, duck-typed so the
         #: core layer does not import :mod:`repro.analysis.races`).
         #: ``None`` keeps every hook a single attribute check.
         self.races: Any | None = options.race_monitor
-        self._causal_req: dict[tuple[str, float, int], TraceContext] = {}
-        self._causal_resp: dict[tuple[str, float], list[int]] = {}
-        self._causal_agg: dict[tuple[str, float], TraceContext] = {}
-        self._causal_ans: dict[tuple[str, float], TraceContext] = {}
-        #: Streaming telemetry (opt-in); a background thread flushes
-        #: snapshots every ``telemetry_interval`` wall seconds.
-        self.telemetry_sinks: tuple[Any, ...] = tuple(options.telemetry_sinks)
-        self.telemetry_interval = options.telemetry_interval
-        #: Run epoch: span times and import latencies are relative to
-        #: this so both runtimes report small comparable numbers.
+        #: Run epoch: every trace, span and provenance time is relative
+        #: to this so both runtimes report small comparable numbers.
         self._t0 = time.perf_counter()
-        self._programs: dict[str, _LiveProgram] = {}
-        self._connections = {
-            c.connection_id: _LiveConn(c) for c in self.config.connections
-        }
-        self._started = False
+        #: ``("ctx", who)`` / ``("rep", program)`` → the lock guarding
+        #: that process's export states / that rep's state machines.
+        self._locks: dict[tuple[str, str], Any] = {}
+        rto = options.retransmit_timeout
+        if rto is None and options.fault_injector is not None:
+            rto = 0.25
+        super().__init__(
+            config,
+            options,
+            RuntimePort(
+                now=self.elapsed,
+                send=self._deliver,
+                guard=self._locked,
+                lock=threading.Lock(),
+            ),
+            rto=rto,
+            max_retransmits=max_retransmits,
+        )
 
     # -- setup ------------------------------------------------------------
     def add_program(
@@ -641,42 +303,47 @@ class LiveCoupledSimulation:
         main: Callable[[LiveProcessContext], Any] | None = None,
         regions: dict[str, RegionDef] | None = None,
         nprocs: int | None = None,
-    ) -> _LiveProgram:
+    ) -> _ProgramRuntime:
         """Register a program (same contract as the DES coupler)."""
-        require(not self._started, "cannot add programs after run()")
-        require(name not in self._programs, f"program {name!r} already added")
-        spec = self.config.programs.get(name)
-        if nprocs is None:
-            if spec is None:
-                raise ConfigError(f"program {name!r} not in configuration; pass nprocs=")
-            nprocs = spec.nprocs
-        regions = dict(regions or {})
-        for rname, rdef in regions.items():
-            require(
-                rdef.decomp.nprocs == nprocs,
-                f"region {name}.{rname}: decomposition over {rdef.decomp.nprocs} "
-                f"ranks but program has {nprocs}",
-            )
-        comms = self.world.create_program(name, nprocs)
-        for r in range(nprocs):
-            self.world.register(("ctl", name, r))
-            self.world.register(("cpl", name, r))
-        self.world.register(("rep", name))
-        prog = _LiveProgram(name, nprocs, main, regions, comms)
-        self._programs[name] = prog
-        return prog
+        return self._add_program(
+            name, main, regions, nprocs, self.world.create_program, self.world.register
+        )
 
     def elapsed(self) -> float:
         """Wall seconds since this runtime was constructed."""
         return time.perf_counter() - self._t0
 
-    def context(self, program: str, rank: int) -> LiveProcessContext:
-        """The live context of one process (valid once run() started)."""
-        return self._programs[program].contexts[rank]
+    # -- the port ---------------------------------------------------------------
+    def _deliver(self, src: Any, dst: Any, payload: Any, nbytes: int) -> None:
+        """Post one stamped wire unit through the fault hook, if any."""
+        mon = self.races
+        if mon is not None:
+            for msg in (*getattr(payload, "messages", ()), payload):
+                mon.send(msg.seq)
+        self.world.post(dst, payload)
 
-    def buffer_stats(self, program: str, rank: int, region: str):
-        """Buffer ledger snapshot of one process's exported region."""
-        return self.context(program, rank).export_states[region].buffer.stats()
+    @contextlib.contextmanager
+    def _locked(
+        self, key: tuple[str, str], *accesses: tuple[tuple[str, ...], str, str]
+    ) -> Iterator[None]:
+        """Hold the lock named *key* and tell the race monitor so.
+
+        The monitor hears of the lock after it is taken and before it
+        is dropped, so it observes lock events in their true
+        serialization order; *accesses* are the shared-state sites
+        touched under it.
+        """
+        with self._locks[key]:
+            mon = self.races
+            if mon is not None:
+                mon.acquire(key)
+                for site, kind, where in accesses:
+                    mon.access(site, kind, where=where)
+            try:
+                yield
+            finally:
+                if mon is not None:
+                    mon.release(key)
 
     # -- run --------------------------------------------------------------
     def run(self, join_timeout: float = 120.0) -> None:
@@ -695,28 +362,30 @@ class LiveCoupledSimulation:
 
             return runner
 
+        def thread(name: str, fn, *args) -> threading.Thread:
+            return threading.Thread(target=guarded(fn, *args), name=name, daemon=True)
+
         for prog in self._programs.values():
-            t = threading.Thread(
-                target=guarded(self._rep_loop, prog),
-                name=f"{prog.name}.rep",
-                daemon=True,
-            )
-            service.append(t)
-            for ctx in prog.contexts:
-                a = threading.Thread(
-                    target=guarded(self._agent_loop, ctx),
-                    name=f"{prog.name}.agent{ctx.rank}",
-                    daemon=True,
+            rep = ("rep", prog.name)
+            service.append(
+                thread(
+                    f"{prog.name}.rep", self._serve,
+                    rep, rep, f"{prog.name}.rep", partial(self._rep_handle, prog),
                 )
-                service.append(a)
-            if prog.main is not None:
-                for ctx in prog.contexts:
-                    m = threading.Thread(
-                        target=guarded(self._main_body, ctx),
-                        name=f"{prog.name}.{ctx.rank}",
-                        daemon=True,
+            )
+            for ctx in prog.contexts:
+                service.append(
+                    thread(
+                        f"{prog.name}.agent{ctx.rank}", self._serve,
+                        ("ctl", ctx.program, ctx.rank), ("cpl", ctx.program, ctx.rank),
+                        f"{ctx.who}.agent", partial(self._agent_handle, ctx),
                     )
-                    mains.append(m)
+                )
+            if prog.main is not None:
+                mains.extend(
+                    thread(f"{prog.name}.{ctx.rank}", self._main_body, ctx)
+                    for ctx in prog.contexts
+                )
         telemetry_stop: threading.Event | None = None
         telemetry_thread: threading.Thread | None = None
         if self.telemetry_sinks:
@@ -750,9 +419,9 @@ class LiveCoupledSimulation:
         alive = [t.name for t in mains if t.is_alive()]
         # Stop the service loops regardless of outcome.
         for prog in self._programs.values():
-            self._mailbox("rep", prog.name).put(wire.Shutdown())
+            self.world.mailbox(("rep", prog.name)).put(wire.Shutdown())
             for r in range(prog.nprocs):
-                self._mailbox("ctl", prog.name, r).put(wire.Shutdown())
+                self.world.mailbox(("ctl", prog.name, r)).put(wire.Shutdown())
         for t in service:
             t.join(timeout=5.0)
         if errors:
@@ -762,394 +431,26 @@ class LiveCoupledSimulation:
 
     # -- internals ------------------------------------------------------------
     def _finalize_setup(self) -> None:
-        self._started = True
-        for crt in self._connections.values():
-            spec = crt.spec
-            for side, ep in (("exporter", spec.exporter), ("importer", spec.importer)):
-                prog = self._programs.get(ep.program)
-                if prog is None:
-                    raise ConfigError(
-                        f"connection {crt.cid}: {side} program {ep.program!r} never added"
-                    )
-                if ep.region not in prog.regions:
-                    raise ConfigError(
-                        f"connection {crt.cid}: {ep.program!r} does not declare "
-                        f"region {ep.region!r}"
-                    )
-            exp_def = self._programs[spec.exporter.program].regions[spec.exporter.region]
-            imp_def = self._programs[spec.importer.program].regions[spec.importer.region]
-            if exp_def.decomp.global_shape != imp_def.decomp.global_shape:
-                raise ConfigError(f"connection {crt.cid}: global shape mismatch")
-            transfer = exp_def.effective_section().intersect(
-                imp_def.effective_section()
-            )
-            if transfer.is_empty:
-                raise ConfigError(
-                    f"connection {crt.cid}: the sections do not overlap"
-                )
-            crt.exp_def = exp_def
-            crt.schedule = CommSchedule.build_cached(
-                exp_def.decomp, imp_def.decomp, transfer
-            )
-            itemsize = exp_def.itemsize
-            crt.send_plans = {
-                r: tuple(
-                    (
-                        item.dst_rank,
-                        item.region,
-                        item.region.to_slices(origin=exp_def.decomp.local_region(r).lo),
-                        item.region.size * itemsize,
-                    )
-                    for item in crt.schedule.sends_for(r)
-                )
-                for r in range(exp_def.decomp.nprocs)
-            }
-            crt.recv_slices = {
-                r: {
-                    item.region: item.region.to_slices(
-                        origin=imp_def.decomp.local_region(r).lo
-                    )
-                    for item in crt.schedule.recvs_for(r)
-                }
-                for r in range(imp_def.decomp.nprocs)
-            }
         for prog in self._programs.values():
-            exp_cids = [
-                c.connection_id
-                for c in self.config.connections
-                if c.exporter.program == prog.name
-            ]
-            imp_cids = [
-                c.connection_id
-                for c in self.config.connections
-                if c.importer.program == prog.name
-            ]
-            if exp_cids:
-                prog.exp_rep = ExporterRep(
-                    prog.name,
-                    prog.nprocs,
-                    exp_cids,
-                    buddy_help=self.buddy_help,
-                    strict_order=self.strict_order,
-                )
-            if imp_cids:
-                prog.imp_rep = ImporterRep(prog.name, prog.nprocs, imp_cids)
-            prog.contexts = [
-                LiveProcessContext(self, prog, r) for r in range(prog.nprocs)
-            ]
-        if self._prov is not None:
-            from repro.obs.prov import build_header
+            self._locks[("rep", prog.name)] = threading.Lock()
+        self._resolve(LiveProcessContext, "live")
 
-            self._prov.set_header(build_header(self, "live"))
-
-    def _mailbox(self, *address: Any) -> ThreadMailbox:
-        return self.world.mailbox(tuple(address))
-
-    def _causal_child(
+    def _serve(
         self,
-        name: str,
+        address: Any,
+        src: Any,
         who: str,
-        cause: TraceContext | None,
-        cid: str,
-        request_ts: float,
-        extra_parents: tuple[int, ...] = (),
-        **attrs: Any,
-    ) -> TraceContext:
-        """Record a span caused by *cause* (or rooted at the request key)."""
-        assert self.causal is not None
-        tid = (
-            cause.trace_id
-            if cause is not None
-            else self.causal.trace_for(cid, request_ts)
-        )
-        parents = (() if cause is None else (cause.span_id,)) + tuple(extra_parents)
-        return self.causal.record(
-            tid,
-            name,
-            who,
-            self.elapsed(),
-            parents=parents,
-            connection=cid,
-            request=request_ts,
-            **attrs,
-        )
-
-    def _stamp(self, msg: Any) -> Any:
-        """Give *msg* a fresh wire sequence number if unstamped."""
-        if getattr(msg, "seq", None) == -1:
-            with self._count_lock:
-                self._wire_seq += 1
-                msg = dataclasses.replace(msg, seq=self._wire_seq)
-            if self.races is not None:
-                self.races.send(msg.seq)
-        return msg
-
-    # -- race-detector hooks ----------------------------------------------
-    # Each hook is one attribute check when no monitor is attached.
-    # _race_enter runs *after* the instrumented lock is taken and
-    # _race_exit *before* it is dropped, so the monitor observes lock
-    # events in their true serialization order.
-    def _race_enter(
-        self, lock_key: Any, *accesses: tuple[tuple[str, ...], str, str]
+        handle: Callable[[Any, list[tuple[Any, Any]] | None], Any],
     ) -> None:
-        mon = self.races
-        if mon is not None:
-            mon.acquire(lock_key)
-            for site, kind, where in accesses:
-                mon.access(site, kind, where=where)
+        """One service loop (a rep, or a process's agent) until Shutdown.
 
-    def _race_exit(self, lock_key: Any) -> None:
-        if self.races is not None:
-            self.races.release(lock_key)
-
-    def _race_recv(self, msg: Any) -> None:
-        if self.races is not None:
-            seq = getattr(msg, "seq", -1)
-            if seq >= 0:
-                self.races.recv(seq)
-
-    def _post(self, address: tuple[Any, ...], msg: Any) -> None:
-        """Stamp a fresh sequence number and deliver via the fault hook."""
-        msg = self._stamp(msg)
-        if self._prov is not None:
-            self._prov.on_wire(
-                self.elapsed(),
-                getattr(msg, "seq", -1),
-                None,
-                address,
-                type(msg).__name__,
-                "data" if isinstance(msg, wire.DataPiece) else "ctl",
-                int(getattr(msg, "nbytes", wire.CTL_NBYTES)),
-                getattr(msg, "trace", None),
-            )
-        self.world.post(address, msg)
-
-    def _flush_frames(self, out: list[tuple[Any, Any]]) -> None:
-        """Post collected ``(address, msg)`` control sends as frames.
-
-        Sends to the same destination mailbox coalesce into one
-        :class:`~repro.core.wire.Frame`; singletons go out bare.
-        Members are stamped individually so receiver dedup is unchanged.
+        *handle* is the driver's ``_rep_handle``/``_agent_handle`` bound
+        to its program/context; *src* the address its sends come from.
         """
-        by_dst: dict[Any, list[Any]] = {}
-        for dst, msg in out:
-            by_dst.setdefault(dst, []).append(msg)
-        for dst, msgs in by_dst.items():
-            if len(msgs) == 1:
-                self._post(dst, msgs[0])
-                continue
-            members = tuple(self._stamp(m) for m in msgs)
-            with self._count_lock:
-                self.frames_sent += 1
-                self.framed_messages += len(members)
-            self._post(
-                dst,
-                wire.Frame(
-                    messages=members,
-                    nbytes=wire.frame_nbytes(wire.CTL_NBYTES * len(members)),
-                ),
-            )
-
-    def _send_response(
-        self,
-        ctx: LiveProcessContext,
-        cid: str,
-        response,
-        out: list[tuple[Any, Any]] | None = None,
-    ) -> None:
-        tr: TraceContext | None = None
-        if self.causal is not None:
-            tr = self._causal_child(
-                "match",
-                ctx.who,
-                ctx._causal_fwd.get((cid, response.request_ts)),
-                cid,
-                response.request_ts,
-                kind=str(response.kind),
-                rank=ctx.rank,
-            )
-        if self._prov is not None:
-            self._prov.on_match(
-                self.elapsed(),
-                cid,
-                ctx.rank,
-                response.request_ts,
-                str(response.kind),
-                response.latest_export_ts,
-                self.match_backend,
-            )
-        payload = wire.ProcResponse(
-            connection_id=cid, rank=ctx.rank, response=response, trace=tr
-        )
-        if out is None:
-            self._post(("rep", ctx.program), payload)
-        else:
-            out.append((("rep", ctx.program), payload))
-
-    def _send_pieces(self, ctx: LiveProcessContext, region: str, cid: str, m: float) -> None:
-        crt = self._connections[cid]
-        schedule = crt.schedule
-        assert schedule is not None and crt.exp_def is not None
-        st = ctx.export_states[region]
-        if not st.buffer.has(m):
-            if st.buffer.was_sent(m):
-                # Already transferred and evicted (a retransmission
-                # re-sent it); the importer deduplicates pieces.
-                return
-            raise FrameworkError(
-                f"{ctx.who}: match @{m:g} of {cid} is no longer buffered — "
-                "pipelined imports combined with control-message loss can "
-                "evict a pending match (see docs/resilience.md)"
-            )
-        entry = st.buffer.get(m)
-        if not entry.sent:
-            st.buffer.mark_sent(m)
-        payload = entry.payload
-        imp_prog = crt.spec.importer.program
-        # Zero-copy: send views into the buffered payload, selected by
-        # slice tuples precomputed at finalize time.  The payload is a
-        # private buffered copy and is never mutated, so sharing it
-        # across threads is safe.
-        for dst_rank, piece_region, slices, nbytes in crt.send_plans.get(ctx.rank, ()):
-            data = payload[slices] if payload is not None else None
-            self._post(
-                ("cpl", imp_prog, dst_rank),
-                wire.DataPiece(
-                    connection_id=cid,
-                    match_ts=m,
-                    src_rank=ctx.rank,
-                    region=piece_region,
-                    data=data,
-                    nbytes=nbytes,
-                ),
-            )
-
-    def _region_of_connection(self, prog: str, cid: str) -> str:
-        spec = self._connections[cid].spec
-        require(spec.exporter.program == prog, f"{cid} does not export from {prog}")
-        return spec.exporter.region
-
-    def _seq_duplicate(self, msg: Any, seen: set[int], who: str) -> bool:
-        """Wire-level duplicate detection by sequence number."""
-        seq = getattr(msg, "seq", -1)
-        if seq < 0:
-            return False
-        if seq in seen:
-            with self._count_lock:
-                self.dup_discards += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.DUP_DISCARD,
-                    who,
-                    time.perf_counter(),
-                    msg=type(msg).__name__,
-                    seq=seq,
-                )
-            return True
-        seen.add(seq)
-        return False
-
-    def _agent_loop(self, ctx: LiveProcessContext) -> None:
-        box = self._mailbox("ctl", ctx.program, ctx.rank)
+        box = self.world.mailbox(address)
         seen: set[int] = set()
         while True:
-            unit = box.get(lambda _m: True, timeout=None)
-            units = [unit]
-            if self.batch_control:
-                units.extend(box.drain())
-            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
-            stop = False
-            for unit in units:
-                if isinstance(unit, wire.Shutdown):
-                    stop = True
-                    continue
-                members = unit.messages if isinstance(unit, wire.Frame) else (unit,)
-                for msg in members:
-                    if self._seq_duplicate(msg, seen, f"{ctx.who}.agent"):
-                        continue
-                    self._race_recv(msg)
-                    self._agent_handle(ctx, msg, out)
-            if out:
-                self._flush_frames(out)
-            if stop:
-                return
-
-    def _agent_handle(
-        self,
-        ctx: LiveProcessContext,
-        msg: Any,
-        out: list[tuple[Any, Any]] | None,
-    ) -> None:
-        if isinstance(msg, wire.FwdRequest):
-            region = self._region_of_connection(ctx.program, msg.connection_id)
-            st = ctx.export_states[region]
-            if self.causal is not None:
-                ctx._causal_fwd[(msg.connection_id, msg.request_ts)] = msg.trace
-            with ctx.lock:
-                self._race_enter(
-                    ("ctx", ctx.who),
-                    (("match", ctx.who, region), "write", "agent.on_request"),
-                    (("ledger", ctx.who, region), "write", "agent.pieces"),
-                )
-                outcome = st.on_request(msg.connection_id, msg.request_ts)
-                self._send_response(ctx, msg.connection_id, outcome.response, out)
-                if outcome.applied is not None and outcome.applied.send_now is not None:
-                    self._send_pieces(
-                        ctx, region, msg.connection_id, outcome.applied.send_now
-                    )
-                st.collect_evictions()
-                self._race_exit(("ctx", ctx.who))
-        elif isinstance(msg, wire.BuddyMsg):
-            region = self._region_of_connection(ctx.program, msg.connection_id)
-            st = ctx.export_states[region]
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.BUDDY_RECV,
-                    ctx.who,
-                    time.perf_counter(),
-                    request=msg.answer.request_ts,
-                    answer="YES" if msg.answer.is_match else "NO",
-                    match=msg.answer.matched_ts
-                    if msg.answer.matched_ts is not None
-                    else msg.answer.request_ts,
-                )
-            recv_tr: TraceContext | None = None
-            if self.causal is not None:
-                recv_tr = self._causal_child(
-                    "buddy_recv",
-                    ctx.who,
-                    msg.trace,
-                    msg.connection_id,
-                    msg.answer.request_ts,
-                    rank=ctx.rank,
-                )
-            # Unconditional arrival bookkeeping: lead times are
-            # reported even without causal tracing.
-            ctx._buddy_arrivals[(msg.connection_id, msg.answer.request_ts)] = (
-                self.elapsed(),
-                recv_tr,
-            )
-            with ctx.lock:
-                self._race_enter(
-                    ("ctx", ctx.who),
-                    (("match", ctx.who, region), "write", "agent.on_buddy_answer"),
-                    (("ledger", ctx.who, region), "write", "agent.buddy_pieces"),
-                )
-                applied = st.on_buddy_answer(msg.connection_id, msg.answer)
-                ctx.stats.buddy_answers_received += 1
-                if applied.send_now is not None:
-                    self._send_pieces(ctx, region, msg.connection_id, applied.send_now)
-                st.collect_evictions()
-                self._race_exit(("ctx", ctx.who))
-        else:
-            raise FrameworkError(f"agent received unexpected message {msg!r}")
-
-    def _rep_loop(self, prog: _LiveProgram) -> None:
-        box = self._mailbox("rep", prog.name)
-        seen: set[int] = set()
-        while True:
-            unit = box.get(lambda _m: True, timeout=None)
-            units = [unit]
+            units = [box.get(lambda _m: True, timeout=None)]
             if self.batch_control:
                 # Burst coalescing: handle the whole backlog in one go
                 # and frame the combined fan-out per destination.
@@ -1160,191 +461,21 @@ class LiveCoupledSimulation:
                 if isinstance(unit, wire.Shutdown):
                     stop = True
                     continue
-                members = unit.messages if isinstance(unit, wire.Frame) else (unit,)
-                for msg in members:
-                    if self._seq_duplicate(msg, seen, f"{prog.name}.rep"):
-                        continue
-                    self._race_recv(msg)
-                    self._rep_handle(prog, msg, out)
+                for msg in self._fresh(unit, seen, who):
+                    if self.races is not None and getattr(msg, "seq", -1) >= 0:
+                        self.races.recv(msg.seq)
+                    handle(msg, out)
             if out:
-                self._flush_frames(out)
+                self._flush_frames(src, out)
             if stop:
                 return
-
-    def _rep_handle(
-        self, prog: _LiveProgram, msg: Any, out: list[tuple[Any, Any]] | None
-    ) -> None:
-        """Dispatch one rep message to the right state machine."""
-        cause: TraceContext | None = getattr(msg, "trace", None)
-        with prog.rep_lock:
-            self._race_enter(
-                ("rep", prog.name),
-                (("rep_cache", f"{prog.name}.rep"), "write", "rep.dispatch"),
-            )
-            if isinstance(msg, wire.ReqToExpRep):
-                assert prog.exp_rep is not None
-                directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
-            elif isinstance(msg, wire.ProcResponse):
-                assert prog.exp_rep is not None
-                if self.causal is not None and cause is not None:
-                    self._causal_resp.setdefault(
-                        (msg.connection_id, msg.response.request_ts), []
-                    ).append(cause.span_id)
-                directives = prog.exp_rep.on_response(
-                    msg.connection_id, msg.rank, msg.response
-                )
-            elif isinstance(msg, wire.ImpProcRequest):
-                assert prog.imp_rep is not None
-                directives = prog.imp_rep.on_process_request(
-                    msg.connection_id, msg.request_ts, msg.rank
-                )
-            elif isinstance(msg, wire.AnswerToImpRep):
-                assert prog.imp_rep is not None
-                if self.causal is not None and cause is not None:
-                    self._causal_ans[(msg.connection_id, msg.answer.request_ts)] = (
-                        cause
-                    )
-                directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
-            else:
-                raise FrameworkError(f"rep received unexpected message {msg!r}")
-            self._race_exit(("rep", prog.name))
-        for d in directives:
-            self._execute_directive(prog, d, out, cause=cause)
-
-    def _execute_directive(
-        self,
-        prog: _LiveProgram,
-        d: Any,
-        out: list[tuple[Any, Any]] | None = None,
-        cause: TraceContext | None = None,
-    ) -> None:
-        rep_who = f"{prog.name}.rep"
-
-        def send_ctl(dst: Any, payload: Any) -> None:
-            if out is None:
-                self._post(dst, payload)
-            else:
-                out.append((dst, payload))
-
-        if isinstance(d, ForwardRequest):
-            tr: TraceContext | None = None
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "fan_out", rep_who, cause, d.connection_id, d.request_ts,
-                    rank=d.rank,
-                )
-            send_ctl(
-                ("ctl", prog.name, d.rank),
-                wire.FwdRequest(
-                    connection_id=d.connection_id,
-                    request_ts=d.request_ts,
-                    trace=tr,
-                ),
-            )
-        elif isinstance(d, AnswerImporter):
-            imp_prog = self._connections[d.connection_id].spec.importer.program
-            tr = None
-            if self.causal is not None:
-                key = (d.connection_id, d.answer.request_ts)
-                prior = self._causal_agg.get(key)
-                extra = tuple(self._causal_resp.pop(key, ()))
-                if prior is not None:
-                    extra = (prior.span_id,) + extra
-                attrs: dict[str, Any] = {"kind": str(d.answer.kind)}
-                finfo = getattr(prog.exp_rep, "finalize_info", None)
-                info = finfo(d.connection_id, d.answer.request_ts) if finfo else None
-                if info is not None:
-                    attrs["case"], attrs["finalizing_rank"] = info
-                if prior is not None:
-                    attrs["cached"] = True
-                tr = self._causal_child(
-                    "aggregate", rep_who, cause, d.connection_id,
-                    d.answer.request_ts, extra_parents=extra, **attrs,
-                )
-                self._causal_agg.setdefault(key, tr)
-            send_ctl(
-                ("rep", imp_prog),
-                wire.AnswerToImpRep(
-                    connection_id=d.connection_id, answer=d.answer, trace=tr
-                ),
-            )
-        elif isinstance(d, BuddyHelp):
-            tr = None
-            if self.causal is not None:
-                agg = self._causal_agg.get((d.connection_id, d.answer.request_ts))
-                tr = self._causal_child(
-                    "buddy_notify",
-                    rep_who,
-                    agg if agg is not None else cause,
-                    d.connection_id,
-                    d.answer.request_ts,
-                    rank=d.rank,
-                )
-            send_ctl(
-                ("ctl", prog.name, d.rank),
-                wire.BuddyMsg(
-                    connection_id=d.connection_id, answer=d.answer, trace=tr
-                ),
-            )
-        elif isinstance(d, ForwardToExporter):
-            exp_prog = self._connections[d.connection_id].spec.exporter.program
-            tr = None
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "rep_forward", rep_who, cause, d.connection_id, d.request_ts
-                )
-            send_ctl(
-                ("rep", exp_prog),
-                wire.ReqToExpRep(
-                    connection_id=d.connection_id,
-                    request_ts=d.request_ts,
-                    trace=tr,
-                ),
-            )
-        elif isinstance(d, DeliverAnswer):
-            tr = None
-            if self.causal is not None:
-                ans = self._causal_ans.get((d.connection_id, d.answer.request_ts))
-                extra = () if ans is None else (ans.span_id,)
-                tr = self._causal_child(
-                    "answer", rep_who, cause, d.connection_id,
-                    d.answer.request_ts, extra_parents=extra, rank=d.rank,
-                )
-            self._post(
-                ("cpl", prog.name, d.rank),
-                wire.AnswerToProc(
-                    connection_id=d.connection_id, answer=d.answer, trace=tr
-                ),
-            )
-        else:  # pragma: no cover - defensive
-            raise FrameworkError(f"unknown directive {d!r}")
 
     def _main_body(self, ctx: LiveProcessContext) -> None:
         assert ctx._program.main is not None
         try:
             ctx._program.main(ctx)
         finally:
-            with self._count_lock:
+            with self._lock:
                 ctx._program.alive -= 1
             with ctx.lock:
-                for region, st in ctx.export_states.items():
-                    responses, post_sends = st.close()
-                    for cid, m in post_sends:
-                        self._send_pieces(ctx, region, cid, m)
-                    for cid, response in responses:
-                        self._send_response(ctx, cid, response)
-
-
-class _LiveConn:
-    def __init__(self, spec):
-        self.spec = spec
-        self.schedule: CommSchedule | None = None
-        self.exp_def: RegionDef | None = None
-        #: Per-exporter-rank send plan: (dst_rank, region, slices, nbytes).
-        self.send_plans: dict[int, tuple[tuple[int, RectRegion, tuple[slice, ...], int], ...]] = {}
-        #: Per-importer-rank assembly slices, keyed by piece region.
-        self.recv_slices: dict[int, dict[RectRegion, tuple[slice, ...]]] = {}
-
-    @property
-    def cid(self) -> str:
-        return self.spec.connection_id
+                self._close_exports(ctx)

@@ -133,8 +133,8 @@ def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = No
 class LiveFaultInjector:
     """Mailbox-post hook applying a :class:`FaultPlan` on the live runtime.
 
-    Install via ``LiveCoupledSimulation(..., fault_injector=...)`` (which
-    assigns it to ``ThreadWorld.fault_hook``).  Framework messages posted
+    Install via ``RunOptions(runtime="live", fault_injector=...)`` (the
+    live runtime assigns it to ``ThreadWorld.fault_hook``).  Framework messages posted
     to eligible planes are then dropped, duplicated or delayed; user
     traffic and shutdown sentinels pass through untouched.
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.report import Severity
 from repro.analysis.sanitizer import ProtocolSanitizer, SanitizerError
+from repro.api import RunOptions
 from repro.core.config import parse_config
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import PropertyViolationError, ProtocolError
@@ -252,7 +253,7 @@ def _run_sim(**kwargs):
             yield from ctx.import_("r", 5.0 * (k + 1))
             yield from ctx.compute(0.002)
 
-    cs = CoupledSimulation(CFG, **kwargs)
+    cs = CoupledSimulation(CFG, options=RunOptions(**kwargs))
     shape, procs = (8, 8), (2, 1)
     cs.add_program(
         "F", main=f_main, regions={"r": RegionDef(BlockDecomposition(shape, procs))}
@@ -301,7 +302,7 @@ class TestEndToEnd:
 
     def test_bad_sanitize_value_rejected(self):
         with pytest.raises(ValueError):
-            CoupledSimulation(CFG, sanitize="loud")
+            CoupledSimulation(CFG, options=RunOptions(sanitize="loud"))
 
 
 class TestS304DuplicateAnswerAgreement:

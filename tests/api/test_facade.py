@@ -1,9 +1,9 @@
-"""The ``repro.api`` facade and the legacy-kwargs deprecation shim.
+"""The ``repro.api`` facade.
 
-The contract under test: ``options=RunOptions(...)`` is the one true
-construction path, the old keyword arguments still work but emit
-exactly one :class:`DeprecationWarning`, and the two paths produce
-**bit-identical** runs (same trace, same answers, same virtual time).
+The contract under test: ``options=RunOptions(...)`` is the only
+construction path of both runtimes (the old keyword arguments raise
+:class:`TypeError`), and the facade produces the same run as a
+hand-built simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
 from repro.core.live import LiveCoupledSimulation
 from repro.data.decomposition import BlockDecomposition
 from repro.util.tracing import Tracer
-from repro.core.exceptions import ConfigError
 
 CONFIG = (
     "E c0 /bin/E 2\n"
@@ -59,16 +58,7 @@ def _trace_key(tracer: Tracer) -> list[tuple[Any, ...]]:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_emit_exactly_one_warning(self):
-        with pytest.warns(DeprecationWarning) as rec:
-            CoupledSimulation(CONFIG, seed=3, buddy_help=False)
-        assert len(rec) == 1
-        assert "options=repro.RunOptions" in str(rec[0].message)
-
-    def test_live_legacy_kwargs_emit_exactly_one_warning(self):
-        with pytest.warns(DeprecationWarning) as rec:
-            LiveCoupledSimulation(CONFIG, time_scale=0.001)
-        assert len(rec) == 1
+    """The constructor-kwargs shim is deleted, not deprecated."""
 
     def test_options_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -76,35 +66,15 @@ class TestDeprecationShim:
             CoupledSimulation(CONFIG, options=RunOptions(seed=3))
             LiveCoupledSimulation(CONFIG, options=RunOptions(runtime="live"))
 
-    def test_mixing_options_and_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ConfigError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            CoupledSimulation(CONFIG, seed=1, options=RunOptions())
-        with pytest.raises(ConfigError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            LiveCoupledSimulation(CONFIG, time_scale=0.5, options=RunOptions())
-
-    def test_legacy_and_options_runs_are_bit_identical(self):
-        def run_des(legacy: bool) -> tuple[dict, float, list]:
-            answers: dict[int, list[tuple[float, float | None]]] = {}
-            tracer = Tracer()
-            if legacy:
-                with pytest.warns(DeprecationWarning):
-                    cs = CoupledSimulation(CONFIG, seed=5, tracer=tracer)
-            else:
-                cs = CoupledSimulation(
-                    CONFIG, options=RunOptions(seed=5, tracer=tracer)
-                )
-            cs.add_program("E", main=_e_main, regions=_regions((2, 1)))
-            cs.add_program("I", main=_i_main(answers), regions=_regions((1, 2)))
-            cs.run()
-            return answers, cs.sim.now, _trace_key(tracer)
-
-        a_answers, a_time, a_trace = run_des(legacy=True)
-        b_answers, b_time, b_trace = run_des(legacy=False)
-        assert a_answers == b_answers
-        assert a_time == b_time
-        assert a_trace == b_trace
+    @pytest.mark.parametrize("cls", [CoupledSimulation, LiveCoupledSimulation])
+    def test_legacy_constructor_arguments_are_gone(self, cls):
+        """``options=RunOptions(...)`` is the only construction path."""
+        with pytest.raises(TypeError):
+            cls(CONFIG, buddy_help=False)
+        with pytest.raises(TypeError):
+            cls(CONFIG, RunOptions())  # options is keyword-only
+        with pytest.raises(TypeError):
+            cls(CONFIG, seed=1, options=RunOptions())
 
 
 class TestRunFacade:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import ConfigError
 from repro.core.exporter import ExportDecision
+from repro.core.live import LiveCoupledSimulation
 from repro.costs import FAST_TEST
 from repro.data.decomposition import BlockDecomposition
 from repro.util import tracing
@@ -41,8 +43,15 @@ def build_basic(buddy=True, f_slow=3.0, exports=60, requests=(20.0, 40.0, 60.0),
             got.append((ts, m, None if block is None else float(block.mean())))
         results[ctx.rank] = got
 
-    cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST, buddy_help=buddy,
-                           tracer=tracer, seed=seed)
+    cs = CoupledSimulation(
+        TWO_BY_TWO,
+        options=RunOptions(
+            preset=FAST_TEST,
+            buddy_help=buddy,
+            tracer=tracer,
+            seed=seed,
+        ),
+    )
     cs.add_program("F", main=f_main,
                    regions={"field": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
     cs.add_program("U", main=u_main,
@@ -90,7 +99,7 @@ class TestDataPlane:
             m, block = yield from ctx.import_("field", 10.0)
             collected[ctx.rank] = (m, block)
 
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+        cs = CoupledSimulation(TWO_BY_TWO, options=RunOptions(preset=FAST_TEST))
         cs.add_program("F", main=f_main,
                        regions={"field": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         cs.add_program("U", main=u_main,
@@ -188,41 +197,52 @@ class TestStatsAndSeries:
         assert sum(cs.context("F", 0).stats.decisions().values()) == 50
 
 
+#: Both runtimes resolve connections through the one shared resolver, so
+#: a wrong coupling fails with the same message on either.
+BOTH_RUNTIMES = pytest.mark.parametrize(
+    "runtime_cls", [CoupledSimulation, LiveCoupledSimulation], ids=["des", "live"]
+)
+
+
 class TestSetupErrors:
     def test_program_not_in_config_needs_nprocs(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+        cs = CoupledSimulation(TWO_BY_TWO, options=RunOptions(preset=FAST_TEST))
         with pytest.raises(ConfigError, match="pass nprocs"):
             cs.add_program("GHOST")
 
-    def test_missing_program_detected_at_run(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+    @BOTH_RUNTIMES
+    def test_missing_program_detected_at_run(self, runtime_cls):
+        cs = runtime_cls(TWO_BY_TWO)
         cs.add_program("F", regions={"field": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         with pytest.raises(ConfigError, match="never added"):
             cs.run()
 
     def test_missing_region_declaration_detected(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+        cs = CoupledSimulation(TWO_BY_TWO, options=RunOptions(preset=FAST_TEST))
         cs.add_program("F", regions={"wrong_name": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         cs.add_program("U", regions={"field": RegionDef(BlockDecomposition((8, 8), (1, 2)))})
         with pytest.raises(ConfigError, match="does not declare region"):
             cs.run()
 
-    def test_global_shape_mismatch_detected(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+    @BOTH_RUNTIMES
+    def test_global_shape_mismatch_detected(self, runtime_cls):
+        cs = runtime_cls(TWO_BY_TWO)
         cs.add_program("F", regions={"field": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         cs.add_program("U", regions={"field": RegionDef(BlockDecomposition((16, 16), (1, 2)))})
-        with pytest.raises(ConfigError, match="global shape"):
+        with pytest.raises(
+            ConfigError, match=r"global shape \(8, 8\) != importer global shape \(16, 16\)"
+        ):
             cs.run()
 
     def test_decomp_rank_count_mismatch(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+        cs = CoupledSimulation(TWO_BY_TWO, options=RunOptions(preset=FAST_TEST))
         with pytest.raises(ValueError, match="decomposition is over"):
             cs.add_program(
                 "F", regions={"field": RegionDef(BlockDecomposition((8, 8), (4, 1)))}
             )
 
     def test_duplicate_add_program(self):
-        cs = CoupledSimulation(TWO_BY_TWO, preset=FAST_TEST)
+        cs = CoupledSimulation(TWO_BY_TWO, options=RunOptions(preset=FAST_TEST))
         cs.add_program("F", regions={"field": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         with pytest.raises(ValueError, match="already added"):
             cs.add_program("F")
@@ -253,7 +273,7 @@ class TestMultipleImporters:
             m, block = yield from ctx.import_("d", 10.5)
             got[(ctx.program, ctx.rank)] = (m, None if block is None else float(block.mean()))
 
-        cs = CoupledSimulation(self.CONFIG, preset=FAST_TEST)
+        cs = CoupledSimulation(self.CONFIG, options=RunOptions(preset=FAST_TEST))
         dec2 = BlockDecomposition((4, 4), (2, 1))
         cs.add_program("E", main=e_main, regions={"d": RegionDef(dec2)})
         cs.add_program("A", main=imp_main, regions={"d": RegionDef(dec2)})

@@ -4,13 +4,14 @@ post-close requests, and miscellaneous paths not covered elsewhere."""
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
 
 
 def make_sim(config, **kw):
-    return CoupledSimulation(config, preset=FAST_TEST, seed=0, **kw)
+    return CoupledSimulation(config, options=RunOptions(preset=FAST_TEST, seed=0, **kw))
 
 
 class TestExactPolicy:

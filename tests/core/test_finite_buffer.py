@@ -9,6 +9,7 @@ buffer — the optimization also bounds memory, not just time.
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import FrameworkError
 from repro.costs import FAST_TEST
@@ -44,10 +45,12 @@ def build(capacity=None, policy="error", buddy=True, exports=60,
 
     cs = CoupledSimulation(
         CONFIG,
-        preset=FAST_TEST,
-        buddy_help=buddy,
-        buffer_capacity_bytes=capacity,
-        buffer_policy=policy,
+        options=RunOptions(
+            preset=FAST_TEST,
+            buddy_help=buddy,
+            buffer_capacity_bytes=capacity,
+            buffer_policy=policy,
+        ),
     )
     cs.add_program("E", main=e_main,
                    regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
@@ -116,4 +119,4 @@ class TestBlockPolicy:
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="buffer_policy"):
-            CoupledSimulation(CONFIG, buffer_policy="bogus")
+            CoupledSimulation(CONFIG, options=RunOptions(buffer_policy="bogus"))

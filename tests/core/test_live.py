@@ -8,6 +8,8 @@ skip counts under forced skew) must mirror the DES runtime.
 import numpy as np
 import pytest
 
+import repro
+from repro.api import RunOptions
 from repro.core.coupler import RegionDef
 from repro.core.exceptions import ConfigError
 from repro.core.live import LiveCoupledSimulation
@@ -22,7 +24,7 @@ F.d U.d REGL 2.5
 
 
 def build(buddy=True, slow=4.0, exports=40, requests=(20.0, 40.0),
-          f_sleep=0.001, u_sleep=0.002, with_data=True):
+          f_sleep=0.001, u_sleep=0.002, with_data=True, tracer=None):
     results = {}
 
     def f_main(ctx):
@@ -42,7 +44,12 @@ def build(buddy=True, slow=4.0, exports=40, requests=(20.0, 40.0),
             got.append((want, m, None if block is None else float(block.mean())))
         results[ctx.rank] = got
 
-    sim = LiveCoupledSimulation(CONFIG, buddy_help=buddy, default_timeout=20.0)
+    sim = LiveCoupledSimulation(
+        CONFIG,
+        options=RunOptions(
+            runtime="live", buddy_help=buddy, default_timeout=20.0, tracer=tracer
+        ),
+    )
     sim.add_program("F", main=f_main,
                     regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
     sim.add_program("U", main=u_main,
@@ -81,38 +88,42 @@ class TestLiveProtocol:
         off = sim_off.buffer_stats("F", 1, "d")
         assert on.buffered_count <= off.buffered_count
 
-    def test_answers_agree_with_des_runtime(self):
-        """The DES and live runtimes must produce identical matches."""
-        from repro.core.coupler import CoupledSimulation
-        from repro.costs import FAST_TEST
+    def test_wire_counters_count_the_run(self):
+        """The shared send path counts live traffic too: every counter
+        key is reported and data bytes equal what importers received."""
+        from repro.api.facade import _counters
 
-        sim, live_results = build()
+        sim, results = build()
         sim.run(join_timeout=60.0)
+        schedule = sim._connections["F.d->U.d"].schedule
+        piece_bytes = [
+            item.region.size * 8 for rank in (0, 1) for item in schedule.recvs_for(rank)
+        ]
+        matches = len(results[0])
+        counters = _counters(sim)
+        assert set(counters) == {
+            "ctl_messages", "ctl_bytes", "data_messages", "data_bytes",
+            "frames_sent", "framed_messages", "retransmissions", "dup_discards",
+        }
+        assert counters["data_bytes"] == matches * sum(piece_bytes) == 2 * 8 * 8 * 8
+        assert counters["data_messages"] == matches * len(piece_bytes)
+        assert counters["ctl_bytes"] == 64 * counters["ctl_messages"] > 0
 
-        des_results = {}
+    def test_trace_is_on_the_run_clock_with_the_des_event_kinds(self):
+        """Tracer events share the causal spans' run-relative epoch and
+        cover the rep/agent events the DES runtime records."""
+        from repro.util import tracing
 
-        def f_main(ctx):
-            scale = 4.0 if ctx.rank == 1 else 1.0
-            for k in range(40):
-                yield from ctx.export("d", 1.6 + k)
-                yield from ctx.compute(0.001 * scale)
-
-        def u_main(ctx):
-            got = []
-            for want in (20.0, 40.0):
-                yield from ctx.compute(0.002)
-                m, _ = yield from ctx.import_("d", want)
-                got.append((want, m))
-            des_results[ctx.rank] = got
-
-        des = CoupledSimulation(CONFIG, preset=FAST_TEST)
-        des.add_program("F", main=f_main,
-                        regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
-        des.add_program("U", main=u_main,
-                        regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))})
-        des.run()
-        live_matches = [(w, m) for (w, m, _mean) in live_results[0]]
-        assert live_matches == des_results[0]
+        tracer = tracing.Tracer()
+        sim, _ = build(tracer=tracer)
+        sim.run(join_timeout=60.0)
+        end = sim.elapsed()
+        assert tracer.events
+        assert all(0.0 <= e.time <= end for e in tracer.events)
+        assert {
+            tracing.REQUEST_RECV, tracing.REQUEST_REPLY, tracing.REP_FINALIZE,
+            tracing.BUDDY_SEND, tracing.EXPORT_SEND,
+        } <= tracer.kinds()
 
     def test_export_records_wall_time(self):
         sim, _ = build()
@@ -127,6 +138,70 @@ class TestLiveProtocol:
         sim.run(join_timeout=60.0)
         stats = sim.buffer_stats("F", 0, "d")
         assert stats.total_memcpy_time > 0.0  # real copies took real time
+
+
+# One program body for both runtimes: ``step`` adapts a context call to
+# ``yield from`` — the DES call already is a generator, the blocking
+# live call is wrapped in one that returns its value without yielding.
+def _exporter(ctx, step):
+    scale = 4.0 if ctx.rank == 1 else 1.0
+    for k in range(40):
+        yield from step(ctx.export("d", 1.6 + k))
+        yield from step(ctx.compute(0.001 * scale))
+
+
+def _importer(ctx, step):
+    for want in (20.0, 40.0, 100.0):  # the last lies past the final export
+        yield from step(ctx.compute(0.002))
+        yield from step(ctx.import_("d", want))
+
+
+def _returned(value):
+    return value
+    yield  # pragma: no cover - makes this a generator
+
+
+def _run_on(runtime, **options):
+    if runtime == "des":
+        def bind(body):
+            return lambda ctx: body(ctx, lambda gen: gen)
+    else:
+        def bind(body):
+            return lambda ctx: [None for _ in body(ctx, _returned)]
+    return repro.run(
+        CONFIG,
+        [
+            repro.Program("F", main=bind(_exporter),
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+            repro.Program("U", main=bind(_importer),
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+        ],
+        RunOptions(runtime=runtime, **options),
+    )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"batch_control": True}, {"retransmit_timeout": 0.05}],
+    ids=["plain", "batch_control", "resilient"],
+)
+def test_runtimes_make_identical_decisions(options):
+    """Same config and program bodies on the DES and on threads: the
+    *decisions* agree even though the timings differ."""
+    des, live = _run_on("des", **options), _run_on("live", **options)
+
+    def decisions(result, rank):
+        records = result.context("U", rank).import_states["d"].records
+        return [
+            (r.request_ts, r.answer.kind, r.answer.matched_ts) for r in records
+        ]
+
+    for rank in (0, 1):
+        assert decisions(live, rank) == decisions(des, rank)
+        assert [str(k) for _ts, k, _m in decisions(des, rank)] == [
+            "MATCH", "MATCH", "NO_MATCH"
+        ]
+    assert set(live.counters) == set(des.counters)
 
 
 class TestLivePropertyViolations:
@@ -144,7 +219,9 @@ class TestLivePropertyViolations:
             ctx.compute(0.01)
             ctx.import_("d", 20.0)
 
-        sim = LiveCoupledSimulation(CONFIG, default_timeout=10.0)
+        sim = LiveCoupledSimulation(
+            CONFIG, options=RunOptions(runtime="live", default_timeout=10.0)
+        )
         sim.add_program("F", main=e_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U", main=i_main,
@@ -170,7 +247,9 @@ class TestLivePropertyViolations:
             except MailboxTimeout:
                 raise RuntimeError("diagnosed-timeout") from None
 
-        sim = LiveCoupledSimulation(CONFIG, default_timeout=5.0)
+        sim = LiveCoupledSimulation(
+            CONFIG, options=RunOptions(runtime="live", default_timeout=5.0)
+        )
         sim.add_program("F", main=e_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U", main=i_main,
@@ -195,14 +274,16 @@ class TestLiveSetupErrors:
         sim = LiveCoupledSimulation(CONFIG)
         sim.add_program("F", regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U", regions={"d": RegionDef(BlockDecomposition((4, 4), (1, 2)))})
-        with pytest.raises(ConfigError, match="shape mismatch"):
+        with pytest.raises(ConfigError, match="global shape"):
             sim.run()
 
     def test_worker_exception_surfaces(self):
         def bad_main(ctx):
             raise ValueError("application bug")
 
-        sim = LiveCoupledSimulation(CONFIG, default_timeout=5.0)
+        sim = LiveCoupledSimulation(
+            CONFIG, options=RunOptions(runtime="live", default_timeout=5.0)
+        )
         sim.add_program("F", main=bad_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U",

@@ -8,6 +8,7 @@ posting the request early and collecting the data after computing.
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
@@ -28,7 +29,7 @@ def build(u_main, exports=60, f_sleep=0.001):
             yield from ctx.export("d", ts, data=np.full(shape, ts))
             yield from ctx.compute(f_sleep)
 
-    cs = CoupledSimulation(CONFIG, preset=FAST_TEST, seed=0)
+    cs = CoupledSimulation(CONFIG, options=RunOptions(preset=FAST_TEST, seed=0))
     cs.add_program("F", main=f_main,
                    regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
     cs.add_program("U", main=u_main,

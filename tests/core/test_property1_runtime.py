@@ -11,6 +11,7 @@ Two mechanisms, both tested here:
 
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import PropertyViolationError
 from repro.costs import FAST_TEST
@@ -31,7 +32,7 @@ def build(e_main, i_requests=(20.0,), record=True, importer_sleep=0.01):
             yield from ctx.import_("d", ts)
 
     cs = CoupledSimulation(
-        CONFIG, preset=FAST_TEST, record_operations=record, seed=0
+        CONFIG, options=RunOptions(preset=FAST_TEST, record_operations=record, seed=0)
     )
     cs.add_program("E", main=e_main,
                    regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})

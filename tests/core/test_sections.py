@@ -8,8 +8,10 @@ of the two sides' declared sections, not the whole array.
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import ConfigError
+from repro.core.live import LiveCoupledSimulation
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition, RectRegion
 
@@ -38,7 +40,7 @@ def build(exp_section=None, imp_section=None):
         m, block = yield from ctx.import_("d", 5.0)
         got[ctx.rank] = (m, block)
 
-    cs = CoupledSimulation(CONFIG, preset=FAST_TEST, seed=0)
+    cs = CoupledSimulation(CONFIG, options=RunOptions(preset=FAST_TEST, seed=0))
     cs.add_program(
         "E", main=e_main,
         regions={"d": RegionDef(BlockDecomposition(SHAPE, (2, 1)), section=exp_section)},
@@ -108,19 +110,27 @@ class TestSectionTransfers:
         want[:, :3] = expected_full()[:, :3]
         np.testing.assert_array_equal(block0, want)
 
-    def test_disjoint_sections_rejected_early(self):
-        cs, _ = build(
-            exp_section=RectRegion((0, 0), (2, 2)),
-            imp_section=RectRegion((6, 6), (8, 8)),
-        )
-        with pytest.raises(ConfigError, match="do not overlap"):
-            cs.run()
+    @pytest.mark.parametrize(
+        "runtime_cls", [CoupledSimulation, LiveCoupledSimulation], ids=["des", "live"]
+    )
+    def test_disjoint_sections_rejected_early(self, runtime_cls):
+        sim = runtime_cls(CONFIG)
+        for name, grid, section in (
+            ("E", (2, 1), RectRegion((0, 0), (2, 2))),
+            ("I", (1, 2), RectRegion((6, 6), (8, 8))),
+        ):
+            sim.add_program(
+                name,
+                regions={"d": RegionDef(BlockDecomposition(SHAPE, grid), section=section)},
+            )
+        with pytest.raises(
+            ConfigError, match="do not overlap — nothing would ever be transferred"
+        ):
+            sim.run()
 
 
 class TestLiveSections:
     def test_live_runtime_respects_sections(self):
-        from repro.core.live import LiveCoupledSimulation
-
         got = {}
 
         def e_main(ctx):
@@ -135,7 +145,9 @@ class TestLiveSections:
             m, block = ctx.import_("d", 5.0)
             got[ctx.rank] = (m, block)
 
-        sim = LiveCoupledSimulation(CONFIG, default_timeout=15.0)
+        sim = LiveCoupledSimulation(
+            CONFIG, options=RunOptions(runtime="live", default_timeout=15.0)
+        )
         section = RectRegion((2, 2), (6, 6))
         sim.add_program(
             "E", main=e_main,

@@ -1,5 +1,6 @@
 """End-to-end chaos determinism, the resilience sweep, and the CLI."""
 
+from repro.api import RunOptions
 from repro.bench.resilience import run_once, run_resilience_sweep
 from repro.cli import main
 from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
@@ -30,7 +31,9 @@ def traced_run(seed):
 
     tracer = Tracer()
     plan = FaultPlan(seed=seed, drop=0.2, dup=0.1, delay_jitter=5e-5, reorder=0.1)
-    cs = CoupledSimulation(config, seed=0, fault_plan=plan, tracer=tracer)
+    cs = CoupledSimulation(
+        config, options=RunOptions(seed=0, fault_plan=plan, tracer=tracer)
+    )
     cs.add_program(
         "E", main=e_main, regions={"d": RegionDef(BlockDecomposition(shape, (2, 1)))}
     )

@@ -11,6 +11,7 @@ from typing import Any, Generator
 
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
 from repro.core.rep import (
     AnswerImporter,
@@ -150,7 +151,7 @@ def run_scenario(exports=16, requests=6, victim=None, **cs_kwargs):
             got.append((ts, m))
         answers[ctx.rank] = got
 
-    cs = CoupledSimulation(config, seed=0, **cs_kwargs)
+    cs = CoupledSimulation(config, options=RunOptions(seed=0, **cs_kwargs))
     cs.add_program(
         "E", main=e_main, regions={"d": RegionDef(BlockDecomposition(shape, (2, 1)))}
     )

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exporter import ExportDecision
 from repro.costs import FAST_TEST
@@ -62,7 +63,9 @@ def run_coupled(policy_kind, tolerance, exports, request_gaps, speeds,
             got.append((ts, m))
         answers[ctx.rank] = got
 
-    cs = CoupledSimulation(config, preset=FAST_TEST, buddy_help=buddy, seed=1)
+    cs = CoupledSimulation(
+        config, options=RunOptions(preset=FAST_TEST, buddy_help=buddy, seed=1)
+    )
     cs.add_program(
         "E", main=e_main,
         regions={"d": RegionDef(BlockDecomposition((8, 8), (len(speeds), 1)))},

@@ -10,6 +10,7 @@ the virtual clock.
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
@@ -51,7 +52,7 @@ def completed_run():
 
         return main
 
-    cs = CoupledSimulation(PAPER_CONFIG, preset=FAST_TEST, seed=0)
+    cs = CoupledSimulation(PAPER_CONFIG, options=RunOptions(preset=FAST_TEST, seed=0))
     cs.add_program(
         "P0", main=p0_main,
         regions={

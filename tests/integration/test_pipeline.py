@@ -9,6 +9,7 @@ are built on such frameworks.
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
@@ -55,7 +56,7 @@ def build():
             vals.append((10.0 * j, m, float(block.mean())))
         got[ctx.rank] = vals
 
-    cs = CoupledSimulation(CONFIG, preset=FAST_TEST, seed=0)
+    cs = CoupledSimulation(CONFIG, options=RunOptions(preset=FAST_TEST, seed=0))
     d_rows = BlockDecomposition(SHAPE, (2, 1))
     d_cols = BlockDecomposition(SHAPE, (1, 2))
     cs.add_program("A", main=a_main, regions={"raw": RegionDef(d_rows)})

@@ -7,6 +7,7 @@ Figure-4 experiments reproducible measurements rather than samples.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
@@ -36,7 +37,7 @@ def run_once(seed, e_sleep, i_sleep, exports, n_requests):
         network=NetworkCostModel(latency=1e-6, bandwidth=1e10),
         compute=ComputeCostModel(time_per_element=1e-7, jitter=0.05),
     )
-    cs = CoupledSimulation(CONFIG, preset=preset, seed=seed)
+    cs = CoupledSimulation(CONFIG, options=RunOptions(preset=preset, seed=seed))
     cs.add_program("E", main=e_main,
                    regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
     cs.add_program("I", main=i_main,
