@@ -34,11 +34,6 @@ Commands
     declarative rules (``error_rate < 0.01``, ``t_ub_p95 < 1.2 *
     baseline``) and exit 1 when any trips — the same contract as
     ``report --baseline`` (see ``docs/observability.md``).
-``bench``
-    Hot-path micro benchmarks vs embedded seed baselines; writes
-    ``BENCH_10.json``.  ``--history`` compares every ``BENCH_*.json``
-    (unreadable or schema-invalid files are skipped with a warning)
-    and exits 1 when the newest report regresses vs. the best.
 ``record``
     Record the coupled demo (or a chaos variant) into an append-only
     ``repro.prov/v1`` provenance log capturing every wire message,
@@ -69,6 +64,9 @@ Commands
     ``--replay`` re-executes a counterexample schedule through the DES
     runtime as a causal DAG, and ``--races`` runs the live runtime
     under the vector-clock race detector (R2xx rules).
+``experiments``
+    Run every figure experiment and emit the markdown report
+    (``--out PATH`` writes it to a file).
 ``version``
     Print the package version.
 
@@ -710,59 +708,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"  causal identical: {payload['causal_identical']}")
     print("  OK" if payload["ok"] else "  MISMATCH")
     return code
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.micro import compare_history, run_micro, write_report
-
-    if args.history:
-        payload = compare_history(args.dir, allowance=args.allowance)
-        regressions = payload["regressions"]
-        if _emit(args, payload):
-            return 1 if regressions else 0
-        for skip in payload.get("skipped", ()):
-            print(
-                f"warning: skipped {skip['report']}: {skip['reason']}",
-                file=sys.stderr,
-            )
-        if not payload["reports"]:
-            print(f"no usable BENCH_*.json reports in {args.dir}", file=sys.stderr)
-            return 1
-        print(
-            f"bench history: {len(payload['reports'])} reports, "
-            f"latest {payload['latest']}, allowance {args.allowance:.0%}"
-        )
-        for name, m in payload["metrics"].items():
-            flag = "  REGRESSED" if m["regressed"] else ""
-            print(
-                f"  {name:<26} latest {m['latest']:>9.3f}x  "
-                f"best {m['best']:>9.3f}x ({m['best_report']}){flag}"
-            )
-        if regressions:
-            print(
-                f"FAIL: speedup regression vs best: {', '.join(regressions)}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    payload = run_micro(quick=args.quick)
-    # Recorded for payload provenance: the match_throughput micro
-    # always measures both backends; this is the default engine the
-    # rest of the benches (and any accompanying runs) were using.
-    payload["match_backend"] = getattr(args, "match_backend", "legacy")
-    write_report(payload, args.out)
-    if _emit(args, payload):
-        return 0
-    print(f"micro benchmarks ({'quick' if args.quick else 'full'}):")
-    for r in payload["results"]:
-        print(
-            f"  {r['name']:<26} baseline {r['baseline']:>14.1f}  "
-            f"optimized {r['optimized']:>14.1f}  {r['unit']}"
-            f"  ({r['speedup']:g}x)"
-        )
-    print(f"wrote {args.out}")
-    return 0
 
 
 def _render_snapshot(rec: dict[str, Any]) -> str:
@@ -1490,33 +1435,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(pc)
     pc.set_defaults(fn=_cmd_chaos)
-
-    pb = sub.add_parser(
-        "bench", help="hot-path micro benchmarks vs embedded seed baselines"
-    )
-    pb.add_argument(
-        "--quick", action="store_true", help="small sizes for CI smoke runs"
-    )
-    pb.add_argument(
-        "--out", metavar="PATH", default="BENCH_10.json",
-        help="report file (default BENCH_10.json)",
-    )
-    pb.add_argument(
-        "--history", action="store_true",
-        help="compare every BENCH_*.json in --dir instead of running; "
-        "exit 1 when the newest report regresses vs the best",
-    )
-    pb.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory searched by --history (default .)",
-    )
-    pb.add_argument(
-        "--allowance", type=float, default=0.10, metavar="FRAC",
-        help="relative speedup drop tolerated by --history (default 0.10)",
-    )
-    _add_match_backend_flag(pb)
-    _add_json_flag(pb)
-    pb.set_defaults(fn=_cmd_bench)
 
     prec = sub.add_parser(
         "record",

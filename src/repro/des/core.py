@@ -21,10 +21,11 @@ control message triggers a chain of same-instant callbacks), and a
 deque append/popleft is O(1) versus the heap's O(log n) — with the
 heap holding thousands of pending timeouts, bypassing it for the
 same-instant traffic is where the events/sec headroom comes from
-(``repro bench`` measures it).  Because every enqueue still consumes
-one ``seq`` and ``_step`` compares ``(time, priority, seq)`` across
-both structures, the firing order is *bit-identical* to the plain-heap
-implementation (asserted by the seed-replay golden tests).
+(``des.events_per_self_s`` of ``perf/run.py --trace 1``).  Because
+every enqueue still consumes one ``seq`` and ``_step`` compares
+``(time, priority, seq)`` across both structures, the firing order is
+*bit-identical* to the plain-heap implementation (asserted by the
+seed-replay golden tests).
 
 Cancellation uses tombstones: :meth:`Event.cancel` marks a scheduled
 event dead and ``_step`` discards it when popped, without paying for
@@ -372,9 +373,8 @@ class Simulator:
         #: Kernel counters (see :meth:`kernel_counters`).  Only the
         #: heap branch of ``_enqueue`` and ``Event.cancel`` pay for an
         #: increment; everything else is derived from ``_seq`` and the
-        #: live structure sizes, so the same-instant fast path — the
-        #: part the ``des_dispatch`` microbenchmark times — carries no
-        #: instrumentation cost at all.
+        #: live structure sizes, so the same-instant fast path carries
+        #: no instrumentation cost at all.
         self._heap_scheduled = 0
         self._cancel_count = 0
         self._active_process: Optional[Process] = None

@@ -140,7 +140,7 @@ class SortedMatchEngine(MatchEngine):
         codes (0 PENDING / 1 NO_MATCH / 2 MATCH) and a ``float64``
         array of matched timestamps (``nan`` where there is none).
         Pure kernel — no counters, no response objects; this is what
-        the ``match_throughput`` micro times in isolation.
+        ``match.sweep_kernel_req_per_s`` (``perf/``) times in isolation.
         """
         n = request_ts.size
         kinds = np.zeros(n, dtype=np.int8)

@@ -7,8 +7,9 @@ to one of the framework's known phases by module prefix — *match*
 (request/object matching), *rep aggregation*, *redistribution*,
 *DES dispatch* and *wire*.  No ``sys.setprofile`` hook is installed,
 so the profiled run pays nothing per bytecode or call: overhead is the
-sampler thread alone, which the benchmark suite pins at < 5% of plain
-dispatch (``profiler_overhead`` in ``BENCH_10.json``).
+sampler thread alone.  The sampler runs only when the profiled thread
+hands over the GIL, so phase shares are indicative, not a time
+breakdown (see ``docs/observability.md``).
 
 Attach one to a run with ``RunOptions(profile=True)`` (the facade
 starts/stops it and exposes :attr:`RunResult.profile <Profile>`), to a

@@ -18,8 +18,9 @@ into one compact, versioned, append-only JSONL+binary log:
 * every **DES scheduling decision** that touches the kernel heap and
   every **RNG draw** from both :class:`~repro.util.rng.RngRegistry`
   registries (the coupler's and the network world's) — batch-encoded
-  as base64 binary columns so record mode stays within a few percent
-  of an uninstrumented run (see the ``prov_record_overhead`` micro).
+  as base64 binary columns at close, off the dispatch path (what a
+  recorded run costs end to end is the ``prov_record`` workload of
+  ``perf/run.py``).
 
 The final record carries SHA-256 digests of the run's
 ``repro.report/v1`` and ``repro.causal/v1`` payloads, making every log

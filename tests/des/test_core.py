@@ -1,5 +1,7 @@
 """Tests for the DES kernel: events, processes, ordering, conditions."""
 
+import heapq
+
 import pytest
 
 from repro.des import (
@@ -11,6 +13,40 @@ from repro.des import (
     Simulator,
     SimulationError,
 )
+
+
+class _LegacySimulator(Simulator):
+    """The seed's plain-heap scheduler: the reference for firing order.
+
+    Every enqueue, immediate or future, goes through one binary heap,
+    so the order is the ``(time, priority, seq)`` total order by
+    construction.  The shipped kernel serves same-instant events from
+    immediate lanes instead and must fire in exactly this order.
+    """
+
+    def _enqueue(self, event, delay, priority):
+        self._seq += 1
+        heapq.heappush(
+            self._heap, (self._now + delay, int(priority), self._seq, event)
+        )
+
+    def _step(self):
+        when, _prio, _seq, event = heapq.heappop(self._heap)
+        assert when >= self._now, "event scheduled in the past"
+        self._now = when
+        event._processed = True
+        callbacks, event.callbacks = event.callbacks, []
+        for cb in callbacks:
+            cb(event)
+        if not event.ok and not event._defused:
+            raise event.value
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else float(until)
+        while self._heap and self._heap[0][0] <= horizon:
+            self._step()
+        if until is not None:
+            self._now = horizon
 
 
 class TestClockAndTimeouts:
@@ -123,6 +159,36 @@ class TestDeterminism:
             return log
 
         assert build_and_run() == build_and_run()
+
+
+class TestLegacySimulatorFidelity:
+    def test_firing_order_matches_optimized_kernel(self):
+        def workload(sim, log):
+            def worker(sim, tag):
+                for i in range(10):
+                    yield sim.timeout(0.001 * ((tag + i) % 3))
+                    log.append((sim.now, tag, i))
+
+            for tag in range(5):
+                sim.process(worker(sim, tag))
+            sim.run()
+
+        log_legacy: list = []
+        log_current: list = []
+        workload(_LegacySimulator(), log_legacy)
+        workload(Simulator(), log_current)
+        assert log_legacy == log_current
+
+    def test_seq_consumption_identical(self):
+        def drive(sim):
+            for i in range(50):
+                ev = sim.event()
+                ev.succeed(i)
+            sim.timeout(1.0)
+            sim.run(until=sim.now)
+            return sim._seq
+
+        assert drive(_LegacySimulator()) == drive(Simulator())
 
 
 class TestEvents:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 
 import pytest
 
@@ -66,6 +67,30 @@ class TestErrorAccounting:
         assert demo.t_ub.summary()["max"] == 3.0
         chaos = fleet.scenario("chaos")
         assert chaos.errors == 1 and chaos.t_ub.count == 1
+
+        # A stream far past the reservoir capacity, arriving unordered
+        # (Knuth-hash scatter), every ninth session failed: the fold
+        # must agree with re-aggregating the full history from scratch.
+        sessions = [
+            (
+                "demo",
+                "failed" if k % 9 == 0 else "done",
+                1.0 + (k * 2654435761 % 4096) / 1024.0,
+                0.01,
+            )
+            for k in range(2_500)
+        ]
+        long_run = FleetRollup()
+        observe_fleet(long_run, sessions)
+        demo = long_run.scenario("demo")
+        done = sorted(t for _, state, t, _ in sessions if state == "done")
+        assert dict(demo.sessions) == {
+            "done": len(done),
+            "failed": len(sessions) - len(done),
+        }
+        assert demo.t_ub.count == len(done)
+        exact_p95 = statistics.quantiles(done, n=20, method="inclusive")[-1]
+        assert demo.t_ub.quantile(0.95) == pytest.approx(exact_p95, rel=0.15)
 
     def test_failed_session_report_is_ignored(self):
         # Even if a failed session somehow carries a report, it must

@@ -1,10 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
 
 
 class TestVersion:
@@ -210,56 +213,6 @@ class TestJsonMode:
         assert "# Measured reproduction report" in payload["report_markdown"]
 
 
-class TestBench:
-    def test_quick_bench_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--out", str(out)])
-        assert rc == 0
-        assert "micro benchmarks (quick)" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        names = [r["name"] for r in payload["results"]]
-        assert names == [
-            "des_dispatch",
-            "redistribution",
-            "control_plane_messages",
-            "obs_noop_overhead",
-            "prov_record_overhead",
-            "verify_states_per_sec",
-            "serve_sessions_per_sec",
-            "match_throughput",
-            "profiler_overhead",
-            "rollup_sessions_per_sec",
-        ]
-        for r in payload["results"]:
-            if r["name"] in (
-                "obs_noop_overhead", "prov_record_overhead", "profiler_overhead"
-            ):
-                # A parity check, not an optimization: the no-op
-                # instrumentation should cost ~nothing, so the ratio
-                # hovers around 1.0 and is gated by its own floor.
-                assert r["speedup"] >= r["detail"]["floor"]
-            elif r["name"] == "verify_states_per_sec":
-                # POR must not make exploration slower; the gain over
-                # the full search is modest, so no >1.0 requirement
-                # here (CI gates it at its own floor).
-                assert r["speedup"] >= 0.9
-            elif r["name"] == "serve_sessions_per_sec":
-                # Pool-vs-sequential is machine-dependent (a 1-core
-                # runner legitimately measures < 1x); CI gates it on a
-                # sanity floor plus absolute pooled throughput.
-                assert r["speedup"] > 0 and r["optimized"] > 0
-            else:
-                assert r["speedup"] > 1.0
-
-    def test_quick_bench_json_stdout(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--out", str(out), "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["quick"] is True
-        assert out.exists()
-
-
 class TestCausalTraceCli:
     def test_causal_report_written(self, tmp_path, capsys):
         path = tmp_path / "causal.json"
@@ -353,81 +306,6 @@ class TestReportBaseline:
         invalid.write_text(json.dumps({"schema": "wrong"}))
         assert main(["report", "--baseline", str(invalid)]) == 2
         assert "baseline" in capsys.readouterr().err
-
-
-class TestBenchHistory:
-    def write_report(self, directory, n: int, speedups: dict) -> None:
-        payload = {
-            "bench": "repro micro hot paths",
-            "quick": True,
-            "results": [
-                {"name": name, "speedup": s} for name, s in speedups.items()
-            ],
-        }
-        (directory / f"BENCH_{n}.json").write_text(json.dumps(payload))
-
-    def test_default_out_is_bench_10(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_10.json"
-
-    def test_improving_history_passes(self, tmp_path, capsys):
-        self.write_report(tmp_path, 1, {"des_dispatch": 3.0})
-        self.write_report(tmp_path, 2, {"des_dispatch": 3.5, "redistribution": 20.0})
-        rc = main(["bench", "--history", "--dir", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "latest BENCH_2.json" in out
-        assert "REGRESSED" not in out
-
-    def test_regression_vs_best_fails(self, tmp_path, capsys):
-        self.write_report(tmp_path, 1, {"des_dispatch": 4.0})
-        self.write_report(tmp_path, 2, {"des_dispatch": 3.0})
-        rc = main(["bench", "--history", "--dir", str(tmp_path), "--json"])
-        assert rc == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regressions"] == ["des_dispatch"]
-        assert payload["metrics"]["des_dispatch"]["best_report"] == "BENCH_1.json"
-
-    def test_allowance_tolerates_small_drops(self, tmp_path, capsys):
-        self.write_report(tmp_path, 1, {"des_dispatch": 4.0})
-        self.write_report(tmp_path, 2, {"des_dispatch": 3.7})
-        rc = main(
-            ["bench", "--history", "--dir", str(tmp_path), "--allowance", "0.10"]
-        )
-        assert rc == 0
-        capsys.readouterr()
-
-    def test_metric_new_in_latest_is_not_a_regression(self, tmp_path, capsys):
-        # Older reports lack obs_noop_overhead; it must not trip the gate.
-        self.write_report(tmp_path, 1, {"des_dispatch": 4.0})
-        self.write_report(
-            tmp_path, 2, {"des_dispatch": 4.1, "obs_noop_overhead": 1.0}
-        )
-        assert main(["bench", "--history", "--dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-
-    def test_empty_history_fails(self, tmp_path, capsys):
-        assert main(["bench", "--history", "--dir", str(tmp_path)]) == 1
-        assert "no usable BENCH_" in capsys.readouterr().err
-
-    def test_unreadable_report_warns_but_passes(self, tmp_path, capsys):
-        self.write_report(tmp_path, 1, {"des_dispatch": 3.0})
-        (tmp_path / "BENCH_2.json").write_text("{truncated")
-        self.write_report(tmp_path, 3, {"des_dispatch": 3.1})
-        rc = main(["bench", "--history", "--dir", str(tmp_path)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "warning: skipped BENCH_2.json" in captured.err
-        assert "REGRESSED" not in captured.out
-
-    def test_only_corrupt_reports_fails_cleanly(self, tmp_path, capsys):
-        (tmp_path / "BENCH_1.json").write_text("not json at all")
-        assert main(["bench", "--history", "--dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert "warning: skipped BENCH_1.json" in captured.err
-        assert "no usable BENCH_" in captured.err
 
 
 class TestMonitor:
@@ -570,3 +448,18 @@ class TestParser:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_removed_bench_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_subcommands_match_docstring_and_docs(self):
+        (sub,) = build_parser()._subparsers._group_actions
+        # An alias maps to its primary's parser, whose prog names the primary.
+        parsed = {p.prog.split()[-1] for p in sub.choices.values()}
+        in_docstring = set(re.findall(r"(?m)^``([a-z0-9-]+)``", repro.cli.__doc__))
+        cli_md = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
+        in_docs = set(re.findall(r"(?m)^### `repro ([a-z0-9-]+)`", cli_md.read_text()))
+        assert parsed == in_docstring == in_docs
