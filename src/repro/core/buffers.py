@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container
 
 from repro.core.exceptions import FrameworkError
-from repro.util.validation import require, require_non_negative
+from repro.util.validation import ValidationError, require, require_non_negative
 
 
 @dataclass
@@ -80,17 +80,26 @@ class BufferStats:
 class BufferManager:
     """Timestamped buffer pool for one process's exported region.
 
-    Entries are keyed by timestamp (unique because export timestamps
-    strictly increase).  An optional *capacity_bytes* bound models the
-    finite buffer space the paper's conclusion lists as future work;
-    exceeding it raises :class:`FrameworkError`.
+    Entries are keyed by timestamp and **buffered in increasing
+    timestamp order**: :meth:`buffer` raises ``ValidationError`` for a
+    timestamp not above the newest one ever buffered (export timestamps
+    strictly increase, :class:`~repro.match.engine.ExportHistory`
+    enforces it upstream).  The pool's insertion order is therefore its
+    timestamp order, so :meth:`free_below` and :meth:`attribute_window`
+    walk from the oldest entry and stop at their bound — eviction costs
+    O(freed + protected), not O(live).  An optional *capacity_bytes*
+    bound models the finite buffer space the paper's conclusion lists
+    as future work; exceeding it raises :class:`FrameworkError`.
     """
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
         if capacity_bytes is not None:
             require(capacity_bytes > 0, "capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
+        #: Live entries; insertion order == ascending timestamp.
         self._entries: dict[float, BufferEntry] = {}
+        #: Newest timestamp ever buffered (survives freeing).
+        self._newest_ts = -math.inf
         self._sent_ts: set[float] = set()
         self._live_bytes = 0
         # -- counters ----------------------------------------------------
@@ -117,7 +126,11 @@ class BufferManager:
 
     def timestamps(self) -> list[float]:
         """Buffered timestamps, ascending."""
-        return sorted(self._entries)
+        return list(self._entries)
+
+    def oldest(self) -> float | None:
+        """The lowest buffered timestamp (``None`` when empty)."""
+        return next(iter(self._entries), None)
 
     def has(self, ts: float) -> bool:
         """Whether an object with timestamp *ts* is buffered."""
@@ -164,7 +177,12 @@ class BufferManager:
         """Record that the object at *ts* was copied into the buffer."""
         require_non_negative(nbytes, "nbytes")
         require_non_negative(memcpy_cost, "memcpy_cost")
-        require(ts not in self._entries, f"timestamp {ts} already buffered")
+        if not ts > self._newest_ts:
+            require(ts not in self._entries, f"timestamp {ts} already buffered")
+            raise ValidationError(
+                f"timestamp {ts} is not above the newest one ever buffered "
+                f"({self._newest_ts}): objects are buffered in increasing order"
+            )
         if (
             self.capacity_bytes is not None
             and self._live_bytes + nbytes > self.capacity_bytes
@@ -178,8 +196,10 @@ class BufferManager:
             ts=ts, nbytes=nbytes, memcpy_cost=memcpy_cost, window=window, payload=payload
         )
         self._entries[ts] = entry
+        self._newest_ts = ts
         self._live_bytes += nbytes
-        self.peak_bytes = max(self.peak_bytes, self._live_bytes)
+        if self._live_bytes > self.peak_bytes:
+            self.peak_bytes = self._live_bytes
         self.buffered_count += 1
         self.total_memcpy_time += memcpy_cost
         return entry
@@ -195,7 +215,9 @@ class BufferManager:
         """
         count = 0
         for ts, entry in self._entries.items():
-            if entry.window is None and low <= ts <= high:
+            if ts > high:
+                break
+            if entry.window is None and ts >= low:
                 entry.window = window
                 count += 1
         return count
@@ -242,22 +264,28 @@ class BufferManager:
         return entry
 
     def free_below(
-        self, threshold: float, keep: Iterable[float] = ()
+        self, threshold: float, keep: Container[float] = ()
     ) -> list[BufferEntry]:
         """Release every entry with ``ts < threshold`` not in *keep*.
 
         Returns the freed entries (ascending).  This is the eviction
         the paper shows as ``remove D@1.6, ..., D@14.6`` when a request
-        reveals that old timestamps can never be matched.
+        reveals that old timestamps can never be matched.  The walk
+        starts at the oldest entry and stops at the first one not below
+        *threshold*.
         """
         require(not math.isnan(threshold), "threshold must be a number")
-        kept = set(keep)
-        doomed = sorted(ts for ts in self._entries if ts < threshold and ts not in kept)
+        doomed = []
+        for ts in self._entries:
+            if not ts < threshold:
+                break
+            if ts not in keep:
+                doomed.append(ts)
         return [self.free(ts) for ts in doomed]
 
     def free_all(self) -> list[BufferEntry]:
         """Release everything (program shutdown)."""
-        return [self.free(ts) for ts in sorted(self._entries)]
+        return [self.free(ts) for ts in list(self._entries)]
 
     def t_ub(self) -> float:
         """Eq. (2): current total of in-region unnecessary buffering time."""

@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.config import CouplingConfig
+from repro.core.exceptions import FrameworkError
 from repro.core.exporter import ExportDecision
 from repro.core.properties import OperationLog, check_property1
 from repro.core.protocol import (
@@ -142,7 +143,11 @@ class ProcessContext(ContextBase):
         rank: int,
     ) -> None:
         super().__init__(
-            coupler, program, rank, capacity_bytes=coupler.buffer_capacity_bytes
+            coupler,
+            program,
+            rank,
+            capacity_bytes=coupler.buffer_capacity_bytes,
+            memcpy_base=coupler.preset.memory.memcpy_base,
         )
         self.sim: Simulator = coupler.sim
         self.stats = ProcessStats()
@@ -202,39 +207,56 @@ class ProcessContext(ContextBase):
         Figure-4 micro-benchmark measures buffering cost without
         shipping real payloads).  Returns the framework's decision.
         """
-        st, nbytes = self._export_target(region, ts, data)
+        plan, nbytes = self._export_target(region, ts, data)
+        st = plan.state
         coupler = self._rt
+        sim = self.sim
+        memory = coupler.preset.memory
+        capacity = coupler.buffer_capacity_bytes
         # Finite buffers with backpressure: if this export will need
         # space the buffer cannot currently provide, stall until the
         # agent's evictions (driven by requests/answers) free room.
         if (
-            coupler.buffer_capacity_bytes is not None
+            capacity is not None
             and coupler.buffer_policy == "block"
             and st.is_connected
             and not st.would_skip(ts)
         ):
-            stall_start = self.sim.now
-            while st.buffer.live_bytes + nbytes > coupler.buffer_capacity_bytes:
+            if nbytes > capacity:
+                # No eviction can ever make room: fail like the "error"
+                # policy does instead of polling forever.
+                raise FrameworkError(
+                    f"buffer capacity exceeded: export {region}@{ts:g} of "
+                    f"{self.who} needs {nbytes} > {capacity} bytes "
+                    "(the finite-buffer scenario of the paper's Section 6)"
+                )
+            stall_start = sim.now
+            while st.buffer.live_bytes + nbytes > capacity:
                 if st.would_skip(ts):
                     break  # an answer arrived meanwhile; no space needed
-                yield self.sim.timeout(coupler.backpressure_poll)
-            self.stats.backpressure_time += self.sim.now - stall_start
+                yield sim.timeout(coupler.backpressure_poll)
+            self.stats.backpressure_time += sim.now - stall_start
 
-        t0 = self.sim.now
-        memcpy_cost = coupler.preset.memory.memcpy_time(
-            nbytes, now=t0, active_peers=self._program.alive - 1, rng=self._rng
+        t0 = sim.now
+        memcpy_cost = memory.memcpy_time(
+            nbytes,
+            now=t0,
+            active_peers=self._program.alive - 1,
+            rng=self._rng,
+            base=plan.memcpy_base if nbytes == plan.nbytes else None,
         )
         outcome = st.on_export(ts, nbytes, memcpy_cost)
+        decision = outcome.decision
         tracer = coupler.tracer
-        if outcome.decision in (ExportDecision.BUFFER, ExportDecision.SEND):
+        if decision is ExportDecision.BUFFER or decision is ExportDecision.SEND:
             charge = memcpy_cost
             if data is not None:
                 # The honest memcpy: the framework owns a private copy.
                 st.buffer.get(ts).payload = data.copy()
             if tracer.enabled:
                 tracer.record(tracing.EXPORT_MEMCPY, self.who, t0, timestamp=ts)
-        elif outcome.decision is ExportDecision.SKIP:
-            charge = coupler.preset.memory.skip_time()
+        elif decision is ExportDecision.SKIP:
+            charge = memory.skip_time()
             if outcome.buddy_skip:
                 # Without the rep's disseminated answer this object
                 # would have been buffered (and freed unsent later):
@@ -248,30 +270,30 @@ class ProcessContext(ContextBase):
         else:  # NOOP: unconnected region
             charge = 0.0
         if outcome.replaced:
-            charge += coupler.preset.memory.free_buffers_time(len(outcome.replaced))
+            charge += memory.free_buffers_time(len(outcome.replaced))
             if tracer.enabled:
                 for entry in outcome.replaced:
                     tracer.record(
                         tracing.BUFFER_REMOVE, self.who, t0, timestamp=entry.ts
                     )
         if charge > 0:
-            yield self.sim.timeout(charge)
+            yield sim.timeout(charge)
 
         coupler._after_export(self, region, ts, outcome)
         # Threshold-driven eviction uncovered by this call.
         evicted = coupler._evict(self, st)
         if evicted:
-            free_cost = coupler.preset.memory.free_buffers_time(evicted)
-            yield self.sim.timeout(free_cost)
+            free_cost = memory.free_buffers_time(evicted)
+            yield sim.timeout(free_cost)
             charge += free_cost
 
         self.stats.export_records.append(
-            ExportRecord(ts=ts, decision=outcome.decision, cost=charge, at=t0)
+            ExportRecord(ts=ts, decision=decision, cost=charge, at=t0)
         )
         if coupler.operation_log is not None:
             coupler.operation_log.log(self.program, self.rank, "export", region, ts)
         self._record_export(region, ts, data)
-        return outcome.decision
+        return decision
 
     # -- import -----------------------------------------------------------------
     def import_begin(self, region: str, ts: float) -> ImportHandle:
@@ -397,7 +419,9 @@ class CoupledSimulation(ProtocolDriver):
         * ``buffer_policy="block"`` applies backpressure — an export
           that would exceed ``buffer_capacity_bytes`` stalls until
           eviction (driven by arriving requests/answers) frees space;
-          stalled time accrues in ``stats.backpressure_time``.
+          stalled time accrues in ``stats.backpressure_time``.  An
+          export larger than the whole capacity raises
+          :class:`FrameworkError`, as under ``"error"``.
         * ``sanitize=None`` consults the ``REPRO_SANITIZE`` environment
           variable (``1``/``strict`` or ``report``; empty/``0``
           disables).

@@ -280,33 +280,37 @@ class ConnectionExportState:
         # threshold past the regions of still-unresolved earlier
         # requests (their future_low exceeds the open regions), but
         # those requests' potential matches must of course be kept.
-        for req in sorted(self.open_requests.values(), key=lambda r: r.ts):
-            if not self.policy.in_region(ts, req.ts):
-                continue
-            if req.candidate_ts is None:
+        # (Usually no request is open — they are far rarer than
+        # exports — and there is nothing to sort or scan.)
+        if self.open_requests:
+            for req in sorted(self.open_requests.values(), key=lambda r: r.ts):
+                if not self.policy.in_region(ts, req.ts):
+                    continue
+                if req.candidate_ts is None:
+                    req.candidate_ts = ts
+                    return (ExportDecision.BUFFER, req.window, None)
+                better = self.policy.select_best([req.candidate_ts, ts], req.ts)
+                if better != ts:
+                    # The existing candidate stays best (can only happen
+                    # above the request timestamp, where later exports
+                    # are farther away).  Buffer the new object anyway:
+                    # it is in-region churn attributable to this window.
+                    return (ExportDecision.BUFFER, req.window, None)
+                # The new object supersedes the previous candidate.  For
+                # an increasing export stream "better now" is "better
+                # forever" for the *current* request, but the superseded
+                # candidate may only be *freed* when successive
+                # acceptable regions are known to be disjoint —
+                # otherwise a future request's region could still reach
+                # back and match it.
+                previous = req.candidate_ts
                 req.candidate_ts = ts
-                return (ExportDecision.BUFFER, req.window, None)
-            better = self.policy.select_best([req.candidate_ts, ts], req.ts)
-            if better != ts:
-                # The existing candidate stays best (can only happen
-                # above the request timestamp, where later exports are
-                # farther away).  Buffer the new object anyway: it is
-                # in-region churn attributable to this window.
-                return (ExportDecision.BUFFER, req.window, None)
-            # The new object supersedes the previous candidate.  For an
-            # increasing export stream "better now" is "better forever"
-            # for the *current* request, but the superseded candidate
-            # may only be *freed* when successive acceptable regions
-            # are known to be disjoint — otherwise a future request's
-            # region could still reach back and match it.
-            previous = req.candidate_ts
-            req.candidate_ts = ts
-            replaced = (
-                previous
-                if self.disjoint and not self._needed_elsewhere(previous, req)
-                else None
-            )
-            return (ExportDecision.BUFFER, req.window, replaced)
+                replaced = (
+                    previous
+                    if self.disjoint and not self._needed_elsewhere(previous, req)
+                    else None
+                )
+                return (ExportDecision.BUFFER, req.window, replaced)
         if ts < self.skip_threshold:
             return (ExportDecision.SKIP, None, None)
         return (ExportDecision.BUFFER, None, None)
@@ -318,6 +322,8 @@ class ConnectionExportState:
         forwards the definitive responses to the rep.
         """
         out: list[tuple[MatchResponse, ApplyOutcome]] = []
+        if not self.open_requests:
+            return out
         pending = sorted(self.open_requests)
         # One batched sweep over the sorted open set; answers are then
         # applied in ascending request order, exactly as the former
@@ -500,16 +506,25 @@ class RegionExportState:
             )
         self.history.add(ts)
 
-        votes: list[tuple[str, ExportDecision, int | None, float | None]] = []
+        # One pass over the connections' votes: SEND if any connection
+        # needs the object, SKIP only if every one allows it.
+        send_connections: list[str] = []
+        all_skip = True
+        window: int | None = None
+        replaced_votes: list[float] = []
         for cid, conn in self.connections.items():
-            decision, window, replaced_ts = conn.vote_export(ts)
-            votes.append((cid, decision, window, replaced_ts))
+            vote, vote_window, replaced_ts = conn.vote_export(ts)
+            if vote is ExportDecision.SEND:
+                send_connections.append(cid)
+                all_skip = False
+            elif vote is not ExportDecision.SKIP:
+                all_skip = False
+            if window is None:
+                window = vote_window
+            if replaced_ts is not None:
+                replaced_votes.append(replaced_ts)
         buddy_skip = False
         buddy_enabler: tuple[str, float] | None = None
-
-        send_connections = tuple(cid for cid, d, _w, _r in votes if d is ExportDecision.SEND)
-        all_skip = all(d is ExportDecision.SKIP for _c, d, _w, _r in votes)
-        window = next((w for _c, _d, w, _r in votes if w is not None), None)
 
         replaced_entries: list[BufferEntry] = []
         if send_connections:
@@ -535,10 +550,9 @@ class RegionExportState:
             # Candidate replacement (Figure 8): the superseded object
             # is freed during the same export call, provided no other
             # connection still needs it.
-            for _cid, _d, _w, replaced_ts in votes:
-                if replaced_ts is not None and self.buffer.has(replaced_ts):
-                    if not self._needed_by_any(replaced_ts):
-                        replaced_entries.append(self.buffer.free(replaced_ts))
+            for replaced_ts in replaced_votes:
+                if self.buffer.has(replaced_ts) and not self._needed_by_any(replaced_ts):
+                    replaced_entries.append(self.buffer.free(replaced_ts))
 
         # The stream advanced: PENDING requests may now be decidable.
         new_responses: list[tuple[str, MatchResponse]] = []
@@ -552,7 +566,7 @@ class RegionExportState:
         return ExportOutcome(
             decision=decision,
             window=window,
-            send_connections=send_connections,
+            send_connections=tuple(send_connections),
             replaced=tuple(replaced_entries),
             new_responses=tuple(new_responses),
             post_sends=tuple(post_sends),
@@ -586,9 +600,11 @@ class RegionExportState:
     # -- eviction ---------------------------------------------------------------
     def evict_threshold(self) -> float:
         """Everything strictly below this can be freed (all connections agree)."""
-        if not self.connections:
-            return math.inf
-        return min(c.skip_threshold for c in self.connections.values())
+        threshold = math.inf
+        for conn in self.connections.values():
+            if conn.skip_threshold < threshold:
+                threshold = conn.skip_threshold
+        return threshold
 
     def collect_evictions(self) -> list[BufferEntry]:
         """Free every buffered entry no connection can still need.
@@ -597,7 +613,15 @@ class RegionExportState:
         already-*sent* match below the threshold is done with and may
         be freed (paper Figure 5 line 23 frees the transferred D@19.6
         once the next request proves it dead).
+
+        The pool is ordered by timestamp, so when its oldest entry is
+        not below the eviction line nothing is — the usual case, which
+        returns before any keep-set is built.
         """
+        threshold = self.evict_threshold()
+        oldest = self.buffer.oldest()
+        if oldest is None or oldest >= threshold:
+            return []
         keep: set[float] = set()
         for conn in self.connections.values():
             keep |= conn.keep_set()
@@ -606,7 +630,7 @@ class RegionExportState:
             for ts in keep
             if not (self.buffer.has(ts) and self.buffer.get(ts).sent)
         }
-        return self.buffer.free_below(self.evict_threshold(), keep=keep)
+        return self.buffer.free_below(threshold, keep=keep)
 
     def _needed_by_any(self, ts: float) -> bool:
         for conn in self.connections.values():

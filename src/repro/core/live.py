@@ -121,7 +121,8 @@ class LiveProcessContext(ContextBase):
         Buffering performs an actual copy of *data*; its measured
         duration lands in the buffer ledger and the export record.
         """
-        st, nbytes = self._export_target(region, ts, data)
+        plan, nbytes = self._export_target(region, ts, data)
+        st = plan.state
         rt = self._rt
         t0 = time.perf_counter()
         with rt._locked(

@@ -36,7 +36,6 @@ adapter alone ``yield``\\ s the modelled free time.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, Iterator
@@ -64,7 +63,7 @@ from repro.match.result import MatchKind, MatchResponse
 from repro.obs.trace import CausalLog, TraceContext
 from repro.util import tracing
 from repro.util.tracing import NullTracer
-from repro.util.validation import require, require_positive
+from repro.util.validation import ValidationError, require, require_positive
 
 #: Collected ``(dst, payload)`` control sends awaiting framing.
 Outbox = list[tuple[Any, Any]]
@@ -184,6 +183,27 @@ class _ProgramRuntime:
         self.alive = nprocs
 
 
+@dataclass(frozen=True)
+class ExportPlan:
+    """What every export of one (rank, region) reuses, built once.
+
+    The decomposition never changes after setup, so the rank's local
+    box, its shape and the byte size of a cost-only export are fixed;
+    looking them up replaces rebuilding (and re-validating) a
+    :class:`RectRegion` on every export call.
+    """
+
+    state: RegionExportState
+    local: RectRegion
+    shape: tuple[int, ...]
+    #: Byte size of an export without ``data=`` (declared dtype).
+    nbytes: int
+    #: ``memcpy_base(nbytes)`` of the runtime's memory cost model — the
+    #: part of the buffering cost that does not depend on the clock
+    #: (``0.0`` on a runtime that measures instead of modelling).
+    memcpy_base: float
+
+
 class ContextBase:
     """Per-process protocol state behind each runtime's context class."""
 
@@ -193,6 +213,7 @@ class ContextBase:
         program: _ProgramRuntime,
         rank: int,
         capacity_bytes: int | None = None,
+        memcpy_base: Callable[[int], float] | None = None,
     ) -> None:
         self._rt = runtime
         self._program = program
@@ -233,6 +254,18 @@ class ContextBase:
         for rname in program.regions:
             if rname not in self.export_states and rname not in self.import_states:
                 self.export_states[rname] = RegionExportState(rname, [])
+        self._export_plans: dict[str, ExportPlan] = {}
+        for rname, st in self.export_states.items():
+            rdef = program.regions[rname]
+            local = rdef.decomp.local_region(rank)
+            nbytes = local.size * rdef.itemsize
+            self._export_plans[rname] = ExportPlan(
+                state=st,
+                local=local,
+                shape=local.shape,
+                nbytes=nbytes,
+                memcpy_base=0.0 if memcpy_base is None else memcpy_base(nbytes),
+            )
         #: Arrival bookkeeping for buddy answers, keyed by
         #: ``(connection_id, request_ts)``: ``(arrived_at, recv_span)``.
         #: Feeds the per-window buddy-help lead times.
@@ -243,24 +276,26 @@ class ContextBase:
 
     def local_region(self, region: str) -> RectRegion:
         """This rank's owned sub-box of *region*."""
+        plan = self._export_plans.get(region)
+        if plan is not None:
+            return plan.local
         return self._program.regions[region].decomp.local_region(self.rank)
 
     def _export_target(
         self, region: str, ts: float, data: np.ndarray | None
-    ) -> tuple[RegionExportState, int]:
-        """The export state of *region* and the byte size of this export."""
-        st = self.export_states.get(region)
-        require(st is not None, f"{self.program} declares no region {region!r}")
-        assert st is not None
-        local = self.local_region(region)
+    ) -> tuple[ExportPlan, int]:
+        """The export plan of *region* and the byte size of this export."""
+        plan = self._export_plans.get(region)
+        if plan is None:
+            raise ValidationError(f"{self.program} declares no region {region!r}")
         if data is None:
-            return st, local.size * self._program.regions[region].itemsize
-        require(
-            tuple(data.shape) == local.shape,
-            f"export {region}@{ts}: local block shape {data.shape} != "
-            f"decomposition shape {local.shape}",
-        )
-        return st, int(data.nbytes)
+            return plan, plan.nbytes
+        if tuple(data.shape) != plan.shape:
+            raise ValidationError(
+                f"export {region}@{ts}: local block shape {data.shape} != "
+                f"decomposition shape {plan.shape}"
+            )
+        return plan, int(data.nbytes)
 
     def _record_export(self, region: str, ts: float, data: np.ndarray | None) -> None:
         """Provenance row of one finished export call."""
@@ -542,7 +577,7 @@ class ProtocolDriver:
     def _stamp(self, payload: Any) -> Any:
         """Give *payload* a fresh wire sequence number if unstamped."""
         if getattr(payload, "seq", None) == -1:
-            payload = dataclasses.replace(payload, seq=self._next_seq())
+            payload = wire.with_seq(payload, self._next_seq())
         return payload
 
     def _net_send(

@@ -48,6 +48,7 @@ of an import survives the fault layer intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -143,6 +144,21 @@ class DataPiece:
     data: np.ndarray | None
     nbytes: int
     seq: int = -1
+
+
+def with_seq(msg: Any, seq: int) -> Any:
+    """A copy of wire message *msg* stamped with sequence number *seq*.
+
+    Every message here is a plain frozen dataclass without
+    ``__post_init__``, so copying the field dict is exactly what
+    ``dataclasses.replace(msg, seq=seq)`` builds — without re-running
+    ``__init__`` through ``object.__setattr__`` on every send.
+    """
+    stamped = object.__new__(type(msg))
+    fields = stamped.__dict__
+    fields.update(msg.__dict__)
+    fields["seq"] = seq
+    return stamped
 
 
 #: Modelled wire size of a frame header (batch length + checksum word).

@@ -54,22 +54,32 @@ class MemoryCostModel:
         require_non_negative(self.contention_per_peer, "contention_per_peer")
         require_non_negative(self.jitter, "jitter")
 
+    def memcpy_base(self, nbytes: int) -> float:
+        """The part of :meth:`memcpy_time` that depends on *nbytes* alone."""
+        require_non_negative(nbytes, "nbytes")
+        return self.setup_time + nbytes / self.bandwidth
+
     def memcpy_time(
         self,
         nbytes: int,
         now: float = 0.0,
         active_peers: int = 0,
         rng: np.random.Generator | None = None,
+        base: float | None = None,
     ) -> float:
         """Time to buffer *nbytes* at virtual time *now*.
 
         With a *jitter* half-width and an *rng* stream, the time is
         scaled by a uniform draw from ``[1 - jitter, 1 + jitter]`` —
         the run-to-run noise visible in the paper's measured series.
+        A caller that buffers the same size over and over passes its
+        precomputed ``base=memcpy_base(nbytes)``.
         """
-        require_non_negative(nbytes, "nbytes")
-        base = self.setup_time + nbytes / self.bandwidth
-        factor = 1.0 + self.contention_per_peer * max(0, active_peers)
+        if base is None:
+            base = self.memcpy_base(nbytes)
+        factor = 1.0
+        if active_peers > 0:
+            factor += self.contention_per_peer * active_peers
         if now < self.init_until:
             factor *= self.init_factor
         if self.jitter > 0.0 and rng is not None:
@@ -116,7 +126,9 @@ class NetworkCostModel:
 
     def congestion(self, active_flows: int) -> float:
         """The multiplicative congestion factor (>= 1)."""
-        return 1.0 + self.congestion_per_flow * max(0, active_flows)
+        if active_flows <= 0:
+            return 1.0
+        return 1.0 + self.congestion_per_flow * active_flows
 
 
 @dataclass(frozen=True)

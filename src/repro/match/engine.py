@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.match.policies import MatchPolicy
 from repro.match.result import MatchKind, MatchResponse
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 class ExportHistory:
@@ -43,6 +43,9 @@ class ExportHistory:
     def __init__(self) -> None:
         self._buf = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
         self._n = 0
+        #: Newest timestamp as a Python float, so the per-export
+        #: ``add``/``latest`` never round-trip a NumPy scalar.
+        self._latest = -math.inf
         self._closed = False
 
     # -- recording -----------------------------------------------------
@@ -50,16 +53,16 @@ class ExportHistory:
         """Record a new export timestamp (must exceed all previous)."""
         require(not self._closed, "cannot export after the stream is closed")
         value = float(ts)
-        if self._n:
-            last = self._buf[self._n - 1]
-            require(
-                value > last,
-                f"export timestamps must increase: {value} after {last}",
+        n = self._n
+        if n and not value > self._latest:
+            raise ValidationError(
+                f"export timestamps must increase: {value} after {self._latest}"
             )
-        if self._n == len(self._buf):
+        if n == len(self._buf):
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[self._n] = value
-        self._n += 1
+        self._buf[n] = value
+        self._n = n + 1
+        self._latest = value
 
     def close(self) -> None:
         """Mark the stream finished (end of program run).
@@ -89,6 +92,7 @@ class ExportHistory:
             )
         )
         self._n = int(arr.size)
+        self._latest = float(arr[-1]) if arr.size else -math.inf
         self._closed = closed
 
     # -- queries ---------------------------------------------------------
@@ -100,7 +104,7 @@ class ExportHistory:
     @property
     def latest(self) -> float:
         """Newest export timestamp (``-inf`` when nothing exported)."""
-        return float(self._buf[self._n - 1]) if self._n else -math.inf
+        return self._latest
 
     def __len__(self) -> int:
         return self._n

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.buffers import BufferManager
 from repro.core.exceptions import FrameworkError
+from repro.util.validation import ValidationError
 
 
 class TestBasicLifecycle:
@@ -30,9 +31,33 @@ class TestBasicLifecycle:
 
     def test_timestamps_sorted(self):
         bm = BufferManager()
-        for ts in (3.0, 1.0, 2.0):
+        for ts in (1.0, 2.0, 3.0):
             bm.buffer(ts, 1, 0.0)
-        assert bm.timestamps() == [1.0, 2.0, 3.0]
+        bm.free(2.0)
+        bm.buffer(4.0, 1, 0.0)
+        assert bm.timestamps() == [1.0, 3.0, 4.0]
+        assert bm.oldest() == 1.0
+        assert BufferManager().oldest() is None
+
+    def test_out_of_order_timestamp_rejected(self):
+        """The ordering contract free_below/attribute_window rely on."""
+        bm = BufferManager()
+        bm.buffer(1.0, 1, 0.0)
+        bm.buffer(3.0, 1, 0.0)
+        with pytest.raises(ValidationError, match="increasing order"):
+            bm.buffer(2.0, 1, 0.0)
+        assert bm.timestamps() == [1.0, 3.0] and bm.buffered_count == 2
+
+    def test_order_contract_survives_freeing(self):
+        """'Newest ever buffered', not 'newest live'."""
+        bm = BufferManager()
+        bm.buffer(5.0, 1, 0.0)
+        bm.free(5.0)
+        for ts in (5.0, 4.0, float("nan")):
+            with pytest.raises(ValidationError, match="increasing order"):
+                bm.buffer(ts, 1, 0.0)
+        bm.buffer(6.0, 1, 0.0)
+        assert bm.timestamps() == [6.0]
 
     def test_peak_bytes(self):
         bm = BufferManager()

@@ -110,6 +110,22 @@ class TestBlockPolicy:
         slow_off = cs_off.context("E", 1).stats.backpressure_time
         assert slow_on <= slow_off
 
+    @pytest.mark.parametrize("policy", ["error", "block"])
+    def test_export_larger_than_capacity_raises(self, policy):
+        """One block can never fit: no eviction makes room for it, so
+        "block" must fail like "error" does instead of polling forever
+        (bounded by ``until`` so the former hang shows as a failure)."""
+        cs, done = build(capacity=BLOCK_BYTES - 1, policy=policy)
+        with pytest.raises(FrameworkError, match="capacity exceeded"):
+            cs.run(until=1.0)
+        assert not done
+
+    def test_export_of_exactly_the_capacity_fits(self):
+        cs, done = build(capacity=BLOCK_BYTES, policy="block", exports=3,
+                         requests=1, importer_sleep=0.0001)
+        cs.run(until=5.0)
+        assert len(done) == 4
+
     def test_peak_usage_respects_capacity(self):
         cap = 25 * BLOCK_BYTES
         cs, _ = build(capacity=cap, policy="block", importer_sleep=0.01)
