@@ -73,7 +73,7 @@ from repro.core.rep import (
     _ImpRequestState,
 )
 from repro.match.aggregate import CollectiveViolationError
-from repro.match.backend import MATCH_BACKENDS
+from repro.match.backend import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 from repro.match.policies import parse_policy
 from repro.match.result import FinalAnswer, MatchKind, MatchResponse
 from repro.faults.plan import FRAMEWORK_PLANES
@@ -179,7 +179,7 @@ class ModelConfig:
     #: checker thereby explores every interleaving under either backend
     #: (their decisions are bit-identical, so the reachable state space
     #: must be too).
-    match_backend: str = "legacy"
+    match_backend: str = DEFAULT_MATCH_BACKEND
 
     def __post_init__(self) -> None:
         require(self.nimp >= 1 and self.nexp >= 1, "need at least one rank per side")

@@ -18,7 +18,7 @@ from typing import Any, Callable
 from repro.core.exceptions import ConfigError
 from repro.costs import FAST_TEST, ClusterPreset
 from repro.faults import FaultPlan
-from repro.match.backend import MATCH_BACKENDS
+from repro.match.backend import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 from repro.util.tracing import Tracer
 from repro.util.validation import require
 
@@ -101,11 +101,13 @@ class RunOptions:
         thread of the run, for happens-before race detection.
         ``None`` (default) disables instrumentation entirely.
     match_backend:
-        Which match engine the exporter processes use: ``"legacy"``
-        (per-request scan, the reference) or ``"sorted"`` (batched
-        sort/sweep resolution, see
-        :class:`repro.match.SortedMatchEngine`).  Decisions are
-        bit-identical between backends; only throughput differs.
+        Which match engine the exporter processes use: ``"sorted"``
+        (the default, :data:`repro.match.DEFAULT_MATCH_BACKEND`: one
+        bisection per request, a vectorized sweep for long batches,
+        see :class:`repro.match.SortedMatchEngine`) or ``"legacy"``
+        (per-request scan, the reference the default is checked
+        against).  Decisions are bit-identical between backends; only
+        throughput differs.
         Unknown names raise :class:`~repro.core.exceptions.ConfigError`
         at construction time.
     provenance:
@@ -146,7 +148,7 @@ class RunOptions:
     telemetry_sinks: tuple[Any, ...] = ()
     telemetry_interval: float = 0.25
     race_monitor: Any | None = None
-    match_backend: str = "legacy"
+    match_backend: str = DEFAULT_MATCH_BACKEND
     provenance: str | None = None
     profile: bool | float = False
 

@@ -38,6 +38,7 @@ from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
 from repro.core.exporter import ExportDecision
 from repro.costs import ClusterPreset
 from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
+from repro.match.backend import DEFAULT_MATCH_BACKEND
 from repro.data.decomposition import BlockDecomposition, choose_process_grid
 from repro.apps.workloads import ImbalanceProfile, one_slow_profile
 from repro.util.stats import SeriesSummary
@@ -85,7 +86,7 @@ class Figure4Spec:
     contention_per_peer: float = 0.013
     #: Match engine for the F processes (decisions are identical either
     #: way — the seed-replay goldens run this spec under both).
-    match_backend: str = "legacy"
+    match_backend: str = DEFAULT_MATCH_BACKEND
 
     @property
     def n_requests(self) -> int:

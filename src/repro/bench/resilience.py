@@ -26,6 +26,7 @@ from repro.costs import ClusterPreset
 from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
 from repro.data.decomposition import BlockDecomposition
 from repro.faults import FaultPlan
+from repro.match.backend import DEFAULT_MATCH_BACKEND
 
 #: One importer rank's answers: ``(request_ts, matched_ts-or-None)``.
 AnswerLog = list[tuple[float, float | None]]
@@ -91,7 +92,7 @@ def run_once(
     requests: int = 15,
     request_period: float = 2.0,
     batch_control: bool = False,
-    match_backend: str = "legacy",
+    match_backend: str = DEFAULT_MATCH_BACKEND,
 ) -> ResilienceRunResult:
     """One E(2) → I(2) run under *plan* (``None`` = fault-free)."""
     shape = (64, 64)

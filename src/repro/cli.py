@@ -86,6 +86,7 @@ import sys
 from typing import Any, Sequence
 
 from repro import __version__
+from repro.match.backend import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any]) -> bool:
@@ -179,7 +180,7 @@ def _demo_run(
     causal: bool = False,
     sinks: Sequence[Any] = (),
     interval: float = 0.25,
-    match_backend: str = "legacy",
+    match_backend: str = DEFAULT_MATCH_BACKEND,
     seed: int = 2,
     provenance: str | None = None,
     fault_plan: Any = None,
@@ -278,7 +279,7 @@ def _diff_comparison(
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.export import REPORT_SCHEMA
 
-    backend = getattr(args, "match_backend", "legacy")
+    backend = getattr(args, "match_backend", DEFAULT_MATCH_BACKEND)
     with_help = _demo_run(buddy_help=True, match_backend=backend)
     without_help = _demo_run(buddy_help=False, match_backend=backend)
     runs = [("buddy_on", with_help), ("buddy_off", without_help)]
@@ -1293,8 +1294,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _verify_races(args)
 
     base = mutation_config(args.mutate) if args.mutate else None
-    backend = getattr(args, "match_backend", "legacy")
-    if backend != "legacy":
+    backend = getattr(args, "match_backend", DEFAULT_MATCH_BACKEND)
+    if backend != DEFAULT_MATCH_BACKEND:
         from dataclasses import replace as _replace
 
         from repro.analysis.model import ModelConfig
@@ -1341,14 +1342,13 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_match_backend_flag(p: argparse.ArgumentParser) -> None:
-    from repro.match.backend import MATCH_BACKENDS
-
     p.add_argument(
         "--match-backend",
         choices=MATCH_BACKENDS,
-        default="legacy",
+        default=DEFAULT_MATCH_BACKEND,
         help="match engine for the runs (recorded in the JSON payload; "
-        "decisions are bit-identical between backends)",
+        "decisions are bit-identical between backends; default: "
+        "%(default)s, 'legacy' is the reference engine)",
     )
 
 
@@ -1487,7 +1487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "policy's tolerance replaced by TOL",
     )
     prep.add_argument(
-        "--match-backend", choices=["legacy", "sorted"], default=None,
+        "--match-backend", choices=MATCH_BACKENDS, default=None,
         help="replay under this match engine instead of the recorded one "
         "(cross-backend verification compares decisions, not digests)",
     )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.core.buffers import BufferEntry, BufferManager
 from repro.core.config import ConnectionSpec
 from repro.core.exceptions import PropertyViolationError
-from repro.match.backend import make_backend
+from repro.match.backend import DEFAULT_MATCH_BACKEND, make_backend
 from repro.match.engine import ExportHistory
 from repro.match.result import FinalAnswer, MatchKind, MatchResponse
 from repro.util.validation import require
@@ -132,7 +132,7 @@ class ConnectionExportState:
         conn: ConnectionSpec,
         history: ExportHistory,
         strict_order: bool = True,
-        match_backend: str = "legacy",
+        match_backend: str = DEFAULT_MATCH_BACKEND,
     ) -> None:
         self.conn = conn
         self.policy = conn.policy
@@ -325,8 +325,8 @@ class ConnectionExportState:
         if not self.open_requests:
             return out
         pending = sorted(self.open_requests)
-        # One batched sweep over the sorted open set; answers are then
-        # applied in ascending request order, exactly as the former
+        # One batched evaluation of the sorted open set; answers are
+        # then applied in ascending request order, exactly as the former
         # per-request loop did (evaluation depends only on the history
         # and policy, so evaluate-all-then-apply is decision-identical).
         for response in self.engine.evaluate_batch(pending, record=False):
@@ -429,7 +429,7 @@ class RegionExportState:
         connections: list[ConnectionSpec],
         capacity_bytes: int | None = None,
         strict_order: bool = True,
-        match_backend: str = "legacy",
+        match_backend: str = DEFAULT_MATCH_BACKEND,
     ) -> None:
         self.region_name = region_name
         self.history = ExportHistory()

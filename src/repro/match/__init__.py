@@ -24,8 +24,13 @@ would break Property 1.
 from repro.match.result import MatchKind, MatchResponse, FinalAnswer
 from repro.match.policies import MatchPolicy, PolicyKind, parse_policy
 from repro.match.engine import ExportHistory, MatchEngine
-from repro.match.sorted_engine import SortedMatchEngine
-from repro.match.backend import MATCH_BACKENDS, MatchBackend, make_backend
+from repro.match.sorted_engine import BatchResponses, SortedMatchEngine
+from repro.match.backend import (
+    DEFAULT_MATCH_BACKEND,
+    MATCH_BACKENDS,
+    MatchBackend,
+    make_backend,
+)
 from repro.match.aggregate import CollectiveViolationError, aggregate_responses
 
 __all__ = [
@@ -38,8 +43,10 @@ __all__ = [
     "ExportHistory",
     "MatchEngine",
     "SortedMatchEngine",
+    "BatchResponses",
     "MatchBackend",
     "MATCH_BACKENDS",
+    "DEFAULT_MATCH_BACKEND",
     "make_backend",
     "CollectiveViolationError",
     "aggregate_responses",

@@ -2,11 +2,14 @@
 
 The match layer ships two interchangeable engines behind one protocol:
 
-* ``legacy`` — :class:`repro.match.engine.MatchEngine`, per-request
-  bisection with a linear best-candidate scan (the reference
-  semantics);
 * ``sorted`` — :class:`repro.match.sorted_engine.SortedMatchEngine`,
-  batched sort/sweep resolution for high outstanding-request counts.
+  one bisection per request and a vectorized sweep for long batches;
+  the production default (:data:`DEFAULT_MATCH_BACKEND`), faster than
+  the reference at every batch size;
+* ``legacy`` — :class:`repro.match.engine.MatchEngine`, per-request
+  bisection with a linear best-candidate scan: the reference semantics
+  the goldens, the differential suite and cross-backend ``repro
+  replay``/``repro verify`` check the default against.
 
 Runtimes obtain engines only through :func:`make_backend`; direct
 ``MatchEngine(...)`` construction keeps working for existing callers
@@ -26,6 +29,11 @@ from repro.match.sorted_engine import SortedMatchEngine
 
 #: Valid ``RunOptions.match_backend`` / :func:`make_backend` names.
 MATCH_BACKENDS = ("legacy", "sorted")
+
+#: The engine every default in the package resolves to
+#: (``RunOptions``, ``ModelConfig``, ``Figure4Spec``, the exporter
+#: states, the CLI flags and :func:`make_backend` itself).
+DEFAULT_MATCH_BACKEND = "sorted"
 
 
 @runtime_checkable
@@ -70,14 +78,19 @@ class MatchBackend(Protocol):
 
     def evaluate_batch(
         self, request_ts: Sequence[float], *, record: bool = False
-    ) -> list[MatchResponse]:
-        """Evaluate a batch of requests in order; one response each."""
+    ) -> Sequence[MatchResponse]:
+        """Evaluate a batch of requests in order; one response each.
+
+        The result is read-only to the caller: a list from the
+        reference engine, a
+        :class:`~repro.match.sorted_engine.BatchResponses` from a sweep.
+        """
         ...
 
 
 def make_backend(
     policy: MatchPolicy,
-    name: str = "legacy",
+    name: str = DEFAULT_MATCH_BACKEND,
     *,
     history: ExportHistory | None = None,
     strict_order: bool = True,

@@ -13,9 +13,10 @@ semantics of Section 3.1:
 
 The history is stored in one sorted (because append-only increasing)
 NumPy ``float64`` buffer so both match backends share storage: this
-legacy engine bisects it per request, while
-:class:`repro.match.sorted_engine.SortedMatchEngine` sweeps whole
-request batches over the same array with vectorized ``searchsorted``.
+reference engine bisects the region edges and scans the candidates
+between them, while the default
+:class:`repro.match.sorted_engine.SortedMatchEngine` bisects each
+request once, or sweeps a whole batch over the same array.
 """
 
 from __future__ import annotations
@@ -54,10 +55,16 @@ class ExportHistory:
         require(not self._closed, "cannot export after the stream is closed")
         value = float(ts)
         n = self._n
-        if n and not value > self._latest:
-            raise ValidationError(
-                f"export timestamps must increase: {value} after {self._latest}"
-            )
+        if not value > self._latest:
+            # Only a first export of -inf gets here legitimately; NaN
+            # compares false with everything, so it lands here too and
+            # must not enter the sorted buffer the bisections run on.
+            if value != value:
+                raise ValidationError(f"export timestamp must not be NaN, got {ts!r}")
+            if n:
+                raise ValidationError(
+                    f"export timestamps must increase: {value} after {self._latest}"
+                )
         if n == len(self._buf):
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
         self._buf[n] = value
@@ -80,19 +87,24 @@ class ExportHistory:
         calls.
         """
         arr = np.asarray(list(timestamps), dtype=np.float64)
-        if arr.size > 1:
+        n = int(arr.size)
+        latest = float(arr[-1]) if n else -math.inf
+        if latest != latest or (n > 1 and not bool(np.all(arr[1:] > arr[:-1]))):
+            # NaN compares false with everything, so wherever it sits
+            # it has failed one of the two tests above.
             require(
-                bool(np.all(arr[1:] > arr[:-1])),
-                "export timestamps must increase",
+                not bool(np.isnan(arr).any()),
+                f"export timestamps must not be NaN, got {arr.tolist()}",
             )
+            raise ValidationError("export timestamps must increase")
         self._buf = (
-            arr if arr.size >= self._INITIAL_CAPACITY
+            arr if n >= self._INITIAL_CAPACITY
             else np.concatenate(
-                [arr, np.empty(self._INITIAL_CAPACITY - arr.size, dtype=np.float64)]
+                [arr, np.empty(self._INITIAL_CAPACITY - n, dtype=np.float64)]
             )
         )
-        self._n = int(arr.size)
-        self._latest = float(arr[-1]) if arr.size else -math.inf
+        self._n = n
+        self._latest = latest
         self._closed = closed
 
     # -- queries ---------------------------------------------------------
@@ -136,9 +148,9 @@ class MatchEngine:
 
     This is the ``legacy`` :class:`~repro.match.backend.MatchBackend`:
     per-request bisection with a linear best-candidate scan, the
-    reference semantics every other backend must reproduce bit for
-    bit.  Runtimes obtain engines through
-    :func:`repro.match.make_backend`; direct construction keeps
+    reference semantics every other backend — the default ``sorted``
+    one included — must reproduce bit for bit.  Runtimes obtain engines
+    through :func:`repro.match.make_backend`; direct construction keeps
     working for existing callers and tests.
 
     Also enforces the model's requirement that *request* timestamps
@@ -192,17 +204,18 @@ class MatchEngine:
 
         In relaxed mode (``strict_order=False``) a timestamp at or
         below the mark is accepted without advancing it — the caller
-        has already classified it as a re-ask.
+        has already classified it as a re-ask.  NaN is ordered against
+        nothing and is rejected in both modes.
         """
-        if self.strict_order:
-            require(
-                request_ts > self._last_request_ts,
-                f"request timestamps must increase: {request_ts} after "
-                f"{self._last_request_ts}",
-            )
+        if request_ts > self._last_request_ts:
             self._last_request_ts = request_ts
-        else:
-            self._last_request_ts = max(self._last_request_ts, request_ts)
+        elif request_ts != request_ts:
+            raise ValidationError(f"request timestamp must not be NaN, got {request_ts!r}")
+        elif self.strict_order:
+            raise ValidationError(
+                f"request timestamps must increase: {request_ts} after "
+                f"{self._last_request_ts}"
+            )
 
     def evaluate(self, request_ts: float, *, record: bool = True) -> MatchResponse:
         """Evaluate *request_ts* against the current history.
@@ -245,7 +258,7 @@ class MatchEngine:
 
     def evaluate_batch(
         self, request_ts: Sequence[float], *, record: bool = False
-    ) -> list[MatchResponse]:
+    ) -> Sequence[MatchResponse]:
         """Evaluate a batch of requests in order; one response each.
 
         Reference implementation: a plain loop over :meth:`evaluate`,

@@ -2,39 +2,64 @@
 
 Marzolla & D'Angelo's sort-based Data Distribution Management work
 shows interval matching at scale is a sort/sweep problem: with both
-sides sorted, every region query is a pair of bisections instead of a
-scan.  Here the export history is already sorted (timestamps strictly
-increase), so :class:`SortedMatchEngine` resolves whole batches of
-outstanding requests per sweep:
+sides sorted, every region query is a bisection instead of a scan, and
+no per-pair object is ever built.  Here the export history is already
+sorted (timestamps strictly increase), so :class:`SortedMatchEngine`
+resolves a request — or a whole batch of outstanding ones — like this:
 
 * the PENDING frontier is a *watermark* — requests are sorted and one
   bisection of the newest export against their
   :meth:`~repro.match.policies.MatchPolicy.decision_bound` splits the
   decidable prefix from the still-pending suffix;
-* acceptable regions come from the constant policy offsets
-  (:attr:`~repro.match.policies.MatchPolicy.interval`), so candidate
-  ranges for the whole batch are two vectorized ``searchsorted`` calls;
-* the best candidate per request is the closer of the nearest export
-  at-or-below and the nearest strictly-above, ties to the lower
-  timestamp — exactly the legacy engine's first-minimal-wins scan.
+* **one bisection, two neighbour tests**: the acceptable region is
+  ``[t + dlow, t + dhigh]`` with ``dlow <= 0 <= dhigh`` (the constant
+  :attr:`~repro.match.policies.MatchPolicy.interval`), so it always
+  contains ``t`` and the best candidate is one of the two exports
+  around ``t``.  ``above = searchsorted(hist, t, "right")`` finds both:
+  ``hist[above - 1]`` (nearest at-or-below) is acceptable iff it is
+  ``>= t + dlow``, ``hist[above]`` (nearest strictly above) iff it is
+  ``<= t + dhigh``.  No bisection of the region edges is needed;
+* the closer of the two wins, ties to the lower timestamp — exactly the
+  reference engine's first-minimal-wins scan.
+
+The scalar :meth:`SortedMatchEngine.evaluate` and the vectorized
+:meth:`SortedMatchEngine.sweep` use that same formulation;
+:meth:`SortedMatchEngine.evaluate_batch` picks between them from the
+batch length and, above the line, answers with a :class:`BatchResponses`
+— arrays in, arrays out, :class:`~repro.match.result.MatchResponse`
+objects built only for the elements somebody reads.
 
 Decisions are bit-identical to :class:`repro.match.engine.MatchEngine`
-(IEEE-754 ``t + (-d) == t - d`` exactly, and distances are computed
-with the same ``abs(candidate - t)`` expressions); the differential
-and seed-replay golden suites prove it, including re-asked requests
-under ``strict_order=False``.
+(IEEE-754 ``t + (-d) == t - d`` exactly, and ``t - b == abs(b - t)``
+for ``b <= t``); the differential and seed-replay golden suites prove
+it, including re-asked requests under ``strict_order=False``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
-from repro.match.engine import MatchEngine
+from repro.match.engine import ExportHistory, MatchEngine
+from repro.match.policies import MatchPolicy
 from repro.match.result import MatchKind, MatchResponse
 
 _PENDING, _NO_MATCH, _MATCH = 0, 1, 2
+#: Outcome code -> kind; the codes are what :attr:`BatchResponses.kinds` holds.
+_KINDS = (MatchKind.PENDING, MatchKind.NO_MATCH, MatchKind.MATCH)
+
+#: Largest batch :meth:`SortedMatchEngine.evaluate_batch` answers with a
+#: loop over the scalar path; longer ones go through the sweep.  Measured
+#: (CPython 3.11, NumPy 2.4, sorted requests, histories of 10^2, 10^4 and
+#: 2.5 * 10^5 exports alike): the sweep path costs a fixed ~20 us of NumPy
+#: call overhead plus ~0.1 us per request, the scalar loop ~2.4 us per
+#: request, so they cross at 8-9 requests (8: 18-19 us against 21; 10:
+#: 20-23 against 21).  The exporter's open-request sets sit below the
+#: line in every run perf/ measures; only ``match_batch`` is above it.
+SCALAR_BATCH_MAX = 8
 
 
 def _response(
@@ -45,12 +70,12 @@ def _response(
 ) -> MatchResponse:
     """Build a :class:`MatchResponse` without re-running validation.
 
-    The sweep kernel guarantees the dataclass invariants by
-    construction (``matched_ts`` is set iff ``kind is MATCH``), so the
-    batch path skips ``__init__``/``__post_init__`` — at 10^6
-    responses per sweep the constructor is the bottleneck, not the
-    kernel.  The resulting objects are indistinguishable from normally
-    constructed ones (same type, fields, hash, equality).
+    The engine guarantees the dataclass invariants by construction
+    (``matched_ts`` is set iff ``kind is MATCH``), so it skips
+    ``__init__``/``__post_init__`` — the validating constructor costs
+    more than the bisection it would wrap.  The resulting objects are
+    indistinguishable from normally constructed ones (same type,
+    fields, hash, equality).
     """
     resp = object.__new__(MatchResponse)
     object.__setattr__(resp, "request_ts", request_ts)
@@ -60,77 +85,139 @@ def _response(
     return resp
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class BatchResponses(Sequence[MatchResponse]):
+    """The responses of one swept batch, held as arrays.
+
+    A read-only sequence in request order: ``len``, integer, negative
+    and slice indexing and iteration behave as for the list the
+    reference engine returns, and ``==`` compares element-wise with any
+    sequence — but a :class:`~repro.match.result.MatchResponse` exists
+    only while somebody holds the element they read.  A caller that
+    reads every element (the exporter does) pays for every object after
+    all; one that can work on the arrays never builds any.
+    """
+
+    #: ``float64`` request timestamps, in the order they were asked.
+    request_ts: np.ndarray
+    #: ``int8`` outcome codes: 0 PENDING / 1 NO_MATCH / 2 MATCH.
+    kinds: np.ndarray
+    #: ``float64`` matched timestamps, ``nan`` where :attr:`kinds` is not 2.
+    matched_ts: np.ndarray
+    #: The responder's newest export when the batch was evaluated.
+    latest_export_ts: float
+
+    def __post_init__(self) -> None:
+        for arr in (self.request_ts, self.kinds, self.matched_ts):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    @overload
+    def __getitem__(self, index: int) -> MatchResponse: ...
+    @overload
+    def __getitem__(self, index: slice) -> BatchResponses: ...
+    def __getitem__(self, index: int | slice) -> MatchResponse | BatchResponses:
+        if isinstance(index, slice):
+            return BatchResponses(
+                self.request_ts[index],
+                self.kinds[index],
+                self.matched_ts[index],
+                self.latest_export_ts,
+            )
+        code = self.kinds.item(index)
+        return _response(
+            self.request_ts.item(index),
+            _KINDS[code],
+            self.matched_ts.item(index) if code == _MATCH else None,
+            self.latest_export_ts,
+        )
+
+    def __iter__(self) -> Iterator[MatchResponse]:
+        latest = self.latest_export_ts
+        for t, code, m in zip(
+            self.request_ts.tolist(), self.kinds.tolist(), self.matched_ts.tolist()
+        ):
+            yield _response(t, _KINDS[code], m if code == _MATCH else None, latest)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"BatchResponses({list(self)!r})"
+
+
 class SortedMatchEngine(MatchEngine):
-    """Batched sweep resolution over the sorted export history.
+    """One-bisection resolution over the sorted export history.
 
     Drop-in :class:`~repro.match.backend.MatchBackend` replacement for
-    the legacy engine: same constructor, same counters, same response
-    sequences bit for bit.  The scalar :meth:`evaluate` replaces the
-    legacy candidate scan with bisections; :meth:`evaluate_batch`
-    resolves the whole batch in a handful of vectorized NumPy calls.
+    the reference engine: same constructor, same counters, same
+    response sequences bit for bit.  The scalar :meth:`evaluate`
+    replaces the reference candidate scan with one bisection;
+    :meth:`evaluate_batch` resolves a long batch in a handful of
+    vectorized NumPy calls and a short one through :meth:`evaluate`.
     """
 
     backend_name = "sorted"
 
+    def __init__(
+        self,
+        policy: MatchPolicy,
+        history: ExportHistory | None = None,
+        strict_order: bool = True,
+    ) -> None:
+        super().__init__(policy, history=history, strict_order=strict_order)
+        # The PENDING watermark below compares the newest export with
+        # the request itself: decidable(latest, t) iff latest >=
+        # decision_bound(t), and the bound is the identity for all four
+        # policy families.
+        bound = policy.decision_bound
+        assert bound(0.0) == 0.0 and bound(1.0) == 1.0
+        self._dlow, self._dhigh = policy.interval
+
     # -- scalar path ------------------------------------------------------
     def evaluate(self, request_ts: float, *, record: bool = True) -> MatchResponse:
-        """Evaluate one request; bisection-based, legacy-identical."""
+        """Evaluate one request; one bisection, reference-identical.
+
+        The only contenders are the nearest export at-or-below the
+        request and the nearest strictly above (see the module
+        docstring).  Both tests are written so that a NaN request fails
+        them — ``not (b < low)`` would let it through as a MATCH on a
+        closed stream, where the reference engine says NO_MATCH.  The
+        reference's ascending scan keeps the first minimal-distance
+        candidate, i.e. the lower one on ties: the export above wins
+        only when strictly closer (``d_below <= d_above`` keeps the
+        lower; both distances are exact negations of the reference's
+        ``abs(candidate - t)``).
+        """
         if record:
             self.check_request_order(request_ts)
-        latest = self.history.latest
-        decidable = (
-            self.policy.decidable(latest, request_ts) or self.history.closed
-        )
-        if not decidable:
+        history = self.history
+        latest = history.latest
+        if not (latest >= request_ts or history.closed):
             self.pending_count += 1
-            return MatchResponse(
-                request_ts=request_ts,
-                kind=MatchKind.PENDING,
-                latest_export_ts=latest,
-            )
-        best = self._best_candidate(request_ts)
+            return _response(request_ts, MatchKind.PENDING, None, latest)
+        hist = history.view()
+        above = int(hist.searchsorted(request_ts, "right"))
+        best: float | None = None
+        if above:
+            below_ts: float = hist.item(above - 1)
+            if below_ts >= request_ts + self._dlow:
+                best = below_ts
+        if above < len(hist):
+            above_ts: float = hist.item(above)
+            if above_ts <= request_ts + self._dhigh and (
+                best is None or above_ts - request_ts < request_ts - best
+            ):
+                best = above_ts
         if best is None:
             self.no_match_count += 1
-            return MatchResponse(
-                request_ts=request_ts,
-                kind=MatchKind.NO_MATCH,
-                latest_export_ts=latest,
-            )
+            return _response(request_ts, MatchKind.NO_MATCH, None, latest)
         self.match_count += 1
-        return MatchResponse(
-            request_ts=request_ts,
-            kind=MatchKind.MATCH,
-            matched_ts=best,
-            latest_export_ts=latest,
-        )
-
-    def _best_candidate(self, t: float) -> float | None:
-        """Best acceptable export for *t* via three bisections.
-
-        The history is sorted, so the only contenders are the nearest
-        export at-or-below ``t`` and the nearest strictly above; the
-        legacy ascending scan keeps the first minimal-distance
-        candidate, i.e. the below one on ties — reproduced here by
-        ``d_below <= d_above``.
-        """
-        hist = self.history.view()
-        if hist.size == 0:
-            return None
-        dlow, dhigh = self.policy.interval
-        lo = int(np.searchsorted(hist, t + dlow, side="left"))
-        hi = int(np.searchsorted(hist, t + dhigh, side="right"))
-        k = int(np.searchsorted(hist, t, side="right")) - 1
-        below_ok = k >= lo
-        above = k + 1
-        above_ok = above < hi
-        if below_ok and above_ok:
-            b, a = float(hist[k]), float(hist[above])
-            return b if abs(b - t) <= abs(a - t) else a
-        if below_ok:
-            return float(hist[k])
-        if above_ok:
-            return float(hist[above])
-        return None
+        return _response(request_ts, MatchKind.MATCH, best, latest)
 
     # -- batched sweep ----------------------------------------------------
     def sweep(self, request_ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,87 +228,78 @@ class SortedMatchEngine(MatchEngine):
         array of matched timestamps (``nan`` where there is none).
         Pure kernel — no counters, no response objects; this is what
         ``match.sweep_kernel_req_per_s`` (``perf/``) times in isolation.
+        The same one bisection and two neighbour tests as
+        :meth:`evaluate`, over the whole array.
         """
         n = request_ts.size
         kinds = np.zeros(n, dtype=np.int8)
         matched = np.full(n, np.nan)
-        if n == 0:
-            return kinds, matched
-        hist = self.history.view()
-        if self.history.closed:
-            split = n
-        else:
-            # PENDING frontier as a watermark: decidable(latest, t)
-            # holds iff latest >= decision_bound(t), and the bound is
-            # monotone in t (identity, for all four families), so one
-            # bisection splits the decidable prefix.
-            bound = self.policy.decision_bound
-            assert bound(0.0) == 0.0 and bound(1.0) == 1.0
-            split = int(np.searchsorted(request_ts, self.history.latest, side="right"))
+        history = self.history
+        # PENDING frontier as a watermark: the decision bound is
+        # monotone in t, so one bisection splits the decidable prefix.
+        # NaN requests sort last and stay beyond it.
+        split = n if history.closed else int(
+            request_ts.searchsorted(history.latest, "right")
+        )
         if split == 0:
             return kinds, matched
-        decid = request_ts[:split]
+        hist = history.view()
         if hist.size == 0:
             kinds[:split] = _NO_MATCH
             return kinds, matched
-        dlow, dhigh = self.policy.interval
-        lo = np.searchsorted(hist, decid + dlow, side="left")
-        hi = np.searchsorted(hist, decid + dhigh, side="right")
-        k = np.searchsorted(hist, decid, side="right") - 1
-        below_ok = k >= lo
-        above = k + 1
-        above_ok = above < hi
-        b = hist[np.clip(k, 0, hist.size - 1)]
-        a = hist[np.clip(above, 0, hist.size - 1)]
-        db = np.abs(b - decid)
-        da = np.abs(a - decid)
-        use_b = below_ok & (~above_ok | (db <= da))
-        has = below_ok | above_ok
-        kinds[:split] = np.where(has, _MATCH, _NO_MATCH)
-        matched[:split] = np.where(has, np.where(use_b, b, a), np.nan)
+        t = request_ts[:split]
+        above = hist.searchsorted(t, "right")
+        # A neighbour off either end is clipped onto an export on the
+        # wrong side of t and ruled out by the side test; NaN fails
+        # every comparison and so matches nothing.
+        b = hist.take(above - 1, mode="clip")
+        a = hist.take(above, mode="clip")
+        below_ok = (b <= t) & (b >= t + self._dlow)
+        above_ok = (a > t) & (a <= t + self._dhigh)
+        use_b = below_ok & ~(above_ok & (a - t < t - b))
+        kinds[:split] = np.where(below_ok | above_ok, _MATCH, _NO_MATCH)
+        np.copyto(matched[:split], b, where=use_b)
+        np.copyto(matched[:split], a, where=above_ok & ~use_b)
         return kinds, matched
 
     def evaluate_batch(
-        self, request_ts: Sequence[float], *, record: bool = False
-    ) -> list[MatchResponse]:
-        """Batched evaluation, bit-identical to the legacy loop.
+        self, request_ts: Sequence[float] | np.ndarray, *, record: bool = False
+    ) -> Sequence[MatchResponse]:
+        """Batched evaluation, bit-identical to the reference loop.
 
         Input order is preserved in the output; unsorted input is
         argsorted internally and scattered back (with ``record=False``
         each response depends only on the history and policy, so the
-        evaluation order is immaterial).
+        evaluation order is immaterial); a one-shot iterable is
+        materialised first, as the reference loop would consume it.  Up to
+        :data:`SCALAR_BATCH_MAX` requests are answered one by one with
+        a plain list; above it one :meth:`sweep` answers them all with
+        a :class:`BatchResponses`.
         """
-        ts_list = [float(t) for t in request_ts]
+        if not hasattr(request_ts, "__len__"):
+            request_ts = list(request_ts)
+        n = len(request_ts)
+        if n <= SCALAR_BATCH_MAX:
+            evaluate = self.evaluate
+            return [evaluate(float(t), record=record) for t in request_ts]
+        requests = np.array(request_ts, dtype=np.float64)
         if record:
-            for t in ts_list:
+            for t in requests.tolist():
                 self.check_request_order(t)
-        n = len(ts_list)
-        if n == 0:
-            return []
-        arr = np.asarray(ts_list, dtype=np.float64)
+        ordered = requests
         order: np.ndarray | None = None
-        if n > 1 and not bool(np.all(arr[:-1] <= arr[1:])):
-            order = np.argsort(arr, kind="stable")
-            arr = arr[order]
-        kinds, matched = self.sweep(arr)
+        if not bool(np.all(requests[:-1] <= requests[1:])):
+            order = np.argsort(requests, kind="stable")
+            ordered = requests[order]
+        kinds, matched = self.sweep(ordered)
         if order is not None:
             unsorted_kinds = np.empty(n, dtype=np.int8)
             unsorted_matched = np.empty(n, dtype=np.float64)
             unsorted_kinds[order] = kinds
             unsorted_matched[order] = matched
             kinds, matched = unsorted_kinds, unsorted_matched
-        counts = np.bincount(kinds, minlength=3)
-        self.pending_count += int(counts[_PENDING])
-        self.no_match_count += int(counts[_NO_MATCH])
-        self.match_count += int(counts[_MATCH])
-        latest = self.history.latest
-        out: list[MatchResponse] = []
-        append = out.append
-        for t, kind, m in zip(ts_list, kinds.tolist(), matched.tolist()):
-            if kind == _MATCH:
-                append(_response(t, MatchKind.MATCH, m, latest))
-            elif kind == _NO_MATCH:
-                append(_response(t, MatchKind.NO_MATCH, None, latest))
-            else:
-                append(_response(t, MatchKind.PENDING, None, latest))
-        return out
+        counts = np.bincount(kinds, minlength=3).tolist()
+        self.pending_count += counts[_PENDING]
+        self.no_match_count += counts[_NO_MATCH]
+        self.match_count += counts[_MATCH]
+        return BatchResponses(requests, kinds, matched, self.history.latest)

@@ -237,10 +237,13 @@ def verify_replay(
     count must match (throughput internals may differ).
     """
     log = _load(log)
+    # A header without the field predates it, and what recorded such a
+    # log was the reference engine — not whatever the default is today.
+    # The backend is therefore always passed to replay() by name.
     recorded_backend = str(log.header.get("match_backend", "legacy"))
     backend = recorded_backend if match_backend is None else match_backend
     cross = backend != recorded_backend
-    result = replay(log, match_backend=backend if cross else None)
+    result = replay(log, match_backend=backend)
     report = report_payload(result)
     causal = causal_payload(result)
     end = log.end or {}
@@ -260,7 +263,7 @@ def verify_replay(
         payload["report_identical"] = None
         payload["causal_identical"] = None
         payload["decisions_match"] = _decisions(causal) == _decisions_from_end(
-            log
+            log, recorded_backend
         )
         payload["ok"] = bool(payload["decisions_match"])
     else:
@@ -286,14 +289,16 @@ def _decisions(causal: dict[str, Any]) -> dict[tuple[Any, ...], tuple[Any, ...]]
     return out
 
 
-def _decisions_from_end(log: ProvenanceLog) -> dict[tuple[Any, ...], tuple[Any, ...]]:
+def _decisions_from_end(
+    log: ProvenanceLog, recorded_backend: str
+) -> dict[tuple[Any, ...], tuple[Any, ...]]:
     """The recorded run's decisions, recovered by a same-backend replay.
 
     The log stores digests, not the full causal payload, so the
     baseline DAG is reconstructed the same way every other derived view
     is: by replaying the log under its own recorded backend.
     """
-    baseline = replay(log)
+    baseline = replay(log, match_backend=recorded_backend)
     return _decisions(causal_payload(baseline))
 
 

@@ -19,6 +19,7 @@ from repro import Program, RunOptions, run
 from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
 from repro.core.live import LiveCoupledSimulation
 from repro.data.decomposition import BlockDecomposition
+from repro.match import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 from repro.util.tracing import Tracer
 
 CONFIG = (
@@ -294,8 +295,9 @@ class TestRunOptionsValidation:
         assert RunOptions().causal_trace is False
 
     def test_match_backend_default_and_valid_values(self):
-        assert RunOptions().match_backend == "legacy"
-        assert RunOptions(match_backend="sorted").match_backend == "sorted"
+        assert RunOptions().match_backend == DEFAULT_MATCH_BACKEND == "sorted"
+        for name in MATCH_BACKENDS:
+            assert RunOptions(match_backend=name).match_backend == name
 
     def test_unknown_match_backend_rejected_eagerly(self):
         from repro.core.exceptions import ConfigError

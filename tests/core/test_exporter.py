@@ -14,9 +14,11 @@ from repro.core.exceptions import PropertyViolationError
 from repro.core.exporter import ExportDecision, RegionExportState
 from repro.match.policies import MatchPolicy, PolicyKind
 from repro.match.result import FinalAnswer, MatchKind
+from repro.match.sorted_engine import SCALAR_BATCH_MAX
+from repro.util.validation import ValidationError
 
 
-def make_state(tolerance=2.5, disjoint=True, kind=PolicyKind.REGL, n_conns=1):
+def make_state(tolerance=2.5, disjoint=True, kind=PolicyKind.REGL, n_conns=1, **kwargs):
     conns = [
         ConnectionSpec(
             exporter=Endpoint("F", "d"),
@@ -26,7 +28,7 @@ def make_state(tolerance=2.5, disjoint=True, kind=PolicyKind.REGL, n_conns=1):
         )
         for i in range(n_conns)
     ]
-    return RegionExportState("d", conns), [c.connection_id for c in conns]
+    return RegionExportState("d", conns, **kwargs), [c.connection_id for c in conns]
 
 
 def export(st_, ts):
@@ -40,6 +42,16 @@ class TestUnconnectedRegion:
         assert out.decision is ExportDecision.NOOP
         assert state.buffer.buffered_count == 0
         assert not state.is_connected
+
+    @pytest.mark.parametrize("n_conns", [0, 1])
+    def test_nan_export_is_rejected_by_the_history(self, n_conns):
+        # Connected or not: before, only the buffer pool noticed, and
+        # an unconnected region (no pool traffic) recorded the NaN.
+        state, _ = make_state(n_conns=n_conns)
+        with pytest.raises(ValidationError, match="export timestamp must not be NaN"):
+            export(state, float("nan"))
+        assert len(state.history) == 0
+        assert export(state, 1.0).decision is not None  # stream still usable
 
 
 class TestBlindBuffering:
@@ -231,6 +243,36 @@ class TestOpenRequestsSurviveNewThresholds:
         # ...and export 41.0 passes request 40.
         out2 = export(state, 41.0)
         assert [r[1].matched_ts for r in out2.new_responses] == [39.6]
+
+
+class TestSweptBacklog:
+    """More open requests than the engine's scalar/sweep dispatch line."""
+
+    @pytest.mark.parametrize("kind", [PolicyKind.REGL, PolicyKind.REG])
+    def test_backlog_resolves_exactly_as_on_the_reference_engine(self, kind):
+        n_open = 5 * SCALAR_BATCH_MAX
+        outcomes = {}
+        for backend in ("legacy", "sorted"):
+            state, [cid] = make_state(
+                tolerance=0.75, disjoint=False, kind=kind, match_backend=backend
+            )
+            export(state, 0.5)
+            log = []
+            for k in range(n_open):  # all ahead of the stream: PENDING
+                out = state.on_request(cid, 10.0 + 0.5 * k)
+                assert out.response.kind is MatchKind.PENDING
+            assert len(state.connections[cid].open_requests) == n_open
+            for k in range(60):  # the stream walks through the backlog
+                out = export(state, 9.0 + 0.4 * k)
+                assert all(r.is_definitive for _, r in out.new_responses)
+                log.append((out, state.collect_evictions()))
+            log.append(state.close())
+            assert not state.connections[cid].open_requests
+            outcomes[backend] = (log, state.connections[cid].answers)
+        assert outcomes["sorted"] == outcomes["legacy"]
+        resolved = [r for out, _ in outcomes["sorted"][0][:-1] for _, r in out.new_responses]
+        assert len(resolved) > SCALAR_BATCH_MAX  # resolved from swept batches
+        assert [r.request_ts for r in resolved] == sorted(r.request_ts for r in resolved)
 
 
 class TestCloseStream:

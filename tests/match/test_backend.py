@@ -3,6 +3,7 @@
 import pytest
 
 from repro.match import (
+    DEFAULT_MATCH_BACKEND,
     MATCH_BACKENDS,
     MatchBackend,
     MatchEngine,
@@ -17,9 +18,27 @@ POLICY = MatchPolicy(PolicyKind.REGL, 1.0)
 
 class TestMakeBackend:
     def test_default_is_legacy(self):
-        eng = make_backend(POLICY)
+        # The id predates the flip: the default is the sorted engine,
+        # and the reference engine is served by name only.
+        assert DEFAULT_MATCH_BACKEND == "sorted"
+        assert type(make_backend(POLICY)) is SortedMatchEngine
+        eng = make_backend(POLICY, "legacy")
         assert type(eng) is MatchEngine
         assert eng.backend_name == "legacy"
+
+    def test_one_default_everywhere(self):
+        import repro
+        from repro.analysis.model import ModelConfig
+        from repro.bench.figure4 import Figure4Spec
+
+        assert (
+            repro.RunOptions().match_backend
+            == ModelConfig().match_backend
+            == Figure4Spec().match_backend
+            == DEFAULT_MATCH_BACKEND
+        )
+        assert DEFAULT_MATCH_BACKEND in MATCH_BACKENDS
+        assert make_backend(POLICY).backend_name == DEFAULT_MATCH_BACKEND
 
     def test_sorted(self):
         eng = make_backend(POLICY, "sorted")

@@ -5,9 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.match import MATCH_BACKENDS, make_backend
 from repro.match.engine import ExportHistory, MatchEngine
 from repro.match.policies import MatchPolicy, PolicyKind
 from repro.match.result import MatchKind
+from repro.util.validation import ValidationError
+
+NAN = float("nan")
 
 
 def regl(tol=2.5):
@@ -52,6 +56,74 @@ class TestExportHistory:
         h.add(2.0)
         assert len(h) == 2
         assert h.all_timestamps() == [1.0, 2.0]
+
+
+class TestNanTimestamps:
+    """NaN is ordered against nothing: the match layer refuses it."""
+
+    def test_nan_first_export_rejected(self):
+        h = ExportHistory()
+        with pytest.raises(ValidationError, match="NaN.*nan"):
+            h.add(NAN)
+        h.add(1.0)  # nothing was recorded: the stream is still usable
+        assert h.all_timestamps() == [1.0] and h.latest == 1.0
+
+    def test_nan_later_export_names_the_value(self):
+        h = ExportHistory()
+        h.add(1.0)
+        with pytest.raises(ValidationError, match="NaN.*nan"):
+            h.add(NAN)
+
+    def test_minus_inf_is_still_a_legal_first_export(self):
+        h = ExportHistory()
+        h.add(-math.inf)
+        with pytest.raises(ValidationError, match="must increase"):
+            h.add(-math.inf)
+        h.add(0.0)
+        assert len(h) == 2
+
+    @pytest.mark.parametrize("stamps", [[NAN], [NAN, 1.0], [1.0, NAN, 3.0], [1.0, NAN]])
+    def test_replace_rejects_nan_anywhere(self, stamps):
+        h = ExportHistory()
+        h.add(5.0)
+        with pytest.raises(ValidationError, match="NaN.*nan"):
+            h.replace(stamps)
+        assert h.all_timestamps() == [5.0]  # untouched by the failed load
+
+    @pytest.mark.parametrize("backend", MATCH_BACKENDS)
+    @pytest.mark.parametrize("strict_order", [True, False])
+    def test_nan_request_rejected_in_both_order_modes(self, backend, strict_order):
+        eng = make_backend(
+            MatchPolicy(PolicyKind.REGL, 1.0), backend, strict_order=strict_order
+        )
+        eng.record_export(1.0)
+        eng.evaluate(0.5)
+        for ask in (
+            lambda: eng.check_request_order(NAN),
+            lambda: eng.evaluate(NAN),
+            lambda: eng.evaluate_batch([0.75, NAN], record=True),
+            lambda: eng.evaluate_batch([2.0 + k for k in range(50)] + [NAN], record=True),
+        ):
+            with pytest.raises(ValidationError, match="NaN.*nan"):
+                ask()
+        assert eng.last_request_ts == 51.0  # the mark never became NaN
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_unrecorded_nan_request_never_matches(self, closed):
+        # record=False skips the order check; a NaN re-evaluation must
+        # then agree with the reference: PENDING, or NO_MATCH once closed.
+        want = MatchKind.NO_MATCH if closed else MatchKind.PENDING
+        for n in (1, 50):
+            responses = []
+            for backend in MATCH_BACKENDS:
+                eng = make_backend(MatchPolicy(PolicyKind.REG, 1.0), backend)
+                eng.record_export(1.0)
+                if closed:
+                    eng.close_stream()
+                responses.append(list(eng.evaluate_batch([NAN] * n)))
+                responses.append([eng.evaluate(NAN, record=False)])
+            for got in responses:
+                assert all(r.kind is want and r.matched_ts is None for r in got)
 
 
 class TestEvaluate:

@@ -19,6 +19,7 @@ from repro.costs.presets import PAPER_CLUSTER
 from repro.data.decomposition import BlockCyclicDecomposition, BlockDecomposition
 from repro.obs import prov
 from repro.faults.plan import FaultPlan
+from repro.match import DEFAULT_MATCH_BACKEND
 from repro.obs.prov import (
     PROV_SCHEMA,
     ProvenanceError,
@@ -144,6 +145,14 @@ class TestRecordedLog:
     def test_match_rows_are_backend_tagged(self, recorded):
         path, _ = recorded
         log = read_log(path)
+        assert log.header["match_backend"] == DEFAULT_MATCH_BACKEND
+        assert {row["backend"] for row in log.matches} == {DEFAULT_MATCH_BACKEND}
+
+    def test_legacy_backend_log_is_tagged(self, tmp_path, demo_runner):
+        p = tmp_path / "legacy.prov"
+        demo_runner(with_tracer=False, provenance=str(p), match_backend="legacy")
+        log = read_log(p)
+        assert log.header["match_backend"] == "legacy"
         assert {row["backend"] for row in log.matches} == {"legacy"}
 
     def test_sorted_backend_log_is_tagged(self, tmp_path, demo_runner):

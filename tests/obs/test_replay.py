@@ -9,6 +9,7 @@ structured causal diff — empty when nothing was edited.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -28,7 +29,7 @@ CHAOS_PLAN = FaultPlan(seed=11, drop=0.15, dup=0.1, delay_jitter=1e-4)
 
 @pytest.fixture(scope="module")
 def plain_log(tmp_path_factory, demo_runner):
-    """A vanilla recorded demo run (legacy backend, no faults)."""
+    """A vanilla recorded demo run (default backend, no faults)."""
     path = tmp_path_factory.mktemp("replay") / "plain.prov"
     demo_runner(with_tracer=False, provenance=str(path))
     return path
@@ -66,6 +67,32 @@ class TestBitExactReplay:
         assert v["replayed_backend"] == "sorted"
         assert v["report_identical"] and v["causal_identical"]
 
+    def test_header_without_the_field_replays_on_the_reference(
+        self, tmp_path, demo_runner, monkeypatch
+    ):
+        # Such a log was recorded by legacy, so that is what must
+        # replay it — not today's default.
+        import repro.api.facade as facade
+
+        real_run, replayed_on = facade.run, []
+
+        def spy(config, programs, options, **kw):
+            replayed_on.append(options.match_backend)
+            return real_run(config, programs, options, **kw)
+
+        monkeypatch.setattr(facade, "run", spy)
+        p = tmp_path / "old.prov"
+        demo_runner(with_tracer=False, provenance=str(p), match_backend="legacy")
+        log = read_log(p)
+        header = {k: v for k, v in log.header.items() if k != "match_backend"}
+        header["options"] = {
+            k: v for k, v in header["options"].items() if k != "match_backend"
+        }
+        v = verify_replay(dataclasses.replace(log, header=header))
+        assert v["recorded_backend"] == v["replayed_backend"] == "legacy"
+        assert v["ok"] and not v["cross_backend"] and v["report_identical"]
+        assert replayed_on == ["legacy"]
+
     def test_replay_returns_a_full_run_result(self, plain_log):
         log = read_log(plain_log)
         result = replay(log)
@@ -101,11 +128,12 @@ class TestBitExactReplay:
         assert v["ok"] and v["report_identical"] and v["causal_identical"]
 
     def test_cross_backend_decisions_match(self, plain_log):
-        # A legacy log replayed on the sorted backend: payload bytes
-        # may differ (metrics name the backend) but every resolution
-        # decision must be identical — the negative control that the
-        # byte-identity tests aren't vacuous.
-        v = verify_replay(plain_log, match_backend="sorted")
+        # A default (sorted) log replayed on the reference backend:
+        # payload bytes may differ (metrics name the backend) but every
+        # resolution decision must be identical — the negative control
+        # that the byte-identity tests aren't vacuous.
+        assert read_log(plain_log).header["match_backend"] != "legacy"
+        v = verify_replay(plain_log, match_backend="legacy")
         assert v["cross_backend"] is True
         assert v["decisions_match"] is True
         assert v["report_identical"] is None

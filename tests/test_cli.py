@@ -400,7 +400,8 @@ class TestRecordReplay:
         log = tmp_path / "run.prov"
         assert main(["record", str(log), "--json"]) == 0
         capsys.readouterr()
-        rc = main(["replay", str(log), "--match-backend", "sorted", "--json"])
+        # The log was recorded on the default (sorted) engine.
+        rc = main(["replay", str(log), "--match-backend", "legacy", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cross_backend"] and payload["decisions_match"]
@@ -454,6 +455,19 @@ class TestParser:
             main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_match_backend_flags_read_the_one_registry_and_default(self):
+        from repro.match import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
+
+        parser = build_parser()
+        for argv in (["report"], ["record", "x.prov"], ["verify"]):
+            assert parser.parse_args(argv).match_backend == DEFAULT_MATCH_BACKEND
+        # replay defaults to whatever the log recorded, not to a name.
+        assert parser.parse_args(["replay", "x.prov"]).match_backend is None
+        for name in MATCH_BACKENDS:
+            for argv in (["report"], ["record", "x.prov"], ["verify"], ["replay", "x.prov"]):
+                args = parser.parse_args([*argv, "--match-backend", name])
+                assert args.match_backend == name
 
     def test_subcommands_match_docstring_and_docs(self):
         (sub,) = build_parser()._subparsers._group_actions
