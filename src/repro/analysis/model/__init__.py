@@ -4,9 +4,9 @@ The package wraps the *real* protocol implementations from
 :mod:`repro.core` in a bounded world (:mod:`.machine`), exhaustively
 explores every message interleaving and fault action with state hashing
 and sleep-set partial-order reduction (:mod:`.checker`), and replays
-counterexample schedules through the DES runtime as ``repro.causal/v1``
-DAGs (:mod:`.replay`).  Findings carry M2xx rule codes in the shared
-:mod:`repro.analysis.report` model; see ``docs/static_analysis.md``.
+counterexample schedules as ``repro.causal/v1`` DAGs (:mod:`.replay`).
+Findings carry M2xx rule codes in the shared :mod:`repro.analysis.report`
+model; see ``docs/static_analysis.md``.
 """
 
 from repro.analysis.model.checker import (
@@ -25,11 +25,7 @@ from repro.analysis.model.machine import (
     mutation_config,
     plane_of_channel,
 )
-from repro.analysis.model.replay import (
-    ReplayResult,
-    config_from_payload,
-    replay_schedule,
-)
+from repro.analysis.model.replay import ReplayResult, replay_schedule
 
 __all__ = [
     "CheckResult",
@@ -42,7 +38,6 @@ __all__ = [
     "SuiteResult",
     "check",
     "check_suite",
-    "config_from_payload",
     "directed_worlds",
     "mutation_config",
     "plane_of_channel",

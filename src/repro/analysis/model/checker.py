@@ -36,8 +36,8 @@ intersection, preserving completeness under state caching.
 Each violation is reported once per rule as an ERROR
 :class:`~repro.analysis.report.Finding`, paired with a deterministic
 counterexample schedule (the action path from the initial state) that
-:mod:`repro.analysis.model.replay` re-executes through the real DES
-runtime as a ``repro.causal/v1`` DAG.
+:mod:`repro.analysis.model.replay` re-executes with causal tracing on
+as a ``repro.causal/v1`` DAG.
 """
 
 from __future__ import annotations

@@ -1,17 +1,39 @@
-"""The control-plane model: real protocol code under a small-world harness.
+"""The control-plane model: the shipped protocol under a small-world harness.
 
-The model checker does not re-implement the protocol.  Each abstract
-state wraps live instances of the *real* state machines —
-:class:`repro.core.rep.ImporterRep`, :class:`repro.core.rep.ExporterRep`
-and :class:`repro.core.exporter.RegionExportState` (which transitively
-exercises :class:`repro.match.engine.MatchEngine` and
-:class:`repro.core.buffers.BufferManager`) — plus the wire-level glue
-the runtimes add around them: per-``(src, dst)`` FIFO channels (the
-ordering contract of :mod:`repro.faults.plan`), per-receiver sequence
-deduplication (the coupler's ``_seq_duplicate`` layer) and the
-importer's bounded retransmission.  A transition *is* a call into the
-shipped code; whatever the checker proves, it proves about the code
-that runs.
+The model checker is the third adapter of
+:class:`repro.core.protocol.ProtocolDriver`, beside the DES and the
+threaded runtime.  Each abstract state holds live instances of the real
+state machines — :class:`~repro.core.rep.ImporterRep`,
+:class:`~repro.core.rep.ExporterRep` and one
+:class:`~repro.core.exporter.RegionExportState` per exporter rank (match
+engine and buffer ledger inside) — and every protocol step of a
+transition is a call into the driver both runtimes run: rep dispatch and
+directive → wire message (``_rep_handle``), agent handling of forwarded
+requests and buddy answers (``_agent_handle``), the export and close
+epilogues (``_buddy_skip``, ``_after_export``, ``_evict``,
+``_close_exports``), the importer's request, re-drive and answer steps
+(``_import_begin``, ``_retransmit``, ``_import_answered``) and every
+causal span of a replayed counterexample.  A defect in that code is a
+defect the checker explores; there is no second copy to drift.
+
+What is written here, and why it cannot be the runtimes' code:
+
+* canonical ``encode``/``decode``/``clone`` of a state — exploration
+  needs value-hashed, copyable states; a run has one state and no use
+  for either;
+* action enumeration and footprints — the nondeterministic scheduler
+  and its partial-order reduction replace a runtime's event loop;
+* the adversary (``drop``, ``dup``, ``crash``, budgets) — chosen
+  exhaustively here, drawn from a seeded :class:`~repro.faults.plan.
+  FaultPlan` in a run;
+* sequence stamping and dedup — a run counts sends globally and
+  remembers every seq; here both are memoryless so states merge (below),
+  and dedup is where the ``no_dedup`` mutation is switched;
+* the importer's conflicting-answer check — a run's importer takes the
+  first answer and never sees a second; the model looks at every copy so
+  a Property-1 breach surfaces as M203;
+* the data plane — not modelled: ``_send_pieces`` keeps only the
+  ledger's sent mark.
 
 World shape: one importing program ``I`` (``nimp`` ranks + rep) and one
 exporting program ``E`` (``nexp`` ranks + rep) over one connection.
@@ -30,6 +52,13 @@ bounded budgets and reuse the :mod:`repro.faults.plan` vocabulary:
   subsumed by the exploration itself;
 * ``crash`` — fail-stop an exporter rank (at most ``nexp - 1``, so the
   collective always keeps one live responder).
+
+Known difference: a directed world names the plane of a *link*
+(:data:`_PLANES`: ``I<->IR`` is ``cpl``, ``IR<->ER`` ``rep``, ``ER<->E``
+``ctl``) while :func:`repro.faults.plan.classify_plane` names the plane
+of a *destination address* (a rank's request to its rep is ``rep``
+there, ``cpl`` here).  Aligning them would redraw the worlds and their
+state counts, so the table is kept as it is.
 
 Sequence numbers are stamped per *sender* as ``(sender, k)`` with the
 smallest *k* not colliding with any copy still in flight to the
@@ -50,35 +79,40 @@ so states that cannot be distinguished by any future behaviour merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping
 
+from repro.api.options import RunOptions
+from repro.core import wire
 from repro.core.buffers import BufferEntry
-from repro.core.config import ConnectionSpec, Endpoint
+from repro.core.config import ConnectionSpec, CouplingConfig, Endpoint, ProgramSpec
 from repro.core.exceptions import (
     FrameworkError,
     ProtocolError,
     PropertyViolationError,
 )
 from repro.core.exporter import OpenRequest, RegionExportState
+from repro.core.importer import RegionImportState
+from repro.core.protocol import (
+    ContextBase,
+    ImportHandle,
+    ProtocolDriver,
+    RegionDef,
+    RuntimePort,
+)
 from repro.core.rep import (
-    AnswerImporter,
-    BuddyHelp,
-    DeliverAnswer,
     ExporterRep,
-    ForwardRequest,
-    ForwardToExporter,
     ImporterRep,
     _ExpRequestState,
     _ImpRequestState,
 )
+from repro.data.decomposition import BlockDecomposition
+from repro.faults.plan import FRAMEWORK_PLANES
 from repro.match.aggregate import CollectiveViolationError
 from repro.match.backend import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 from repro.match.policies import parse_policy
 from repro.match.result import FinalAnswer, MatchKind, MatchResponse
-from repro.faults.plan import FRAMEWORK_PLANES
-from repro.obs.trace import TraceContext
-from repro.util.validation import require
+from repro.util.validation import require, require_known_keys
 
 __all__ = [
     "ModelConfig",
@@ -103,6 +137,9 @@ VIOLATION_ERRORS = (
 
 #: The supported self-test mutations (see ``docs/static_analysis.md``).
 MUTATIONS = ("no_dedup", "no_answer_cache")
+
+#: The one coupled region of the model world.
+REGION = "d"
 
 #: Channel endpoints -> the repro.faults.plan plane the link models.
 _PLANES = {
@@ -174,7 +211,6 @@ class ModelConfig:
     #: stays exhaustible.
     fault_planes: tuple[str, ...] = ("ctl", "cpl", "rep")
     mutate: str | None = None
-    region: str = "d"
     #: Which match engine the wrapped exporter processes run; the model
     #: checker thereby explores every interleaving under either backend
     #: (their decisions are bit-identical, so the reachable state space
@@ -229,29 +265,28 @@ class ModelConfig:
     def connection_spec(self) -> ConnectionSpec:
         """The single connection of the model world."""
         return ConnectionSpec(
-            exporter=Endpoint("E", self.region),
-            importer=Endpoint("I", self.region),
+            exporter=Endpoint("E", REGION),
+            importer=Endpoint("I", REGION),
             policy=parse_policy(self.policy),
         )
 
     def describe(self) -> dict[str, Any]:
-        """JSON-ready summary (stamped into reports and schedules)."""
-        return {
-            "nimp": self.nimp,
-            "nexp": self.nexp,
-            "requests": list(self.requests),
-            "exports": list(self.exports),
-            "policy": self.policy,
-            "buddy_help": self.buddy_help,
-            "mode": self.mode,
-            "drop_budget": self.drop_budget,
-            "dup_budget": self.dup_budget,
-            "crash_budget": self.crash_budget,
-            "retransmit_budget": self.retransmit_budget,
-            "fault_planes": list(self.fault_planes),
-            "mutate": self.mutate,
-            "match_backend": self.match_backend,
-        }
+        """JSON-ready form of every field (stamped into reports and schedules)."""
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ModelConfig":
+        """Inverse of :meth:`describe`; unknown keys are rejected by name."""
+        require_known_keys(
+            payload, (f.name for f in fields(cls)), "model config keys"
+        )
+        return cls(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
+        )
 
 
 def mutation_config(name: str) -> ModelConfig:
@@ -324,7 +359,7 @@ class _Working:
 
     __slots__ = (
         "imp", "exp", "irep", "erep", "irep_seen", "erep_seen",
-        "chans", "drop_left", "dup_left", "crash_left", "trace",
+        "chans", "drop_left", "dup_left", "crash_left",
     )
 
     def __init__(self) -> None:
@@ -338,8 +373,15 @@ class _Working:
         self.drop_left = 0
         self.dup_left = 0
         self.crash_left = 0
-        #: Replay-only span bookkeeping (never part of the encoded state).
-        self.trace: dict[str, Any] = {}
+
+    def seen_of(self, node: str) -> set[tuple[str, int]]:
+        """The dedup memory of component *node* (``"IR"``, ``"E1"``, ...)."""
+        if node == "IR":
+            return self.irep_seen
+        if node == "ER":
+            return self.erep_seen
+        rank = int(node[1:])
+        return self.imp[rank].seen if node[0] == "I" else self.exp[rank].seen
 
 
 #: Fast enum lookup (bypasses the EnumMeta call in hot paths).
@@ -382,6 +424,56 @@ def _dec_response(
         )
         _RESPONSE_CACHE[key] = r
     return r
+
+
+#: Tags of the three wire messages whose body is a final answer.
+_ANSWER_MSGS: dict[str, Any] = {
+    "buddy": wire.BuddyMsg,
+    "a2i": wire.AnswerToImpRep,
+    "ans": wire.AnswerToProc,
+}
+_ANSWER_TAGS = {cls: tag for tag, cls in _ANSWER_MSGS.items()}
+
+
+def _enc_wire(m: Any) -> tuple[Any, ...]:
+    """Canonical body of control message *m*: a flat tuple of scalars.
+
+    Channels hold these instead of the wire dataclasses so the encoded
+    state hashes by value; the connection id is the world's only one
+    and the receiving rank is the channel's, so neither is kept.
+    """
+    cls = type(m)
+    if cls is wire.ImpProcRequest:
+        return ("req", m.request_ts, m.rank)
+    if cls is wire.ReqToExpRep:
+        return ("r2e", m.request_ts)
+    if cls is wire.FwdRequest:
+        return ("fwd", m.request_ts)
+    if cls is wire.ProcResponse:
+        r = m.response
+        return (
+            "resp", r.request_ts, m.rank, r.kind.value, r.matched_ts,
+            r.latest_export_ts,
+        )
+    a = m.answer
+    return (_ANSWER_TAGS[cls], a.request_ts, a.kind.value, a.matched_ts)
+
+
+def _dec_wire(cid: str, entry: tuple[Any, ...]) -> Any:
+    """The wire message of channel entry ``body + (seq, trace)``
+    (inverse of :func:`_enc_wire`; the model seq stays with the entry)."""
+    tag, ts, trace = entry[0], entry[1], entry[-1]
+    if tag == "req":
+        return wire.ImpProcRequest(cid, ts, entry[2], trace=trace)
+    if tag == "r2e":
+        return wire.ReqToExpRep(cid, ts, trace=trace)
+    if tag == "fwd":
+        return wire.FwdRequest(cid, ts, trace=trace)
+    if tag == "resp":
+        return wire.ProcResponse(
+            cid, entry[2], _dec_response(ts, *entry[3:6]), trace=trace
+        )
+    return _ANSWER_MSGS[tag](cid, _dec_answer(entry[2:4], ts), trace=trace)
 
 
 def _clone_dictobj(obj: Any) -> Any:
@@ -485,6 +577,109 @@ def clone_working(w: _Working) -> _Working:
     return c
 
 
+# ---------------------------------------------------------------------------
+# the runtime adapter
+# ---------------------------------------------------------------------------
+
+def _node(address: tuple[Any, ...]) -> str:
+    """Model name of a framework address: ``("rep", "E")`` is ``"ER"``,
+    ``("ctl" | "cpl", "E", 1)`` is ``"E1"``."""
+    return str(address[1]) + ("R" if address[0] == "rep" else str(address[2]))
+
+
+class _ModelDriver(ProtocolDriver):
+    """The model checker's adapter of :class:`ProtocolDriver`.
+
+    Its clock is the position in the schedule being executed, its guard
+    is empty (one action runs at a time) and its network is the FIFO
+    channels of a :class:`_Working`.  All protocol state lives in the
+    working state being expanded; :meth:`bind` points the driver at it
+    before each action, so one driver serves every explored branch.
+    What the driver itself accumulates (wire counters, per-process
+    stats, causal bookkeeping) is observability: exploration never reads
+    it; counterexample replay — one path on a fresh driver — reports it.
+    """
+
+    def __init__(self, config: ModelConfig, spec: ConnectionSpec) -> None:
+        sizes = {"I": config.nimp, "E": config.nexp}
+        #: Schedule position (advanced by counterexample replay).
+        self.clock = 0.0
+        self.w: _Working
+        self.cid = spec.connection_id
+        super().__init__(
+            CouplingConfig(
+                programs={
+                    name: ProgramSpec(name, "model", "-", n)
+                    for name, n in sizes.items()
+                },
+                connections=[spec],
+            ),
+            RunOptions(
+                buddy_help=config.buddy_help, match_backend=config.match_backend
+            ),
+            RuntimePort(now=lambda: self.clock, send=self._net_send),
+            rto=None if config.strict_order else 1.0,
+            max_retransmits=config.retransmit_budget,
+        )
+        # The data plane is not modelled (see _send_pieces): the two
+        # decompositions only have to agree on a global shape.
+        shape = (config.nimp * config.nexp,)
+        for name, n in sizes.items():
+            self._add_program(
+                name, None, {REGION: RegionDef(BlockDecomposition(shape, (n,)))}, n,
+                lambda _name, k: [None] * k, lambda _address: None,
+            )
+        self._resolve(ContextBase, "model")
+        self.importers: list[ContextBase] = self._programs["I"].contexts
+        self.exporters: list[ContextBase] = self._programs["E"].contexts
+
+    def bind(self, w: _Working) -> None:
+        """Point the reps and the per-rank export states at *w*."""
+        self.w = w
+        self._programs["I"].imp_rep = w.irep
+        self._programs["E"].exp_rep = w.erep
+        for ctx, e in zip(self.exporters, w.exp):
+            ctx.export_states[REGION] = e.region
+
+    def importer(self, r: int) -> ContextBase:
+        """Importer rank *r* with a fresh import state.
+
+        A runtime's import records are per-run bookkeeping the model
+        state does not carry (``_ImpRank`` holds all that behaves), and
+        their increasing-timestamp ``require`` must not be shared
+        across explored branches.
+        """
+        ctx = self.importers[r]
+        ctx.import_states[REGION] = RegionImportState(REGION, self.cid)
+        return ctx
+
+    def _net_send(
+        self, src: Any, dst: Any, payload: Any, nbytes: int = wire.CTL_NBYTES
+    ) -> None:
+        """Append *payload* to the bound state's ``(src, dst)`` FIFO.
+
+        Memoryless stamping: the smallest ``k`` whose ``(src, k)``
+        neither rides a copy still in flight to *dst* nor sits in
+        *dst*'s dedup memory.
+        """
+        w = self.w
+        s, d = _node(src), _node(dst)
+        chan = w.chans.setdefault((s, d), [])
+        taken = {q for q in w.seen_of(d) if q[0] == s}
+        taken.update(m[-2] for m in chan)
+        k = 0
+        while (s, k) in taken:
+            k += 1
+        chan.append(_enc_wire(payload) + ((s, k), payload.trace))
+
+    def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
+        """The data plane is not modelled: keep only the ledger's sent
+        mark, which eviction and the M204 bound read."""
+        buf = ctx.export_states[region].buffer
+        if buf.has(m) and not buf.get(m).sent:
+            buf.mark_sent(m)
+
+
 class ModelMachine:
     """Transition function + canonical encoding for one :class:`ModelConfig`."""
 
@@ -494,6 +689,7 @@ class ModelMachine:
         self.cid = self.spec.connection_id
         self._imp_ids = tuple(f"I{r}" for r in range(config.nimp))
         self._exp_ids = tuple(f"E{r}" for r in range(config.nexp))
+        self.driver = _ModelDriver(config, self.spec)
 
     # -- construction -------------------------------------------------------
     def _new_exporter_rep(self) -> ExporterRep:
@@ -512,7 +708,7 @@ class ModelMachine:
 
     def _new_region(self) -> RegionExportState:
         return RegionExportState(
-            self.config.region,
+            REGION,
             [self.spec],
             strict_order=self.config.strict_order,
             match_backend=self.config.match_backend,
@@ -842,30 +1038,51 @@ class ModelMachine:
         return ()  # importer ranks never send from a delivery
 
     # -- transition ---------------------------------------------------------
-    def apply(
-        self,
-        w: _Working,
-        action: tuple[Any, ...],
-        recorder: Any = None,
-        now: float = 0.0,
-    ) -> None:
+    def apply(self, w: _Working, action: tuple[Any, ...]) -> None:
         """Execute *action* on *w* in place.
 
-        Raises one of :data:`VIOLATION_ERRORS` when the real protocol
-        code rejects the transition — the checker maps that to M203.
-        With *recorder* (a :class:`repro.obs.trace.CausalLog`), every
-        protocol event is recorded as a causal span at time *now*
-        (counterexample replay; exploration passes ``recorder=None``).
+        Every protocol step is a call into the shared
+        :class:`~repro.core.protocol.ProtocolDriver` bound to *w*; what
+        is written out here is the adversary (drop, dup, crash) and
+        the scripts' bookkeeping.  Raises one of
+        :data:`VIOLATION_ERRORS` when the real protocol code rejects
+        the transition — the checker maps that to M203.
         """
+        drv = self.driver
+        drv.bind(w)
         kind = action[0]
-        if kind == "issue":
-            self._do_issue(w, action[1], recorder, now)
+        if kind == "deliver":
+            self._deliver(w, action[1], action[2])
+        elif kind == "issue":
+            i = w.imp[action[1]]
+            ts = self.config.requests[i.next_req]
+            i.next_req += 1
+            i.outstanding = ts
+            drv._import_begin(drv.importer(action[1]), REGION, ts)
         elif kind == "retransmit":
-            self._do_retransmit(w, action[1], recorder, now)
+            i = w.imp[action[1]]
+            assert i.outstanding is not None
+            i.retr_left -= 1
+            drv._retransmit(
+                drv.importers[action[1]],
+                ImportHandle(REGION, self.cid, i.outstanding, record=None),
+                attempt=self.config.retransmit_budget - i.retr_left,
+                rto=1.0,
+            )
         elif kind == "export":
-            self._do_export(w, action[1], recorder, now)
+            e, ctx = w.exp[action[1]], drv.exporters[action[1]]
+            ts = self.config.exports[e.pos]
+            e.pos += 1
+            outcome = e.region.on_export(ts, nbytes=8, memcpy_cost=1.0)
+            if outcome.buddy_skip:
+                drv._buddy_skip(ctx, ts, outcome)
+            drv._after_export(ctx, REGION, ts, outcome)
+            drv._evict(ctx, e.region)
         elif kind == "close":
-            self._do_close(w, action[1], recorder, now)
+            e, ctx = w.exp[action[1]], drv.exporters[action[1]]
+            e.closed = True
+            drv._close_exports(ctx)
+            drv._evict(ctx, e.region)
         elif kind == "crash":
             w.exp[action[1]].crashed = True
             w.crash_left -= 1
@@ -877,138 +1094,58 @@ class ModelMachine:
             chan = w.chans[(action[1], action[2])]
             chan.insert(1, chan[0])  # wire-level copy: same sequence number
             w.dup_left -= 1
-        elif kind == "deliver":
-            self._do_deliver(w, action[1], action[2], recorder, now)
         else:
             raise ValueError(f"unknown action {action!r}")
 
-    # -- sends ----------------------------------------------------------------
-    def _send(
-        self, w: _Working, src: str, dst: str, msg: tuple[Any, ...], ctx: Any = None
-    ) -> None:
-        # Memoryless stamping: smallest k whose (src, k) neither rides a
-        # copy still in flight to dst nor sits in dst's dedup memory.
-        taken = {s for s in self._seen_of(w, dst) if s[0] == src}
-        taken.update(
-            m[-2] for m in w.chans.get((src, dst), ()) if m[-2][0] == src
-        )
-        k = 0
-        while (src, k) in taken:
-            k += 1
-        w.chans.setdefault((src, dst), []).append(msg + ((src, k), ctx))
-
-    # -- local steps -----------------------------------------------------------
-    def _do_issue(self, w: _Working, r: int, rec: Any, now: float) -> None:
-        i = w.imp[r]
-        ts = self.config.requests[i.next_req]
-        i.next_req += 1
-        i.outstanding = ts
-        ctx = None
-        if rec is not None:
-            trace = rec.trace_for(self.cid, ts)
-            ctx = rec.record(
-                trace, "request", f"I.p{r}", now,
-                connection=self.cid, request=ts,
-            )
-            w.trace.setdefault("req_span", {})[(r, ts)] = ctx.span_id
-        self._send(w, f"I{r}", "IR", ("req", ts, r), ctx)
-
-    def _do_retransmit(self, w: _Working, r: int, rec: Any, now: float) -> None:
-        i = w.imp[r]
-        ts = i.outstanding
-        assert ts is not None
-        i.retr_left -= 1
-        ctx = None
-        if rec is not None:
-            trace = rec.trace_for(self.cid, ts)
-            orig = w.trace.get("req_span", {}).get((r, ts))
-            ctx = rec.record(
-                trace, "retransmit", f"I.p{r}", now,
-                parents=() if orig is None else (orig,),
-                connection=self.cid, request=ts,
-            )
-        self._send(w, f"I{r}", "IR", ("req", ts, r), ctx)
-
-    def _mark_sent(self, region: RegionExportState, ts: float) -> None:
-        if region.buffer.has(ts) and not region.buffer.get(ts).sent:
-            region.buffer.mark_sent(ts)
-
-    def _do_export(self, w: _Working, r: int, rec: Any, now: float) -> None:
-        e = w.exp[r]
-        ts = self.config.exports[e.pos]
-        e.pos += 1
-        outcome = e.region.on_export(ts, nbytes=8, memcpy_cost=1.0)
-        if outcome.send_connections:
-            self._mark_sent(e.region, ts)
-        for _cid, m in outcome.post_sends:
-            self._mark_sent(e.region, m)
-        if rec is not None and outcome.buddy_skip:
-            enabler = outcome.buddy_enabler
-            req = 0.0 if enabler is None else enabler[1]
-            rec.record(
-                rec.trace_for(self.cid, req), "buddy_skip", f"E.p{r}", now,
-                connection=self.cid, request=req, export_ts=ts, lead=0.0,
-            )
-        for cid, resp in outcome.new_responses:
-            self._send_response(w, r, cid, resp, rec, now, parent=None)
-        e.region.collect_evictions()
-
-    def _do_close(self, w: _Working, r: int, rec: Any, now: float) -> None:
-        e = w.exp[r]
-        e.closed = True
-        responses, post_sends = e.region.close()
-        for _cid, m in post_sends:
-            self._mark_sent(e.region, m)
-        for cid, resp in responses:
-            self._send_response(w, r, cid, resp, rec, now, parent=None)
-        e.region.collect_evictions()
-
-    def _send_response(
-        self,
-        w: _Working,
-        r: int,
-        cid: str,
-        resp: MatchResponse,
-        rec: Any,
-        now: float,
-        parent: int | None,
-    ) -> None:
-        ctx = None
-        if rec is not None:
-            ctx = rec.record(
-                rec.trace_for(cid, resp.request_ts), "match", f"E.p{r}", now,
-                parents=() if parent is None else (parent,),
-                kind=resp.kind.value, matched=resp.matched_ts,
-            )
-        self._send(
-            w, f"E{r}", "ER",
-            ("resp", resp.request_ts, r, resp.kind.value,
-             resp.matched_ts, resp.latest_export_ts),
-            ctx,
-        )
-
-    # -- delivery --------------------------------------------------------------
-    def _do_deliver(
-        self, w: _Working, src: str, dst: str, rec: Any, now: float
-    ) -> None:
-        msg = w.chans[(src, dst)].pop(0)
-        seq, ctx = msg[-2], msg[-1]
-        body = msg[:-2]
-        seen = self._seen_of(w, dst)
+    def _deliver(self, w: _Working, src: str, dst: str) -> None:
+        """Pop the head of ``(src, dst)`` past dedup into its handler."""
+        entry = w.chans[(src, dst)].pop(0)
+        seq = entry[-2]
+        seen = w.seen_of(dst)
+        # Dedup is modelled here, not through the driver's _fresh: its
+        # memory must be pruned for states to merge (see _prune_seen),
+        # and this is where the no_dedup mutation switches it off.
         if self.config.mutate != "no_dedup":
             if seq in seen:
                 self._prune_seen(w, dst)
                 return  # wire-level duplicate: the dedup layer discards it
             seen.add(seq)
         self._prune_seen(w, dst)
-        if dst == "IR":
-            self._deliver_irep(w, body, rec, now, ctx)
-        elif dst == "ER":
-            self._deliver_erep(w, body, rec, now, ctx)
-        elif dst.startswith("I"):
-            self._deliver_imp(w, int(dst[1:]), body, rec, now, ctx)
+        drv = self.driver
+        msg = _dec_wire(self.cid, entry)
+        if dst[1] == "R":
+            drv._rep_handle(drv._programs[dst[0]], msg, None)
+        elif dst[0] == "E":
+            drv._agent_handle(drv.exporters[int(dst[1:])], msg, None)
         else:
-            self._deliver_exp(w, int(dst[1:]), body, rec, now, ctx)
+            self._answer(w, int(dst[1:]), msg)
+
+    def _answer(self, w: _Working, r: int, msg: wire.AnswerToProc) -> None:
+        """Importer rank *r* consumes a final answer.
+
+        A runtime's importer waits for one answer per request and never
+        looks at a second; the model looks, so that two answers which
+        disagree (a Property-1 breach) surface as M203.
+        """
+        i = w.imp[r]
+        ts = msg.answer.request_ts
+        got = _enc_answer(msg.answer)
+        assert got is not None
+        known = i.resolved.get(ts)
+        if known is not None:
+            if known != got:
+                raise ProtocolError(
+                    f"I.p{r}: conflicting answers for request @{ts}: "
+                    f"{known} then {got}"
+                )
+            return
+        i.resolved[ts] = got
+        if i.outstanding == ts:
+            i.outstanding = None
+        drv = self.driver
+        ctx = drv.importer(r)
+        record = ctx.import_states[REGION].start_request(ts, drv.clock)
+        drv._import_answered(ctx, ImportHandle(REGION, self.cid, ts, record), msg)
 
     def _prune_seen(self, w: _Working, dst: str) -> None:
         """Drop dedup memory for seqs with no wire copy left toward *dst*.
@@ -1021,7 +1158,7 @@ class ModelMachine:
         (not just at encode time) makes stamping a function of the
         canonical state, so cloned and decoded states behave alike.
         """
-        seen = self._seen_of(w, dst)
+        seen = w.seen_of(dst)
         if not seen:
             return
         live: set[tuple[str, int]] = set()
@@ -1029,179 +1166,6 @@ class ModelMachine:
             if d == dst and msgs:
                 live.update(m[-2] for m in msgs)
         seen &= live
-
-    def _seen_of(self, w: _Working, dst: str) -> set[tuple[str, int]]:
-        if dst == "IR":
-            return w.irep_seen
-        if dst == "ER":
-            return w.erep_seen
-        if dst.startswith("I"):
-            return w.imp[int(dst[1:])].seen
-        return w.exp[int(dst[1:])].seen
-
-    def _deliver_irep(
-        self, w: _Working, body: tuple[Any, ...], rec: Any, now: float, ctx: Any
-    ) -> None:
-        parent = () if ctx is None else (ctx.span_id,)
-        if body[0] == "req":
-            _, ts, rank = body
-            directives = w.irep.on_process_request(self.cid, ts, rank)
-        else:  # a2i
-            _, ts, kind, matched = body
-            answer = FinalAnswer(
-                request_ts=ts, kind=MatchKind(kind), matched_ts=matched
-            )
-            directives = w.irep.on_answer(self.cid, answer)
-            if rec is not None:
-                w.trace.setdefault("answer_span", {})[ts] = (
-                    None if ctx is None else ctx.span_id
-                )
-        for d in directives:
-            if isinstance(d, ForwardToExporter):
-                fctx = None
-                if rec is not None:
-                    fctx = rec.record(
-                        rec.trace_for(self.cid, d.request_ts),
-                        "rep_forward", "I.rep", now, parents=parent,
-                    )
-                self._send(w, "IR", "ER", ("r2e", d.request_ts), fctx)
-            elif isinstance(d, DeliverAnswer):
-                actx = None
-                if rec is not None:
-                    parents = list(parent)
-                    stored = w.trace.get("answer_span", {}).get(d.answer.request_ts)
-                    if stored is not None and stored not in parents:
-                        parents.append(stored)
-                    actx = rec.record(
-                        rec.trace_for(self.cid, d.answer.request_ts),
-                        "answer", "I.rep", now, parents=parents,
-                    )
-                self._send(
-                    w, "IR", f"I{d.rank}",
-                    ("ans", d.answer.request_ts, d.answer.kind.value,
-                     d.answer.matched_ts, d.rank),
-                    actx,
-                )
-            else:  # pragma: no cover - the importer rep has no other directives
-                raise ProtocolError(f"unexpected importer-rep directive {d!r}")
-
-    def _deliver_erep(
-        self, w: _Working, body: tuple[Any, ...], rec: Any, now: float, ctx: Any
-    ) -> None:
-        parent = () if ctx is None else (ctx.span_id,)
-        if body[0] == "r2e":
-            _, ts = body
-            directives = w.erep.on_request(self.cid, ts)
-        else:  # resp
-            _, ts, rank, kind, matched, latest = body
-            resp = MatchResponse(
-                request_ts=ts, kind=MatchKind(kind),
-                matched_ts=matched, latest_export_ts=latest,
-            )
-            directives = w.erep.on_response(self.cid, rank, resp)
-        agg_span: int | None = None
-        if rec is not None:
-            for d in directives:
-                if isinstance(d, AnswerImporter):
-                    info = w.erep.finalize_info(self.cid, d.answer.request_ts)
-                    aggctx = rec.record(
-                        rec.trace_for(self.cid, d.answer.request_ts),
-                        "aggregate", "E.rep", now, parents=parent,
-                        case=None if info is None else info[0],
-                        finalizing_rank=None if info is None else info[1],
-                    )
-                    agg_span = aggctx.span_id
-        for d in directives:
-            if isinstance(d, ForwardRequest):
-                fctx = None
-                if rec is not None:
-                    fctx = rec.record(
-                        rec.trace_for(self.cid, d.request_ts),
-                        "fan_out", "E.rep", now, parents=parent, rank=d.rank,
-                    )
-                self._send(w, "ER", f"E{d.rank}", ("fwd", d.request_ts, d.rank), fctx)
-            elif isinstance(d, AnswerImporter):
-                actx = None
-                if rec is not None and agg_span is not None:
-                    actx = TraceContext(
-                        trace_id=rec.trace_for(self.cid, d.answer.request_ts),
-                        span_id=agg_span,
-                    )
-                self._send(
-                    w, "ER", "IR",
-                    ("a2i", d.answer.request_ts, d.answer.kind.value,
-                     d.answer.matched_ts),
-                    actx,
-                )
-            elif isinstance(d, BuddyHelp):
-                bctx = None
-                if rec is not None:
-                    bctx = rec.record(
-                        rec.trace_for(self.cid, d.answer.request_ts),
-                        "buddy_notify", "E.rep", now,
-                        parents=() if agg_span is None else (agg_span,),
-                        rank=d.rank,
-                    )
-                self._send(
-                    w, "ER", f"E{d.rank}",
-                    ("buddy", d.answer.request_ts, d.answer.kind.value,
-                     d.answer.matched_ts, d.rank),
-                    bctx,
-                )
-            else:  # pragma: no cover - the exporter rep has no other directives
-                raise ProtocolError(f"unexpected exporter-rep directive {d!r}")
-
-    def _deliver_imp(
-        self, w: _Working, r: int, body: tuple[Any, ...], rec: Any, now: float, ctx: Any
-    ) -> None:
-        _, ts, kind, matched, _rank = body
-        i = w.imp[r]
-        known = i.resolved.get(ts)
-        if known is not None:
-            if known != (kind, matched):
-                raise ProtocolError(
-                    f"I.p{r}: conflicting answers for request @{ts}: "
-                    f"{known} then {(kind, matched)}"
-                )
-            return
-        i.resolved[ts] = (kind, matched)
-        if i.outstanding == ts:
-            i.outstanding = None
-        if rec is not None:
-            rec.record(
-                rec.trace_for(self.cid, ts), "answered", f"I.p{r}", now,
-                parents=() if ctx is None else (ctx.span_id,),
-                kind=kind, importer=f"I.p{r}",
-            )
-
-    def _deliver_exp(
-        self, w: _Working, r: int, body: tuple[Any, ...], rec: Any, now: float, ctx: Any
-    ) -> None:
-        e = w.exp[r]
-        region = e.region
-        if body[0] == "fwd":
-            _, ts, _rank = body
-            outcome = region.on_request(self.cid, ts)
-            if outcome.applied is not None and outcome.applied.send_now is not None:
-                self._mark_sent(region, outcome.applied.send_now)
-            self._send_response(
-                w, r, self.cid, outcome.response, rec, now,
-                parent=None if ctx is None else ctx.span_id,
-            )
-        else:  # buddy
-            _, ts, kind, matched, _rank = body
-            answer = FinalAnswer(
-                request_ts=ts, kind=MatchKind(kind), matched_ts=matched
-            )
-            applied = region.on_buddy_answer(self.cid, answer)
-            if applied.send_now is not None:
-                self._mark_sent(region, applied.send_now)
-            if rec is not None:
-                rec.record(
-                    rec.trace_for(self.cid, ts), "buddy_recv", f"E.p{r}", now,
-                    parents=() if ctx is None else (ctx.span_id,),
-                )
-        region.collect_evictions()
 
     # -- invariants -----------------------------------------------------------
     def check_occupancy(self, w: _Working) -> str | None:
@@ -1305,7 +1269,3 @@ class ModelMachine:
             f"(faults injected: {used['drop']} drop, {used['dup']} dup, "
             f"{used['crash']} crash)",
         )
-
-
-# A callable alias used by the checker for monkeypatch-friendly tests.
-ViolationHandler = Callable[[str, str], None]

@@ -1,18 +1,20 @@
-"""Replay model-checker counterexamples through the real DES runtime.
+"""Replay model-checker counterexamples as causal DAGs.
 
 A counterexample is a ``repro.verify/v1`` schedule: the exact action
 path the explorer took from the initial state to the violation, plus
 the :class:`~repro.analysis.model.machine.ModelConfig` it was found
-under.  Replaying drives the *same real protocol objects* the checker
-wrapped, one action per DES tick, with a
-:class:`~repro.obs.trace.CausalLog` recording every protocol event —
-so a violation renders as a PR-5 ``repro.causal/v1`` happens-before
-DAG (a clickable trace), not a state dump.
+under.  Replaying applies the same actions to a fresh
+:class:`~repro.analysis.model.machine.ModelMachine` whose driver has a
+:class:`~repro.obs.trace.CausalLog` switched on, so every span comes
+from the :class:`~repro.core.protocol.ProtocolDriver` code that
+records it in a DES or threaded run — a violation renders as a
+``repro.causal/v1`` happens-before DAG (a clickable trace), not a
+state dump.
 
-Replay is deterministic: the schedule fixes the interleaving, the DES
-clock fixes the span times, and :class:`CausalLog` allocates span and
-trace ids in record order — two replays of the same schedule produce
-byte-identical DAG exports (asserted by the determinism tests).
+Replay is deterministic: the schedule fixes the interleaving, the
+schedule position is the clock, and :class:`CausalLog` allocates span
+and trace ids in record order — two replays of the same schedule
+produce byte-identical DAG exports (asserted by the determinism tests).
 """
 
 from __future__ import annotations
@@ -26,30 +28,10 @@ from repro.analysis.model.machine import (
     ModelConfig,
     ModelMachine,
 )
-from repro.des.core import Simulator
 from repro.obs.trace import CausalLog, CausalReport, build_causal_report
 from repro.util.validation import require
 
-__all__ = ["ReplayResult", "config_from_payload", "replay_schedule"]
-
-
-def config_from_payload(payload: dict[str, Any]) -> ModelConfig:
-    """Rebuild the :class:`ModelConfig` embedded in a schedule."""
-    return ModelConfig(
-        nimp=int(payload["nimp"]),
-        nexp=int(payload["nexp"]),
-        requests=tuple(float(t) for t in payload["requests"]),
-        exports=tuple(float(t) for t in payload["exports"]),
-        policy=str(payload["policy"]),
-        buddy_help=bool(payload["buddy_help"]),
-        mode=str(payload["mode"]),
-        drop_budget=int(payload["drop_budget"]),
-        dup_budget=int(payload["dup_budget"]),
-        crash_budget=int(payload["crash_budget"]),
-        retransmit_budget=int(payload["retransmit_budget"]),
-        fault_planes=tuple(str(p) for p in payload["fault_planes"]),
-        mutate=payload.get("mutate"),
-    )
+__all__ = ["ReplayResult", "replay_schedule"]
 
 
 def _actions_from(schedule: dict[str, Any]) -> list[tuple[Any, ...]]:
@@ -97,41 +79,35 @@ class ReplayResult:
 
 
 def replay_schedule(schedule: dict[str, Any]) -> ReplayResult:
-    """Re-execute *schedule* through the DES runtime, one action per tick.
+    """Re-execute *schedule* with causal tracing on.
 
-    The driver process applies one schedule action per unit of virtual
-    time, so span timestamps encode schedule positions and the causal
-    DAG reads as a timeline of the counterexample.  An M203 schedule
-    ends in the violating call: the exception is caught, reported in
-    ``error``, and the spans recorded up to that point form the DAG.
+    Action *n* of the schedule runs at time *n*, so span timestamps
+    encode schedule positions and the causal DAG reads as a timeline of
+    the counterexample.  An M203 schedule ends in the violating call:
+    the exception is caught, reported in ``error``, and the spans
+    recorded up to that point form the DAG.
     """
     actions = _actions_from(schedule)
-    config = config_from_payload(schedule["config"])
-    machine = ModelMachine(config)
+    machine = ModelMachine(ModelConfig.from_dict(schedule["config"]))
+    driver = machine.driver
+    driver.causal = log = CausalLog()
     w = machine.initial_working()
-    sim = Simulator()
-    log = CausalLog()
-    state = {"error": None, "executed": 0}
-
-    def driver() -> Any:
-        for action in actions:
-            yield sim.timeout(1.0)
-            state["executed"] += 1
-            try:
-                machine.apply(w, action, recorder=log, now=sim.now)
-            except VIOLATION_ERRORS as exc:
-                state["error"] = (
-                    f"{type(exc).__name__} at action "
-                    f"{state['executed']}/{len(actions)} "
-                    f"({' '.join(str(p) for p in action)}): {exc}"
-                )
-                return
-
-    sim.process(driver(), name="cex-replay")
-    sim.run()
+    error: str | None = None
+    executed = 0
+    for action in actions:
+        executed += 1
+        driver.clock = float(executed)
+        try:
+            machine.apply(w, action)
+        except VIOLATION_ERRORS as exc:
+            error = (
+                f"{type(exc).__name__} at action {executed}/{len(actions)} "
+                f"({' '.join(str(p) for p in action)}): {exc}"
+            )
+            break
     return ReplayResult(
         rule=str(schedule.get("rule", "")),
         report=build_causal_report(log),
-        error=state["error"],
-        executed=state["executed"],
+        error=error,
+        executed=executed,
     )

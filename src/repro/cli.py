@@ -61,8 +61,8 @@ Commands
     explore every bounded message interleaving and fault action of a
     2-program world through the real protocol code, checking the M2xx
     invariants; ``--mutate`` checks a deliberately broken protocol,
-    ``--replay`` re-executes a counterexample schedule through the DES
-    runtime as a causal DAG, and ``--races`` runs the live runtime
+    ``--replay`` re-executes a counterexample schedule with causal
+    tracing on as a causal DAG, and ``--races`` runs the live runtime
     under the vector-clock race detector (R2xx rules).
 ``experiments``
     Run every figure experiment and emit the markdown report
@@ -185,45 +185,27 @@ def _demo_run(
     provenance: str | None = None,
     fault_plan: Any = None,
 ) -> Any:
-    """The report/trace demo: the Figure-4 shape on two tiny programs.
+    """The report/trace demo: the ``demo`` scenario of :mod:`repro.serve`.
 
     Program F exports 46 steps with rank 1 four times slower (the
     paper's ``p_s``); program U imports twice.  Returns the
     :class:`repro.RunResult`.
     """
+    import dataclasses
+
     import repro
-    from repro.core.coupler import RegionDef
-    from repro.data import BlockDecomposition
+    from repro.serve.scenarios import build_scenario
+    from repro.serve.spec import SessionSpec
 
-    config = "F c0 /bin/F 2\nU c1 /bin/U 2\n#\nF.d U.d REGL 2.5\n"
-
-    def f_main(ctx: Any) -> Any:
-        scale = 4.0 if ctx.rank == 1 else 1.0
-        for k in range(46):
-            yield from ctx.export("d", 1.6 + k)
-            yield from ctx.compute(0.001 * scale)
-
-    def u_main(ctx: Any) -> Any:
-        for want in (20.0, 40.0):
-            yield from ctx.compute(0.004)
-            yield from ctx.import_("d", want)
-
+    build = build_scenario(
+        SessionSpec("demo", {"buddy_help": buddy_help, "seed": seed})
+    )
     return repro.run(
-        config,
-        [
-            repro.Program(
-                "F", main=f_main,
-                regions={"d": RegionDef(BlockDecomposition((16, 16), (2, 1)))},
-            ),
-            repro.Program(
-                "U", main=u_main,
-                regions={"d": RegionDef(BlockDecomposition((16, 16), (1, 2)))},
-            ),
-        ],
-        repro.RunOptions(
-            buddy_help=buddy_help,
+        build.config,
+        list(build.programs),
+        dataclasses.replace(
+            build.options,
             tracer=tracer,
-            seed=seed,
             causal_trace=causal,
             telemetry_sinks=tuple(sinks),
             telemetry_interval=interval,
@@ -1277,7 +1259,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             schedule = json.loads(path.read_text(encoding="utf-8"))
             result = replay_schedule(schedule)
-        except (ValidationError, ValueError, KeyError) as exc:
+        except (ValidationError, ValueError, KeyError, TypeError) as exc:
             print(f"error: bad schedule: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not _emit(args, result.to_payload()):
@@ -1734,7 +1716,7 @@ def build_parser() -> argparse.ArgumentParser:
     pvf.add_argument(
         "--replay",
         metavar="PATH",
-        help="replay one counterexample schedule through the DES runtime",
+        help="replay one counterexample schedule as a causal DAG",
     )
     pvf.add_argument(
         "--races",

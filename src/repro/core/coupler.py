@@ -27,8 +27,7 @@ intra-program collectives through ``ctx.comm``.
 This module is the DES *adapter* of :mod:`repro.core.protocol`: the
 protocol itself (resolution, rep dispatch, directives, agent handling,
 the send path, tracing hooks) lives there once; here are the virtual
-clock, the DES mailboxes, generator scheduling, the cost models and the
-per-process stats.
+clock, the DES mailboxes, generator scheduling and the cost models.
 
 Topology per program: ``nprocs`` application processes (each with a
 *control* agent servicing rep traffic concurrently, standing in for
@@ -51,7 +50,6 @@ paper measures it — inside the export call.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
@@ -63,6 +61,7 @@ from repro.core.exporter import ExportDecision
 from repro.core.properties import OperationLog, check_property1
 from repro.core.protocol import (
     ContextBase,
+    ExportRecord,
     ImportHandle,
     ProtocolDriver,
     RegionDef,
@@ -81,54 +80,6 @@ if TYPE_CHECKING:
     from repro.api.options import RunOptions
 
 __all__ = ["CoupledSimulation", "ImportHandle", "ProcessContext", "RegionDef"]
-
-
-# ---------------------------------------------------------------------------
-# per-process stats
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExportRecord:
-    """One export call of one process — a point of the Figure-4 series."""
-
-    ts: float
-    decision: ExportDecision
-    cost: float
-    at: float  # virtual time at call start
-
-
-@dataclass
-class ProcessStats:
-    """Per-process instrumentation collected during a run."""
-
-    export_records: list[ExportRecord] = field(default_factory=list)
-    compute_time: float = 0.0
-    #: Virtual time spent stalled waiting for buffer space (finite
-    #: buffers with the "block" policy).
-    backpressure_time: float = 0.0
-    #: Buddy-help accounting (paper Figures 7-8): final answers this
-    #: process received from its rep, skips enabled only by those
-    #: answers, and the memcpy time those skips avoided — the per-rank
-    #: contribution to the with-help vs. no-help ``T_ub`` comparison.
-    buddy_answers_received: int = 0
-    buddy_skips: int = 0
-    buddy_saved_time: float = 0.0
-    #: Per buddy-enabled skip: ``(export_ts, request_ts, lead)`` where
-    #: *lead* is how long before the skip decision the enabling buddy
-    #: answer had arrived — the per-window head start the paper's
-    #: dissemination buys (reported by the causal trace).
-    buddy_lead_times: list[tuple[float, float, float]] = field(default_factory=list)
-
-    def export_times(self) -> list[float]:
-        """The per-iteration export-cost series (Figure 4's y-axis)."""
-        return [r.cost for r in self.export_records]
-
-    def decisions(self) -> dict[str, int]:
-        """Histogram of export decisions."""
-        out: dict[str, int] = {}
-        for r in self.export_records:
-            out[r.decision.value] = out.get(r.decision.value, 0) + 1
-        return out
 
 
 class ProcessContext(ContextBase):
@@ -150,7 +101,6 @@ class ProcessContext(ContextBase):
             memcpy_base=coupler.preset.memory.memcpy_base,
         )
         self.sim: Simulator = coupler.sim
-        self.stats = ProcessStats()
         self._rng = coupler.rng.stream(f"compute/{self.program}.{rank}")
 
     # -- time ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -40,6 +39,7 @@ from repro.core.config import CouplingConfig
 from repro.core.exporter import ExportDecision
 from repro.core.protocol import (
     ContextBase,
+    ExportRecord,
     ImportHandle,
     ProtocolDriver,
     RegionDef,
@@ -56,41 +56,6 @@ if TYPE_CHECKING:
     from repro.api.options import RunOptions
 
 
-@dataclass
-class LiveExportRecord:
-    """One export call: wall-clock duration and the decision taken."""
-
-    ts: float
-    decision: ExportDecision
-    seconds: float
-
-
-@dataclass
-class LiveStats:
-    """Per-process wall-clock instrumentation."""
-
-    export_records: list[LiveExportRecord] = field(default_factory=list)
-    #: Buddy-help accounting (wall-clock runtimes cannot price the
-    #: avoided copy, so only the counts are kept here).
-    buddy_answers_received: int = 0
-    buddy_skips: int = 0
-    #: Per buddy-enabled skip: ``(export_ts, request_ts, lead_seconds)``
-    #: where *lead* is the wall-clock head start the enabling buddy
-    #: answer arrived with (see the DES twin for the full story).
-    buddy_lead_times: list[tuple[float, float, float]] = field(default_factory=list)
-
-    def decisions(self) -> dict[str, int]:
-        """Histogram of export decisions."""
-        out: dict[str, int] = {}
-        for r in self.export_records:
-            out[r.decision.value] = out.get(r.decision.value, 0) + 1
-        return out
-
-    def total_export_seconds(self) -> float:
-        """Total wall time spent inside export calls."""
-        return sum(r.seconds for r in self.export_records)
-
-
 class LiveProcessContext(ContextBase):
     """The per-process API of the live runtime (blocking calls)."""
 
@@ -100,7 +65,6 @@ class LiveProcessContext(ContextBase):
         self, runtime: "LiveCoupledSimulation", program: _ProgramRuntime, rank: int
     ) -> None:
         super().__init__(runtime, program, rank)
-        self.stats = LiveStats()
         #: Guards the export states shared with this process's agent.
         self.lock = runtime._locks[("ctx", self.who)] = threading.RLock()
 
@@ -124,7 +88,7 @@ class LiveProcessContext(ContextBase):
         plan, nbytes = self._export_target(region, ts, data)
         st = plan.state
         rt = self._rt
-        t0 = time.perf_counter()
+        t0 = rt.elapsed()
         with rt._locked(
             ("ctx", self.who),
             (("match", self.who, region), "write", "export.on_export"),
@@ -143,11 +107,11 @@ class LiveProcessContext(ContextBase):
                 rt.tracer.record(kind, self.who, rt.elapsed(), timestamp=ts)
             rt._after_export(self, region, ts, outcome)
             rt._evict(self, st)
-        elapsed = time.perf_counter() - t0
+        cost = rt.elapsed() - t0
         if outcome.buddy_skip:
             rt._buddy_skip(self, ts, outcome)
         self.stats.export_records.append(
-            LiveExportRecord(ts=ts, decision=outcome.decision, seconds=elapsed)
+            ExportRecord(ts=ts, decision=outcome.decision, cost=cost, at=t0)
         )
         self._record_export(region, ts, data)
         return outcome.decision

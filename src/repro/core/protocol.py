@@ -27,8 +27,9 @@ subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
     DES leaves it empty.
 
 What stays with a runtime (:mod:`repro.core.coupler` on generators and
-virtual time, :mod:`repro.core.live` on OS threads) is clock,
-mailboxes, scheduling, waiting, shutdown and its own stats records.
+virtual time, :mod:`repro.core.live` on OS threads,
+:mod:`repro.analysis.model.machine` on an explored action schedule) is
+clock, mailboxes, scheduling, waiting and shutdown.
 Methods that free buffer entries return the eviction count so the DES
 adapter alone ``yield``\\ s the modelled free time.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager, Iterator
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from repro.core import wire
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
 from repro.core.exceptions import ConfigError, FrameworkError
-from repro.core.exporter import RegionExportState
+from repro.core.exporter import ExportDecision, RegionExportState
 from repro.core.importer import RegionImportState
 from repro.core.rep import (
     AnswerImporter,
@@ -204,6 +205,55 @@ class ExportPlan:
     memcpy_base: float
 
 
+@dataclass
+class ExportRecord:
+    """One export call of one process — a point of the Figure-4 series."""
+
+    ts: float
+    decision: ExportDecision
+    #: Run-clock seconds the call took (modelled charge on the DES,
+    #: measured wall time on threads).
+    cost: float
+    at: float  # run clock at call start
+
+
+@dataclass
+class ProcessStats:
+    """Per-process instrumentation collected during a run (run-clock seconds)."""
+
+    export_records: list[ExportRecord] = field(default_factory=list)
+    #: Modelled compute and buffer-space stall time (finite buffers with
+    #: the "block" policy).  Only the DES runtime accrues these; threads
+    #: really sleep and have no backpressure.
+    compute_time: float = 0.0
+    backpressure_time: float = 0.0
+    #: Buddy-help accounting (paper Figures 7-8): final answers this
+    #: process received from its rep, skips enabled only by those
+    #: answers, and the memcpy time those skips avoided — the per-rank
+    #: contribution to the with-help vs. no-help ``T_ub`` comparison.
+    #: A wall-clock runtime cannot price a copy it never made, so
+    #: ``buddy_saved_time`` stays 0 there.
+    buddy_answers_received: int = 0
+    buddy_skips: int = 0
+    buddy_saved_time: float = 0.0
+    #: Per buddy-enabled skip: ``(export_ts, request_ts, lead)`` where
+    #: *lead* is how long before the skip decision the enabling buddy
+    #: answer had arrived — the per-window head start the paper's
+    #: dissemination buys (reported by the causal trace).
+    buddy_lead_times: list[tuple[float, float, float]] = field(default_factory=list)
+
+    def export_times(self) -> list[float]:
+        """The per-iteration export-cost series (Figure 4's y-axis)."""
+        return [r.cost for r in self.export_records]
+
+    def decisions(self) -> dict[str, int]:
+        """Histogram of export decisions."""
+        out: dict[str, int] = {}
+        for r in self.export_records:
+            out[r.decision.value] = out.get(r.decision.value, 0) + 1
+        return out
+
+
 class ContextBase:
     """Per-process protocol state behind each runtime's context class."""
 
@@ -224,6 +274,7 @@ class ContextBase:
         self.who = f"{self.program}.p{rank}"
         #: Intra-program communicator (vmpi).
         self.comm = program.comms[rank]
+        self.stats = ProcessStats()
         # Per-region framework state.
         self.export_states: dict[str, RegionExportState] = {}
         self.import_states: dict[str, RegionImportState] = {}

@@ -32,10 +32,10 @@ for; arbitrary per-pair reordering is not modelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Hashable
+from dataclasses import dataclass, fields
+from typing import Any, Hashable, Mapping
 
-from repro.util.validation import require
+from repro.util.validation import require, require_known_keys
 
 #: The framework planes a plan may target (see repro.core.coupler):
 #: ``ctl`` carries forwarded requests and buddy-help, ``cpl`` carries
@@ -171,3 +171,19 @@ class FaultPlan:
             "start": self.start,
             "stop": self.stop,
         }
+
+    @classmethod
+    def from_dict(cls, obj: Mapping[str, Any]) -> "FaultPlan":
+        """Inverse of :meth:`describe` (``planes`` as a list).
+
+        Accepts exactly the plan's own field names and raises
+        :class:`ValueError` naming any other key, so a typo in a
+        submitted spec or an ``--edit`` file fails the request, not the
+        run.
+        """
+        require_known_keys(obj, (f.name for f in fields(cls)), "fault_plan keys")
+        kwargs = dict(obj)
+        planes = kwargs.get("planes")
+        if planes is not None:
+            kwargs["planes"] = frozenset(str(p) for p in planes)
+        return cls(**kwargs)

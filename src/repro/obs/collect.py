@@ -66,10 +66,9 @@ def _collect_faults(sim: Any, reg: MetricsRegistry) -> None:
     stats = getattr(network, "stats", None)
     if stats is None:
         return
+    counts = stats.as_dict()
     for key in ("eligible", "dropped", "duplicated", "delayed", "reordered"):
-        value = getattr(stats, key, None)
-        if value is not None:
-            reg.counter(f"faults.{key}").inc(int(value))
+        reg.counter(f"faults.{key}").inc(counts[key])
 
 
 def _collect_vmpi(prog: Any, reg: MetricsRegistry) -> None:
@@ -127,32 +126,28 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
     stats = ctx.stats
 
     reg.gauge("process.compute_time", program=program, rank=rank).set(
-        float(getattr(stats, "compute_time", 0.0))
+        stats.compute_time
     )
-    backpressure = getattr(stats, "backpressure_time", None)
-    if backpressure is not None:
-        reg.gauge("process.backpressure_time", program=program, rank=rank).set(
-            float(backpressure)
-        )
+    reg.gauge("process.backpressure_time", program=program, rank=rank).set(
+        stats.backpressure_time
+    )
 
-    for rec in getattr(stats, "export_records", ()):
+    for rec in stats.export_records:
         reg.counter(
             "export.decisions", program=program, rank=rank, outcome=str(rec.decision)
         ).inc()
 
     reg.counter("buddy.answers_received", program=program, rank=rank).inc(
-        int(getattr(stats, "buddy_answers_received", 0))
+        stats.buddy_answers_received
     )
-    skips = int(getattr(stats, "buddy_skips", 0))
-    if skips:
-        reg.counter("buddy.skips", program=program, rank=rank).inc(skips)
+    if stats.buddy_skips:
+        reg.counter("buddy.skips", program=program, rank=rank).inc(stats.buddy_skips)
         reg.gauge("buddy.saved_time", program=program, rank=rank).set(
-            float(getattr(stats, "buddy_saved_time", 0.0))
+            stats.buddy_saved_time
         )
-    leads = getattr(stats, "buddy_lead_times", ())
-    if leads:
+    if stats.buddy_lead_times:
         lead_hist = reg.histogram("buddy.lead_time", program=program, rank=rank)
-        for _export_ts, _request_ts, lead in leads:
+        for _export_ts, _request_ts, lead in stats.buddy_lead_times:
             lead_hist.observe(float(lead))
 
     for region, st in getattr(ctx, "export_states", {}).items():

@@ -176,10 +176,10 @@ def compute_paper_metrics(sim: Any, tracer: Tracer | None = None) -> PaperMetric
         for ctx in getattr(prog, "contexts", []):
             who = ctx.who
             stats = ctx.stats
-            compute_times.append(float(getattr(stats, "compute_time", 0.0)))
-            buddy_answers += int(getattr(stats, "buddy_answers_received", 0))
-            skips = int(getattr(stats, "buddy_skips", 0))
-            saved = float(getattr(stats, "buddy_saved_time", 0.0))
+            compute_times.append(stats.compute_time)
+            buddy_answers += stats.buddy_answers_received
+            skips = stats.buddy_skips
+            saved = stats.buddy_saved_time
             buddy_skips += skips
             if skips or saved:
                 buddy_saved[who] = buddy_saved.get(who, 0.0) + saved

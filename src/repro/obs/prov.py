@@ -287,17 +287,6 @@ def preset_from_dict(d: dict[str, Any]) -> Any:
     )
 
 
-def fault_plan_from_dict(d: dict[str, Any]) -> Any:
-    """Rebuild a :class:`FaultPlan` from its ``describe()`` form."""
-    from repro.faults import FaultPlan
-
-    kwargs = dict(d)
-    planes = kwargs.get("planes")
-    if planes is not None:
-        kwargs["planes"] = frozenset(planes)
-    return FaultPlan(**kwargs)
-
-
 def build_header(sim: Any, runtime: str) -> dict[str, Any]:
     """The header record of a run's provenance log.
 

@@ -35,13 +35,13 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
+from repro.faults.plan import FaultPlan
 from repro.obs.prov import (
     ProvenanceError,
     ProvenanceLog,
     PROV_SCHEMA,
     causal_payload,
     decomp_from_dict,
-    fault_plan_from_dict,
     options_from_dict,
     payload_digest,
     preset_from_dict,
@@ -206,7 +206,7 @@ def replay(
     )
     plan = fault_plan
     if plan is None and header.get("fault_plan") is not None:
-        plan = fault_plan_from_dict(header["fault_plan"])
+        plan = FaultPlan.from_dict(header["fault_plan"])
     options = options_from_dict(
         header["options"], preset=preset, fault_plan=plan
     )
@@ -470,8 +470,11 @@ def differential_replay(
     if fault_plan_path is not None:
         if fault_plan is not None:
             raise ProvenanceError("pass fault_plan or fault_plan_path, not both")
-        with open(fault_plan_path, encoding="utf-8") as fh:
-            fault_plan = fault_plan_from_dict(json.load(fh))
+        try:
+            with open(fault_plan_path, encoding="utf-8") as fh:
+                fault_plan = FaultPlan.from_dict(json.load(fh))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ProvenanceError(f"bad fault plan {fault_plan_path}: {exc}") from exc
     base = replay(log, match_backend=match_backend)
     edited = replay(
         log,

@@ -9,7 +9,7 @@ Two sources feed timelines:
 
 * **Derived spans** — :func:`build_timelines` reconstructs intervals
   from protocol records that already exist: each
-  :class:`~repro.core.coupler.ExportRecord` becomes an
+  :class:`~repro.core.protocol.ExportRecord` becomes an
   ``export:<decision>`` span covering its memcpy/skip charge, and each
   answered :class:`~repro.core.importer.ImportRecord` becomes an
   ``import:wait`` span (request issued → answer known) followed by
@@ -20,8 +20,10 @@ Two sources feed timelines:
   their own phases (``rec.add("solve", ctx.who, t0, t1)``) and see
   them interleaved with the framework's.
 
-Everything here is virtual (simulated) time; the Chrome exporter in
-:mod:`repro.obs.export` scales it to microseconds for the viewer.
+Times are the run clock of whichever runtime produced them (virtual
+seconds on the DES, run-relative wall seconds on threads); the Chrome
+exporter in :mod:`repro.obs.export` scales them to microseconds for the
+viewer.
 """
 
 from __future__ import annotations
@@ -199,16 +201,11 @@ def _export_spans(sim: Any) -> Iterable[Span]:
     for prog in getattr(sim, "_programs", {}).values():
         for ctx in getattr(prog, "contexts", []):
             for rec in ctx.stats.export_records:
-                # Live-runtime records carry a duration but no start
-                # time; only DES export records become spans.
-                at = getattr(rec, "at", None)
-                if at is None:
-                    continue
                 yield Span(
                     name=f"export:{rec.decision}",
                     who=ctx.who,
-                    start=at,
-                    end=at + rec.cost,
+                    start=rec.at,
+                    end=rec.at + rec.cost,
                     args={"ts": rec.ts},
                 )
 

@@ -95,7 +95,7 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
                 ts = stats.export_records[-1].ts
                 last_export = ts if last_export is None else max(last_export, ts)
             skips += stats.buddy_skips
-            compute += getattr(stats, "compute_time", 0.0)
+            compute += stats.compute_time
             for ist in ctx.import_states.values():
                 for rec in ist.records:
                     if rec.completed_at is None:

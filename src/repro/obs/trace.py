@@ -374,7 +374,7 @@ def build_causal_report(source: Any) -> CausalReport:
                 continue
         # The rank's own request root: earliest 'request' span of this
         # trace recorded by the same process.
-        end_who = span.attrs.get("importer", span.who)
+        end_who = span.who
         roots = [
             s
             for s in spans

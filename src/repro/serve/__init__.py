@@ -23,7 +23,6 @@ from repro.serve.spec import (
     SESSION_STATES,
     TERMINAL_STATES,
     SessionSpec,
-    fault_plan_from_dict,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "SessionServer",
     "SessionSpec",
     "build_scenario",
-    "fault_plan_from_dict",
     "register_scenario",
     "scenario_names",
     "split_attach_url",

@@ -35,7 +35,8 @@ from repro.api.facade import Program
 from repro.api.options import RunOptions
 from repro.core.coupler import RegionDef
 from repro.data.decomposition import BlockDecomposition
-from repro.serve.spec import SessionSpec, fault_plan_from_dict
+from repro.faults.plan import FaultPlan
+from repro.serve.spec import SessionSpec
 
 __all__ = [
     "ScenarioBuild",
@@ -85,7 +86,7 @@ def build_scenario(spec: SessionSpec) -> ScenarioBuild:
         build.options,
         telemetry_interval=spec.telemetry_interval,
         fault_plan=(
-            fault_plan_from_dict(spec.fault_plan)
+            FaultPlan.from_dict(spec.fault_plan)
             if spec.fault_plan is not None
             else build.options.fault_plan
         ),

@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.faults.plan import FaultPlan
+from repro.util.validation import require_known_keys
 
 __all__ = [
     "SESSION_STATES",
     "TERMINAL_STATES",
     "SERVE_SCHEMA",
     "SessionSpec",
-    "fault_plan_from_dict",
 ]
 
 #: Schema tag stamped on every control-surface payload of the server.
@@ -51,30 +51,6 @@ SESSION_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States a session never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-#: FaultPlan fields a wire-side plan dict may set.
-_PLAN_FIELDS = frozenset(f.name for f in dataclasses.fields(FaultPlan))
-
-
-def fault_plan_from_dict(obj: Mapping[str, Any]) -> FaultPlan:
-    """Build a :class:`~repro.faults.plan.FaultPlan` from JSON data.
-
-    Accepts exactly the plan's own field names (``planes`` as a list);
-    raises :class:`ValueError` on unknown keys so a typo in a submitted
-    spec fails the request, not the worker.
-    """
-    unknown = set(obj) - _PLAN_FIELDS
-    if unknown:
-        raise ValueError(
-            f"unknown fault_plan keys {sorted(unknown)}; "
-            f"valid keys are {sorted(_PLAN_FIELDS)}"
-        )
-    kwargs = dict(obj)
-    planes = kwargs.get("planes")
-    if planes is not None:
-        kwargs["planes"] = frozenset(str(p) for p in planes)
-    return FaultPlan(**kwargs)
-
 
 @dataclass(frozen=True)
 class SessionSpec:
@@ -90,7 +66,7 @@ class SessionSpec:
         validates its own and rejects unknown keys.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` as a plain dict
-        (see :func:`fault_plan_from_dict`) — per-session chaos is a
+        (see :meth:`repro.faults.plan.FaultPlan.from_dict`) — per-session chaos is a
         first-class submission input.
     telemetry_interval:
         Period between ``repro.telemetry/v1`` snapshots of this
@@ -121,7 +97,7 @@ class SessionSpec:
             if not isinstance(self.fault_plan, Mapping):
                 raise ValueError("fault_plan must be a mapping or null")
             object.__setattr__(self, "fault_plan", dict(self.fault_plan))
-            fault_plan_from_dict(self.fault_plan)  # validate eagerly
+            FaultPlan.from_dict(self.fault_plan)  # validate eagerly
         if (
             not isinstance(self.telemetry_interval, (int, float))
             or isinstance(self.telemetry_interval, bool)
@@ -149,11 +125,8 @@ class SessionSpec:
         """Parse and validate a submitted spec; raises ValueError."""
         if not isinstance(obj, Mapping):
             raise ValueError(f"spec must be an object, got {type(obj).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(
-                f"unknown spec keys {sorted(unknown)}; valid keys are {sorted(known)}"
-            )
+        require_known_keys(
+            obj, (f.name for f in dataclasses.fields(cls)), "spec keys"
+        )
         kwargs = {k: v for k, v in obj.items() if v is not None or k in ("label",)}
         return cls(**kwargs)

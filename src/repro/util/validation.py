@@ -25,6 +25,16 @@ def require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def require_known_keys(obj: Iterable[str], known: Iterable[str], what: str) -> None:
+    """Reject keys of *obj* outside *known*, naming them (*what* says of what)."""
+    valid = set(known)
+    unknown = set(obj) - valid
+    if unknown:
+        raise ValidationError(
+            f"unknown {what} {sorted(unknown)}; valid keys are {sorted(valid)}"
+        )
+
+
 def require_type(value: Any, types: type | tuple[type, ...], name: str) -> Any:
     """Check ``isinstance(value, types)`` and return *value*.
 

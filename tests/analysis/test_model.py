@@ -2,8 +2,9 @@
 
 The acceptance bar: exhaustively explore a bounded 2-program ×
 2-process configuration through the *real* importer/exporter/rep/wire
-implementations, visiting at least 10^4 distinct states, with zero
-findings on the unmutated protocol.
+implementations and the shared ``ProtocolDriver`` around them, visiting
+at least 10^4 distinct states, with zero findings on the unmutated
+protocol — and a finding as soon as that shared code is broken.
 """
 
 import dataclasses
@@ -18,6 +19,8 @@ from repro.analysis.model import (
     directed_worlds,
     plane_of_channel,
 )
+from repro.core.protocol import ProtocolDriver
+from repro.core.rep import DeliverAnswer
 
 #: 2-program × 2-process world, faults directed at the rep plane only
 #: (clean + drop-rep worlds; ~16k summed distinct states in a few
@@ -49,10 +52,13 @@ class TestExhaustiveExploration:
     def test_exploration_is_exhaustive_and_large(self, fast_suite):
         assert fast_suite.complete  # no world hit the state cap
         assert fast_suite.total_states >= 10_000
-        for _name, result in fast_suite.worlds:
-            assert result.stats["complete"]
-            assert result.stats["states"] > 0
-            assert result.stats["transitions"] >= result.stats["states"] - 1
+        # Exact: any change to the glue around the state machines that
+        # alters the reachable space (a send more or less, another
+        # order) moves these.
+        assert {
+            name: (r.stats["states"], r.stats["transitions"])
+            for name, r in fast_suite.worlds
+        } == {"clean": (7_196, 17_510), "drop-rep": (9_752, 21_977)}
 
     def test_world_shape_is_two_by_two(self):
         assert FAST_BASE.nimp == 2 and FAST_BASE.nexp == 2
@@ -71,6 +77,28 @@ class TestExhaustiveExploration:
         # The state count the CLI reports is the one the acceptance
         # criterion quotes: distinct states actually visited.
         assert payload["stats"]["states"] >= 10_000
+
+
+class TestSharedDriver:
+    def test_defect_in_the_shared_driver_is_found(self, monkeypatch):
+        """The checker runs ``ProtocolDriver``, not a copy of it: losing
+        rank 1's answer there deadlocks the fault-free world (M201)."""
+        execute = ProtocolDriver._execute_directive
+
+        def drop_answer_to_rank_1(self, prog, d, out=None, cause=None):
+            if not (isinstance(d, DeliverAnswer) and d.rank == 1):
+                execute(self, prog, d, out, cause)
+
+        monkeypatch.setattr(
+            ProtocolDriver, "_execute_directive", drop_answer_to_rank_1
+        )
+        strict = ModelConfig(
+            mode="strict", drop_budget=0, dup_budget=0, crash_budget=0,
+            retransmit_budget=0,
+        )
+        result = check(strict)
+        assert [f.rule for f in result.report.findings] == ["M201"]
+        assert "I.p1@4" in result.report.findings[0].message
 
 
 class TestPartialOrderReduction:

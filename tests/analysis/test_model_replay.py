@@ -1,18 +1,18 @@
 """Counterexample replay: schedules re-execute deterministically.
 
 Every M-rule counterexample the checker produces must replay through
-the real DES runtime, and two replays of the same schedule must
+the shared protocol driver, and two replays of the same schedule must
 produce byte-identical ``repro.causal/v1`` DAG exports — the schedule
 fully determines the run.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.model import (
-    SCHEMA,
-    config_from_payload,
-    replay_schedule,
-)
+from repro.analysis.model import SCHEMA, ModelConfig, replay_schedule
+from repro.cli import _demo_run
+from repro.faults.plan import FaultPlan
 
 
 def _all_counterexamples(no_dedup_suite, no_answer_cache_suite):
@@ -63,11 +63,44 @@ class TestReplayReproducesViolations:
         assert not result.report.resolutions
 
 
+class TestNoDrift:
+    def test_replayed_spans_carry_every_runtime_attribute(
+        self, no_dedup_suite, no_answer_cache_suite
+    ):
+        """A replayed span has every attribute key that all spans of its
+        name carry in a DES run: both come from the same driver code."""
+        # The chaos demo (``repro record --scenario chaos``): its drops
+        # make the run retransmit, like the M202 schedule does.
+        des_run = _demo_run(
+            True, causal=True, seed=5,
+            fault_plan=FaultPlan(seed=5, drop=0.1, dup=0.05, delay_jitter=2e-4),
+        )
+        always: dict[str, set[str]] = {}
+        for span in des_run.causal.spans:
+            keys = set(span.attrs)
+            always[span.name] = always.get(span.name, keys) & keys
+        assert {"connection", "request"} <= always["match"]
+        replayed = [
+            span
+            for cex in _all_counterexamples(no_dedup_suite, no_answer_cache_suite)
+            for span in replay_schedule(cex).report.spans
+        ]
+        assert {s.name for s in replayed} >= {"request", "match", "aggregate"}
+        for span in replayed:
+            assert always[span.name] <= set(span.attrs), span
+
+
 class TestScheduleValidation:
     def test_config_round_trips(self, no_dedup_suite):
         cex = no_dedup_suite.counterexamples[0]
-        cfg = config_from_payload(cex["config"])
+        cfg = ModelConfig.from_dict(cex["config"])
         assert cfg.describe() == cex["config"]
+        # Every field survives, so a counterexample found under another
+        # engine replays under it.
+        legacy = dataclasses.replace(cfg, match_backend="legacy")
+        assert ModelConfig.from_dict(legacy.describe()) == legacy
+        with pytest.raises(ValueError, match=r"unknown model config keys \['regoin'\]"):
+            ModelConfig.from_dict({**cex["config"], "regoin": "d"})
 
     def test_bad_schema_rejected(self):
         with pytest.raises(Exception, match="schedule"):

@@ -130,8 +130,7 @@ class TestLiveProtocol:
         sim.run(join_timeout=60.0)
         recs = sim.context("F", 0).stats.export_records
         assert len(recs) == 40
-        assert all(r.seconds >= 0 for r in recs)
-        assert sim.context("F", 0).stats.total_export_seconds() >= 0
+        assert all(r.cost >= 0 and 0 <= r.at <= sim.elapsed() for r in recs)
 
     def test_buffer_cost_ledger_uses_measured_times(self):
         sim, _ = build()

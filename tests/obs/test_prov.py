@@ -25,7 +25,6 @@ from repro.obs.prov import (
     ProvenanceError,
     ProvenanceRecorder,
     decomp_from_dict,
-    fault_plan_from_dict,
     open_text,
     options_from_dict,
     options_to_dict,
@@ -66,7 +65,7 @@ class TestSerializationRoundTrips:
         plan = FaultPlan(
             seed=9, drop=0.2, dup=0.1, delay_jitter=1e-4, planes=frozenset({"ctl"})
         )
-        rebuilt = fault_plan_from_dict(plan.describe())
+        rebuilt = FaultPlan.from_dict(plan.describe())
         assert rebuilt.describe() == plan.describe()
 
     def test_decomp_round_trips(self):

@@ -2,7 +2,38 @@
 
 import pytest
 
+import repro
+from repro.core.coupler import RegionDef
+from repro.data.decomposition import BlockDecomposition
 from repro.obs.spans import Span, SpanRecorder, Timeline, TimelineSet, build_timelines
+
+
+def _live_result() -> repro.RunResult:
+    """A small run of the threaded runtime (plain-callable mains)."""
+
+    def f_main(ctx):
+        for k in range(6):
+            ctx.export("d", 1.0 + k)
+            ctx.compute(1e-3)
+
+    def u_main(ctx):
+        for want in (2.0, 4.0):
+            ctx.import_("d", want)
+
+    return repro.run(
+        "F c0 /bin/F 2\nU c1 /bin/U 2\n#\nF.d U.d REGL 2.5\n",
+        [
+            repro.Program(
+                "F", main=f_main,
+                regions={"d": RegionDef(BlockDecomposition((16, 16), (2, 1)))},
+            ),
+            repro.Program(
+                "U", main=u_main,
+                regions={"d": RegionDef(BlockDecomposition((16, 16), (1, 2)))},
+            ),
+        ],
+        repro.RunOptions(runtime="live", time_scale=0.01),
+    )
 
 
 class TestSpan:
@@ -80,14 +111,16 @@ class TestSpanRecorder:
 
 class TestBuildTimelines:
     def test_export_import_spans_from_run(self, demo_result):
-        tls = build_timelines(demo_result.simulation)
-        names = {s.name for s in tls.all_spans()}
-        # Export decisions and both import phases must appear.
-        assert any(n.startswith("export:") for n in names)
-        assert "import:wait" in names
-        assert "import:transfer" in names
-        # Every exporter rank got a timeline.
-        assert {"F.p0", "F.p1"} <= set(tls.whos())
+        # Both runtimes keep the same records, so both yield the spans.
+        for sim in (demo_result.simulation, _live_result().simulation):
+            tls = build_timelines(sim)
+            names = {s.name for s in tls.all_spans()}
+            # Export decisions and both import phases must appear.
+            assert any(n.startswith("export:") for n in names)
+            assert "import:wait" in names
+            assert "import:transfer" in names
+            # Every exporter rank got a timeline.
+            assert {"F.p0", "F.p1"} <= set(tls.whos())
 
     def test_tracer_events_become_instants(self, demo_result):
         tls = build_timelines(demo_result.simulation, tracer=demo_result.tracer)

@@ -10,7 +10,6 @@ from repro.serve.spec import (
     SESSION_STATES,
     TERMINAL_STATES,
     SessionSpec,
-    fault_plan_from_dict,
 )
 
 
@@ -68,16 +67,14 @@ class TestSessionSpec:
 
 class TestFaultPlanFromDict:
     def test_builds_frozen_plan(self):
-        plan = fault_plan_from_dict(
-            {"drop": 0.3, "seed": 9, "planes": ["ctl"]}
-        )
+        plan = FaultPlan.from_dict({"drop": 0.3, "seed": 9, "planes": ["ctl"]})
         assert isinstance(plan, FaultPlan)
         assert plan.drop == 0.3
         assert plan.planes == frozenset({"ctl"})
 
     def test_unknown_field_raises(self):
         with pytest.raises(ValueError, match="unknown fault_plan"):
-            fault_plan_from_dict({"dropp": 0.3})
+            FaultPlan.from_dict({"dropp": 0.3})
 
 
 class TestScenarios:

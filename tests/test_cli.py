@@ -428,6 +428,13 @@ class TestRecordReplay:
         assert payload["edits"] == {"tolerance": 0.5}
         assert payload["diff"]["empty"] is False
 
+    def test_edit_with_unknown_plan_key_is_usage_error(self, tmp_path, capsys):
+        log, plan = tmp_path / "run.prov", tmp_path / "plan.json"
+        assert main(["record", str(log), "--json"]) == 0
+        plan.write_text('{"dropp": 0.3}')
+        assert main(["replay", str(log), "--edit", str(plan)]) == 2
+        assert "unknown fault_plan keys ['dropp']" in capsys.readouterr().err
+
     def test_missing_log_is_usage_error(self, tmp_path, capsys):
         rc = main(["replay", str(tmp_path / "nope.prov")])
         assert rc == 2
