@@ -135,8 +135,7 @@ class _Frame:
     """One DFS stack entry (children are generated lazily).
 
     Frames keep their materialized working state so expanding a child is
-    one :func:`clone_working` call instead of a full canonical decode —
-    the decode/encode pair dominated exploration time otherwise.
+    one :func:`clone_working` call.
     """
 
     w: _Working

@@ -18,7 +18,7 @@ defect the checker explores; there is no second copy to drift.
 
 What is written here, and why it cannot be the runtimes' code:
 
-* canonical ``encode``/``decode``/``clone`` of a state — exploration
+* canonical ``encode``/``clone`` of a state — exploration
   needs value-hashed, copyable states; a run has one state and no use
   for either;
 * action enumeration and footprints — the nondeterministic scheduler
@@ -333,7 +333,7 @@ def mutation_config(name: str) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# working (decoded) state
+# working (materialized) state
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -714,10 +714,6 @@ class ModelMachine:
             match_backend=self.config.match_backend,
         )
 
-    def initial(self) -> tuple[Any, ...]:
-        """The canonical initial state."""
-        return self.encode(self.initial_working())
-
     def initial_working(self) -> _Working:
         """A fresh, fully materialized initial state."""
         cfg = self.config
@@ -853,86 +849,6 @@ class ModelMachine:
             chans,
             (w.drop_left, w.dup_left, w.crash_left),
         )
-
-    def decode(self, canon: tuple[Any, ...]) -> _Working:
-        """Materialize real protocol objects from a canonical state."""
-        cfg = self.config
-        imp_c, irep_c, irep_seen, erep_c, erep_seen, exp_c, chans, budgets = canon
-        w = _Working()
-        for next_req, outstanding, retr_left, resolved, seen in imp_c:
-            w.imp.append(
-                _ImpRank(
-                    next_req=next_req,
-                    outstanding=outstanding,
-                    retr_left=retr_left,
-                    resolved=dict(resolved),
-                    seen=set(seen),
-                )
-            )
-        w.irep = ImporterRep("I", cfg.nimp, [self.cid])
-        for cid, states in irep_c:
-            store = w.irep._requests[cid]
-            for ts, waiting, asked, answer in states:
-                store[ts] = _ImpRequestState(
-                    request_ts=ts,
-                    waiting=set(waiting),
-                    asked=set(asked),
-                    answer=_dec_answer(answer, ts),
-                )
-        w.irep_seen = set(irep_seen)
-        w.erep = self._new_exporter_rep()
-        for cid, last_ts, states in erep_c:
-            w.erep._last_request_ts[cid] = last_ts
-            store2 = w.erep._requests[cid]
-            for ts, responses, definitive, finalized, case, fin_rank in states:
-                st = _ExpRequestState(request_ts=ts)
-                for rank, kind, matched, latest in responses:
-                    st.responses[rank] = _dec_response(ts, kind, matched, latest)
-                st.definitive_ranks = set(definitive)
-                st.finalized = _dec_answer(finalized, ts)
-                st.finalized_case = case
-                st.finalizing_rank = fin_rank
-                store2[ts] = st
-        w.erep_seen = set(erep_seen)
-        for pos, closed, crashed, conns, buf, seen in exp_c:  # seen appended last
-
-            region = self._new_region()
-            hist = [self.config.exports[i] for i in range(pos)]
-            region.history.replace(hist, closed=closed)
-            for (
-                cid, last_req, open_reqs, answers, skip, local_skip,
-                must_send, window_count, buddy_raises,
-            ) in conns:
-                conn = region.connections[cid]
-                conn.engine._last_request_ts = last_req
-                conn.open_requests = {
-                    ts: OpenRequest(ts=ts, window=wnd, candidate_ts=cand)
-                    for ts, wnd, cand in open_reqs
-                }
-                conn.answers = {
-                    ts: a
-                    for ts, enc in answers
-                    if (a := _dec_answer(enc, ts)) is not None
-                }
-                conn.skip_threshold = skip
-                conn.local_skip_threshold = local_skip
-                conn.must_send = set(must_send)
-                conn.window_count = window_count
-                conn._buddy_raises = [tuple(b) for b in buddy_raises]
-            for ts, window, sent in buf:
-                entry = region.buffer.buffer(ts, nbytes=8, memcpy_cost=1.0, window=window)
-                if sent:
-                    entry.sent = True
-                    region.buffer._sent_ts.add(ts)
-            w.exp.append(
-                _ExpRank(
-                    region=region, pos=pos, closed=closed,
-                    crashed=crashed, seen=set(seen),
-                )
-            )
-        w.chans = {tuple(k): list(msgs) for k, msgs in chans}
-        w.drop_left, w.dup_left, w.crash_left = budgets
-        return w
 
     # -- actions ------------------------------------------------------------
     def enabled_actions(self, w: _Working) -> list[tuple[Any, ...]]:
@@ -1102,7 +1018,7 @@ class ModelMachine:
         entry = w.chans[(src, dst)].pop(0)
         seq = entry[-2]
         seen = w.seen_of(dst)
-        # Dedup is modelled here, not through the driver's _fresh: its
+        # Dedup is modelled here, not through the driver's _seq_duplicate: its
         # memory must be pruned for states to merge (see _prune_seen),
         # and this is where the no_dedup mutation switches it off.
         if self.config.mutate != "no_dedup":
@@ -1114,9 +1030,9 @@ class ModelMachine:
         drv = self.driver
         msg = _dec_wire(self.cid, entry)
         if dst[1] == "R":
-            drv._rep_handle(drv._programs[dst[0]], msg, None)
+            drv._rep_handle(drv._programs[dst[0]], msg)
         elif dst[0] == "E":
-            drv._agent_handle(drv.exporters[int(dst[1:])], msg, None)
+            drv._agent_handle(drv.exporters[int(dst[1:])], msg)
         else:
             self._answer(w, int(dst[1:]), msg)
 
@@ -1156,7 +1072,7 @@ class ModelMachine:
         it and pick a higher ``k`` — states that differ only in that
         numbering history would then fail to merge.  Pruning eagerly
         (not just at encode time) makes stamping a function of the
-        canonical state, so cloned and decoded states behave alike.
+        canonical state.
         """
         seen = w.seen_of(dst)
         if not seen:

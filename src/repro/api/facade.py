@@ -33,7 +33,6 @@ from repro.core.live import LiveCoupledSimulation
 from repro.obs.collect import collect_metrics
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.paper import PaperMetrics, compute_paper_metrics
-from repro.obs.profile import DEFAULT_INTERVAL, Profile, SamplingProfiler
 from repro.obs.spans import TimelineSet, build_timelines
 from repro.obs.trace import CausalReport, build_causal_report
 from repro.util.tracing import Tracer
@@ -79,8 +78,6 @@ class RunResult:
     sim_time: float
     #: Wire traffic and resilience counters of the run.
     counters: dict[str, int]
-    #: Sampling profile of the run (``RunOptions(profile=...)`` only).
-    profile: Profile | None = None
     #: Lazily computed observability views (see the properties below).
     _metrics: MetricsSnapshot | None = field(
         default=None, init=False, repr=False, compare=False
@@ -167,12 +164,10 @@ def _counters(sim: CoupledSimulation | LiveCoupledSimulation) -> dict[str, int]:
         "ctl_bytes",
         "data_messages",
         "data_bytes",
-        "frames_sent",
-        "framed_messages",
         "retransmissions",
         "dup_discards",
     )
-    return {n: int(getattr(sim, n)) for n in names if hasattr(sim, n)}
+    return {n: int(getattr(sim, n)) for n in names}
 
 
 def _close_sinks(sinks: tuple[Any, ...]) -> None:
@@ -260,13 +255,6 @@ def run(
     sim = build(config, programs, opts)
     sinks = tuple(opts.telemetry_sinks)
     prov = getattr(sim, "_prov", None)
-    profiler: SamplingProfiler | None = None
-    if opts.profile:
-        interval = (
-            DEFAULT_INTERVAL if isinstance(opts.profile, bool) else float(opts.profile)
-        )
-        profiler = SamplingProfiler(interval=interval)
-        profiler.start()
     try:
         if isinstance(sim, LiveCoupledSimulation):
             if until is not None:
@@ -284,23 +272,18 @@ def run(
         # the same guarantee: whatever was captured is written out with
         # an end record naming the error, so a crash is still auditable
         # (though only clean logs replay).
-        if profiler is not None:
-            with contextlib.suppress(Exception):
-                profiler.stop()
         _abort_telemetry(sim, sinks, exc)
         if prov is not None:
             with contextlib.suppress(Exception):
                 prov.abort(exc)
                 prov.close()
         raise
-    profile = profiler.stop() if profiler is not None else None
     _close_sinks(sinks)
     result = RunResult(
         simulation=sim,
         options=opts,
         sim_time=sim_time,
         counters=_counters(sim),
-        profile=profile,
     )
     if prov is not None:
         prov.finalize(result)

@@ -70,11 +70,6 @@ class RunOptions:
     max_retransmits:
         Retransmission attempts per request before giving up; ``None``
         uses the runtime default (12 on DES, 8 on live).
-    batch_control:
-        Coalesce per-tick control-message fan-out into per-destination
-        :class:`~repro.core.wire.Frame` batches.  Answer-equivalent but
-        not trace-identical to unbatched runs (one wire latency per
-        frame); the fault layer then draws once per frame.
     time_scale:
         Live runtime: multiplier on ``ctx.compute`` sleeps.
     default_timeout:
@@ -118,14 +113,6 @@ class RunOptions:
         from the log alone via :func:`repro.obs.replay.replay`.
         Implies :attr:`causal_trace`.  ``None`` (default) disables
         recording entirely.
-    profile:
-        Attach a :class:`repro.obs.profile.SamplingProfiler` to the
-        run: a background thread samples the driving thread's stack
-        (no ``sys.setprofile`` hook — the run itself pays nothing per
-        call) and attributes samples to the framework's phases.  The
-        result is available as :attr:`repro.api.RunResult.profile`.
-        ``True`` uses the default ~200 Hz cadence; a positive float
-        sets the sampling period in seconds.
     """
 
     runtime: str = "des"
@@ -141,7 +128,6 @@ class RunOptions:
     fault_injector: Callable[..., Any] | None = None
     retransmit_timeout: float | None = None
     max_retransmits: int | None = None
-    batch_control: bool = False
     time_scale: float = 1.0
     default_timeout: float = 30.0
     causal_trace: bool = False
@@ -150,7 +136,6 @@ class RunOptions:
     race_monitor: Any | None = None
     match_backend: str = DEFAULT_MATCH_BACKEND
     provenance: str | None = None
-    profile: bool | float = False
 
     def __post_init__(self) -> None:
         require(
@@ -167,8 +152,6 @@ class RunOptions:
             "buffer_policy: 'error' or 'block'",
         )
         require(self.telemetry_interval > 0, "telemetry_interval must be > 0")
-        if not isinstance(self.profile, bool):
-            require(self.profile > 0, "profile interval must be > 0 seconds")
         if self.provenance is not None:
             require(
                 isinstance(self.provenance, str) and bool(self.provenance),

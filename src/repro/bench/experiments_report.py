@@ -8,7 +8,6 @@ can diff claims against a fresh run on their machine.
 
 from __future__ import annotations
 
-import io
 from typing import TextIO
 
 from repro.bench.figure4 import Figure4Spec, run_figure4
@@ -104,10 +103,3 @@ def generate_report(
       f"{s8.skip_count()} skips, T_i = {s8.process.state.buffer.t_ub():.0f}\n")
     w(f"* buddy-help saves exactly "
       f"{s8.memcpy_count() - s7.memcpy_count()} in-region memcpys per window\n")
-
-
-def report_text(exports: int = 1001, runs: int = 6, seed: int = 2007) -> str:
-    """Convenience wrapper returning the report as a string."""
-    buf = io.StringIO()
-    generate_report(buf, exports=exports, runs=runs, seed=seed)
-    return buf.getvalue()

@@ -46,11 +46,6 @@ class ResilienceRunResult:
     duplicate_requests: int
     fault_stats: dict[str, Any] | None
     sim_time: float
-    #: Physical control-plane wire messages (frames count as one).
-    ctl_messages: int = 0
-    #: Frames sent / logical messages carried when ``batch_control``.
-    frames_sent: int = 0
-    framed_messages: int = 0
 
     def answers_match(self, baseline: "ResilienceRunResult") -> bool:
         """Whether this run's answers are identical to *baseline*'s."""
@@ -91,7 +86,6 @@ def run_once(
     exports: int = 40,
     requests: int = 15,
     request_period: float = 2.0,
-    batch_control: bool = False,
     match_backend: str = DEFAULT_MATCH_BACKEND,
 ) -> ResilienceRunResult:
     """One E(2) → I(2) run under *plan* (``None`` = fault-free)."""
@@ -127,7 +121,6 @@ def run_once(
             preset=_preset(),
             seed=0,
             fault_plan=plan,
-            batch_control=batch_control,
             match_backend=match_backend,
         ),
     )
@@ -159,9 +152,6 @@ def run_once(
         duplicate_requests=exp_rep.duplicate_requests if exp_rep else 0,
         fault_stats=stats.as_dict() if stats is not None else None,
         sim_time=cs.sim.now,
-        ctl_messages=cs.ctl_messages,
-        frames_sent=cs.frames_sent,
-        framed_messages=cs.framed_messages,
     )
 
 

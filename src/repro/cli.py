@@ -75,7 +75,9 @@ for machine-readable output on stdout, and exit codes are shared —
 :data:`EXIT_OK` (0) success, :data:`EXIT_FINDINGS` (1) findings
 (divergent answers, lint errors, verify violations, invalid config),
 :data:`EXIT_USAGE` (2) usage or internal errors (argparse's own
-convention).
+convention).  :func:`main` enforces the last: an unreadable or
+unwritable path is ``error: …`` on stderr and exit 2, any other
+uncaught exception a traceback and exit 2 — 1 always means findings.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Any, Sequence
 
 from repro import __version__
@@ -902,7 +905,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_sessions=args.max_sessions,
         drain_timeout=args.drain_timeout,
-        profile=args.profile,
     )
 
     async def _serve() -> dict[str, Any]:
@@ -915,7 +917,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "port": server.port,
             "workers": config.workers,
             "max_sessions": config.max_sessions,
-            "profile": config.profile,
         }
         if getattr(args, "json", False):
             print(json.dumps(announce), flush=True)
@@ -1127,10 +1128,10 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.path)
         warnings = cfg.validate()
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         if not _emit(args, {"ok": False, "error": str(exc)}):
             print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_FINDINGS
     if _emit(args, {
         "ok": True,
         "programs": {
@@ -1537,11 +1538,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds in-flight sessions get to finish on shutdown "
         "(default 30)",
     )
-    psv.add_argument(
-        "--profile", action="store_true",
-        help="sample-profile every session; phase counters appear on "
-        "GET /metrics and per-session profiles in the session info",
-    )
     _add_json_flag(psv)
     psv.set_defaults(fn=_cmd_serve)
 
@@ -1747,7 +1743,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception:  # noqa: BLE001 - a crash must not read as findings
+        traceback.print_exc()
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

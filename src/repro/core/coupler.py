@@ -384,10 +384,6 @@ class CoupledSimulation(ProtocolDriver):
           given, else disables retransmission (the classic
           reliable-network protocol); ``max_retransmits`` defaults
           to 12.
-        * ``batch_control`` changes the modelled wire timing — one
-          latency per frame instead of per member — so runs are
-          *answer*-equivalent but not trace-identical to unbatched
-          runs; the fault layer then draws once per frame.
     """
 
     def __init__(
@@ -540,42 +536,26 @@ class CoupledSimulation(ProtocolDriver):
     def _agent_proc(self, ctx: ProcessContext) -> Generator[Event, Any, None]:
         """The framework service agent of one application process."""
         box = self.world.network.mailbox(("ctl", ctx.program, ctx.rank))
-        src = ("cpl", ctx.program, ctx.rank)
         who = f"{ctx.who}.agent"
         free_time = self.preset.memory.free_time
         seen: set[int] = set()
         while True:
-            deliveries = [(yield box.get())]
-            if self.batch_control:
-                deliveries.extend(box.drain())
-            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
-            for delivery in deliveries:
-                for msg in self._fresh(delivery.payload, seen, who):
-                    evicted = self._agent_handle(ctx, msg, out)
-                    if evicted:
-                        yield self.sim.timeout(free_time * evicted)
-            if out:
-                self._flush_frames(src, out)
+            msg = (yield box.get()).payload
+            if self._seq_duplicate(msg, seen, who):
+                continue
+            evicted = self._agent_handle(ctx, msg)
+            if evicted:
+                yield self.sim.timeout(free_time * evicted)
 
     def _rep_proc(self, prog: _ProgramRuntime) -> Generator[Event, Any, None]:
         """The program's representative process."""
         box = self.world.network.mailbox(("rep", prog.name))
-        src = ("rep", prog.name)
         who = f"{prog.name}.rep"
         seen: set[int] = set()
         while True:
-            deliveries = [(yield box.get())]
-            if self.batch_control:
-                # Per-tick coalescing: everything already queued behind
-                # this delivery arrived no later than now, so handle the
-                # whole backlog in one go and frame the combined fan-out.
-                deliveries.extend(box.drain())
-            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
-            for delivery in deliveries:
-                for msg in self._fresh(delivery.payload, seen, who):
-                    self._rep_handle(prog, msg, out)
-            if out:
-                self._flush_frames(src, out)
+            msg = (yield box.get()).payload
+            if not self._seq_duplicate(msg, seen, who):
+                self._rep_handle(prog, msg)
 
     def _telemetry_proc(self) -> Generator[Event, Any, None]:
         """Periodic telemetry flush; ends with the last user main.

@@ -201,8 +201,7 @@ class LiveCoupledSimulation(ProtocolDriver):
 
         * ``fault_injector`` is installed as
           :attr:`ThreadWorld.fault_hook` and switches the runtime to
-          resilient mode (relaxed request ordering + retransmission);
-          with ``batch_control`` it acts once per frame.
+          resilient mode (relaxed request ordering + retransmission).
         * ``retransmit_timeout`` is in wall seconds and defaults to
           ``0.25`` when a fault injector is installed; set it
           explicitly to enable resilience without chaos.
@@ -335,14 +334,14 @@ class LiveCoupledSimulation(ProtocolDriver):
             service.append(
                 thread(
                     f"{prog.name}.rep", self._serve,
-                    rep, rep, f"{prog.name}.rep", partial(self._rep_handle, prog),
+                    rep, f"{prog.name}.rep", partial(self._rep_handle, prog),
                 )
             )
             for ctx in prog.contexts:
                 service.append(
                     thread(
                         f"{prog.name}.agent{ctx.rank}", self._serve,
-                        ("ctl", ctx.program, ctx.rank), ("cpl", ctx.program, ctx.rank),
+                        ("ctl", ctx.program, ctx.rank),
                         f"{ctx.who}.agent", partial(self._agent_handle, ctx),
                     )
                 )
@@ -400,40 +399,23 @@ class LiveCoupledSimulation(ProtocolDriver):
             self._locks[("rep", prog.name)] = threading.Lock()
         self._resolve(LiveProcessContext, "live")
 
-    def _serve(
-        self,
-        address: Any,
-        src: Any,
-        who: str,
-        handle: Callable[[Any, list[tuple[Any, Any]] | None], Any],
-    ) -> None:
+    def _serve(self, address: Any, who: str, handle: Callable[[Any], Any]) -> None:
         """One service loop (a rep, or a process's agent) until Shutdown.
 
         *handle* is the driver's ``_rep_handle``/``_agent_handle`` bound
-        to its program/context; *src* the address its sends come from.
+        to its program/context.
         """
         box = self.world.mailbox(address)
         seen: set[int] = set()
         while True:
-            units = [box.get(lambda _m: True, timeout=None)]
-            if self.batch_control:
-                # Burst coalescing: handle the whole backlog in one go
-                # and frame the combined fan-out per destination.
-                units.extend(box.drain())
-            out: list[tuple[Any, Any]] | None = [] if self.batch_control else None
-            stop = False
-            for unit in units:
-                if isinstance(unit, wire.Shutdown):
-                    stop = True
-                    continue
-                for msg in self._fresh(unit, seen, who):
-                    if self.races is not None and getattr(msg, "seq", -1) >= 0:
-                        self.races.recv(msg.seq)
-                    handle(msg, out)
-            if out:
-                self._flush_frames(src, out)
-            if stop:
+            msg = box.get(lambda _m: True, timeout=None)
+            if isinstance(msg, wire.Shutdown):
                 return
+            if self._seq_duplicate(msg, seen, who):
+                continue
+            if self.races is not None and getattr(msg, "seq", -1) >= 0:
+                self.races.recv(msg.seq)
+            handle(msg)
 
     def _main_body(self, ctx: LiveProcessContext) -> None:
         assert ctx._program.main is not None

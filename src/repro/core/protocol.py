@@ -7,9 +7,8 @@ that *drives* them, once: connection/schedule/send-plan/rep resolution,
 rep-message dispatch, directive → wire-message translation (with the
 tracer, causal-span and provenance hooks), agent handling of forwarded
 requests and buddy-help answers, response and data-piece emission,
-frame coalescing, sequence stamping and dedup, wire counters, the
-importer's request/answer/complete bookkeeping and buddy-skip lead
-accounting.
+sequence stamping and dedup, wire counters, the importer's
+request/answer/complete bookkeeping and buddy-skip lead accounting.
 
 It never touches a clock, a mailbox, a lock or a scheduler.  A runtime
 subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
@@ -39,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager
 
 import numpy as np
 
@@ -65,9 +64,6 @@ from repro.obs.trace import CausalLog, TraceContext
 from repro.util import tracing
 from repro.util.tracing import NullTracer
 from repro.util.validation import ValidationError, require, require_positive
-
-#: Collected ``(dst, payload)`` control sends awaiting framing.
-Outbox = list[tuple[Any, Any]]
 
 _UNGUARDED: ContextManager[Any] = contextlib.nullcontext()
 
@@ -439,10 +435,6 @@ class ProtocolDriver:
         self.ctl_bytes = 0
         self.data_messages = 0
         self.data_bytes = 0
-        #: Control-plane frame batching (``RunOptions.batch_control``).
-        self.batch_control = options.batch_control
-        self.frames_sent = 0
-        self.framed_messages = 0
         # next() on itertools.count is atomic under the GIL, so stamping
         # needs no lock on the thread runtime.
         self._next_seq = itertools.count(1).__next__
@@ -657,29 +649,6 @@ class ProtocolDriver:
             )
         self._send(src, dst, payload, nbytes)
 
-    def _flush_frames(self, src: Any, out: Outbox) -> None:
-        """Send collected control sends as per-destination frames.
-
-        Sends to the same destination mailbox coalesce into one
-        :class:`~repro.core.wire.Frame` (members individually stamped so
-        receiver-side dedup is unchanged); singletons go out bare.
-        """
-        by_dst: dict[Any, list[Any]] = {}
-        for dst, payload in out:
-            by_dst.setdefault(dst, []).append(payload)
-        for dst, payloads in by_dst.items():
-            if len(payloads) == 1:
-                self._net_send(src, dst, payloads[0])
-                continue
-            members = tuple(self._stamp(p) for p in payloads)
-            total = wire.frame_nbytes(wire.CTL_NBYTES * len(members))
-            with self._lock:
-                self.frames_sent += 1
-                self.framed_messages += len(members)
-            self._net_send(
-                src, dst, wire.Frame(messages=members, nbytes=total), nbytes=total
-            )
-
     def _seq_duplicate(self, msg: Any, seen: set[int], who: str) -> bool:
         """Wire-level duplicate detection by sequence number."""
         seq = getattr(msg, "seq", -1)
@@ -699,16 +668,6 @@ class ProtocolDriver:
             return True
         seen.add(seq)
         return False
-
-    def _fresh(self, unit: Any, seen: set[int], who: str) -> Iterator[Any]:
-        """The not-yet-seen messages of one arrived wire unit.
-
-        An incoming frame unpacks to its members; each member is
-        deduplicated and then handled exactly as a bare arrival.
-        """
-        for msg in unit.messages if isinstance(unit, wire.Frame) else (unit,):
-            if not self._seq_duplicate(msg, seen, who):
-                yield msg
 
     # -- causal tracing -------------------------------------------------------
     def _causal_child(
@@ -785,11 +744,7 @@ class ProtocolDriver:
             self.tracer.record(tracing.EXPORT_SEND, ctx.who, self._now(), timestamp=m)
 
     def _send_response(
-        self,
-        ctx: ContextBase,
-        cid: str,
-        response: MatchResponse,
-        out: Outbox | None = None,
+        self, ctx: ContextBase, cid: str, response: MatchResponse
     ) -> None:
         """Send one per-process match response to the program's rep."""
         if self.tracer.enabled:
@@ -824,13 +779,13 @@ class ProtocolDriver:
                 response.latest_export_ts,
                 self.match_backend,
             )
-        payload = wire.ProcResponse(
-            connection_id=cid, rank=ctx.rank, response=response, trace=tr
+        self._net_send(
+            ("cpl", ctx.program, ctx.rank),
+            ("rep", ctx.program),
+            wire.ProcResponse(
+                connection_id=cid, rank=ctx.rank, response=response, trace=tr
+            ),
         )
-        if out is None:
-            self._net_send(("cpl", ctx.program, ctx.rank), ("rep", ctx.program), payload)
-        else:
-            out.append((("rep", ctx.program), payload))
 
     def _after_export(
         self, ctx: ContextBase, region: str, ts: float, outcome: Any
@@ -891,7 +846,7 @@ class ProtocolDriver:
                 export_ts=ts, lead=lead,
             )
 
-    def _agent_handle(self, ctx: ContextBase, msg: Any, out: Outbox | None) -> int:
+    def _agent_handle(self, ctx: ContextBase, msg: Any) -> int:
         """Apply one rep→process message; returns the entries it evicted."""
         tracer = self.tracer
         if isinstance(msg, wire.FwdRequest):
@@ -911,7 +866,7 @@ class ProtocolDriver:
                 (("ledger", ctx.who, region), "write", "agent.pieces"),
             ):
                 outcome = st.on_request(cid, request_ts)
-                self._send_response(ctx, cid, outcome.response, out)
+                self._send_response(ctx, cid, outcome.response)
                 if outcome.applied is not None and outcome.applied.send_now is not None:
                     self._send_pieces(ctx, region, cid, outcome.applied.send_now)
                 return self._evict(ctx, st)
@@ -959,7 +914,7 @@ class ProtocolDriver:
         return spec.exporter.region
 
     # -- representatives -------------------------------------------------------
-    def _rep_handle(self, prog: _ProgramRuntime, msg: Any, out: Outbox | None) -> None:
+    def _rep_handle(self, prog: _ProgramRuntime, msg: Any) -> None:
         """Dispatch one rep message to the right state machine."""
         cause: TraceContext | None = getattr(msg, "trace", None)
         with self._guard(
@@ -994,22 +949,15 @@ class ProtocolDriver:
             else:
                 raise FrameworkError(f"rep received unexpected message {msg!r}")
         for d in directives:
-            self._execute_directive(prog, d, out, cause=cause)
+            self._execute_directive(prog, d, cause)
 
     def _execute_directive(
-        self,
-        prog: _ProgramRuntime,
-        d: Any,
-        out: Outbox | None = None,
-        cause: TraceContext | None = None,
+        self, prog: _ProgramRuntime, d: Any, cause: TraceContext | None = None
     ) -> None:
         """Send the wire message a rep directive implies.
 
-        With *out* given (batch mode), rep/ctl-plane sends are collected
-        for per-destination framing by the caller; data-plane deliveries
-        (``cpl`` mailboxes) always go out bare — importer mailboxes match
-        on member payload types.  *cause* is the trace context of the
-        rep message that produced the directive (causal tracing only).
+        *cause* is the trace context of the rep message that produced
+        the directive (causal tracing only).
         """
         rep_who = f"{prog.name}.rep"
         cid = d.connection_id
@@ -1088,18 +1036,11 @@ class ProtocolDriver:
                     extra_parents=() if ans is None else (ans.span_id,),
                     rank=d.rank,
                 )
-            self._net_send(
-                ("rep", prog.name),
-                ("cpl", prog.name, d.rank),
-                wire.AnswerToProc(connection_id=cid, answer=d.answer, trace=tr),
-            )
-            return
+            dst = ("cpl", prog.name, d.rank)
+            payload = wire.AnswerToProc(connection_id=cid, answer=d.answer, trace=tr)
         else:  # pragma: no cover - defensive
             raise FrameworkError(f"unknown directive {d!r}")
-        if out is None:
-            self._net_send(("rep", prog.name), dst, payload)
-        else:
-            out.append((dst, payload))
+        self._net_send(("rep", prog.name), dst, payload)
 
     # -- importer side -----------------------------------------------------------
     def _send_request(

@@ -161,43 +161,6 @@ def with_seq(msg: Any, seq: int) -> Any:
     return stamped
 
 
-#: Modelled wire size of a frame header (batch length + checksum word).
-FRAME_HEADER_NBYTES = 16
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A batch of control-plane messages coalesced into one wire unit.
-
-    When a runtime runs with ``batch_control`` enabled, the per-tick
-    fan-out of a representative (forwarded requests, buddy answers,
-    rep↔rep notifications) going to the *same* destination mailbox is
-    sent as one frame instead of many small messages.  The frame is one
-    physical send: it pays latency once, its bytes serialize once on
-    the modelled wire, and the fault layer draws once per frame — drop
-    loses the whole batch, duplication replays it (member-level seq
-    dedup makes the replay harmless).
-
-    Members are stamped with their own sequence numbers *before*
-    framing, so receivers unpack and dedup each member exactly as if
-    it had travelled alone.  The frame's own ``seq`` identifies the
-    physical unit in traces.
-
-    Only ``("rep", ...)`` / ``("ctl", ...)`` control traffic is framed:
-    data-plane mailboxes match on member payload types and expect bare
-    :class:`DataPiece` / :class:`AnswerToProc` messages.
-    """
-
-    messages: tuple[object, ...]
-    nbytes: int
-    seq: int = -1
-
-
-def frame_nbytes(member_bytes_total: int) -> int:
-    """Modelled wire size of a frame whose members total *member_bytes_total*."""
-    return FRAME_HEADER_NBYTES + member_bytes_total
-
-
 @dataclass(frozen=True)
 class Shutdown:
     """Runtime-internal: stop a service loop (live runtime only).

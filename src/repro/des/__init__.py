@@ -32,7 +32,6 @@ from repro.des.core import (
 )
 from repro.des.store import Store, FilterStore, StoreFullError
 from repro.des.channel import Channel, Delivery, Network
-from repro.des.resources import Resource
 
 __all__ = [
     "Event",
@@ -50,5 +49,4 @@ __all__ = [
     "Channel",
     "Delivery",
     "Network",
-    "Resource",
 ]

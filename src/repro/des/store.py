@@ -112,14 +112,6 @@ class Store:
         self._admit_putter()
         return item
 
-    def drain(self) -> list[Any]:
-        """Remove and return all buffered items (oldest first)."""
-        out = list(self._items)
-        self._items.clear()
-        while self._putters and not self.is_full:
-            self._admit_putter()
-        return out
-
     def get_matching(self, predicate: Callable[[Any], bool]) -> Event:
         """Take the oldest item satisfying *predicate*.
 

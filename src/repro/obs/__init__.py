@@ -3,7 +3,7 @@
 Three pillars (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — labeled ``Counter``/``Gauge``/
-  ``Histogram``/``Timer`` instruments in a :class:`MetricsRegistry`,
+  ``Histogram`` instruments in a :class:`MetricsRegistry`,
   frozen into :class:`MetricsSnapshot` for export.
 * :mod:`repro.obs.spans` + :mod:`repro.obs.paper` — per-rank
   :class:`Timeline` objects over the trace stream, and the paper's
@@ -25,7 +25,7 @@ Three pillars (see ``docs/observability.md``):
   :mod:`repro.obs.watch` — fleet observability: cross-session rollups
   with p50/p95/p99 quantiles (``repro.fleet/v1``, served on ``GET
   /metrics``), a thread-based sampling profiler with phase
-  attribution (``repro.profile/v1``), and a declarative SLO watchdog
+  attribution (a library tool), and a declarative SLO watchdog
   emitting ``repro.alerts/v1`` records (``repro watch``).
 
 The usual entry point is the facade: ``result.metrics`` /
@@ -42,7 +42,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.fleet import FLEET_SCHEMA, FleetRollup, ScenarioRollup
-from repro.obs.profile import PROFILE_SCHEMA, Profile, SamplingProfiler
+from repro.obs.profile import Profile, SamplingProfiler
 from repro.obs.stream import (
     ExpositionBuilder,
     JsonlSink,
@@ -75,8 +75,6 @@ from repro.obs.metrics import (
     MetricSample,
     MetricsRegistry,
     MetricsSnapshot,
-    NullMetrics,
-    Timer,
 )
 from repro.obs.paper import PaperMetrics, compute_paper_metrics
 from repro.obs.prov import (
@@ -99,7 +97,6 @@ from repro.obs.spans import Span, SpanRecorder, Timeline, TimelineSet, build_tim
 __all__ = [
     "ALERTS_SCHEMA",
     "FLEET_SCHEMA",
-    "PROFILE_SCHEMA",
     "PROV_SCHEMA",
     "REPORT_SCHEMA",
     "CausalLog",
@@ -114,7 +111,6 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NullMetrics",
     "OpenMetricsSink",
     "PaperMetrics",
     "Profile",
@@ -129,7 +125,6 @@ __all__ = [
     "TelemetrySink",
     "Timeline",
     "TimelineSet",
-    "Timer",
     "TraceContext",
     "Watchdog",
     "build_causal_report",

@@ -53,9 +53,6 @@ def _collect_net(sim: Any, reg: MetricsRegistry) -> None:
             continue
         reg.counter("net.messages", plane=plane).inc(int(msgs))
         reg.counter("net.bytes", plane=plane).inc(int(getattr(sim, byte_attr, 0)))
-    if getattr(sim, "frames_sent", None) is not None:
-        reg.counter("net.frames.sent").inc(int(sim.frames_sent))
-        reg.counter("net.frames.members").inc(int(getattr(sim, "framed_messages", 0)))
     if getattr(sim, "retransmissions", None) is not None:
         reg.counter("resilience.retransmissions").inc(int(sim.retransmissions))
         reg.counter("resilience.dup_discards").inc(int(getattr(sim, "dup_discards", 0)))

@@ -1,4 +1,4 @@
-"""Run-scoped metrics: counters, gauges, histograms and timers.
+"""Run-scoped metrics: counters, gauges and histograms.
 
 The observability layer's first pillar (see ``docs/observability.md``).
 A :class:`MetricsRegistry` holds labeled instruments:
@@ -8,18 +8,13 @@ A :class:`MetricsRegistry` holds labeled instruments:
 * :class:`Histogram` — streaming distribution summary backed by
   :class:`repro.util.stats.OnlineStats` (count/mean/stddev/min/max)
   plus a fixed-size deterministic reservoir for p50/p95/p99 quantile
-  estimates — memory stays bounded no matter how many samples arrive,
-* :class:`Timer` — a histogram over durations, with a wall-clock
-  context manager for live code.
+  estimates — memory stays bounded no matter how many samples arrive.
 
 Labels identify *which* program/rank/connection an instrument belongs
 to; values are coerced to strings so label sets hash and serialize
-stably.  :class:`NullMetrics` is the no-op default: every accessor
-returns a shared do-nothing instrument, so instrumented call sites cost
-one dynamic dispatch when metrics are off — nothing on the DES hot
-path ever consults a registry (kernel and protocol counters are plain
-attribute increments collected *after* the run by
-:mod:`repro.obs.collect`).
+stably.  Nothing on the DES hot path ever consults a registry: kernel
+and protocol counters are plain attribute increments collected *after*
+the run by :mod:`repro.obs.collect`.
 
 :class:`MetricsSnapshot` is the immutable export form:
 :meth:`MetricsSnapshot.to_json` for machine consumption,
@@ -31,10 +26,8 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.util.stats import OnlineStats
 from repro.util.validation import require
@@ -96,12 +89,10 @@ _RESERVOIR_SEED = 0x5EED
 class Histogram:
     """A streaming distribution summary with bounded memory.
 
-    Unlike :class:`repro.util.stats.Histogram` (fixed bins over a known
-    range), this instrument works for unknown ranges: it keeps Welford
-    aggregates plus a fixed-size uniform reservoir (Vitter's Algorithm
-    R, deterministic seed) from which :meth:`quantile` interpolates
-    p50/p95/p99.  NaN samples are rejected, matching the stats helper's
-    contract.
+    Works for unknown ranges: it keeps Welford aggregates plus a
+    fixed-size uniform reservoir (Vitter's Algorithm R, deterministic
+    seed) from which :meth:`quantile` interpolates p50/p95/p99.  NaN
+    samples are rejected.
     """
 
     __slots__ = ("stats", "_reservoir", "_rng")
@@ -213,31 +204,16 @@ class Histogram:
         }
 
 
-class Timer(Histogram):
-    """A histogram over durations, in seconds."""
-
-    __slots__ = ()
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Measure a wall-clock block: ``with timer.time(): ...``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - t0)
-
-
 @dataclass(frozen=True)
 class MetricSample:
     """One instrument's exported state."""
 
     name: str
-    kind: str  # "counter" | "gauge" | "histogram" | "timer"
+    kind: str  # "counter" | "gauge" | "histogram"
     labels: dict[str, str]
     value: float
     #: Extra per-kind detail: high-water for gauges, the aggregate
-    #: summary for histograms/timers.
+    #: summary for histograms.
     detail: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
@@ -342,11 +318,6 @@ class MetricsRegistry:
         inst: Histogram = self._get("histogram", Histogram, name, labels)
         return inst
 
-    def timer(self, name: str, **labels: Any) -> Timer:
-        """The timer *name* for this label set."""
-        inst: Timer = self._get("timer", Timer, name, labels)
-        return inst
-
     def __len__(self) -> int:
         return len(self._instruments)
 
@@ -369,77 +340,10 @@ class MetricsRegistry:
                     MetricSample(name=name, kind=kind, labels=labels,
                                  value=float(inst.value), detail=detail)
                 )
-            else:  # histogram / timer
+            else:  # histogram
                 summary = inst.summary()
                 samples.append(
                     MetricSample(name=name, kind=kind, labels=labels,
                                  value=summary["mean"], detail=summary)
                 )
         return MetricsSnapshot(samples=tuple(samples), paper=paper)
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, x: float) -> None:
-        pass
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def observe(self, x: float) -> None:
-        pass
-
-
-class NullMetrics(MetricsRegistry):
-    """The do-nothing registry: every accessor returns a shared no-op.
-
-    This is the default wired into instrumented call sites, so a run
-    without observability pays one dynamic dispatch per call at most —
-    and the framework's own hot paths avoid even that by keeping plain
-    attribute counters that :func:`repro.obs.collect.collect_metrics`
-    reads after the run.
-    """
-
-    _counter = _NullCounter()
-    _gauge = _NullGauge()
-    _histogram = _NullHistogram()
-    _timer = _NullTimer()
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        """The shared no-op counter."""
-        return self._counter
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        """The shared no-op gauge."""
-        return self._gauge
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        """The shared no-op histogram."""
-        return self._histogram
-
-    def timer(self, name: str, **labels: Any) -> Timer:
-        """The shared no-op timer."""
-        return self._timer
-
-    def snapshot(self, paper: PaperMetrics | None = None) -> MetricsSnapshot:
-        """An empty snapshot."""
-        return MetricsSnapshot(samples=(), paper=paper)

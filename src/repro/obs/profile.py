@@ -11,16 +11,11 @@ sampler thread alone.  The sampler runs only when the profiled thread
 hands over the GIL, so phase shares are indicative, not a time
 breakdown (see ``docs/observability.md``).
 
-Attach one to a run with ``RunOptions(profile=True)`` (the facade
-starts/stops it and exposes :attr:`RunResult.profile <Profile>`), to a
-whole server with ``repro serve --profile`` (each worker profiles its
-sessions; phase totals surface on ``GET /metrics``), or drive
-:class:`SamplingProfiler` directly around any code block.
-
-Exports: :meth:`Profile.collapsed` (flamegraph.pl collapsed-stack
-text), :meth:`Profile.chrome_trace` (Trace Event JSON accepted by
-``validate_chrome_trace``) and :meth:`Profile.as_dict` (schema
-``repro.profile/v1``).
+A library tool, wired to no option, flag or endpoint: drive
+:class:`SamplingProfiler` around any code block and read the
+:class:`Profile` it returns.  Layer *times* come from boundary tracing
+(``perf/run.py --trace 1``), which cross-checks itself against this
+sampler's phase shares.
 """
 
 from __future__ import annotations
@@ -30,12 +25,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from types import FrameType
-from typing import Any
 
-__all__ = ["PROFILE_SCHEMA", "PHASES", "Profile", "SamplingProfiler", "phase_of"]
-
-#: Schema tag stamped on exported profiles.
-PROFILE_SCHEMA = "repro.profile/v1"
+__all__ = ["PHASES", "Profile", "SamplingProfiler", "phase_of"]
 
 #: ``(module prefix, phase)`` — most specific prefix first; the
 #: *innermost* matching frame of a stack decides the sample's phase.
@@ -59,7 +50,7 @@ PHASES: tuple[str, ...] = (
 DEFAULT_INTERVAL = 0.005
 
 #: Stack depth kept per sample (frames beyond it are truncated at the
-#: root — leaves are what attribution and flamegraphs need).
+#: root — leaves are what attribution needs).
 _MAX_DEPTH = 64
 
 
@@ -108,74 +99,6 @@ class Profile:
     def phase_fraction(self, phase: str) -> float:
         """Fraction of samples attributed to *phase* (0.0 when empty)."""
         return self.phases.get(phase, 0) / self.samples if self.samples else 0.0
-
-    def collapsed(self) -> str:
-        """flamegraph.pl collapsed-stack text (one ``stack count`` line)."""
-        lines = [
-            f"{stack} {count}"
-            for stack, count in sorted(self.stacks.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def top(self, n: int = 10) -> list[tuple[str, int]]:
-        """The *n* hottest collapsed stacks, most-sampled first."""
-        ranked = sorted(self.stacks.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:n]
-
-    def chrome_trace(self, time_scale: float = 1e6) -> dict[str, Any]:
-        """Phase attribution as Chrome ``trace_event`` JSON.
-
-        One synthetic process ("profile") with one thread per phase;
-        each phase's sampled time becomes a complete (``ph: "X"``)
-        event whose duration is ``samples * interval``, laid head to
-        tail so the track reads as a sampled-time breakdown.  Passes
-        :func:`repro.obs.export.validate_chrome_trace`.
-        """
-        events: list[dict[str, Any]] = [
-            {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-             "args": {"name": "profile"}},
-        ]
-        cursor = 0.0
-        for tid, phase in enumerate(PHASES, start=1):
-            count = self.phases.get(phase, 0)
-            events.append(
-                {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                 "args": {"name": phase}}
-            )
-            if not count:
-                continue
-            dur = count * self.interval
-            events.append(
-                {
-                    "name": f"sampled:{phase}",
-                    "cat": "profile",
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tid,
-                    "ts": cursor * time_scale,
-                    "dur": dur * time_scale,
-                    "args": {"samples": count},
-                }
-            )
-            cursor += dur
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def as_dict(self, max_stacks: int = 50) -> dict[str, Any]:
-        """JSON-ready form (schema ``repro.profile/v1``).
-
-        *max_stacks* bounds the payload: only the hottest stacks ship
-        (wire payloads from serve workers stay small); pass ``0`` for
-        all of them.
-        """
-        stacks = self.top(max_stacks) if max_stacks else sorted(self.stacks.items())
-        return {
-            "schema": PROFILE_SCHEMA,
-            "samples": self.samples,
-            "interval": self.interval,
-            "duration": self.duration,
-            "phases": {p: self.phases.get(p, 0) for p in PHASES},
-            "stacks": [{"stack": s, "count": c} for s, c in stacks],
-        }
 
 
 class SamplingProfiler:

@@ -65,9 +65,9 @@ OP_KINDS = frozenset(
 )
 
 #: RunOptions fields serialized into the header verbatim (all
-#: JSON-safe scalars).  Deliberately excludes the unserializable
-#: fields (preset, tracer, fault_plan, fault_injector, telemetry_sinks,
-#: race_monitor) and ``provenance`` itself — replays re-derive those.
+#: JSON-safe scalars).  With ``_UNRECORDED_OPTION_FIELDS`` it partitions
+#: every field (``tests/api/test_options.py`` checks), so a new option
+#: cannot silently escape the header.
 _OPTION_FIELDS = (
     "runtime",
     "buddy_help",
@@ -78,12 +78,23 @@ _OPTION_FIELDS = (
     "sanitize",
     "retransmit_timeout",
     "max_retransmits",
-    "batch_control",
     "time_scale",
     "default_timeout",
     "causal_trace",
     "telemetry_interval",
     "match_backend",
+)
+
+#: The fields the header deliberately leaves out: the unserializable
+#: ones and ``provenance`` itself — replays re-derive those.
+_UNRECORDED_OPTION_FIELDS = (
+    "preset",
+    "tracer",
+    "fault_plan",
+    "fault_injector",
+    "telemetry_sinks",
+    "race_monitor",
+    "provenance",
 )
 
 

@@ -79,6 +79,12 @@ def _check_replayable(log: ProvenanceLog) -> None:
             f"log {log.path} records an aborted run{detail}; "
             "only clean runs replay bit-exactly"
         )
+    if log.header["options"].get("batch_control"):
+        raise ProvenanceError(
+            f"log {log.path} was recorded with the retired option "
+            "batch_control=true (control-message framing, removed); "
+            "its wire timing cannot be reproduced"
+        )
 
 
 def _make_main(
@@ -267,15 +273,22 @@ def verify_replay(
         )
         payload["ok"] = bool(payload["decisions_match"])
     else:
+        # A header that still carries ``batch_control`` (false: true was
+        # refused above) predates the option's removal.  Its report
+        # digest covered the two retired frame counters and cannot be
+        # recomputed, so such a log verifies on the causal digest alone.
         payload["report_identical"] = (
-            payload["report_sha256"] == end.get("report_sha256")
+            None
+            if "batch_control" in log.header["options"]
+            else payload["report_sha256"] == end.get("report_sha256")
         )
         payload["causal_identical"] = (
             payload["causal_sha256"] == end.get("causal_sha256")
         )
         payload["decisions_match"] = None
         payload["ok"] = bool(
-            payload["report_identical"] and payload["causal_identical"]
+            payload["report_identical"] is not False
+            and payload["causal_identical"]
         )
     return payload
 

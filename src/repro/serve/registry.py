@@ -66,8 +66,6 @@ class SessionRecord:
     provenance: str | None = None
     sim_time: float | None = None
     counters: dict[str, int] | None = None
-    #: The worker's ``repro.profile/v1`` summary (``--profile`` servers).
-    profile: dict[str, Any] | None = None
     #: Telemetry bookkeeping.
     records: int = 0
     dropped: int = 0
@@ -133,9 +131,6 @@ class SessionRegistry:
         self.dropped_total = 0
         #: Cross-session aggregates; updated on every terminal state.
         self.rollup = FleetRollup()
-        #: Profiler phase totals rolled up from worker outcomes.
-        self.profile_phases: dict[str, int] = {}
-        self.profile_samples = 0
 
     # -- identity and lookup ----------------------------------------------
     def __len__(self) -> int:
@@ -274,14 +269,6 @@ class SessionRegistry:
             session.provenance = outcome.get("provenance")
             session.sim_time = outcome.get("sim_time")
             session.counters = outcome.get("counters")
-            profile = outcome.get("profile")
-            if isinstance(profile, dict):
-                session.profile = profile
-                self.profile_samples += int(profile.get("samples", 0))
-                for phase, n in dict(profile.get("phases", {})).items():
-                    self.profile_phases[str(phase)] = (
-                        self.profile_phases.get(str(phase), 0) + int(n)
-                    )
         # finish() is the single terminal-state transition point, so
         # observing here keeps the fleet rollup exactly in step with
         # the wire-visible session states — whatever order sessions

@@ -79,8 +79,6 @@ class ServeConfig:
     buffer_records: int = 512
     #: Seconds in-flight sessions get to finish during drain.
     drain_timeout: float = 30.0
-    #: Profile every session's worker (phase totals land on /metrics).
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -152,7 +150,7 @@ class SessionServer:
         self._pool = ProcessPoolExecutor(
             max_workers=self.config.workers,
             initializer=init_worker,
-            initargs=(self._queue, self.config.profile),
+            initargs=(self._queue,),
         )
         self._pool_broken = False
 
@@ -438,15 +436,6 @@ class SessionServer:
                        len(session.subscribers))
             out.sample("repro_server_subscriber_queue_depth", "gauge", labels,
                        sum(q.qsize() for q in session.subscribers))
-        if self.config.profile:
-            out.family("repro_profile_samples", "counter",
-                       "Profiler samples by attributed phase")
-            from repro.obs.profile import PHASES
-
-            for phase in PHASES:
-                out.sample("repro_profile_samples", "counter",
-                           {"phase": phase},
-                           registry.profile_phases.get(phase, 0))
         return out.render()
 
     async def _route(

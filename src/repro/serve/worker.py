@@ -35,15 +35,11 @@ CONTROL_KEY = "__serve__"
 #: The telemetry queue installed by :func:`init_worker` (per process).
 _QUEUE: Any = None
 
-#: Whether this worker profiles its sessions (``repro serve --profile``).
-_PROFILE = False
 
-
-def init_worker(queue: Any, profile: bool = False) -> None:
+def init_worker(queue: Any) -> None:
     """Pool initializer: stash the shared queue, shield from SIGINT."""
-    global _QUEUE, _PROFILE
+    global _QUEUE
     _QUEUE = queue
-    _PROFILE = bool(profile)
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
@@ -116,8 +112,6 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
                 telemetry_sinks=options.telemetry_sinks
                 + (QueueSink(session_id, queue),),
             )
-        if _PROFILE:
-            options = replace(options, profile=True)
         if spec.provenance:
             # Captured to a worker-local temp file, shipped back as
             # text in the outcome (wire-safe), then unlinked — the
@@ -144,10 +138,6 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
             "counters": dict(result.counters),
             "report": report_payload(spec.label or session_id, spec, result),
         }
-        if result.profile is not None:
-            # Phase totals + hottest stacks only: outcomes cross a
-            # pickled queue, so the payload stays deliberately small.
-            outcome["profile"] = result.profile.as_dict(max_stacks=20)
     if prov_path is not None:
         try:
             with open(prov_path, encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ framework:
 * :mod:`repro.util.validation` -- argument checking helpers that raise
   uniform, descriptive errors.
 * :mod:`repro.util.stats` -- online statistics (Welford), series
-  summaries and histograms used by the benchmark harness.
+  summaries used by the benchmark harness.
 * :mod:`repro.util.tracing` -- structured event tracing used to
   regenerate the paper's Figure 5/7/8 event traces.
 * :mod:`repro.util.rng` -- named, reproducible random-number streams.
@@ -17,29 +17,23 @@ from repro.util.validation import (
     require_type,
     require_positive,
     require_non_negative,
-    require_in,
-    require_callable,
 )
-from repro.util.stats import OnlineStats, SeriesSummary, Histogram
+from repro.util.stats import OnlineStats, SeriesSummary
 from repro.util.tracing import TraceEvent, Tracer, NullTracer, format_trace
 from repro.util.rng import RngRegistry
-from repro.util.render import heatmap, side_by_side
+from repro.util.render import heatmap
 
 __all__ = [
     "require",
     "require_type",
     "require_positive",
     "require_non_negative",
-    "require_in",
-    "require_callable",
     "OnlineStats",
     "SeriesSummary",
-    "Histogram",
     "TraceEvent",
     "Tracer",
     "NullTracer",
     "format_trace",
     "RngRegistry",
     "heatmap",
-    "side_by_side",
 ]

@@ -52,18 +52,3 @@ def heatmap(
         idx = np.minimum((scaled * len(SHADES)).astype(int), len(SHADES) - 1)
         lines.append("".join(SHADES[j] for j in idx))
     return "\n".join(lines)
-
-
-def side_by_side(left: str, right: str, gap: int = 4) -> str:
-    """Join two multi-line renders horizontally (for comparisons)."""
-    require(gap >= 0, "gap must be >= 0")
-    l_lines = left.splitlines()
-    r_lines = right.splitlines()
-    width = max((len(x) for x in l_lines), default=0)
-    n = max(len(l_lines), len(r_lines))
-    l_lines += [""] * (n - len(l_lines))
-    r_lines += [""] * (n - len(r_lines))
-    sep = " " * gap
-    return "\n".join(
-        f"{a.ljust(width)}{sep}{b}" for a, b in zip(l_lines, r_lines)
-    )

@@ -9,10 +9,10 @@ hot loop, and summarise complete series for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.util.validation import require, require_positive
+from repro.util.validation import require
 
 
 class OnlineStats:
@@ -181,64 +181,3 @@ class SeriesSummary:
             body_mean=_mean(body_part, whole.mean),
             tail_mean=_mean(tail_part, whole.mean),
         )
-
-
-@dataclass
-class Histogram:
-    """Fixed-bin histogram over ``[low, high)``.
-
-    Out-of-range samples are folded into the first/last bin so the total
-    count always equals the number of samples added (benchmarks must not
-    silently drop samples).
-    """
-
-    low: float
-    high: float
-    nbins: int
-    counts: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        require_positive(self.nbins, "nbins")
-        require(self.high > self.low, "high must be > low")
-        if not self.counts:
-            self.counts = [0] * self.nbins
-
-    def add(self, x: float) -> None:
-        """Add one sample.
-
-        Raises
-        ------
-        ValueError
-            If *x* is NaN — a NaN cannot be assigned to any bin, and
-            letting it through would either crash with an opaque
-            conversion error or corrupt the total-count invariant.
-        """
-        if math.isnan(x):
-            raise ValueError("histogram samples must not be NaN")
-        span = self.high - self.low
-        idx = int((x - self.low) / span * self.nbins)
-        idx = min(max(idx, 0), self.nbins - 1)
-        self.counts[idx] += 1
-
-    def add_many(self, xs: Iterable[float]) -> None:
-        """Add an iterable of samples."""
-        for x in xs:
-            self.add(x)
-
-    @property
-    def total(self) -> int:
-        """Total number of samples recorded."""
-        return sum(self.counts)
-
-    def bin_edges(self) -> list[float]:
-        """Return the ``nbins + 1`` bin edge positions."""
-        width = (self.high - self.low) / self.nbins
-        return [self.low + i * width for i in range(self.nbins + 1)]
-
-    def mode_bin(self) -> int:
-        """Index of the most populated bin (first on ties)."""
-        best = 0
-        for i, c in enumerate(self.counts):
-            if c > self.counts[best]:
-                best = i
-        return best

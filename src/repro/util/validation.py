@@ -8,7 +8,7 @@ helpers in this module so error text is predictable and testable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Container, Iterable
+from typing import Any, Iterable
 
 
 class ValidationError(ValueError):
@@ -73,24 +73,4 @@ def require_non_negative(value: float, name: str) -> float:
         require_type(value, (int, float), name)
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def require_in(value: Any, allowed: Container[Any], name: str) -> Any:
-    """Require that *value* is a member of *allowed* and return it."""
-    if value not in allowed:
-        shown: Any = allowed
-        if isinstance(allowed, Iterable) and not isinstance(allowed, (str, bytes)):
-            try:
-                shown = sorted(allowed)  # type: ignore[type-var]
-            except TypeError:
-                shown = list(allowed)  # type: ignore[arg-type]
-        raise ValidationError(f"{name} must be one of {shown}, got {value!r}")
-    return value
-
-
-def require_callable(value: Any, name: str) -> Callable[..., Any]:
-    """Require that *value* is callable and return it."""
-    if not callable(value):
-        raise ValidationError(f"{name} must be callable, got {type(value).__name__}")
     return value

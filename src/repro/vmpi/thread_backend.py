@@ -62,13 +62,6 @@ class ThreadMailbox:
                 found = _scan()
             return found
 
-    def drain(self) -> list[Message]:
-        """Remove and return all buffered messages (oldest first)."""
-        with self._lock:
-            out = list(self._items)
-            self._items.clear()
-            return out
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)

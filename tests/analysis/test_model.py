@@ -85,9 +85,9 @@ class TestSharedDriver:
         rank 1's answer there deadlocks the fault-free world (M201)."""
         execute = ProtocolDriver._execute_directive
 
-        def drop_answer_to_rank_1(self, prog, d, out=None, cause=None):
+        def drop_answer_to_rank_1(self, prog, d, cause=None):
             if not (isinstance(d, DeliverAnswer) and d.rank == 1):
-                execute(self, prog, d, out, cause)
+                execute(self, prog, d, cause)
 
         monkeypatch.setattr(
             ProtocolDriver, "_execute_directive", drop_answer_to_rank_1

@@ -98,14 +98,6 @@ class TestBasicFifo:
         with pytest.raises(IndexError):
             store.get_nowait()
 
-    def test_drain(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(4):
-            store.put(i)
-        assert store.drain() == [0, 1, 2, 3]
-        assert store.is_empty
-
 
 class TestBoundedStore:
     def test_put_nowait_raises_when_full(self):

@@ -10,8 +10,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
-    Timer,
 )
 
 
@@ -48,13 +46,6 @@ class TestInstruments:
         with pytest.raises(ValueError, match="NaN"):
             h.observe(math.nan)
         assert h.count == 0
-
-    def test_timer_context_manager(self):
-        t = Timer()
-        with t.time():
-            pass
-        assert t.count == 1
-        assert t.summary()["min"] >= 0.0
 
 
 class TestRegistry:
@@ -96,23 +87,6 @@ class TestRegistry:
         reg.gauge("beta").set(1.0)
         out = reg.snapshot().render()
         assert "alpha" in out and "beta" in out
-
-
-class TestNullMetrics:
-    def test_all_instruments_are_noops(self):
-        reg = NullMetrics()
-        reg.counter("x").inc(10)
-        reg.gauge("y").set(5.0)
-        reg.histogram("z").observe(1.0)
-        with reg.timer("t").time():
-            pass
-        snap = reg.snapshot()
-        assert snap.samples == ()
-
-    def test_instruments_are_shared_singletons(self):
-        reg = NullMetrics()
-        assert reg.counter("a") is reg.counter("b")
-        assert reg.timer("a") is reg.timer("b")
 
 
 class TestHistogramQuantiles:

@@ -1,22 +1,13 @@
-"""The sampling profiler: phase attribution, exports, and the facade
-lifecycle behind ``RunOptions(profile=True)``."""
+"""The sampling profiler (a library tool): phase attribution and the
+start/stop lifecycle."""
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
-import repro
-from repro.obs.export import validate_chrome_trace
-from repro.obs.profile import (
-    PHASES,
-    PROFILE_SCHEMA,
-    Profile,
-    SamplingProfiler,
-    phase_of,
-)
+from repro.obs.profile import PHASES, Profile, SamplingProfiler, phase_of
 
 
 def busy_run(profiler: SamplingProfiler, seconds: float = 0.12) -> Profile:
@@ -102,94 +93,13 @@ class TestSamplingProfiler:
         assert second.samples >= first.samples
 
 
-class TestProfileExports:
-    def profile(self) -> Profile:
-        return busy_run(SamplingProfiler(interval=0.001))
-
-    def test_collapsed_stack_text(self):
-        profile = self.profile()
-        text = profile.collapsed()
-        assert text  # non-empty for a busy run — the acceptance bar
-        for line in text.strip().splitlines():
-            stack, _, count = line.rpartition(" ")
-            assert stack and ";" in stack
-            assert int(count) > 0
-        assert sum(
-            int(line.rpartition(" ")[2]) for line in text.strip().splitlines()
-        ) == profile.samples
-
-    def test_empty_profile_collapsed_is_empty(self):
-        assert Profile(samples=0, interval=0.01, duration=0.0).collapsed() == ""
-
-    def test_chrome_trace_validates(self):
-        trace = self.profile().chrome_trace()
-        assert validate_chrome_trace(json.loads(json.dumps(trace))) == []
-        names = {e["args"]["name"] for e in trace["traceEvents"] if e["ph"] == "M"}
-        assert set(PHASES) <= names
-
-    def test_chrome_trace_durations_match_samples(self):
-        profile = Profile(
-            samples=30, interval=0.01, duration=1.0,
-            stacks={"a;b": 30}, phases={"match": 10, "other": 20},
-        )
-        trace = profile.chrome_trace()
-        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert {e["name"] for e in spans} == {"sampled:match", "sampled:other"}
-        by_name = {e["name"]: e for e in spans}
-        assert by_name["sampled:match"]["dur"] == pytest.approx(10 * 0.01 * 1e6)
-        assert by_name["sampled:other"]["ts"] >= by_name["sampled:match"]["dur"]
-
-    def test_as_dict_schema_and_truncation(self):
-        profile = Profile(
-            samples=6, interval=0.01, duration=0.1,
-            stacks={f"s{i};leaf": i + 1 for i in range(5)},
-            phases={"other": 6},
-        )
-        payload = profile.as_dict(max_stacks=2)
-        assert payload["schema"] == PROFILE_SCHEMA
-        assert payload["phases"]["match"] == 0  # every phase present
-        assert len(payload["stacks"]) == 2
-        assert payload["stacks"][0]["count"] == 5  # hottest first
-        assert len(profile.as_dict(max_stacks=0)["stacks"]) == 5
-        json.dumps(payload)  # JSON-ready
-
-    def test_phase_fraction_and_top(self):
+class TestProfile:
+    def test_phase_fraction(self):
         profile = Profile(
             samples=4, interval=0.01, duration=0.1,
             stacks={"a;b": 3, "a;c": 1}, phases={"match": 1, "other": 3},
         )
         assert profile.phase_fraction("match") == 0.25
         assert profile.phase_fraction("wire") == 0.0
-        assert profile.top(1) == [("a;b", 3)]
         empty = Profile(samples=0, interval=0.01, duration=0.0)
         assert empty.phase_fraction("match") == 0.0
-
-
-class TestFacadeIntegration:
-    def test_run_options_profile_attaches_a_profile(self):
-        from tests.obs.conftest import demo_run
-
-        # Fast cadence so even this sub-second run collects samples.
-        result = demo_run(with_tracer=False, profile=0.0005)
-        assert result.profile is not None
-        assert result.profile.interval == 0.0005
-        assert result.profile.samples >= 0
-        assert validate_chrome_trace(result.profile.chrome_trace()) == []
-        # Attribution hit framework phases or fell back to "other" —
-        # either way the totals reconcile.
-        assert sum(result.profile.phases.values()) == result.profile.samples
-
-    def test_profile_defaults_off(self, demo_result):
-        assert demo_result.profile is None
-
-    def test_profile_true_uses_default_interval(self):
-        from repro.obs.profile import DEFAULT_INTERVAL
-        from tests.obs.conftest import demo_run
-
-        result = demo_run(with_tracer=False, profile=True)
-        assert result.profile is not None
-        assert result.profile.interval == DEFAULT_INTERVAL
-
-    def test_bad_profile_interval_rejected_by_options(self):
-        with pytest.raises(Exception, match="profile"):
-            repro.RunOptions(profile=-1.0)

@@ -50,7 +50,6 @@ class TestSerializationRoundTrips:
             seed=17,
             retransmit_timeout=0.5,
             max_retransmits=3,
-            batch_control=True,
             match_backend="sorted",
         )
         rebuilt = options_from_dict(options_to_dict(opts))

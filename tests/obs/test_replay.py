@@ -93,6 +93,33 @@ class TestBitExactReplay:
         assert v["ok"] and not v["cross_backend"] and v["report_identical"]
         assert replayed_on == ["legacy"]
 
+    @staticmethod
+    def _with_batch_control(src, dst, value):
+        """Copy log *src* to *dst* with the retired option in its header."""
+        header, _, rest = src.read_text().partition("\n")
+        record = json.loads(header)
+        record["options"]["batch_control"] = value
+        dst.write_text(json.dumps(record, sort_keys=True) + "\n" + rest)
+        return dst
+
+    def test_old_log_batch_control_off_verifies_on_causal_digest(self, plain_log, tmp_path):
+        # The recorded report digest covered the two retired frame
+        # counters, so it cannot be recomputed: no verdict, not MISMATCH.
+        old = self._with_batch_control(plain_log, tmp_path / "old.prov", False)
+        v = verify_replay(old)
+        assert v["ok"] is True
+        assert v["causal_identical"] is True
+        assert v["report_identical"] is None
+
+    def test_old_log_batch_control_on_is_refused(self, plain_log, tmp_path, capsys):
+        from repro.cli import main
+
+        old = self._with_batch_control(plain_log, tmp_path / "framed.prov", True)
+        with pytest.raises(ProvenanceError, match="batch_control"):
+            verify_replay(old)
+        assert main(["replay", str(old)]) == 2
+        assert "batch_control" in capsys.readouterr().err
+
     def test_replay_returns_a_full_run_result(self, plain_log):
         log = read_log(plain_log)
         result = replay(log)

@@ -122,7 +122,9 @@ class TestValidateConfig:
         assert "INVALID" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
-        assert main(["validate-config", "/nonexistent/x.cfg"]) == 1
+        # Unreadable is a usage error (as in ``lint``); invalid stays 1.
+        assert main(["validate-config", "/nonexistent/x.cfg"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_warning_surfaced(self, tmp_path, capsys):
         # A syntactically valid config with no connections -> no warnings,
@@ -446,6 +448,39 @@ class TestRecordReplay:
         rc = main(["replay", str(bad)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestExitCodeContract:
+    """Exit 1 means findings, never a crash (``docs/cli.md``)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["record", "{path}"],
+            ["figure4", "--exports", "21", "--runs", "1", "--json", "{path}"],
+            ["traces", "--figure", "5", "--chrome", "{path}"],
+            ["traces", "--figure", "5", "--causal", "{path}"],
+            ["experiments", "--exports", "21", "--runs", "1", "--out", "{path}"],
+            ["verify", "--max-states", "200", "--mutate", "no_answer_cache",
+             "--cex", "{path}"],
+        ],
+        ids=["record", "figure4-json", "traces-chrome", "traces-causal",
+             "experiments-out", "verify-cex"],
+    )
+    def test_unwritable_output_path_is_a_usage_error(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "no" / "such" / "dir" / "out")
+        assert main([a.format(path=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_any_other_crash_is_a_traceback_and_exit_2(self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.cli, "_cmd_version", boom)
+        assert main(["version"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestParser:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.render import SHADES, heatmap, side_by_side
+from repro.util.render import SHADES, heatmap
 
 
 class TestHeatmap:
@@ -43,19 +43,3 @@ class TestHeatmap:
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             heatmap(np.zeros((4, 4)), width=0)
-
-
-class TestSideBySide:
-    def test_joins_lines(self):
-        out = side_by_side("ab\ncd", "XY\nZW", gap=2)
-        assert out == "ab  XY\ncd  ZW"
-
-    def test_uneven_heights_padded(self):
-        out = side_by_side("a", "x\ny", gap=1)
-        lines = out.splitlines()
-        assert lines[0] == "a x"
-        assert lines[1].endswith("y")
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            side_by_side("a", "b", gap=-1)

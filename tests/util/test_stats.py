@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import Histogram, OnlineStats, SeriesSummary
+from repro.util.stats import OnlineStats, SeriesSummary
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -143,48 +143,3 @@ class TestSeriesSummary:
         s = SeriesSummary.from_series([3.0] * 50)
         assert s.stddev == 0.0
         assert s.minimum == s.maximum == 3.0
-
-
-class TestHistogram:
-    def test_counts_in_bins(self):
-        h = Histogram(0.0, 10.0, nbins=10)
-        h.add_many([0.5, 1.5, 1.6, 9.9])
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-        assert h.total == 4
-
-    def test_out_of_range_folds_into_edge_bins(self):
-        h = Histogram(0.0, 1.0, nbins=4)
-        h.add(-5.0)
-        h.add(99.0)
-        assert h.counts[0] == 1
-        assert h.counts[3] == 1
-        assert h.total == 2
-
-    def test_bin_edges(self):
-        h = Histogram(0.0, 1.0, nbins=4)
-        assert h.bin_edges() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_mode_bin(self):
-        h = Histogram(0.0, 3.0, nbins=3)
-        h.add_many([0.1, 1.1, 1.2, 2.5])
-        assert h.mode_bin() == 1
-
-    def test_nan_sample_rejected(self):
-        h = Histogram(0.0, 1.0, nbins=4)
-        with pytest.raises(ValueError, match="must not be NaN"):
-            h.add(float("nan"))
-        assert h.total == 0  # nothing was recorded
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 0.0, nbins=4)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, nbins=0)
-
-    @given(st.lists(st.floats(0, 10, allow_nan=False), max_size=100))
-    def test_total_always_equals_samples(self, xs):
-        h = Histogram(0.0, 10.0, nbins=7)
-        h.add_many(xs)
-        assert h.total == len(xs)

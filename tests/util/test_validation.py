@@ -5,8 +5,6 @@ import pytest
 from repro.util.validation import (
     ValidationError,
     require,
-    require_callable,
-    require_in,
     require_non_negative,
     require_positive,
     require_type,
@@ -64,26 +62,3 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match="must be >= 0"):
             require_non_negative(-0.1, "n")
-
-
-class TestRequireIn:
-    def test_accepts_member(self):
-        assert require_in("a", {"a", "b"}, "x") == "a"
-
-    def test_rejects_non_member_with_sorted_choices(self):
-        with pytest.raises(ValidationError, match=r"\['a', 'b'\]"):
-            require_in("c", {"b", "a"}, "x")
-
-    def test_unsortable_choices_still_reported(self):
-        with pytest.raises(ValidationError):
-            require_in(3, {1, "a"}, "x")
-
-
-class TestRequireCallable:
-    def test_accepts_function(self):
-        fn = lambda: None  # noqa: E731
-        assert require_callable(fn, "f") is fn
-
-    def test_rejects_non_callable(self):
-        with pytest.raises(ValidationError, match="must be callable"):
-            require_callable(42, "f")
