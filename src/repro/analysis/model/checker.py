@@ -3,7 +3,7 @@
 The checker enumerates every reachable state of a
 :class:`~repro.analysis.model.machine.ModelMachine` under all message
 interleavings and fault actions within the configured budgets, and
-checks five invariants:
+checks six invariants:
 
 =========  ==============================================================
 ``M201``   no deadlock: a quiescent state with an unresolved import and
@@ -18,11 +18,16 @@ checks five invariants:
            bound (checked structurally on every reached state)
 ``M205``   every PENDING import eventually resolves (quiescence with a
            PENDING import after faults the protocol claims to absorb)
+``M206``   no export skipped or evicted on any schedule is later the
+           match: at every terminal state each live exporter rank has
+           transferred every MATCH answer it holds
 =========  ==============================================================
 
-States are canonicalized (:meth:`ModelMachine.encode`) and hashed with
-BLAKE2b-128 so the visited set stores 16-byte digests, not object
-graphs.  The search is a depth-first walk with **sleep sets**
+States are copy-on-write per component and hashed with BLAKE2b-128 over
+the components' cached canonical bytes (:meth:`ModelMachine.digest`), so
+the visited set stores 16-byte digests, not object graphs, and a
+transition re-encodes only what it wrote.  The search is a depth-first
+walk with **sleep sets**
 (Godefroid): after exploring action *a* from a state, every previously
 explored action independent of *a* is put to sleep in *a*'s successor —
 permutations of commuting actions are walked once instead of ``n!``
@@ -42,15 +47,14 @@ as a ``repro.causal/v1`` DAG.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import pickle
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.analysis.model.machine import (
     VIOLATION_ERRORS,
+    Action,
     ModelConfig,
     ModelMachine,
     _Working,
@@ -78,10 +82,8 @@ RULE_PAPER = {
     "M203": "§4 (five legal cases)",
     "M204": "§4.1, Eq. 1-2",
     "M205": "§4 (Property 1)",
+    "M206": "§4.1 (skip rule)",
 }
-
-Action = tuple[Any, ...]
-
 
 @dataclass
 class CheckResult:
@@ -111,54 +113,32 @@ class CheckResult:
         }
 
 
-def _digest(canon: tuple[Any, ...]) -> bytes:
-    """16-byte stable digest of a canonical state.
-
-    The pickler runs with the memo disabled (``fast`` mode): default
-    pickling emits back-references for *shared* sub-objects, so two
-    equal canonical states could serialize differently depending on
-    object identity (e.g. a wire-level ``dup`` puts the same message
-    tuple in a channel twice, while the decoded twin holds two distinct
-    equal tuples).  Canonical states are acyclic nested tuples, so
-    disabling the memo is safe and makes the digest a function of
-    *value* only.
-    """
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, protocol=4)
-    pickler.fast = True  # value-deterministic: no identity-based memo refs
-    pickler.dump(canon)
-    return hashlib.blake2b(buf.getvalue(), digest_size=16).digest()
-
-
-@dataclass
+@dataclass(slots=True)
 class _Frame:
-    """One DFS stack entry (children are generated lazily).
-
-    Frames keep their materialized working state so expanding a child is
-    one :func:`clone_working` call.
-    """
+    """One DFS stack entry: a state, the enabled actions not tried from
+    it yet and the ones asleep there (its sleep set, plus every action
+    already explored from it)."""
 
     w: _Working
     digest: bytes
-    actions: list[Action]
-    sleep: frozenset[Action]
-    idx: int = 0
-    done: list[Action] = field(default_factory=list)
+    todo: Iterator[Action]
+    asleep: set[Action]
 
 
 class _Explorer:
-    def __init__(
-        self,
-        config: ModelConfig,
-        max_states: int,
-        por: bool,
-        max_schedule_actions: int,
-    ) -> None:
+    def __init__(self, config: ModelConfig, max_states: int, por: bool) -> None:
         self.machine = ModelMachine(config)
         self.config = config
         self.max_states = max_states
-        self.por = por
-        self.max_schedule_actions = max_schedule_actions
+        #: action -> every action of the world independent of it (disjoint
+        #: footprints); nothing is independent when reduction is off.
+        footprints = self.machine.footprints
+        self.independent: dict[Action, frozenset[Action]] = {
+            a: frozenset(
+                b for b, fb in footprints.items() if por and fa.isdisjoint(fb)
+            )
+            for a, fa in footprints.items()
+        }
         self.visited: dict[bytes, frozenset[Action]] = {}
         self.parent: dict[bytes, tuple[bytes, Action]] = {}
         self.report = Report()
@@ -170,19 +150,8 @@ class _Explorer:
         self.terminals = 0
         self.max_depth = 0
         self.complete = True
-        self._footprints: dict[Action, frozenset[Any]] = {}
 
     # -- helpers ------------------------------------------------------------
-    def _footprint(self, a: Action) -> frozenset[Any]:
-        fp = self._footprints.get(a)
-        if fp is None:
-            fp = self.machine.footprint(a)
-            self._footprints[a] = fp
-        return fp
-
-    def _independent(self, a: Action, b: Action) -> bool:
-        return not (self._footprint(a) & self._footprint(b))
-
     def _path_to(self, digest: bytes, extra: Action | None) -> list[Action]:
         actions: list[Action] = [] if extra is None else [extra]
         cur = digest
@@ -228,96 +197,76 @@ class _Explorer:
             self._record("M204", occupancy, digest, None)
         if not actions:
             self.terminals += 1
-            terminal = self.machine.classify_terminal(w)
-            if terminal is not None:
-                self._record(terminal[0], terminal[1], digest, None)
+            for rule, message in self.machine.classify_terminal(w):
+                self._record(rule, message, digest, None)
 
     # -- main loop ----------------------------------------------------------
     def run(self) -> None:
         machine = self.machine
-        init_w = machine.initial_working()
-        init_canon = machine.encode(init_w)
-        init_digest = _digest(init_canon)
-        init_actions = machine.enabled_actions(init_w)
-        self.visited[init_digest] = frozenset()
-        self._inspect(init_w, init_actions, init_digest)
-        stack = [
-            _Frame(
-                w=init_w,
-                digest=init_digest,
-                actions=init_actions,
-                sleep=frozenset(),
-            )
-        ]
+        visited = self.visited
+        independent = self.independent
+        sleeps: dict[frozenset[Action], frozenset[Action]] = {}
+        w = machine.initial_working()
+        digest = machine.digest(w)
+        actions = machine.enabled_actions(w)
+        visited[digest] = frozenset()
+        self._inspect(w, actions, digest)
+        if self.max_states <= 1:
+            self.complete = False
+            return
+        stack = [_Frame(w, digest, iter(actions), set())]
         while stack:
-            if len(self.visited) >= self.max_states:
-                self.complete = False
-                break
-            self.max_depth = max(self.max_depth, len(stack))
+            if len(stack) > self.max_depth:
+                self.max_depth = len(stack)
             frame = stack[-1]
-            if frame.idx >= len(frame.actions):
-                stack.pop()
-                continue
-            action = frame.actions[frame.idx]
-            frame.idx += 1
-            if self.por and action in frame.sleep:
-                self.sleep_skips += 1
-                continue
-            w = clone_working(frame.w)
-            self.transitions += 1
-            try:
-                machine.apply(w, action)
-            except VIOLATION_ERRORS as exc:
-                frame.done.append(action)
-                self._record(
-                    "M203",
-                    f"illegal transition {self._label(action)}: {exc}",
-                    frame.digest,
-                    action,
-                )
-                continue
-            child_canon = machine.encode(w)
-            child_digest = _digest(child_canon)
-            if self.por:
-                inherited = [b for b in frame.sleep if b != action]
-                inherited.extend(frame.done)
-                child_sleep = frozenset(
-                    b for b in inherited if self._independent(action, b)
-                )
+            asleep = frame.asleep
+            for action in frame.todo:
+                if action in asleep:
+                    self.sleep_skips += 1
+                    continue
+                # Godefroid: what slept or was explored here and commutes
+                # with *action* sleeps in its successor.  (One object per
+                # distinct set: the visited map holds a few hundred, not one
+                # per state.)
+                child_sleep = independent[action] & asleep
+                child_sleep = sleeps.setdefault(child_sleep, child_sleep)
+                asleep.add(action)
+                w = clone_working(frame.w)
+                self.transitions += 1
+                try:
+                    machine.apply(w, action)
+                except VIOLATION_ERRORS as exc:
+                    self._record(
+                        "M203",
+                        f"illegal transition {self._label(action)}: {exc}",
+                        frame.digest,
+                        action,
+                    )
+                    continue
+                digest = machine.digest(w)
+                stored = visited.get(digest)
+                if stored is None:
+                    visited[digest] = child_sleep
+                    self.parent[digest] = (frame.digest, action)
+                    actions = machine.enabled_actions(w)
+                    self._inspect(w, actions, digest)
+                    if len(visited) >= self.max_states:
+                        self.complete = False
+                        return
+                elif stored <= child_sleep:
+                    continue
+                else:
+                    # Revisit with new wake-ups: re-expand under the
+                    # intersection so no interleaving is lost to caching.
+                    merged = stored & child_sleep
+                    visited[digest] = child_sleep = sleeps.setdefault(merged, merged)
+                    self.revisits += 1
+                    actions = machine.enabled_actions(w)
+                if actions:
+                    stack.append(_Frame(w, digest, iter(actions), set(child_sleep)))
+                    break
             else:
-                child_sleep = frozenset()
-            frame.done.append(action)
-            stored = self.visited.get(child_digest)
-            if stored is None:
-                self.visited[child_digest] = child_sleep
-                self.parent[child_digest] = (frame.digest, action)
-                child_actions = machine.enabled_actions(w)
-                self._inspect(w, child_actions, child_digest)
-                if child_actions:
-                    stack.append(
-                        _Frame(
-                            w=w,
-                            digest=child_digest,
-                            actions=child_actions,
-                            sleep=child_sleep,
-                        )
-                    )
-            elif self.por and not (stored <= child_sleep):
-                # Revisit with new wake-ups: re-expand under the
-                # intersection so no interleaving is lost to caching.
-                merged = stored & child_sleep
-                self.visited[child_digest] = merged
-                self.revisits += 1
-                child_actions = machine.enabled_actions(w)
-                if child_actions:
-                    stack.append(
-                        _Frame(
-                            w=w,
-                            digest=child_digest,
-                            actions=child_actions,
-                            sleep=merged,
-                        )
-                    )
+                stack.pop()
 
     @staticmethod
     def _label(action: Action) -> str:
@@ -329,7 +278,6 @@ def check(
     *,
     max_states: int = 500_000,
     por: bool = True,
-    max_schedule_actions: int = 10_000,
 ) -> CheckResult:
     """Exhaustively model-check *config* (default: the bounded 2x2 world).
 
@@ -344,12 +292,9 @@ def check(
     por:
         Disable to explore without sleep-set reduction — same states,
         same findings, more transitions (the benchmark baseline).
-    max_schedule_actions:
-        Upper bound on counterexample schedule length (guards the
-        parent-pointer walk against pathological depths).
     """
     cfg = config if config is not None else ModelConfig()
-    explorer = _Explorer(cfg, max_states, por, max_schedule_actions)
+    explorer = _Explorer(cfg, max_states, por)
     t0 = time.perf_counter()
     explorer.run()
     elapsed = time.perf_counter() - t0
@@ -362,6 +307,10 @@ def check(
         "sleep_skips": explorer.sleep_skips,
         "revisits": explorer.revisits,
         "max_depth": explorer.max_depth,
+        # Explored exports skipped only because of a buddy answer.
+        "buddy_skips": sum(
+            ctx.stats.buddy_skips for ctx in explorer.machine.driver.exporters
+        ),
         "por": por,
         "complete": explorer.complete,
         "elapsed_sec": elapsed,
@@ -386,6 +335,8 @@ def directed_worlds(
     every world stays small enough to explore *exhaustively*.  Together
     the worlds cover every fault the base config budgets for; a world is
     omitted when its budget is zero (e.g. strict mode never drops).
+    The last world, ``buddy``, is fault-free and directed at the
+    buddy-help skip path instead (omitted without buddy-help).
     """
     cfg = base if base is not None else ModelConfig()
     worlds = [
@@ -433,6 +384,17 @@ def directed_worlds(
                 ),
             )
         )
+    if cfg.buddy_help and cfg.requests:
+        # The clean world again, with two exports strictly inside the
+        # first request's acceptable region: a rank that hears the answer
+        # early meets the first of them below a threshold only the buddy
+        # answer raised, and skips an object *inside* the region (what a
+        # rank skips on a buddy answer elsewhere lies below it).
+        low, high = cfg.connection_spec().policy.region(cfg.requests[0])
+        inside = (low + 0.2 * (high - low), low + 0.6 * (high - low))
+        if low < inside[0] < inside[1] < high:
+            exports = tuple(ts for ts in cfg.exports if ts < low) + inside
+            worlds.append(("buddy", replace(worlds[0][1], exports=exports)))
     return worlds
 
 

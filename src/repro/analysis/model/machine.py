@@ -18,11 +18,14 @@ defect the checker explores; there is no second copy to drift.
 
 What is written here, and why it cannot be the runtimes' code:
 
-* canonical ``encode``/``clone`` of a state — exploration
-  needs value-hashed, copyable states; a run has one state and no use
-  for either;
+* copy-on-write states (:class:`_Working`) — exploration needs
+  copyable, value-hashed states and a transition writes one component
+  of one, so a child shares the rest with its parent and each component
+  caches its canonical bytes and (exporter ranks) its M204 verdict; a
+  run has one state and no use for any of it;
 * action enumeration and footprints — the nondeterministic scheduler
-  and its partial-order reduction replace a runtime's event loop;
+  and its partial-order reduction replace a runtime's event loop, and
+  the footprint's ``("c", comp)`` tokens are also what ``apply`` thaws;
 * the adversary (``drop``, ``dup``, ``crash``, budgets) — chosen
   exhaustively here, drawn from a seeded :class:`~repro.faults.plan.
   FaultPlan` in a run;
@@ -32,8 +35,10 @@ What is written here, and why it cannot be the runtimes' code:
 * the importer's conflicting-answer check — a run's importer takes the
   first answer and never sees a second; the model looks at every copy so
   a Property-1 breach surfaces as M203;
-* the data plane — not modelled: ``_send_pieces`` keeps only the
-  ledger's sent mark.
+* the data plane — not modelled: ``_send_pieces`` keeps the driver's
+  lookup-or-raise and the ledger's sent mark, nothing travels;
+* the ``no_must_send`` fixture and the M206 terminal check — a skipped
+  match blocks no import when no data moves, so the model looks.
 
 World shape: one importing program ``I`` (``nimp`` ranks + rep) and one
 exporting program ``E`` (``nexp`` ranks + rep) over one connection.
@@ -71,15 +76,21 @@ wire copy disappears (delivery or drop) — a remembered seq with no
 live copy can never be consulted again, and keeping it would make the
 stamper's choice depend on dead history.
 
-States are canonicalized into nested tuples (:meth:`ModelMachine.encode`)
-for hashing; behavioural fields only — reporting counters are excluded
-so states that cannot be distinguished by any future behaviour merge.
+States are hashed over canonical nested tuples, one per component
+(``canon()``, :meth:`ModelMachine.digest`); behavioural fields only —
+reporting counters are excluded so states that cannot be distinguished
+by any future behaviour merge.  The deep copy and the whole-state
+encode this replaced are the oracle of
+``tests/analysis/test_model_cow.py``.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import marshal
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from repro.api.options import RunOptions
@@ -91,7 +102,12 @@ from repro.core.exceptions import (
     ProtocolError,
     PropertyViolationError,
 )
-from repro.core.exporter import OpenRequest, RegionExportState
+from repro.core.exporter import (
+    ApplyOutcome,
+    ConnectionExportState,
+    OpenRequest,
+    RegionExportState,
+)
 from repro.core.importer import RegionImportState
 from repro.core.protocol import (
     ContextBase,
@@ -120,6 +136,7 @@ __all__ = [
     "MUTATIONS",
     "VIOLATION_ERRORS",
     "NoAnswerCacheExporterRep",
+    "NoMustSendConnection",
     "clone_working",
     "mutation_config",
     "plane_of_channel",
@@ -136,7 +153,7 @@ VIOLATION_ERRORS = (
 )
 
 #: The supported self-test mutations (see ``docs/static_analysis.md``).
-MUTATIONS = ("no_dedup", "no_answer_cache")
+MUTATIONS = ("no_dedup", "no_answer_cache", "no_must_send")
 
 #: The one coupled region of the model world.
 REGION = "d"
@@ -172,6 +189,23 @@ class NoAnswerCacheExporterRep(ExporterRep):
             self.duplicate_requests += 1
             return []  # the mutation: cache bypassed, importer hears nothing
         return super().on_request(connection_id, request_ts)
+
+
+class NoMustSendConnection(ConnectionExportState):
+    """Mutation fixture: a buddy-learned match is not put in ``must_send``.
+
+    A rank that hears the collective's answer before it has generated
+    the matched object then meets that object with a skip threshold the
+    same answer raised past it, and *skips the match* — the one export
+    the skip rule of Section 4.1 must never drop.  No import blocks (the
+    data plane is not modelled), so only M206 can see it.
+    """
+
+    def apply_answer(self, answer: FinalAnswer, source: str) -> ApplyOutcome:
+        applied = super().apply_answer(answer, source)
+        if source == "buddy" and answer.matched_ts is not None:
+            self.must_send.discard(answer.matched_ts)  # the mutation
+        return applied
 
 
 @dataclass(frozen=True)
@@ -299,8 +333,11 @@ def mutation_config(name: str) -> ModelConfig:
       the loss re-drives the request, and the rep must serve the
       finalized duplicate from its answer cache; without the cache the
       re-drives go unanswered until the budget burns out (**M202**).
+    * ``no_must_send`` — no fault at all: a slow rank only has to hear
+      the answer before it exports the match (**M206**, in the clean
+      world and again in ``buddy``).
 
-    Both worlds direct their fault at the ``rep`` plane (the rep<->rep
+    The first two direct their fault at the ``rep`` plane (the rep<->rep
     link): that is where duplicated requests meet the collective and
     where a lost aggregate answer forces the cache onto the recovery
     path, so it is the cheapest world in which each bug is observable
@@ -311,78 +348,30 @@ def mutation_config(name: str) -> ModelConfig:
         name in MUTATIONS,
         f"unknown mutation {name!r}; expected one of {MUTATIONS}",
     )
-    if name == "no_dedup":
-        return ModelConfig(
-            mode="strict",
-            drop_budget=0,
-            dup_budget=1,
-            crash_budget=0,
-            retransmit_budget=0,
-            fault_planes=("rep",),
-            mutate=name,
-        )
-    return ModelConfig(
-        mode="resilient",
-        drop_budget=1,
+    quiet = ModelConfig(
+        drop_budget=0,
         dup_budget=0,
         crash_budget=0,
-        retransmit_budget=2,
+        retransmit_budget=0,
         fault_planes=("rep",),
         mutate=name,
     )
+    if name == "no_dedup":
+        return replace(quiet, mode="strict", dup_budget=1)
+    if name == "no_answer_cache":
+        return replace(quiet, drop_budget=1, retransmit_budget=2)
+    return quiet
 
 
 # ---------------------------------------------------------------------------
-# working (materialized) state
+# model state: copy-on-write components
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ImpRank:
-    next_req: int = 0
-    outstanding: float | None = None
-    retr_left: int = 0
-    resolved: dict[float, tuple[str, float | None]] = field(default_factory=dict)
-    seen: set[tuple[str, int]] = field(default_factory=set)
+Action = tuple[Any, ...]
+Seq = tuple[str, int]
 
-
-@dataclass
-class _ExpRank:
-    region: RegionExportState
-    pos: int = 0
-    closed: bool = False
-    crashed: bool = False
-    seen: set[tuple[str, int]] = field(default_factory=set)
-
-
-class _Working:
-    """A fully materialized model state (mutable; one per transition)."""
-
-    __slots__ = (
-        "imp", "exp", "irep", "erep", "irep_seen", "erep_seen",
-        "chans", "drop_left", "dup_left", "crash_left",
-    )
-
-    def __init__(self) -> None:
-        self.imp: list[_ImpRank] = []
-        self.exp: list[_ExpRank] = []
-        self.irep: ImporterRep
-        self.erep: ExporterRep
-        self.irep_seen: set[tuple[str, int]] = set()
-        self.erep_seen: set[tuple[str, int]] = set()
-        self.chans: dict[tuple[str, str], list[tuple[Any, ...]]] = {}
-        self.drop_left = 0
-        self.dup_left = 0
-        self.crash_left = 0
-
-    def seen_of(self, node: str) -> set[tuple[str, int]]:
-        """The dedup memory of component *node* (``"IR"``, ``"E1"``, ...)."""
-        if node == "IR":
-            return self.irep_seen
-        if node == "ER":
-            return self.erep_seen
-        rank = int(node[1:])
-        return self.imp[rank].seen if node[0] == "I" else self.exp[rank].seen
-
+#: Marks an exporter rank whose M204 verdict has not been computed yet.
+_UNCHECKED: Any = object()
 
 #: Fast enum lookup (bypasses the EnumMeta call in hot paths).
 _KIND = {k.value: k for k in MatchKind}
@@ -527,60 +516,214 @@ def _clone_region(region: RegionExportState) -> RegionExportState:
     return new
 
 
-def clone_working(w: _Working) -> _Working:
-    """Deep-copy a working state along its mutable spine only.
+# A component is what one action writes.  Each has ``seen`` (its dedup
+# memory, a frozenset replaced on write), ``thaw()`` (a private copy,
+# mutable spine only, caches dropped), ``canon()`` (its behavioural
+# fields as a nested tuple) and ``enc`` (the cached bytes of that).
 
-    The DFS expands each state once per enabled action; re-decoding the
-    canonical tuple per transition dominated exploration time, so the
-    checker clones instead.  Immutable leaves (frozen answers/responses,
-    specs, policies) are shared between parent and child — only the
-    containers and the handful of mutable protocol objects are copied.
-    """
-    c = _Working()
-    c.imp = [
-        _ImpRank(i.next_req, i.outstanding, i.retr_left, dict(i.resolved), set(i.seen))
-        for i in w.imp
-    ]
-    irep = _clone_dictobj(w.irep)
-    irep._requests = {
-        cid: {
-            ts: _ImpRequestState(ts, set(st.waiting), set(st.asked), st.answer)
-            for ts, st in states.items()
-        }
-        for cid, states in w.irep._requests.items()
-    }
-    c.irep = irep
-    erep = _clone_dictobj(w.erep)
-    erep._requests = {
-        cid: {ts: _clone_exp_state(st) for ts, st in states.items()}
-        for cid, states in w.erep._requests.items()
-    }
-    erep._last_request_ts = dict(w.erep._last_request_ts)
-    erep.aggregate_cases = dict(w.erep.aggregate_cases)
-    c.erep = erep
-    c.irep_seen = set(w.irep_seen)
-    c.erep_seen = set(w.erep_seen)
-    c.exp = [
-        _ExpRank(
-            region=_clone_region(e.region),
-            pos=e.pos,
-            closed=e.closed,
-            crashed=e.crashed,
-            seen=set(e.seen),
+@dataclass(slots=True, eq=False)
+class _ImpRank:
+    """Component ``I<r>``: one importer rank's script position, the
+    answers it holds and its dedup memory."""
+
+    retr_left: int
+    next_req: int = 0
+    outstanding: float | None = None
+    resolved: dict[float, tuple[str, float | None]] = field(default_factory=dict)
+    seen: frozenset[Seq] = frozenset()
+    enc: bytes | None = None
+
+    def thaw(self) -> "_ImpRank":
+        return _ImpRank(
+            self.retr_left, self.next_req, self.outstanding,
+            dict(self.resolved), self.seen,
         )
-        for e in w.exp
-    ]
-    c.chans = {k: list(v) for k, v in w.chans.items()}
-    c.drop_left = w.drop_left
-    c.dup_left = w.dup_left
-    c.crash_left = w.crash_left
-    return c
+
+    def canon(self) -> tuple[Any, ...]:
+        return (
+            self.next_req,
+            self.outstanding,
+            self.retr_left,
+            tuple(sorted(self.resolved.items())),
+            tuple(sorted(self.seen)),
+        )
+
+
+@dataclass(slots=True, eq=False)
+class _ImpRepNode:
+    """Component ``IR``: the importer rep and its dedup memory."""
+
+    rep: ImporterRep
+    seen: frozenset[Seq] = frozenset()
+    enc: bytes | None = None
+
+    def thaw(self) -> "_ImpRepNode":
+        rep = _clone_dictobj(self.rep)
+        rep._requests = {
+            cid: {
+                ts: _ImpRequestState(ts, set(st.waiting), set(st.asked), st.answer)
+                for ts, st in states.items()
+            }
+            for cid, states in self.rep._requests.items()
+        }
+        return _ImpRepNode(rep, self.seen)
+
+    def canon(self) -> tuple[Any, ...]:
+        requests = tuple(
+            (
+                cid,
+                tuple(
+                    (
+                        ts,
+                        tuple(sorted(st.waiting)),
+                        tuple(sorted(st.asked)),
+                        _enc_answer(st.answer),
+                    )
+                    for ts, st in sorted(states.items())
+                ),
+            )
+            for cid, states in sorted(self.rep._requests.items())
+        )
+        return (requests, tuple(sorted(self.seen)))
+
+
+@dataclass(slots=True, eq=False)
+class _ExpRepNode:
+    """Component ``ER``: the exporter rep and its dedup memory."""
+
+    rep: ExporterRep
+    seen: frozenset[Seq] = frozenset()
+    enc: bytes | None = None
+
+    def thaw(self) -> "_ExpRepNode":
+        rep = _clone_dictobj(self.rep)
+        rep._requests = {
+            cid: {ts: _clone_exp_state(st) for ts, st in states.items()}
+            for cid, states in self.rep._requests.items()
+        }
+        rep._last_request_ts = dict(self.rep._last_request_ts)
+        rep.aggregate_cases = dict(self.rep.aggregate_cases)
+        return _ExpRepNode(rep, self.seen)
+
+    def canon(self) -> tuple[Any, ...]:
+        rep = self.rep
+        requests = tuple(
+            (
+                cid,
+                rep._last_request_ts[cid],
+                tuple(
+                    (
+                        ts,
+                        tuple(
+                            (rank, r.kind.value, r.matched_ts, r.latest_export_ts)
+                            for rank, r in sorted(st.responses.items())
+                        ),
+                        tuple(sorted(st.definitive_ranks)),
+                        _enc_answer(st.finalized),
+                        st.finalized_case,
+                        st.finalizing_rank,
+                    )
+                    for ts, st in sorted(states.items())
+                ),
+            )
+            for cid, states in sorted(rep._requests.items())
+        )
+        return (requests, tuple(sorted(self.seen)))
+
+
+@dataclass(slots=True, eq=False)
+class _ExpRank:
+    """Component ``E<r>``: one exporter rank's export state (match engine
+    and buffer ledger inside), script position, liveness and dedup
+    memory — plus the cached M204 verdict, a function of this alone."""
+
+    region: RegionExportState
+    pos: int = 0
+    closed: bool = False
+    crashed: bool = False
+    seen: frozenset[Seq] = frozenset()
+    enc: bytes | None = None
+    m204: str | None = _UNCHECKED
+
+    def thaw(self) -> "_ExpRank":
+        return _ExpRank(
+            _clone_region(self.region), self.pos, self.closed, self.crashed, self.seen
+        )
+
+    def canon(self) -> tuple[Any, ...]:
+        region = self.region
+        conns = tuple(
+            (
+                cid,
+                conn.engine.last_request_ts,
+                tuple(
+                    (ts, r.window, r.candidate_ts)
+                    for ts, r in sorted(conn.open_requests.items())
+                ),
+                tuple(
+                    (ts, _enc_answer(a)) for ts, a in sorted(conn.answers.items())
+                ),
+                conn.skip_threshold,
+                conn.local_skip_threshold,
+                tuple(sorted(conn.must_send)),
+                conn.window_count,
+                tuple(conn._buddy_raises),
+            )
+            for cid, conn in sorted(region.connections.items())
+        )
+        buf = tuple(
+            (ts, entry.window, entry.sent)
+            for ts, entry in sorted(region.buffer._entries.items())
+        )
+        return (
+            self.pos, self.closed, self.crashed, conns, buf,
+            tuple(sorted(self.seen)),
+        )
+
+
+@dataclass(slots=True, eq=False)
+class _Working:
+    """One model state, copy-on-write per component.
+
+    ``comps`` maps a component name (``I0..``, ``IR``, ``ER``, ``E0..``)
+    to its state object and ``chans`` every link of the world to the
+    tuple of entries in flight on it; both keep one fixed key order.
+    The two maps are private to a state, what they point at is shared
+    with the states it was cloned from and into: a component is written
+    only after :meth:`thaw` replaced it with a private copy, a channel
+    only by putting a new tuple in its slot.
+    """
+
+    comps: dict[str, Any]
+    chans: dict[tuple[str, str], tuple[tuple[Any, ...], ...]]
+    drop_left: int
+    dup_left: int
+    crash_left: int
+
+    def thaw(self, name: str) -> Any:
+        """Replace component *name* by a private copy and return it."""
+        comp = self.comps[name] = self.comps[name].thaw()
+        return comp
+
+
+def clone_working(w: _Working) -> _Working:
+    """A child of *w* that shares every component and channel with it.
+
+    The DFS expands each state once per enabled action, and an action
+    writes one component (its footprint says which): the child copies
+    the two small maps and :meth:`ModelMachine.apply` thaws what it is
+    about to write.  *w* itself is never written again.
+    """
+    return _Working(
+        dict(w.comps), dict(w.chans), w.drop_left, w.dup_left, w.crash_left
+    )
 
 
 # ---------------------------------------------------------------------------
 # the runtime adapter
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _node(address: tuple[Any, ...]) -> str:
     """Model name of a framework address: ``("rep", "E")`` is ``"ER"``,
     ``("ctl" | "cpl", "E", 1)`` is ``"E1"``."""
@@ -593,11 +736,12 @@ class _ModelDriver(ProtocolDriver):
     Its clock is the position in the schedule being executed, its guard
     is empty (one action runs at a time) and its network is the FIFO
     channels of a :class:`_Working`.  All protocol state lives in the
-    working state being expanded; :meth:`bind` points the driver at it
-    before each action, so one driver serves every explored branch.
-    What the driver itself accumulates (wire counters, per-process
-    stats, causal bookkeeping) is observability: exploration never reads
-    it; counterexample replay — one path on a fresh driver — reports it.
+    working state being expanded; :meth:`bind` points the driver at the
+    components an action thawed, so one driver serves every explored
+    branch.  What the driver itself accumulates (wire counters,
+    per-process stats, causal bookkeeping) is observability: exploration
+    never reads it; counterexample replay — one path on a fresh driver —
+    reports it.
     """
 
     def __init__(self, config: ModelConfig, spec: ConnectionSpec) -> None:
@@ -633,13 +777,15 @@ class _ModelDriver(ProtocolDriver):
         self.importers: list[ContextBase] = self._programs["I"].contexts
         self.exporters: list[ContextBase] = self._programs["E"].contexts
 
-    def bind(self, w: _Working) -> None:
-        """Point the reps and the per-rank export states at *w*."""
-        self.w = w
-        self._programs["I"].imp_rep = w.irep
-        self._programs["E"].exp_rep = w.erep
-        for ctx, e in zip(self.exporters, w.exp):
-            ctx.export_states[REGION] = e.region
+    def bind(self, name: str, comp: Any) -> None:
+        """Point the driver at the protocol object of component *name*
+        (an importer rank holds none)."""
+        if name == "IR":
+            self._programs["I"].imp_rep = comp.rep
+        elif name == "ER":
+            self._programs["E"].exp_rep = comp.rep
+        elif name[0] == "E":
+            self.exporters[int(name[1:])].export_states[REGION] = comp.region
 
     def importer(self, r: int) -> ContextBase:
         """Importer rank *r* with a fresh import state.
@@ -664,20 +810,20 @@ class _ModelDriver(ProtocolDriver):
         """
         w = self.w
         s, d = _node(src), _node(dst)
-        chan = w.chans.setdefault((s, d), [])
-        taken = {q for q in w.seen_of(d) if q[0] == s}
-        taken.update(m[-2] for m in chan)
+        chan = w.chans[(s, d)]
         k = 0
-        while (s, k) in taken:
-            k += 1
-        chan.append(_enc_wire(payload) + ((s, k), payload.trace))
+        if chan:
+            seen = w.comps[d].seen
+            flying = [m[-2] for m in chan]
+            while (s, k) in flying or (s, k) in seen:
+                k += 1
+        w.chans[(s, d)] = chan + (_enc_wire(payload) + ((s, k), payload.trace),)
 
     def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
-        """The data plane is not modelled: keep only the ledger's sent
-        mark, which eviction and the M204 bound read."""
-        buf = ctx.export_states[region].buffer
-        if buf.has(m) and not buf.get(m).sent:
-            buf.mark_sent(m)
+        """The data plane is not modelled: keep the lookup (a match that
+        is neither buffered nor sent raises, M203) and the ledger's sent
+        mark, which eviction, M204 and M206 read."""
+        self._match_entry(ctx, region, cid, m)
 
 
 class ModelMachine:
@@ -689,6 +835,32 @@ class ModelMachine:
         self.cid = self.spec.connection_id
         self._imp_ids = tuple(f"I{r}" for r in range(config.nimp))
         self._exp_ids = tuple(f"E{r}" for r in range(config.nexp))
+        #: Every link of the world, in the order deliveries are enumerated.
+        up = [(i, "IR") for i in self._imp_ids] + [(e, "ER") for e in self._exp_ids]
+        up.append(("IR", "ER"))
+        self._links = tuple(sorted(up + [(dst, src) for src, dst in up]))
+        self._in_links = {
+            dst: tuple(link for link in self._links if link[1] == dst)
+            for _src, dst in self._links
+        }
+        self._fault_links = frozenset(
+            link for link in self._links
+            if plane_of_channel(*link) in config.fault_planes
+        )
+        #: Every action some state of this world can enable -> its footprint.
+        self.footprints: dict[Action, frozenset[Any]] = {
+            action: self.footprint(action)
+            for action in (
+                [(kind, *link) for kind in ("deliver", "drop", "dup") for link in self._links]
+                + [(kind, r) for kind in ("issue", "retransmit") for r in range(config.nimp)]
+                + [(kind, r) for kind in ("export", "close", "crash") for r in range(config.nexp)]
+            )
+        }
+        #: action -> the components its footprint says it writes.
+        self._writes = {
+            action: tuple(tok[1] for tok in footprint if tok[0] == "c")
+            for action, footprint in self.footprints.items()
+        }
         self.driver = _ModelDriver(config, self.spec)
 
     # -- construction -------------------------------------------------------
@@ -707,151 +879,62 @@ class ModelMachine:
         )
 
     def _new_region(self) -> RegionExportState:
-        return RegionExportState(
+        region = RegionExportState(
             REGION,
             [self.spec],
             strict_order=self.config.strict_order,
             match_backend=self.config.match_backend,
         )
+        if self.config.mutate == "no_must_send":
+            for conn in region.connections.values():
+                conn.__class__ = NoMustSendConnection
+        return region
 
     def initial_working(self) -> _Working:
-        """A fresh, fully materialized initial state."""
+        """A fresh initial state."""
         cfg = self.config
-        w = _Working()
-        w.imp = [
-            _ImpRank(retr_left=cfg.retransmit_budget) for _ in range(cfg.nimp)
-        ]
-        w.exp = [_ExpRank(region=self._new_region()) for _ in range(cfg.nexp)]
-        w.irep = ImporterRep("I", cfg.nimp, [self.cid])
-        w.erep = self._new_exporter_rep()
-        w.drop_left = cfg.drop_budget
-        w.dup_left = cfg.dup_budget
-        w.crash_left = cfg.crash_budget
-        return w
+        comps: dict[str, Any] = {
+            name: _ImpRank(retr_left=cfg.retransmit_budget) for name in self._imp_ids
+        }
+        comps["IR"] = _ImpRepNode(ImporterRep("I", cfg.nimp, [self.cid]))
+        comps["ER"] = _ExpRepNode(self._new_exporter_rep())
+        for name in self._exp_ids:
+            comps[name] = _ExpRank(self._new_region())
+        return _Working(
+            comps,
+            dict.fromkeys(self._links, ()),
+            cfg.drop_budget,
+            cfg.dup_budget,
+            cfg.crash_budget,
+        )
 
     # -- canonical encoding -------------------------------------------------
-    def encode(self, w: _Working) -> tuple[Any, ...]:
-        """Canonical nested-tuple form of *w* (behavioural fields only)."""
-        imp = tuple(
-            (
-                i.next_req,
-                i.outstanding,
-                i.retr_left,
-                tuple(sorted(i.resolved.items())),
+    def digest(self, w: _Working) -> bytes:
+        """16-byte BLAKE2b digest of the canonical form of *w*: each
+        component's ``canon()``, then the channels and the fault budgets.
+
+        ``marshal`` version 2 writes no back reference and no interning
+        flag, so the bytes are a function of value, never of object
+        identity (a wire-level ``dup`` puts the *same* entry tuple in a
+        channel twice), and its streams are self-delimiting, so hashing
+        the concatenation loses nothing.  A component keeps its bytes
+        until it is thawed: a transition re-encodes what it wrote.
+        """
+        parts = [comp.enc or self._encode(comp) for comp in w.comps.values()]
+        parts.append(
+            marshal.dumps(
+                (tuple(w.chans.values()), w.drop_left, w.dup_left, w.crash_left), 2
             )
-            for i in w.imp
         )
-        irep = tuple(
-            (
-                cid,
-                tuple(
-                    (
-                        ts,
-                        tuple(sorted(st.waiting)),
-                        tuple(sorted(st.asked)),
-                        _enc_answer(st.answer),
-                    )
-                    for ts, st in sorted(states.items())
-                ),
-            )
-            for cid, states in sorted(w.irep._requests.items())
-        )
-        erep = tuple(
-            (
-                cid,
-                w.erep._last_request_ts[cid],
-                tuple(
-                    (
-                        ts,
-                        tuple(
-                            (rank, r.kind.value, r.matched_ts, r.latest_export_ts)
-                            for rank, r in sorted(st.responses.items())
-                        ),
-                        tuple(sorted(st.definitive_ranks)),
-                        _enc_answer(st.finalized),
-                        st.finalized_case,
-                        st.finalizing_rank,
-                    )
-                    for ts, st in sorted(states.items())
-                ),
-            )
-            for cid, states in sorted(w.erep._requests.items())
-        )
-        exp = []
-        for e in w.exp:
-            region = e.region
-            conns = []
-            for cid, conn in sorted(region.connections.items()):
-                conns.append(
-                    (
-                        cid,
-                        conn.engine.last_request_ts,
-                        tuple(
-                            (ts, r.window, r.candidate_ts)
-                            for ts, r in sorted(conn.open_requests.items())
-                        ),
-                        tuple(
-                            (ts, _enc_answer(a))
-                            for ts, a in sorted(conn.answers.items())
-                        ),
-                        conn.skip_threshold,
-                        conn.local_skip_threshold,
-                        tuple(sorted(conn.must_send)),
-                        conn.window_count,
-                        tuple(conn._buddy_raises),
-                    )
-                )
-            buf = tuple(
-                (ts, entry.window, entry.sent)
-                for ts, entry in sorted(region.buffer._entries.items())
-            )
-            exp.append(
-                (
-                    e.pos,
-                    e.closed,
-                    e.crashed,
-                    tuple(conns),
-                    buf,
-                )
-            )
-        chans = tuple(
-            (key, tuple(msgs))
-            for key, msgs in sorted(w.chans.items())
-            if msgs
-        )
-        # Prune dedup memory to seqs still in transit toward each
-        # receiver: a remembered seq with no live copy can never be
-        # consulted again, so keeping it would only split states.
-        in_flight: dict[str, set[tuple[str, int]]] = {}
-        for (_src, dst), msgs in w.chans.items():
-            if msgs:
-                in_flight.setdefault(dst, set()).update(m[-2] for m in msgs)
-        def _pruned(dst: str, seen: set[tuple[str, int]]) -> tuple[Any, ...]:
-            live = in_flight.get(dst)
-            if not live:
-                return ()
-            return tuple(sorted(seen & live))
-        imp_pruned = tuple(
-            enc + (_pruned(f"I{r}", w.imp[r].seen),)
-            for r, enc in enumerate(imp)
-        )
-        exp_pruned = tuple(
-            enc + (_pruned(f"E{r}", w.exp[r].seen),)
-            for r, enc in enumerate(exp)
-        )
-        return (
-            imp_pruned,
-            irep,
-            _pruned("IR", w.irep_seen),
-            erep,
-            _pruned("ER", w.erep_seen),
-            exp_pruned,
-            chans,
-            (w.drop_left, w.dup_left, w.crash_left),
-        )
+        return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+
+    @staticmethod
+    def _encode(comp: Any) -> bytes:
+        comp.enc = enc = marshal.dumps(comp.canon(), 2)
+        return enc
 
     # -- actions ------------------------------------------------------------
-    def enabled_actions(self, w: _Working) -> list[tuple[Any, ...]]:
+    def enabled_actions(self, w: _Working) -> list[Action]:
         """Every action enabled in *w*, in a fixed deterministic order.
 
         Retransmission is *quiescence-gated*, the standard timeout
@@ -864,53 +947,52 @@ class ModelMachine:
         unbounded-timeout runtime cannot exhibit.
         """
         cfg = self.config
-        actions: list[tuple[Any, ...]] = []
-        crashed = {self._exp_ids[r] for r, e in enumerate(w.exp) if e.crashed}
+        comps = w.comps
+        imp = [comps[name] for name in self._imp_ids]
+        exp = [comps[name] for name in self._exp_ids]
+        crashed = [name for name, e in zip(self._exp_ids, exp) if e.crashed]
         live_chans = [
-            key for key, msgs in sorted(w.chans.items())
-            if msgs and key[1] not in crashed
+            link for link, msgs in w.chans.items()
+            if msgs and link[1] not in crashed
         ]
-        for src, dst in live_chans:
-            actions.append(("deliver", src, dst))
-        for r, i in enumerate(w.imp):
-            if i.outstanding is None and i.next_req < len(cfg.requests):
+        actions: list[Action] = [("deliver", *link) for link in live_chans]
+        nreq, nexports = len(cfg.requests), len(cfg.exports)
+        for r, i in enumerate(imp):
+            if i.outstanding is None and i.next_req < nreq:
                 actions.append(("issue", r))
-        for r, e in enumerate(w.exp):
+        for r, e in enumerate(exp):
             if e.crashed:
                 continue
-            if e.pos < len(cfg.exports):
+            if e.pos < nexports:
                 actions.append(("export", r))
             elif not e.closed:
                 actions.append(("close", r))
         if not actions and cfg.mode == "resilient":
-            for r, i in enumerate(w.imp):
+            for r, i in enumerate(imp):
                 if i.outstanding is not None and i.retr_left > 0:
                     actions.append(("retransmit", r))
-        fault_chans = [
-            ch for ch in live_chans
-            if plane_of_channel(*ch) in cfg.fault_planes
-        ]
-        if w.drop_left > 0:
-            for src, dst in fault_chans:
-                actions.append(("drop", src, dst))
-        if w.dup_left > 0:
-            for src, dst in fault_chans:
-                actions.append(("dup", src, dst))
+        if w.drop_left > 0 or w.dup_left > 0:
+            fault_chans = [ch for ch in live_chans if ch in self._fault_links]
+            if w.drop_left > 0:
+                actions += [("drop", *ch) for ch in fault_chans]
+            if w.dup_left > 0:
+                actions += [("dup", *ch) for ch in fault_chans]
         if w.crash_left > 0 and len(crashed) < cfg.nexp - 1:
-            for r, e in enumerate(w.exp):
+            for r, e in enumerate(exp):
                 if not e.crashed:
                     actions.append(("crash", r))
         return actions
 
-    def footprint(self, action: tuple[Any, ...]) -> frozenset[Any]:
+    def footprint(self, action: Action) -> frozenset[Any]:
         """Dependency footprint for the sleep-set independence relation.
 
         Two actions are independent iff their footprints are disjoint.
-        Tokens: ``("c", comp)`` — mutates a component's state;
-        ``("h", src, dst)`` — consumes the head of a FIFO;
-        ``("t", src, dst)`` — affects what the next *send* on that FIFO
-        is stamped with: pushes, drops and deliveries all change the
-        in-flight-or-remembered seq set the memoryless stamper
+        Tokens: ``("c", comp)`` — mutates a component's state (these
+        are also exactly the components :meth:`apply` thaws before it
+        runs the action); ``("h", src, dst)`` — consumes the head of a
+        FIFO; ``("t", src, dst)`` — affects what the next *send* on that
+        FIFO is stamped with: pushes, drops and deliveries all change
+        the in-flight-or-remembered seq set the memoryless stamper
         consults (a delivered seq is pruned from dedup memory the
         moment its last wire copy is gone); ``"F"`` — spends shared
         fault budget; ``"Q"`` — quiescence-gated (one retransmit
@@ -954,29 +1036,35 @@ class ModelMachine:
         return ()  # importer ranks never send from a delivery
 
     # -- transition ---------------------------------------------------------
-    def apply(self, w: _Working, action: tuple[Any, ...]) -> None:
+    def apply(self, w: _Working, action: Action) -> None:
         """Execute *action* on *w* in place.
 
-        Every protocol step is a call into the shared
-        :class:`~repro.core.protocol.ProtocolDriver` bound to *w*; what
-        is written out here is the adversary (drop, dup, crash) and
-        the scripts' bookkeeping.  Raises one of
+        The components the action's footprint names are thawed and
+        bound first; everything else *w* points at stays shared with
+        its parent and is only read.  Every protocol step is a call
+        into the shared :class:`~repro.core.protocol.ProtocolDriver`;
+        what is written out here is the adversary (drop, dup, crash)
+        and the scripts' bookkeeping.  Raises one of
         :data:`VIOLATION_ERRORS` when the real protocol code rejects
         the transition — the checker maps that to M203.
         """
         drv = self.driver
-        drv.bind(w)
+        drv.w = w
+        if action not in self._writes:
+            raise ValueError(f"unknown action {action!r}")
+        for name in self._writes[action]:
+            drv.bind(name, w.thaw(name))
         kind = action[0]
         if kind == "deliver":
             self._deliver(w, action[1], action[2])
         elif kind == "issue":
-            i = w.imp[action[1]]
+            i = w.comps[self._imp_ids[action[1]]]
             ts = self.config.requests[i.next_req]
             i.next_req += 1
             i.outstanding = ts
             drv._import_begin(drv.importer(action[1]), REGION, ts)
         elif kind == "retransmit":
-            i = w.imp[action[1]]
+            i = w.comps[self._imp_ids[action[1]]]
             assert i.outstanding is not None
             i.retr_left -= 1
             drv._retransmit(
@@ -986,7 +1074,7 @@ class ModelMachine:
                 rto=1.0,
             )
         elif kind == "export":
-            e, ctx = w.exp[action[1]], drv.exporters[action[1]]
+            e, ctx = w.comps[self._exp_ids[action[1]]], drv.exporters[action[1]]
             ts = self.config.exports[e.pos]
             e.pos += 1
             outcome = e.region.on_export(ts, nbytes=8, memcpy_cost=1.0)
@@ -995,38 +1083,64 @@ class ModelMachine:
             drv._after_export(ctx, REGION, ts, outcome)
             drv._evict(ctx, e.region)
         elif kind == "close":
-            e, ctx = w.exp[action[1]], drv.exporters[action[1]]
+            e, ctx = w.comps[self._exp_ids[action[1]]], drv.exporters[action[1]]
             e.closed = True
             drv._close_exports(ctx)
             drv._evict(ctx, e.region)
         elif kind == "crash":
-            w.exp[action[1]].crashed = True
+            w.comps[self._exp_ids[action[1]]].crashed = True
             w.crash_left -= 1
         elif kind == "drop":
-            w.chans[(action[1], action[2])].pop(0)
+            link = (action[1], action[2])
+            w.chans[link] = w.chans[link][1:]
             w.drop_left -= 1
-            self._prune_seen(w, action[2])
+            # The receiver is not in a drop's footprint (forgetting a seq
+            # nobody can present again commutes with all it does), so it
+            # is thawed here, and only when its memory really shrinks.
+            dst = action[2]
+            seen = w.comps[dst].seen
+            if seen:
+                pruned = seen & self._in_flight(w, dst)
+                if pruned != seen:
+                    w.thaw(dst).seen = pruned
         elif kind == "dup":
-            chan = w.chans[(action[1], action[2])]
-            chan.insert(1, chan[0])  # wire-level copy: same sequence number
+            link = (action[1], action[2])
+            chan = w.chans[link]
+            w.chans[link] = chan[:1] + chan  # wire-level copy: same sequence number
             w.dup_left -= 1
-        else:
-            raise ValueError(f"unknown action {action!r}")
+
+    def _in_flight(self, w: _Working, dst: str) -> set[Seq]:
+        """Sequence numbers with a wire copy left toward *dst*."""
+        chans = w.chans
+        return {m[-2] for link in self._in_links[dst] for m in chans[link]}
 
     def _deliver(self, w: _Working, src: str, dst: str) -> None:
-        """Pop the head of ``(src, dst)`` past dedup into its handler."""
-        entry = w.chans[(src, dst)].pop(0)
+        """Pop the head of ``(src, dst)`` past dedup into its handler.
+
+        Dedup is modelled here, not through the driver's
+        ``_seq_duplicate``: this is where the ``no_dedup`` mutation
+        switches it off, and its memory is cut back to the seqs still
+        in transit toward *dst* with every delivery (and every drop).
+        A remembered seq whose last copy is gone can never be presented
+        again, but the memoryless stamper *would* consult it and pick a
+        higher ``k``, and states that differ only in that numbering
+        history would fail to merge.  Pruning eagerly keeps ``seen`` a
+        subset of what is in flight in every state, so stamping and the
+        canonical form read the state as it is.
+        """
+        comp = w.comps[dst]  # thawed by apply
+        chan = w.chans[(src, dst)]
+        entry = chan[0]
+        w.chans[(src, dst)] = chan[1:]
         seq = entry[-2]
-        seen = w.seen_of(dst)
-        # Dedup is modelled here, not through the driver's _seq_duplicate: its
-        # memory must be pruned for states to merge (see _prune_seen),
-        # and this is where the no_dedup mutation switches it off.
-        if self.config.mutate != "no_dedup":
-            if seq in seen:
-                self._prune_seen(w, dst)
-                return  # wire-level duplicate: the dedup layer discards it
-            seen.add(seq)
-        self._prune_seen(w, dst)
+        seen = comp.seen
+        duplicate = seq in seen
+        if self.config.mutate != "no_dedup" and not duplicate:
+            seen = seen | {seq}
+        if seen:
+            comp.seen = seen & self._in_flight(w, dst)
+        if duplicate:
+            return  # wire-level duplicate: the dedup layer discards it
         drv = self.driver
         msg = _dec_wire(self.cid, entry)
         if dst[1] == "R":
@@ -1034,16 +1148,15 @@ class ModelMachine:
         elif dst[0] == "E":
             drv._agent_handle(drv.exporters[int(dst[1:])], msg)
         else:
-            self._answer(w, int(dst[1:]), msg)
+            self._answer(comp, int(dst[1:]), msg)
 
-    def _answer(self, w: _Working, r: int, msg: wire.AnswerToProc) -> None:
+    def _answer(self, i: _ImpRank, r: int, msg: wire.AnswerToProc) -> None:
         """Importer rank *r* consumes a final answer.
 
         A runtime's importer waits for one answer per request and never
         looks at a second; the model looks, so that two answers which
         disagree (a Property-1 breach) surface as M203.
         """
-        i = w.imp[r]
         ts = msg.answer.request_ts
         got = _enc_answer(msg.answer)
         assert got is not None
@@ -1063,31 +1176,25 @@ class ModelMachine:
         record = ctx.import_states[REGION].start_request(ts, drv.clock)
         drv._import_answered(ctx, ImportHandle(REGION, self.cid, ts, record), msg)
 
-    def _prune_seen(self, w: _Working, dst: str) -> None:
-        """Drop dedup memory for seqs with no wire copy left toward *dst*.
-
-        This keeps the working state identical to its canonical form at
-        all times: a remembered seq whose last copy is gone can never be
-        dedup-checked again, but the memoryless stamper *would* consult
-        it and pick a higher ``k`` — states that differ only in that
-        numbering history would then fail to merge.  Pruning eagerly
-        (not just at encode time) makes stamping a function of the
-        canonical state.
-        """
-        seen = w.seen_of(dst)
-        if not seen:
-            return
-        live: set[tuple[str, int]] = set()
-        for (_src, d), msgs in w.chans.items():
-            if d == dst and msgs:
-                live.update(m[-2] for m in msgs)
-        seen &= live
-
     # -- invariants -----------------------------------------------------------
     def check_occupancy(self, w: _Working) -> str | None:
         """M204: buffer occupancy must respect the Eq. 1-2 window bound.
 
-        Two checks per live exporter rank:
+        The verdict of a rank is a function of its component alone and
+        is cached on it, so a newly reached state checks only the ranks
+        its transition wrote.
+        """
+        for r, name in enumerate(self._exp_ids):
+            e = w.comps[name]
+            verdict = e.m204
+            if verdict is _UNCHECKED:
+                verdict = e.m204 = self._occupancy(r, e)
+            if verdict is not None:
+                return verdict
+        return None
+
+    def _occupancy(self, r: int, e: _ExpRank) -> str | None:
+        """The two M204 checks of one exporter rank (crashed: none).
 
         * the *eviction line*: no live, unsent entry may sit strictly
           below the connection-agreed eviction threshold unless some
@@ -1098,40 +1205,53 @@ class ModelMachine:
           exceeds the number of scripted exports at or above the
           eviction line plus the protected set.
         """
-        for r, e in enumerate(w.exp):
-            if e.crashed:
-                continue
-            region = e.region
-            threshold = region.evict_threshold()
-            keep: set[float] = set()
-            for conn in region.connections.values():
-                keep |= conn.keep_set()
-            for ts, entry in region.buffer._entries.items():
-                if ts < threshold and not entry.sent and ts not in keep:
-                    return (
-                        f"E.p{r}: buffered object @{ts:g} lies below the "
-                        f"eviction line {threshold:g} outside every keep-set "
-                        "— occupancy exceeds the Eq. 1-2 window bound"
-                    )
-            if threshold != -math.inf:
-                bound = sum(
-                    1 for ts in self.config.exports if ts >= threshold
-                ) + len(keep)
-                if region.buffer.live_count > bound:
-                    return (
-                        f"E.p{r}: {region.buffer.live_count} live objects "
-                        f"exceed the window bound {bound} "
-                        f"(eviction line {threshold:g})"
-                    )
+        if e.crashed:
+            return None
+        region = e.region
+        threshold = region.evict_threshold()
+        keep: set[float] = set()
+        for conn in region.connections.values():
+            keep |= conn.keep_set()
+        for ts, entry in region.buffer._entries.items():
+            if ts < threshold and not entry.sent and ts not in keep:
+                return (
+                    f"E.p{r}: buffered object @{ts:g} lies below the "
+                    f"eviction line {threshold:g} outside every keep-set "
+                    "— occupancy exceeds the Eq. 1-2 window bound"
+                )
+        if threshold != -math.inf:
+            bound = sum(
+                1 for ts in self.config.exports if ts >= threshold
+            ) + len(keep)
+            if region.buffer.live_count > bound:
+                return (
+                    f"E.p{r}: {region.buffer.live_count} live objects "
+                    f"exceed the window bound {bound} "
+                    f"(eviction line {threshold:g})"
+                )
         return None
 
     def unresolved(self, w: _Working) -> list[tuple[int, float]]:
         """Importer ranks still blocked on a request: ``(rank, ts)``."""
         return [
-            (r, i.outstanding)
-            for r, i in enumerate(w.imp)
-            if i.outstanding is not None
+            (r, w.comps[name].outstanding)
+            for r, name in enumerate(self._imp_ids)
+            if w.comps[name].outstanding is not None
         ]
+
+    def untransferred(self, w: _Working) -> list[tuple[int, float]]:
+        """Matches a live exporter rank knows of and never sent: ``(rank, ts)``."""
+        out = []
+        for r, name in enumerate(self._exp_ids):
+            e = w.comps[name]
+            if e.crashed:
+                continue
+            for conn in e.region.connections.values():
+                for answer in conn.answers.values():
+                    m = answer.matched_ts
+                    if m is not None and not e.region.buffer.was_sent(m):
+                        out.append((r, m))
+        return out
 
     def faults_used(self, w: _Working) -> dict[str, int]:
         """Fault/retransmit counts consumed so far (from the budgets)."""
@@ -1141,15 +1261,17 @@ class ModelMachine:
             "dup": cfg.dup_budget - w.dup_left,
             "crash": cfg.crash_budget - w.crash_left,
             "retransmit": sum(
-                cfg.retransmit_budget - i.retr_left for i in w.imp
+                cfg.retransmit_budget - w.comps[name].retr_left
+                for name in self._imp_ids
             ),
         }
 
-    def classify_terminal(self, w: _Working) -> tuple[str, str] | None:
-        """Rule + message for a terminal state, or ``None`` when clean.
+    def classify_terminal(self, w: _Working) -> list[tuple[str, str]]:
+        """Rule + message of everything wrong with a terminal state.
 
         A terminal state (no enabled action) is clean iff every issued
-        import resolved.  Otherwise:
+        import resolved and every match was transferred.  An unresolved
+        import is one of:
 
         * **M201** — no fault and no retransmission happened: a pure
           message-interleaving deadlock;
@@ -1159,29 +1281,46 @@ class ModelMachine:
           to an equivalent stuck state);
         * **M205** — the importer still holds a PENDING import after
           faults the protocol claims to absorb.
+
+        Independently, **M206** — a live exporter rank holds a MATCH
+        answer whose object it never transferred: on this schedule it
+        skipped or evicted what turned out to be the collective's match
+        (Section 4.1's skip rule promises that never happens).
         """
+        found: list[tuple[str, str]] = []
         stuck = self.unresolved(w)
-        if not stuck:
-            return None
-        used = self.faults_used(w)
-        who = ", ".join(f"I.p{r}@{ts:g}" for r, ts in stuck)
-        if not any(used.values()):
-            return (
-                "M201",
-                f"deadlock: {who} blocked with all channels quiescent and "
-                "no fault injected",
+        if stuck:
+            used = self.faults_used(w)
+            who = ", ".join(f"I.p{r}@{ts:g}" for r, ts in stuck)
+            faults = (
+                f"faults injected: {used['drop']} drop, {used['dup']} dup, "
+                f"{used['crash']} crash"
             )
-        if used["retransmit"] > 0:
-            return (
-                "M202",
-                f"retransmission livelock: {who} unresolved after "
-                f"{used['retransmit']} retransmission(s) re-drove the "
-                f"request (faults injected: {used['drop']} drop, "
-                f"{used['dup']} dup, {used['crash']} crash)",
-            )
-        return (
-            "M205",
-            f"unresolved import: {who} still PENDING at quiescence "
-            f"(faults injected: {used['drop']} drop, {used['dup']} dup, "
-            f"{used['crash']} crash)",
-        )
+            if not any(used.values()):
+                found.append((
+                    "M201",
+                    f"deadlock: {who} blocked with all channels quiescent and "
+                    "no fault injected",
+                ))
+            elif used["retransmit"] > 0:
+                found.append((
+                    "M202",
+                    f"retransmission livelock: {who} unresolved after "
+                    f"{used['retransmit']} retransmission(s) re-drove the "
+                    f"request ({faults})",
+                ))
+            else:
+                found.append((
+                    "M205",
+                    f"unresolved import: {who} still PENDING at quiescence "
+                    f"({faults})",
+                ))
+        lost = self.untransferred(w)
+        if lost:
+            who = ", ".join(f"E.p{r}@{m:g}" for r, m in lost)
+            found.append((
+                "M206",
+                f"untransferred match: {who} is the collective's match but "
+                "was skipped or evicted unsent",
+            ))
+        return found

@@ -1690,7 +1690,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutate",
         # Mirrors repro.analysis.model.MUTATIONS (kept literal so parser
         # construction stays import-light; asserted equal in the tests).
-        choices=["no_dedup", "no_answer_cache"],
+        choices=["no_dedup", "no_answer_cache", "no_must_send"],
         help="check a deliberately broken protocol (expects a violation)",
     )
     pvf.add_argument(

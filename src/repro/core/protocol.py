@@ -43,6 +43,7 @@ from typing import Any, Callable, ContextManager
 import numpy as np
 
 from repro.core import wire
+from repro.core.buffers import BufferEntry
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
 from repro.core.exceptions import ConfigError, FrameworkError
 from repro.core.exporter import ExportDecision, RegionExportState
@@ -700,24 +701,34 @@ class ProtocolDriver:
         )
 
     # -- exporter side: data plane, responses, agent ---------------------------
-    def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
-        """Transfer this rank's scheduled pieces of the matched object."""
-        crt = self._connections[cid]
-        st = ctx.export_states[region]
-        if not st.buffer.has(m):
-            if st.buffer.was_sent(m):
+    def _match_entry(
+        self, ctx: ContextBase, region: str, cid: str, m: float
+    ) -> BufferEntry | None:
+        """The buffered match *m*, marked sent; ``None`` once it is gone
+        after a transfer.  A match neither buffered nor ever sent raises."""
+        buffer = ctx.export_states[region].buffer
+        if not buffer.has(m):
+            if buffer.was_sent(m):
                 # Already transferred (a retransmission-driven re-send
                 # by the agent can beat this call and evict the entry);
                 # the importer deduplicates pieces, nothing to do.
-                return
+                return None
             raise FrameworkError(
                 f"{ctx.who}: match @{m:g} of {cid} is no longer buffered — "
                 "pipelined imports combined with control-message loss can "
                 "evict a pending match (see docs/resilience.md)"
             )
-        entry = st.buffer.get(m)
+        entry = buffer.get(m)
         if not entry.sent:
-            st.buffer.mark_sent(m)
+            buffer.mark_sent(m)
+        return entry
+
+    def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
+        """Transfer this rank's scheduled pieces of the matched object."""
+        entry = self._match_entry(ctx, region, cid, m)
+        if entry is None:
+            return
+        crt = self._connections[cid]
         payload = entry.payload
         imp_prog = crt.spec.importer.program
         src_addr = ("cpl", ctx.program, ctx.rank)

@@ -20,3 +20,9 @@ def no_dedup_suite():
 def no_answer_cache_suite():
     """Model-check the protocol with the rep answer cache skipped."""
     return check_suite(mutation_config("no_answer_cache"))
+
+
+@pytest.fixture(scope="session")
+def no_must_send_suite():
+    """Model-check the protocol with buddy-learned matches unprotected."""
+    return check_suite(mutation_config("no_must_send"))

@@ -91,5 +91,5 @@ class TestVerifyCommand:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["verify", "--mutate", "bogus"])
-        args = parser.parse_args(["verify", "--mutate", MUTATIONS[0]])
-        assert args.mutate == MUTATIONS[0]
+        for name in MUTATIONS:
+            assert parser.parse_args(["verify", "--mutate", name]).mutate == name

@@ -8,6 +8,7 @@ protocol — and a finding as soon as that shared code is broken.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -23,8 +24,8 @@ from repro.core.protocol import ProtocolDriver
 from repro.core.rep import DeliverAnswer
 
 #: 2-program × 2-process world, faults directed at the rep plane only
-#: (clean + drop-rep worlds; ~16k summed distinct states in a few
-#: seconds — the full default suite is exercised by ``repro verify``).
+#: (clean + drop-rep + buddy worlds; ~30k summed distinct states in a
+#: few seconds — the full default suite is exercised by ``repro verify``).
 FAST_BASE = ModelConfig(dup_budget=0, crash_budget=0, fault_planes=("rep",))
 
 #: Minimal world for the POR-equality checks.
@@ -58,12 +59,16 @@ class TestExhaustiveExploration:
         assert {
             name: (r.stats["states"], r.stats["transitions"])
             for name, r in fast_suite.worlds
-        } == {"clean": (7_196, 17_510), "drop-rep": (9_752, 21_977)}
+        } == {
+            "clean": (7_196, 17_510),
+            "drop-rep": (9_752, 21_977),
+            "buddy": (12_783, 32_333),
+        }
 
     def test_world_shape_is_two_by_two(self):
         assert FAST_BASE.nimp == 2 and FAST_BASE.nexp == 2
         worlds = dict(directed_worlds(FAST_BASE))
-        assert set(worlds) == {"clean", "drop-rep"}
+        assert list(worlds) == ["clean", "drop-rep", "buddy"]
         assert worlds["clean"].drop_budget == 0
         assert worlds["drop-rep"].drop_budget == 1
 
@@ -73,10 +78,79 @@ class TestExhaustiveExploration:
         assert payload["mode"] == "model-suite"
         assert payload["stats"]["states"] == fast_suite.total_states
         assert payload["stats"]["complete"] is True
-        assert [w["name"] for w in payload["worlds"]] == ["clean", "drop-rep"]
+        assert [w["name"] for w in payload["worlds"]] == ["clean", "drop-rep", "buddy"]
         # The state count the CLI reports is the one the acceptance
         # criterion quotes: distinct states actually visited.
         assert payload["stats"]["states"] >= 10_000
+
+
+class TestBuddyWorld:
+    """The one fault-free world where a buddy answer makes a rank skip an
+    object *inside* the request's acceptable region."""
+
+    def test_buddy_enabled_skips_are_taken(self, fast_suite):
+        skips = {name: r.stats["buddy_skips"] for name, r in fast_suite.worlds}
+        assert skips == {"clean": 0, "drop-rep": 0, "buddy": 269}
+
+    def test_no_skip_without_buddy_help(self):
+        buddy = dict(directed_worlds(FAST_BASE))["buddy"]
+        result = check(dataclasses.replace(buddy, buddy_help=False))
+        assert result.clean and result.stats["complete"]
+        assert result.stats["buddy_skips"] == 0
+        assert (result.stats["states"], result.stats["transitions"]) == (9_417, 22_268)
+
+    def test_script_follows_the_first_requests_region(self):
+        """Shifted stamps (what ``perf/workloads/verify.py`` feeds) keep
+        two exports strictly inside the region; no region, no world."""
+        assert dict(directed_worlds())["buddy"].exports == (1.5, 3.6, 3.8)
+        shifted = ModelConfig(requests=(21.0,), exports=(18.5, 20.5))
+        exports = dict(directed_worlds(shifted))["buddy"].exports
+        assert exports[0] == 18.5 and len(exports) == 3
+        assert 20.5 < exports[1] < exports[2] < 21.0
+        for base in (
+            ModelConfig(buddy_help=False),
+            ModelConfig(policy="EXACT", requests=(3.5,)),
+        ):
+            assert "buddy" not in dict(directed_worlds(base))
+
+
+class TestCheckerPathCost:
+    """A count, not a timing: interpreter calls per explored transition.
+
+    A model state is copy-on-write per component, so a transition
+    copies, re-encodes and re-checks the one component its action
+    writes.  Wall time cannot be asserted in a unit test; the number of
+    calls the interpreter makes can (``TestExportPathCost`` and
+    ``TestMatchPathCost`` do the same for their paths) — it repeats
+    exactly and moves only when the per-transition path grows.
+    """
+
+    #: ≈10% above the measured 110.0 (deep-copying and re-encoding the
+    #: whole state on every transition measured 286.4 on the same world).
+    CEILING = 120.0
+
+    def test_calls_per_transition_stay_under_the_ceiling(self):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" or event == "c_call":
+                calls += 1
+
+        config = dict(directed_worlds())["clean"]
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = check(config)
+        finally:
+            sys.setprofile(previous)
+        transitions = result.stats["transitions"]
+        assert transitions == 17_510
+        assert calls / transitions < self.CEILING, (
+            f"{calls} calls for {transitions} transitions = "
+            f"{calls / transitions:.1f} per transition: the checker's "
+            "per-transition path grew (see docs/static_analysis.md, Verification)"
+        )
 
 
 class TestSharedDriver:

@@ -54,9 +54,32 @@ class TestNoAnswerCache:
         assert cex["world"].startswith("drop")
 
 
+class TestNoMustSend:
+    """A buddy-learned match left out of ``must_send`` -> the slow rank
+    skips the very object the collective matched.  No import blocks and
+    no call raises, so nothing but M206 can see it."""
+
+    def test_caught_with_exactly_the_expected_rule(self, no_must_send_suite):
+        assert _rules(no_must_send_suite) == ["M206"]
+        hits = {name: r.stats["rule_hits"] for name, r in no_must_send_suite.worlds}
+        assert hits == {"clean": {"M206": 4}, "buddy": {"M206": 6}}
+
+    def test_counterexample_is_well_formed(self, no_must_send_suite):
+        (cex,) = no_must_send_suite.counterexamples
+        assert cex["schema"] == SCHEMA
+        assert cex["kind"] == "counterexample"
+        assert cex["rule"] == "M206"
+        assert cex["config"]["mutate"] == "no_must_send"
+        assert cex["world"] == "clean"
+        assert "E.p1@3.5" in cex["message"]
+        # A slow rank hears the answer, then skips the match: the
+        # schedule ends in that rank's exports and close.
+        assert cex["actions"][-3:] == [["export", 1], ["export", 1], ["close", 1]]
+
+
 class TestMutationRegistry:
     def test_known_mutations(self):
-        assert MUTATIONS == ("no_dedup", "no_answer_cache")
+        assert MUTATIONS == ("no_dedup", "no_answer_cache", "no_must_send")
 
     def test_mutation_worlds_target_the_rep_plane(self):
         for name in MUTATIONS:

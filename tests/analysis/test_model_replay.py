@@ -15,19 +15,21 @@ from repro.cli import _demo_run
 from repro.faults.plan import FaultPlan
 
 
-def _all_counterexamples(no_dedup_suite, no_answer_cache_suite):
+def _all_counterexamples(*suites):
     out = []
-    for suite in (no_dedup_suite, no_answer_cache_suite):
+    for suite in suites:
         out.extend(suite.counterexamples)
     return out
 
 
 class TestReplayDeterminism:
     def test_every_counterexample_replays_byte_identically(
-        self, no_dedup_suite, no_answer_cache_suite
+        self, no_dedup_suite, no_answer_cache_suite, no_must_send_suite
     ):
-        cexs = _all_counterexamples(no_dedup_suite, no_answer_cache_suite)
-        assert cexs, "mutation suites produced no counterexamples"
+        cexs = _all_counterexamples(
+            no_dedup_suite, no_answer_cache_suite, no_must_send_suite
+        )
+        assert {c["rule"] for c in cexs} == {"M203", "M202", "M206"}
         for cex in cexs:
             first = replay_schedule(cex)
             second = replay_schedule(cex)
@@ -61,6 +63,15 @@ class TestReplayReproducesViolations:
         assert result.error is None
         assert result.executed == len(cexs[0]["actions"])
         assert not result.report.resolutions
+
+    def test_m206_schedule_shows_the_skip(self, no_must_send_suite):
+        """Every import resolves; the evidence is the buddy-skip span on
+        the matched timestamp."""
+        result = replay_schedule(no_must_send_suite.counterexamples[0])
+        assert result.error is None
+        assert len(result.report.resolutions) == 2
+        skips = [s for s in result.report.spans if s.name == "buddy_skip"]
+        assert [(s.who, s.attrs["export_ts"]) for s in skips] == [("E.p1", 3.5)]
 
 
 class TestNoDrift:
