@@ -1,12 +1,20 @@
 """Benchmark harness: regenerates every figure of the paper.
 
+The coupled experiments are described once, in :mod:`repro.scenarios`;
+the modules here run them through :func:`repro.run` and fold the
+:class:`~repro.RunResult` into the rows the paper plots.
+
 * :mod:`repro.bench.figure4` -- the Section-5 micro-benchmark
   (Figure 4 a-d): per-iteration export time of the slowest exporter
   process for importer sizes 4/8/16/32, six runs each.
-* :mod:`repro.bench.traces` -- the event-trace scenarios of Figures
-  5, 7 and 8, plus the Figure-6 optimal-state predicate.
 * :mod:`repro.bench.scenarios` -- the Figure-3 buffering scenarios
   (importer-slower vs exporter-slower).
+* :mod:`repro.bench.resilience` -- the chaos sweep behind ``repro
+  chaos``: the same answers under every fault plan.
+* :mod:`repro.bench.traces` -- the event-trace scripts of Figures
+  5, 7 and 8, plus the Figure-6 optimal-state predicate.
+* :mod:`repro.bench.experiments_report` -- every figure as one
+  markdown report (``repro experiments``).
 * :mod:`repro.bench.reporting` -- ASCII tables/series so the pytest
   benchmarks print the same rows the paper plots.
 """

@@ -25,117 +25,21 @@ What the shapes mean:
   (paper: ≈ 400 iterations).
 * U = 32: the importer is fast enough that the optimal state is reached
   almost immediately (paper: ≈ 25 iterations).
+
+The configuration itself is :class:`repro.scenarios.Figure4Spec`
+(scenario ``fig4``); this module runs it and folds the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Generator
 
-from repro.api.options import RunOptions
+from repro.api.facade import build
 from repro.bench.reporting import summarize_runs
-from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
+from repro.core.coupler import CoupledSimulation
 from repro.core.exporter import ExportDecision
-from repro.costs import ClusterPreset
-from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
-from repro.match.backend import DEFAULT_MATCH_BACKEND
-from repro.data.decomposition import BlockDecomposition, choose_process_grid
-from repro.apps.workloads import ImbalanceProfile, one_slow_profile
+from repro.scenarios import Figure4Spec
 from repro.util.stats import SeriesSummary
-from repro.util.validation import require
-
-
-@dataclass(frozen=True)
-class Figure4Spec:
-    """Parameters of one Figure-4 configuration.
-
-    Defaults reproduce the paper; ``u_procs`` selects the sub-figure
-    (4 → (a), 8 → (b), 16 → (c), 32 → (d)).  The cost-model constants
-    are calibrated to 2007 hardware (see ``repro.costs.presets``); the
-    derived quantities that matter are the *ratios* between the
-    importer's request period and the exporter's window time.
-    """
-
-    u_procs: int = 16
-    f_procs: int = 4
-    exports: int = 1001
-    first_ts: float = 1.6
-    export_dt: float = 1.0
-    request_period: float = 20.0
-    tolerance: float = 2.5
-    global_shape: tuple[int, int] = (1024, 1024)
-    #: Extra-work factor of ``p_s`` (the last F rank).
-    slow_factor: float = 1.85
-    #: U's per-element compute relative to F's (dimensionless).  Sets
-    #: where the Figure-4 crossover falls: U's period per request is
-    #: ``(N²/P) · time_per_element · u_compute_scale``.  146 puts the
-    #: U=16 catch-up near iteration 400, matching the paper; the value
-    #: is deliberately near-critical (the gap between U's period and
-    #: p_s's window drives an exponential approach to the optimal
-    #: state, so small changes move the crossover a lot — exactly the
-    #: sensitivity the paper's Section 5 discussion implies).
-    u_compute_scale: float = 146.0
-    buddy_help: bool = True
-    runs: int = 6
-    seed: int = 2007
-    jitter: float = 0.01
-    #: Iterations counted as the framework warm-up phase (the ~8% head).
-    init_iterations: int = 30
-    time_per_element: float = 2.0e-8
-    memcpy_bandwidth: float = 1.5e9
-    contention_per_peer: float = 0.013
-    #: Match engine for the F processes (decisions are identical either
-    #: way — the seed-replay goldens run this spec under both).
-    match_backend: str = DEFAULT_MATCH_BACKEND
-
-    @property
-    def n_requests(self) -> int:
-        """Requests that fall within the export stream's lifetime."""
-        last_ts = self.first_ts + (self.exports - 1) * self.export_dt
-        return int(last_ts // self.request_period)
-
-    @property
-    def slow_rank(self) -> int:
-        """The rank of ``p_s`` (last F rank by convention)."""
-        return self.f_procs - 1
-
-    def f_elements(self) -> int:
-        """Grid points each F process computes per iteration."""
-        return (self.global_shape[0] * self.global_shape[1]) // self.f_procs
-
-    def u_elements(self) -> int:
-        """Grid points each U process computes per request period."""
-        return (self.global_shape[0] * self.global_shape[1]) // self.u_procs
-
-    def estimated_full_iteration(self) -> float:
-        """Rough ``p_s`` iteration time with buffering (calibration aid)."""
-        compute = self.f_elements() * self.time_per_element * self.slow_factor
-        itemsize = 8
-        memcpy = 5.0e-5 + self.f_elements() * itemsize / self.memcpy_bandwidth
-        return compute + memcpy
-
-    def preset(self) -> ClusterPreset:
-        """The cost-model bundle this spec implies."""
-        return ClusterPreset(
-            name=f"fig4-u{self.u_procs}",
-            memory=MemoryCostModel(
-                setup_time=5.0e-5,
-                bandwidth=self.memcpy_bandwidth,
-                free_time=2.0e-5,
-                init_factor=1.08,
-                init_until=self.init_iterations * self.estimated_full_iteration(),
-                contention_per_peer=self.contention_per_peer,
-                jitter=self.jitter,
-            ),
-            network=NetworkCostModel(
-                latency=1.0e-4, bandwidth=1.25e8, congestion_per_flow=0.02
-            ),
-            compute=ComputeCostModel(
-                time_per_element=self.time_per_element,
-                fixed_overhead=1.0e-5,
-                jitter=self.jitter,
-            ),
-        )
 
 
 @dataclass
@@ -180,70 +84,16 @@ class Figure4Result:
         return summarize_runs([r.series for r in self.runs])
 
 
-def _f_main(spec: Figure4Spec, profile: ImbalanceProfile):
-    """Exporter main: export, then compute, 1001 times (paper loop)."""
-
-    def main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        scale = profile.scale(ctx.rank)
-        elements = spec.f_elements()
-        for k in range(spec.exports):
-            ts = spec.first_ts + k * spec.export_dt
-            yield from ctx.export("f", ts)
-            yield from ctx.compute_elements(elements, scale=scale)
-
-    return main
-
-
-def _u_main(spec: Figure4Spec):
-    """Importer main: import the forcing field, then compute."""
-
-    def main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        elements = spec.u_elements()
-        for j in range(1, spec.n_requests + 1):
-            # Compute first, then exchange — each U iteration advances
-            # the solution before requesting the next forcing field, so
-            # the first request goes out one U-period into the run.
-            yield from ctx.compute_elements(elements, scale=spec.u_compute_scale)
-            yield from ctx.import_("f", spec.request_period * j)
-
-    return main
-
-
 def build_figure4_simulation(
     spec: Figure4Spec, seed: int | None = None, tracer=None
 ) -> CoupledSimulation:
     """Construct (but do not run) one Figure-4 simulation."""
-    require(spec.u_procs > 0 and spec.f_procs > 0, "process counts must be positive")
-    config_text = (
-        f"F cluster0 /bin/F {spec.f_procs}\n"
-        f"U cluster1 /bin/U {spec.u_procs}\n"
-        "#\n"
-        f"F.f U.f REGL {spec.tolerance}\n"
+    scenario = spec.scenario(seed)
+    sim = build(
+        scenario.config, scenario.programs, replace(scenario.options, tracer=tracer)
     )
-    cs = CoupledSimulation(
-        config_text,
-        options=RunOptions(
-            preset=spec.preset(),
-            buddy_help=spec.buddy_help,
-            seed=spec.seed if seed is None else seed,
-            tracer=tracer,
-            match_backend=spec.match_backend,
-        ),
-    )
-    profile = one_slow_profile(spec.f_procs, factor=spec.slow_factor)
-    f_grid = choose_process_grid(spec.f_procs, 2)
-    u_grid = (spec.u_procs, 1)
-    cs.add_program(
-        "F",
-        main=_f_main(spec, profile),
-        regions={"f": RegionDef(BlockDecomposition(spec.global_shape, f_grid))},
-    )
-    cs.add_program(
-        "U",
-        main=_u_main(spec),
-        regions={"f": RegionDef(BlockDecomposition(spec.global_shape, u_grid))},
-    )
-    return cs
+    assert isinstance(sim, CoupledSimulation)  # the spec names no runtime: DES
+    return sim
 
 
 def optimal_iteration_of(records: list, cutoff_ts: float | None = None) -> int | None:
@@ -279,24 +129,20 @@ def optimal_iteration_of(records: list, cutoff_ts: float | None = None) -> int |
 
 def run_figure4_once(spec: Figure4Spec, run_index: int = 0) -> Figure4Run:
     """Execute one run and collect the ``p_s`` series and counters."""
-    seed = spec.seed * 1000 + run_index
-    cs = build_figure4_simulation(spec, seed=seed)
-    cs.run()
-    ctx = cs.context("F", spec.slow_rank)
-    records = ctx.stats.export_records
-    stats = cs.buffer_stats("F", spec.slow_rank, "f")
-    rep = cs._programs["F"].exp_rep
-    assert rep is not None
+    result = spec.scenario(seed=spec.seed * 1000 + run_index).run()
+    stats = result.context("F", spec.slow_rank).stats
+    records = stats.export_records
+    ledger = result.buffer_stats("F", spec.slow_rank, "f")
     return Figure4Run(
         series=[r.cost for r in records],
-        decisions=ctx.stats.decisions(),
-        t_ub=stats.t_ub,
-        unnecessary_total=stats.unnecessary_total_time,
-        buddy_messages=rep.buddy_messages_sent,
+        decisions=stats.decisions(),
+        t_ub=ledger.t_ub,
+        unnecessary_total=ledger.unnecessary_total_time,
+        buddy_messages=result.paper_metrics.buddy_helps_sent,
         optimal_iteration=optimal_iteration_of(
             records, cutoff_ts=spec.n_requests * spec.request_period
         ),
-        sim_time=cs.sim.now,
+        sim_time=result.sim_time,
     )
 
 

@@ -1,12 +1,13 @@
 """Resilience benchmark: answer fidelity and cost under chaos.
 
-Runs the Figure-3-style E(2) → I(2) coupling on the DES runtime under
-a sweep of control-plane drop rates (plus duplication, jitter and
-reordering from one :class:`~repro.faults.plan.FaultPlan` template)
-and verifies the subsystem's central claim: **faults never change the
-answers** — every run produces the same per-rank ``(request_ts,
-matched_ts)`` sequence as the fault-free baseline; only timing, skip
-counts and retransmission effort differ.
+Runs the ``resilience`` scenario of :mod:`repro.scenarios` (the
+Figure-3-style E(2) → I(2) coupling on the DES runtime) under a sweep
+of control-plane drop rates (plus duplication, jitter and reordering
+from one :class:`~repro.faults.plan.FaultPlan` template) and verifies
+the subsystem's central claim: **faults never change the answers** —
+every run produces the same per-rank ``(request_ts, matched_ts)``
+sequence as the fault-free baseline; only timing, skip counts and
+retransmission effort differ.
 
 Reported per drop rate: mean answer latency (importer
 :class:`~repro.core.importer.ImportRecord` ledger), the slow exporter
@@ -18,15 +19,11 @@ time.  ``repro chaos`` is the CLI front-end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any
 
-from repro.api.options import RunOptions
-from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
-from repro.costs import ClusterPreset
-from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
-from repro.data.decomposition import BlockDecomposition
 from repro.faults import FaultPlan
 from repro.match.backend import DEFAULT_MATCH_BACKEND
+from repro.scenarios import build
 
 #: One importer rank's answers: ``(request_ts, matched_ts-or-None)``.
 AnswerLog = list[tuple[float, float | None]]
@@ -69,89 +66,36 @@ class ResilienceSweepResult:
         return all(r.answers_match(self.baseline) for r in self.runs[1:])
 
 
-def _preset() -> ClusterPreset:
-    return ClusterPreset(
-        name="resilience",
-        memory=MemoryCostModel(
-            setup_time=1e-5, bandwidth=1e9, free_time=1e-6,
-            init_factor=1.0, init_until=0.0, contention_per_peer=0.0,
-        ),
-        network=NetworkCostModel(latency=1e-5, bandwidth=1e9, congestion_per_flow=0.0),
-        compute=ComputeCostModel(time_per_element=1e-8, fixed_overhead=1e-6, jitter=0.0),
-    )
-
-
 def run_once(
     plan: FaultPlan | None,
     exports: int = 40,
     requests: int = 15,
-    request_period: float = 2.0,
     match_backend: str = DEFAULT_MATCH_BACKEND,
 ) -> ResilienceRunResult:
-    """One E(2) → I(2) run under *plan* (``None`` = fault-free)."""
-    shape = (64, 64)
-    config = (
-        "E c0 /bin/E 2\n"
-        "I c1 /bin/I 2\n"
-        "#\n"
-        "E.d I.d REGL 2.5\n"
+    """One ``resilience`` run under *plan* (``None`` = fault-free)."""
+    result = build("resilience", {"exports": exports, "requests": requests}).run(
+        fault_plan=plan, match_backend=match_backend
     )
-    answers: dict[int, AnswerLog] = {}
-
-    def e_main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        # Rank 1 is p_s: twice the per-iteration work, so the run has
-        # PENDING windows for buddy-help (and for BuddyMsg loss) to act on.
-        scale = 2.0 if ctx.rank == 1 else 1.0
-        for k in range(exports):
-            yield from ctx.export("d", 1.6 + k)
-            yield from ctx.compute(2e-3 * scale)
-
-    def i_main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        got: AnswerLog = []
-        for j in range(1, requests + 1):
-            yield from ctx.compute(5e-4)
-            ts = request_period * j
-            m, _block = yield from ctx.import_("d", ts)
-            got.append((ts, m))
-        answers[ctx.rank] = got
-
-    cs = CoupledSimulation(
-        config,
-        options=RunOptions(
-            preset=_preset(),
-            seed=0,
-            fault_plan=plan,
-            match_backend=match_backend,
-        ),
-    )
-    cs.add_program(
-        "E", main=e_main, regions={"d": RegionDef(BlockDecomposition(shape, (2, 1)))}
-    )
-    cs.add_program(
-        "I", main=i_main, regions={"d": RegionDef(BlockDecomposition(shape, (1, 2)))}
-    )
-    cs.run()
-
+    records = {
+        rank: result.context("I", rank).import_states["d"].records for rank in (0, 1)
+    }
     latencies = [
-        r.latency
-        for rank in answers
-        for r in cs.context("I", rank).import_states["d"].records
-        if r.latency is not None
+        r.latency for recs in records.values() for r in recs if r.latency is not None
     ]
-    exp_ctx = cs.context("E", 1)
-    stats = getattr(cs.world.network, "stats", None)
-    exp_rep = cs._programs["E"].exp_rep
     return ResilienceRunResult(
         drop=plan.drop if plan is not None else 0.0,
-        answers=answers,
+        answers={
+            rank: [(r.request_ts, r.answer.matched_ts if r.answer else None) for r in recs]
+            for rank, recs in records.items()
+        },
         mean_answer_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-        t_ub=cs.buffer_stats("E", 1, "d").t_ub,
-        skip_count=exp_ctx.stats.decisions().get("skip", 0),
-        retransmissions=cs.retransmissions,
-        dup_discards=cs.dup_discards,
-        duplicate_requests=exp_rep.duplicate_requests if exp_rep else 0,
-        fault_stats=stats.as_dict() if stats is not None else None,
-        sim_time=cs.sim.now,
+        t_ub=result.buffer_stats("E", 1, "d").t_ub,
+        skip_count=result.context("E", 1).stats.decisions().get("skip", 0),
+        retransmissions=result.counters["retransmissions"],
+        dup_discards=result.counters["dup_discards"],
+        duplicate_requests=int(result.metrics.total("rep.duplicate_requests")),
+        fault_stats=result.fault_stats,
+        sim_time=result.sim_time,
     )
 
 

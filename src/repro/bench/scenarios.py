@@ -11,22 +11,18 @@ Figure 3 of the paper contrasts the two relative-speed cases:
   previous candidate freed.  Now the buffering cost sits on the
   system's critical path — this is the case buddy-help attacks.
 
-These runners produce small, deterministic coupled runs of each case
-and report the buffering counters, so the benchmarks can print the
-figure's story as numbers.
+These runners run scenarios ``fig3a`` and ``fig3b`` of
+:mod:`repro.scenarios` — small, deterministic coupled runs of each
+case — and report the buffering counters, so the benchmarks can print
+the figure's story as numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
 
-from repro.api.options import RunOptions
 from repro.core.buffers import BufferStats
-from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
-from repro.costs import ClusterPreset
-from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
-from repro.data.decomposition import BlockDecomposition
+from repro.scenarios import build
 
 
 @dataclass
@@ -55,71 +51,20 @@ class BufferingScenarioResult:
         return self.decisions.get("skip", 0) / total if total else 0.0
 
 
-def _preset() -> ClusterPreset:
-    return ClusterPreset(
-        name="fig3",
-        memory=MemoryCostModel(
-            setup_time=1e-5, bandwidth=1e9, free_time=1e-6,
-            init_factor=1.0, init_until=0.0, contention_per_peer=0.0,
-        ),
-        network=NetworkCostModel(latency=1e-5, bandwidth=1e9, congestion_per_flow=0.0),
-        compute=ComputeCostModel(time_per_element=1e-8, fixed_overhead=1e-6, jitter=0.0),
-    )
-
-
 def _run_scenario(
-    name: str,
-    exporter_compute: float,
-    importer_compute: float,
-    exports: int,
-    request_period: float,
-    buddy_help: bool,
+    name: str, scenario: str, exports: int, buddy_help: bool
 ) -> BufferingScenarioResult:
-    shape = (64, 64)
-    config = (
-        "E c0 /bin/E 2\n"
-        "I c1 /bin/I 2\n"
-        "#\n"
-        "E.d I.d REGL 2.5\n"
-    )
-    n_requests = int((1.6 + exports - 1) // request_period)
-
-    def e_main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        # Rank 1 is p_s: twice the per-iteration work, so the scenario
-        # has the fast-peer/slow-peer structure buddy-help exploits.
-        scale = 2.0 if ctx.rank == 1 else 1.0
-        for k in range(exports):
-            yield from ctx.export("d", 1.6 + k)
-            yield from ctx.compute(exporter_compute * scale)
-
-    def i_main(ctx: ProcessContext) -> Generator[Any, Any, None]:
-        # Compute first, then exchange: the first request goes out one
-        # importer-period into the run (see the Figure-4 builder).
-        for j in range(1, n_requests + 1):
-            yield from ctx.compute(importer_compute)
-            yield from ctx.import_("d", request_period * j)
-
-    cs = CoupledSimulation(
-        config, options=RunOptions(preset=_preset(), buddy_help=buddy_help, seed=42)
-    )
-    cs.add_program(
-        "E", main=e_main, regions={"d": RegionDef(BlockDecomposition(shape, (2, 1)))}
-    )
-    cs.add_program(
-        "I", main=i_main, regions={"d": RegionDef(BlockDecomposition(shape, (1, 2)))}
-    )
-    cs.run()
-    # Rank 1 of E is representative (no imbalance here; both behave alike).
-    ctx = cs.context("E", 1)
-    stats = cs.buffer_stats("E", 1, "d")
+    result = build(scenario, {"exports": exports, "buddy_help": buddy_help}).run()
+    # Rank 1 of E is p_s, the rank whose buffering the figure is about.
+    stats = result.context("E", 1).stats
     return BufferingScenarioResult(
         name=name,
         exports=exports,
-        requests=n_requests,
-        buffer_stats=stats,
-        decisions=ctx.stats.decisions(),
-        exporter_export_time_total=sum(r.cost for r in ctx.stats.export_records),
-        sim_time=cs.sim.now,
+        requests=len(result.context("I", 0).import_states["d"].records),
+        buffer_stats=result.buffer_stats("E", 1, "d"),
+        decisions=stats.decisions(),
+        exporter_export_time_total=sum(r.cost for r in stats.export_records),
+        sim_time=result.sim_time,
     )
 
 
@@ -132,14 +77,7 @@ def run_importer_slower(
     request is ever PENDING at the exporter and buddy-help has nothing
     to do — ``buffered_fraction`` stays ≈ 1 regardless of the flag.
     """
-    return _run_scenario(
-        name="importer-slower",
-        exporter_compute=1.0e-4,
-        importer_compute=2.0e-2,  # per request period: far slower
-        exports=exports,
-        request_period=20.0,
-        buddy_help=buddy_help,
-    )
+    return _run_scenario("importer-slower", "fig3a", exports, buddy_help)
 
 
 def run_exporter_slower(
@@ -152,11 +90,4 @@ def run_exporter_slower(
     (compare ``skip_fraction`` and ``buffer_stats.t_ub`` between the
     two flags).
     """
-    return _run_scenario(
-        name="exporter-slower",
-        exporter_compute=2.0e-3,
-        importer_compute=1.0e-4,
-        exports=exports,
-        request_period=20.0,
-        buddy_help=buddy_help,
-    )
+    return _run_scenario("exporter-slower", "fig3b", exports, buddy_help)

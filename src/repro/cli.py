@@ -35,9 +35,10 @@ Commands
     baseline``) and exit 1 when any trips — the same contract as
     ``report --baseline`` (see ``docs/observability.md``).
 ``record``
-    Record the coupled demo (or a chaos variant) into an append-only
-    ``repro.prov/v1`` provenance log capturing every wire message,
-    scheduling decision, match resolution, and RNG draw.
+    Record a registered scenario (the coupled demo by default, or its
+    chaos variant) into an append-only ``repro.prov/v1`` provenance log
+    capturing every wire message, scheduling decision, match
+    resolution, and RNG draw.
 ``replay``
     Reconstruct a recorded run from its provenance log alone and
     verify bit-exactness against the log's digests; ``--at T --query
@@ -180,42 +181,23 @@ def _demo_run(
     buddy_help: bool,
     tracer: Any = None,
     *,
+    scenario: str = "demo",
     causal: bool = False,
-    sinks: Sequence[Any] = (),
-    interval: float = 0.25,
-    match_backend: str = DEFAULT_MATCH_BACKEND,
     seed: int = 2,
-    provenance: str | None = None,
-    fault_plan: Any = None,
+    **options: Any,
 ) -> Any:
-    """The report/trace demo: the ``demo`` scenario of :mod:`repro.serve`.
+    """One registered scenario (:mod:`repro.scenarios`) run for a CLI verb.
 
-    Program F exports 46 steps with rank 1 four times slower (the
-    paper's ``p_s``); program U imports twice.  Returns the
-    :class:`repro.RunResult`.
+    The default ``demo``: program F exports 46 steps with rank 1 four
+    times slower (the paper's ``p_s``); program U imports twice.
+    *options* are :class:`repro.RunOptions` fields by name
+    (``match_backend``, ``provenance``, ``fault_plan``,
+    ``telemetry_sinks``, …).  Returns the :class:`repro.RunResult`.
     """
-    import dataclasses
+    from repro.scenarios import build
 
-    import repro
-    from repro.serve.scenarios import build_scenario
-    from repro.serve.spec import SessionSpec
-
-    build = build_scenario(
-        SessionSpec("demo", {"buddy_help": buddy_help, "seed": seed})
-    )
-    return repro.run(
-        build.config,
-        list(build.programs),
-        dataclasses.replace(
-            build.options,
-            tracer=tracer,
-            causal_trace=causal,
-            telemetry_sinks=tuple(sinks),
-            telemetry_interval=interval,
-            match_backend=match_backend,
-            provenance=provenance,
-            fault_plan=fault_plan,
-        ),
+    return build(scenario, {"buddy_help": buddy_help, "seed": seed}).run(
+        tracer=tracer, causal_trace=causal, **options
     )
 
 
@@ -262,7 +244,7 @@ def _diff_comparison(
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.export import REPORT_SCHEMA
+    from repro.obs.export import REPORT_SCHEMA, report_run
 
     backend = getattr(args, "match_backend", DEFAULT_MATCH_BACKEND)
     with_help = _demo_run(buddy_help=True, match_backend=backend)
@@ -279,15 +261,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "match_backend": backend,
-        "runs": [
-            {
-                "name": name,
-                "sim_time": result.sim_time,
-                "counters": result.counters,
-                "metrics": result.metrics.as_dict(),
-            }
-            for name, result in runs
-        ],
+        "runs": [report_run(name, result) for name, result in runs],
         "comparison": comparison,
     }
     diff_rows: list[dict[str, Any]] = []
@@ -570,7 +544,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    """Record the coupled demo into a ``repro.prov/v1`` provenance log."""
+    """Record a registered scenario into a ``repro.prov/v1`` provenance log."""
     from repro.obs.prov import PROV_SCHEMA
 
     chaos = args.scenario == "chaos"
@@ -584,6 +558,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan(seed=args.seed, drop=drop, dup=dup, delay_jitter=jitter)
     result = _demo_run(
         True,
+        scenario="demo" if chaos else args.scenario,
         seed=args.seed,
         match_backend=args.match_backend,
         provenance=args.out,
@@ -1196,9 +1171,8 @@ def _verify_races(args: argparse.Namespace) -> int:
 
     from repro.analysis.model import SCHEMA
     from repro.analysis.races import RaceMonitor
-    from repro.api import RunOptions
+    from repro.api import Program, RunOptions, build
     from repro.core.coupler import RegionDef
-    from repro.core.live import LiveCoupledSimulation
     from repro.data import BlockDecomposition
 
     def f_main(ctx: Any) -> None:
@@ -1214,19 +1188,19 @@ def _verify_races(args: argparse.Namespace) -> int:
             ctx.import_("d", want)
 
     monitor = RaceMonitor()
-    sim = LiveCoupledSimulation(
+    sim = build(
         "F c0 /bin/F 2\nU c1 /bin/U 2\n#\nF.d U.d REGL 2.5\n",
-        options=RunOptions(
-            runtime="live", race_monitor=monitor, default_timeout=20.0
-        ),
-    )
-    sim.add_program(
-        "F", main=f_main,
-        regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))},
-    )
-    sim.add_program(
-        "U", main=u_main,
-        regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))},
+        [
+            Program(
+                "F", main=f_main,
+                regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))},
+            ),
+            Program(
+                "U", main=u_main,
+                regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))},
+            ),
+        ],
+        RunOptions(runtime="live", race_monitor=monitor, default_timeout=20.0),
     )
     sim.run(join_timeout=60.0)
     report = monitor.report()
@@ -1337,6 +1311,8 @@ def _add_match_backend_flag(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.scenarios import scenario_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Buddy-help coupling framework (Wu & Sussman, IPDPS 2007)",
@@ -1421,12 +1397,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     prec = sub.add_parser(
         "record",
-        help="record the coupled demo into a repro.prov/v1 provenance log",
+        help="record a registered scenario into a repro.prov/v1 provenance log",
     )
     prec.add_argument("out", help="provenance log path (.gz compresses)")
     prec.add_argument(
-        "--scenario", choices=["demo", "chaos"], default="demo",
-        help="demo (fault-free) or chaos (FaultPlan drops/dups/jitter)",
+        "--scenario", default="demo",
+        # crash_hard os._exit()s whatever process runs it: pool workers only.
+        choices=[*(n for n in scenario_names() if n != "crash_hard"), "chaos"],
+        help="a registered scenario, fault-free unless --drop/--dup/--jitter, "
+        "or chaos: demo under the default FaultPlan (drops/dups/jitter)",
     )
     prec.add_argument("--seed", type=int, default=2, help="run seed (default 2)")
     prec.add_argument(

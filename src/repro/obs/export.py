@@ -273,6 +273,26 @@ def _check_metrics_block(block: Any, where: str) -> list[str]:
     return problems
 
 
+def report_run(name: str, result: Any, *, backend_sample: bool = True) -> dict[str, Any]:
+    """One run's row of a ``repro.report/v1`` payload.
+
+    ``backend_sample=False`` drops the backend-identifying sample, so a
+    provenance log recorded under one match backend stays comparable
+    when decisions (not throughput internals) are what is replayed.
+    """
+    metrics = result.metrics.as_dict()
+    if not backend_sample:
+        metrics["metrics"] = [
+            s for s in metrics["metrics"] if s.get("name") != "match.backend"
+        ]
+    return {
+        "name": name,
+        "sim_time": result.sim_time,
+        "counters": dict(result.counters),
+        "metrics": metrics,
+    }
+
+
 def validate_report_payload(obj: Any) -> list[str]:
     """Problems with a ``repro report --json`` payload."""
     problems: list[str] = []

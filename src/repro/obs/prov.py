@@ -42,6 +42,8 @@ from typing import IO, Any
 
 import numpy as np
 
+from repro.obs.export import REPORT_SCHEMA, report_run
+
 __all__ = [
     "PROV_SCHEMA",
     "ProvenanceError",
@@ -135,33 +137,10 @@ def _unb64(text: str, dtype: str) -> np.ndarray:
 
 
 def report_payload(result: Any) -> dict[str, Any]:
-    """The canonical ``repro.report/v1`` payload of *result*.
-
-    Backend-identifying samples are dropped so a log recorded under one
-    match backend stays comparable when decisions (not throughput
-    internals) are what is being replayed.
-    """
-    from repro.obs.export import REPORT_SCHEMA
-
-    metrics = result.metrics.as_dict()
-    samples = metrics.get("metrics")
-    if isinstance(samples, list):
-        metrics = dict(metrics)
-        metrics["metrics"] = [
-            s
-            for s in samples
-            if not (isinstance(s, dict) and s.get("name") == "match.backend")
-        ]
+    """The canonical ``repro.report/v1`` payload of *result*."""
     return {
         "schema": REPORT_SCHEMA,
-        "runs": [
-            {
-                "name": "recorded",
-                "sim_time": result.sim_time,
-                "counters": dict(result.counters),
-                "metrics": metrics,
-            }
-        ],
+        "runs": [report_run("recorded", result, backend_sample=False)],
     }
 
 

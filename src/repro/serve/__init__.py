@@ -9,14 +9,10 @@ surface (``repro serve`` / ``repro sessions`` / ``repro monitor
 protocol and the session lifecycle.
 """
 
+from repro.scenarios import ScenarioBuild, register_scenario, scenario_names
 from repro.serve.client import ServeClient, ServeError, split_attach_url
 from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
-from repro.serve.scenarios import (
-    ScenarioBuild,
-    build_scenario,
-    register_scenario,
-    scenario_names,
-)
+from repro.serve.scenarios import build_scenario
 from repro.serve.server import ServeConfig, SessionServer
 from repro.serve.spec import (
     SERVE_SCHEMA,

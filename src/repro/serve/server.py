@@ -52,6 +52,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
+from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SERVE_SCHEMA, SessionSpec
 from repro.serve.worker import init_worker, run_session
 
@@ -481,13 +482,9 @@ class SessionServer:
             if method == "POST":
                 try:
                     spec = SessionSpec.from_dict(body or {})
-                    from repro.serve.scenarios import scenario_names
-
-                    if spec.scenario not in scenario_names():
-                        raise ValueError(
-                            f"unknown scenario {spec.scenario!r}; "
-                            f"registered scenarios: {list(scenario_names())}"
-                        )
+                    # Pure closures, nothing runs: a spec the worker
+                    # could not build is refused here, not queued.
+                    build_scenario(spec)
                 except (ValueError, TypeError) as exc:
                     raise _HttpError(400, str(exc)) from exc
                 session = self.submit(spec)

@@ -1,7 +1,7 @@
 """Session specifications and states for the coupling service.
 
 A :class:`SessionSpec` is the *wire-safe* description of one coupled
-run: a named scenario from :mod:`repro.serve.scenarios` plus plain-data
+run: a named scenario from :mod:`repro.scenarios` plus plain-data
 parameters.  Specs travel as JSON over the HTTP surface and as pickles
 into the worker pool, so they hold no callables, sockets or runtime
 objects — the worker process rebuilds the real
@@ -60,10 +60,10 @@ class SessionSpec:
     ----------
     scenario:
         Name of a registered scenario (see
-        :func:`repro.serve.scenarios.scenario_names`).
+        :func:`repro.scenarios.scenario_names`).
     params:
-        Scenario-specific parameters (plain JSON data); each scenario
-        validates its own and rejects unknown keys.
+        Scenario-specific parameters (plain JSON data), checked
+        against the scenario's table by :func:`repro.scenarios.build`.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` as a plain dict
         (see :meth:`repro.faults.plan.FaultPlan.from_dict`) — per-session chaos is a

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import replace
 from typing import Any
 
-from repro.obs.export import REPORT_SCHEMA
+from repro.obs.export import REPORT_SCHEMA, report_run
 from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SessionSpec
 
-__all__ = ["init_worker", "run_session", "QueueSink", "report_payload"]
+__all__ = ["init_worker", "run_session", "QueueSink"]
 
 #: Sentinel event key of control records on the telemetry queue.
 CONTROL_KEY = "__serve__"
@@ -67,24 +66,6 @@ class QueueSink:
         return None
 
 
-def report_payload(
-    name: str, spec: SessionSpec, result: Any
-) -> dict[str, Any]:
-    """One session's ``repro.report/v1`` payload."""
-    return {
-        "schema": REPORT_SCHEMA,
-        "runs": [
-            {
-                "name": name,
-                "scenario": spec.scenario,
-                "sim_time": result.sim_time,
-                "counters": dict(result.counters),
-                "metrics": result.metrics.as_dict(),
-            }
-        ],
-    }
-
-
 def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
     """Execute one session; returns a pickle-able outcome dict.
 
@@ -95,8 +76,6 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
     calls): the benchmark harness uses that mode to measure pure
     session throughput.
     """
-    from repro.api.facade import run  # lazy: keep worker start cheap
-
     queue = _QUEUE
     if queue is not None:
         queue.put((session_id, {CONTROL_KEY: "started", "pid": os.getpid()}))
@@ -105,12 +84,10 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
     try:
         spec = SessionSpec.from_dict(spec_dict)
         build = build_scenario(spec)
-        options = build.options
+        overrides: dict[str, Any] = {}
         if queue is not None:
-            options = replace(
-                options,
-                telemetry_sinks=options.telemetry_sinks
-                + (QueueSink(session_id, queue),),
+            overrides["telemetry_sinks"] = build.options.telemetry_sinks + (
+                QueueSink(session_id, queue),
             )
         if spec.provenance:
             # Captured to a worker-local temp file, shipped back as
@@ -122,8 +99,8 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
                 prefix=f"repro-{session_id}-", suffix=".prov"
             )
             os.close(fd)
-            options = replace(options, provenance=prov_path)
-        result = run(build.config, list(build.programs), options)
+            overrides["provenance"] = prov_path
+        result = build.run(**overrides)
     except Exception as exc:  # noqa: BLE001 - reported to the server
         outcome = {
             "ok": False,
@@ -131,12 +108,16 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
             "error": f"{type(exc).__name__}: {exc}",
         }
     else:
+        row = report_run(spec.label or session_id, result)
         outcome = {
             "ok": True,
             "session": session_id,
             "sim_time": result.sim_time,
             "counters": dict(result.counters),
-            "report": report_payload(spec.label or session_id, spec, result),
+            "report": {
+                "schema": REPORT_SCHEMA,
+                "runs": [{**row, "scenario": spec.scenario}],
+            },
         }
     if prov_path is not None:
         try:

@@ -53,6 +53,18 @@ class TestSessionsCli:
         assert rc == EXIT_OK
         assert "done" in capsys.readouterr().out
 
+    def test_param_values_are_checked_not_coerced(self, cli_server, capsys):
+        # "False" is a string, not JSON false: it used to run buddy-help ON.
+        for pair in ("buddy_help=False", "exports=46.9", "exprots=3"):
+            rc = main(
+                ["sessions", "submit", "--url", cli_server.url, "--param", pair]
+            )
+            assert rc == EXIT_USAGE
+            assert "valid params are" in capsys.readouterr().err
+        sid = submit(cli_server, capsys, "--param", "buddy_help=false")
+        assert main(["sessions", "wait", sid, "--url", cli_server.url]) == EXIT_OK
+        capsys.readouterr()
+
     def test_list_shows_sessions(self, cli_server, capsys):
         sid = submit(cli_server, capsys, "--label", "cli-list")
         main(["sessions", "wait", sid, "--url", cli_server.url])

@@ -56,6 +56,37 @@ class TestSessions:
             server.client.submit({"scenario": "no_such_scenario"})
         assert err.value.status == 400
 
+    def test_bad_scenario_params_are_400_and_never_queued(self):
+        # Its own server: "no session was created" is read off /sessions.
+        handle, stop = start_server(ServeConfig(workers=1))
+        try:
+            for scenario, params, problem in (
+                ("demo", {"exprots": 3}, "unknown param 'exprots'"),
+                ("demo", {"exports": 0}, "param exports=0 is not int 1..100000"),
+                ("demo", {"imports": 5}, "param imports=5 is not numbers"),
+                # Sizes are refused before the event loop allocates them.
+                ("fig4", {"u_procs": 10**9}, "is not int 1..1024"),
+                ("resilience", {"requests": 10**9}, "is not int 1..100000"),
+            ):
+                with pytest.raises(ServeError) as err:
+                    handle.client.submit({"scenario": scenario, "params": params})
+                assert err.value.status == 400
+                assert problem in str(err.value)
+                assert "valid params are" in str(err.value)
+            assert handle.client.sessions() == []
+            assert handle.client.stats()["sessions_total"] == 0
+        finally:
+            stop()
+
+    def test_every_registered_figure_is_servable(self, server):
+        ids = [
+            server.client.submit({"scenario": name, "params": {"exports": 41}})["id"]
+            for name in ("fig3a", "fig3b", "fig4", "resilience")
+        ]
+        for sid in ids:
+            assert server.client.wait(sid, timeout=60)["state"] == "done"
+            assert validate_report_payload(server.client.report(sid)) == []
+
     def test_report_before_done_is_409(self, server):
         info = server.client.submit(small_spec())
         try:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.plan import FaultPlan
-from repro.serve.scenarios import build_scenario, scenario_names
+from repro.scenarios import scenario_names
+from repro.serve.scenarios import build_scenario
 from repro.serve.spec import (
     SESSION_STATES,
     TERMINAL_STATES,

@@ -387,6 +387,19 @@ class TestMonitor:
 
 
 class TestRecordReplay:
+    def test_record_offers_every_scenario_but_the_process_killer(self, capsys):
+        from repro.scenarios import scenario_names
+
+        parser = build_parser()
+        for name in (*scenario_names(), "chaos"):
+            if name != "crash_hard":
+                assert parser.parse_args(["record", "x", "--scenario", name])
+        # crash_hard would os._exit(17) this process: a usage error instead.
+        with pytest.raises(SystemExit) as err:
+            main(["record", "x.prov", "--scenario", "crash_hard"])
+        assert err.value.code == 2
+        assert "invalid choice: 'crash_hard'" in capsys.readouterr().err
+
     def test_record_then_verify_round_trip(self, tmp_path, capsys):
         log = tmp_path / "run.prov"
         rc = main(["record", str(log), "--scenario", "chaos", "--seed", "5"])

@@ -139,6 +139,8 @@ class TestLayering:
         "repro.costs": ["repro.core", "repro.apps", "repro.bench"],
         "repro.core": ["repro.apps", "repro.bench"],
         "repro.apps": ["repro.bench"],
+        # The registry sits under every front-end that builds through it.
+        "repro.scenarios": ["repro.serve", "repro.cli", "repro.bench"],
     }
 
     @pytest.mark.parametrize("lower", sorted(FORBIDDEN))
@@ -160,3 +162,21 @@ class TestLayering:
                     f"{mod.__name__} imports {banned} (layering violation)"
                 )
         del sys
+
+    def test_only_the_facade_constructs_a_runtime(self):
+        """A coupled run is described in ``repro.scenarios`` and built by
+        ``repro.api.build``: nothing else in ``src/`` calls a runtime
+        constructor."""
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).resolve().parent
+        callers = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+                    if name in ("CoupledSimulation", "LiveCoupledSimulation"):
+                        callers.add(str(path.relative_to(root)))
+        assert callers == {"api/facade.py"}
