@@ -360,28 +360,28 @@ def build_causal_report(source: Any) -> CausalReport:
     assert isinstance(log, CausalLog)
     spans = tuple(log.spans)
     by_id = {s.span_id: s for s in spans}
+    # One pass: each trace's spans in log order, and every span some
+    # 'complete' span continues.
+    by_trace: dict[int, list[CausalSpan]] = {}
+    continued: set[int] = set()
+    for s in spans:
+        by_trace.setdefault(s.trace_id, []).append(s)
+        if s.name == "complete":
+            continued.update(s.parents)
 
     resolutions: list[ImportResolution] = []
     for span in spans:
         if span.name not in ("answered", "complete"):
             continue
-        if span.name == "answered":
-            # Skip if a 'complete' span continues this resolution: the
-            # completion is the authoritative end point.
-            if any(
-                s.name == "complete" and span.span_id in s.parents for s in spans
-            ):
-                continue
+        # An 'answered' span a 'complete' span continues is skipped: the
+        # completion is the authoritative end point.
+        if span.name == "answered" and span.span_id in continued:
+            continue
         # The rank's own request root: earliest 'request' span of this
         # trace recorded by the same process.
         end_who = span.who
-        roots = [
-            s
-            for s in spans
-            if s.trace_id == span.trace_id
-            and s.name == "request"
-            and s.who == end_who
-        ]
+        trace = by_trace[span.trace_id]
+        roots = [s for s in trace if s.name == "request" and s.who == end_who]
         if not roots:
             continue
         root = min(roots, key=lambda s: (s.time, s.span_id))
@@ -389,20 +389,9 @@ def build_causal_report(source: Any) -> CausalReport:
         path = _critical_path(span, by_id, clip_at=issued_at)
         stages = _attribute_stages(path, issued_at)
         retransmits = sum(
-            1
-            for s in spans
-            if s.trace_id == span.trace_id
-            and s.name == "retransmit"
-            and s.who == end_who
+            1 for s in trace if s.name == "retransmit" and s.who == end_who
         )
-        agg = next(
-            (
-                s
-                for s in spans
-                if s.trace_id == span.trace_id and s.name == "aggregate"
-            ),
-            None,
-        )
+        agg = next((s for s in trace if s.name == "aggregate"), None)
         resolutions.append(
             ImportResolution(
                 trace_id=span.trace_id,

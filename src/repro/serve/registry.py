@@ -1,18 +1,20 @@
 """The server-side session registry.
 
 One :class:`SessionRegistry` tracks every session of a server process:
-identity (unique ids), lifecycle state, the worker future, buffered
-telemetry, live subscribers and outcome payloads.  It is an event-loop
-object — every method must be called from the loop thread (worker
-completions arrive via ``loop.call_soon_threadsafe``), which is what
-makes the create/attach/cancel races benign without locks.
+identity (unique ids), lifecycle state, the FIFO of sessions no worker
+has taken yet, buffered telemetry, live subscribers and outcome
+payloads.  It is an event-loop object — every method must be called
+from the loop thread (worker frames arrive in ``loop.add_reader``
+callbacks), which is what makes the create/attach/cancel races benign
+without locks.
 
 Telemetry fan-out and backpressure
 ----------------------------------
-Each session keeps a bounded ring buffer of recent records (late
-attachers replay it) and a list of bounded per-subscriber
+Telemetry arrives as encoded ``repro.telemetry/v1`` lines and is never
+decoded here.  Each session keeps a bounded ring buffer of recent lines
+(late attachers replay it) and a list of bounded per-subscriber
 :class:`asyncio.Queue` objects.  A slow consumer never blocks the
-pump: when its queue is full the *oldest* queued record is dropped and
+loop: when its queue is full the *oldest* queued line is dropped and
 counted, per session and server-wide — the drop counters are part of
 the wire surface (``GET /sessions/{id}``, ``GET /stats``), so an
 attached monitor can see it lost lines rather than silently missing
@@ -22,17 +24,16 @@ them.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import time
 import uuid
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.fleet import FleetRollup
 from repro.serve.spec import SERVE_SCHEMA, TERMINAL_STATES, SessionSpec
-from repro.serve.worker import CONTROL_KEY
 
 __all__ = ["ServerFull", "SessionRecord", "SessionRegistry"]
 
@@ -45,9 +46,9 @@ class ServerFull(RuntimeError):
 _EOS = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SessionRecord:
-    """Everything the server knows about one session."""
+    """Everything the server knows about one session (compared by identity)."""
 
     id: str
     spec: SessionSpec
@@ -58,8 +59,6 @@ class SessionRecord:
     worker_pid: int | None = None
     error: str | None = None
     cancel_reason: str | None = None
-    #: The worker future (None until submitted to the pool).
-    future: Future[dict[str, Any]] | None = None
     #: The ``repro.report/v1`` payload once the session is done.
     report: dict[str, Any] | None = None
     #: The ``repro.prov/v1`` log text, when the spec asked for one.
@@ -69,10 +68,8 @@ class SessionRecord:
     #: Telemetry bookkeeping.
     records: int = 0
     dropped: int = 0
-    buffer: deque[dict[str, Any]] = field(default_factory=deque)
-    subscribers: list[asyncio.Queue[dict[str, Any] | None]] = field(
-        default_factory=list
-    )
+    buffer: deque[bytes] = field(default_factory=deque)
+    subscribers: list[asyncio.Queue[bytes | None]] = field(default_factory=list)
     #: Set exactly once, when the session reaches a terminal state.
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
@@ -126,6 +123,11 @@ class SessionRegistry:
         self.queue_size = queue_size
         self._sessions: dict[str, SessionRecord] = {}
         self._counter = itertools.count(1)
+        #: Sessions no worker has taken yet, oldest first; the server
+        #: pops from the left, a cancel removes from anywhere.
+        self.queued: deque[SessionRecord] = deque()
+        #: Sessions not yet terminal (what the cap applies to).
+        self.active_count = 0
         #: Server-wide telemetry totals.
         self.published = 0
         self.dropped_total = 0
@@ -154,51 +156,51 @@ class SessionRegistry:
         The cap applies to *active* sessions: finished ones stay
         listed for reports but never block new work.
         """
-        if len(self.active()) >= self.max_sessions:
+        if self.active_count >= self.max_sessions:
             raise ServerFull(
                 f"server is at its session cap ({self.max_sessions} active)"
             )
         sid = f"s-{next(self._counter):05d}-{uuid.uuid4().hex[:6]}"
-        record = SessionRecord(id=sid, spec=spec)
+        record = SessionRecord(
+            id=sid, spec=spec, buffer=deque(maxlen=self.buffer_records)
+        )
         self._sessions[sid] = record
+        self.queued.append(record)
+        self.active_count += 1
         return record
 
-    # -- telemetry fan-out -------------------------------------------------
-    def publish(self, session_id: str, record: dict[str, Any]) -> None:
-        """Deliver one queue item from a worker to its session.
+    def mark_started(self, session_id: str, pid: int) -> None:
+        """A worker took the session: ``queued`` becomes ``running``."""
+        session = self._sessions.get(session_id)
+        if session is None:
+            return
+        if session.state == "queued":
+            session.state = "running"
+            session.started = time.time()
+        session.worker_pid = pid
 
-        Control records (``{"__serve__": ...}``) update lifecycle
-        state; telemetry records are buffered and fanned out to every
+    # -- telemetry fan-out -------------------------------------------------
+    def publish(self, session_id: str, lines: list[bytes]) -> None:
+        """Deliver one telemetry frame from a worker to its session.
+
+        Every line is buffered and fanned out verbatim to every
         subscriber with drop-oldest backpressure.
         """
         session = self._sessions.get(session_id)
-        if session is None:  # session evicted; ignore the straggler
+        if session is None or session.terminal:  # ignore the straggler
             return
-        control = record.get(CONTROL_KEY)
-        if control == "started":
-            if session.state == "queued":
-                session.state = "running"
-                session.started = time.time()
-            session.worker_pid = record.get("pid")
-            return
-        if control == "outcome":
-            # Rides the same FIFO queue as the telemetry, so every
-            # snapshot was fanned out before the session finishes.
-            self.apply_outcome(session_id, record.get("outcome"))
-            return
-        session.records += 1
-        self.published += 1
-        session.buffer.append(record)
-        while len(session.buffer) > self.buffer_records:
-            session.buffer.popleft()
+        session.records += len(lines)
+        self.published += len(lines)
+        session.buffer.extend(lines)
         for queue in session.subscribers:
-            self._offer(session, queue, record)
+            for line in lines:
+                self._offer(session, queue, line)
 
     def _offer(
         self,
         session: SessionRecord,
-        queue: asyncio.Queue[dict[str, Any] | None],
-        record: dict[str, Any] | None,
+        queue: asyncio.Queue[bytes | None],
+        record: bytes | None,
     ) -> None:
         """Enqueue without blocking; drop the oldest when full."""
         while True:
@@ -216,11 +218,11 @@ class SessionRegistry:
 
     def attach(
         self, session_id: str
-    ) -> tuple[list[dict[str, Any]], asyncio.Queue[dict[str, Any] | None] | None]:
+    ) -> tuple[list[bytes], asyncio.Queue[bytes | None] | None]:
         """Subscribe to a session's telemetry.
 
-        Returns ``(replay, queue)``: the buffered records to replay
-        first, and a live queue that yields further records then a
+        Returns ``(replay, queue)``: the buffered lines to replay
+        first, and a live queue that yields further lines then a
         ``None`` end-of-stream sentinel — or ``queue=None`` when the
         session is already terminal (the replay is all there is).
         Detach with :meth:`detach`.
@@ -229,15 +231,11 @@ class SessionRegistry:
         replay = list(session.buffer)
         if session.terminal:
             return replay, None
-        queue: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue(
-            maxsize=self.queue_size
-        )
+        queue: asyncio.Queue[bytes | None] = asyncio.Queue(maxsize=self.queue_size)
         session.subscribers.append(queue)
         return replay, queue
 
-    def detach(
-        self, session_id: str, queue: asyncio.Queue[dict[str, Any] | None]
-    ) -> None:
+    def detach(self, session_id: str, queue: asyncio.Queue[bytes | None]) -> None:
         """Remove a subscriber queue (idempotent)."""
         session = self._sessions.get(session_id)
         if session is not None and queue in session.subscribers:
@@ -259,6 +257,10 @@ class SessionRegistry:
             return
         if state not in TERMINAL_STATES:
             raise ValueError(f"finish() requires a terminal state, got {state!r}")
+        if session.state == "queued":
+            with contextlib.suppress(ValueError):  # a worker already took it
+                self.queued.remove(session)
+        self.active_count -= 1
         session.state = state
         session.finished = time.time()
         session.error = error
@@ -269,6 +271,9 @@ class SessionRegistry:
             session.provenance = outcome.get("provenance")
             session.sim_time = outcome.get("sim_time")
             session.counters = outcome.get("counters")
+        for queue in session.subscribers:  # may evict (and count) a line
+            self._offer(session, queue, _EOS)
+        session.subscribers.clear()
         # finish() is the single terminal-state transition point, so
         # observing here keeps the fleet rollup exactly in step with
         # the wire-visible session states — whatever order sessions
@@ -281,9 +286,6 @@ class SessionRegistry:
             telemetry_records=session.records,
             telemetry_dropped=session.dropped,
         )
-        for queue in session.subscribers:
-            self._offer(session, queue, _EOS)
-        session.subscribers.clear()
         session.done_event.set()
 
     def apply_outcome(
@@ -312,22 +314,17 @@ class SessionRegistry:
     def request_cancel(self, session_id: str, reason: str) -> SessionRecord:
         """Cancel a session; returns its record.
 
-        A queued session whose future is still cancellable dies
-        immediately; a running one cannot be interrupted mid-run
-        (worker processes are not preemptible), so it is marked — the
-        server discards its result on completion and records *reason*.
+        A session still in the FIFO leaves it and dies immediately; one
+        a worker has taken cannot be interrupted mid-run (worker
+        processes are not preemptible), so it is marked — the server
+        discards its result on completion and records *reason*.
         """
         session = self._sessions[session_id]
         if session.terminal:
             return session
-        future = session.future
-        if future is not None and future.cancel():
-            # The done-callback will finish() it; record the reason now.
-            session.cancel_reason = reason
-        else:
-            session.cancel_reason = reason
-            if future is None:
-                self.finish(session_id, "cancelled", cancel_reason=reason)
+        session.cancel_reason = reason
+        if session in self.queued:
+            self.finish(session_id, "cancelled", cancel_reason=reason)
         return session
 
     def stats(self) -> dict[str, Any]:
@@ -338,7 +335,7 @@ class SessionRegistry:
         return {
             "schema": SERVE_SCHEMA,
             "sessions_total": len(self._sessions),
-            "sessions_active": len(self.active()),
+            "sessions_active": self.active_count,
             "max_sessions": self.max_sessions,
             "by_state": by_state,
             "telemetry": {

@@ -3,12 +3,15 @@
 One :class:`SessionServer` process hosts many concurrent coupled
 sessions.  The event loop owns the control plane — an HTTP/JSONL wire
 surface built on plain :mod:`asyncio` streams (no web framework) — and
-a :class:`~concurrent.futures.ProcessPoolExecutor` owns execution:
-CPU-bound DES runs never touch the loop, so hundreds of sessions can
-be in flight while list/attach/cancel requests stay responsive.
-Results come back as futures; telemetry flows back over a shared
-manager queue that a pump task fans out to per-session subscriber
+``workers`` pre-forked processes own execution: CPU-bound DES runs
+never touch the loop, so hundreds of sessions can be in flight while
+list/attach/cancel requests stay responsive.  Each worker sits on one
+duplex pipe the loop reads with ``add_reader``: specs go down it from
+the registry's FIFO, frames (``started``, telemetry batches, the
+outcome last) come back and are fanned out to per-session subscriber
 queues (see :mod:`repro.serve.registry` for the backpressure rules).
+End-of-file on a pipe fails the one session that worker was running
+and respawns that one worker.
 
 Wire surface (one request per connection, ``Connection: close``)::
 
@@ -35,8 +38,8 @@ and accepted by :func:`repro.obs.stream.validate_openmetrics`.
 
 Shutdown is a *drain*: the listener closes, queued-but-unstarted
 sessions are cancelled with a recorded reason, running ones get
-``drain_timeout`` seconds to finish, and the pool is joined before the
-process exits — no orphaned workers.
+``drain_timeout`` seconds to finish, and every worker is joined before
+the process exits — no orphaned workers.
 """
 
 from __future__ import annotations
@@ -45,16 +48,15 @@ import asyncio
 import contextlib
 import json
 import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from http import HTTPStatus
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
 from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SERVE_SCHEMA, SessionSpec
-from repro.serve.worker import init_worker, run_session
+from repro.serve.worker import worker_main
 
 __all__ = ["ServeConfig", "SessionServer"]
 
@@ -88,6 +90,16 @@ class ServeConfig:
             raise ValueError("drain_timeout must be >= 0")
 
 
+@dataclass(eq=False)
+class _Worker:
+    """One pre-forked process and the server's end of its pipe."""
+
+    process: Any
+    conn: Any
+    #: The session it is running (None while idle).
+    session: SessionRecord | None = None
+
+
 class _HttpError(Exception):
     """Maps straight to an HTTP error response."""
 
@@ -95,19 +107,6 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-_STATUS_TEXT = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 
 class SessionServer:
@@ -126,58 +125,98 @@ class SessionServer:
         #: CLI); :meth:`serve_until` waits on it.
         self.shutdown_requested: asyncio.Event = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
-        self._manager: Any = None
-        self._queue: Any = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_broken = False
-        self._pump_task: asyncio.Task[None] | None = None
+        self._workers: list[_Worker] = []
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and spin up the worker pool."""
+        """Fork the workers and bind the listener."""
         self._loop = asyncio.get_running_loop()
-        self._manager = multiprocessing.Manager()
-        self._queue = self._manager.Queue()
-        self._make_pool()
-        self._pump_task = asyncio.create_task(self._pump())
+        for _ in range(self.config.workers):
+            self._workers.append(self._spawn())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         sockets = self._server.sockets or ()
         self.port = sockets[0].getsockname()[1] if sockets else self.config.port
 
-    def _make_pool(self) -> None:
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            initializer=init_worker,
-            initargs=(self._queue,),
+    def _spawn(self) -> _Worker:
+        """Fork one worker on a fresh pipe and watch the pipe."""
+        assert self._loop is not None
+        ours, theirs = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=worker_main, args=(theirs,), daemon=True
         )
-        self._pool_broken = False
+        process.start()
+        theirs.close()
+        worker = _Worker(process, ours)
+        self._loop.add_reader(ours.fileno(), self._on_readable, worker)
+        return worker
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The live pool; replaced transparently after a hard crash."""
-        if self._pool is None:
-            raise _HttpError(503, "server not started")
-        if self._pool_broken:
-            old = self._pool
-            self._make_pool()
-            old.shutdown(wait=False)
-        assert self._pool is not None
-        return self._pool
+    def _on_readable(self, worker: _Worker) -> None:
+        """Apply the next frame on *worker*'s pipe.
 
-    async def _pump(self) -> None:
-        """Move (session_id, record) items from workers into the loop."""
-        assert self._loop is not None and self._queue is not None
-        while True:
-            item = await self._loop.run_in_executor(None, self._queue.get)
-            if item is None:
+        One frame per call: readiness is level-triggered, so the loop
+        calls again while more wait.
+        """
+        try:
+            kind, payload = worker.conn.recv()
+        except (EOFError, OSError):
+            self._worker_died(worker)
+            return
+        session = worker.session
+        assert session is not None, f"{kind} frame from an idle worker"
+        if kind == "telemetry":
+            self.registry.publish(session.id, payload)
+        elif kind == "started":
+            self.registry.mark_started(session.id, payload)
+        else:  # the outcome: the session's last frame
+            worker.session = None
+            self.registry.apply_outcome(session.id, payload)
+            self._dispatch()
+
+    def _worker_died(self, worker: _Worker) -> None:
+        """End-of-file on one pipe: fail its session, replace the worker."""
+        self._retire(worker)
+        if worker.session is not None:
+            self.registry.finish(
+                worker.session.id,
+                "failed",
+                error="worker pool broken (worker process died mid-session)",
+            )
+        if worker in self._workers:  # not so once shutdown retired it
+            self._workers[self._workers.index(worker)] = self._spawn()
+            self._dispatch()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Stop watching *worker* and reap it (it has exited or will now)."""
+        assert self._loop is not None
+        self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        worker.process.join(5.0)
+        if worker.process.is_alive():  # pragma: no cover - wedged worker
+            worker.process.kill()
+            worker.process.join()
+
+    def _dispatch(self) -> None:
+        """Hand queued sessions, oldest first, to idle workers."""
+        queued = self.registry.queued
+        for worker in list(self._workers):
+            if not queued:
                 return
-            session_id, record = item
-            self.registry.publish(session_id, record)
+            if worker.session is not None:
+                continue
+            session = queued.popleft()
+            try:
+                worker.conn.send((session.id, session.spec.to_dict()))
+            except OSError:  # died idle; its end-of-file is still unread
+                queued.appendleft(session)
+                self._worker_died(worker)
+                return
+            worker.session = session
 
     async def shutdown(self, drain: bool = True) -> dict[str, Any]:
-        """Stop accepting work, drain or cancel sessions, join the pool.
+        """Stop accepting work, drain or cancel sessions, join the workers.
 
         Returns a summary: how many sessions finished during drain and
         how many were cancelled with what reason.
@@ -197,32 +236,21 @@ class SessionServer:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(session.done_event.wait(), remaining)
             drained = sum(1 for s in active if s.terminal)
+        # Queued sessions leave the FIFO and die here; a running one is
+        # marked, finishes its run (workers are not preemptible) and has
+        # its outcome discarded — frames keep landing while we wait.
         cancelled = []
         for session in self.registry.active():
             self.registry.request_cancel(session.id, "server shutdown")
             cancelled.append(session.id)
-        # Join the pool: queued futures are gone (cancelled above or by
-        # cancel_futures), running ones finish their current session.
-        # Joined off-loop so completion callbacks and the pump keep
-        # landing while the last workers wind down.
-        if self._pool is not None:
-            pool = self._pool
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: pool.shutdown(wait=True, cancel_futures=True)
-            )
-        # Give the pump a chance to deliver every queued record, then
-        # stop it with the sentinel and let straggler finishes land.
-        if self._queue is not None:
-            self._queue.put(None)
-        if self._pump_task is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._pump_task
-        for session in self.registry.active():  # futures that never ran
-            self.registry.finish(
-                session.id, "cancelled", cancel_reason="server shutdown"
-            )
-        if self._manager is not None:
-            self._manager.shutdown()
+        for session in self.registry.active():
+            await session.done_event.wait()
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+        for worker in workers:
+            self._retire(worker)
         return {
             "schema": SERVE_SCHEMA,
             "drained": drained,
@@ -243,60 +271,17 @@ class SessionServer:
 
     # -- session control ---------------------------------------------------
     def submit(self, spec: SessionSpec) -> SessionRecord:
-        """Register *spec* and hand it to the worker pool."""
+        """Register *spec* and hand it to a worker (or the FIFO)."""
         if self.draining:
             raise _HttpError(503, "server is draining; not accepting sessions")
+        if not self._workers:
+            raise _HttpError(503, "server not started")
         try:
             session = self.registry.create(spec)
         except ServerFull as exc:
             raise _HttpError(429, str(exc)) from exc
-        pool = self._ensure_pool()
-        try:
-            future = pool.submit(run_session, session.id, spec.to_dict())
-        except BrokenProcessPool:
-            self._pool_broken = True
-            future = self._ensure_pool().submit(
-                run_session, session.id, spec.to_dict()
-            )
-        session.future = future
-        assert self._loop is not None
-        loop = self._loop
-        future.add_done_callback(
-            lambda fut: loop.call_soon_threadsafe(self._session_done, session.id, fut)
-        )
+        self._dispatch()
         return session
-
-    def _session_done(self, session_id: str, future: Future[dict[str, Any]]) -> None:
-        """Map a finished worker future onto the session's final state."""
-        session = self.registry.get(session_id)
-        if session is None or session.terminal:
-            return
-        if future.cancelled():
-            self.registry.finish(
-                session_id,
-                "cancelled",
-                cancel_reason=session.cancel_reason or "cancelled before start",
-            )
-            return
-        exc = future.exception()
-        if exc is not None:
-            if isinstance(exc, BrokenProcessPool):
-                self._pool_broken = True
-                error = "worker pool broken (worker process died mid-session)"
-            else:  # pragma: no cover - run_session catches run errors
-                error = f"{type(exc).__name__}: {exc}"
-            self.registry.finish(session_id, "failed", error=error)
-            return
-        # Normal completion: the worker queued an ``outcome`` control
-        # record *behind* its final telemetry snapshot, so the pump
-        # finishes the session only after every record was fanned out —
-        # an attached stream never loses the final line to this
-        # callback racing the queue.  The future's result stays as a
-        # timed fallback in case the queue path ever goes quiet.
-        assert self._loop is not None
-        self._loop.call_later(
-            2.0, self.registry.apply_outcome, session_id, future.result()
-        )
 
     # -- HTTP plumbing -----------------------------------------------------
     async def _handle_connection(
@@ -324,6 +309,9 @@ class SessionServer:
                 )
         finally:
             with contextlib.suppress(Exception):
+                # A worker respawned while this connection was open holds a
+                # forked copy of its socket: shut it down, not just close it.
+                writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
 
@@ -344,7 +332,10 @@ class SessionServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not raw_length.isdecimal():
+            raise _HttpError(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(400, f"request body too large ({length} bytes)")
         body: dict[str, Any] | None = None
@@ -360,32 +351,18 @@ class SessionServer:
         return method, target, body
 
     async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any],
+        self, writer: asyncio.StreamWriter, status: int, payload: dict[str, Any]
     ) -> None:
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            "Connection: close\r\n\r\n"
+        await self._respond_text(
+            writer, status, json.dumps(payload, sort_keys=True) + "\n", "application/json"
         )
-        writer.write(head.encode("latin-1") + data)
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-            await writer.drain()
 
     async def _respond_text(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
+        self, writer: asyncio.StreamWriter, status: int, text: str, content_type: str
     ) -> None:
         data = text.encode("utf-8")
         head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(data)}\r\n"
             "Connection: close\r\n\r\n"
@@ -415,7 +392,7 @@ class SessionServer:
         out.family("repro_server_sessions_active", "gauge",
                    "Sessions not yet terminal")
         out.sample("repro_server_sessions_active", "gauge", {},
-                   len(registry.active()))
+                   registry.active_count)
         out.family("repro_server_telemetry_published", "counter",
                    "Telemetry records fanned out")
         out.sample("repro_server_telemetry_published", "counter", {},
@@ -562,21 +539,24 @@ class SessionServer:
         backlog, queue = self.registry.attach(session.id)
         try:
             if replay:
-                for record in backlog:
-                    writer.write(
-                        (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-                    )
+                writer.write(b"".join(backlog))
                 await writer.drain()
             if queue is None:
                 return
             while True:
-                record = await queue.get()
-                if record is None:
-                    return
-                writer.write(
-                    (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-                )
+                # One write per wake-up: everything the last frame queued,
+                # up to end-of-stream (nothing is ever offered behind it).
+                line = await queue.get()
+                chunk = []
+                while line is not None:
+                    chunk.append(line)
+                    if queue.empty():
+                        break
+                    line = queue.get_nowait()
+                writer.write(b"".join(chunk))
                 await writer.drain()
+                if line is None:
+                    return
         except (ConnectionResetError, BrokenPipeError):
             pass  # consumer went away; detach below
         finally:

@@ -1,14 +1,14 @@
-"""What runs inside a pool worker process.
+"""What runs inside a worker process.
 
-The server submits ``run_session(session_id, spec_dict)`` to a
-:class:`~concurrent.futures.ProcessPoolExecutor` whose initializer
-installed a shared telemetry queue (:func:`init_worker`).  The worker
-rebuilds the scenario from the spec, attaches a :class:`QueueSink`
-that forwards every ``repro.telemetry/v1`` snapshot back to the
-server's event loop, drives the run to completion and returns a plain
-pickle-able outcome dict — on failure an ``{"ok": False, ...}`` dict
-rather than an exception, so one bad session never looks like a pool
-fault.
+The server pre-forks ``workers`` processes, each looping in
+:func:`worker_main` on its end of one duplex pipe: receive a
+``(session_id, spec_dict)`` job, answer with frames — ``("started",
+pid)``, then ``("telemetry", [line, ...])`` batches, then ``("outcome",
+dict)`` as the session's final frame — and wait for the next job.  One
+ordered byte stream per worker is what makes "end-of-stream follows
+the final snapshot" hold by construction.  A run that raises becomes an
+``{"ok": False, ...}`` outcome rather than an exception, so one bad
+session never looks like a dead worker.
 
 Workers also ignore ``SIGINT``: an interactive Ctrl-C on ``repro
 serve`` reaches the whole process group, and graceful drain requires
@@ -18,77 +18,87 @@ cancelled.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+from time import monotonic
 from typing import Any
 
 from repro.obs.export import REPORT_SCHEMA, report_run
 from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SessionSpec
 
-__all__ = ["init_worker", "run_session", "QueueSink"]
+__all__ = ["worker_main", "run_session", "PipeSink"]
 
-#: Sentinel event key of control records on the telemetry queue.
-CONTROL_KEY = "__serve__"
-
-#: The telemetry queue installed by :func:`init_worker` (per process).
-_QUEUE: Any = None
+#: Wall-clock slice one telemetry frame covers: the first record of a
+#: slice leaves at once, the rest of it rides the next frame.
+FRAME_SLICE_S = 0.004
 
 
-def init_worker(queue: Any) -> None:
-    """Pool initializer: stash the shared queue, shield from SIGINT."""
-    global _QUEUE
-    _QUEUE = queue
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+class PipeSink:
+    """A TelemetrySink framing encoded records onto the worker's pipe.
 
-
-class QueueSink:
-    """A TelemetrySink forwarding records to the server's queue.
-
-    Records are tagged with the session id so one queue can carry all
-    sessions; the server side fans them out to per-session subscriber
-    queues.
+    Each record is encoded once, here, exactly as ``JsonlSink`` writes
+    it; the server ring-buffers and fans out these bytes verbatim.
     """
 
-    def __init__(self, session_id: str, queue: Any) -> None:
-        self.session_id = session_id
-        self.queue = queue
-        self.records = 0
+    def __init__(self, conn: Any) -> None:
+        self.conn = conn
+        self.lines: list[bytes] = []
+        self.deadline = 0.0
 
     def emit(self, record: dict[str, Any]) -> None:
-        self.queue.put((self.session_id, dict(record)))
-        self.records += 1
+        self.lines.append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        if monotonic() >= self.deadline:
+            self.close()
 
-    def close(self) -> None:  # nothing held open
-        return None
+    def close(self) -> None:
+        """Flush the open frame (the sink holds nothing else)."""
+        if self.lines:
+            self.conn.send(("telemetry", self.lines))
+            self.lines = []
+        self.deadline = monotonic() + FRAME_SLICE_S
 
 
-def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
+def worker_main(conn: Any) -> None:
+    """Serve jobs from *conn* until ``None`` or end-of-file."""
+    # A respawned worker is forked under the loop's signal handlers: it
+    # must not write to the server's wakeup socket, nor outlive SIGTERM.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return
+        if job is None:
+            return
+        run_session(*job, conn=conn)
+
+
+def run_session(
+    session_id: str, spec_dict: dict[str, Any], conn: Any = None
+) -> dict[str, Any]:
     """Execute one session; returns a pickle-able outcome dict.
 
-    Emits a ``started`` control record first (the server flips the
-    session to ``running`` and learns the worker pid), then runs the
-    scenario with a :class:`QueueSink` spliced into its telemetry
-    sinks.  Works queue-less too (``init_worker(None)`` or in-process
-    calls): the benchmark harness uses that mode to measure pure
-    session throughput.
+    With a pipe, sends ``started`` first (the server flips the session
+    to ``running`` and learns the worker pid), runs the scenario with a
+    :class:`PipeSink` spliced into its telemetry sinks, and sends the
+    outcome behind the last telemetry frame.  Works pipe-less too
+    (in-process calls): the benchmark harness uses that mode to measure
+    pure session throughput.
     """
-    queue = _QUEUE
-    if queue is not None:
-        queue.put((session_id, {CONTROL_KEY: "started", "pid": os.getpid()}))
+    if conn is not None:
+        conn.send(("started", os.getpid()))
     outcome: dict[str, Any]
     prov_path: str | None = None
     try:
         spec = SessionSpec.from_dict(spec_dict)
         build = build_scenario(spec)
         overrides: dict[str, Any] = {}
-        if queue is not None:
-            overrides["telemetry_sinks"] = build.options.telemetry_sinks + (
-                QueueSink(session_id, queue),
-            )
+        if conn is not None:
+            overrides["telemetry_sinks"] = (*build.options.telemetry_sinks, PipeSink(conn))
         if spec.provenance:
             # Captured to a worker-local temp file, shipped back as
             # text in the outcome (wire-safe), then unlinked — the
@@ -130,10 +140,8 @@ def run_session(session_id: str, spec_dict: dict[str, Any]) -> dict[str, Any]:
                 os.unlink(prov_path)
             except OSError:
                 pass
-    # The outcome rides the same FIFO queue as the telemetry, so the
-    # server never finishes a session before its last snapshot landed
-    # (an attached stream always sees the final line).  The future's
-    # return value is kept as a fallback for queue-less use.
-    if queue is not None:
-        queue.put((session_id, {CONTROL_KEY: "outcome", "outcome": outcome}))
+    if conn is not None:
+        # The facade closed the sink on either path, so the last
+        # telemetry frame is already ahead of this one on the pipe.
+        conn.send(("outcome", outcome))
     return outcome

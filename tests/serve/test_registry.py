@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import asyncio
+import json
 from typing import Any
 
 import pytest
 
 from repro.serve.registry import ServerFull, SessionRegistry
 from repro.serve.spec import SessionSpec
-from repro.serve.worker import CONTROL_KEY
 
 
 def run(coro: Any) -> Any:
     return asyncio.run(coro)
 
 
-def rec(i: int, final: bool = False) -> dict[str, Any]:
-    return {"schema": "repro.telemetry/v1", "time": float(i), "final": final}
+def rec(i: int, final: bool = False) -> bytes:
+    """One encoded telemetry line, as a worker frames it."""
+    record = {"schema": "repro.telemetry/v1", "time": float(i), "final": final}
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
+def times(lines: Any) -> list[float]:
+    return [json.loads(line)["time"] for line in lines]
 
 
 class TestLifecycle:
@@ -40,7 +46,7 @@ class TestLifecycle:
         async def main() -> None:
             reg = SessionRegistry()
             s = reg.create(SessionSpec())
-            reg.publish(s.id, {CONTROL_KEY: "started", "pid": 4242})
+            reg.mark_started(s.id, 4242)
             assert s.state == "running" and s.worker_pid == 4242
 
         run(main())
@@ -55,7 +61,7 @@ class TestLifecycle:
                 "counters": {"ctl_messages": 3},
                 "report": {"schema": "repro.report/v1", "runs": []},
             }
-            reg.publish(s.id, {CONTROL_KEY: "outcome", "outcome": outcome})
+            reg.apply_outcome(s.id, outcome)
             assert s.state == "done"
             assert s.sim_time == 1.5 and s.report is not None
             assert s.done_event.is_set()
@@ -64,21 +70,14 @@ class TestLifecycle:
 
     def test_cancel_reason_discards_outcome(self):
         async def main() -> None:
-            from concurrent.futures import Future
-
             reg = SessionRegistry()
             s = reg.create(SessionSpec())
-            # A running session's future is no longer cancellable.
-            future: Future[dict[str, Any]] = Future()
-            assert future.set_running_or_notify_cancel()
-            s.future = future
-            s.state = "running"
+            # A worker took it off the FIFO: no longer cancellable.
+            assert reg.queued.popleft() is s
+            reg.mark_started(s.id, 4242)
             reg.request_cancel(s.id, "operator said so")
             assert s.state == "running"  # cannot preempt the worker
-            reg.publish(
-                s.id,
-                {CONTROL_KEY: "outcome", "outcome": {"ok": True, "report": {}}},
-            )
+            reg.apply_outcome(s.id, {"ok": True, "report": {}})
             assert s.state == "cancelled"
             assert s.cancel_reason == "operator said so"
             assert s.report is None
@@ -119,13 +118,13 @@ class TestFanOut:
         async def main() -> None:
             reg = SessionRegistry()
             s = reg.create(SessionSpec())
-            reg.publish(s.id, rec(0))
+            reg.publish(s.id, [rec(0)])
             replay, queue = reg.attach(s.id)
-            assert [r["time"] for r in replay] == [0.0]
+            assert times(replay) == [0.0]
             assert queue is not None
-            reg.publish(s.id, rec(1))
+            reg.publish(s.id, [rec(1)])
             reg.finish(s.id, "done")
-            assert (await queue.get())["time"] == 1.0
+            assert await queue.get() == rec(1)  # the worker's bytes, verbatim
             assert await queue.get() is None  # end-of-stream sentinel
 
         run(main())
@@ -134,7 +133,7 @@ class TestFanOut:
         async def main() -> None:
             reg = SessionRegistry()
             s = reg.create(SessionSpec())
-            reg.publish(s.id, rec(0, final=True))
+            reg.publish(s.id, [rec(0, final=True)])
             reg.finish(s.id, "done")
             replay, queue = reg.attach(s.id)
             assert queue is None and len(replay) == 1
@@ -147,13 +146,14 @@ class TestFanOut:
             s = reg.create(SessionSpec())
             _, queue = reg.attach(s.id)
             assert queue is not None
-            for i in range(10):
-                reg.publish(s.id, rec(i))
+            # Frames of 1, 2, 3 and 4 lines: drops count lines, not frames.
+            for frame in ([0], [1, 2], [3, 4, 5], [6, 7, 8, 9]):
+                reg.publish(s.id, [rec(i) for i in frame])
             # 6 drops: the queue holds the 4 newest records.
             assert s.dropped == 6 and reg.dropped_total == 6
             assert s.info()["telemetry"]["dropped"] == 6
-            times = [queue.get_nowait()["time"] for _ in range(4)]
-            assert times == [6.0, 7.0, 8.0, 9.0]
+            assert s.records == 10 and reg.published == 10
+            assert times(queue.get_nowait() for _ in range(4)) == [6.0, 7.0, 8.0, 9.0]
 
         run(main())
 
@@ -161,9 +161,9 @@ class TestFanOut:
         async def main() -> None:
             reg = SessionRegistry(buffer_records=3)
             s = reg.create(SessionSpec())
-            for i in range(7):
-                reg.publish(s.id, rec(i))
-            assert [r["time"] for r in s.buffer] == [4.0, 5.0, 6.0]
+            reg.publish(s.id, [rec(i) for i in range(5)])
+            reg.publish(s.id, [rec(5), rec(6)])
+            assert times(s.buffer) == [4.0, 5.0, 6.0]
 
         run(main())
 

@@ -7,15 +7,50 @@ path the CLI takes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
+import socket
 import threading
+import time
+from pathlib import Path
 from typing import Any
 
 import pytest
 
 from repro.obs.export import validate_report_payload
 from repro.serve import ServeConfig, ServeError
-from tests.serve.conftest import small_spec, start_server
+from tests.serve.conftest import ServerHandle, small_spec, start_server
+
+SLOW_PARAMS = {"exports": 4000, "imports": [1000.0, 3000.0]}
+
+
+def local_jsonl_lines(spec: dict[str, Any], path: Path) -> list[str]:
+    """What a ``JsonlSink`` file of *spec*'s run holds, a run that raises too."""
+    from repro.api.facade import run as run_facade
+    from repro.obs.stream import JsonlSink
+    from repro.serve.scenarios import build_scenario
+    from repro.serve.spec import SessionSpec
+
+    build = build_scenario(SessionSpec.from_dict(spec))
+    options = dataclasses.replace(
+        build.options, telemetry_sinks=(JsonlSink(str(path)),)
+    )
+    try:
+        run_facade(build.config, list(build.programs), options)
+    except RuntimeError:
+        assert spec["scenario"] == "crash"
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def raw_request(handle: ServerHandle, request: bytes) -> bytes:
+    """One hand-written HTTP request; the whole response."""
+    with socket.create_connection(("127.0.0.1", handle.server.port), timeout=10) as s:
+        s.sendall(request)
+        chunks = []
+        while chunk := s.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestSessions:
@@ -108,6 +143,19 @@ class TestSessions:
         assert done["counters"]["retransmissions"] > 0
 
 
+class TestHttpParsing:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "0x10"])
+    def test_malformed_content_length_is_400(self, server, length):
+        response = raw_request(
+            server,
+            f"POST /sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}".encode(),
+        )
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        body = json.loads(response.split(b"\r\n\r\n", 1)[1])
+        assert "malformed Content-Length" in body["error"]
+        assert server.client.sessions() == []  # and the server still answers
+
+
 class TestProvenance:
     def test_provenance_session_yields_replayable_log(self, server, tmp_path):
         info = server.client.submit(small_spec(provenance=True, label="prov"))
@@ -152,9 +200,7 @@ class TestCancel:
         # Saturate both workers with slower sessions, then cancel a
         # queued one before any worker picks it up.
         blockers = [
-            server.client.submit(small_spec(params={"exports": 4000,
-                                                    "imports": [1000.0, 3000.0]}))
-            for _ in range(2)
+            server.client.submit(small_spec(params=SLOW_PARAMS)) for _ in range(2)
         ]
         victim = server.client.submit(small_spec(label="victim"))
         cancelled = server.client.cancel(victim["id"], reason="not needed")
@@ -171,9 +217,8 @@ class TestMaxSessions:
             ServeConfig(workers=1, max_sessions=2, drain_timeout=30.0)
         )
         try:
-            slow = {"exports": 4000, "imports": [1000.0, 3000.0]}
-            a = handle.client.submit(small_spec(params=slow))
-            b = handle.client.submit(small_spec(params=slow))
+            a = handle.client.submit(small_spec(params=SLOW_PARAMS))
+            b = handle.client.submit(small_spec(params=SLOW_PARAMS))
             with pytest.raises(ServeError) as err:
                 handle.client.submit(small_spec())
             assert err.value.status == 429
@@ -216,6 +261,59 @@ class TestCrashIsolation:
         assert last["final"] is True and last["aborted"] is True
         assert "injected crash" in last["error"]
 
+    def test_crashed_run_streams_every_line_emitted_before_the_error(
+        self, server, tmp_path
+    ):
+        spec = {
+            "scenario": "crash",
+            "telemetry_interval": 0.001,
+            "params": dict(small_spec()["params"], crash_after=9),
+        }
+        info = server.client.submit(spec)
+        wire = [
+            json.dumps(rec, sort_keys=True)
+            for rec in server.client.telemetry(info["id"])
+        ]
+        assert len(wire) > 2  # periodic lines, then the aborted final one
+        assert wire == local_jsonl_lines(spec, tmp_path / "crash.jsonl")
+
+    def test_hard_worker_crash_leaves_its_neighbour_running(self, server):
+        """One dead worker fails one session, not every session in flight."""
+        bystander = server.client.submit(
+            small_spec(params=SLOW_PARAMS, label="bystander")
+        )
+        # Attached across the respawn: the new worker is forked while
+        # this connection is open, and the stream must still end.
+        stream: list[dict[str, Any]] = []
+        reader = threading.Thread(
+            target=lambda: stream.extend(server.client.telemetry(bystander["id"]))
+        )
+        reader.start()
+        before = server.client.session(bystander["id"])
+        while before["state"] == "queued":
+            time.sleep(0.005)
+            before = server.client.session(bystander["id"])
+        assert before["state"] == "running"
+        hard = server.client.submit(
+            {"scenario": "crash_hard",
+             "params": dict(small_spec()["params"], crash_after=3)}
+        )
+        failed = server.client.wait(hard["id"], timeout=60)
+        assert failed["state"] == "failed" and "pool broken" in failed["error"]
+        done = server.client.wait(bystander["id"], timeout=60)
+        assert done["state"] == "done", done
+        assert done["worker_pid"] == before["worker_pid"] != failed["worker_pid"]
+        assert validate_report_payload(server.client.report(bystander["id"])) == []
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "bystander's stream never ended"
+        assert stream[-1]["final"] is True and not stream[-1].get("aborted")
+        # The next submission runs on the respawned worker.
+        after = server.client.wait(server.client.submit(small_spec())["id"], timeout=60)
+        assert after["state"] == "done"
+        pids = {p.pid for p in multiprocessing.active_children()}
+        assert len(pids) == 2 and failed["worker_pid"] not in pids
+        assert after["worker_pid"] in pids
+
     def test_hard_worker_crash_fails_session_and_pool_recovers(self, server):
         hard = server.client.submit(
             {"scenario": "crash_hard",
@@ -241,33 +339,38 @@ class TestTelemetryWire:
         assert not any(rec.get("final") for rec in lines[:-1])
 
     def test_wire_telemetry_matches_file_sink_line_for_line(self, server, tmp_path):
-        """Same scenario + seed: served stream == local JsonlSink file."""
-        from repro.api.facade import run as run_facade
-        from repro.obs.stream import JsonlSink
-        from repro.serve.scenarios import build_scenario
-        from repro.serve.spec import SessionSpec
+        """Same scenario + seed: served stream == local JsonlSink file.
 
-        spec = small_spec(telemetry_interval=0.01)
-        info = server.client.submit(spec)
-        wire = [
-            json.dumps(rec, sort_keys=True)
-            for rec in server.client.telemetry(info["id"])
-        ]
+        For one session, then for four at once (not a parametrization:
+        the test id is a floor id): four sessions over two workers share
+        pipes and queue behind each other, and no stream may carry a
+        line of another's.
+        """
+        for concurrent in (1, 4):
+            specs = [
+                small_spec(telemetry_interval=0.01, params={"exports": 12 + 5 * n})
+                for n in range(concurrent)
+            ]
+            ids = [server.client.submit(spec)["id"] for spec in specs]
+            wires: dict[str, list[str]] = {}
 
-        build = build_scenario(SessionSpec.from_dict(spec))
-        path = tmp_path / "tele.jsonl"
-        import dataclasses
+            def attach(sid: str, wires: dict[str, list[str]] = wires) -> None:
+                wires[sid] = [
+                    json.dumps(rec, sort_keys=True)
+                    for rec in server.client.telemetry(sid)
+                ]
 
-        options = dataclasses.replace(
-            build.options, telemetry_sinks=(JsonlSink(str(path)),)
-        )
-        run_facade(build.config, list(build.programs), options)
-        local = [
-            json.dumps(json.loads(line), sort_keys=True)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        assert wire == local
+            threads = [threading.Thread(target=attach, args=(sid,)) for sid in ids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            locals_ = [
+                local_jsonl_lines(spec, tmp_path / f"tele{concurrent}-{n}.jsonl")
+                for n, spec in enumerate(specs)
+            ]
+            assert [wires.get(sid) for sid in ids] == locals_
+            assert len({tuple(lines) for lines in locals_}) == concurrent
 
     def test_late_attach_replays_from_buffer(self, server):
         info = server.client.submit(small_spec(telemetry_interval=0.01))
@@ -276,6 +379,34 @@ class TestTelemetryWire:
         assert lines and lines[-1]["final"] is True
         # replay=0 skips the backlog of a finished session entirely.
         assert list(server.client.telemetry(info["id"], replay=False)) == []
+
+
+class TestStructure:
+    """What the serving path is made of, read off the process itself."""
+
+    def test_processes_are_exactly_the_workers(self, server):
+        children = multiprocessing.active_children()
+        assert len(children) == server.server.config.workers == 2  # no manager
+        info = server.client.wait(server.client.submit(small_spec())["id"], timeout=30)
+        assert info["worker_pid"] in {child.pid for child in children}
+
+    def test_serving_sessions_starts_no_threads(self, server):
+        before = threading.active_count()
+        for _ in range(10):
+            info = server.client.submit(small_spec(telemetry_interval=0.01))
+            lines = list(server.client.telemetry(info["id"]))
+            assert lines[-1]["final"] is True
+            assert server.client.report(info["id"])["schema"] == "repro.report/v1"
+        # No pump, executor-manager or queue-feeder threads come and go.
+        assert threading.active_count() == before
+        assert {t.name for t in threading.enumerate()} >= {"serve-test"}
+
+    def test_shutdown_leaves_no_children(self):
+        handle, stop = start_server(ServeConfig(workers=3))
+        assert len(multiprocessing.active_children()) == 3
+        handle.client.submit(small_spec())
+        stop()
+        assert multiprocessing.active_children() == []
 
 
 class TestConcurrencyAndDrain:
