@@ -110,9 +110,7 @@ class ProcessContext(ContextBase):
         yield self.sim.timeout(seconds)
         self.stats.compute_time += seconds
         if self._rt._prov is not None:
-            self._rt._prov.on_op(
-                self.program, self.rank, {"op": "compute", "seconds": seconds}
-            )
+            self._rt._prov.on_op(self.program, self.rank, "compute", seconds)
         return seconds
 
     def compute_elements(
@@ -135,11 +133,9 @@ class ProcessContext(ContextBase):
             self._rt._prov.on_op(
                 self.program,
                 self.rank,
-                {
-                    "op": "compute_elements",
-                    "elements": int(elements),
-                    "scale": float(scale),
-                },
+                "compute_elements",
+                int(elements),
+                float(scale),
             )
         return t
 
@@ -273,9 +269,7 @@ class ProcessContext(ContextBase):
         ts = handle.ts
         if coupler._prov is not None:
             coupler._prov.on_op(
-                self.program,
-                self.rank,
-                {"op": "import_wait", "region": handle.region, "ts": ts},
+                self.program, self.rank, "import_wait", handle.region, ts
             )
         box = coupler.world.network.mailbox(("cpl", self.program, self.rank))
         answer_ev = box.get_matching(

@@ -44,6 +44,11 @@ class RegionImportState:
     region_name: str
     connection_id: str
     records: list[ImportRecord] = field(default_factory=list)
+    #: Running tallies of :attr:`records`, kept by :meth:`on_answer` and
+    #: :meth:`complete` so a telemetry snapshot never re-scans the list.
+    completed: int = 0
+    match_count: int = 0
+    no_match_count: int = 0
     _last_request_ts: float = -math.inf
 
     def start_request(
@@ -69,31 +74,19 @@ class RegionImportState:
         )
         record.answer = answer
         record.answered_at = now
+        if answer.kind is MatchKind.MATCH:
+            self.match_count += 1
+        elif answer.kind is MatchKind.NO_MATCH:
+            self.no_match_count += 1
 
     def complete(self, record: ImportRecord, now: float) -> None:
         """All data pieces arrived (or NO_MATCH short-circuited)."""
         require(record.answer is not None, "completing an unanswered import")
+        if record.completed_at is None:
+            self.completed += 1
         record.completed_at = now
 
     # -- reporting ---------------------------------------------------------
-    @property
-    def match_count(self) -> int:
-        """Completed imports that returned data."""
-        return sum(
-            1
-            for r in self.records
-            if r.answer is not None and r.answer.kind is MatchKind.MATCH
-        )
-
-    @property
-    def no_match_count(self) -> int:
-        """Completed imports that returned nothing."""
-        return sum(
-            1
-            for r in self.records
-            if r.answer is not None and r.answer.kind is MatchKind.NO_MATCH
-        )
-
     def mean_latency(self) -> float:
         """Mean completed-import latency (0.0 when none completed)."""
         vals = [r.latency for r in self.records if r.latency is not None]

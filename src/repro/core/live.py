@@ -74,9 +74,7 @@ class LiveProcessContext(ContextBase):
         require(seconds >= 0, "compute time must be >= 0")
         time.sleep(seconds * self._rt.time_scale)
         if self._rt._prov is not None:
-            self._rt._prov.on_op(
-                self.program, self.rank, {"op": "compute", "seconds": seconds}
-            )
+            self._rt._prov.on_op(self.program, self.rank, "compute", seconds)
 
     # -- export ------------------------------------------------------------------
     def export(self, region: str, ts: float, data: np.ndarray | None = None) -> ExportDecision:

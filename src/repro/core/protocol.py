@@ -352,12 +352,10 @@ class ContextBase:
             prov.on_op(
                 self.program,
                 self.rank,
-                {
-                    "op": "export",
-                    "region": region,
-                    "ts": ts,
-                    "dtype": None if data is None else np.dtype(data.dtype).name,
-                },
+                "export",
+                region,
+                ts,
+                None if data is None else np.dtype(data.dtype).name,
             )
 
     def _assemble(
@@ -1088,10 +1086,7 @@ class ProtocolDriver:
         if self.operation_log is not None:
             self.operation_log.log(ctx.program, ctx.rank, "import", region, ts)
         if self._prov is not None:
-            self._prov.on_op(
-                ctx.program, ctx.rank,
-                {"op": "import_begin", "region": region, "ts": ts},
-            )
+            self._prov.on_op(ctx.program, ctx.rank, "import_begin", region, ts)
         return ImportHandle(region=region, connection_id=cid, ts=ts, record=record)
 
     def _retransmit(

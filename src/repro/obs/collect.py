@@ -129,10 +129,15 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
         stats.backpressure_time
     )
 
-    for rec in stats.export_records:
-        reg.counter(
-            "export.decisions", program=program, rank=rank, outcome=str(rec.decision)
-        ).inc()
+    # Tallied first, then one registry lookup per outcome; ``list.count``
+    # matches enum members by identity, so no call is made per record.
+    decisions = [rec.decision for rec in stats.export_records]
+    for outcome in type(decisions[0]) if decisions else ():
+        count = decisions.count(outcome)
+        if count:
+            reg.counter(
+                "export.decisions", program=program, rank=rank, outcome=str(outcome)
+            ).inc(count)
 
     reg.counter("buddy.answers_received", program=program, rank=rank).inc(
         stats.buddy_answers_received

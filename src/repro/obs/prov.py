@@ -18,9 +18,16 @@ into one compact, versioned, append-only JSONL+binary log:
 * every **DES scheduling decision** that touches the kernel heap and
   every **RNG draw** from both :class:`~repro.util.rng.RngRegistry`
   registries (the coupler's and the network world's) — batch-encoded
-  as base64 binary columns at close, off the dispatch path (what a
-  recorded run costs end to end is the ``prov_record`` workload of
-  ``perf/run.py``).
+  as base64 binary columns at close, off the dispatch path.
+
+While the run is going every row is a plain tuple; nothing is encoded
+until :meth:`ProvenanceRecorder.close`, which writes op, wire and match
+rows a *kind* at a time — one line template per key set, one ``json``
+call per numeric column (see the column encoder below).  The bytes are
+those of one ``json.dumps(row, sort_keys=True)`` per row, which
+``tests/obs/test_prov_encoder.py`` keeps as the reference.  What a
+recorded run costs end to end is the ``prov_record`` workload of
+``perf/run.py``.
 
 The final record carries SHA-256 digests of the run's
 ``repro.report/v1`` and ``repro.causal/v1`` payloads, making every log
@@ -37,8 +44,9 @@ import gzip
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
@@ -61,10 +69,19 @@ __all__ = [
 #: Version tag of the provenance log format.
 PROV_SCHEMA = "repro.prov/v1"
 
-#: Operation kinds a process context records (and replay re-drives).
-OP_KINDS = frozenset(
-    {"export", "import_begin", "import_wait", "compute", "compute_elements"}
-)
+#: Operation kinds a process context records (and replay re-drives) and
+#: the fields each carries, in ``on_op`` argument order.  The writer and
+#: :func:`validate_provenance_log` both read row shapes from here.
+OP_FIELDS: dict[str, tuple[str, ...]] = {
+    "compute": ("seconds",),
+    "compute_elements": ("elements", "scale"),
+    "export": ("region", "ts", "dtype"),
+    "import_begin": ("region", "ts"),
+    "import_wait": ("region", "ts"),
+}
+
+_WIRE_FIELDS = ("now", "seq", "src", "dst", "msg", "plane", "nbytes", "trace")
+_MATCH_FIELDS = ("now", "cid", "rank", "request_ts", "kind", "latest", "backend")
 
 #: RunOptions fields serialized into the header verbatim (all
 #: JSON-safe scalars).  With ``_UNRECORDED_OPTION_FIELDS`` it partitions
@@ -318,6 +335,76 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
     }
 
 
+# -- column encoder ---------------------------------------------------------
+# Rows of one kind share a key set, so a kind is written as one line
+# template plus one encoded column per varying key.  Every value still
+# goes through ``json``: byte-for-byte what
+# ``json.dumps(row, sort_keys=True)`` writes per row, without a call
+# per row.
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _scalars(column: Sequence[Any]) -> list[str]:
+    """Encode *column* with one ``json`` call and split it back.
+
+    Numbers and ``None`` never contain the item separator; a column
+    that does (a count mismatch shows it) is encoded value by value.
+    """
+    cells = _encode(column)[1:-1].split(", ")
+    return cells if len(cells) == len(column) else [_encode(v) for v in column]
+
+
+def _distinct(column: Sequence[Any]) -> list[str]:
+    """Encode each distinct value of a name/address *column* once."""
+    cache: dict[Any, str] = dict.fromkeys(column, "")
+    for value in cache:
+        cache[value] = _encode(value)
+    return [cache[value] for value in column]
+
+
+def _traces(column: Sequence[Any]) -> list[str]:
+    """``null`` or ``[trace_id, span_id]`` per trace context."""
+    live = [tr for tr in column if tr is not None]
+    pairs = zip(
+        _scalars([tr.trace_id for tr in live]),
+        _scalars([tr.span_id for tr in live]),
+    )
+    return ["null" if tr is None else "[%s, %s]" % next(pairs) for tr in column]
+
+
+#: Columns not encoded by :func:`_scalars`: names repeat (a handful of
+#: distinct values per run), addresses are ``str`` or tuples of ``str``
+#: and ``int``.
+_COLUMN_ENCODERS: dict[str, Callable[[Sequence[Any]], list[str]]] = {
+    **dict.fromkeys(
+        ("p", "op", "region", "dtype", "src", "dst", "msg", "plane", "cid",
+         "kind", "backend"),
+        _distinct,
+    ),
+    "trace": _traces,
+}
+
+
+def _encode_rows(
+    t: str, names: tuple[str, ...], rows: list[tuple[Any, ...]]
+) -> list[str]:
+    """The log lines of the ``"t": t`` *rows*, ``names[i]`` being ``row[i]``."""
+    if not rows:
+        return []
+    columns = dict(zip(names, zip(*rows, strict=True), strict=True))
+    cells = []
+    parts = []
+    for key in sorted(("t", *names)):
+        if key == "t":
+            parts.append(f'"t": {_encode(t)}')
+        else:
+            parts.append(f"{_encode(key)}: %s")
+            cells.append(_COLUMN_ENCODERS.get(key, _scalars)(columns[key]))
+    template = "{" + ", ".join(parts) + "}\n"
+    return [template % row for row in zip(*cells)]
+
+
 # -- recorder ---------------------------------------------------------------
 
 
@@ -326,11 +413,13 @@ class ProvenanceRecorder:
 
     Hot-path hooks are designed to be as close to free as recording
     allows: wire/match/op events append one small tuple to a Python
-    list, the DES scheduling hook *is* ``list.append`` (installed as
-    ``sim._sched_hook``), and RNG draws go through one bound-method
+    list (``on_op`` takes the op's kind and its ``OP_FIELDS`` values,
+    not a dict), the DES scheduling hook *is* ``list.append`` (installed
+    as ``sim._sched_hook``), and RNG draws go through one bound-method
     call.  Everything except the header is encoded and written once, at
-    :meth:`close` — scheduling decisions and RNG draws as base64 binary
-    columns.
+    :meth:`close`: op, wire and match rows per kind through
+    :func:`_encode_rows`, scheduling decisions and RNG draws as base64
+    binary columns.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -341,7 +430,7 @@ class ProvenanceRecorder:
             tuple[float, int, Any, Any, str, str, int, Any]
         ] = []
         self._match: list[tuple[float, str, int, float, str, float, str]] = []
-        self._ops: dict[tuple[str, int], list[dict[str, Any]]] = {}
+        self._ops: list[tuple[Any, ...]] = []
         #: ``(fire_time, priority, seq)`` per heap insertion; the DES
         #: kernel's ``_sched_hook`` is bound to ``self.sched.append``.
         self.sched: list[tuple[float, int, int]] = []
@@ -379,9 +468,12 @@ class ProvenanceRecorder:
             (now, cid, rank, request_ts, kind, latest_export_ts, backend)
         )
 
-    def on_op(self, program: str, rank: int, op: dict[str, Any]) -> None:
-        """One process-context operation (the replay ground truth)."""
-        self._ops.setdefault((program, rank), []).append(op)
+    def on_op(self, program: str, rank: int, kind: str, *fields: Any) -> None:
+        """One process-context operation (the replay ground truth).
+
+        *fields* are the values of ``OP_FIELDS[kind]``, in that order.
+        """
+        self._ops.append((program, rank, kind, *fields))
 
     def on_rng(self, stream: str, method: str, value: Any) -> None:
         """One draw from a named RNG stream."""
@@ -451,48 +543,23 @@ class ProvenanceRecorder:
             self._fh.write(json.dumps(self._header, sort_keys=True) + "\n")
         fh = self._fh
         write = fh.write
-        for (program, rank), ops in sorted(self._ops.items()):
-            for op in ops:
-                row = {"t": "op", "p": program, "r": rank}
-                row.update(op)
-                write(json.dumps(row, sort_keys=True) + "\n")
-        for now, seq, src, dst, msg, plane, nbytes, trace in self._wire:
-            write(
-                json.dumps(
-                    {
-                        "t": "wire",
-                        "now": now,
-                        "seq": seq,
-                        "src": list(src) if isinstance(src, tuple) else src,
-                        "dst": list(dst) if isinstance(dst, tuple) else dst,
-                        "msg": msg,
-                        "plane": plane,
-                        "nbytes": nbytes,
-                        "trace": None
-                        if trace is None
-                        else [trace.trace_id, trace.span_id],
-                    },
-                    sort_keys=True,
+        # Ops go out grouped by (program, rank), each group in recorded
+        # order (the sort is stable).  They are encoded per kind, then
+        # drawn back out: the k-th row is the next line of its kind.
+        rows = sorted(self._ops, key=itemgetter(0, 1))
+        lines = {
+            kind: iter(
+                _encode_rows(
+                    "op",
+                    ("p", "r", "op") + fields,
+                    [row for row in rows if row[2] == kind],
                 )
-                + "\n"
             )
-        for now, cid, rank, request_ts, kind, latest, backend in self._match:
-            write(
-                json.dumps(
-                    {
-                        "t": "match",
-                        "now": now,
-                        "cid": cid,
-                        "rank": rank,
-                        "request_ts": request_ts,
-                        "kind": kind,
-                        "latest": latest,
-                        "backend": backend,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            for kind, fields in OP_FIELDS.items()
+        }
+        fh.writelines(map(next, map(lines.__getitem__, [row[2] for row in rows])))
+        fh.writelines(_encode_rows("wire", _WIRE_FIELDS, self._wire))
+        fh.writelines(_encode_rows("match", _MATCH_FIELDS, self._match))
         if self.sched:
             times = np.array([s[0] for s in self.sched], dtype=np.float64)
             prios = np.array([s[1] for s in self.sched], dtype=np.uint8)
@@ -617,39 +684,46 @@ def read_log(path: str | Path) -> ProvenanceLog:
             if not isinstance(row, dict):
                 raise ProvenanceError(f"{path}:{lineno}: not an object")
             t = row.get("t")
-            if t == "header":
-                if row.get("schema") != PROV_SCHEMA:
-                    raise ProvenanceError(
-                        f"{path}: schema must be {PROV_SCHEMA!r}, "
-                        f"got {row.get('schema')!r}"
+            try:
+                if t == "header":
+                    if row.get("schema") != PROV_SCHEMA:
+                        raise ProvenanceError(
+                            f"{path}: schema must be {PROV_SCHEMA!r}, "
+                            f"got {row.get('schema')!r}"
+                        )
+                    header = row
+                elif t == "op":
+                    key = (str(row["p"]), int(row["r"]))
+                    ops.setdefault(key, []).append(row)
+                elif t == "wire":
+                    wire.append(row)
+                elif t == "match":
+                    matches.append(row)
+                elif t == "sched":
+                    sched = (
+                        _unb64(row["times"], "float64"),
+                        _unb64(row["prios"], "uint8"),
+                        _unb64(row["seqs"], "uint64"),
                     )
-                header = row
-            elif t == "op":
-                key = (str(row["p"]), int(row["r"]))
-                ops.setdefault(key, []).append(row)
-            elif t == "wire":
-                wire.append(row)
-            elif t == "match":
-                matches.append(row)
-            elif t == "sched":
-                sched = (
-                    _unb64(row["times"], "float64"),
-                    _unb64(row["prios"], "uint8"),
-                    _unb64(row["seqs"], "uint64"),
-                )
-            elif t == "rng":
-                rng[str(row["stream"])] = RngTrace(
-                    stream=str(row["stream"]),
-                    methods=tuple(row["methods"]),
-                    codes=_unb64(row["codes"], "uint16"),
-                    values=_unb64(row["values"], "float64"),
-                )
-            elif t == "end":
-                end = row
-            else:
+                elif t == "rng":
+                    rng[str(row["stream"])] = RngTrace(
+                        stream=str(row["stream"]),
+                        methods=tuple(row["methods"]),
+                        codes=_unb64(row["codes"], "uint16"),
+                        values=_unb64(row["values"], "float64"),
+                    )
+                elif t == "end":
+                    end = row
+                else:
+                    raise ProvenanceError(
+                        f"{path}:{lineno}: unknown record type {t!r}"
+                    )
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                # A missing key, a non-integer rank, damaged base64
+                # (``binascii.Error`` is a ``ValueError``).
                 raise ProvenanceError(
-                    f"{path}:{lineno}: unknown record type {t!r}"
-                )
+                    f"{path}:{lineno}: malformed {t} record: {exc!r}"
+                ) from exc
     if header is None:
         raise ProvenanceError(f"{path}: no header record")
     return ProvenanceLog(
@@ -682,6 +756,7 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
         problems.append("header.config must be the configuration text")
     if not isinstance(header.get("options"), dict):
         problems.append("header.options must be an object")
+    required = {kind: frozenset(fields) for kind, fields in OP_FIELDS.items()}
     for (prog, rank), rows in log.ops.items():
         if prog not in programs:
             problems.append(f"op rows for undeclared program {prog!r}")
@@ -690,10 +765,13 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
         if not (0 <= rank < nprocs):
             problems.append(f"op rows for out-of-range rank {prog}.{rank}")
         for i, row in enumerate(rows):
-            if row.get("op") not in OP_KINDS:
-                problems.append(
-                    f"ops[{prog}.{rank}][{i}]: unknown op {row.get('op')!r}"
-                )
+            op = row.get("op")
+            need = required.get(op) if isinstance(op, str) else None
+            if need is None:
+                problems.append(f"ops[{prog}.{rank}][{i}]: unknown op {op!r}")
+            elif not row.keys() >= need:
+                missing = ", ".join(f for f in OP_FIELDS[op] if f not in row)
+                problems.append(f"ops[{prog}.{rank}][{i}]: {op} missing {missing}")
     for i, row in enumerate(log.wire):
         for key in ("now", "seq", "msg", "plane", "nbytes"):
             if key not in row:

@@ -97,11 +97,8 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
             skips += stats.buddy_skips
             compute += stats.compute_time
             for ist in ctx.import_states.values():
-                for rec in ist.records:
-                    if rec.completed_at is None:
-                        pending += 1
-                    else:
-                        completed += 1
+                pending += len(ist.records) - ist.completed
+                completed += ist.completed
             for est in ctx.export_states.values():
                 t_ub += est.buffer.t_ub()
         programs[name] = {

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.util.validation import require
 
@@ -58,13 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """The compact context attached to control-plane wire messages.
 
     ``trace_id`` names the import being resolved (one per connection +
     request timestamp); ``span_id`` is the id of the span recorded when
     the carrying message was sent, i.e. the receiver's causal parent.
+    One is made per span on the protocol's send path, hence a tuple and
+    not a frozen dataclass (whose ``__init__`` is several times dearer).
     """
 
     trace_id: int
@@ -75,17 +76,16 @@ class TraceContext:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
 
 
-@dataclass(frozen=True)
-class CausalSpan:
-    """One node of the happens-before DAG."""
+class CausalSpan(NamedTuple):
+    """One node of the happens-before DAG (a tuple, as its context is)."""
 
     span_id: int
     trace_id: int
     name: str
     who: str
     time: float
-    parents: tuple[int, ...] = ()
-    attrs: dict[str, Any] = field(default_factory=dict)
+    parents: tuple[int, ...]
+    attrs: dict[str, Any]
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form."""
@@ -145,21 +145,14 @@ class CausalLog:
         **attrs: Any,
     ) -> TraceContext:
         """Append a span; returns the context to stamp onto messages."""
-        parent_ids = tuple(dict.fromkeys(int(p) for p in parents))
+        trace_id = int(trace_id)
+        parent_ids = tuple(dict.fromkeys(map(int, parents)))
         with self._lock:
             span_id = len(self.spans)
             self.spans.append(
-                CausalSpan(
-                    span_id=span_id,
-                    trace_id=int(trace_id),
-                    name=name,
-                    who=who,
-                    time=float(time),
-                    parents=parent_ids,
-                    attrs=dict(attrs),
-                )
+                CausalSpan(span_id, trace_id, name, who, float(time), parent_ids, attrs)
             )
-        return TraceContext(trace_id=int(trace_id), span_id=span_id)
+        return TraceContext(trace_id, span_id)
 
     def __len__(self) -> int:
         return len(self.spans)

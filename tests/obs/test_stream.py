@@ -8,6 +8,7 @@ exposition file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -68,7 +69,57 @@ class TestProtocolAndSnapshot:
         assert a.records == [rec] and b.records == [rec]
 
 
+class RecountingSink:
+    """Checks each snapshot's import counts against a scan of the records.
+
+    ``build_snapshot`` reads running tallies; this recounts them the
+    slow way, from every ``ImportRecord``, at every tick.
+    """
+
+    def __init__(self) -> None:
+        self.sim = None
+        self.ticks: list[tuple[int, int]] = []
+
+    def emit(self, record: dict) -> None:
+        pending = completed = 0
+        for name, prog in self.sim._programs.items():
+            states = [
+                ist for ctx in prog.contexts for ist in ctx.import_states.values()
+            ]
+            recs = [rec for ist in states for rec in ist.records]
+            open_ = sum(rec.completed_at is None for rec in recs)
+            entry = record["programs"][name]
+            assert entry["pending_imports"] == open_
+            assert entry["imports_completed"] == len(recs) - open_
+            kinds = [str(rec.answer.kind) for rec in recs if rec.answer is not None]
+            assert sum(ist.match_count for ist in states) == kinds.count("MATCH")
+            assert sum(ist.no_match_count for ist in states) == kinds.count("NO_MATCH")
+            pending += open_
+            completed += len(recs) - open_
+        assert record["totals"]["pending_imports"] == pending
+        self.ticks.append((pending, completed))
+
+    def close(self) -> None:
+        pass
+
+
 class TestDesStreaming:
+    def test_snapshot_counts_equal_a_recount_at_every_tick(self):
+        from repro.api.facade import build
+        from repro.scenarios import build as build_scenario
+
+        sink = RecountingSink()
+        b = build_scenario("demo", {"seed": 3})
+        options = dataclasses.replace(
+            b.options, telemetry_sinks=(sink,), telemetry_interval=0.002
+        )
+        sink.sim = build(b.config, b.programs, options)
+        sink.sim.run()
+        assert len(sink.ticks) > 10
+        # The run was watched mid-flight: open and finished imports at once.
+        assert any(p and c for p, c in sink.ticks)
+        assert sink.ticks[-1][0] == 0
+
     def test_jsonl_sink_records_periodic_and_final(self, tmp_path, demo_runner):
         path = tmp_path / "tele.jsonl"
         sink = JsonlSink(path)
