@@ -130,7 +130,9 @@ class BufferManager:
 
     def oldest(self) -> float | None:
         """The lowest buffered timestamp (``None`` when empty)."""
-        return next(iter(self._entries), None)
+        for ts in self._entries:  # insertion order is timestamp order
+            return ts
+        return None
 
     def has(self, ts: float) -> bool:
         """Whether an object with timestamp *ts* is buffered."""
@@ -175,10 +177,15 @@ class BufferManager:
         payload: object | None = None,
     ) -> BufferEntry:
         """Record that the object at *ts* was copied into the buffer."""
-        require_non_negative(nbytes, "nbytes")
-        require_non_negative(memcpy_cost, "memcpy_cost")
+        # The two checks of every buffered export, paid in calls only
+        # when a value is not a plain non-negative int / float.
+        if type(nbytes) is not int or nbytes < 0:
+            require_non_negative(nbytes, "nbytes")
+        if type(memcpy_cost) is not float or not memcpy_cost >= 0.0:
+            require_non_negative(memcpy_cost, "memcpy_cost")
         if not ts > self._newest_ts:
-            require(ts not in self._entries, f"timestamp {ts} already buffered")
+            if ts in self._entries:
+                raise ValidationError(f"timestamp {ts} already buffered")
             raise ValidationError(
                 f"timestamp {ts} is not above the newest one ever buffered "
                 f"({self._newest_ts}): objects are buffered in increasing order"

@@ -176,14 +176,14 @@ class ProcessContext(ContextBase):
                     f"{self.who} needs {nbytes} > {capacity} bytes "
                     "(the finite-buffer scenario of the paper's Section 6)"
                 )
-            stall_start = sim.now
+            stall_start = sim._now
             while st.buffer.live_bytes + nbytes > capacity:
                 if st.would_skip(ts):
                     break  # an answer arrived meanwhile; no space needed
                 yield sim.timeout(coupler.backpressure_poll)
-            self.stats.backpressure_time += sim.now - stall_start
+            self.stats.backpressure_time += sim._now - stall_start
 
-        t0 = sim.now
+        t0 = sim._now
         memcpy_cost = memory.memcpy_time(
             nbytes,
             now=t0,
@@ -234,11 +234,12 @@ class ProcessContext(ContextBase):
             charge += free_cost
 
         self.stats.export_records.append(
-            ExportRecord(ts=ts, decision=decision, cost=charge, at=t0)
+            ExportRecord(ts, decision, charge, t0)
         )
         if coupler.operation_log is not None:
             coupler.operation_log.log(self.program, self.rank, "export", region, ts)
-        self._record_export(region, ts, data)
+        if coupler._prov is not None:
+            self._record_export(region, ts, data)
         return decision
 
     # -- import -----------------------------------------------------------------
@@ -273,7 +274,7 @@ class ProcessContext(ContextBase):
             )
         box = coupler.world.network.mailbox(("cpl", self.program, self.rank))
         answer_ev = box.get_matching(
-            lambda d: isinstance(d.payload, wire.AnswerToProc)
+            lambda d: type(d.payload) is wire.AnswerToProc
             and d.payload.connection_id == cid
             and d.payload.answer.request_ts == ts
         )
@@ -292,7 +293,7 @@ class ProcessContext(ContextBase):
         pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
         while len(pieces) < expected:
             piece_ev = box.get_matching(
-                lambda d: isinstance(d.payload, wire.DataPiece)
+                lambda d: type(d.payload) is wire.DataPiece
                 and d.payload.connection_id == cid
                 and d.payload.match_ts == m
             )
@@ -424,7 +425,7 @@ class CoupledSimulation(ProtocolDriver):
         super().__init__(
             config,
             options,
-            RuntimePort(now=lambda: sim.now, send=self.world.network.send),
+            RuntimePort(now=lambda: sim._now, send=self.world.network.send),
             rto=rto,
             max_retransmits=max_retransmits,
         )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.buffers import BufferEntry, BufferManager
 from repro.core.config import ConnectionSpec
@@ -92,9 +93,9 @@ class RequestOutcome:
     applied: ApplyOutcome | None = None
 
 
-@dataclass(frozen=True)
-class ExportOutcome:
-    """Effects of one export call."""
+class ExportOutcome(NamedTuple):
+    """Effects of one export call (built per export: a tuple, not a
+    frozen dataclass, whose every field is an ``object.__setattr__``)."""
 
     decision: ExportDecision
     #: Request window the object was an in-region candidate for.
@@ -614,13 +615,15 @@ class RegionExportState:
         be freed (paper Figure 5 line 23 frees the transferred D@19.6
         once the next request proves it dead).
 
-        The pool is ordered by timestamp, so when its oldest entry is
-        not below the eviction line nothing is — the usual case, which
-        returns before any keep-set is built.
+        The pool is ordered by timestamp, so when it is empty or its
+        oldest entry is not below the eviction line nothing is — the
+        usual case, which returns before any keep-set is built.
         """
-        threshold = self.evict_threshold()
         oldest = self.buffer.oldest()
-        if oldest is None or oldest >= threshold:
+        if oldest is None:
+            return []
+        threshold = self.evict_threshold()
+        if oldest >= threshold:
             return []
         keep: set[float] = set()
         for conn in self.connections.values():

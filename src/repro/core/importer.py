@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.match.result import FinalAnswer, MatchKind
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 @dataclass
@@ -55,11 +55,11 @@ class RegionImportState:
         self, request_ts: float, now: float, trace_id: int | None = None
     ) -> ImportRecord:
         """Validate ordering and open a new import record."""
-        require(
-            request_ts > self._last_request_ts,
-            f"import requests must have increasing timestamps: "
-            f"{request_ts} after {self._last_request_ts}",
-        )
+        if not request_ts > self._last_request_ts:
+            raise ValidationError(
+                f"import requests must have increasing timestamps: "
+                f"{request_ts} after {self._last_request_ts}"
+            )
         self._last_request_ts = request_ts
         record = ImportRecord(request_ts=request_ts, issued_at=now, trace_id=trace_id)
         self.records.append(record)
@@ -68,10 +68,10 @@ class RegionImportState:
     def on_answer(self, record: ImportRecord, answer: FinalAnswer, now: float) -> None:
         """The final answer arrived for *record*."""
         require(record.answer is None, "record already answered")
-        require(
-            answer.request_ts == record.request_ts,
-            f"answer for @{answer.request_ts} applied to request @{record.request_ts}",
-        )
+        if answer.request_ts != record.request_ts:
+            raise ValidationError(
+                f"answer for @{answer.request_ts} applied to request @{record.request_ts}"
+            )
         record.answer = answer
         record.answered_at = now
         if answer.kind is MatchKind.MATCH:

@@ -109,9 +109,10 @@ class LiveProcessContext(ContextBase):
         if outcome.buddy_skip:
             rt._buddy_skip(self, ts, outcome)
         self.stats.export_records.append(
-            ExportRecord(ts=ts, decision=outcome.decision, cost=cost, at=t0)
+            ExportRecord(ts, outcome.decision, cost, t0)
         )
-        self._record_export(region, ts, data)
+        if rt._prov is not None:
+            self._record_export(region, ts, data)
         return outcome.decision
 
     # -- import -------------------------------------------------------------------
@@ -252,7 +253,6 @@ class LiveCoupledSimulation(ProtocolDriver):
                 now=self.elapsed,
                 send=self._deliver,
                 guard=self._locked,
-                lock=threading.Lock(),
             ),
             rto=rto,
             max_retransmits=max_retransmits,

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager
+from typing import Any, Callable, ContextManager, NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,10 @@ class RuntimePort:
     now: Callable[[], float]
     send: Callable[[Any, Any, Any, int], Any]
     guard: Callable[..., ContextManager[Any]] = _unguarded
-    #: Serializes counter updates (a real lock on threads).
-    lock: ContextManager[Any] = _UNGUARDED
+    #: Serializes counter updates.  A real lock on every runtime: held
+    #: by one thread it is a C-level enter/exit, cheaper per message
+    #: than the two Python calls of a null context.
+    lock: ContextManager[Any] = field(default_factory=threading.Lock)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +205,7 @@ class ExportPlan:
     memcpy_base: float
 
 
-@dataclass
-class ExportRecord:
+class ExportRecord(NamedTuple):
     """One export call of one process — a point of the Figure-4 series."""
 
     ts: float
@@ -288,12 +290,12 @@ class ContextBase:
                 )
             imp_conns = config.connections_importing(self.program, rname)
             if imp_conns:
-                require(
-                    len(imp_conns) == 1,
-                    f"region {self.program}.{rname} is imported over "
-                    f"{len(imp_conns)} connections; at most one exporter "
-                    "per imported region is supported",
-                )
+                if len(imp_conns) != 1:
+                    raise ValidationError(
+                        f"region {self.program}.{rname} is imported over "
+                        f"{len(imp_conns)} connections; at most one exporter "
+                        "per imported region is supported"
+                    )
                 self.import_states[rname] = RegionImportState(
                     rname, imp_conns[0].connection_id
                 )
@@ -346,17 +348,16 @@ class ContextBase:
         return plan, int(data.nbytes)
 
     def _record_export(self, region: str, ts: float, data: np.ndarray | None) -> None:
-        """Provenance row of one finished export call."""
-        prov = self._rt._prov
-        if prov is not None:
-            prov.on_op(
-                self.program,
-                self.rank,
-                "export",
-                region,
-                ts,
-                None if data is None else np.dtype(data.dtype).name,
-            )
+        """Provenance row of one finished export call (callers check
+        that a recorder is attached: the unrecorded path makes no call)."""
+        self._rt._prov.on_op(
+            self.program,
+            self.rank,
+            "export",
+            region,
+            ts,
+            None if data is None else np.dtype(data.dtype).name,
+        )
 
     def _assemble(
         self, region: str, pieces: list[wire.DataPiece]
@@ -484,7 +485,8 @@ class ProtocolDriver:
         *register* creates one framework mailbox at an address.
         """
         require(not self._started, "cannot add programs after run()")
-        require(name not in self._programs, f"program {name!r} already added")
+        if name in self._programs:
+            raise ValidationError(f"program {name!r} already added")
         if nprocs is None:
             spec = self.config.programs.get(name)
             if spec is None:
@@ -495,11 +497,11 @@ class ProtocolDriver:
         require_positive(nprocs, "nprocs")
         regions = dict(regions or {})
         for rname, rdef in regions.items():
-            require(
-                rdef.decomp.nprocs == nprocs,
-                f"region {name}.{rname}: decomposition is over "
-                f"{rdef.decomp.nprocs} ranks but the program has {nprocs}",
-            )
+            if rdef.decomp.nprocs != nprocs:
+                raise ValidationError(
+                    f"region {name}.{rname}: decomposition is over "
+                    f"{rdef.decomp.nprocs} ranks but the program has {nprocs}"
+                )
         comms = create_comms(name, nprocs)
         for r in range(nprocs):
             register(("ctl", name, r))
@@ -616,17 +618,16 @@ class ProtocolDriver:
         return self.context(program, rank).export_states[region].buffer.stats()
 
     # -- the one send path ---------------------------------------------------
-    def _stamp(self, payload: Any) -> Any:
-        """Give *payload* a fresh wire sequence number if unstamped."""
-        if getattr(payload, "seq", None) == -1:
-            payload = wire.with_seq(payload, self._next_seq())
-        return payload
-
     def _net_send(
         self, src: Any, dst: Any, payload: Any, nbytes: int = wire.CTL_NBYTES
     ) -> None:
-        """Stamp, count and record one wire unit, then hand it to the port."""
-        payload = self._stamp(payload)
+        """Stamp, count and record one wire unit, then hand it to the port.
+
+        An unstamped payload (``seq == -1``) gets a fresh wire sequence
+        number; a re-sent one keeps its own.
+        """
+        if payload.seq == -1:
+            payload = wire.with_seq(payload, self._next_seq())
         is_data = type(payload) is wire.DataPiece
         with self._lock:
             if is_data:
@@ -638,13 +639,13 @@ class ProtocolDriver:
         if self._prov is not None:
             self._prov.on_wire(
                 self._now(),
-                getattr(payload, "seq", -1),
+                payload.seq,
                 src,
                 dst,
                 type(payload).__name__,
                 "data" if is_data else "ctl",
                 nbytes,
-                getattr(payload, "trace", None),
+                None if is_data else payload.trace,
             )
         self._send(src, dst, payload, nbytes)
 
@@ -821,7 +822,9 @@ class ProtocolDriver:
     def _evict(self, ctx: ContextBase, st: RegionExportState) -> int:
         """Free entries past the eviction threshold; returns how many."""
         evicted = st.collect_evictions()
-        if evicted and self.tracer.enabled:
+        if not evicted:
+            return 0
+        if self.tracer.enabled:
             self.tracer.record(
                 tracing.BUFFER_REMOVE,
                 ctx.who,
@@ -919,7 +922,8 @@ class ProtocolDriver:
 
     def _exported_region(self, prog: str, cid: str) -> str:
         spec = self._connections[cid].spec
-        require(spec.exporter.program == prog, f"{cid} does not export from {prog}")
+        if spec.exporter.program != prog:
+            raise ValidationError(f"{cid} does not export from {prog}")
         return spec.exporter.region
 
     # -- representatives -------------------------------------------------------
@@ -1066,8 +1070,8 @@ class ProtocolDriver:
     def _import_begin(self, ctx: ContextBase, region: str, ts: float) -> ImportHandle:
         """Post this rank's request for *ts*; returns its handle."""
         ist = ctx.import_states.get(region)
-        require(ist is not None, f"{ctx.program} imports no region {region!r}")
-        assert ist is not None
+        if ist is None:
+            raise ValidationError(f"{ctx.program} imports no region {region!r}")
         cid = ist.connection_id
         now = self._now()
         tr: TraceContext | None = None

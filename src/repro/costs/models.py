@@ -162,7 +162,9 @@ class ComputeCostModel:
         *scale* injects deliberate load imbalance (the paper slows one
         exporter process, ``p_s``, with "extra computational work").
         """
-        require_non_negative(elements, "elements")
+        if type(elements) is not int or elements < 0:
+            # Only a float or a bad value pays for the full check.
+            require_non_negative(elements, "elements")
         base = (self.fixed_overhead + elements * self.time_per_element) * scale
         if self.jitter > 0.0 and rng is not None:
             base *= float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))

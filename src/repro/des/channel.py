@@ -11,17 +11,19 @@ exporter processes finish and stop loading the network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.des.core import Event, Simulator
 from repro.des.store import FilterStore
-from repro.util.validation import require, require_non_negative, require_positive
+from repro.util.validation import (
+    ValidationError, require, require_non_negative, require_positive,
+)
+
+_INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """Envelope handed to a receiving mailbox.
+class Delivery(NamedTuple):
+    """Envelope handed to a receiving mailbox (one per message: a tuple).
 
     Attributes
     ----------
@@ -104,7 +106,8 @@ class Network:
     def transfer_delay(self, nbytes: int) -> float:
         """Delay for an *nbytes* message at current congestion."""
         require_non_negative(nbytes, "nbytes")
-        base = self.latency + (nbytes / self.bandwidth if self.bandwidth != float("inf") else 0.0)
+        bandwidth = self.bandwidth
+        base = self.latency + (nbytes / bandwidth if bandwidth != _INF else 0.0)
         if self._congestion is not None:
             base *= self._congestion(self._in_flight)
         return base
@@ -117,32 +120,37 @@ class Network:
         sends are asynchronous, matching the paper's non-blocking
         transfer discussion in Section 5).
         """
-        require(dst in self._mailboxes, f"unknown destination {dst!r}")
-        delay = self.transfer_delay(nbytes)
-        sent_at = self.sim.now
+        mailbox = self._mailboxes.get(dst)
+        if mailbox is None:
+            raise ValidationError(f"unknown destination {dst!r}")
+        # transfer_delay(nbytes), inlined: one call less per message.
+        if type(nbytes) is not int or nbytes < 0:
+            require_non_negative(nbytes, "nbytes")
+        bandwidth = self.bandwidth
+        delay = self.latency + (nbytes / bandwidth if bandwidth != _INF else 0.0)
+        if self._congestion is not None:
+            delay *= self._congestion(self._in_flight)
+        sim = self.sim
+        sent_at = sim._now
         # Non-overtaking (MPI point-to-point semantics): clamp this
         # message's delivery to be no earlier than the pair's previous
         # delivery.
         pair = (src, dst)
-        deliver_at = max(sent_at + delay, self._last_delivery.get(pair, 0.0))
+        deliver_at = sent_at + delay
+        previous = self._last_delivery.get(pair, 0.0)
+        if previous > deliver_at:
+            deliver_at = previous
         self._last_delivery[pair] = deliver_at
         self.messages_sent += 1
         self.bytes_sent += nbytes
         self._in_flight += 1
-        done = Event(self.sim)
-        timer = self.sim.timeout(deliver_at - sent_at)
+        done = Event(sim)
+        timer = sim.timeout(deliver_at - sent_at)
 
         def _deliver(_ev: Event) -> None:
             self._in_flight -= 1
-            env = Delivery(
-                src=src,
-                dst=dst,
-                payload=payload,
-                nbytes=nbytes,
-                sent_at=sent_at,
-                delivered_at=self.sim.now,
-            )
-            self._mailboxes[dst].put_nowait(env)
+            env = Delivery(src, dst, payload, nbytes, sent_at, sim._now)
+            mailbox.put_nowait(env)
             done.succeed(env)
 
         timer.callbacks.append(_deliver)

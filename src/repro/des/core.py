@@ -60,7 +60,8 @@ class PriorityLevel(IntEnum):
     LOW = 2
 
 
-_NORMAL = PriorityLevel.NORMAL
+_new_event = object.__new__
+_heappush = heapq.heappush
 
 
 class Event:
@@ -126,7 +127,9 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, 0.0, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._lanes[priority].append((seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: PriorityLevel = PriorityLevel.NORMAL) -> "Event":
@@ -137,7 +140,9 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.sim._enqueue(self, 0.0, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._lanes[priority].append((seq, self))
         return self
 
     def defuse(self) -> None:
@@ -164,24 +169,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed virtual delay."""
+    """An event that fires after a fixed virtual delay (built, in one
+    call, by :meth:`Simulator.timeout`)."""
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        require_non_negative(delay, "delay")
-        # Event.__init__ inlined with the timeout's own state: timeouts
-        # are two thirds of all events of a coupled run.
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        self._cancelled = False
-        self.delay = delay
-        sim._enqueue(self, delay, _NORMAL)
+        raise TypeError("build a Timeout with Simulator.timeout(delay, value)")
 
 
 class Interrupt(Exception):
@@ -271,7 +265,9 @@ class Process(Event):
             self.fail(exc)
             return
         sim._active_process = None
-        if not isinstance(target, Event):
+        # The kernel's own classes are matched by exact type (no call);
+        # anything else pays the isinstance walk.
+        if type(target) not in _EVENT_TYPES and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
@@ -355,6 +351,9 @@ class AllOf(_Condition):
         return self._pending <= 0
 
 
+_EVENT_TYPES = frozenset({Event, Timeout, Process, AnyOf, AllOf})
+
+
 class Simulator:
     """The virtual clock and event loop.
 
@@ -384,7 +383,7 @@ class Simulator:
         )
         self._seq = 0
         #: Kernel counters (see :meth:`kernel_counters`).  Only the
-        #: heap branch of ``_enqueue`` and ``Event.cancel`` pay for an
+        #: heap branch of :meth:`timeout` and ``Event.cancel`` pay for an
         #: increment; everything else is derived from ``_seq`` and the
         #: live structure sizes, so the same-instant fast path carries
         #: no instrumentation cost at all.
@@ -414,8 +413,38 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing after *delay* time units."""
-        return Timeout(self, delay, value)
+        """Create an event firing after *delay* time units.
+
+        One Python call per timeout — two thirds of all events of a
+        coupled run: the check, ``Event.__init__`` and the lane/heap
+        placement (module design notes) are inlined here.
+        """
+        if type(delay) is not float or not delay >= 0.0:
+            # ints and float subclasses pass through the helper; a
+            # negative, NaN or non-number delay raises there.
+            require_non_negative(delay, "delay")
+        ev = _new_event(Timeout)
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev._defused = False
+        ev._cancelled = False
+        ev.delay = delay
+        self._seq = seq = self._seq + 1
+        if delay == 0.0:
+            self._lanes[1].append((seq, ev))
+        else:
+            self._heap_scheduled += 1
+            entry = (self._now + delay, 1, seq, ev)
+            if self._sched_hook is not None:
+                # Slice off the event: the provenance log records the
+                # placement, never pins the event object in memory.
+                self._sched_hook(entry[:3])
+            _heappush(self._heap, entry)
+        return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "process") -> Process:
         """Start *gen* as a process at the current instant."""
@@ -430,22 +459,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: PriorityLevel) -> None:
-        self._seq += 1
-        if delay == 0.0:
-            # Same-instant fast path: no heap traffic.  The lane is
-            # FIFO in seq, so the (time, prio, seq) total order is
-            # preserved exactly (see the module design notes).
-            self._lanes[priority].append((self._seq, event))
-        else:
-            self._heap_scheduled += 1
-            entry = (self._now + delay, int(priority), self._seq, event)
-            if self._sched_hook is not None:
-                # Slice off the event: the provenance log records the
-                # placement, never pins the event object in memory.
-                self._sched_hook(entry[:3])
-            heapq.heappush(self._heap, entry)
-
     def _step(self) -> None:
         """Fire the next event in (time, prio, seq) order.
 

@@ -88,10 +88,12 @@ class Store:
 
     def put_nowait(self, item: Any) -> None:
         """Deposit *item* without blocking; raise if that is impossible."""
-        getter = self._claim_getter(item)
-        if getter is not None:
-            getter.succeed(item)
-            return
+        # _claim_getter(item), inlined: one put per delivered message.
+        for idx, (getter, predicate) in enumerate(self._getters):
+            if predicate is None or predicate(item):
+                del self._getters[idx]
+                getter.succeed(item)
+                return
         if self.is_full:
             raise StoreFullError(f"store at capacity ({self.capacity})")
         self._items.append(item)

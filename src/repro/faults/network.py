@@ -112,7 +112,7 @@ class FaultyNetwork(Network):
     def send(self, src: Hashable, dst: Hashable, payload: Any, nbytes: int = 0) -> Event:
         """Send with the plan applied (see class docstring)."""
         plane = classify_plane(dst)
-        if not self.plan.eligible(plane) or not self.plan.active(self.sim.now):
+        if not self.plan.eligible(plane) or not self.plan.active(self.sim._now):
             return self._handoff(src, dst, payload, nbytes, 0.0)
         assert plane is not None
         # Fixed draw count per eligible send — the determinism contract.
@@ -175,7 +175,7 @@ class FaultyNetwork(Network):
         messages of its pair — fault delays never break per-pair FIFO,
         they only let *other* pairs overtake.
         """
-        now = self.sim.now
+        now = self.sim._now
         pair = (src, dst)
         release = max(now + delay, self._pair_release.get(pair, 0.0))
         self._pair_release[pair] = release

@@ -52,7 +52,8 @@ class ExportHistory:
     # -- recording -----------------------------------------------------
     def add(self, ts: float) -> None:
         """Record a new export timestamp (must exceed all previous)."""
-        require(not self._closed, "cannot export after the stream is closed")
+        if self._closed:
+            raise ValidationError("cannot export after the stream is closed")
         value = float(ts)
         n = self._n
         if not value > self._latest:
@@ -65,7 +66,7 @@ class ExportHistory:
                 raise ValidationError(
                     f"export timestamps must increase: {value} after {self._latest}"
                 )
-        if n == len(self._buf):
+        if n == self._buf.size:
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
         self._buf[n] = value
         self._n = n + 1

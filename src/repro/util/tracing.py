@@ -307,10 +307,9 @@ class Tracer:
         self.events: list[TraceEvent] = []
         self._predicate = predicate
 
-    @property
-    def enabled(self) -> bool:
-        """Whether this tracer records anything (always True here)."""
-        return True
+    #: Whether this tracer records anything.  A plain class attribute:
+    #: every export reads it.
+    enabled: bool = True
 
     def record(
         self,
@@ -360,10 +359,8 @@ class NullTracer(Tracer):
     def __init__(self) -> None:  # noqa: D107 - trivial
         super().__init__()
 
-    @property
-    def enabled(self) -> bool:
-        """Always ``False``: callers may skip building event details."""
-        return False
+    #: Always ``False``: callers may skip building event details.
+    enabled = False
 
     def record(
         self,

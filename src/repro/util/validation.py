@@ -67,10 +67,10 @@ def require_positive(value: float, name: str) -> float:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Require ``value >= 0`` and return it."""
+    """Require ``value >= 0`` and return it (NaN is refused, ``inf`` kept)."""
     kind = type(value)
     if kind is not float and kind is not int:  # exact types: no isinstance walk
         require_type(value, (int, float), name)
-    if value < 0:
+    if not value >= 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value

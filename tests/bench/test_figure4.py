@@ -5,6 +5,7 @@ we verify the builder and the qualitative regimes at reduced size.
 """
 
 import sys
+import types
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.bench.figure4 import (
     spec_for_subfigure,
 )
 from repro.core.exporter import ExportDecision
+from repro.core.protocol import ProtocolDriver
+from repro.des.channel import Network
 
 
 def small(u_procs, **kw):
@@ -172,9 +175,10 @@ class TestExportPathCost:
     itself grows.
     """
 
-    #: ≈10% above the measured 27.7 (the scan-everything path this
+    #: ≈10% above the measured 21.8 (27.8 before timeouts became one
+    #: call and per-event records tuples; the scan-everything path this
     #: guards against measured 49.3 on the same four runs).
-    CEILING = 30.5
+    CEILING = 24.0
 
     def test_calls_per_event_stay_under_the_ceiling(self):
         calls = 0
@@ -199,4 +203,61 @@ class TestExportPathCost:
         assert calls / events < self.CEILING, (
             f"{calls} calls for {events} events = {calls / events:.1f} per event: "
             "the per-export path grew (see docs/architecture.md, Hot-path engineering)"
+        )
+
+
+class TestMessagePathCost:
+    """A count, not a timing: Python calls per wire message.
+
+    Counted from ``ProtocolDriver._net_send`` (stamp, count, hand to
+    the port) through ``Network.send`` and, when the transfer delay
+    has passed, its delivery callback (envelope into the mailbox, a
+    parked receiver woken) — everything a message costs before the
+    receiving process runs.
+    """
+
+    #: ≈10% above the measured 22.5 (35.0 before the send path lost its
+    #: attribute probes, null-context pair and per-message formatting).
+    CEILING = 25.0
+
+    def test_calls_per_message_stay_under_the_ceiling(self):
+        entries = {
+            ProtocolDriver._net_send.__code__,
+            next(
+                c
+                for c in Network.send.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "_deliver"
+            ),
+        }
+        calls = 0
+        depth = 0  # Python frames open inside the message path
+
+        def count(frame, event, arg):
+            nonlocal calls, depth
+            if event == "call":
+                if depth or frame.f_code in entries:
+                    depth += 1
+                    calls += 1
+            elif event == "return":
+                if depth:
+                    depth -= 1
+            elif event == "c_call" and depth:
+                calls += 1
+
+        messages = 0
+        for sub in "abcd":
+            cs = build_figure4_simulation(spec_for_subfigure(sub, exports=121))
+            cs.start()
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                cs.sim.run()
+            finally:
+                sys.setprofile(previous)
+            messages += cs.world.network.messages_sent
+        assert messages == 1770
+        assert calls / messages < self.CEILING, (
+            f"{calls} calls for {messages} messages = {calls / messages:.1f} per "
+            "message: the send path grew (see docs/architecture.md, Hot-path "
+            "engineering)"
         )

@@ -46,6 +46,15 @@ class TestNetworkDelivery:
         with pytest.raises(ValueError, match="unknown destination"):
             net.send("a", "nowhere", "x")
 
+    def test_nan_size_rejected(self):
+        sim = Simulator()
+        net = Network(sim, bandwidth=100.0)
+        net.register("a")
+        net.register("b")
+        with pytest.raises(ValueError, match="nbytes must be >= 0"):
+            net.send("a", "b", "x", nbytes=float("nan"))
+        assert net.messages_sent == 0 and sim.events_scheduled == 0
+
     def test_fifo_between_same_pair(self):
         sim = Simulator()
         net = Network(sim, latency=0.1)

@@ -1,8 +1,10 @@
 """Tests for the DES kernel: events, processes, ordering, conditions."""
 
 import heapq
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.des import (
     AllOf,
@@ -10,31 +12,87 @@ from repro.des import (
     Event,
     Interrupt,
     PriorityLevel,
+    Process,
     Simulator,
     SimulationError,
 )
+from repro.util.validation import ValidationError
 
 
-class _LegacySimulator(Simulator):
+class _HeapLane:
+    """Stands in for an immediate lane of the reference: :class:`Event`
+    appends ``(seq, event)`` to ``sim._lanes[priority]``, and here that
+    append goes onto the one heap at the current instant."""
+
+    def __init__(self, sim, priority):
+        self.sim = sim
+        self.priority = priority
+
+    def append(self, entry):
+        seq, event = entry
+        heapq.heappush(self.sim._heap, (self.sim._now, self.priority, seq, event))
+
+
+class _LegacySimulator:
     """The seed's plain-heap scheduler: the reference for firing order.
 
-    Every enqueue, immediate or future, goes through one binary heap,
+    Standalone (it shares no scheduling code with :class:`Simulator`):
+    every schedule, immediate or future, goes through one binary heap,
     so the order is the ``(time, priority, seq)`` total order by
     construction.  The shipped kernel serves same-instant events from
-    immediate lanes instead and must fire in exactly this order.
+    immediate lanes and places timeouts inline, and must fire, count
+    and report heap placements exactly as this does.  Events,
+    processes and conditions are the shipped classes; they reach the
+    scheduler only through ``_seq``, ``_lanes``, ``_cancel_count`` and
+    ``_active_process``.
     """
 
-    def _enqueue(self, event, delay, priority):
+    def __init__(self):
+        self._now = 0.0
+        self._heap = []
+        self._lanes = tuple(_HeapLane(self, prio) for prio in PriorityLevel)
+        self._seq = 0
+        self._timed = 0
+        self._cancel_count = 0
+        self._active_process = None
+        self._sched_hook = None
+
+    @property
+    def now(self):
+        return self._now
+
+    @property
+    def active_process(self):
+        return self._active_process
+
+    def event(self):
+        return Event(self)
+
+    def process(self, gen, name="process"):
+        return Process(self, gen, name=name)
+
+    def timeout(self, delay, value=None):
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        ev = Event(self)
+        ev._triggered = True
+        ev._value = value
         self._seq += 1
-        heapq.heappush(
-            self._heap, (self._now + delay, int(priority), self._seq, event)
-        )
+        entry = (self._now + delay, int(PriorityLevel.NORMAL), self._seq, ev)
+        if delay != 0.0:
+            self._timed += 1
+            if self._sched_hook is not None:
+                self._sched_hook(entry[:3])
+        heapq.heappush(self._heap, entry)
+        return ev
 
     def _step(self):
         when, _prio, _seq, event = heapq.heappop(self._heap)
         assert when >= self._now, "event scheduled in the past"
         self._now = when
         event._processed = True
+        if event._cancelled:
+            return
         callbacks, event.callbacks = event.callbacks, []
         for cb in callbacks:
             cb(event)
@@ -47,6 +105,15 @@ class _LegacySimulator(Simulator):
             self._step()
         if until is not None:
             self._now = horizon
+
+    def kernel_counters(self):
+        return {
+            "scheduled": self._seq,
+            "heap_scheduled": self._timed,
+            "fast_lane_scheduled": self._seq - self._timed,
+            "dispatched": self._seq - len(self._heap),
+            "cancelled": self._cancel_count,
+        }
 
 
 class TestClockAndTimeouts:
@@ -93,6 +160,17 @@ class TestClockAndTimeouts:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="delay must be >= 0"):
+            sim.timeout(float("nan"))
+        assert sim._heap == [] and sim.events_scheduled == 0
+
+    def test_infinite_delay_still_scheduled(self):
+        sim = Simulator()
+        sim.timeout(float("inf"))
+        assert sim.peek() == float("inf") and sim.heap_scheduled == 1
 
     def test_run_until_time(self):
         sim = Simulator()
@@ -161,6 +239,72 @@ class TestDeterminism:
         assert build_and_run() == build_and_run()
 
 
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("succeed"), st.sampled_from(list(PriorityLevel))),
+    st.tuples(st.just("cancel"), _DELAYS),
+    st.tuples(st.just("processed"), st.integers(0, 7)),
+    st.tuples(st.just("interrupt"), st.integers(0, 4)),
+)
+
+
+def _drive(sim, scripts):
+    """Run one process per script on *sim*; return everything observable.
+
+    That is the firing order of every event and process step, the
+    kernel counters, the ``_sched_hook`` placements and the clock.  A
+    kernel error ends the run and is part of the outcome.
+    """
+    log = []
+    placements = []
+    sim._sched_hook = placements.append
+    procs = []
+
+    def fired(tag):
+        return lambda ev: log.append(("fire", sim.now, tag))
+
+    def body(pid, script):
+        seen = []
+        for i, (op, arg) in enumerate(script):
+            tag = (pid, i)
+            if op == "timeout":
+                ev = sim.timeout(arg, value=tag)
+            elif op == "succeed":
+                ev = sim.event()
+                ev.succeed(tag, priority=arg)
+            elif op == "cancel":
+                sim.timeout(arg).cancel()
+                dead = sim.event()
+                dead.succeed()
+                dead.cancel()
+                ev = sim.timeout(arg, value=tag)
+            elif op == "processed":
+                ev = seen[arg % len(seen)] if seen else sim.timeout(0.0, value=tag)
+            else:
+                victim = procs[arg % len(procs)]
+                if victim is not sim.active_process and victim.is_alive:
+                    victim.interrupt(tag)
+                ev = sim.timeout(0.0, value=tag)
+            ev.callbacks.append(fired(tag))
+            try:
+                value = yield ev
+            except Interrupt as intr:
+                log.append(("interrupted", sim.now, tag, intr.cause))
+            else:
+                log.append(("resumed", sim.now, tag, value))
+                seen.append(ev)
+
+    for pid, script in enumerate(scripts):
+        procs.append(sim.process(body(pid, script)))
+    try:
+        sim.run()
+        error = None
+    except Exception as exc:  # both kernels must fail alike
+        error = re.sub(r" at 0x[0-9a-f]+", "", repr(exc))
+    return log, sim.kernel_counters(), placements, sim.now, error
+
+
 class TestLegacySimulatorFidelity:
     def test_firing_order_matches_optimized_kernel(self):
         def workload(sim, log):
@@ -189,6 +333,11 @@ class TestLegacySimulatorFidelity:
             return sim._seq
 
         assert drive(_LegacySimulator()) == drive(Simulator())
+
+    @given(scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_mixes_match_the_plain_heap(self, scripts):
+        assert _drive(Simulator(), scripts) == _drive(_LegacySimulator(), scripts)
 
 
 class TestEvents:

@@ -180,3 +180,30 @@ class TestLayering:
                     if name in ("CoupledSimulation", "LiveCoupledSimulation"):
                         callers.add(str(path.relative_to(root)))
         assert callers == {"api/facade.py"}
+
+
+class TestNoEagerMessages:
+    """``require(cond, f"...")`` formats its message on every call, even
+    when the check passes; in the DES kernel and the coupling core that
+    is paid per event.  A check there is ``if not cond: raise ...``."""
+
+    def test_no_fstring_message_in_require(self):
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).resolve().parent
+        sites = []
+        for package in ("des", "core"):
+            for path in sorted((root / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "require"
+                        and any(
+                            isinstance(a, ast.JoinedStr)
+                            for a in node.args[1:] + [k.value for k in node.keywords]
+                        )
+                    ):
+                        sites.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert sites == [], f"eager require() messages: {sites}"

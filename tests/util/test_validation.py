@@ -62,3 +62,10 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match="must be >= 0"):
             require_non_negative(-0.1, "n")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            require_non_negative(float("nan"), "n")
+
+    def test_accepts_infinity(self):
+        assert require_non_negative(float("inf"), "n") == float("inf")
