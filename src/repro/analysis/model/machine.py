@@ -499,8 +499,7 @@ def _clone_conn(conn: Any, hist: Any) -> Any:
 
 def _clone_region(region: RegionExportState) -> RegionExportState:
     new = _clone_dictobj(region)
-    hist = _clone_dictobj(region.history)
-    hist._buf = region.history._buf.copy()
+    hist = region.history.copy()
     new.history = hist
     buf = _clone_dictobj(region.buffer)
     buf._entries = {

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.decomposition import BlockDecomposition
 from repro.data.region import RectRegion
-from repro.util.validation import require, require_type
+from repro.util.validation import ValidationError, require, require_type
 
 
 class DistributedArray:
@@ -45,7 +45,8 @@ class DistributedArray:
         halo: int = 0,
     ) -> None:
         require_type(decomp, BlockDecomposition, "decomp")
-        require(0 <= rank < decomp.nprocs, f"rank {rank} out of range")
+        if not 0 <= rank < decomp.nprocs:
+            raise ValidationError(f"rank {rank} out of range")
         require(halo >= 0, "halo must be >= 0")
         self.decomp = decomp
         self.rank = rank
@@ -89,10 +90,8 @@ class DistributedArray:
         *region* must be fully contained in this rank's block; use
         ``region.intersect(self.region)`` first when unsure.
         """
-        require(
-            self.region.contains(region),
-            f"rank {self.rank} owns {self.region}, not {region}",
-        )
+        if not self.region.contains(region):
+            raise ValidationError(f"rank {self.rank} owns {self.region}, not {region}")
         if region.is_empty:
             return self.local[tuple(slice(0, 0) for _ in range(region.ndim))]
         return self.local[region.to_slices(origin=self.region.lo)]
@@ -105,10 +104,10 @@ class DistributedArray:
         """Write *values* into the owned *region* (shapes must agree)."""
         target = self.view_global(region)
         values = np.asarray(values, dtype=self.dtype)
-        require(
-            target.shape == values.shape,
-            f"shape mismatch writing {region}: {values.shape} != {target.shape}",
-        )
+        if target.shape != values.shape:
+            raise ValidationError(
+                f"shape mismatch writing {region}: {values.shape} != {target.shape}"
+            )
         target[...] = values
 
     def fill_from(self, fn: Any) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.data.region import RectRegion
-from repro.util.validation import require, require_positive
+from repro.util.validation import ValidationError, require, require_positive
 
 
 def choose_process_grid(nprocs: int, ndim: int) -> tuple[int, ...]:
@@ -118,7 +118,8 @@ class BlockDecomposition:
 
     def rank_to_coords(self, rank: int) -> tuple[int, ...]:
         """Row-major grid coordinates of *rank*."""
-        require(0 <= rank < self.nprocs, f"rank {rank} out of range")
+        if not 0 <= rank < self.nprocs:
+            raise ValidationError(f"rank {rank} out of range")
         coords = []
         for g in reversed(self.grid):
             coords.append(rank % g)
@@ -130,7 +131,8 @@ class BlockDecomposition:
         require(len(coords) == len(self.grid), "coords rank mismatch")
         rank = 0
         for c, g in zip(coords, self.grid):
-            require(0 <= c < g, f"grid coordinate {c} out of range")
+            if not 0 <= c < g:
+                raise ValidationError(f"grid coordinate {c} out of range")
             rank = rank * g + c
         return rank
 
@@ -155,10 +157,10 @@ class BlockDecomposition:
         require(len(point) == self.ndim, "point rank mismatch")
         coords = []
         for d, p in enumerate(point):
-            require(
-                0 <= p < self.global_shape[d],
-                f"point {tuple(point)} outside global shape {self.global_shape}",
-            )
+            if not 0 <= p < self.global_shape[d]:
+                raise ValidationError(
+                    f"point {tuple(point)} outside global shape {self.global_shape}"
+                )
             # Binary search would be O(log g); grids are tiny so scan.
             for c, (start, stop) in enumerate(self._spans[d]):
                 if start <= p < stop:
@@ -204,7 +206,8 @@ class BlockCyclicDecomposition:
 
     def local_regions(self, rank: int) -> list[RectRegion]:
         """The disjoint boxes owned by *rank*, in ascending order."""
-        require(0 <= rank < self.nprocs, f"rank {rank} out of range")
+        if not 0 <= rank < self.nprocs:
+            raise ValidationError(f"rank {rank} out of range")
         extent = self.global_shape[self.axis]
         out = []
         start = rank * self.block_size
@@ -227,10 +230,10 @@ class BlockCyclicDecomposition:
         """The rank owning global index *point*."""
         require(len(point) == self.ndim, "point rank mismatch")
         p = point[self.axis]
-        require(
-            0 <= p < self.global_shape[self.axis],
-            f"point {tuple(point)} outside global shape {self.global_shape}",
-        )
+        if not 0 <= p < self.global_shape[self.axis]:
+            raise ValidationError(
+                f"point {tuple(point)} outside global shape {self.global_shape}"
+            )
         return (p // self.block_size) % self.nprocs
 
     def bounding_region(self) -> RectRegion:

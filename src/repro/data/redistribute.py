@@ -22,7 +22,7 @@ import numpy as np
 from repro.data.darray import DistributedArray
 from repro.data.region import RectRegion
 from repro.data.schedule import CommSchedule
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 def extract_block(array: DistributedArray, region: RectRegion) -> np.ndarray:
@@ -106,11 +106,11 @@ def unpack_recvs(
     """
     expected = {item.region for item in schedule.recvs_for(dst_rank)}
     got = {region for region, _ in pieces}
-    require(
-        got == expected,
-        f"rank {dst_rank} received pieces {sorted(map(str, got))}, "
-        f"expected {sorted(map(str, expected))}",
-    )
+    if got != expected:
+        raise ValidationError(
+            f"rank {dst_rank} received pieces {sorted(map(str, got))}, "
+            f"expected {sorted(map(str, expected))}"
+        )
     written = 0
     for region, data in pieces:
         insert_block(array, region, data)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from repro.util.validation import require, require_type
+from repro.util.validation import ValidationError, require, require_type
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class RectRegion:
         require(len(self.lo) == len(self.hi), "lo and hi must have equal rank")
         require(len(self.lo) > 0, "regions must have at least one dimension")
         for v in (*self.lo, *self.hi):
-            require(isinstance(v, (int,)), f"region bounds must be ints, got {v!r}")
+            if not isinstance(v, int):
+                raise ValidationError(f"region bounds must be ints, got {v!r}")
 
     # -- construction ----------------------------------------------------
     @staticmethod

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.match.result import FinalAnswer, MatchKind, MatchResponse
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 class CollectiveViolationError(RuntimeError):
@@ -70,10 +70,10 @@ def aggregate_responses(
     require(len(responses) > 0, "cannot aggregate zero responses")
     request_ts = responses[0].request_ts
     for r in responses:
-        require(
-            r.request_ts == request_ts,
-            f"mixed request timestamps in aggregation: {r.request_ts} != {request_ts}",
-        )
+        if r.request_ts != request_ts:
+            raise ValidationError(
+                f"mixed request timestamps in aggregation: {r.request_ts} != {request_ts}"
+            )
 
     kinds = {r.kind for r in responses}
     if kinds == {MatchKind.PENDING}:

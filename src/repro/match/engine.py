@@ -11,41 +11,58 @@ semantics of Section 3.1:
   timestamp (a better candidate might still be exported);
 * definitive once it has (or once the stream is closed).
 
-The history is stored in one sorted (because append-only increasing)
-NumPy ``float64`` buffer so both match backends share storage: this
-reference engine bisects the region edges and scans the candidates
-between them, while the default
-:class:`repro.match.sorted_engine.SortedMatchEngine` bisects each
-request once, or sweeps a whole batch over the same array.
+The history is one sorted (because append-only increasing) list of
+Python floats, shared by both match backends: this reference engine
+bisects the region edges and scans the candidates between them, while
+the default :class:`repro.match.sorted_engine.SortedMatchEngine`
+bisects each request once, or sweeps a whole batch over the history's
+``float64`` array cache.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
 
 from repro.match.policies import MatchPolicy
 from repro.match.result import MatchKind, MatchResponse
-from repro.util.validation import ValidationError, require
+from repro.util.validation import ValidationError
+
+#: The array cache of a history no sweep has asked for yet.  Shared, so
+#: read-only: a :meth:`ExportHistory.view` with a tail to copy grows
+#: past it before writing.
+_NO_ARRAY = np.empty(0, dtype=np.float64)
+_NO_ARRAY.flags.writeable = False
 
 
 class ExportHistory:
     """Strictly increasing record of one process's export timestamps.
 
-    Backed by a capacity-doubling NumPy buffer; one history may be
-    shared by several per-connection engines (a region exported over
-    several connections has one history and one engine per connection).
+    The record is one append-only list of Python floats, which the
+    scalar paths bisect in C (:mod:`bisect`); a ``float64`` array is a
+    cache of it for the vectorized sweep, brought up to date by
+    :meth:`view`, which copies only the tail appended since its last
+    call.  :meth:`replace` loads the array alone and the list is built
+    from it the first time a scalar query needs it, so a history that is
+    only ever swept never holds its timestamps as Python objects.  One
+    history may be shared by several per-connection engines (a region
+    exported over several connections has one history and one engine per
+    connection).
     """
 
     _INITIAL_CAPACITY = 16
 
     def __init__(self) -> None:
-        self._buf = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._n = 0
-        #: Newest timestamp as a Python float, so the per-export
-        #: ``add``/``latest`` never round-trip a NumPy scalar.
+        #: The timestamps, or ``None`` after :meth:`replace` until a
+        #: scalar query builds them from the array (:meth:`_items`).
+        self._ts: list[float] | None = []
+        #: The sweep's cache: ``_arr[:_synced]`` equals ``_ts[:_synced]``.
+        self._arr = _NO_ARRAY
+        self._synced = 0
+        #: Newest timestamp, read by every evaluation without a call.
         self._latest = -math.inf
         self._closed = False
 
@@ -55,21 +72,20 @@ class ExportHistory:
         if self._closed:
             raise ValidationError("cannot export after the stream is closed")
         value = float(ts)
-        n = self._n
         if not value > self._latest:
             # Only a first export of -inf gets here legitimately; NaN
             # compares false with everything, so it lands here too and
-            # must not enter the sorted buffer the bisections run on.
+            # must not enter the sorted list the bisections run on.
             if value != value:
                 raise ValidationError(f"export timestamp must not be NaN, got {ts!r}")
-            if n:
+            if len(self):
                 raise ValidationError(
                     f"export timestamps must increase: {value} after {self._latest}"
                 )
-        if n == self._buf.size:
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[n] = value
-        self._n = n + 1
+        items = self._ts
+        if items is None:
+            items = self._items()
+        items.append(value)
         self._latest = value
 
     def close(self) -> None:
@@ -83,9 +99,9 @@ class ExportHistory:
     def replace(self, timestamps: Sequence[float], *, closed: bool = False) -> None:
         """Bulk-load the history (model-checker state materialization).
 
-        *timestamps* must already be strictly increasing; the whole
-        buffer is replaced in one shot instead of repeated :meth:`add`
-        calls.
+        *timestamps* must already be strictly increasing; they are
+        loaded into the array in one shot instead of repeated
+        :meth:`add` calls, and the list waits for a scalar query.
         """
         arr = np.asarray(list(timestamps), dtype=np.float64)
         n = int(arr.size)
@@ -93,20 +109,38 @@ class ExportHistory:
         if latest != latest or (n > 1 and not bool(np.all(arr[1:] > arr[:-1]))):
             # NaN compares false with everything, so wherever it sits
             # it has failed one of the two tests above.
-            require(
-                not bool(np.isnan(arr).any()),
-                f"export timestamps must not be NaN, got {arr.tolist()}",
-            )
+            if np.isnan(arr).any():
+                raise ValidationError(
+                    f"export timestamps must not be NaN, got {arr.tolist()}"
+                )
             raise ValidationError("export timestamps must increase")
-        self._buf = (
-            arr if n >= self._INITIAL_CAPACITY
-            else np.concatenate(
-                [arr, np.empty(self._INITIAL_CAPACITY - n, dtype=np.float64)]
-            )
-        )
-        self._n = n
+        self._ts = None
+        self._arr = arr
+        self._synced = n
         self._latest = latest
         self._closed = closed
+
+    def copy(self) -> ExportHistory:
+        """An independent history with the same timestamps and state.
+
+        The copy carries the list and starts without an array cache, so
+        neither side's later :meth:`add` or :meth:`view` reaches the
+        other.  This is how the model checker clones a region.
+        """
+        new = object.__new__(ExportHistory)
+        new._ts = list(self._items())
+        new._arr = _NO_ARRAY
+        new._synced = 0
+        new._latest = self._latest
+        new._closed = self._closed
+        return new
+
+    def _items(self) -> list[float]:
+        """The live list (built from the array after :meth:`replace`)."""
+        items = self._ts
+        if items is None:
+            items = self._ts = self._arr[: self._synced].tolist()
+        return items
 
     # -- queries ---------------------------------------------------------
     @property
@@ -120,28 +154,46 @@ class ExportHistory:
         return self._latest
 
     def __len__(self) -> int:
-        return self._n
+        items = self._ts
+        return self._synced if items is None else len(items)
 
     def view(self) -> np.ndarray:
         """Read-only sorted ``float64`` view of the full history.
 
-        The batched sweep backend runs ``searchsorted`` directly on
-        this view; it aliases the internal buffer, so callers must not
-        hold it across :meth:`add` calls (growth may reallocate).
+        The batched sweep runs ``searchsorted`` directly on this view.
+        It aliases the array cache, which this call first extends by the
+        timestamps added since the last one; callers must not hold it
+        across :meth:`add` calls (growth may reallocate).
         """
-        v = self._buf[: self._n]
+        items = self._ts
+        n = self._synced
+        if items is not None and len(items) != n:
+            m = len(items)
+            arr = self._arr
+            if m > arr.size:
+                grown = np.empty(max(2 * m, self._INITIAL_CAPACITY), dtype=np.float64)
+                grown[:n] = arr[:n]
+                self._arr = arr = grown
+            arr[n:m] = items[n:m]
+            self._synced = n = m
+        v = self._arr[:n]
         v.flags.writeable = False
         return v
 
     def in_interval(self, low: float, high: float) -> list[float]:
-        """Timestamps within the closed interval ``[low, high]``."""
-        i = int(np.searchsorted(self._buf[: self._n], low, side="left"))
-        j = int(np.searchsorted(self._buf[: self._n], high, side="right"))
-        return self._buf[i:j].tolist()
+        """Timestamps within the closed interval ``[low, high]``.
+
+        A NaN edge sorts above every timestamp, as in NumPy's
+        ``searchsorted``: ``bisect_right`` already places it there, and
+        ``bisect_left`` would place it first, so it is not asked.
+        """
+        items = self._items()
+        i = bisect_left(items, low) if low == low else len(items)
+        return items[i : bisect_right(items, high)]
 
     def all_timestamps(self) -> list[float]:
         """Copy of the full history."""
-        return self._buf[: self._n].tolist()
+        return list(self._items())
 
 
 class MatchEngine:

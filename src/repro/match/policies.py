@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.util.validation import require, require_non_negative
+from repro.util.validation import ValidationError, require, require_non_negative
 
 
 class PolicyKind(enum.Enum):
@@ -185,7 +185,8 @@ def parse_policy(text: str) -> MatchPolicy:
     if kind is PolicyKind.EXACT:
         require(len(parts) == 1, "EXACT policy takes no tolerance")
         return MatchPolicy(kind)
-    require(len(parts) == 2, f"policy {name} needs exactly one tolerance value")
+    if len(parts) != 2:
+        raise ValidationError(f"policy {name} needs exactly one tolerance value")
     try:
         tol = float(parts[1])
     except ValueError:

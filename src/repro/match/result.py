@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 class MatchKind(enum.Enum):
@@ -56,7 +56,8 @@ class MatchResponse:
         if self.kind is MatchKind.MATCH:
             require(self.matched_ts is not None, "MATCH response needs matched_ts")
         else:
-            require(self.matched_ts is None, f"{self.kind} response must not carry matched_ts")
+            if self.matched_ts is not None:
+                raise ValidationError(f"{self.kind} response must not carry matched_ts")
 
     @property
     def is_definitive(self) -> bool:

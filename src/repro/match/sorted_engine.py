@@ -22,8 +22,10 @@ resolves a request — or a whole batch of outstanding ones — like this:
 * the closer of the two wins, ties to the lower timestamp — exactly the
   reference engine's first-minimal-wins scan.
 
-The scalar :meth:`SortedMatchEngine.evaluate` and the vectorized
-:meth:`SortedMatchEngine.sweep` use that same formulation;
+The scalar :meth:`SortedMatchEngine.evaluate` (``bisect.bisect_right``
+on the history's list of Python floats) and the vectorized
+:meth:`SortedMatchEngine.sweep` (``searchsorted`` on its ``float64``
+array) use that same formulation;
 :meth:`SortedMatchEngine.evaluate_batch` picks between them from the
 batch length and, above the line, answers with a :class:`BatchResponses`
 — arrays in, arrays out, :class:`~repro.match.result.MatchResponse`
@@ -37,6 +39,7 @@ it, including re-asked requests under ``strict_order=False``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import overload
@@ -53,13 +56,17 @@ _KINDS = (MatchKind.PENDING, MatchKind.NO_MATCH, MatchKind.MATCH)
 
 #: Largest batch :meth:`SortedMatchEngine.evaluate_batch` answers with a
 #: loop over the scalar path; longer ones go through the sweep.  Measured
-#: (CPython 3.11, NumPy 2.4, sorted requests, histories of 10^2, 10^4 and
-#: 2.5 * 10^5 exports alike): the sweep path costs a fixed ~20 us of NumPy
-#: call overhead plus ~0.1 us per request, the scalar loop ~2.4 us per
-#: request, so they cross at 8-9 requests (8: 18-19 us against 21; 10:
-#: 20-23 against 21).  The exporter's open-request sets sit below the
-#: line in every run perf/ measures; only ``match_batch`` is above it.
-SCALAR_BATCH_MAX = 8
+#: (CPython 3.11, NumPy 2.4, 2-core x86-64 VM, sorted requests, histories
+#: of 10^2, 10^4 and 2.5 * 10^5 exports alike, best of 7 x 2000 calls):
+#: the sweep path costs a fixed ~28-30 us of NumPy call overhead plus
+#: ~0.1 us per request, the scalar loop, bisecting the history's list in
+#: C, ~1.8 us per request, so they cross at 16 requests (14: 24-26 us
+#: against 29; 16: 29-30 against 30; 20: 35-38 against 29-30).  On the
+#: same machine the NumPy-backed scalar path cost ~3.4 us per request and
+#: crossed at 8-9, the line this constant held until then.  The
+#: exporter's open-request sets sit below the line in every run perf/
+#: measures; only ``match_batch`` is above it.
+SCALAR_BATCH_MAX = 16
 
 
 def _response(
@@ -156,7 +163,8 @@ class SortedMatchEngine(MatchEngine):
     Drop-in :class:`~repro.match.backend.MatchBackend` replacement for
     the reference engine: same constructor, same counters, same
     response sequences bit for bit.  The scalar :meth:`evaluate`
-    replaces the reference candidate scan with one bisection;
+    replaces the reference candidate scan with one C bisection of the
+    history's list;
     :meth:`evaluate_batch` resolves a long batch in a handful of
     vectorized NumPy calls and a short one through :meth:`evaluate`.
     """
@@ -195,20 +203,25 @@ class SortedMatchEngine(MatchEngine):
         """
         if record:
             self.check_request_order(request_ts)
+        # The history's fields are read directly: this engine and
+        # ExportHistory are one unit, and on this path a property or
+        # method call costs as much as the bisection itself.
         history = self.history
-        latest = history.latest
-        if not (latest >= request_ts or history.closed):
+        latest = history._latest
+        if not (latest >= request_ts or history._closed):
             self.pending_count += 1
             return _response(request_ts, MatchKind.PENDING, None, latest)
-        hist = history.view()
-        above = int(hist.searchsorted(request_ts, "right"))
+        hist = history._ts
+        if hist is None:
+            hist = history._items()
+        above = bisect_right(hist, request_ts)
         best: float | None = None
         if above:
-            below_ts: float = hist.item(above - 1)
+            below_ts = hist[above - 1]
             if below_ts >= request_ts + self._dlow:
                 best = below_ts
         if above < len(hist):
-            above_ts: float = hist.item(above)
+            above_ts = hist[above]
             if above_ts <= request_ts + self._dhigh and (
                 best is None or above_ts - request_ts < request_ts - best
             ):

@@ -27,7 +27,7 @@ from repro.vmpi.datatypes import HEADER_BYTES, nbytes_of
 from repro.vmpi.message import ANY_SOURCE, ANY_TAG, Message, match_predicate
 from repro.vmpi.reduce_ops import ReduceOp
 from repro.util.rng import RngRegistry
-from repro.util.validation import require, require_positive, require_type
+from repro.util.validation import ValidationError, require_positive, require_type
 
 #: Prefix of internal (collective) wire tags; hidden from ANY_TAG recvs.
 _INTERNAL_PREFIX = "__c:"
@@ -86,7 +86,8 @@ class DesWorld:
         """Register a parallel program and return one communicator per rank."""
         require_type(name, str, "name")
         require_positive(nprocs, "nprocs")
-        require(name not in self._programs, f"program {name!r} already exists")
+        if name in self._programs:
+            raise ValidationError(f"program {name!r} already exists")
         addresses: list[Hashable] = [(name, r) for r in range(nprocs)]
         for addr in addresses:
             self.network.register(addr)
@@ -163,7 +164,8 @@ class DesCommunicator:
         *trace* is an optional causal trace context stamped verbatim on
         the envelope (see :class:`repro.vmpi.message.Message`).
         """
-        require(0 <= dest < self.size, f"dest {dest} out of range")
+        if not 0 <= dest < self.size:
+            raise ValidationError(f"dest {dest} out of range")
         nbytes = nbytes_of(obj) + HEADER_BYTES
         msg = Message(
             src=self.rank,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.vmpi.reduce_ops import ReduceOp
-from repro.util.validation import require, require_positive
+from repro.util.validation import ValidationError, require, require_positive
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,11 @@ class CollectivePlan:
 
 def _check_rank_size(rank: int, size: int, root: int | None = None) -> None:
     require_positive(size, "size")
-    require(0 <= rank < size, f"rank {rank} out of range for size {size}")
+    if not 0 <= rank < size:
+        raise ValidationError(f"rank {rank} out of range for size {size}")
     if root is not None:
-        require(0 <= root < size, f"root {root} out of range for size {size}")
+        if not 0 <= root < size:
+            raise ValidationError(f"root {root} out of range for size {size}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +338,8 @@ def plan_scatter(
     """Scatter ``values[i]`` from *root* to rank *i*; returns own piece."""
     _check_rank_size(rank, size, root)
     if rank == root:
-        require(
-            values is not None and len(values) == size,
-            f"scatter root needs exactly {size} values",
-        )
-        assert values is not None
+        if values is None or len(values) != size:
+            raise ValidationError(f"scatter root needs exactly {size} values")
         actions = [
             SendAction(peer=r, key=f"{key}:{r}", slot=f"part:{r}")
             for r in range(size)
@@ -400,7 +399,8 @@ def plan_alltoall(
 ) -> CollectivePlan:
     """Pairwise-shifted alltoall: round *i* exchanges with rank ± i."""
     _check_rank_size(rank, size)
-    require(len(values) == size, f"alltoall needs exactly {size} values")
+    if len(values) != size:
+        raise ValidationError(f"alltoall needs exactly {size} values")
     actions: list[Action] = []
     slots: dict[str, Any] = {f"out:{r}": values[r] for r in range(size)}
     slots[f"in:{rank}"] = values[rank]
@@ -494,7 +494,8 @@ def plan_reduce_scatter(
     rank, correct for non-commutative operators too.
     """
     _check_rank_size(rank, size)
-    require(len(values) == size, f"reduce_scatter needs exactly {size} values")
+    if len(values) != size:
+        raise ValidationError(f"reduce_scatter needs exactly {size} values")
     actions: list[Action] = []
     slots: dict[str, Any] = {f"out:{r}": values[r] for r in range(size)}
     slots[f"in:{rank}"] = values[rank]
@@ -560,8 +561,8 @@ def simulate_plans(plans: Sequence[CollectivePlan]) -> list[Any]:
                 slots[r][action.slot] = queue.pop(0)
             elif isinstance(action, CombineAction):
                 op = plan.op
-                require(op is not None, f"{plan.name} plan combines without an op")
-                assert op is not None
+                if op is None:
+                    raise ValidationError(f"{plan.name} plan combines without an op")
                 a = slots[r][action.dst]
                 b = slots[r][action.src]
                 slots[r][action.dst] = op(b, a) if action.reverse else op(a, b)

@@ -16,7 +16,7 @@ from repro.vmpi import plans as _plans
 from repro.vmpi.message import ANY_SOURCE, ANY_TAG, Message, match_predicate
 from repro.vmpi.reduce_ops import ReduceOp
 from repro.vmpi.datatypes import HEADER_BYTES, nbytes_of
-from repro.util.validation import require, require_positive, require_type
+from repro.util.validation import ValidationError, require_positive, require_type
 
 _INTERNAL_PREFIX = "__c:"
 
@@ -103,7 +103,8 @@ class ThreadWorld:
         """Register a parallel program and return per-rank communicators."""
         require_type(name, str, "name")
         require_positive(nprocs, "nprocs")
-        require(name not in self._programs, f"program {name!r} already exists")
+        if name in self._programs:
+            raise ValidationError(f"program {name!r} already exists")
         addresses = [(name, r) for r in range(nprocs)]
         for addr in addresses:
             self._mailboxes[addr] = ThreadMailbox()
@@ -210,7 +211,8 @@ class ThreadCommunicator:
         *trace* is an optional causal trace context stamped verbatim on
         the envelope (see :class:`repro.vmpi.message.Message`).
         """
-        require(0 <= dest < self.size, f"dest {dest} out of range")
+        if not 0 <= dest < self.size:
+            raise ValidationError(f"dest {dest} out of range")
         nbytes = nbytes_of(obj) + HEADER_BYTES
         msg = Message(
             src=self.rank,

@@ -50,8 +50,7 @@ def _clone_dictobj(obj):
 
 def _clone_region(region):
     new = _clone_dictobj(region)
-    hist = _clone_dictobj(region.history)
-    hist._buf = region.history._buf.copy()
+    hist = region.history.copy()
     new.history = hist
     buf = _clone_dictobj(region.buffer)
     buf._entries = {

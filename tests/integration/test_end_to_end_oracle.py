@@ -39,12 +39,14 @@ def run_coupled(policy_kind, tolerance, exports, request_gaps, speeds,
         "#\n"
         f"E.d I.d {policy_kind.value}{tol_text}\n"
     )
-    # Requests: increasing, spaced by > tolerance (the disjointness
-    # regime the default connection mode assumes).
+    # Requests: increasing, spaced by more than the acceptable region's
+    # width (the disjointness regime the default connection mode
+    # assumes); a REG region is 2 * tolerance wide.
+    width = 2 * tolerance if policy_kind is PolicyKind.REG else tolerance
     requests = []
     acc = 0.0
     for gap in request_gaps:
-        acc += max(gap, tolerance + 1.1)
+        acc += max(gap, width + 1.1)
         requests.append(round(acc, 6))
 
     answers = {}

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.match import make_backend
 from repro.match.engine import ExportHistory, MatchEngine
 from repro.match.policies import MatchPolicy, PolicyKind
 from repro.match.result import MatchKind, MatchResponse
@@ -552,8 +553,34 @@ class TestMatchPathCost:
             for t in asks:
                 eng.evaluate(t, record=True)
 
+        # The first scalar query builds the replace()d history's list.
+        assert _calls(run) == _calls(run) + 1
         per_call = _calls(run) / len(asks)
         assert per_call == _calls(run) / len(asks)  # repeats exactly
-        # 5.0 now: evaluate, the order check, two history reads and the
-        # response; the three-bisection form this replaced made 22.4.
-        assert per_call < 5.5
+        # 3.0 now: evaluate, the order check and the response, with the
+        # history read as fields and bisected in C.  The NumPy-backed
+        # history made it 5.0 (a `latest` and a `view()` call), the
+        # three-bisection form before that 22.4.
+        assert per_call < 3.3
+
+    def test_incremental_stream_call_ceiling(self):
+        # match_stream's mix on a fresh default engine: four exports,
+        # then one new request, over and over.
+        eng = make_backend(MatchPolicy(PolicyKind.REGL, 0.25), strict_order=False)
+        rng = np.random.default_rng(3)
+        exports = np.cumsum(rng.uniform(0.5, 1.5, 4_000)).tolist()
+        asks = (np.array(exports[3::4]) - rng.uniform(-0.3, 1.2, 1_000)).tolist()
+
+        def run():
+            asked = iter(asks)
+            for i, ts in enumerate(exports, 1):
+                eng.record_export(ts)
+                if i % 4 == 0:
+                    eng.evaluate(next(asked), record=True)
+
+        per_op = _calls(run) / (len(exports) + len(asks))
+        assert eng.match_count and eng.no_match_count and eng.pending_count
+        # 2.2 now: record_export -> add per export, plus the three calls
+        # of an evaluation, per five operations.  2.6 with the NumPy-backed
+        # history, whose evaluation also called `latest` and `view()`.
+        assert per_op < 2.4

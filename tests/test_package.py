@@ -184,8 +184,9 @@ class TestLayering:
 
 class TestNoEagerMessages:
     """``require(cond, f"...")`` formats its message on every call, even
-    when the check passes; in the DES kernel and the coupling core that
-    is paid per event.  A check there is ``if not cond: raise ...``."""
+    when the check passes; in the DES kernel, the coupling core, the
+    match layer, the data plane and vMPI that is paid per event, per
+    response or per message.  A check there is ``if not cond: raise ...``."""
 
     def test_no_fstring_message_in_require(self):
         import ast
@@ -193,7 +194,7 @@ class TestNoEagerMessages:
 
         root = Path(repro.__file__).resolve().parent
         sites = []
-        for package in ("des", "core"):
+        for package in ("des", "core", "match", "data", "vmpi"):
             for path in sorted((root / package).rglob("*.py")):
                 for node in ast.walk(ast.parse(path.read_text())):
                     if (
