@@ -91,6 +91,7 @@ def replay_schedule(schedule: dict[str, Any]) -> ReplayResult:
     machine = ModelMachine(ModelConfig.from_dict(schedule["config"]))
     driver = machine.driver
     driver.causal = log = CausalLog()
+    driver._subscribe()
     w = machine.initial_working()
     error: str | None = None
     executed = 0

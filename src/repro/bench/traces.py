@@ -20,9 +20,12 @@ line with the publication:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
+from repro.core import spine
 from repro.core.config import ConnectionSpec, Endpoint
 from repro.core.exporter import ExportDecision, RegionExportState
+from repro.core.spine import PaperFold, ProtocolEvent
 from repro.match.policies import MatchPolicy, PolicyKind
 from repro.match.result import FinalAnswer, MatchKind
 from repro.util import tracing
@@ -41,8 +44,9 @@ def _connection(tolerance: float, disjoint: bool = True) -> ConnectionSpec:
 class ScriptedProcess:
     """Drives one slow exporter process through a scripted event order.
 
-    Mirrors the tracing the full runtime does, but with a hand-written
-    clock (one tick per event) so traces are position-exact.
+    Announces the runtime's protocol events to the runtime's paper fold,
+    with a hand-written clock (one tick per event) so traces are
+    position-exact.
     """
 
     def __init__(self, tolerance: float, nbytes: int = 2 * 1024 * 1024) -> None:
@@ -51,6 +55,7 @@ class ScriptedProcess:
         self.state = RegionExportState("D", [self.conn])
         self.nbytes = nbytes
         self.tracer = Tracer()
+        self._lines = PaperFold(self.tracer).handlers()
         self.clock = 0.0
         self.who = "F.p_s"
 
@@ -58,22 +63,18 @@ class ScriptedProcess:
         self.clock += 1.0
         return self.clock
 
+    def _announce(self, kind: str, now: float, **fields: Any) -> None:
+        self._lines[kind](ProtocolEvent(kind, self.who, now, self.cid, **fields))
+
     # -- scripted events ----------------------------------------------------
     def export(self, ts: float) -> ExportDecision:
         """``p_s`` exports the data object at *ts*."""
         now = self._tick()
         outcome = self.state.on_export(ts, self.nbytes, memcpy_cost=1.0)
-        if outcome.decision in (ExportDecision.BUFFER,):
-            self.tracer.record(tracing.EXPORT_MEMCPY, self.who, now, timestamp=ts)
-        elif outcome.decision is ExportDecision.SEND:
-            self.tracer.record(tracing.EXPORT_MEMCPY, self.who, now, timestamp=ts)
+        self._announce(spine.EXPORT, now, region="D", ts=ts, decision=outcome)
+        if outcome.decision is ExportDecision.SEND:
             self._send(now, ts)
-        else:
-            self.tracer.record(tracing.EXPORT_SKIP, self.who, now, timestamp=ts)
-        for entry in outcome.replaced:
-            self.tracer.record(tracing.BUFFER_REMOVE, self.who, now, timestamp=entry.ts)
-        for cid, m in outcome.post_sends:
-            del cid
+        for _cid, m in outcome.post_sends:
             self._send(now, m)
         self._evict(now)
         return outcome.decision
@@ -81,22 +82,14 @@ class ScriptedProcess:
     def _send(self, now: float, ts: float) -> None:
         """Record a transfer and mark the buffer entry sent."""
         self.state.buffer.mark_sent(ts)
-        self.tracer.record(tracing.EXPORT_SEND, self.who, now, timestamp=ts)
+        self._announce(spine.EXPORT_SEND, now, ts=ts)
 
     def request(self, ts: float) -> None:
         """The rep forwards the importer's request for *ts*."""
         now = self._tick()
-        self.tracer.record(tracing.REQUEST_RECV, self.who, now, request=ts)
+        self._announce(spine.REQUEST_RECV, now, request=ts)
         outcome = self.state.on_request(self.cid, ts)
-        latest = outcome.response.latest_export_ts
-        self.tracer.record(
-            tracing.REQUEST_REPLY,
-            self.who,
-            now,
-            request=ts,
-            answer=str(outcome.response.kind),
-            latest=None if latest == float("-inf") else latest,
-        )
+        self._announce(spine.MATCH, now, request=ts, decision=outcome.response)
         if outcome.applied is not None and outcome.applied.send_now is not None:
             self._send(now, outcome.applied.send_now)
         self._evict(now)
@@ -110,14 +103,7 @@ class ScriptedProcess:
             answer = FinalAnswer(
                 request_ts=request_ts, kind=MatchKind.MATCH, matched_ts=matched_ts
             )
-        self.tracer.record(
-            tracing.BUDDY_RECV,
-            self.who,
-            now,
-            request=request_ts,
-            answer="YES" if matched_ts is not None else "NO",
-            match=matched_ts if matched_ts is not None else request_ts,
-        )
+        self._announce(spine.BUDDY_RECV, now, request=request_ts, decision=answer)
         applied = self.state.on_buddy_answer(self.cid, answer)
         if applied.send_now is not None:
             self._send(now, applied.send_now)
@@ -126,14 +112,7 @@ class ScriptedProcess:
     def _evict(self, now: float) -> None:
         evicted = self.state.collect_evictions()
         if evicted:
-            self.tracer.record(
-                tracing.BUFFER_REMOVE,
-                self.who,
-                now,
-                timestamp=evicted[-1].ts,
-                low=evicted[0].ts,
-                high=evicted[-1].ts,
-            )
+            self._announce(spine.EVICT, now, ts=evicted[-1].ts, decision=evicted)
 
 
 @dataclass

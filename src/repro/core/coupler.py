@@ -26,7 +26,7 @@ intra-program collectives through ``ctx.comm``.
 
 This module is the DES *adapter* of :mod:`repro.core.protocol`: the
 protocol itself (resolution, rep dispatch, directives, agent handling,
-the send path, tracing hooks) lives there once; here are the virtual
+the send path, the event spine) lives there once; here are the virtual
 clock, the DES mailboxes, generator scheduling and the cost models.
 
 Topology per program: ``nprocs`` application processes (each with a
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import spine, wire
 from repro.core.config import CouplingConfig
 from repro.core.exceptions import FrameworkError
 from repro.core.exporter import ExportDecision
@@ -68,11 +68,11 @@ from repro.core.protocol import (
     RuntimePort,
     _ProgramRuntime,
 )
+from repro.core.spine import ProtocolEvent
 from repro.data.region import RectRegion
 from repro.des import AnyOf, Event, Simulator
 from repro.match.result import MatchKind
 from repro.util.rng import RngRegistry
-from repro.util import tracing
 from repro.util.validation import require, require_positive
 from repro.vmpi.des_backend import DesWorld
 
@@ -109,8 +109,11 @@ class ProcessContext(ContextBase):
         require(seconds >= 0, "compute time must be >= 0")
         yield self.sim.timeout(seconds)
         self.stats.compute_time += seconds
-        if self._rt._prov is not None:
-            self._rt._prov.on_op(self.program, self.rank, "compute", seconds)
+        if self._rt._watch:
+            self._rt._fold[spine.COMPUTE](ProtocolEvent(
+                spine.COMPUTE, self.who, self.sim._now,
+                program=self.program, rank=self.rank, values=(seconds,),
+            ))
         return seconds
 
     def compute_elements(
@@ -126,17 +129,15 @@ class ProcessContext(ContextBase):
         )
         yield self.sim.timeout(t)
         self.stats.compute_time += t
-        if self._rt._prov is not None:
-            # Recorded as (elements, scale), not the drawn time: replay
+        if self._rt._watch:
+            # Announced as (elements, scale), not the drawn time: replay
             # re-issues the same draw from the same named stream, which
             # keeps the shared per-rank RNG in lock-step with exports.
-            self._rt._prov.on_op(
-                self.program,
-                self.rank,
-                "compute_elements",
-                int(elements),
-                float(scale),
-            )
+            self._rt._fold[spine.COMPUTE_ELEMENTS](ProtocolEvent(
+                spine.COMPUTE_ELEMENTS, self.who, self.sim._now,
+                program=self.program, rank=self.rank,
+                values=(int(elements), float(scale)),
+            ))
         return t
 
     # -- export -----------------------------------------------------------------
@@ -193,14 +194,11 @@ class ProcessContext(ContextBase):
         )
         outcome = st.on_export(ts, nbytes, memcpy_cost)
         decision = outcome.decision
-        tracer = coupler.tracer
         if decision is ExportDecision.BUFFER or decision is ExportDecision.SEND:
             charge = memcpy_cost
             if data is not None:
                 # The honest memcpy: the framework owns a private copy.
                 st.buffer.get(ts).payload = data.copy()
-            if tracer.enabled:
-                tracer.record(tracing.EXPORT_MEMCPY, self.who, t0, timestamp=ts)
         elif decision is ExportDecision.SKIP:
             charge = memory.skip_time()
             if outcome.buddy_skip:
@@ -209,19 +207,16 @@ class ProcessContext(ContextBase):
                 # credit the avoided memcpy to buddy-help.
                 self.stats.buddy_saved_time += memcpy_cost
                 coupler._buddy_skip(self, ts, outcome)
-            if tracer.enabled:
-                tracer.record(
-                    tracing.EXPORT_SKIP, self.who, t0, timestamp=ts, region=region
-                )
         else:  # NOOP: unconnected region
             charge = 0.0
         if outcome.replaced:
             charge += memory.free_buffers_time(len(outcome.replaced))
-            if tracer.enabled:
-                for entry in outcome.replaced:
-                    tracer.record(
-                        tracing.BUFFER_REMOVE, self.who, t0, timestamp=entry.ts
-                    )
+        if coupler._watch:
+            coupler._fold[spine.EXPORT](ProtocolEvent(
+                spine.EXPORT, self.who, t0, program=self.program, rank=self.rank,
+                region=region, ts=ts, decision=outcome,
+                values=(None if data is None else data.dtype.name,),
+            ))
         if charge > 0:
             yield sim.timeout(charge)
 
@@ -236,10 +231,6 @@ class ProcessContext(ContextBase):
         self.stats.export_records.append(
             ExportRecord(ts, decision, charge, t0)
         )
-        if coupler.operation_log is not None:
-            coupler.operation_log.log(self.program, self.rank, "export", region, ts)
-        if coupler._prov is not None:
-            self._record_export(region, ts, data)
         return decision
 
     # -- import -----------------------------------------------------------------
@@ -268,10 +259,11 @@ class ProcessContext(ContextBase):
         coupler = self._rt
         cid = handle.connection_id
         ts = handle.ts
-        if coupler._prov is not None:
-            coupler._prov.on_op(
-                self.program, self.rank, "import_wait", handle.region, ts
-            )
+        if coupler._watch:
+            coupler._fold[spine.IMPORT_WAIT](ProtocolEvent(
+                spine.IMPORT_WAIT, self.who, self.sim._now, cid, ts,
+                program=self.program, rank=self.rank, region=handle.region,
+            ))
         box = coupler.world.network.mailbox(("cpl", self.program, self.rank))
         answer_ev = box.get_matching(
             lambda d: type(d.payload) is wire.AnswerToProc
@@ -280,7 +272,7 @@ class ProcessContext(ContextBase):
         )
         delivery = yield from self._await_with_retransmit(answer_ev, handle)
         msg: wire.AnswerToProc = delivery.payload
-        span = coupler._import_answered(self, handle, msg)
+        coupler._import_answered(self, handle, msg)
         if msg.answer.kind is MatchKind.NO_MATCH:
             return (None, None)
         m = msg.answer.matched_ts
@@ -299,9 +291,7 @@ class ProcessContext(ContextBase):
             )
             d = yield from self._await_with_retransmit(piece_ev, handle)
             pieces.setdefault((d.payload.src_rank, d.payload.region), d.payload)
-        block = coupler._import_complete(
-            self, handle, msg, list(pieces.values()), span
-        )
+        block = coupler._import_complete(self, handle, msg, list(pieces.values()))
         return (m, block)
 
     def _await_with_retransmit(

@@ -25,9 +25,6 @@ class ImportRecord:
     answered_at: float | None = None
     completed_at: float | None = None
     answer: FinalAnswer | None = None
-    #: Causal trace id of this import (set when tracing is enabled);
-    #: links the record to its happens-before DAG in the causal report.
-    trace_id: int | None = None
 
     @property
     def latency(self) -> float | None:
@@ -51,9 +48,7 @@ class RegionImportState:
     no_match_count: int = 0
     _last_request_ts: float = -math.inf
 
-    def start_request(
-        self, request_ts: float, now: float, trace_id: int | None = None
-    ) -> ImportRecord:
+    def start_request(self, request_ts: float, now: float) -> ImportRecord:
         """Validate ordering and open a new import record."""
         if not request_ts > self._last_request_ts:
             raise ValidationError(
@@ -61,7 +56,7 @@ class RegionImportState:
                 f"{request_ts} after {self._last_request_ts}"
             )
         self._last_request_ts = request_ts
-        record = ImportRecord(request_ts=request_ts, issued_at=now, trace_id=trace_id)
+        record = ImportRecord(request_ts=request_ts, issued_at=now)
         self.records.append(record)
         return record
 

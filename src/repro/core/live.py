@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import spine, wire
 from repro.core.config import CouplingConfig
 from repro.core.exporter import ExportDecision
 from repro.core.protocol import (
@@ -46,9 +46,9 @@ from repro.core.protocol import (
     RuntimePort,
     _ProgramRuntime,
 )
+from repro.core.spine import ProtocolEvent
 from repro.data.region import RectRegion
 from repro.match.result import MatchKind
-from repro.util import tracing
 from repro.util.validation import require, require_positive
 from repro.vmpi.thread_backend import MailboxTimeout, ThreadMailbox, ThreadWorld
 
@@ -73,8 +73,11 @@ class LiveProcessContext(ContextBase):
         """Really sleep for ``seconds * time_scale``."""
         require(seconds >= 0, "compute time must be >= 0")
         time.sleep(seconds * self._rt.time_scale)
-        if self._rt._prov is not None:
-            self._rt._prov.on_op(self.program, self.rank, "compute", seconds)
+        if self._rt._watch:
+            self._rt._fold[spine.COMPUTE](ProtocolEvent(
+                spine.COMPUTE, self.who, self._rt.elapsed(),
+                program=self.program, rank=self.rank, values=(seconds,),
+            ))
 
     # -- export ------------------------------------------------------------------
     def export(self, region: str, ts: float, data: np.ndarray | None = None) -> ExportDecision:
@@ -93,16 +96,17 @@ class LiveProcessContext(ContextBase):
             (("ledger", self.who, region), "write", "export.buffer"),
         ):
             outcome = st.on_export(ts, nbytes, memcpy_cost=0.0)
-            kind: str | None = None
             if outcome.decision in (ExportDecision.BUFFER, ExportDecision.SEND):
                 copy_start = time.perf_counter()
                 st.buffer.get(ts).payload = data.copy() if data is not None else None
                 st.buffer.record_cost(ts, time.perf_counter() - copy_start)
-                kind = tracing.EXPORT_MEMCPY
-            elif outcome.decision is ExportDecision.SKIP:
-                kind = tracing.EXPORT_SKIP
-            if kind is not None and rt.tracer.enabled:
-                rt.tracer.record(kind, self.who, rt.elapsed(), timestamp=ts)
+            if rt._watch:
+                rt._fold[spine.EXPORT](ProtocolEvent(
+                    spine.EXPORT, self.who, rt.elapsed(),
+                    program=self.program, rank=self.rank, region=region, ts=ts,
+                    decision=outcome,
+                    values=(None if data is None else data.dtype.name,),
+                ))
             rt._after_export(self, region, ts, outcome)
             rt._evict(self, st)
         cost = rt.elapsed() - t0
@@ -111,8 +115,6 @@ class LiveProcessContext(ContextBase):
         self.stats.export_records.append(
             ExportRecord(ts, outcome.decision, cost, t0)
         )
-        if rt._prov is not None:
-            self._record_export(region, ts, data)
         return outcome.decision
 
     # -- import -------------------------------------------------------------------
@@ -140,7 +142,7 @@ class LiveProcessContext(ContextBase):
             handle,
             timeout,
         )
-        span = rt._import_answered(self, handle, msg)
+        rt._import_answered(self, handle, msg)
         if msg.answer.kind is MatchKind.NO_MATCH:
             return (None, None)
         m = msg.answer.matched_ts
@@ -161,7 +163,7 @@ class LiveProcessContext(ContextBase):
                 timeout,
             )
             pieces.setdefault((piece.src_rank, piece.region), piece)
-        block = rt._import_complete(self, handle, msg, list(pieces.values()), span)
+        block = rt._import_complete(self, handle, msg, list(pieces.values()))
         return (m, block)
 
     def _get_with_retransmit(

@@ -4,11 +4,13 @@
 :mod:`repro.core.importer` and :mod:`repro.core.wire` hold the paper's
 control plane as pure state machines.  This module holds everything
 that *drives* them, once: connection/schedule/send-plan/rep resolution,
-rep-message dispatch, directive → wire-message translation (with the
-tracer, causal-span and provenance hooks), agent handling of forwarded
-requests and buddy-help answers, response and data-piece emission,
-sequence stamping and dedup, wire counters, the importer's
-request/answer/complete bookkeeping and buddy-skip lead accounting.
+rep-message dispatch, directive → wire-message translation, agent
+handling of forwarded requests and buddy-help answers, response and
+data-piece emission, sequence stamping and dedup, wire counters, the
+importer's request/answer/complete bookkeeping and buddy-skip lead
+accounting.  Every decision among them is announced once, as a
+:class:`~repro.core.spine.ProtocolEvent`, to the folds watching the
+run (paper trace, causal DAG, provenance rows, Property-1 log).
 
 It never touches a clock, a mailbox, a lock or a scheduler.  A runtime
 subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
@@ -16,8 +18,8 @@ subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
 
 ``now()``
     the run clock (virtual seconds on the DES, run-relative wall
-    seconds on threads) — every tracer event, causal span and
-    provenance row of a run is stamped from it;
+    seconds on threads) — every announced event of a run is stamped
+    from it;
 ``send(src, dst, payload, nbytes)``
     deliver one already stamped, already counted wire unit;
 ``guard(key, *accesses)``
@@ -43,7 +45,7 @@ from typing import Any, Callable, ContextManager, NamedTuple
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import spine, wire
 from repro.core.buffers import BufferEntry
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
 from repro.core.exceptions import ConfigError, FrameworkError
@@ -58,16 +60,25 @@ from repro.core.rep import (
     ForwardToExporter,
     ImporterRep,
 )
+from repro.core.spine import ProtocolEvent
 from repro.data.decomposition import BlockDecomposition
 from repro.data.region import RectRegion
 from repro.data.schedule import CommSchedule
 from repro.match.result import MatchKind, MatchResponse
 from repro.obs.trace import CausalLog, TraceContext
-from repro.util import tracing
 from repro.util.tracing import NullTracer
 from repro.util.validation import ValidationError, require, require_positive
 
 _UNGUARDED: ContextManager[Any] = contextlib.nullcontext()
+
+#: The spine kind announcing each rep directive.
+_DIRECTIVE_KINDS: dict[type, str] = {
+    ForwardRequest: spine.FAN_OUT,
+    AnswerImporter: spine.FINALIZE,
+    BuddyHelp: spine.BUDDY_SEND,
+    ForwardToExporter: spine.REP_FORWARD,
+    DeliverAnswer: spine.DELIVER,
+}
 
 
 def _unguarded(key: Any, *accesses: Any) -> ContextManager[Any]:
@@ -179,6 +190,8 @@ class _ProgramRuntime:
         self.contexts: list[Any] = []
         self.exp_rep: ExporterRep | None = None
         self.imp_rep: ImporterRep | None = None
+        #: Trace identity of the program's rep.
+        self.rep_who = f"{name}.rep"
         #: Processes whose application main has not finished (stays at
         #: *nprocs* for a passive program without one).
         self.alive = nprocs
@@ -316,13 +329,10 @@ class ContextBase:
                 nbytes=nbytes,
                 memcpy_base=0.0 if memcpy_base is None else memcpy_base(nbytes),
             )
-        #: Arrival bookkeeping for buddy answers, keyed by
-        #: ``(connection_id, request_ts)``: ``(arrived_at, recv_span)``.
-        #: Feeds the per-window buddy-help lead times.
-        self._buddy_arrivals: dict[tuple[str, float], tuple[float, Any]] = {}
-        #: Trace context of the last FwdRequest per request, so the
-        #: (possibly much later) match response can name its cause.
-        self._causal_fwd: dict[tuple[str, float], TraceContext | None] = {}
+        #: Arrival time of each buddy answer, keyed by
+        #: ``(connection_id, request_ts)``: feeds the per-window
+        #: buddy-help lead times.
+        self._buddy_arrivals: dict[tuple[str, float], float] = {}
 
     def local_region(self, region: str) -> RectRegion:
         """This rank's owned sub-box of *region*."""
@@ -346,18 +356,6 @@ class ContextBase:
                 f"decomposition shape {plan.shape}"
             )
         return plan, int(data.nbytes)
-
-    def _record_export(self, region: str, ts: float, data: np.ndarray | None) -> None:
-        """Provenance row of one finished export call (callers check
-        that a recorder is attached: the unrecorded path makes no call)."""
-        self._rt._prov.on_op(
-            self.program,
-            self.rank,
-            "export",
-            region,
-            ts,
-            None if data is None else np.dtype(data.dtype).name,
-        )
 
     def _assemble(
         self, region: str, pieces: list[wire.DataPiece]
@@ -438,9 +436,8 @@ class ProtocolDriver:
         # next() on itertools.count is atomic under the GIL, so stamping
         # needs no lock on the thread runtime.
         self._next_seq = itertools.count(1).__next__
-        #: Provenance recorder (opt-in).  ``None`` keeps every hot-path
-        #: hook to one attribute check per event.  Recorder appends are
-        #: single ``list.append``/dict-op calls, atomic under the GIL.
+        #: Provenance recorder (opt-in).  Recorder appends are single
+        #: ``list.append``/dict-op calls, atomic under the GIL.
         self._prov: Any | None = None
         if options.provenance is not None:
             # Imported lazily: the core stays importable without the
@@ -449,17 +446,19 @@ class ProtocolDriver:
 
             self._prov = ProvenanceRecorder(options.provenance)
         #: Causal tracing (opt-in).  Provenance needs the causal DAG to
-        #: certify replays, so recording implies it.  The aux dicts are
-        #: written by at most one thread per key.
+        #: certify replays, so recording implies it.
         self.causal: CausalLog | None = (
             CausalLog() if options.causal_trace or self._prov is not None else None
         )
-        self._causal_req: dict[tuple[str, float, int], TraceContext] = {}
-        self._causal_resp: dict[tuple[str, float], list[int]] = {}
-        self._causal_agg: dict[tuple[str, float], TraceContext] = {}
-        self._causal_ans: dict[tuple[str, float], TraceContext] = {}
         #: Optional Property-1 operation log (``record_operations``).
         self.operation_log: Any | None = None
+        #: The folds watching the run (empty: every decision site costs
+        #: one truth test) and, per event kind, the one callable handing
+        #: an event to each fold that reads it and returning the span
+        #: context the causal fold recorded; built by :meth:`_subscribe`
+        #: when the run is resolved.
+        self._watch: tuple[Any, ...] = ()
+        self._fold: dict[str, spine.Handler] = {}
         #: Streaming telemetry (opt-in): sinks receive periodic snapshots.
         self.telemetry_sinks: tuple[Any, ...] = tuple(options.telemetry_sinks)
         self.telemetry_interval = options.telemetry_interval
@@ -604,10 +603,18 @@ class ProtocolDriver:
                 if self.sanitizer is not None:
                     prog.imp_rep = self.sanitizer.wrap_imp_rep(prog.imp_rep)
             prog.contexts = [context_cls(self, prog, r) for r in range(prog.nprocs)]
+        self._subscribe()
         if self._prov is not None:
             from repro.obs.prov import build_header
 
             self._prov.set_header(build_header(self, runtime))
+
+    def _subscribe(self) -> None:
+        """Point the event spine at the run's consumers as they are now."""
+        self._watch, self._fold = spine.subscribe(
+            self.tracer, self.causal, self._prov, self.operation_log,
+            self.match_backend,
+        )
 
     def context(self, program: str, rank: int) -> Any:
         """The per-process context of one process (after run() started)."""
@@ -657,47 +664,14 @@ class ProtocolDriver:
         if seq in seen:
             with self._lock:
                 self.dup_discards += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    tracing.DUP_DISCARD,
-                    who,
-                    self._now(),
-                    msg=type(msg).__name__,
-                    seq=seq,
-                )
+            if self._watch:
+                self._fold[spine.DUP_DISCARD](ProtocolEvent(
+                    spine.DUP_DISCARD, who, self._now(),
+                    values=(type(msg).__name__, seq),
+                ))
             return True
         seen.add(seq)
         return False
-
-    # -- causal tracing -------------------------------------------------------
-    def _causal_child(
-        self,
-        name: str,
-        who: str,
-        cause: TraceContext | None,
-        cid: str,
-        request_ts: float,
-        extra_parents: tuple[int, ...] = (),
-        **attrs: Any,
-    ) -> TraceContext:
-        """Record a span caused by *cause* (or rooted at the request key)."""
-        assert self.causal is not None
-        tid = (
-            cause.trace_id
-            if cause is not None
-            else self.causal.trace_for(cid, request_ts)
-        )
-        parents = (() if cause is None else (cause.span_id,)) + tuple(extra_parents)
-        return self.causal.record(
-            tid,
-            name,
-            who,
-            self._now(),
-            parents=parents,
-            connection=cid,
-            request=request_ts,
-            **attrs,
-        )
 
     # -- exporter side: data plane, responses, agent ---------------------------
     def _match_entry(
@@ -750,45 +724,21 @@ class ProtocolDriver:
                 ),
                 nbytes=nbytes,
             )
-        if self.tracer.enabled:
-            self.tracer.record(tracing.EXPORT_SEND, ctx.who, self._now(), timestamp=m)
+        if self._watch:
+            self._fold[spine.EXPORT_SEND](ProtocolEvent(
+                spine.EXPORT_SEND, ctx.who, self._now(), cid, rank=ctx.rank, ts=m
+            ))
 
     def _send_response(
         self, ctx: ContextBase, cid: str, response: MatchResponse
     ) -> None:
         """Send one per-process match response to the program's rep."""
-        if self.tracer.enabled:
-            self.tracer.record(
-                tracing.REQUEST_REPLY,
-                ctx.who,
-                self._now(),
-                cid=cid,
-                request=response.request_ts,
-                answer=str(response.kind),
-                latest=(None if response.latest_export_ts == float("-inf")
-                        else response.latest_export_ts),
-            )
         tr: TraceContext | None = None
-        if self.causal is not None:
-            tr = self._causal_child(
-                "match",
-                ctx.who,
-                ctx._causal_fwd.get((cid, response.request_ts)),
-                cid,
-                response.request_ts,
-                kind=str(response.kind),
-                rank=ctx.rank,
-            )
-        if self._prov is not None:
-            self._prov.on_match(
-                self._now(),
-                cid,
-                ctx.rank,
-                response.request_ts,
-                str(response.kind),
-                response.latest_export_ts,
-                self.match_backend,
-            )
+        if self._watch:
+            tr = self._fold[spine.MATCH](ProtocolEvent(
+                spine.MATCH, ctx.who, self._now(), cid, response.request_ts,
+                rank=ctx.rank, decision=response,
+            ))
         self._net_send(
             ("cpl", ctx.program, ctx.rank),
             ("rep", ctx.program),
@@ -824,15 +774,11 @@ class ProtocolDriver:
         evicted = st.collect_evictions()
         if not evicted:
             return 0
-        if self.tracer.enabled:
-            self.tracer.record(
-                tracing.BUFFER_REMOVE,
-                ctx.who,
-                self._now(),
-                timestamp=evicted[-1].ts,
-                low=evicted[0].ts,
-                high=evicted[-1].ts,
-            )
+        if self._watch:
+            self._fold[spine.EVICT](ProtocolEvent(
+                spine.EVICT, ctx.who, self._now(),
+                rank=ctx.rank, ts=evicted[-1].ts, decision=evicted,
+            ))
         return len(evicted)
 
     def _buddy_skip(self, ctx: ContextBase, ts: float, outcome: Any) -> None:
@@ -844,34 +790,30 @@ class ProtocolDriver:
         """
         ctx.stats.buddy_skips += 1
         enabler = outcome.buddy_enabler
-        arrival = None if enabler is None else ctx._buddy_arrivals.get(enabler)
-        if arrival is None:
+        arrived_at = None if enabler is None else ctx._buddy_arrivals.get(enabler)
+        if arrived_at is None:
             return
         cid, request_ts = enabler
-        arrived_at, recv_span = arrival
         now = self._now()
         lead = now - arrived_at
         ctx.stats.buddy_lead_times.append((ts, request_ts, lead))
-        if self.causal is not None:
-            self._causal_child(
-                "buddy_skip", ctx.who, recv_span, cid, request_ts,
-                export_ts=ts, lead=lead,
-            )
+        if self._watch:
+            self._fold[spine.BUDDY_SKIP](ProtocolEvent(
+                spine.BUDDY_SKIP, ctx.who, now, cid, request_ts,
+                rank=ctx.rank, ts=ts, values=(lead,),
+            ))
 
     def _agent_handle(self, ctx: ContextBase, msg: Any) -> int:
         """Apply one rep→process message; returns the entries it evicted."""
-        tracer = self.tracer
         if isinstance(msg, wire.FwdRequest):
             cid, request_ts = msg.connection_id, msg.request_ts
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
-            if tracer.enabled:
-                tracer.record(
-                    tracing.REQUEST_RECV, ctx.who, self._now(),
-                    cid=cid, request=request_ts,
-                )
-            if self.causal is not None:
-                ctx._causal_fwd[(cid, request_ts)] = msg.trace
+            if self._watch:
+                self._fold[spine.REQUEST_RECV](ProtocolEvent(
+                    spine.REQUEST_RECV, ctx.who, self._now(), cid, request_ts,
+                    rank=ctx.rank, cause=msg.trace,
+                ))
             with self._guard(
                 ("ctx", ctx.who),
                 (("match", ctx.who, region), "write", "agent.on_request"),
@@ -886,28 +828,16 @@ class ProtocolDriver:
             cid, answer = msg.connection_id, msg.answer
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
-            if tracer.enabled:
-                tracer.record(
-                    tracing.BUDDY_RECV,
-                    ctx.who,
-                    self._now(),
-                    cid=cid,
-                    request=answer.request_ts,
-                    answer="YES" if answer.is_match else "NO",
-                    match=answer.matched_ts
-                    if answer.matched_ts is not None
-                    else answer.request_ts,
-                )
-            recv_tr: TraceContext | None = None
-            if self.causal is not None:
-                recv_tr = self._causal_child(
-                    "buddy_recv", ctx.who, msg.trace, cid, answer.request_ts,
-                    rank=ctx.rank,
-                )
+            now = self._now()
+            if self._watch:
+                self._fold[spine.BUDDY_RECV](ProtocolEvent(
+                    spine.BUDDY_RECV, ctx.who, now, cid, answer.request_ts,
+                    rank=ctx.rank, decision=answer, cause=msg.trace,
+                ))
             # Arrival bookkeeping is unconditional (one dict write, off
             # the hot path): buddy-help lead times are reported even
-            # without causal tracing.
-            ctx._buddy_arrivals[(cid, answer.request_ts)] = (self._now(), recv_tr)
+            # when nothing watches the run.
+            ctx._buddy_arrivals[(cid, answer.request_ts)] = now
             with self._guard(
                 ("ctx", ctx.who),
                 (("match", ctx.who, region), "write", "agent.on_buddy_answer"),
@@ -932,20 +862,19 @@ class ProtocolDriver:
         cause: TraceContext | None = getattr(msg, "trace", None)
         with self._guard(
             ("rep", prog.name),
-            (("rep_cache", f"{prog.name}.rep"), "write", "rep.dispatch"),
+            (("rep_cache", prog.rep_who), "write", "rep.dispatch"),
         ):
             if isinstance(msg, wire.ReqToExpRep):
                 assert prog.exp_rep is not None
                 directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
             elif isinstance(msg, wire.ProcResponse):
                 assert prog.exp_rep is not None
-                if self.causal is not None and cause is not None:
-                    # The aggregate span joins every per-process match
-                    # span gathered for this request, not just the
-                    # finalizing one.
-                    self._causal_resp.setdefault(
-                        (msg.connection_id, msg.response.request_ts), []
-                    ).append(cause.span_id)
+                if self._watch:
+                    self._fold[spine.RESPONSE_RECV](ProtocolEvent(
+                        spine.RESPONSE_RECV, prog.rep_who, self._now(),
+                        msg.connection_id, msg.response.request_ts,
+                        rank=msg.rank, cause=cause,
+                    ))
                 directives = prog.exp_rep.on_response(
                     msg.connection_id, msg.rank, msg.response
                 )
@@ -956,8 +885,12 @@ class ProtocolDriver:
                 )
             elif isinstance(msg, wire.AnswerToImpRep):
                 assert prog.imp_rep is not None
-                if self.causal is not None and cause is not None:
-                    self._causal_ans[(msg.connection_id, msg.answer.request_ts)] = cause
+                if self._watch:
+                    self._fold[spine.ANSWER_RECV](ProtocolEvent(
+                        spine.ANSWER_RECV, prog.rep_who, self._now(),
+                        msg.connection_id, msg.answer.request_ts,
+                        decision=msg.answer, cause=cause,
+                    ))
                 directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
             else:
                 raise FrameworkError(f"rep received unexpected message {msg!r}")
@@ -967,93 +900,56 @@ class ProtocolDriver:
     def _execute_directive(
         self, prog: _ProgramRuntime, d: Any, cause: TraceContext | None = None
     ) -> None:
-        """Send the wire message a rep directive implies.
+        """Announce a rep directive, then send the wire message it implies.
 
         *cause* is the trace context of the rep message that produced
-        the directive (causal tracing only).
+        the directive; the announcement returns the one the sent
+        message carries.
         """
-        rep_who = f"{prog.name}.rep"
         cid = d.connection_id
-        tracer = self.tracer
         tr: TraceContext | None = None
+        if self._watch:
+            ev = self._directive_event(prog, d, cause)
+            tr = self._fold[ev.kind](ev)
         if isinstance(d, ForwardRequest):
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "fan_out", rep_who, cause, cid, d.request_ts, rank=d.rank
-                )
             dst: Any = ("ctl", prog.name, d.rank)
             payload: Any = wire.FwdRequest(
                 connection_id=cid, request_ts=d.request_ts, trace=tr
             )
         elif isinstance(d, AnswerImporter):
-            request_ts = d.answer.request_ts
-            if tracer.enabled:
-                tracer.record(
-                    tracing.REP_FINALIZE, rep_who, self._now(),
-                    request=request_ts, answer=str(d.answer.kind),
-                )
-            if self.causal is not None:
-                key = (cid, request_ts)
-                prior = self._causal_agg.get(key)
-                extra = tuple(self._causal_resp.pop(key, ()))
-                attrs: dict[str, Any] = {"kind": str(d.answer.kind)}
-                finfo = getattr(prog.exp_rep, "finalize_info", None)
-                info = finfo(cid, request_ts) if finfo else None
-                if info is not None:
-                    attrs["case"], attrs["finalizing_rank"] = info
-                if prior is not None:
-                    extra = (prior.span_id,) + extra
-                    attrs["cached"] = True
-                tr = self._causal_child(
-                    "aggregate", rep_who, cause, cid, request_ts,
-                    extra_parents=extra, **attrs,
-                )
-                self._causal_agg.setdefault(key, tr)
             dst = ("rep", self._connections[cid].spec.importer.program)
             payload = wire.AnswerToImpRep(connection_id=cid, answer=d.answer, trace=tr)
         elif isinstance(d, BuddyHelp):
-            request_ts = d.answer.request_ts
-            if tracer.enabled:
-                tracer.record(
-                    tracing.BUDDY_SEND,
-                    rep_who,
-                    self._now(),
-                    request=request_ts,
-                    answer="YES" if d.answer.is_match else "NO",
-                    match=d.answer.matched_ts
-                    if d.answer.matched_ts is not None
-                    else request_ts,
-                )
-            if self.causal is not None:
-                agg = self._causal_agg.get((cid, request_ts))
-                tr = self._causal_child(
-                    "buddy_notify", rep_who, agg if agg is not None else cause,
-                    cid, request_ts, rank=d.rank,
-                )
             dst = ("ctl", prog.name, d.rank)
             payload = wire.BuddyMsg(connection_id=cid, answer=d.answer, trace=tr)
         elif isinstance(d, ForwardToExporter):
-            if self.causal is not None:
-                tr = self._causal_child(
-                    "rep_forward", rep_who, cause, cid, d.request_ts
-                )
             dst = ("rep", self._connections[cid].spec.exporter.program)
             payload = wire.ReqToExpRep(
                 connection_id=cid, request_ts=d.request_ts, trace=tr
             )
         elif isinstance(d, DeliverAnswer):
-            if self.causal is not None:
-                ans = self._causal_ans.get((cid, d.answer.request_ts))
-                tr = self._causal_child(
-                    "answer", rep_who, cause, cid, d.answer.request_ts,
-                    extra_parents=() if ans is None else (ans.span_id,),
-                    rank=d.rank,
-                )
             dst = ("cpl", prog.name, d.rank)
             payload = wire.AnswerToProc(connection_id=cid, answer=d.answer, trace=tr)
         else:  # pragma: no cover - defensive
             raise FrameworkError(f"unknown directive {d!r}")
         self._net_send(("rep", prog.name), dst, payload)
+
+    def _directive_event(
+        self, prog: _ProgramRuntime, d: Any, cause: TraceContext | None
+    ) -> ProtocolEvent:
+        """The announcement of rep directive *d*; an aggregation carries
+        its ``(case, finalizing_rank)``."""
+        answer = getattr(d, "answer", None)
+        request_ts = d.request_ts if answer is None else answer.request_ts
+        info: tuple[Any, ...] = ()
+        if type(d) is AnswerImporter:
+            assert prog.exp_rep is not None
+            info = prog.exp_rep.finalize_info(d.connection_id, request_ts) or ()
+        return ProtocolEvent(
+            _DIRECTIVE_KINDS[type(d)], prog.rep_who, self._now(), d.connection_id,
+            request_ts, rank=getattr(d, "rank", None), decision=answer,
+            values=info, cause=cause,
+        )
 
     # -- importer side -----------------------------------------------------------
     def _send_request(
@@ -1074,23 +970,14 @@ class ProtocolDriver:
             raise ValidationError(f"{ctx.program} imports no region {region!r}")
         cid = ist.connection_id
         now = self._now()
+        record = ist.start_request(ts, now)
         tr: TraceContext | None = None
-        if self.causal is not None:
-            tr = self.causal.record(
-                self.causal.trace_for(cid, ts), "request", ctx.who, now,
-                connection=cid, request=ts, rank=ctx.rank,
-            )
-            self._causal_req[(cid, ts, ctx.rank)] = tr
-        record = ist.start_request(
-            ts, now, trace_id=None if tr is None else tr.trace_id
-        )
-        if self.tracer.enabled:
-            self.tracer.record(tracing.IMPORT_REQUEST, ctx.who, now, request=ts)
+        if self._watch:
+            tr = self._fold[spine.IMPORT_REQUEST](ProtocolEvent(
+                spine.IMPORT_REQUEST, ctx.who, now, cid, ts,
+                program=ctx.program, rank=ctx.rank, region=region,
+            ))
         self._send_request(ctx, cid, ts, tr)
-        if self.operation_log is not None:
-            self.operation_log.log(ctx.program, ctx.rank, "import", region, ts)
-        if self._prov is not None:
-            self._prov.on_op(ctx.program, ctx.rank, "import_begin", region, ts)
         return ImportHandle(region=region, connection_id=cid, ts=ts, record=record)
 
     def _retransmit(
@@ -1112,52 +999,33 @@ class ProtocolDriver:
             )
         with self._lock:
             self.retransmissions += 1
-        now = self._now()
-        if self.tracer.enabled:
-            self.tracer.record(
-                tracing.RETRANSMIT, ctx.who, now,
-                request=ts, attempt=attempt, rto=rto,
-            )
         tr: TraceContext | None = None
-        if self.causal is not None:
-            # Retransmissions keep the ORIGINAL trace id: the DAG of one
-            # import survives the fault layer intact.
-            tr = self._causal_child(
-                "retransmit", ctx.who, self._causal_req.get((cid, ts, ctx.rank)),
-                cid, ts, attempt=attempt,
-            )
+        if self._watch:
+            tr = self._fold[spine.RETRANSMIT](ProtocolEvent(
+                spine.RETRANSMIT, ctx.who, self._now(), cid, ts,
+                rank=ctx.rank, values=(attempt, rto),
+            ))
         self._send_request(ctx, cid, ts, tr)
 
     def _import_answered(
         self, ctx: ContextBase, handle: ImportHandle, msg: wire.AnswerToProc
-    ) -> TraceContext | None:
-        """Consume the final answer of *handle*; returns its causal span.
+    ) -> None:
+        """Consume the final answer of *handle*.
 
         A NO_MATCH answer also completes the import (nothing will be
         transferred).
         """
         answer = msg.answer
-        cid, ts = handle.connection_id, handle.ts
-        ctx.import_states[handle.region].on_answer(handle.record, answer, self._now())
+        now = self._now()
+        ctx.import_states[handle.region].on_answer(handle.record, answer, now)
         handle.done = True
-        span: TraceContext | None = None
-        if self.causal is not None:
-            root = self._causal_req.get((cid, ts, ctx.rank))
-            incoming = msg.trace
-            span = self._causal_child(
-                "answered",
-                ctx.who,
-                incoming if incoming is not None else root,
-                cid,
-                ts,
-                extra_parents=()
-                if incoming is None or root is None
-                else (root.span_id,),
-                kind=str(answer.kind),
-            )
+        if self._watch:
+            self._fold[spine.ANSWERED](ProtocolEvent(
+                spine.ANSWERED, ctx.who, now, handle.connection_id, handle.ts,
+                rank=ctx.rank, decision=answer, cause=msg.trace,
+            ))
         if answer.kind is MatchKind.NO_MATCH:
-            self._import_complete(ctx, handle, msg, None, span)
-        return span
+            self._import_complete(ctx, handle, msg, None)
 
     def _import_complete(
         self,
@@ -1165,7 +1033,6 @@ class ProtocolDriver:
         handle: ImportHandle,
         msg: wire.AnswerToProc,
         pieces: list[wire.DataPiece] | None,
-        span: TraceContext | None,
     ) -> np.ndarray | None:
         """Finish the import behind *handle*; returns the assembled block.
 
@@ -1174,14 +1041,10 @@ class ProtocolDriver:
         block = None if pieces is None else ctx._assemble(handle.region, pieces)
         now = self._now()
         ctx.import_states[handle.region].complete(handle.record, now)
-        if span is not None:
-            self._causal_child(
-                "complete", ctx.who, span, handle.connection_id, handle.ts,
-                kind=str(msg.answer.kind),
-                pieces=0 if pieces is None else len(pieces),
-            )
-        if pieces is not None and self.tracer.enabled:
-            self.tracer.record(
-                tracing.IMPORT_COMPLETE, ctx.who, now, timestamp=msg.answer.matched_ts
-            )
+        if self._watch:
+            self._fold[spine.IMPORT_COMPLETE](ProtocolEvent(
+                spine.IMPORT_COMPLETE, ctx.who, now, handle.connection_id, handle.ts,
+                rank=ctx.rank, ts=msg.answer.matched_ts, decision=msg.answer,
+                values=(None if pieces is None else len(pieces),),
+            ))
         return block

@@ -110,9 +110,10 @@ class PaperMetrics:
 def _pending_latency_from_trace(tracer: Tracer) -> OnlineStats:
     """PENDING open-time per request, from the recorded event stream.
 
-    A request counts when at least one process replied ``PENDING`` to
-    it; its latency runs from the first ``request_recv`` to the
-    ``rep_finalize`` carrying the final answer.
+    A request — a ``(connection, request timestamp)`` pair — counts
+    when at least one process replied ``PENDING`` to it; its latency
+    runs from the first ``request_recv`` to the ``rep_finalize``
+    carrying the final answer.
     """
     first_recv: dict[tuple[str | None, float], float] = {}
     went_pending: set[tuple[str | None, float]] = set()
@@ -121,19 +122,16 @@ def _pending_latency_from_trace(tracer: Tracer) -> OnlineStats:
         req = e.detail.get("request")
         if req is None:
             continue
-        cid = e.detail.get("cid")
-        key = (cid, float(req))
+        key = (e.detail.get("cid"), float(req))
         if e.kind == tracing.REQUEST_RECV:
             first_recv.setdefault(key, e.time)
         elif e.kind == tracing.REQUEST_REPLY:
             if str(e.detail.get("answer", "")).endswith("PENDING"):
                 went_pending.add(key)
-        elif e.kind == tracing.REP_FINALIZE:
-            # rep_finalize events carry no cid; match any connection.
-            for k in list(went_pending):
-                if k[1] == float(req) and k in first_recv:
-                    out.add(e.time - first_recv.pop(k))
-                    went_pending.discard(k)
+        elif e.kind == tracing.REP_FINALIZE and key in went_pending:
+            went_pending.discard(key)
+            if key in first_recv:
+                out.add(e.time - first_recv.pop(key))
     return out
 
 

@@ -5,8 +5,9 @@ response* becomes the final answer (Property 1), and the buddy-help
 broadcast of that answer lets slower exporter processes skip buffering
 (Eq. 1-2).  This module makes those chains first-class.  Every
 control-plane wire message carries a compact :class:`TraceContext`
-(trace id + the sending span's id); the runtimes record a
-:class:`CausalSpan` at each protocol event into a :class:`CausalLog`;
+(trace id + the sending span's id); the event spine's causal fold
+(:mod:`repro.core.spine`) records a :class:`CausalSpan` at each protocol
+event into a :class:`CausalLog`;
 :func:`build_causal_report` reconstructs the per-import happens-before
 DAG, walks the critical path of every resolution, and attributes its
 latency to protocol stages.

@@ -11,8 +11,9 @@ always accepted, and user extensions must be declared once with
 :func:`register_kind` — a typo'd kind then fails loudly at the emission
 site instead of silently producing events nothing ever filters for.
 
-Tracing is on the export hot path, so the default :class:`NullTracer`
-does nothing and costs a single dynamic dispatch.
+The runtimes feed a tracer through the event spine's paper fold
+(:mod:`repro.core.spine`), and only when it is ``enabled``: the default
+:class:`NullTracer` is never called.
 """
 
 from __future__ import annotations
@@ -307,8 +308,8 @@ class Tracer:
         self.events: list[TraceEvent] = []
         self._predicate = predicate
 
-    #: Whether this tracer records anything.  A plain class attribute:
-    #: every export reads it.
+    #: Whether this tracer records anything; the event spine subscribes
+    #: a paper fold to it only when true.
     enabled: bool = True
 
     def record(
@@ -326,7 +327,8 @@ class Tracer:
         typo'd emission site fails at the first event, not in whatever
         downstream code silently filters the stream.
         """
-        _check_kind(kind)
+        if kind not in KNOWN_KINDS:  # the common case costs no call
+            _check_kind(kind)
         ev = TraceEvent(kind=kind, who=who, time=time, timestamp=timestamp, detail=detail)
         if self._predicate is None or self._predicate(ev):
             self.events.append(ev)
@@ -354,7 +356,7 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """A tracer that drops everything; the hot-path default."""
+    """A tracer that drops everything; the default, so nothing watches."""
 
     def __init__(self) -> None:  # noqa: D107 - trivial
         super().__init__()

@@ -8,7 +8,12 @@ Figure 8 comparison, measured instead of modelled.
 
 import pytest
 
-from repro.obs.paper import compute_paper_metrics
+import repro
+from repro.core.coupler import RegionDef
+from repro.data import BlockDecomposition
+from repro.obs.paper import _pending_latency_from_trace, compute_paper_metrics
+from repro.util import tracing
+from repro.util.tracing import Tracer, format_trace
 
 
 class TestTubAccounting:
@@ -62,6 +67,71 @@ class TestLagAndPending:
         assert paper.pending_resolution_source == "trace"
         assert paper.pending_resolution["count"] >= 1
         assert paper.pending_resolution["mean"] > 0.0
+
+    def test_pending_latency_keys_finalize_by_connection(self):
+        # Two connections share a PENDING request at 10; each finalize
+        # closes its own connection's request, not every request at 10.
+        t = Tracer()
+        for cid, who, at in (("F.d->U.a", "F.p0", 1.0), ("G.d->U.b", "G.p0", 2.0)):
+            t.record(tracing.REQUEST_RECV, who, at, cid=cid, request=10.0)
+            t.record(
+                tracing.REQUEST_REPLY, who, at,
+                cid=cid, request=10.0, answer="PENDING", latest=None,
+            )
+        t.record(tracing.REP_FINALIZE, "F.rep", 5.0, cid="F.d->U.a", request=10.0, answer="MATCH")
+        t.record(tracing.REP_FINALIZE, "G.rep", 9.0, cid="G.d->U.b", request=10.0, answer="MATCH")
+        latency = _pending_latency_from_trace(t)
+        assert latency.count == 2
+        assert latency.maximum == pytest.approx(7.0)
+        assert latency.mean == pytest.approx(5.5)
+
+    def test_two_connections_sharing_a_pending_request(self):
+        """End to end: G's request at 20 stays PENDING three times as
+        long as F's; its latency runs to G's own finalize."""
+        tracer = Tracer()
+        config = (
+            "F c0 /bin/F 1\nG c0 /bin/G 1\nU c1 /bin/U 1\n#\n"
+            "F.d U.a REGL 2.5\nG.d U.b REGL 2.5\n"
+        )
+
+        def exporter(step):
+            def main(ctx):
+                for k in range(30):
+                    yield from ctx.export("d", 1.6 + k)
+                    yield from ctx.compute(step)
+            return main
+
+        def importer(ctx):
+            yield from ctx.compute(0.001)
+            a, b = ctx.import_begin("a", 20.0), ctx.import_begin("b", 20.0)
+            yield from ctx.import_wait(a)
+            yield from ctx.import_wait(b)
+
+        def regions(*names):
+            return {name: RegionDef(BlockDecomposition((8, 8), (1, 1))) for name in names}
+
+        result = repro.run(
+            config,
+            [
+                repro.Program("F", main=exporter(0.001), regions=regions("d")),
+                repro.Program("G", main=exporter(0.003), regions=regions("d")),
+                repro.Program("U", main=importer, regions=regions("a", "b")),
+            ],
+            repro.RunOptions(tracer=tracer),
+        )
+        recv = {e.detail["cid"]: e.time for e in tracer.filter(tracing.REQUEST_RECV)}
+        final = {e.detail["cid"]: e.time for e in tracer.filter(tracing.REP_FINALIZE)}
+        assert set(recv) == set(final) == {"F.d->U.a", "G.d->U.b"}
+        expected = sorted(final[cid] - recv[cid] for cid in recv)
+        assert expected[1] > 2 * expected[0]
+        paper = compute_paper_metrics(result.simulation)
+        assert paper.pending_resolution["count"] == 2
+        assert paper.pending_resolution["max"] == pytest.approx(expected[1])
+        assert paper.pending_resolution["mean"] == pytest.approx(sum(expected) / 2)
+        # The paper line of a finalize does not name the connection.
+        assert format_trace(tracer.filter(tracing.REP_FINALIZE), numbered=False) == (
+            "rep finalize {D@20, MATCH}.\nrep finalize {D@20, MATCH}."
+        )
 
     def test_pending_latency_falls_back_to_import_records(self, demo_result_nohelp):
         # No tracer was attached to this run, so the trace path has

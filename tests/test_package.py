@@ -208,3 +208,35 @@ class TestNoEagerMessages:
                     ):
                         sites.append(f"{path.relative_to(root)}:{node.lineno}")
         assert sites == [], f"eager require() messages: {sites}"
+
+
+class TestAnnouncedOnce:
+    """A protocol decision is announced once, as a ``ProtocolEvent`` to
+    the event spine; the paper trace, causal DAG, provenance rows and
+    Property-1 log are folds over it (``repro/core/spine.py``).  No
+    other code in ``repro.core`` feeds one of them directly."""
+
+    CONSUMER_CALLS = (
+        "tracer.record",
+        "causal.record",
+        "_causal_child",
+        "_prov.on_match",
+        "_prov.on_op",
+        "operation_log.log",
+    )
+
+    def test_only_the_spine_feeds_the_consumers(self):
+        import ast
+        from pathlib import Path
+
+        core = Path(repro.__file__).resolve().parent / "core"
+        sites = []
+        for path in sorted(core.rglob("*.py")):
+            if path.name == "spine.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                    self.CONSUMER_CALLS
+                ):
+                    sites.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+        assert sites == [], f"decisions announced outside the spine: {sites}"
