@@ -14,9 +14,9 @@ collective discipline *proactively*, in three coordinated passes:
 * :mod:`repro.analysis.astlint` — an ``ast``-based lint of user
   coupling programs for *rank-dependent* collective operations, the
   static shadow of Property 1;
-* :mod:`repro.analysis.sanitizer` — an opt-in online interposer on rep
-  state transitions and the trace stream that turns silent protocol
-  corruption into immediate, located failures.
+* :mod:`repro.analysis.sanitizer` — an opt-in fold on a run's event
+  spine (either runtime) that turns silent protocol corruption into
+  immediate, located failures.
 
 Beyond those source-level passes, the *verification* layer reasons
 about executions (exposed as ``repro verify``):

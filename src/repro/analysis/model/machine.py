@@ -757,8 +757,11 @@ class _ModelDriver(ProtocolDriver):
                 },
                 connections=[spec],
             ),
+            # Never sanitized: the checker explores branches one driver
+            # serves, so no fold may accumulate state across them.
             RunOptions(
-                buddy_help=config.buddy_help, match_backend=config.match_backend
+                buddy_help=config.buddy_help, match_backend=config.match_backend,
+                sanitize=False,
             ),
             RuntimePort(now=lambda: self.clock, send=self._net_send),
             rto=None if config.strict_order else 1.0,

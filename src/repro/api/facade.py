@@ -153,8 +153,6 @@ class RunResult:
 
     def check_property1(self, raise_on_violation: bool = True) -> list[str]:
         """Check Property-1 conformance (needs ``record_operations``)."""
-        if not isinstance(self.simulation, CoupledSimulation):
-            raise TypeError("check_property1 is only available on the DES runtime")
         return self.simulation.check_property1(raise_on_violation=raise_on_violation)
 
 

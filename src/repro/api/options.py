@@ -51,12 +51,12 @@ class RunOptions:
         or ``"block"`` (backpressure until eviction frees space).
     record_operations:
         Record every export/import into an operation log so Property-1
-        conformance can be checked after the run.
+        conformance can be checked after the run (either runtime).
     sanitize:
-        Online protocol sanitizer mode: ``True``/``"strict"`` raises at
-        the first invariant violation, ``"report"`` only accumulates
-        findings, ``None`` consults the ``REPRO_SANITIZE`` environment
-        variable, ``False`` disables.
+        Online protocol sanitizer mode (either runtime):
+        ``True``/``"strict"`` raises at the first invariant violation,
+        ``"report"`` only accumulates findings, ``None`` consults the
+        ``REPRO_SANITIZE`` environment variable, ``False`` disables.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; the DES network then
         executes it and the protocol switches to resilient mode.

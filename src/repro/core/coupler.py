@@ -49,7 +49,6 @@ paper measures it — inside the export call.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
@@ -58,7 +57,6 @@ from repro.core import spine, wire
 from repro.core.config import CouplingConfig
 from repro.core.exceptions import FrameworkError
 from repro.core.exporter import ExportDecision
-from repro.core.properties import OperationLog, check_property1
 from repro.core.protocol import (
     ContextBase,
     ExportRecord,
@@ -357,9 +355,6 @@ class CoupledSimulation(ProtocolDriver):
           stalled time accrues in ``stats.backpressure_time``.  An
           export larger than the whole capacity raises
           :class:`FrameworkError`, as under ``"error"``.
-        * ``sanitize=None`` consults the ``REPRO_SANITIZE`` environment
-          variable (``1``/``strict`` or ``report``; empty/``0``
-          disables).
         * ``fault_plan`` turns the network into a
           :class:`repro.faults.network.FaultyNetwork` executing it and
           switches the protocol to resilient mode (relaxed request
@@ -433,36 +428,14 @@ class CoupledSimulation(ProtocolDriver):
             # The hook is the recorder's list append — no indirection on
             # the kernel's heap branch beyond one attribute check.
             sim._sched_hook = self._prov.sched.append
-        sanitize = options.sanitize
-        if sanitize is None:
-            env = os.environ.get("REPRO_SANITIZE", "")
-            if env in ("", "0"):
-                sanitize = False
-            elif env == "report":
-                sanitize = "report"
-            else:  # "1", "strict", or any other opt-in value
-                sanitize = "strict"
-        require(
-            sanitize in (False, True, "strict", "report"),
-            "sanitize: True/'strict', 'report', or False",
-        )
-        if sanitize:
-            # Imported lazily: the core stays importable without the
-            # analysis package and pays nothing when sanitizing is off.
-            from repro.analysis.sanitizer import ProtocolSanitizer
-
-            self.sanitizer = ProtocolSanitizer(self.config, strict=sanitize != "report")
-            self.tracer = self.sanitizer.wrap_tracer(self.tracer)
         if fault_plan is not None:
             # The faulty network narrates drops/dups/delays into the
-            # same (possibly sanitizer-wrapped) tracer as the protocol.
+            # same tracer as the protocol.
             self.world.network.tracer = self.tracer
         self.buffer_capacity_bytes = options.buffer_capacity_bytes
         self.buffer_policy = options.buffer_policy
         #: Poll interval while stalled on a full buffer.
         self.backpressure_poll = 1.0e-4
-        if options.record_operations:
-            self.operation_log = OperationLog()
 
     # -- setup ------------------------------------------------------------
     def add_program(
@@ -576,24 +549,6 @@ class CoupledSimulation(ProtocolDriver):
             self._close_exports(ctx)
 
     # -- reporting -------------------------------------------------------------
-    def check_property1(self, raise_on_violation: bool = True) -> list[str]:
-        """Verify Property 1 over the recorded operation log.
-
-        Requires ``RunOptions(record_operations=True)``.  Returns
-        violation descriptions (empty when conformant); raises
-        :class:`~repro.core.exceptions.PropertyViolationError` by
-        default when any are found.
-        """
-        require(
-            self.operation_log is not None,
-            "construct CoupledSimulation with "
-            "options=RunOptions(record_operations=True) to check Property 1",
-        )
-        assert self.operation_log is not None
-        return check_property1(
-            self.operation_log, raise_on_violation=raise_on_violation
-        )
-
     def export_series(self, program: str, rank: int) -> list[float]:
         """The Figure-4 y-series of one process: per-export call cost."""
         return self.context(program, rank).stats.export_times()

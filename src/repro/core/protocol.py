@@ -10,7 +10,8 @@ data-piece emission, sequence stamping and dedup, wire counters, the
 importer's request/answer/complete bookkeeping and buddy-skip lead
 accounting.  Every decision among them is announced once, as a
 :class:`~repro.core.spine.ProtocolEvent`, to the folds watching the
-run (paper trace, causal DAG, provenance rows, Property-1 log).
+run (paper trace, causal DAG, provenance rows, Property-1 log, online
+sanitizer); which of them watch is decided here, for every runtime.
 
 It never touches a clock, a mailbox, a lock or a scheduler.  A runtime
 subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager, NamedTuple
@@ -51,6 +53,7 @@ from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
 from repro.core.exceptions import ConfigError, FrameworkError
 from repro.core.exporter import ExportDecision, RegionExportState
 from repro.core.importer import RegionImportState
+from repro.core.properties import OperationLog, check_property1
 from repro.core.rep import (
     AnswerImporter,
     BuddyHelp,
@@ -381,6 +384,24 @@ class ContextBase:
 # the driver
 # ---------------------------------------------------------------------------
 
+def _sanitize_mode(sanitize: bool | str | None) -> bool | str:
+    """``RunOptions.sanitize``, with ``None`` read from ``REPRO_SANITIZE``
+    (``1``/``strict`` or ``report``; empty or ``0`` disables)."""
+    if sanitize is None:
+        env = os.environ.get("REPRO_SANITIZE", "")
+        if env in ("", "0"):
+            sanitize = False
+        elif env == "report":
+            sanitize = "report"
+        else:  # "1", "strict", or any other opt-in value
+            sanitize = "strict"
+    require(
+        sanitize in (False, True, "strict", "report"),
+        "sanitize: True/'strict', 'report', or False",
+    )
+    return sanitize
+
+
 class ProtocolDriver:
     """Runtime-independent half of a coupled simulation.
 
@@ -410,8 +431,6 @@ class ProtocolDriver:
         self._lock = port.lock
         self.buddy_help = options.buddy_help
         self.tracer = options.tracer if options.tracer is not None else NullTracer()
-        #: The online sanitizer, when a runtime enables one.
-        self.sanitizer: Any | None = None
         if rto is not None:
             require_positive(rto, "retransmit_timeout")
         self._rto = rto
@@ -451,7 +470,18 @@ class ProtocolDriver:
             CausalLog() if options.causal_trace or self._prov is not None else None
         )
         #: Optional Property-1 operation log (``record_operations``).
-        self.operation_log: Any | None = None
+        self.operation_log: OperationLog | None = (
+            OperationLog() if options.record_operations else None
+        )
+        #: The online sanitizer (``sanitize``, else ``REPRO_SANITIZE``).
+        self.sanitizer: Any | None = None
+        sanitize = _sanitize_mode(options.sanitize)
+        if sanitize:
+            # Imported lazily: the core stays importable without the
+            # analysis package and pays nothing when sanitizing is off.
+            from repro.analysis.sanitizer import ProtocolSanitizer
+
+            self.sanitizer = ProtocolSanitizer(self.config, strict=sanitize != "report")
         #: The folds watching the run (empty: every decision site costs
         #: one truth test) and, per event kind, the one callable handing
         #: an event to each fold that reads it and returning the span
@@ -596,12 +626,8 @@ class ProtocolDriver:
                     buddy_help=self.buddy_help,
                     strict_order=self.strict_order,
                 )
-                if self.sanitizer is not None:
-                    prog.exp_rep = self.sanitizer.wrap_rep(prog.exp_rep)
             if imp_cids:
                 prog.imp_rep = ImporterRep(prog.name, prog.nprocs, imp_cids)
-                if self.sanitizer is not None:
-                    prog.imp_rep = self.sanitizer.wrap_imp_rep(prog.imp_rep)
             prog.contexts = [context_cls(self, prog, r) for r in range(prog.nprocs)]
         self._subscribe()
         if self._prov is not None:
@@ -612,8 +638,26 @@ class ProtocolDriver:
     def _subscribe(self) -> None:
         """Point the event spine at the run's consumers as they are now."""
         self._watch, self._fold = spine.subscribe(
-            self.tracer, self.causal, self._prov, self.operation_log,
-            self.match_backend,
+            self.tracer, self.causal, self.sanitizer, self._prov,
+            self.operation_log, self.match_backend,
+        )
+
+    def check_property1(self, raise_on_violation: bool = True) -> list[str]:
+        """Verify Property 1 over the recorded operation log.
+
+        Requires ``RunOptions(record_operations=True)``.  Returns
+        violation descriptions (empty when conformant); raises
+        :class:`~repro.core.exceptions.PropertyViolationError` by
+        default when any are found.
+        """
+        require(
+            self.operation_log is not None,
+            "run with options=RunOptions(record_operations=True) to check "
+            "Property 1",
+        )
+        assert self.operation_log is not None
+        return check_property1(
+            self.operation_log, raise_on_violation=raise_on_violation
         )
 
     def context(self, program: str, rank: int) -> Any:
@@ -873,7 +917,7 @@ class ProtocolDriver:
                     self._fold[spine.RESPONSE_RECV](ProtocolEvent(
                         spine.RESPONSE_RECV, prog.rep_who, self._now(),
                         msg.connection_id, msg.response.request_ts,
-                        rank=msg.rank, cause=cause,
+                        rank=msg.rank, decision=msg.response, cause=cause,
                     ))
                 directives = prog.exp_rep.on_response(
                     msg.connection_id, msg.rank, msg.response

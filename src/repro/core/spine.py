@@ -7,9 +7,10 @@ and hand that same event to every fold watching the run:
 :class:`CausalFold` (the :class:`~repro.obs.trace.CausalLog`; it owns
 the causal bookkeeping and returns the span context the outgoing wire
 message carries), :class:`ProvenanceFold` (match and operation rows of a
-``repro.prov/v1`` log) and :class:`OperationFold` (the Property-1 log).
-The kind → paper line / causal span / provenance row / Property-1 op
-table is in ``docs/observability.md``.
+``repro.prov/v1`` log), :class:`OperationFold` (the Property-1 log) and
+the online sanitizer (:class:`repro.analysis.sanitizer.ProtocolSanitizer`).
+The kind → paper line / causal span / provenance row / Property-1 op /
+sanitizer rule table is in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -360,6 +361,7 @@ def _fan_out(handlers: list[Handler]) -> Handler:
 def subscribe(
     tracer: tracing.Tracer,
     causal: CausalLog | None,
+    sanitizer: Fold | None,
     prov: Any | None,
     operation_log: Any | None,
     backend: str,
@@ -368,11 +370,15 @@ def subscribe(
     events are announced to.
 
     The causal fold comes first, so an announcement returns the span
-    context it recorded (``None`` for a kind it records no span for).
+    context it recorded (``None`` for a kind it records no span for);
+    the sanitizer comes next, so a violation raises before the other
+    folds record the event.
     """
     folds: list[Fold] = []
     if causal is not None:
         folds.append(CausalFold(causal))
+    if sanitizer is not None:
+        folds.append(sanitizer)
     if tracer.enabled:
         folds.append(PaperFold(tracer))
     if prov is not None:

@@ -6,10 +6,9 @@ memcpy.`` / ``receive buddy-help {D@20, YES, D@19.6}.`` and so on.  To
 *regenerate* those figures we record every framework decision as a
 :class:`TraceEvent` and render the stream in the paper's notation.
 
-Event kinds are validated at record time: the canonical kinds below are
-always accepted, and user extensions must be declared once with
-:func:`register_kind` — a typo'd kind then fails loudly at the emission
-site instead of silently producing events nothing ever filters for.
+Event kinds are validated at record time: only the kinds below are
+accepted, so a typo'd kind fails loudly at the emission site instead of
+silently producing events nothing ever filters for.
 
 The runtimes feed a tracer through the event spine's paper fold
 (:mod:`repro.core.spine`), and only when it is ``enabled``: the default
@@ -21,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-#: Canonical trace event kinds emitted by the framework.  Kept as plain
-#: strings (not an Enum) so user extensions can add their own kinds
-#: (see :func:`register_kind`).
+#: The trace event kinds emitted by the framework (plain strings).
 EXPORT_MEMCPY = "export_memcpy"
 EXPORT_SKIP = "export_skip"
 EXPORT_SEND = "export_send"
@@ -36,8 +33,8 @@ IMPORT_REQUEST = "import_request"
 IMPORT_COMPLETE = "import_complete"
 REP_FINALIZE = "rep_finalize"
 # Fault-injection and protocol-resilience kinds (repro.faults; see
-# docs/resilience.md).  The first four are emitted by the fault layer
-# itself, the last three by the hardened protocol reacting to faults.
+# docs/resilience.md).  The first five are emitted by the fault layer
+# itself, the last two by the hardened protocol reacting to faults.
 FAULT_DROP = "fault_drop"
 FAULT_DUP = "fault_dup"
 FAULT_DELAY = "fault_delay"
@@ -45,67 +42,15 @@ FAULT_STALL = "fault_stall"
 FAULT_CRASH = "fault_crash"
 RETRANSMIT = "retransmit"
 DUP_DISCARD = "dup_discard"
-ANSWER_CACHE_HIT = "answer_cache_hit"
-
-KNOWN_KINDS = frozenset(
-    {
-        EXPORT_MEMCPY,
-        EXPORT_SKIP,
-        EXPORT_SEND,
-        BUFFER_REMOVE,
-        REQUEST_RECV,
-        REQUEST_REPLY,
-        BUDDY_RECV,
-        BUDDY_SEND,
-        IMPORT_REQUEST,
-        IMPORT_COMPLETE,
-        REP_FINALIZE,
-        FAULT_DROP,
-        FAULT_DUP,
-        FAULT_DELAY,
-        FAULT_STALL,
-        FAULT_CRASH,
-        RETRANSMIT,
-        DUP_DISCARD,
-        ANSWER_CACHE_HIT,
-    }
-)
-
-#: User-registered extension kinds (see :func:`register_kind`).
-_extension_kinds: set[str] = set()
-
-
-def register_kind(kind: str) -> str:
-    """Register a user extension event kind.
-
-    Returns *kind* so the call doubles as the constant definition::
-
-        MY_EVENT = register_kind("my_event")
-
-    Registering a canonical kind is a no-op; the registration is
-    idempotent.
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError(f"trace kind must be a non-empty string, got {kind!r}")
-    if kind not in KNOWN_KINDS:
-        _extension_kinds.add(kind)
-    return kind
-
-
-def known_kinds() -> frozenset[str]:
-    """All currently valid kinds: canonical plus registered extensions."""
-    return KNOWN_KINDS | frozenset(_extension_kinds)
 
 
 def _check_kind(kind: str) -> None:
-    """Reject unregistered kinds — shared by every tracer, including
+    """Reject unknown kinds — shared by every tracer, including
     :class:`NullTracer`, so a typo'd emission site fails under the
     no-op default too, not only when someone turns tracing on."""
-    if kind not in KNOWN_KINDS and kind not in _extension_kinds:
+    if kind not in KNOWN_KINDS:
         raise ValueError(
-            f"unregistered trace kind {kind!r}; canonical kinds are "
-            f"{sorted(KNOWN_KINDS)} — declare extensions with "
-            "repro.util.tracing.register_kind()"
+            f"unregistered trace kind {kind!r}; the kinds are {sorted(KNOWN_KINDS)}"
         )
 
 
@@ -116,8 +61,7 @@ class TraceEvent:
     Attributes
     ----------
     kind:
-        One of the module-level kind constants (or a registered user
-        extension).
+        One of the module-level kind constants.
     who:
         Identity of the acting process, e.g. ``"F.p_s"``.
     time:
@@ -138,17 +82,12 @@ class TraceEvent:
 
     def render(self, object_name: str = "D") -> str:
         """Render this event one line in the paper's notation."""
-        renderer = _RENDERERS.get(self.kind)
         ts = f"{object_name}@{self.timestamp:g}" if self.timestamp is not None else ""
-        if renderer is None:  # fallback for extension kinds
-            return f"{self.kind} {ts} {self.detail}"
-        return renderer(self, object_name, ts)
+        return _RENDERERS[self.kind](self, object_name, ts)
 
 
 # -- the renderer table -------------------------------------------------------
-# One entry per canonical kind; enumerating the table is kept complete
-# by the module self-check below (a new kind without a renderer fails
-# at import time, not at render time).
+# One entry per kind; the table is the list of valid kinds.
 
 def _render_export_memcpy(e: TraceEvent, name: str, ts: str) -> str:
     return f"export {ts}, call memcpy."
@@ -253,14 +192,6 @@ def _render_dup_discard(e: TraceEvent, name: str, ts: str) -> str:
     return f"discard duplicate {_fmt_msg(e.detail)}."
 
 
-def _render_answer_cache_hit(e: TraceEvent, name: str, ts: str) -> str:
-    d = e.detail
-    return (
-        f"re-answer request {name}@{d['request']:g} from cache "
-        f"({d.get('answer', '?')})."
-    )
-
-
 _RENDERERS: dict[str, Callable[[TraceEvent, str, str], str]] = {
     EXPORT_MEMCPY: _render_export_memcpy,
     EXPORT_SKIP: _render_export_skip,
@@ -280,15 +211,10 @@ _RENDERERS: dict[str, Callable[[TraceEvent, str, str], str]] = {
     FAULT_CRASH: _render_fault_crash,
     RETRANSMIT: _render_retransmit,
     DUP_DISCARD: _render_dup_discard,
-    ANSWER_CACHE_HIT: _render_answer_cache_hit,
 }
 
-# Every canonical kind must have a renderer (and vice versa): keep the
-# table and KNOWN_KINDS from drifting apart when kinds are added.
-assert frozenset(_RENDERERS) == KNOWN_KINDS, (
-    "renderer table out of sync with KNOWN_KINDS: "
-    f"{sorted(frozenset(_RENDERERS) ^ KNOWN_KINDS)}"
-)
+#: Every valid kind: a kind is known exactly when it has a renderer.
+KNOWN_KINDS = frozenset(_RENDERERS)
 
 
 class Tracer:
@@ -322,10 +248,10 @@ class Tracer:
     ) -> None:
         """Record one event.
 
-        The kind must be canonical or registered via
-        :func:`register_kind`; anything else raises ``ValueError`` so a
-        typo'd emission site fails at the first event, not in whatever
-        downstream code silently filters the stream.
+        The kind must be one of :data:`KNOWN_KINDS`; anything else
+        raises ``ValueError`` so a typo'd emission site fails at the
+        first event, not in whatever downstream code silently filters
+        the stream.
         """
         if kind not in KNOWN_KINDS:  # the common case costs no call
             _check_kind(kind)

@@ -146,7 +146,8 @@ class TestRunFacade:
         )
         assert result.sim_time == 0.0
         assert answers[0] == [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
-        with pytest.raises(TypeError):
+        # Property 1 is checkable on the live runtime too, when recorded.
+        with pytest.raises(ValueError, match="record_operations"):
             result.check_property1()
 
     def test_until_rejected_on_live_runtime(self):
