@@ -4,9 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.util.rng import RngStream
+from repro.util.validation import require, require_non_negative, require_positive
 
-from repro.util.validation import require_non_negative, require_positive
+
+def _require_jitter(jitter: float) -> None:
+    """A jitter half-width in ``[0, 1]``: every scale factor stays >= 0.
+
+    Draws lie in ``[1 - jitter, 1 + jitter)``; past 1 a cost could come
+    out negative and fail far from its cause (in ``Simulator.timeout``).
+    """
+    require_non_negative(jitter, "jitter")
+    require(jitter <= 1.0, f"jitter must be <= 1, got {jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ class MemoryCostModel:
         require_positive(self.init_factor, "init_factor")
         require_non_negative(self.init_until, "init_until")
         require_non_negative(self.contention_per_peer, "contention_per_peer")
-        require_non_negative(self.jitter, "jitter")
+        _require_jitter(self.jitter)
 
     def memcpy_base(self, nbytes: int) -> float:
         """The part of :meth:`memcpy_time` that depends on *nbytes* alone."""
@@ -64,7 +73,7 @@ class MemoryCostModel:
         nbytes: int,
         now: float = 0.0,
         active_peers: int = 0,
-        rng: np.random.Generator | None = None,
+        rng: RngStream | None = None,
         base: float | None = None,
     ) -> float:
         """Time to buffer *nbytes* at virtual time *now*.
@@ -83,7 +92,7 @@ class MemoryCostModel:
         if now < self.init_until:
             factor *= self.init_factor
         if self.jitter > 0.0 and rng is not None:
-            factor *= float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
+            factor *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return base * factor
 
     def skip_time(self) -> float:
@@ -149,12 +158,12 @@ class ComputeCostModel:
     def __post_init__(self) -> None:
         require_non_negative(self.time_per_element, "time_per_element")
         require_non_negative(self.fixed_overhead, "fixed_overhead")
-        require_non_negative(self.jitter, "jitter")
+        _require_jitter(self.jitter)
 
     def iteration_time(
         self,
         elements: int,
-        rng: np.random.Generator | None = None,
+        rng: RngStream | None = None,
         scale: float = 1.0,
     ) -> float:
         """Time for one solver iteration over *elements* grid points.
@@ -167,5 +176,5 @@ class ComputeCostModel:
             require_non_negative(elements, "elements")
         base = (self.fixed_overhead + elements * self.time_per_element) * scale
         if self.jitter > 0.0 and rng is not None:
-            base *= float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
+            base *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return base

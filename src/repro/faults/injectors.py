@@ -169,13 +169,13 @@ class LiveFaultInjector:
             world.mailbox(address).put(msg)
             return
         assert plane is not None
-        with self._lock:  # numpy Generators are not thread-safe
+        with self._lock:  # a stream's block position is not thread-safe
             rng = self._rngs.stream(f"faults/{plane}")
-            u_drop = float(rng.random())
-            u_dup = float(rng.random())
-            u_jitter = float(rng.random())
-            u_reorder = float(rng.random())
-            u_hold = float(rng.random())
+            u_drop = rng.random()
+            u_dup = rng.random()
+            u_jitter = rng.random()
+            u_reorder = rng.random()
+            u_hold = rng.random()
         protected = self.plan.protect_data and isinstance(msg, DataPiece)
         if u_drop < self.plan.drop and not protected:
             self.dropped += 1

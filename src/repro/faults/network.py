@@ -117,11 +117,11 @@ class FaultyNetwork(Network):
         assert plane is not None
         # Fixed draw count per eligible send — the determinism contract.
         rng = self._rngs.stream(f"faults/{plane}")
-        u_drop = float(rng.random())
-        u_dup = float(rng.random())
-        u_jitter = float(rng.random())
-        u_reorder = float(rng.random())
-        u_hold = float(rng.random())
+        u_drop = rng.random()
+        u_dup = rng.random()
+        u_jitter = rng.random()
+        u_reorder = rng.random()
+        u_hold = rng.random()
         self.stats.eligible += 1
 
         drop = u_drop < self.plan.drop

@@ -434,7 +434,9 @@ class ProvenanceRecorder:
         #: ``(fire_time, priority, seq)`` per heap insertion; the DES
         #: kernel's ``_sched_hook`` is bound to ``self.sched.append``.
         self.sched: list[tuple[float, int, int]] = []
-        self._rng: dict[str, tuple[list[str], list[int], list[float]]] = {}
+        #: Per stream, the method and the value of each draw in order;
+        #: methods are coded at :meth:`close`, not per draw.
+        self._rng: dict[str, tuple[list[str], list[float]]] = {}
         self._end: dict[str, Any] | None = None
         self.closed = False
 
@@ -475,19 +477,13 @@ class ProvenanceRecorder:
         """
         self._ops.append((program, rank, kind, *fields))
 
-    def on_rng(self, stream: str, method: str, value: Any) -> None:
-        """One draw from a named RNG stream."""
-        methods, codes, values = self._rng.setdefault(stream, ([], [], []))
-        try:
-            code = methods.index(method)
-        except ValueError:
-            code = len(methods)
-            methods.append(method)
-        codes.append(code)
-        try:
-            values.append(float(value))
-        except (TypeError, ValueError):
-            values.append(float("nan"))
+    def on_rng(self, stream: str, method: str, value: float) -> None:
+        """One scalar draw from a named RNG stream."""
+        draws = self._rng.get(stream)
+        if draws is None:
+            draws = self._rng[stream] = ([], [])
+        draws[0].append(method)
+        draws[1].append(value)
 
     # -- lifecycle ---------------------------------------------------------
     def set_header(self, header: dict[str, Any]) -> None:
@@ -577,7 +573,10 @@ class ProvenanceRecorder:
                 )
                 + "\n"
             )
-        for stream, (methods, codes, values) in sorted(self._rng.items()):
+        for stream, (drawn, values) in sorted(self._rng.items()):
+            methods = list(dict.fromkeys(drawn))  # in first-drawn order
+            code = {method: i for i, method in enumerate(methods)}
+            codes = [code[method] for method in drawn]
             write(
                 json.dumps(
                     {

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.costs import FAST_TEST, PAPER_CLUSTER
 from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
+from repro.util.rng import RngRegistry
+from repro.util.validation import ValidationError
 
 
 class TestMemoryCostModel:
@@ -122,3 +124,28 @@ class TestPresets:
             NetworkCostModel(latency=-1.0)
         with pytest.raises(ValueError):
             ComputeCostModel(time_per_element=-1.0)
+
+
+class TestJitterBound:
+    """A jitter half-width past 1 would draw negative costs."""
+
+    @pytest.mark.parametrize("model", [MemoryCostModel, ComputeCostModel])
+    @pytest.mark.parametrize("jitter", [1.5, 1.0 + 1e-12, float("inf")])
+    def test_above_one_rejected_at_construction(self, model, jitter):
+        with pytest.raises(ValidationError, match="jitter must be <= 1"):
+            model(jitter=jitter)
+
+    @pytest.mark.parametrize("model", [MemoryCostModel, ComputeCostModel])
+    def test_nan_rejected(self, model):
+        with pytest.raises(ValidationError, match="jitter"):
+            model(jitter=float("nan"))
+
+    def test_one_is_legal_and_never_negative(self):
+        # Draws lie in [0, 2): a cost may shrink to nothing, never below.
+        stream = RngRegistry(seed=3).stream("compute/F.0")
+        memory = MemoryCostModel(jitter=1.0)
+        compute = ComputeCostModel(jitter=1.0)
+        costs = [memory.memcpy_time(4096, rng=stream) for _ in range(200)]
+        costs += [compute.iteration_time(4096, rng=stream) for _ in range(200)]
+        assert min(costs) >= 0.0
+        assert max(costs) > min(costs)

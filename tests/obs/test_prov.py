@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -34,6 +35,8 @@ from repro.obs.prov import (
     validate_provenance_log,
 )
 from repro.obs.stream import JsonlSink
+from repro.scenarios import Figure4Spec, build
+from repro.util.rng import _substream_seed
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory, demo_runner):
@@ -171,6 +174,57 @@ class TestRecordedLog:
         log = read_log(p)
         assert log.header["match_backend"] == "sorted"
         assert {row["backend"] for row in log.matches} == {"sorted"}
+
+
+class TestRecordedDraws:
+    """Every ``rng`` row is the bare generator's draw, call for call.
+
+    Each stream's values are re-drawn one call at a time from a bare
+    NumPy generator on the same substream seed, and the row counts are
+    tied to what drew: one jittered cost per export or iteration, five
+    fault draws per eligible send.
+    """
+
+    @staticmethod
+    def _redraw(seed, stream, n, draw):
+        bare = np.random.default_rng(_substream_seed(seed, stream))
+        return [draw(bare) for _ in range(n)]
+
+    def test_figure4_jitter_rows(self, tmp_path):
+        path = tmp_path / "fig4.prov"
+        build("fig4", {"u_procs": 4, "exports": 41, "seed": 3}).run(
+            provenance=str(path)
+        )
+        log = read_log(path)
+        lo, hi = 1.0 - Figure4Spec.jitter, 1.0 + Figure4Spec.jitter
+        assert sorted(log.rng) == sorted(
+            f"compute/{program}.{rank}" for program, rank in log.ops
+        )
+        for (program, rank), ops in log.ops.items():
+            trace = log.rng[f"compute/{program}.{rank}"]
+            costed = sum(op["op"] in ("export", "compute_elements") for op in ops)
+            assert len(trace) == costed > 0
+            assert trace.methods == ("uniform",)
+            assert not trace.codes.any()
+            assert trace.values.tolist() == self._redraw(
+                3, trace.stream, costed, lambda g: g.uniform(lo, hi)
+            )
+
+    def test_chaos_fault_rows(self, tmp_path):
+        path = tmp_path / "chaos.prov"
+        plan = FaultPlan(seed=5, drop=0.1, dup=0.05, delay_jitter=2e-4)
+        result = build("demo", {"seed": 5}).run(
+            provenance=str(path), fault_plan=plan
+        )
+        log = read_log(path)
+        assert log.rng and all(name.startswith("faults/") for name in log.rng)
+        assert sum(len(t) for t in log.rng.values()) == 5 * result.fault_stats["eligible"]
+        for trace in log.rng.values():
+            assert len(trace) % 5 == 0
+            assert trace.methods == ("random",)
+            assert trace.values.tolist() == self._redraw(
+                plan.seed, trace.stream, len(trace), lambda g: g.random()
+            )
 
 
 class TestRecorderLifecycle:
