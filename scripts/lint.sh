@@ -40,7 +40,10 @@ fi
 run python -m repro lint examples/
 
 # Chaos smoke: answers under faults must match the fault-free run.
-run python -m repro chaos --iterations 50 --seed 7
+plan='{"seed":7,"drop":%s,"dup":0.1,"delay_jitter":5e-5,"reorder":0.1}'
+run python -m repro run resilience -p exports=50 -p requests=24 --fault null \
+    --fault "$(printf "$plan" 0.0)" --fault "$(printf "$plan" 0.05)" \
+    --fault "$(printf "$plan" 0.2)"
 
 if [ "$fast" -eq 0 ]; then
     run python -m pytest -x -q

@@ -9,8 +9,11 @@ the modules here run them through :func:`repro.run` and fold the
   process for importer sizes 4/8/16/32, six runs each.
 * :mod:`repro.bench.scenarios` -- the Figure-3 buffering scenarios
   (importer-slower vs exporter-slower).
-* :mod:`repro.bench.resilience` -- the chaos sweep behind ``repro
-  chaos``: the same answers under every fault plan.
+* :mod:`repro.bench.resilience` -- the chaos sweep: the same answers
+  under every fault plan.
+* :mod:`repro.bench.rows` -- the one fold of a run into what the paper
+  plots: ``p_s``'s export path and the importer's answers (every
+  runner here and every ``repro run`` row).
 * :mod:`repro.bench.traces` -- the event-trace scripts of Figures
   5, 7 and 8, plus the Figure-6 optimal-state predicate.
 * :mod:`repro.bench.experiments_report` -- every figure as one

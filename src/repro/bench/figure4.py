@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.api.facade import build
+from repro.bench import rows
 from repro.bench.reporting import summarize_runs
 from repro.core.coupler import CoupledSimulation
-from repro.core.exporter import ExportDecision
 from repro.scenarios import Figure4Spec
 from repro.util.stats import SeriesSummary
 
@@ -57,8 +57,7 @@ class Figure4Run:
     @property
     def skip_fraction(self) -> float:
         """Fraction of exports whose memcpy was skipped."""
-        total = sum(self.decisions.values())
-        return self.decisions.get("skip", 0) / total if total else 0.0
+        return rows.skip_fraction(self.decisions)
 
     def summary(self) -> SeriesSummary:
         """Head/body/tail summary of the series."""
@@ -96,52 +95,21 @@ def build_figure4_simulation(
     return sim
 
 
-def optimal_iteration_of(records: list, cutoff_ts: float | None = None) -> int | None:
-    """First iteration after which no export is needlessly buffered.
-
-    In the optimal state only matched data objects are copied
-    (decision ``send``); everything else is skipped.  Returns the index
-    (0-based) of the first export of that steady tail, or ``None`` if
-    it is never reached.
-
-    *cutoff_ts* bounds the scan: exports after the last request's
-    timestamp can never be skipped (no future answer exists to rule
-    them out), so they are excluded — otherwise every finite run would
-    trivially end non-optimal.
-    """
-    considered = [
-        (i, rec)
-        for i, rec in enumerate(records)
-        if cutoff_ts is None or rec.ts <= cutoff_ts
-    ]
-    if not considered:
-        return None
-    last_buffer = None
-    for i, rec in considered:
-        if rec.decision is ExportDecision.BUFFER:
-            last_buffer = i
-    if last_buffer is None:
-        return 0
-    if last_buffer >= considered[-1][0]:
-        return None
-    return last_buffer + 1
+#: Re-exported: the perf harness imports it from this module.
+optimal_iteration_of = rows.optimal_iteration_of
 
 
 def run_figure4_once(spec: Figure4Spec, run_index: int = 0) -> Figure4Run:
     """Execute one run and collect the ``p_s`` series and counters."""
     result = spec.scenario(seed=spec.seed * 1000 + run_index).run()
-    stats = result.context("F", spec.slow_rank).stats
-    records = stats.export_records
-    ledger = result.buffer_stats("F", spec.slow_rank, "f")
+    fold = rows.fold_run(result)
     return Figure4Run(
-        series=[r.cost for r in records],
-        decisions=stats.decisions(),
-        t_ub=ledger.t_ub,
-        unnecessary_total=ledger.unnecessary_total_time,
+        series=fold.series,
+        decisions=fold.decisions,
+        t_ub=fold.ledger.t_ub,
+        unnecessary_total=fold.ledger.unnecessary_total_time,
         buddy_messages=result.paper_metrics.buddy_helps_sent,
-        optimal_iteration=optimal_iteration_of(
-            records, cutoff_ts=spec.n_requests * spec.request_period
-        ),
+        optimal_iteration=fold.optimal_iteration,
         sim_time=result.sim_time,
     )
 

@@ -13,7 +13,8 @@ Reported per drop rate: mean answer latency (importer
 :class:`~repro.core.importer.ImportRecord` ledger), the slow exporter
 rank's ``T_ub`` buffer ledger, retransmission/dedup counters, the
 :class:`~repro.faults.network.FaultStats`, and virtual completion
-time.  ``repro chaos`` is the CLI front-end.
+time.  On the command line the same sweep is ``repro run resilience``
+with one ``--fault`` plan per drop rate.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.bench.rows import AnswerLog, fold_run
 from repro.faults import FaultPlan
 from repro.match.backend import DEFAULT_MATCH_BACKEND
 from repro.scenarios import build
-
-#: One importer rank's answers: ``(request_ts, matched_ts-or-None)``.
-AnswerLog = list[tuple[float, float | None]]
 
 
 @dataclass
@@ -76,21 +75,13 @@ def run_once(
     result = build("resilience", {"exports": exports, "requests": requests}).run(
         fault_plan=plan, match_backend=match_backend
     )
-    records = {
-        rank: result.context("I", rank).import_states["d"].records for rank in (0, 1)
-    }
-    latencies = [
-        r.latency for recs in records.values() for r in recs if r.latency is not None
-    ]
+    fold = fold_run(result)
     return ResilienceRunResult(
         drop=plan.drop if plan is not None else 0.0,
-        answers={
-            rank: [(r.request_ts, r.answer.matched_ts if r.answer else None) for r in recs]
-            for rank, recs in records.items()
-        },
-        mean_answer_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-        t_ub=result.buffer_stats("E", 1, "d").t_ub,
-        skip_count=result.context("E", 1).stats.decisions().get("skip", 0),
+        answers=fold.answers,
+        mean_answer_latency=fold.mean_answer_latency,
+        t_ub=fold.ledger.t_ub,
+        skip_count=fold.decisions.get("skip", 0),
         retransmissions=result.counters["retransmissions"],
         dup_discards=result.counters["dup_discards"],
         duplicate_requests=int(result.metrics.total("rep.duplicate_requests")),

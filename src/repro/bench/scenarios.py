@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.rows import buffered_fraction, fold_run, skip_fraction
 from repro.core.buffers import BufferStats
 from repro.scenarios import build
 
@@ -40,30 +41,26 @@ class BufferingScenarioResult:
     @property
     def buffered_fraction(self) -> float:
         """Fraction of exports that were buffered (memcpy paid)."""
-        total = sum(self.decisions.values())
-        done = self.decisions.get("buffer", 0) + self.decisions.get("send", 0)
-        return done / total if total else 0.0
+        return buffered_fraction(self.decisions)
 
     @property
     def skip_fraction(self) -> float:
         """Fraction of exports whose memcpy was skipped."""
-        total = sum(self.decisions.values())
-        return self.decisions.get("skip", 0) / total if total else 0.0
+        return skip_fraction(self.decisions)
 
 
 def _run_scenario(
     name: str, scenario: str, exports: int, buddy_help: bool
 ) -> BufferingScenarioResult:
     result = build(scenario, {"exports": exports, "buddy_help": buddy_help}).run()
-    # Rank 1 of E is p_s, the rank whose buffering the figure is about.
-    stats = result.context("E", 1).stats
+    fold = fold_run(result)
     return BufferingScenarioResult(
         name=name,
         exports=exports,
-        requests=len(result.context("I", 0).import_states["d"].records),
-        buffer_stats=result.buffer_stats("E", 1, "d"),
-        decisions=stats.decisions(),
-        exporter_export_time_total=sum(r.cost for r in stats.export_records),
+        requests=len(fold.answers[0]),
+        buffer_stats=fold.ledger,
+        decisions=fold.decisions,
+        exporter_export_time_total=fold.export_time,
         sim_time=result.sim_time,
     )
 

@@ -2,21 +2,20 @@
 
 Commands
 --------
-``figure4``
-    Run one Figure-4 configuration and print the series summary
-    (optionally dump all runs as JSON).
+``run``
+    Run a registered scenario (:mod:`repro.scenarios`) over the
+    cartesian product of its ``-p KEY=V[,V…]`` lists and repeated
+    ``--fault`` plans; one ``repro.report/v1`` row per cell, with
+    ``p_s``'s export path and the importer's answers.  Answers must not
+    change across fault plans; two cells that differ only in
+    ``buddy_help`` add the buddy-help ``comparison`` that
+    ``--baseline`` gates; ``--provenance`` records a one-cell run.
 ``traces`` (alias ``trace``)
     Print the Figure 5/7/8 event traces in the paper's notation,
     export a Chrome ``trace_event`` timeline with ``--chrome PATH``,
     or dump the causal happens-before report with ``--causal``
     (``repro.causal/v1``; combined with ``--chrome`` the timeline
     gains flow arrows along each import's resolution chain).
-``report``
-    Per-run observability rollup: ``T_ub`` per Eq. 1–2, buddy-help
-    savings (with-help vs. no-help), and the full metric catalog
-    (see ``docs/observability.md``).  ``--baseline PATH`` diffs the
-    comparison block against a saved payload and exits 1 on
-    regression beyond ``--threshold``.
 ``monitor``
     Render streaming telemetry (``repro.telemetry/v1`` JSONL written
     by a :class:`repro.obs.JsonlSink`); ``--follow`` tails the file
@@ -33,24 +32,13 @@ Commands
     SLO watchdog over a server's ``repro.fleet/v1`` rollup: evaluate
     declarative rules (``error_rate < 0.01``, ``t_ub_p95 < 1.2 *
     baseline``) and exit 1 when any trips — the same contract as
-    ``report --baseline`` (see ``docs/observability.md``).
-``record``
-    Record a registered scenario (the coupled demo by default, or its
-    chaos variant) into an append-only ``repro.prov/v1`` provenance log
-    capturing every wire message, scheduling decision, match
-    resolution, and RNG draw.
+    ``run --baseline`` (see ``docs/observability.md``).
 ``replay``
     Reconstruct a recorded run from its provenance log alone and
     verify bit-exactness against the log's digests; ``--at T --query
     ledger|pending|matches`` time-travels to any virtual instant, and
     ``--edit PLAN.json`` / ``--edit-tolerance`` re-runs with an edited
     fault plan or match tolerance and diffs the two causal DAGs.
-``scenarios``
-    Run the Figure-3 buffering scenarios.
-``chaos``
-    Resilience sweep: run the coupled scenario under fault injection
-    across drop rates and verify the answers never change (see
-    ``docs/resilience.md``).
 ``validate-config``
     Parse and validate a coupling configuration file.
 ``lint``
@@ -73,8 +61,8 @@ Commands
 
 Conventions (see ``docs/cli.md``): every subcommand accepts ``--json``
 for machine-readable output on stdout, and exit codes are shared —
-:data:`EXIT_OK` (0) success, :data:`EXIT_FINDINGS` (1) findings
-(divergent answers, lint errors, verify violations, invalid config),
+:data:`EXIT_OK` (0) success, :data:`EXIT_FINDINGS` (1) findings (failed
+cells, divergent answers, lint errors, verify violations, invalid config),
 :data:`EXIT_USAGE` (2) usage or internal errors (argparse's own
 convention).  :func:`main` enforces the last: an unreadable or
 unwritable path is ``error: …`` on stderr and exit 2, any other
@@ -116,92 +104,7 @@ def _finding_exit(report: Any) -> int:
     return EXIT_FINDINGS if report.has_errors() else EXIT_OK
 
 
-def _cmd_figure4(args: argparse.Namespace) -> int:
-    from repro.bench.figure4 import Figure4Spec, run_figure4
-    from repro.bench.reporting import format_series, format_table
-
-    spec = Figure4Spec(
-        u_procs=args.u_procs,
-        exports=args.exports,
-        runs=args.runs,
-        buddy_help=not args.no_buddy,
-        seed=args.seed,
-    )
-    result = run_figure4(spec)
-    payload = {
-        "spec": {
-            "u_procs": spec.u_procs,
-            "exports": spec.exports,
-            "runs": spec.runs,
-            "buddy_help": spec.buddy_help,
-            "tolerance": spec.tolerance,
-            "request_period": spec.request_period,
-        },
-        "runs": [
-            {
-                "series": run.series,
-                "decisions": run.decisions,
-                "t_ub": run.t_ub,
-                "optimal_iteration": run.optimal_iteration,
-                "buddy_messages": run.buddy_messages,
-            }
-            for run in result.runs
-        ],
-    }
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(
-        f"Figure 4: U={spec.u_procs}, {spec.exports} exports, "
-        f"{spec.runs} runs, buddy-help {'off' if args.no_buddy else 'on'}"
-    )
-    mean = result.mean_series()
-    print(format_series("p_s export time (mean of runs)", mean, unit="s"))
-    rows = []
-    for i, run in enumerate(result.runs):
-        s = run.summary()
-        rows.append([
-            i, f"{s.head_mean * 1e3:.3f}", f"{s.body_mean * 1e3:.3f}",
-            f"{s.tail_mean * 1e3:.3f}", f"{run.skip_fraction:.2f}",
-            run.optimal_iteration if run.optimal_iteration is not None else "-",
-            f"{run.t_ub * 1e3:.2f}",
-        ])
-    print(format_table(
-        ["run", "head ms", "body ms", "tail ms", "skip%", "opt iter", "T_ub ms"],
-        rows,
-    ))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _demo_run(
-    buddy_help: bool,
-    tracer: Any = None,
-    *,
-    scenario: str = "demo",
-    causal: bool = False,
-    seed: int = 2,
-    **options: Any,
-) -> Any:
-    """One registered scenario (:mod:`repro.scenarios`) run for a CLI verb.
-
-    The default ``demo``: program F exports 46 steps with rank 1 four
-    times slower (the paper's ``p_s``); program U imports twice.
-    *options* are :class:`repro.RunOptions` fields by name
-    (``match_backend``, ``provenance``, ``fault_plan``,
-    ``telemetry_sinks``, …).  Returns the :class:`repro.RunResult`.
-    """
-    from repro.scenarios import build
-
-    return build(scenario, {"buddy_help": buddy_help, "seed": seed}).run(
-        tracer=tracer, causal_trace=causal, **options
-    )
-
-
-#: Comparison keys diffed by ``report --baseline`` and their polarity.
+#: Comparison keys diffed by ``run --baseline`` and their polarity.
 _DIFF_KEYS = (
     ("t_ub_with_help", "lower"),
     ("t_ub_without_help", "lower"),
@@ -243,46 +146,165 @@ def _diff_comparison(
     return rows, regressions
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.export import REPORT_SCHEMA, report_run
+def _json_value(raw: str) -> Any:
+    """*raw* parsed as JSON; a bare string stays a string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
 
-    backend = getattr(args, "match_backend", DEFAULT_MATCH_BACKEND)
-    with_help = _demo_run(buddy_help=True, match_backend=backend)
-    without_help = _demo_run(buddy_help=False, match_backend=backend)
-    runs = [("buddy_on", with_help), ("buddy_off", without_help)]
-    paper_on = with_help.paper_metrics
-    paper_off = without_help.paper_metrics
-    comparison = {
-        "t_ub_with_help": paper_on.t_ub_total,
-        "t_ub_without_help": paper_off.t_ub_total,
-        "t_ub_saving": paper_off.t_ub_total - paper_on.t_ub_total,
-        "t_ub_no_help_estimate": paper_on.t_ub_no_help_estimate,
-    }
-    payload: dict[str, Any] = {
-        "schema": REPORT_SCHEMA,
-        "match_backend": backend,
-        "runs": [report_run(name, result) for name, result in runs],
-        "comparison": comparison,
-    }
+
+def _parse_grid(pairs: Sequence[str]) -> dict[str, list[Any]]:
+    """``KEY=V[,V…]`` pairs → each key's list of values.
+
+    A value that parses as JSON as a whole is one value
+    (``imports=[20.0,40.0]``, ``buddy_help=true``); otherwise it is
+    split on commas and each piece parsed as JSON (``u_procs=4,8,16`` is
+    three values).  Bare strings stay strings, for the scenario's check
+    to refuse.
+    """
+    grid: dict[str, list[Any]] = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise ValueError(f"expected KEY=VALUE, got {pair!r}")
+        if key in grid:
+            raise ValueError(f"param {key!r} given twice")
+        try:
+            grid[key] = [json.loads(raw)]
+        except json.JSONDecodeError:
+            grid[key] = [_json_value(piece) for piece in raw.split(",")]
+    return grid
+
+
+def _parse_fault(raw: str) -> Any:
+    """A ``--fault`` value → a :class:`~repro.faults.FaultPlan` or ``None``."""
+    from repro.faults import FaultPlan
+
+    obj = json.loads(raw)
+    if obj is None:
+        return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"--fault takes a JSON object or null, got {raw!r}")
+    return FaultPlan.from_dict(obj)
+
+
+def _buddy_pair(cells: list[tuple[dict[str, Any], int]]) -> tuple[int, int] | None:
+    """``(with-help, without-help)`` cell indices, when the grid is two
+    cells that differ only in ``buddy_help``; else ``None``."""
+    if len(cells) != 2:
+        return None
+    (a, _), (b, _) = cells
+    if {k for k in a if a[k] != b[k]} != {"buddy_help"}:
+        return None
+    return (0, 1) if a["buddy_help"] else (1, 0)
+
+
+def _run_table(rows: list[dict[str, Any]]) -> str:
+    from repro.bench.reporting import format_table
+
+    table = []
+    for row in rows:
+        if "error" in row:
+            table.append([row["name"], "FAILED", *["-"] * 7])
+            continue
+        ps = row["p_s"]
+        opt = ps["optimal_iteration"]
+        table.append([
+            row["name"], f"{row['sim_time']:.4f}", f"{ps['skip_fraction']:.0%}",
+            f"{ps['buffered_fraction']:.0%}", f"{ps['t_ub'] * 1e3:.3f}",
+            f"{ps['export_time'] * 1e3:.3f}", "-" if opt is None else opt,
+            f"{row['mean_answer_latency'] * 1e3:.3f}",
+            row["counters"].get("retransmissions", 0),
+        ])
+    return format_table(
+        ["cell", "sim t", "skip", "buffered", "T_ub ms", "export ms", "opt iter",
+         "latency ms", "retrans"],
+        table,
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run every cell of a scenario's parameter × fault-plan grid."""
+    from itertools import product
+    from pathlib import Path
+
+    from repro.bench.rows import fold_run
+    from repro.obs.export import REPORT_SCHEMA, report_run, validate_report_payload
+    from repro.scenarios import build
+
+    try:
+        if args.name == "crash_hard":
+            raise ValueError(
+                "scenario 'crash_hard' kills the process that runs it; "
+                "submit it to repro serve instead"
+            )
+        grid = _parse_grid(args.param or [])
+        plans = [_parse_fault(raw) for raw in args.fault or ["null"]]
+        combos = [dict(zip(grid, values)) for values in product(*grid.values())]
+        builds = [build(args.name, params) for params in combos]
+        cells = [(params, j) for params in combos for j in range(len(plans))]
+        if args.provenance and len(cells) > 1:
+            raise ValueError(f"--provenance records one run; the grid has {len(cells)} cells")
+        pair = _buddy_pair(cells)
+        base_payload = None
+        if args.baseline:
+            if pair is None:
+                raise ValueError(
+                    "--baseline needs exactly two cells that differ only in buddy_help"
+                )
+            base_payload = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+            problems = validate_report_payload(base_payload)
+            if problems:
+                raise ValueError(f"baseline {args.baseline}: {'; '.join(problems)}")
+    except (ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    rows: list[dict[str, Any]] = []
+    for k, (params, j) in enumerate(cells):
+        words = [f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in params.items()]
+        name = " ".join([args.name, *words, *([f"fault={j}"] if len(plans) > 1 else [])])
+        plan = plans[j]
+        row: dict[str, Any] = {
+            "name": name,
+            "scenario": args.name,
+            "params": params,
+            "fault_plan": None if plan is None else {
+                key: v for key, v in plan.describe().items() if v != float("inf")
+            },
+        }
+        try:
+            result = builds[k // len(plans)].run(fault_plan=plan, provenance=args.provenance)
+        except OSError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - a failed cell is a row
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            print(f"FAIL: {name}: {row['error']}", file=sys.stderr)
+        else:
+            row.update(report_run(name, result), **fold_run(result).row())
+        rows.append(row)
+
+    payload: dict[str, Any] = {"schema": REPORT_SCHEMA, "runs": rows}
+    failed = any("error" in row for row in rows)
+    if len(plans) > 1:
+        for k, row in enumerate(rows):
+            first = rows[k - k % len(plans)]
+            row["answers_match"] = "answers" in row and row["answers"] == first.get("answers")
+        payload["answers_consistent"] = all(row["answers_match"] for row in rows)
+        failed = failed or not payload["answers_consistent"]
+    comparison: dict[str, float] | None = None
+    if pair is not None and not any("error" in rows[i] for i in pair):
+        on, off = (rows[i]["metrics"]["paper"] for i in pair)
+        comparison = payload["comparison"] = {
+            "t_ub_with_help": on["t_ub_total"],
+            "t_ub_without_help": off["t_ub_total"],
+            "t_ub_saving": off["t_ub_total"] - on["t_ub_total"],
+            "t_ub_no_help_estimate": on["t_ub_no_help_estimate"],
+        }
     diff_rows: list[dict[str, Any]] = []
     regressions: list[str] = []
-    if getattr(args, "baseline", None):
-        from pathlib import Path
-
-        from repro.obs.export import validate_report_payload
-
-        try:
-            base_payload = json.loads(
-                Path(args.baseline).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_report_payload(base_payload)
-        if problems:
-            for p in problems:
-                print(f"error: baseline: {p}", file=sys.stderr)
-            return 2
+    if base_payload is not None and comparison is not None:
         diff_rows, regressions = _diff_comparison(
             base_payload.get("comparison") or {}, comparison, args.threshold
         )
@@ -292,42 +314,42 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "diff": diff_rows,
             "regressions": regressions,
         }
+    code = EXIT_FINDINGS if failed or regressions else EXIT_OK
     if _emit(args, payload):
-        return 1 if regressions else 0
-    for name, result in runs:
-        print(f"\n== {name}")
-        print(result.metrics.paper.render() if result.metrics.paper else "")
-        if args.verbose:
-            print()
-            print(result.metrics.render())
-    print(
-        f"\nT_ub with buddy-help    = {comparison['t_ub_with_help']:.6g} s"
-        f"\nT_ub without buddy-help = {comparison['t_ub_without_help']:.6g} s"
-        f"\nmeasured saving         = {comparison['t_ub_saving']:.6g} s"
-        f"\ncounterfactual estimate = {comparison['t_ub_no_help_estimate']:.6g} s"
-        " (with-help run, no-help estimate)"
-    )
-    if getattr(args, "baseline", None):
+        return code
+
+    print(_run_table(rows))
+    if args.provenance:
+        print(f"recorded -> {args.provenance}")
+    if comparison is not None:
         print(
-            f"\nbaseline diff vs {args.baseline} "
-            f"(threshold {args.threshold:.0%}):"
+            f"\nT_ub with buddy-help    = {comparison['t_ub_with_help']:.6g} s"
+            f"\nT_ub without buddy-help = {comparison['t_ub_without_help']:.6g} s"
+            f"\nmeasured saving         = {comparison['t_ub_saving']:.6g} s"
+            f"\ncounterfactual estimate = {comparison['t_ub_no_help_estimate']:.6g} s"
+            " (with-help run, no-help estimate)"
         )
-        for row in diff_rows:
-            status = "REGRESSED" if row["regressed"] else (
-                "info" if row["direction"] == "info" else "ok"
-            )
-            print(
-                f"  {row['key']:<22} base {row['baseline']:>12.6g}  "
-                f"now {row['current']:>12.6g}  "
-                f"delta {row['delta']:>+12.6g}  {status}"
-            )
-        if regressions:
-            print(
-                f"FAIL: regression beyond threshold: {', '.join(regressions)}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    if base_payload is not None:
+        print(f"\nbaseline diff vs {args.baseline} (threshold {args.threshold:.0%}):")
+    for row in diff_rows:
+        status = "REGRESSED" if row["regressed"] else (
+            "info" if row["direction"] == "info" else "ok"
+        )
+        print(
+            f"  {row['key']:<22} base {row['baseline']:>12.6g}  "
+            f"now {row['current']:>12.6g}  delta {row['delta']:>+12.6g}  {status}"
+        )
+    if regressions:
+        print(
+            f"FAIL: regression beyond threshold: {', '.join(regressions)}",
+            file=sys.stderr,
+        )
+    if "answers_consistent" in payload:
+        if payload["answers_consistent"]:
+            print("OK: every faulted cell reproduced its fault-free answers")
+        else:
+            print("FAIL: answers diverged under faults", file=sys.stderr)
+    return code
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
@@ -340,11 +362,10 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     causal_opt = getattr(args, "causal", None)
     if getattr(args, "chrome", None) or causal_opt is not None:
         from repro.obs.export import write_chrome_trace
+        from repro.scenarios import build
         from repro.util.tracing import Tracer
 
-        result = _demo_run(
-            buddy_help=True, tracer=Tracer(), causal=causal_opt is not None
-        )
+        result = build("demo").run(tracer=Tracer(), causal_trace=causal_opt is not None)
         causal = result.causal if causal_opt is not None else None
         payload: dict[str, Any] = {}
         lines: list[str] = []
@@ -423,104 +444,6 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.bench.scenarios import run_exporter_slower, run_importer_slower
-
-    a = run_importer_slower()
-    b_on = run_exporter_slower(buddy_help=True)
-    b_off = run_exporter_slower(buddy_help=False)
-    if _emit(args, {
-        "importer_slower": {
-            "buffered_fraction": a.buffered_fraction,
-            "skip_fraction": a.skip_fraction,
-            "t_ub": a.buffer_stats.t_ub,
-        },
-        "exporter_slower": {
-            ("buddy_on" if b is b_on else "buddy_off"): {
-                "buffered_fraction": b.buffered_fraction,
-                "skip_fraction": b.skip_fraction,
-                "t_ub": b.buffer_stats.t_ub,
-                "export_time": b.exporter_export_time_total,
-            }
-            for b in (b_on, b_off)
-        },
-    }):
-        return 0
-    print(
-        f"Figure 3(a) importer slower:  buffered {a.buffered_fraction:.0%}, "
-        f"skipped {a.skip_fraction:.0%}, T_ub {a.buffer_stats.t_ub:.4g} s"
-    )
-    for buddy, b in ((True, b_on), (False, b_off)):
-        print(
-            f"Figure 3(b) exporter slower (buddy {'on ' if buddy else 'off'}): "
-            f"buffered {b.buffered_fraction:.0%}, skipped {b.skip_fraction:.0%}, "
-            f"T_ub {b.buffer_stats.t_ub:.4g} s, "
-            f"export time {b.exporter_export_time_total:.4g} s"
-        )
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.bench.reporting import format_table
-    from repro.bench.resilience import run_resilience_sweep
-
-    requests = max(1, (args.iterations - 1) // 2)
-    if not args.json:
-        print(
-            f"chaos sweep: {args.iterations} exports, {requests} requests, "
-            f"seed {args.seed}, dup {args.dup:g}, jitter {args.jitter:g}"
-        )
-    sweep = run_resilience_sweep(
-        drop_rates=tuple(args.drop_rates),
-        exports=args.iterations,
-        requests=requests,
-        seed=args.seed,
-        dup=args.dup,
-        delay_jitter=args.jitter,
-    )
-    base = sweep.baseline
-    if _emit(args, {
-        "answers_consistent": sweep.answers_consistent,
-        "runs": [
-            {
-                "drop": run.drop,
-                "answers_match": run.answers_match(base),
-                "mean_answer_latency": run.mean_answer_latency,
-                "t_ub": run.t_ub,
-                "skips": run.skip_count,
-                "retransmissions": run.retransmissions,
-                "dup_discards": run.dup_discards,
-                "sim_time": run.sim_time,
-            }
-            for run in sweep.runs
-        ],
-    }):
-        return 0 if sweep.answers_consistent else 1
-    rows = []
-    for run in sweep.runs:
-        label = "baseline" if run is base else f"{run.drop:g}"
-        rows.append([
-            label,
-            "yes" if run.answers_match(base) else "NO",
-            f"{run.mean_answer_latency * 1e3:.3f}",
-            f"{run.t_ub * 1e3:.3f}",
-            run.skip_count,
-            run.retransmissions,
-            run.dup_discards,
-            f"{run.sim_time:.4f}",
-        ])
-    print(format_table(
-        ["drop", "same answers", "latency ms", "T_ub ms", "skips",
-         "retrans", "dup disc", "sim t"],
-        rows,
-    ))
-    if sweep.answers_consistent:
-        print("OK: every chaos run reproduced the fault-free answers")
-        return 0
-    print("FAIL: answers diverged under faults", file=sys.stderr)
-    return 1
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     import io
 
@@ -541,56 +464,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     else:
         generate_report(sys.stdout, exports=args.exports, runs=args.runs)
     return 0
-
-
-def _cmd_record(args: argparse.Namespace) -> int:
-    """Record a registered scenario into a ``repro.prov/v1`` provenance log."""
-    from repro.obs.prov import PROV_SCHEMA
-
-    chaos = args.scenario == "chaos"
-    drop = args.drop if args.drop is not None else (0.1 if chaos else 0.0)
-    dup = args.dup if args.dup is not None else (0.05 if chaos else 0.0)
-    jitter = args.jitter if args.jitter is not None else (2e-4 if chaos else 0.0)
-    fault_plan = None
-    if drop or dup or jitter:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan(seed=args.seed, drop=drop, dup=dup, delay_jitter=jitter)
-    result = _demo_run(
-        True,
-        scenario="demo" if chaos else args.scenario,
-        seed=args.seed,
-        match_backend=args.match_backend,
-        provenance=args.out,
-        fault_plan=fault_plan,
-    )
-    plan_desc = None
-    if fault_plan is not None:
-        plan_desc = {
-            k: v for k, v in fault_plan.describe().items() if v != float("inf")
-        }
-    payload = {
-        "schema": PROV_SCHEMA,
-        "log": args.out,
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "match_backend": args.match_backend,
-        "fault_plan": plan_desc,
-        "sim_time": result.sim_time,
-        "counters": result.counters,
-    }
-    if _emit(args, payload):
-        return EXIT_OK
-    print(
-        f"recorded {args.scenario} run (seed {args.seed}, "
-        f"backend {args.match_backend}) -> {args.out}"
-    )
-    print(
-        f"  sim_time {result.sim_time:.6g}  "
-        f"ctl {result.counters.get('ctl_messages', 0)} msgs  "
-        f"retransmissions {result.counters.get('retransmissions', 0)}"
-    )
-    return EXIT_OK
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -930,10 +803,7 @@ def _parse_session_params(pairs: Sequence[str]) -> dict[str, Any]:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ValueError(f"expected KEY=VALUE, got {pair!r}")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw  # bare strings stay strings
+        params[key] = _json_value(raw)
     return params
 
 
@@ -1020,7 +890,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Evaluate SLO rules against a server's fleet rollup.
 
-    Exit contract mirrors ``report --baseline``: :data:`EXIT_FINDINGS`
+    Exit contract mirrors ``run --baseline``: :data:`EXIT_FINDINGS`
     when any rule trips, :data:`EXIT_OK` on a clean fleet,
     :data:`EXIT_USAGE` on malformed rules or connection errors.
     """
@@ -1158,7 +1028,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             report.extend(
                 analyze_config_text(p.read_text(encoding="utf-8"), path=str(p))
             )
-    if args.format == "json" or args.json:
+    if args.json:
         print(report.render_json())
     else:
         print(report.render_text())
@@ -1298,38 +1168,43 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_match_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--match-backend",
-        choices=MATCH_BACKENDS,
-        default=DEFAULT_MATCH_BACKEND,
-        help="match engine for the runs (recorded in the JSON payload; "
-        "decisions are bit-identical between backends; default: "
-        "%(default)s, 'legacy' is the reference engine)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
-    from repro.scenarios import scenario_names
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Buddy-help coupling framework (Wu & Sussman, IPDPS 2007)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p4 = sub.add_parser("figure4", help="run one Figure-4 configuration")
-    p4.add_argument("--u-procs", type=int, default=16, choices=[4, 8, 16, 32])
-    p4.add_argument("--exports", type=int, default=1001)
-    p4.add_argument("--runs", type=int, default=6)
-    p4.add_argument("--no-buddy", action="store_true")
-    p4.add_argument("--seed", type=int, default=2007)
-    p4.add_argument(
-        "--json", metavar="PATH", nargs="?", const="-",
-        help="dump run data as JSON: to stdout (no value) or to PATH",
+    prun = sub.add_parser(
+        "run", help="run a registered scenario over a parameter x fault-plan grid"
     )
-    p4.set_defaults(fn=_cmd_figure4)
+    prun.add_argument("name", metavar="NAME", help="registered scenario name")
+    prun.add_argument(
+        "-p", "--param", action="append", metavar="KEY=V[,V...]",
+        help="scenario param: a JSON value, or a comma list of them to sweep "
+        "(repeatable; cells are the cartesian product)",
+    )
+    prun.add_argument(
+        "--fault", action="append", metavar="JSON",
+        help="fault plan object, or null for none (repeatable: every plan's "
+        "answers must equal the first plan's)",
+    )
+    prun.add_argument(
+        "--provenance", metavar="PATH",
+        help="record the (single) cell into a repro.prov/v1 log (.gz compresses)",
+    )
+    prun.add_argument(
+        "--baseline", metavar="PATH",
+        help="diff the buddy-help comparison against a saved repro.report/v1 "
+        "payload; exit 1 on regression beyond --threshold",
+    )
+    prun.add_argument(
+        "--threshold", type=float, default=0.10, metavar="FRAC",
+        help="relative regression allowance for --baseline (default 0.10)",
+    )
+    _add_json_flag(prun)
+    prun.set_defaults(fn=_cmd_run)
 
     pt = sub.add_parser(
         "traces",
@@ -1350,79 +1225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(pt)
     pt.set_defaults(fn=_cmd_traces)
-
-    pr = sub.add_parser(
-        "report",
-        help="per-run observability rollup: T_ub, buddy-help savings, metrics",
-    )
-    pr.add_argument(
-        "--verbose", action="store_true",
-        help="also print the full metric catalog per run",
-    )
-    pr.add_argument(
-        "--baseline", metavar="PATH",
-        help="diff the comparison block against a saved repro.report/v1 "
-        "payload; exit 1 on regression beyond --threshold",
-    )
-    pr.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRAC",
-        help="relative regression allowance for --baseline (default 0.10)",
-    )
-    _add_match_backend_flag(pr)
-    _add_json_flag(pr)
-    pr.set_defaults(fn=_cmd_report)
-
-    ps = sub.add_parser("scenarios", help="run the Figure-3 scenarios")
-    _add_json_flag(ps)
-    ps.set_defaults(fn=_cmd_scenarios)
-
-    pc = sub.add_parser(
-        "chaos", help="fault-injection sweep: answers must not change"
-    )
-    pc.add_argument(
-        "--iterations", type=int, default=40,
-        help="exporter iterations (exports) per run",
-    )
-    pc.add_argument("--seed", type=int, default=7, help="fault-plan seed")
-    pc.add_argument(
-        "--drop-rates", type=float, nargs="+", default=[0.0, 0.05, 0.2],
-        metavar="P", help="control-plane drop probabilities to sweep",
-    )
-    pc.add_argument("--dup", type=float, default=0.1, help="duplication probability")
-    pc.add_argument(
-        "--jitter", type=float, default=5e-5, help="max extra delivery delay (s)"
-    )
-    _add_json_flag(pc)
-    pc.set_defaults(fn=_cmd_chaos)
-
-    prec = sub.add_parser(
-        "record",
-        help="record a registered scenario into a repro.prov/v1 provenance log",
-    )
-    prec.add_argument("out", help="provenance log path (.gz compresses)")
-    prec.add_argument(
-        "--scenario", default="demo",
-        # crash_hard os._exit()s whatever process runs it: pool workers only.
-        choices=[*(n for n in scenario_names() if n != "crash_hard"), "chaos"],
-        help="a registered scenario, fault-free unless --drop/--dup/--jitter, "
-        "or chaos: demo under the default FaultPlan (drops/dups/jitter)",
-    )
-    prec.add_argument("--seed", type=int, default=2, help="run seed (default 2)")
-    prec.add_argument(
-        "--drop", type=float, default=None, metavar="P",
-        help="control-plane drop probability (chaos default 0.1)",
-    )
-    prec.add_argument(
-        "--dup", type=float, default=None, metavar="P",
-        help="duplication probability (chaos default 0.05)",
-    )
-    prec.add_argument(
-        "--jitter", type=float, default=None, metavar="S",
-        help="max extra delivery delay (chaos default 2e-4)",
-    )
-    _add_match_backend_flag(prec)
-    _add_json_flag(prec)
-    prec.set_defaults(fn=_cmd_record)
 
     prep = sub.add_parser(
         "replay",
@@ -1655,9 +1457,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="Python files/directories to lint and/or config files to analyze",
     )
-    pl.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="format"
-    )
     _add_json_flag(pl)
     pl.set_defaults(fn=_cmd_lint)
 
@@ -1698,7 +1497,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the live runtime under the vector-clock race detector",
     )
-    _add_match_backend_flag(pvf)
+    pvf.add_argument(
+        "--match-backend", choices=MATCH_BACKENDS, default=DEFAULT_MATCH_BACKEND,
+        help="match engine of every world (recorded in the JSON payload; "
+        "default: %(default)s, 'legacy' is the reference engine)",
+    )
     _add_json_flag(pvf)
     pvf.set_defaults(fn=_cmd_verify)
 

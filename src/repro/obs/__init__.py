@@ -11,7 +11,7 @@ Three pillars (see ``docs/observability.md``):
   lag, PENDING-resolution latency) as :class:`PaperMetrics`.
 * :mod:`repro.obs.collect` + :mod:`repro.obs.export` — post-run
   collection into a registry, Chrome ``trace_event`` JSON, and the
-  ``repro report`` payload validators.
+  ``repro.report/v1`` payload validators.
 * :mod:`repro.obs.trace` + :mod:`repro.obs.stream` — causal
   (happens-before) tracing of every control-plane message with
   critical-path stage attribution per import, and opt-in streaming

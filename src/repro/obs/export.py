@@ -12,7 +12,7 @@ region reads as 2.5 s on the ruler.
 The validators are deliberately hand-rolled (the repo takes no schema
 dependency): they return a list of human-readable problems, empty when
 the payload conforms.  CI runs them against real ``repro trace
---chrome`` and ``repro report --json`` output.
+--chrome`` and ``repro run --json`` output.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any
 from repro.obs.spans import TimelineSet
 from repro.obs.trace import CausalReport
 
-#: Version tag stamped into (and required of) ``repro report --json``.
+#: Version tag stamped into (and required of) ``repro run --json``.
 REPORT_SCHEMA = "repro.report/v1"
 
 
@@ -294,7 +294,7 @@ def report_run(name: str, result: Any, *, backend_sample: bool = True) -> dict[s
 
 
 def validate_report_payload(obj: Any) -> list[str]:
-    """Problems with a ``repro report --json`` payload."""
+    """Problems with a ``repro.report/v1`` payload (``repro run --json``)."""
     problems: list[str] = []
     if not isinstance(obj, dict):
         return [f"top level must be an object, got {type(obj).__name__}"]

@@ -9,13 +9,13 @@ Declarative guard rails for the paper's quantitative claims: a
 
 — and :func:`evaluate_rules` checks every rule against a
 ``repro.fleet/v1`` payload (optionally relative to a saved *baseline*
-payload, mirroring ``repro report --baseline``).  Violations become
+payload, mirroring ``repro run --baseline``).  Violations become
 ``repro.alerts/v1`` records; :class:`Watchdog` evaluates on a cadence
 and emits each alert to ordinary telemetry sinks, so alerts land in
 the same JSONL/OpenMetrics files operators already scrape.  The
 ``repro watch URL`` CLI drives the same evaluation and exits 1 when
 any rule trips (0 clean, 2 on usage/connection errors) — the same
-contract as ``repro report --baseline``.
+contract as ``repro run --baseline``.
 
 Rule grammar::
 

@@ -7,12 +7,13 @@ requests (Section 5, Figures 3–4) — so it is written out once
 it: ``demo`` (and ``crash`` / ``crash_hard``, which fail rank 0 of the
 exporter — the latter by killing its process, for the broken-pool tests
 only), ``fig3a`` / ``fig3b``, ``fig4`` (one run of a
-:class:`Figure4Spec`) and ``resilience`` (what ``repro chaos`` sweeps).
+:class:`Figure4Spec`) and ``resilience`` (the chaos sweep's coupling).
 ``docs/serving.md`` tabulates them.
 
 A name plus plain-JSON parameters is all a front-end needs — arbitrary
-``main`` callables cannot cross the session server's wire — so the CLI
-verbs, the :mod:`repro.bench` folds and the server all call
+``main`` callables cannot cross the session server's wire — so ``repro
+run`` (which sweeps a grid of params and fault plans), the
+:mod:`repro.bench` runners and the server all call
 :func:`build` and run the :class:`ScenarioBuild` through
 :func:`repro.run`.  Downstream projects add scenarios with
 :func:`register_scenario`.

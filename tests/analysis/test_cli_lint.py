@@ -51,7 +51,7 @@ class TestLintCommand:
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_PROGRAM)
-        assert main(["lint", "--format", "json", str(bad)]) == 1
+        assert main(["lint", "--json", str(bad)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["error"] == 1
         assert payload["findings"][0]["rule"] == "P101"
@@ -80,6 +80,7 @@ def test_warnings_do_not_fail_the_exit_code(tmp_path, capsys, fmt):
         "F.r U.r REGL 2.5\n"
         "#@ export F.typo period=1.0\n"  # dangling region: warning only
     )
-    assert main(["lint", "--format", fmt, str(cfg)]) == 0
+    json_flag = ["--json"] if fmt == "json" else []
+    assert main(["lint", *json_flag, str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "G101" in out

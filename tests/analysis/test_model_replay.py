@@ -11,8 +11,8 @@ import dataclasses
 import pytest
 
 from repro.analysis.model import SCHEMA, ModelConfig, replay_schedule
-from repro.cli import _demo_run
 from repro.faults.plan import FaultPlan
+from repro.scenarios import build
 
 
 def _all_counterexamples(*suites):
@@ -80,10 +80,10 @@ class TestNoDrift:
     ):
         """A replayed span has every attribute key that all spans of its
         name carry in a DES run: both come from the same driver code."""
-        # The chaos demo (``repro record --scenario chaos``): its drops
-        # make the run retransmit, like the M202 schedule does.
-        des_run = _demo_run(
-            True, causal=True, seed=5,
+        # The demo under faults: its drops make the run retransmit,
+        # like the M202 schedule does.
+        des_run = build("demo", {"seed": 5}).run(
+            causal_trace=True,
             fault_plan=FaultPlan(seed=5, drop=0.1, dup=0.05, delay_jitter=2e-4),
         )
         always: dict[str, set[str]] = {}

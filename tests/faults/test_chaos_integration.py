@@ -1,5 +1,7 @@
 """End-to-end chaos determinism, the resilience sweep, and the CLI."""
 
+import json
+
 from repro.api import RunOptions
 from repro.bench.resilience import run_once, run_resilience_sweep
 from repro.cli import main
@@ -80,16 +82,24 @@ class TestResilienceSweep:
         assert all(len(log) == 6 for log in r.answers.values())
 
 
+def chaos_argv(exports, requests, seed, *drops):
+    """``repro run`` of the resilience scenario: fault-free, then one plan per drop."""
+    argv = ["run", "resilience", "-p", f"exports={exports}", "-p", f"requests={requests}",
+            "--fault", "null"]
+    for drop in drops:
+        plan = {"seed": seed, "drop": drop, "dup": 0.1, "delay_jitter": 5e-5, "reorder": 0.1}
+        argv += ["--fault", json.dumps(plan)]
+    return argv
+
+
 class TestChaosCli:
     def test_chaos_subcommand_passes_and_reports(self, capsys):
-        rc = main(["chaos", "--iterations", "13", "--seed", "7",
-                   "--drop-rates", "0.2"])
+        rc = main(chaos_argv(13, 6, 7, 0.2))
         assert rc == 0
         out = capsys.readouterr().out
-        assert "drop" in out
-        assert "OK: every chaos run reproduced the fault-free answers" in out
+        assert "fault=1" in out
+        assert "OK: every faulted cell reproduced its fault-free answers" in out
 
     def test_chaos_accepts_multiple_drop_rates(self, capsys):
-        rc = main(["chaos", "--iterations", "9", "--seed", "3",
-                   "--drop-rates", "0.0", "0.1"])
+        rc = main(chaos_argv(9, 4, 3, 0.0, 0.1))
         assert rc == 0

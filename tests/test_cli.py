@@ -18,32 +18,33 @@ class TestVersion:
 
 
 class TestFigure4:
+    """Figure 4 is ``repro run fig4``: one row per cell."""
+
     def test_runs_and_reports(self, capsys):
-        rc = main(["figure4", "--u-procs", "32", "--exports", "101", "--runs", "1"])
+        rc = main(["run", "fig4", "-p", "u_procs=32", "-p", "exports=101"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "Figure 4: U=32" in out
-        assert "skip%" in out
-        assert "shape:" in out
+        assert "fig4 u_procs=32 exports=101" in out
+        assert "skip" in out and "opt iter" in out and "T_ub ms" in out
 
     def test_no_buddy_flag(self, capsys):
         rc = main(
-            ["figure4", "--u-procs", "4", "--exports", "61", "--runs", "1", "--no-buddy"]
+            ["run", "fig4", "-p", "u_procs=4", "-p", "exports=61", "-p", "buddy_help=false"]
         )
         assert rc == 0
-        assert "buddy-help off" in capsys.readouterr().out
+        assert "buddy_help=false" in capsys.readouterr().out
 
-    def test_json_dump(self, tmp_path, capsys):
-        path = tmp_path / "fig4.json"
+    def test_json_dump(self, capsys):
         rc = main(
-            ["figure4", "--u-procs", "16", "--exports", "61", "--runs", "2",
-             "--json", str(path)]
+            ["run", "fig4", "-p", "u_procs=16", "-p", "exports=61", "-p", "seed=1,2",
+             "--json"]
         )
         assert rc == 0
-        payload = json.loads(path.read_text())
-        assert payload["spec"]["u_procs"] == 16
-        assert len(payload["runs"]) == 2
-        assert len(payload["runs"][0]["series"]) == 61
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["params"] for r in payload["runs"]] == [
+            {"u_procs": 16, "exports": 61, "seed": seed} for seed in (1, 2)
+        ]
+        assert len(payload["runs"][0]["p_s"]["series"]) == 61
 
 
 class TestTraces:
@@ -77,9 +78,13 @@ class TestTraces:
         assert "Figure 5" in capsys.readouterr().out
 
 
+#: The buddy-help on/off pair of the demo: what ``comparison`` is made of.
+DEMO_PAIR = ["run", "demo", "-p", "buddy_help=true,false"]
+
+
 class TestReport:
     def test_human_output(self, capsys):
-        assert main(["report"]) == 0
+        assert main(DEMO_PAIR) == 0
         out = capsys.readouterr().out
         assert "T_ub" in out
         assert "buddy-help" in out
@@ -87,7 +92,7 @@ class TestReport:
     def test_json_schema_and_positive_saving(self, capsys):
         from repro.obs import REPORT_SCHEMA, validate_report_payload
 
-        assert main(["report", "--json"]) == 0
+        assert main([*DEMO_PAIR, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == REPORT_SCHEMA
         assert validate_report_payload(payload) == []
@@ -101,10 +106,12 @@ class TestReport:
 
 class TestScenarios:
     def test_runs(self, capsys):
-        assert main(["scenarios"]) == 0
+        assert main(["run", "fig3a", "-p", "exports=40"]) == 0
+        assert main(["run", "fig3b", "-p", "exports=40", "-p", "buddy_help=true,false"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 3(a)" in out
-        assert "buddy on" in out and "buddy off" in out
+        assert "fig3a exports=40" in out
+        assert "fig3b exports=40 buddy_help=true" in out
+        assert "fig3b exports=40 buddy_help=false" in out
 
 
 class TestValidateConfig:
@@ -160,11 +167,10 @@ class TestJsonMode:
         assert json.loads(capsys.readouterr().out)["version"] == "1.0.0"
 
     def test_figure4_json_stdout(self, capsys):
-        rc = main(["figure4", "--u-procs", "4", "--exports", "61", "--runs", "1",
-                   "--json"])
+        rc = main(["run", "fig4", "-p", "u_procs=4", "-p", "exports=61", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["spec"]["u_procs"] == 4
+        assert payload["runs"][0]["params"]["u_procs"] == 4
         assert len(payload["runs"]) == 1
 
     def test_traces_json(self, capsys):
@@ -174,18 +180,19 @@ class TestJsonMode:
         assert "skips" in payload["figures"]["5"]
 
     def test_scenarios_json(self, capsys):
-        assert main(["scenarios", "--json"]) == 0
+        assert main(["run", "fig3b", "-p", "exports=40", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "importer_slower" in payload
-        assert "buddy_on" in payload["exporter_slower"]
+        assert 0.0 <= payload["runs"][0]["p_s"]["buffered_fraction"] <= 1.0
 
     def test_chaos_json(self, capsys):
-        rc = main(["chaos", "--iterations", "9", "--drop-rates", "0.0", "0.1",
+        plan = '{"seed": 7, "drop": %s, "dup": 0.1, "delay_jitter": 5e-5}'
+        rc = main(["run", "resilience", "-p", "exports=9", "-p", "requests=4",
+                   "--fault", "null", "--fault", plan % 0.0, "--fault", plan % 0.1,
                    "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["answers_consistent"] is True
         assert rc == 0
-        assert len(payload["runs"]) == 3  # baseline + two drop rates
+        assert len(payload["runs"]) == 3  # fault-free + two drop rates
 
     def test_validate_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -262,14 +269,14 @@ class TestCausalTraceCli:
 
 class TestReportBaseline:
     def current_payload(self, capsys) -> dict:
-        assert main(["report", "--json"]) == 0
+        assert main([*DEMO_PAIR, "--json"]) == 0
         return json.loads(capsys.readouterr().out)
 
     def test_self_baseline_is_clean(self, tmp_path, capsys):
         payload = self.current_payload(capsys)
         base = tmp_path / "base.json"
         base.write_text(json.dumps(payload))
-        rc = main(["report", "--baseline", str(base), "--json"])
+        rc = main([*DEMO_PAIR, "--baseline", str(base), "--json"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["baseline"]["regressions"] == []
@@ -284,7 +291,7 @@ class TestReportBaseline:
         payload["comparison"]["t_ub_saving"] *= 3.0
         base = tmp_path / "base.json"
         base.write_text(json.dumps(payload))
-        rc = main(["report", "--baseline", str(base), "--json"])
+        rc = main([*DEMO_PAIR, "--baseline", str(base), "--json"])
         assert rc == 1
         out = json.loads(capsys.readouterr().out)
         assert set(out["baseline"]["regressions"]) == {
@@ -296,17 +303,17 @@ class TestReportBaseline:
         payload["comparison"]["t_ub_with_help"] *= 0.95  # 5% drift
         base = tmp_path / "base.json"
         base.write_text(json.dumps(payload))
-        assert main(["report", "--baseline", str(base), "--json"]) == 0
+        assert main([*DEMO_PAIR, "--baseline", str(base), "--json"]) == 0
         capsys.readouterr()
 
     def test_unreadable_baseline_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["report", "--baseline", str(bad)]) == 2
-        assert main(["report", "--baseline", str(tmp_path / "nope.json")]) == 2
+        assert main([*DEMO_PAIR, "--baseline", str(bad)]) == 2
+        assert main([*DEMO_PAIR, "--baseline", str(tmp_path / "nope.json")]) == 2
         invalid = tmp_path / "invalid.json"
         invalid.write_text(json.dumps({"schema": "wrong"}))
-        assert main(["report", "--baseline", str(invalid)]) == 2
+        assert main([*DEMO_PAIR, "--baseline", str(invalid)]) == 2
         assert "baseline" in capsys.readouterr().err
 
 
@@ -387,24 +394,24 @@ class TestMonitor:
 
 
 class TestRecordReplay:
-    def test_record_offers_every_scenario_but_the_process_killer(self, capsys):
+    def test_record_offers_every_scenario_but_the_process_killer(self, tmp_path, capsys):
         from repro.scenarios import scenario_names
 
         parser = build_parser()
-        for name in (*scenario_names(), "chaos"):
-            if name != "crash_hard":
-                assert parser.parse_args(["record", "x", "--scenario", name])
+        for name in scenario_names():
+            assert parser.parse_args(["run", name, "--provenance", "x.prov"])
         # crash_hard would os._exit(17) this process: a usage error instead.
-        with pytest.raises(SystemExit) as err:
-            main(["record", "x.prov", "--scenario", "crash_hard"])
-        assert err.value.code == 2
-        assert "invalid choice: 'crash_hard'" in capsys.readouterr().err
+        log = tmp_path / "x.prov"
+        assert main(["run", "crash_hard", "--provenance", str(log)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario 'crash_hard'")
+        assert not log.exists()
 
     def test_record_then_verify_round_trip(self, tmp_path, capsys):
         log = tmp_path / "run.prov"
-        rc = main(["record", str(log), "--scenario", "chaos", "--seed", "5"])
+        plan = '{"seed": 5, "drop": 0.1, "dup": 0.05, "delay_jitter": 2e-4}'
+        rc = main(["run", "demo", "-p", "seed=5", "--fault", plan, "--provenance", str(log)])
         assert rc == 0
-        assert "recorded chaos run" in capsys.readouterr().out
+        assert f"recorded -> {log}" in capsys.readouterr().out
         rc = main(["replay", str(log), "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -413,7 +420,7 @@ class TestRecordReplay:
 
     def test_cross_backend_replay(self, tmp_path, capsys):
         log = tmp_path / "run.prov"
-        assert main(["record", str(log), "--json"]) == 0
+        assert main(["run", "demo", "--provenance", str(log), "--json"]) == 0
         capsys.readouterr()
         # The log was recorded on the default (sorted) engine.
         rc = main(["replay", str(log), "--match-backend", "legacy", "--json"])
@@ -423,7 +430,7 @@ class TestRecordReplay:
 
     def test_time_travel_query(self, tmp_path, capsys):
         log = tmp_path / "run.prov"
-        assert main(["record", str(log), "--json"]) == 0
+        assert main(["run", "demo", "--provenance", str(log), "--json"]) == 0
         capsys.readouterr()
         rc = main(
             ["replay", str(log), "--at", "0.02", "--query", "ledger", "--json"]
@@ -435,7 +442,7 @@ class TestRecordReplay:
 
     def test_edit_tolerance_diff(self, tmp_path, capsys):
         log = tmp_path / "run.prov"
-        assert main(["record", str(log), "--json"]) == 0
+        assert main(["run", "demo", "--provenance", str(log), "--json"]) == 0
         capsys.readouterr()
         rc = main(["replay", str(log), "--edit-tolerance", "0.5", "--json"])
         assert rc == 0
@@ -445,7 +452,7 @@ class TestRecordReplay:
 
     def test_edit_with_unknown_plan_key_is_usage_error(self, tmp_path, capsys):
         log, plan = tmp_path / "run.prov", tmp_path / "plan.json"
-        assert main(["record", str(log), "--json"]) == 0
+        assert main(["run", "demo", "--provenance", str(log), "--json"]) == 0
         plan.write_text('{"dropp": 0.3}')
         assert main(["replay", str(log), "--edit", str(plan)]) == 2
         assert "unknown fault_plan keys ['dropp']" in capsys.readouterr().err
@@ -469,15 +476,14 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["record", "{path}"],
-            ["figure4", "--exports", "21", "--runs", "1", "--json", "{path}"],
+            ["run", "demo", "--provenance", "{path}"],
             ["traces", "--figure", "5", "--chrome", "{path}"],
             ["traces", "--figure", "5", "--causal", "{path}"],
             ["experiments", "--exports", "21", "--runs", "1", "--out", "{path}"],
             ["verify", "--max-states", "200", "--mutate", "no_answer_cache",
              "--cex", "{path}"],
         ],
-        ids=["record", "figure4-json", "traces-chrome", "traces-causal",
+        ids=["record", "traces-chrome", "traces-causal",
              "experiments-out", "verify-cex"],
     )
     def test_unwritable_output_path_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -511,16 +517,22 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["figure4", "scenarios", "chaos", "record", "report"])
+    def test_verbs_folded_into_run_are_usage_errors(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
     def test_match_backend_flags_read_the_one_registry_and_default(self):
         from repro.match import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
 
         parser = build_parser()
-        for argv in (["report"], ["record", "x.prov"], ["verify"]):
-            assert parser.parse_args(argv).match_backend == DEFAULT_MATCH_BACKEND
+        assert parser.parse_args(["verify"]).match_backend == DEFAULT_MATCH_BACKEND
         # replay defaults to whatever the log recorded, not to a name.
         assert parser.parse_args(["replay", "x.prov"]).match_backend is None
         for name in MATCH_BACKENDS:
-            for argv in (["report"], ["record", "x.prov"], ["verify"], ["replay", "x.prov"]):
+            for argv in (["verify"], ["replay", "x.prov"]):
                 args = parser.parse_args([*argv, "--match-backend", name])
                 assert args.match_backend == name
 
