@@ -29,7 +29,7 @@ Commands
     Client for a running server: ``submit``, ``list``, ``cancel``,
     ``report`` and ``wait`` against ``--url``.
 ``watch``
-    SLO watchdog over a server's ``repro.fleet/v1`` rollup: evaluate
+    SLO watchdog over a server's fleet aggregate (``GET /fleet``): evaluate
     declarative rules (``error_rate < 0.01``, ``t_ub_p95 < 1.2 *
     baseline``) and exit 1 when any trips — the same contract as
     ``run --baseline`` (see ``docs/observability.md``).
@@ -255,6 +255,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
             base_payload = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
             problems = validate_report_payload(base_payload)
+            if not problems and not isinstance(base_payload.get("comparison"), dict):
+                problems = ["no comparison block (record it with a buddy_help=true,false run)"]
             if problems:
                 raise ValueError(f"baseline {args.baseline}: {'; '.join(problems)}")
     except (ValueError, TypeError) as exc:
@@ -888,18 +890,25 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    """Evaluate SLO rules against a server's fleet rollup.
+    """Evaluate SLO rules against a server's fleet aggregate.
 
     Exit contract mirrors ``run --baseline``: :data:`EXIT_FINDINGS`
     when any rule trips, :data:`EXIT_OK` on a clean fleet,
-    :data:`EXIT_USAGE` on malformed rules or connection errors.
+    :data:`EXIT_USAGE` on malformed rules or baselines, bad pass
+    counts or connection errors.
     """
+    import time
     from pathlib import Path
 
+    from repro.obs.export import REPORT_SCHEMA
+    from repro.obs.fleet import Aggregate
     from repro.obs.stream import JsonlSink
-    from repro.obs.watch import ALERTS_SCHEMA, Watchdog, parse_rules
+    from repro.obs.watch import evaluate_rules, parse_rules
     from repro.serve.client import ServeClient, ServeError
 
+    if args.iterations < 1 or args.interval < 0:
+        print("error: watch needs --iterations >= 1 and --interval >= 0", file=sys.stderr)
+        return EXIT_USAGE
     texts: list[str] = list(args.rule or [])
     if args.rules_file:
         try:
@@ -918,23 +927,28 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print("error: watch needs at least one --rule or --rules-file",
               file=sys.stderr)
         return EXIT_USAGE
-    baseline: dict[str, Any] | None = None
+    baseline: Aggregate | None = None
     if args.baseline:
         try:
-            baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            text = Path(args.baseline).read_text(encoding="utf-8")
+            baseline = Aggregate.from_dict(json.loads(text))
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read baseline {args.baseline}: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE
     client = ServeClient(args.url, timeout=args.timeout)
     sinks = [JsonlSink(args.alerts)] if args.alerts else []
-    watchdog = Watchdog(client.fleet, rules, baseline=baseline, sinks=sinks)
+    alerts: list[dict[str, Any]] = []
     try:
-        alerts = watchdog.run(args.iterations, args.interval)
-    except ValueError as exc:  # baseline-relative rule without --baseline
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ServeError as exc:
+        for i in range(args.iterations):
+            found = evaluate_rules(Aggregate.from_dict(client.fleet()), rules, baseline)
+            for alert in found:
+                for sink in sinks:
+                    sink.emit({"schema": REPORT_SCHEMA, "alerts": [alert]})
+            alerts.extend(found)
+            if i + 1 < args.iterations:
+                time.sleep(args.interval)
+    except (ValueError, ServeError) as exc:  # incl. a baseline rule without --baseline
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -944,16 +958,16 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         for sink in sinks:
             sink.close()
     payload = {
-        "schema": ALERTS_SCHEMA,
+        "schema": REPORT_SCHEMA,
         "url": args.url,
         "rules": [r.text for r in rules],
-        "evaluations": watchdog.evaluations,
+        "evaluations": args.iterations,
         "alerts": alerts,
     }
     if _emit(args, payload):
         return EXIT_FINDINGS if alerts else EXIT_OK
     print(
-        f"watch: {len(rules)} rule(s), {watchdog.evaluations} evaluation(s), "
+        f"watch: {len(rules)} rule(s), {args.iterations} evaluation(s), "
         f"{len(alerts)} alert(s)"
     )
     for alert in alerts:
@@ -1403,7 +1417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser(
         "watch",
-        help="SLO watchdog: evaluate rules against a server's fleet rollup",
+        help="SLO watchdog: evaluate rules against a server's fleet aggregate",
     )
     pw.add_argument(
         "url", nargs="?", default="http://127.0.0.1:8642",
@@ -1420,21 +1434,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument(
         "--baseline", metavar="PATH",
-        help="saved repro.fleet/v1 payload baseline-relative rules "
-        "compare against (see sessions/GET /fleet)",
+        help="saved GET /fleet payload (repro.report/v1 aggregate block, "
+        "or legacy repro.fleet/v1) baseline-relative rules compare against",
     )
     pw.add_argument(
         "--iterations", type=int, default=1, metavar="N",
-        help="evaluation passes (default 1)",
+        help="evaluation passes, >= 1 (default 1)",
     )
     pw.add_argument(
         "--interval", type=float, default=5.0, metavar="S",
-        help="seconds between passes (default 5)",
+        help="seconds between passes, >= 0 (default 5)",
     )
     pw.add_argument(
         "--alerts", metavar="PATH",
-        help="append repro.alerts/v1 records to this JSONL file "
-        "(.gz compresses)",
+        help="append one repro.report/v1 line per alert to this JSONL "
+        "file (.gz compresses)",
     )
     pw.add_argument(
         "--timeout", type=float, default=30.0, metavar="S",

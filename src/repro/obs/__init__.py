@@ -21,12 +21,14 @@ Three pillars (see ``docs/observability.md``):
   ``RunOptions.provenance``), bit-exact replay from the log alone,
   time-travel queries over buffer ledgers and PENDING frontiers, and
   differential replay diffing two causal DAGs.
-* :mod:`repro.obs.fleet` + :mod:`repro.obs.profile` +
-  :mod:`repro.obs.watch` — fleet observability: cross-session rollups
-  with p50/p95/p99 quantiles (``repro.fleet/v1``, served on ``GET
-  /metrics``), a thread-based sampling profiler with phase
-  attribution (a library tool), and a declarative SLO watchdog
-  emitting ``repro.alerts/v1`` records (``repro watch``).
+* :mod:`repro.obs.fleet` + :mod:`repro.obs.watch` +
+  :mod:`repro.obs.profile` — fleet observability: one table-driven
+  :class:`Aggregate` of finished sessions per scenario, with
+  p50/p95/p99 quantiles (the ``aggregate`` block of
+  ``repro.report/v1`` on ``GET /fleet``, ``repro_fleet_*`` on ``GET
+  /metrics``), SLO rules as predicates over it (``repro watch``,
+  alerts as the report's ``alerts`` block), and a thread-based
+  sampling profiler with phase attribution (a library tool).
 
 The usual entry point is the facade: ``result.metrics`` /
 ``result.timeline`` / ``result.causal`` on
@@ -41,7 +43,7 @@ from repro.obs.export import (
     validate_report_payload,
     write_chrome_trace,
 )
-from repro.obs.fleet import FLEET_SCHEMA, FleetRollup, ScenarioRollup
+from repro.obs.fleet import Aggregate
 from repro.obs.profile import Profile, SamplingProfiler
 from repro.obs.stream import (
     ExpositionBuilder,
@@ -53,14 +55,7 @@ from repro.obs.stream import (
     render_openmetrics,
     validate_openmetrics,
 )
-from repro.obs.watch import (
-    ALERTS_SCHEMA,
-    Rule,
-    Watchdog,
-    evaluate_rules,
-    parse_rule,
-    parse_rules,
-)
+from repro.obs.watch import Rule, evaluate_rules, parse_rule, parse_rules
 from repro.obs.trace import (
     CausalLog,
     CausalReport,
@@ -95,16 +90,14 @@ from repro.obs.replay import (
 from repro.obs.spans import Span, SpanRecorder, Timeline, TimelineSet, build_timelines
 
 __all__ = [
-    "ALERTS_SCHEMA",
-    "FLEET_SCHEMA",
     "PROV_SCHEMA",
     "REPORT_SCHEMA",
+    "Aggregate",
     "CausalLog",
     "CausalReport",
     "CausalSpan",
     "Counter",
     "ExpositionBuilder",
-    "FleetRollup",
     "Gauge",
     "Histogram",
     "JsonlSink",
@@ -119,14 +112,12 @@ __all__ = [
     "ProvenanceRecorder",
     "Rule",
     "SamplingProfiler",
-    "ScenarioRollup",
     "Span",
     "SpanRecorder",
     "TelemetrySink",
     "Timeline",
     "TimelineSet",
     "TraceContext",
-    "Watchdog",
     "build_causal_report",
     "build_snapshot",
     "build_timelines",

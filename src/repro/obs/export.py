@@ -294,7 +294,12 @@ def report_run(name: str, result: Any, *, backend_sample: bool = True) -> dict[s
 
 
 def validate_report_payload(obj: Any) -> list[str]:
-    """Problems with a ``repro.report/v1`` payload (``repro run --json``)."""
+    """Problems with a ``repro.report/v1`` payload.
+
+    ``runs`` (``repro run --json``) is required unless the payload
+    carries an ``aggregate`` block (``GET /fleet``) or an ``alerts``
+    block (``repro watch --json`` and its ``--alerts`` lines).
+    """
     problems: list[str] = []
     if not isinstance(obj, dict):
         return [f"top level must be an object, got {type(obj).__name__}"]
@@ -305,8 +310,19 @@ def validate_report_payload(obj: Any) -> list[str]:
     backend = obj.get("match_backend")
     if backend is not None and not isinstance(backend, str):
         problems.append("match_backend must be a string when present")
+    aggregate, alerts = obj.get("aggregate"), obj.get("alerts")
+    if aggregate is not None and not (
+        isinstance(aggregate, dict) and isinstance(aggregate.get("groups"), dict)
+    ):
+        problems.append("aggregate must be an object with a groups object")
+    if alerts is not None and not (
+        isinstance(alerts, list) and all(isinstance(a, dict) for a in alerts)
+    ):
+        problems.append("alerts must be a list of objects")
     runs = obj.get("runs")
-    if not isinstance(runs, list) or not runs:
+    if runs is None and (aggregate is not None or alerts is not None):
+        runs = []
+    elif not isinstance(runs, list) or not runs:
         return problems + ["runs must be a non-empty list"]
     for i, run in enumerate(runs):
         where = f"runs[{i}]"

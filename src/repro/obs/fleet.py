@@ -1,347 +1,189 @@
-"""Cross-session fleet rollups (schema ``repro.fleet/v1``).
+"""The fleet aggregate: one commutative fold of finished sessions.
 
-One coupled run exports a ``repro.report/v1`` payload; a server runs
-*hundreds* of them.  :class:`FleetRollup` is the aggregation layer in
-between: it folds finished sessions — their terminal state, their
-report's paper metrics (Eq. 2 ``T_ub``, PENDING-resolution latency,
-buddy-help savings) and their telemetry drop counters — into
-per-scenario aggregates with p50/p95/p99 quantiles, so the fleet-wide
-shape of the paper's headline quantities stays visible while traffic
-is flowing.
-
-Design rules:
-
-* **Commutative** — sessions may finish (and be observed) in any
-  order; two rollups over the same session set are equal regardless of
-  interleaving.  :meth:`FleetRollup.merge` combines rollups from
-  different server processes the same way.
-* **Error accounting** — every terminal state counts toward the
-  session totals and the per-scenario ``error_rate``; only ``done``
-  sessions (which carry a report) feed the latency histograms, so one
-  crashed session never skews a p95.
-* **Restart-safe** — :meth:`FleetRollup.as_dict` serializes the full
-  histogram state (Welford aggregates + quantile reservoirs) and
-  :meth:`FleetRollup.from_dict` restores it bit-exactly.
-
-The rollup renders to OpenMetrics through the same
-:class:`~repro.obs.stream.ExpositionBuilder` dialect the telemetry
-sink uses; ``GET /metrics`` on :class:`~repro.serve.SessionServer`
-serves exactly that text.
+A server's registry turns each terminal session into one flat row
+(:meth:`repro.serve.registry.SessionRecord.row`); :class:`Aggregate`
+folds rows into per-scenario groups, so the fleet-wide shape of the
+paper's headline quantities (Eq. 2 ``T_ub``, PENDING-resolution
+latency, buddy-help savings) stays visible while traffic flows.  What
+a group keeps is listed once, in :data:`FIELDS`: folding, merging,
+the payload block and its reader, the ``repro_fleet_*`` OpenMetrics
+families and the rule vocabulary of :mod:`repro.obs.watch` all derive
+from it.  Rows fold, and aggregates merge, in any order to the same
+tallies, counts and reservoirs (float sums agree to rounding); the
+``aggregate`` block of a ``repro.report/v1`` payload carries the full
+histogram state, so :meth:`Aggregate.from_dict` restores it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any
 
-from repro.obs.metrics import Histogram, MetricsSnapshot
+from repro.obs.export import REPORT_SCHEMA
+from repro.obs.metrics import Histogram
 from repro.obs.stream import ExpositionBuilder
 
-__all__ = ["FLEET_SCHEMA", "ScenarioRollup", "FleetRollup"]
+__all__ = ["FIELDS", "STATS", "Aggregate"]
 
-#: Schema tag stamped on every rollup payload.
-FLEET_SCHEMA = "repro.fleet/v1"
+#: ``(field, reducer, family, help)``: ``dist`` keeps a Histogram, ``sum`` a total.
+FIELDS: tuple[tuple[str, str, str, str], ...] = (
+    ("t_ub", "dist", "repro_fleet_t_ub_seconds", "Eq. 2 T_ub per successful session"),
+    ("resolution", "dist", "repro_fleet_resolution_latency_seconds",
+     "Mean PENDING-resolution latency per successful session"),
+    ("duration", "dist", "repro_fleet_session_duration_seconds",
+     "Wall-clock duration of successful sessions"),
+    ("buddy_saved_total", "sum", "repro_fleet_buddy_saved_seconds",
+     "Buddy-help memcpy savings summed per scenario"),
+    ("buddy_skips", "sum", "repro_fleet_buddy_skips",
+     "Buddy-enabled skips summed per scenario"),
+    ("telemetry_records", "sum", "repro_fleet_telemetry_records",
+     "Telemetry records published per scenario"),
+    ("telemetry_dropped", "sum", "repro_fleet_telemetry_dropped",
+     "Telemetry records dropped (backpressure) per scenario"),
+)
 
-#: Quantiles exported per latency family, as OpenMetrics label values.
+#: What a ``dist`` field answers rules with.
+STATS = ("p50", "p95", "p99", "mean", "count")
+
 _QUANTILES = (("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99))
-
-#: The terminal states that count as errors for ``error_rate``.
 _ERROR_STATES = ("failed", "cancelled")
+#: Legacy ``repro.fleet/v1`` scenario keys -> field names.
+_LEGACY_KEYS = {"resolution_latency": "resolution", "duration_seconds": "duration"}
+
+Group = dict[str, Any]
 
 
-@dataclass
-class ScenarioRollup:
-    """Aggregates over every finished session of one scenario."""
-
-    scenario: str
-    #: Terminal-state counts, e.g. ``{"done": 9, "failed": 1}``.
-    sessions: dict[str, int] = field(default_factory=dict)
-    #: Eq. 2 ``T_ub`` totals, one sample per successful session.
-    t_ub: Histogram = field(default_factory=Histogram)
-    #: Mean PENDING-resolution latency, one sample per successful
-    #: session that resolved at least one PENDING answer.
-    resolution: Histogram = field(default_factory=Histogram)
-    #: Wall-clock session duration (created -> finished), successes only.
-    duration: Histogram = field(default_factory=Histogram)
-    #: Buddy-help savings summed across successful sessions.
-    buddy_saved_total: float = 0.0
-    buddy_skips: int = 0
-    #: Telemetry volume/backpressure summed across *all* sessions.
-    telemetry_records: int = 0
-    telemetry_dropped: int = 0
-
-    @property
-    def total(self) -> int:
-        """Sessions observed in any terminal state."""
-        return sum(self.sessions.values())
-
-    @property
-    def errors(self) -> int:
-        """Sessions that ended failed or cancelled."""
-        return sum(self.sessions.get(s, 0) for s in _ERROR_STATES)
-
-    @property
-    def error_rate(self) -> float:
-        """Errors over total (0.0 while nothing finished)."""
-        total = self.total
-        return self.errors / total if total else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready form (full histogram state included)."""
-        return {
-            "scenario": self.scenario,
-            "sessions": dict(sorted(self.sessions.items())),
-            "total": self.total,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "t_ub": {"summary": self.t_ub.summary(), "state": self.t_ub.as_state()},
-            "resolution_latency": {
-                "summary": self.resolution.summary(),
-                "state": self.resolution.as_state(),
-            },
-            "duration_seconds": {
-                "summary": self.duration.summary(),
-                "state": self.duration.as_state(),
-            },
-            "buddy_saved_total": self.buddy_saved_total,
-            "buddy_skips": self.buddy_skips,
-            "telemetry": {
-                "records": self.telemetry_records,
-                "dropped": self.telemetry_dropped,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> ScenarioRollup:
-        """Rebuild one scenario's rollup from :meth:`as_dict` output."""
-        out = cls(scenario=str(payload["scenario"]))
-        out.sessions = {
-            str(k): int(v) for k, v in dict(payload.get("sessions", {})).items()
-        }
-        out.t_ub = Histogram.from_state(payload.get("t_ub", {}).get("state", {}))
-        out.resolution = Histogram.from_state(
-            payload.get("resolution_latency", {}).get("state", {})
-        )
-        out.duration = Histogram.from_state(
-            payload.get("duration_seconds", {}).get("state", {})
-        )
-        out.buddy_saved_total = float(payload.get("buddy_saved_total", 0.0))
-        out.buddy_skips = int(payload.get("buddy_skips", 0))
-        telemetry = dict(payload.get("telemetry", {}))
-        out.telemetry_records = int(telemetry.get("records", 0))
-        out.telemetry_dropped = int(telemetry.get("dropped", 0))
-        return out
-
-    def merge(self, other: ScenarioRollup) -> ScenarioRollup:
-        """A new rollup combining both (order-independent aggregates)."""
-        out = ScenarioRollup(scenario=self.scenario)
-        out.sessions = dict(self.sessions)
-        for state, n in other.sessions.items():
-            out.sessions[state] = out.sessions.get(state, 0) + n
-        out.t_ub = self.t_ub.merge(other.t_ub)
-        out.resolution = self.resolution.merge(other.resolution)
-        out.duration = self.duration.merge(other.duration)
-        out.buddy_saved_total = self.buddy_saved_total + other.buddy_saved_total
-        out.buddy_skips = self.buddy_skips + other.buddy_skips
-        out.telemetry_records = self.telemetry_records + other.telemetry_records
-        out.telemetry_dropped = self.telemetry_dropped + other.telemetry_dropped
-        return out
+def _empty() -> Group:
+    return {"sessions": {}, **{f: Histogram() if r == "dist" else 0 for f, r, _, _ in FIELDS}}
 
 
-def _paper_block(report: dict[str, Any] | None) -> dict[str, Any]:
-    """The paper-metrics dict of a ``repro.report/v1`` payload's run."""
-    if not report:
-        return {}
-    runs = report.get("runs") or []
-    if not runs:
-        return {}
-    metrics = runs[0].get("metrics") or {}
-    paper = metrics.get("paper")
-    return dict(paper) if isinstance(paper, dict) else {}
+def _merge(a: Group, b: Group) -> Group:
+    sessions = dict(a["sessions"])
+    for state, n in b["sessions"].items():
+        sessions[state] = sessions.get(state, 0) + n
+    fields = {f: a[f].merge(b[f]) if r == "dist" else a[f] + b[f] for f, r, _, _ in FIELDS}
+    return {"sessions": sessions, **fields}
 
 
-class FleetRollup:
-    """The cross-session aggregate store behind ``GET /metrics``."""
+def _block(group: Group) -> dict[str, Any]:
+    """A group's payload block: tallies, error rate, every field."""
+    total = sum(group["sessions"].values())
+    errors = sum(group["sessions"].get(s, 0) for s in _ERROR_STATES)
+    out: dict[str, Any] = {
+        "sessions": dict(sorted(group["sessions"].items())),
+        "sessions_total": total,
+        "errors": errors,
+        "error_rate": errors / total if total else 0.0,
+    }
+    for f, r, _, _ in FIELDS:
+        h = group[f]
+        out[f] = {"summary": h.summary(), "state": h.as_state()} if r == "dist" else h
+    return out
+
+
+def _group(block: dict[str, Any], legacy: bool) -> Group:
+    """Inverse of :func:`_block`, also over a legacy scenario dict."""
+    if legacy:
+        block = {_LEGACY_KEYS.get(k, k): v for k, v in block.items()}
+        for k, v in dict(block.pop("telemetry", {})).items():
+            block[f"telemetry_{k}"] = v
+    out = _empty()
+    out["sessions"] = {str(k): int(v) for k, v in dict(block.get("sessions", {})).items()}
+    for f, r, _, _ in FIELDS:
+        value = block.get(f, {} if r == "dist" else 0)
+        if r == "sum" and not isinstance(value, (int, float)):
+            raise TypeError(f"{f} must be a number, got {value!r}")
+        out[f] = Histogram.from_state(dict(value).get("state", {})) if r == "dist" else value
+    return out
+
+
+class Aggregate:
+    """Rows grouped by their ``scenario`` field, each group one fold."""
 
     def __init__(self) -> None:
-        self._scenarios: dict[str, ScenarioRollup] = {}
+        self.groups: dict[str, Group] = {}
 
-    def __len__(self) -> int:
-        return len(self._scenarios)
+    def add(self, row: dict[str, Any]) -> None:
+        """Fold one row: its ``state`` tally and every numeric field."""
+        group = self.groups.setdefault(str(row["scenario"]), _empty())
+        group["sessions"][row["state"]] = group["sessions"].get(row["state"], 0) + 1
+        for f, r, _, _ in FIELDS:
+            value = row.get(f)
+            if not isinstance(value, (int, float)):
+                continue
+            if r == "dist":
+                group[f].observe(float(value))
+            else:
+                group[f] += value
 
-    def scenario(self, name: str) -> ScenarioRollup:
-        """The rollup for *name* (created empty on first use)."""
-        rollup = self._scenarios.get(name)
-        if rollup is None:
-            rollup = ScenarioRollup(scenario=name)
-            self._scenarios[name] = rollup
-        return rollup
+    def merge(self, other: Aggregate) -> Aggregate:
+        """A new aggregate over both row sets (inputs untouched)."""
+        out = Aggregate()
+        for src in (self, other):
+            for key, group in src.groups.items():
+                out.groups[key] = _merge(out.groups.get(key) or _empty(), group)
+        return out
 
-    def scenarios(self) -> list[ScenarioRollup]:
-        """Every scenario rollup, sorted by name."""
-        return [self._scenarios[k] for k in sorted(self._scenarios)]
+    def blocks(self) -> dict[str, dict[str, Any]]:
+        """Every group's payload block, by sorted name."""
+        return {k: _block(self.groups[k]) for k in sorted(self.groups)}
 
-    # -- observation -------------------------------------------------------
-    def observe_session(
-        self,
-        *,
-        scenario: str,
-        state: str,
-        report: dict[str, Any] | None = None,
-        duration: float | None = None,
-        telemetry_records: int = 0,
-        telemetry_dropped: int = 0,
-    ) -> None:
-        """Fold one finished session into its scenario's aggregates.
-
-        *state* must be terminal.  Failed/cancelled sessions count in
-        the totals (and hence the error rate) but contribute nothing
-        to the latency histograms — they have no trustworthy report.
-        """
-        rollup = self.scenario(scenario)
-        rollup.sessions[state] = rollup.sessions.get(state, 0) + 1
-        rollup.telemetry_records += telemetry_records
-        rollup.telemetry_dropped += telemetry_dropped
-        if state != "done":
-            return
-        if duration is not None and duration >= 0:
-            rollup.duration.observe(duration)
-        paper = _paper_block(report)
-        if paper:
-            rollup.t_ub.observe(float(paper.get("t_ub_total", 0.0)))
-            rollup.buddy_saved_total += float(paper.get("buddy_saved_total", 0.0))
-            rollup.buddy_skips += int(paper.get("buddy_skips", 0))
-            pending = paper.get("pending_resolution") or {}
-            if pending.get("count"):
-                rollup.resolution.observe(float(pending.get("mean", 0.0)))
-
-    def observe_report(self, payload: dict[str, Any], *, state: str = "done") -> None:
-        """Fold a standalone ``repro.report/v1`` payload (offline use).
-
-        Each run entry counts as one session of its recorded scenario.
-        """
-        for run in payload.get("runs") or []:
-            self.observe_session(
-                scenario=str(run.get("scenario", "unknown")),
-                state=state,
-                report={"runs": [run]},
-            )
-
-    def observe_metrics(self, scenario: str, snapshot: MetricsSnapshot) -> None:
-        """Fold a live :class:`MetricsSnapshot` (one session's worth).
-
-        Covers in-process runs that never produced a report payload:
-        the snapshot's first-class paper metrics feed the same
-        histograms ``observe_session`` fills from reports.
-        """
-        rollup = self.scenario(scenario)
-        rollup.sessions["done"] = rollup.sessions.get("done", 0) + 1
-        paper = snapshot.paper
-        if paper is None:
-            return
-        rollup.t_ub.observe(paper.t_ub_total)
-        rollup.buddy_saved_total += paper.buddy_saved_total
-        rollup.buddy_skips += paper.buddy_skips
-        if paper.pending_resolution.get("count"):
-            rollup.resolution.observe(float(paper.pending_resolution.get("mean", 0.0)))
-
-    # -- persistence and merge ---------------------------------------------
     def as_dict(self) -> dict[str, Any]:
-        """The ``repro.fleet/v1`` payload (restart-safe snapshot)."""
-        scenarios = {r.scenario: r.as_dict() for r in self.scenarios()}
-        total = sum(r.total for r in self.scenarios())
-        errors = sum(r.errors for r in self.scenarios())
+        """A ``repro.report/v1`` payload; totals are every group merged."""
+        totals = reduce(_merge, (self.groups[k] for k in sorted(self.groups)), _empty())
         return {
-            "schema": FLEET_SCHEMA,
-            "scenarios": scenarios,
-            "totals": {
-                "sessions": total,
-                "errors": errors,
-                "error_rate": errors / total if total else 0.0,
-                "telemetry_dropped": sum(
-                    r.telemetry_dropped for r in self.scenarios()
-                ),
-            },
+            "schema": REPORT_SCHEMA,
+            "aggregate": {"groups": self.blocks(), "totals": _block(totals)},
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> FleetRollup:
-        """Restore a rollup from an :meth:`as_dict` payload."""
-        schema = payload.get("schema")
-        if schema != FLEET_SCHEMA:
-            raise ValueError(f"expected schema {FLEET_SCHEMA!r}, got {schema!r}")
-        out = cls()
-        for name, scen in dict(payload.get("scenarios", {})).items():
-            out._scenarios[str(name)] = ScenarioRollup.from_dict(scen)
-        return out
-
-    def merge(self, other: FleetRollup) -> FleetRollup:
-        """A new rollup combining both stores (e.g. across restarts)."""
-        out = FleetRollup()
-        for rollup in self.scenarios():
-            out._scenarios[rollup.scenario] = rollup
-        for rollup in other.scenarios():
-            mine = out._scenarios.get(rollup.scenario)
-            out._scenarios[rollup.scenario] = (
-                rollup if mine is None else mine.merge(rollup)
+    def from_dict(cls, payload: Any) -> Aggregate:
+        """The aggregate in an :meth:`as_dict` payload or a legacy
+        ``repro.fleet/v1`` one; anything else raises ValueError."""
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        legacy = schema == "repro.fleet/v1"
+        if legacy:
+            groups = payload.get("scenarios")
+        elif schema == REPORT_SCHEMA and isinstance(payload.get("aggregate"), dict):
+            groups = payload["aggregate"].get("groups")
+        else:
+            raise ValueError(
+                f"not an aggregate payload (schema {schema!r}): want "
+                f"{REPORT_SCHEMA!r} with an 'aggregate' block"
             )
+        if not isinstance(groups, dict):
+            raise ValueError("aggregate payload has no groups object")
+        out = cls()
+        for name, block in groups.items():
+            try:
+                out.groups[str(name)] = _group(block, legacy)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"malformed aggregate group {name!r}: {exc!r}") from exc
         return out
 
-    # -- OpenMetrics -------------------------------------------------------
     def add_to_exposition(self, out: ExpositionBuilder) -> None:
-        """Append the fleet families to an ``ExpositionBuilder``.
-
-        Quantile series follow the Prometheus summary convention: one
-        gauge sample per ``quantile`` label value, plus ``*_count``
-        counters so rates stay computable.
-        """
-        scenarios = self.scenarios()
-        out.family("repro_fleet_sessions", "counter",
-                   "Finished sessions by scenario and terminal state")
-        for r in scenarios:
-            for state, n in sorted(r.sessions.items()):
-                out.sample("repro_fleet_sessions", "counter",
-                           {"scenario": r.scenario, "state": state}, n)
-        out.family("repro_fleet_error_rate", "gauge",
-                   "Failed+cancelled over finished sessions, per scenario")
-        for r in scenarios:
-            out.sample("repro_fleet_error_rate", "gauge",
-                       {"scenario": r.scenario}, r.error_rate)
-        for fam, help_text, pick in (
-            ("repro_fleet_t_ub_seconds",
-             "Eq. 2 T_ub per successful session", "t_ub"),
-            ("repro_fleet_resolution_latency_seconds",
-             "Mean PENDING-resolution latency per successful session",
-             "resolution"),
-            ("repro_fleet_session_duration_seconds",
-             "Wall-clock duration of successful sessions", "duration"),
-        ):
-            out.family(fam, "gauge", f"{help_text} (quantiles)")
-            out.family(f"{fam.removesuffix('_seconds')}_samples", "counter",
-                       f"{help_text} (sample count)")
-            for r in scenarios:
-                hist: Histogram = getattr(r, pick)
+        """Append the ``repro_fleet_*`` families: a ``dist`` field is a
+        gauge per ``quantile`` label plus a ``*_samples`` counter."""
+        sessions, rate = "repro_fleet_sessions", "repro_fleet_error_rate"
+        out.family(sessions, "counter", "Finished sessions by scenario and terminal state")
+        out.family(rate, "gauge", "Failed+cancelled over finished sessions, per scenario")
+        for key, block in self.blocks().items():
+            for state, n in block["sessions"].items():
+                out.sample(sessions, "counter", {"scenario": key, "state": state}, n)
+            out.sample(rate, "gauge", {"scenario": key}, block["error_rate"])
+        for f, r, fam, help_text in FIELDS:
+            count_fam = f"{fam.removesuffix('_seconds')}_samples"
+            if r == "sum":
+                out.family(fam, "counter", help_text)
+            else:
+                out.family(fam, "gauge", f"{help_text} (quantiles)")
+                out.family(count_fam, "counter", f"{help_text} (sample count)")
+            for key, group in sorted(self.groups.items()):
+                labels = {"scenario": key}
+                if r == "sum":
+                    out.sample(fam, "counter", labels, group[f])
+                    continue
                 for qlabel, q in _QUANTILES:
-                    out.sample(fam, "gauge",
-                               {"scenario": r.scenario, "quantile": qlabel},
-                               hist.quantile(q))
-                out.sample(f"{fam.removesuffix('_seconds')}_samples", "counter",
-                           {"scenario": r.scenario}, hist.count)
-        out.family("repro_fleet_buddy_saved_seconds", "counter",
-                   "Buddy-help memcpy savings summed per scenario")
-        out.family("repro_fleet_buddy_skips", "counter",
-                   "Buddy-enabled skips summed per scenario")
-        out.family("repro_fleet_telemetry_records", "counter",
-                   "Telemetry records published per scenario")
-        out.family("repro_fleet_telemetry_dropped", "counter",
-                   "Telemetry records dropped (backpressure) per scenario")
-        for r in scenarios:
-            labels = {"scenario": r.scenario}
-            out.sample("repro_fleet_buddy_saved_seconds", "counter",
-                       labels, r.buddy_saved_total)
-            out.sample("repro_fleet_buddy_skips", "counter",
-                       labels, r.buddy_skips)
-            out.sample("repro_fleet_telemetry_records", "counter",
-                       labels, r.telemetry_records)
-            out.sample("repro_fleet_telemetry_dropped", "counter",
-                       labels, r.telemetry_dropped)
+                    out.sample(fam, "gauge", {**labels, "quantile": qlabel},
+                               group[f].quantile(q))
+                out.sample(count_fam, "counter", labels, group[f].count)

@@ -142,7 +142,7 @@ class Histogram:
         Welford aggregates merge exactly (parallel Welford); the
         reservoirs concatenate and, past capacity, downsample with a
         seed derived from the combined size — deterministic for a given
-        pair of inputs, so rollup merges are reproducible.
+        pair of inputs, so aggregate merges are reproducible.
         """
         out = Histogram()
         out.stats = self.stats.merge(other.stats)
@@ -156,8 +156,8 @@ class Histogram:
     def as_state(self) -> dict[str, Any]:
         """Serializable full state (aggregates + reservoir).
 
-        :meth:`from_state` restores it bit-exactly, which is what makes
-        fleet rollup snapshots restart-safe.
+        :meth:`from_state` restores it bit-exactly, which is what lets
+        a fleet aggregate payload be read back exactly.
         """
         s = self.stats
         return {

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 __all__ = [
@@ -254,33 +255,35 @@ class ExpositionBuilder:
     Shared by the telemetry sink renderer and the fleet ``/metrics``
     endpoint so both produce the same dialect: ``# TYPE``/``# HELP``
     per family, escaped label values, counter samples suffixed
-    ``_total``, and a final ``# EOF`` line.
+    ``_total``, and a final ``# EOF`` line.  Each family renders as
+    its TYPE/HELP lines followed by its own samples, in the order the
+    families were opened, whatever order samples arrive in.
     """
 
     def __init__(self) -> None:
-        self._lines: list[str] = []
+        self._families: dict[str, list[str]] = {}
 
     def family(self, name: str, mtype: str, help_text: str) -> None:
-        """Open a metric family (emits its TYPE and HELP lines)."""
-        self._lines.append(f"# TYPE {name} {mtype}")
-        self._lines.append(f"# HELP {name} {help_text}")
+        """Open a metric family (its TYPE and HELP lines)."""
+        self._families[name] = [f"# TYPE {name} {mtype}", f"# HELP {name} {help_text}"]
 
     def sample(
         self, name: str, mtype: str, labels: dict[str, str], value: Any
     ) -> None:
-        """Append one sample line (labels escaped, counters ``_total``)."""
+        """Append one sample line to family *name* (labels escaped,
+        counters ``_total``)."""
         sname = f"{name}_total" if mtype == "counter" else name
         if labels:
             body = ",".join(
                 f'{k}="{escape_label_value(str(v))}"' for k, v in labels.items()
             )
-            self._lines.append(f"{sname}{{{body}}} {_fmt(value)}")
+            self._families[name].append(f"{sname}{{{body}}} {_fmt(value)}")
         else:
-            self._lines.append(f"{sname} {_fmt(value)}")
+            self._families[name].append(f"{sname} {_fmt(value)}")
 
     def render(self) -> str:
         """The complete exposition, terminated by ``# EOF``."""
-        return "\n".join([*self._lines, "# EOF"]) + "\n"
+        return "\n".join([*chain.from_iterable(self._families.values()), "# EOF"]) + "\n"
 
 
 def render_openmetrics(record: dict[str, Any]) -> str:
@@ -385,14 +388,16 @@ def validate_openmetrics(text: str) -> list[str]:
     Enforced: ``# EOF`` terminator on the last line, ``# TYPE`` before
     any sample of a family, known metric types, legal metric/label
     names, correctly escaped label values (``\\\\``, ``\\"``, ``\\n``
-    only), parseable float values, and the counter ``_total`` sample
-    suffix (gauges must use the bare family name).
+    only), parseable float values, the counter ``_total`` sample
+    suffix (gauges must use the bare family name), and each sample
+    directly under its own family (no interleaving).
     """
     problems: list[str] = []
     lines = text.splitlines()
     if not lines or lines[-1] != "# EOF":
         problems.append("exposition must end with a '# EOF' line")
     types: dict[str, str] = {}
+    current: str | None = None
     for i, line in enumerate(lines[:-1] if lines and lines[-1] == "# EOF" else lines):
         where = f"line {i + 1}"
         if not line:
@@ -411,7 +416,7 @@ def validate_openmetrics(text: str) -> list[str]:
                 problems.append(f"{where}: unknown metric type {mtype!r}")
             if fam in types:
                 problems.append(f"{where}: duplicate TYPE for family {fam!r}")
-            types[fam] = mtype
+            types[fam], current = mtype, fam
             continue
         if line.startswith("# HELP "):
             parts = line.split(" ", 3)
@@ -446,4 +451,11 @@ def validate_openmetrics(text: str) -> list[str]:
                 )
         elif family not in types and name not in types:
             problems.append(f"{where}: sample {name!r} has no preceding TYPE")
+            continue
+        owner = name if name in types else family
+        if owner != current:
+            problems.append(
+                f"{where}: sample {name!r} of family {owner!r} interleaved "
+                f"after family {current!r}"
+            )
     return problems

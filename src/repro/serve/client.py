@@ -130,7 +130,7 @@ class ServeClient:
         return self._request_text("GET", "/metrics")
 
     def fleet(self) -> dict[str, Any]:
-        """The server's ``repro.fleet/v1`` rollup payload."""
+        """The server's fleet aggregate (a ``repro.report/v1`` payload)."""
         return self._request("GET", "/fleet")
 
     def submit(self, spec: SessionSpec | Mapping[str, Any]) -> dict[str, Any]:

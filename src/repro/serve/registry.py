@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.fleet import FleetRollup
+from repro.obs.fleet import Aggregate
 from repro.serve.spec import SERVE_SCHEMA, TERMINAL_STATES, SessionSpec
 
 __all__ = ["ServerFull", "SessionRecord", "SessionRegistry"]
@@ -104,6 +104,27 @@ class SessionRecord:
             },
         }
 
+    def row(self) -> dict[str, Any]:
+        """This terminal session as a fleet-aggregate row: a failed one
+        has no trustworthy report, so only ``done`` adds paper fields."""
+        row: dict[str, Any] = {"scenario": self.spec.scenario, "state": self.state,
+                               "telemetry_records": self.records,
+                               "telemetry_dropped": self.dropped}
+        if self.state != "done":
+            return row
+        if self.finished is not None and self.finished >= self.created:
+            row["duration"] = self.finished - self.created
+        run = ((self.report or {}).get("runs") or [{}])[0]
+        paper = (run.get("metrics") or {}).get("paper")
+        if isinstance(paper, dict) and paper:
+            pending = paper.get("pending_resolution") or {}
+            row.update(t_ub=paper.get("t_ub_total", 0.0),
+                       buddy_saved_total=paper.get("buddy_saved_total", 0.0),
+                       buddy_skips=paper.get("buddy_skips", 0))
+            if pending.get("count"):
+                row["resolution"] = pending.get("mean", 0.0)
+        return row
+
 
 class SessionRegistry:
     """Create/attach/list/cancel over the sessions of one server."""
@@ -131,8 +152,8 @@ class SessionRegistry:
         #: Server-wide telemetry totals.
         self.published = 0
         self.dropped_total = 0
-        #: Cross-session aggregates; updated on every terminal state.
-        self.rollup = FleetRollup()
+        #: Cross-session aggregate; one row folded per terminal state.
+        self.aggregate = Aggregate()
 
     # -- identity and lookup ----------------------------------------------
     def __len__(self) -> int:
@@ -275,17 +296,10 @@ class SessionRegistry:
             self._offer(session, queue, _EOS)
         session.subscribers.clear()
         # finish() is the single terminal-state transition point, so
-        # observing here keeps the fleet rollup exactly in step with
+        # folding here keeps the fleet aggregate exactly in step with
         # the wire-visible session states — whatever order sessions
         # finish in.
-        self.rollup.observe_session(
-            scenario=session.spec.scenario,
-            state=state,
-            report=session.report,
-            duration=session.finished - session.created,
-            telemetry_records=session.records,
-            telemetry_dropped=session.dropped,
-        )
+        self.aggregate.add(session.row())
         session.done_event.set()
 
     def apply_outcome(

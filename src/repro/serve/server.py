@@ -24,17 +24,18 @@ Wire surface (one request per connection, ``Connection: close``)::
     DELETE /sessions/{id}           cancel (optional {"reason": ...})
     GET    /stats                   server-wide counters
     GET    /metrics                 OpenMetrics text exposition (scrapeable)
-    GET    /fleet                   repro.fleet/v1 rollup payload
+    GET    /fleet                   repro.report/v1 fleet aggregate block
     GET    /healthz                 liveness probe
     POST   /shutdown                request graceful drain
 
-``GET /metrics`` is the Prometheus-style scrape surface: per-scenario
-fleet rollups (session counts, error rates, T_ub / resolution-latency
-/ duration quantiles, buddy savings, telemetry drops — see
-:mod:`repro.obs.fleet`) plus server internals (pool size, active
-sessions, subscriber queue depths, drop counters) in one exposition,
-rendered through the shared :class:`~repro.obs.stream.ExpositionBuilder`
-and accepted by :func:`repro.obs.stream.validate_openmetrics`.
+``GET /metrics`` is the Prometheus-style scrape surface: the
+per-scenario fleet aggregate (session counts, error rates, T_ub /
+resolution-latency / duration quantiles, buddy savings, telemetry
+drops — see :mod:`repro.obs.fleet`) plus server internals (pool size,
+active sessions, subscriber queue depths, drop counters) in one
+exposition, rendered through the shared
+:class:`~repro.obs.stream.ExpositionBuilder` and accepted by
+:func:`repro.obs.stream.validate_openmetrics`.
 
 Shutdown is a *drain*: the listener closes, queued-but-unstarted
 sessions are cancelled with a recorded reason, running ones get
@@ -372,12 +373,12 @@ class SessionServer:
             await writer.drain()
 
     def render_metrics(self) -> str:
-        """The ``GET /metrics`` exposition: fleet rollups + internals."""
+        """The ``GET /metrics`` exposition: fleet aggregate + internals."""
         from repro.obs.stream import ExpositionBuilder
 
         out = ExpositionBuilder()
         registry = self.registry
-        registry.rollup.add_to_exposition(out)
+        registry.aggregate.add_to_exposition(out)
         out.family("repro_server_workers", "gauge", "Worker pool size")
         out.sample("repro_server_workers", "gauge", {}, self.config.workers)
         out.family("repro_server_draining", "gauge", "1 while draining")
@@ -443,7 +444,7 @@ class SessionServer:
             )
             return
         if segments == ["fleet"] and method == "GET":
-            payload = self.registry.rollup.as_dict()
+            payload = self.registry.aggregate.as_dict()
             payload["draining"] = self.draining
             await self._respond(writer, 200, payload)
             return

@@ -17,6 +17,7 @@ import repro
 from repro import Program, RunOptions, run
 from repro.core.coupler import RegionDef
 from repro.data.decomposition import BlockDecomposition
+import repro.obs.stream as stream_mod
 from repro.obs.stream import (
     SCHEMA,
     ExpositionBuilder,
@@ -347,6 +348,55 @@ class TestOpenMetricsValidator:
     def test_sample_before_type_is_flagged(self):
         bad = "foo_total 1\n# TYPE foo counter\n# EOF\n"
         assert validate_openmetrics(bad) != []
+
+    def test_interleaved_families_are_flagged(self):
+        # Two families opened, then their samples mixed by label: the
+        # shape the fleet exposition used to write.
+        bad = (
+            "# TYPE a counter\n# HELP a a\n# TYPE b gauge\n# HELP b b\n"
+            'a_total{s="x"} 1\nb{s="x"} 2\na_total{s="y"} 3\n# EOF\n'
+        )
+        problems = validate_openmetrics(bad)
+        assert [p.split(":")[0] for p in problems] == ["line 5", "line 7"]
+        assert all("interleaved" in p for p in problems)
+
+    def test_builder_groups_samples_under_their_family(self):
+        out = ExpositionBuilder()
+        out.family("a", "counter", "a")
+        out.family("b", "gauge", "b")
+        for s in ("x", "y"):
+            out.sample("a", "counter", {"s": s}, 1)
+            out.sample("b", "gauge", {"s": s}, 2)
+        text = out.render()
+        assert validate_openmetrics(text) == []
+        assert text.splitlines()[:4] == [
+            "# TYPE a counter", "# HELP a a", 'a_total{s="x"} 1', 'a_total{s="y"} 1',
+        ]
+
+    def test_render_is_byte_identical_to_a_linear_builder(self, monkeypatch):
+        # A telemetry record opens each family and writes its samples
+        # straight away, so grouping changes nothing for it.
+        class Linear:
+            """The builder as it was: lines appended in call order."""
+
+            def __init__(self) -> None:
+                self.lines: list[str] = []
+
+            def family(self, name, mtype, help_text):
+                self.lines += [f"# TYPE {name} {mtype}", f"# HELP {name} {help_text}"]
+
+            def sample(self, name, mtype, labels, value):
+                one = ExpositionBuilder()
+                one.family(name, mtype, "")
+                one.sample(name, mtype, labels, value)
+                self.lines.append(one.render().splitlines()[2])
+
+            def render(self):
+                return "\n".join([*self.lines, "# EOF"]) + "\n"
+
+        grouped = self.good()
+        monkeypatch.setattr(stream_mod, "ExpositionBuilder", Linear)
+        assert self.good() == grouped
 
 
 class TestLabelEscaping:

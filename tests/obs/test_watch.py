@@ -1,29 +1,26 @@
-"""The SLO watchdog: rule grammar, evaluation semantics against
-``repro.fleet/v1`` payloads, and alert emission through telemetry
-sinks."""
+"""SLO rules over the fleet aggregate: rule grammar, evaluation
+semantics, and the ``repro watch`` loop that fetches, evaluates and
+appends alerts to JSONL."""
 
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
 
-from repro.obs.fleet import FleetRollup
+from repro.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from repro.obs.fleet import Aggregate
 from repro.obs.watch import (
-    ALERTS_SCHEMA,
     Rule,
-    Watchdog,
     evaluate_rules,
     metric_value,
     parse_rule,
     parse_rules,
 )
+from repro.serve.client import ServeClient
 
-from tests.obs.test_fleet import SESSIONS, observe_fleet
-
-
-def fleet_payload() -> dict:
-    fleet = FleetRollup()
-    observe_fleet(fleet, SESSIONS)
-    return fleet.as_dict()
+from tests.obs.test_fleet import LEGACY_BASELINE, SESSIONS, fleet, observe_fleet
 
 
 class TestParseRule:
@@ -87,20 +84,20 @@ class TestParseRule:
 
 class TestMetricValue:
     def test_scalars(self):
-        demo = fleet_payload()["scenarios"]["demo"]
+        demo = fleet().blocks()["demo"]
         assert metric_value(demo, "error_rate") == pytest.approx(0.25)
         assert metric_value(demo, "sessions_total") == 4.0
         assert metric_value(demo, "errors") == 1.0
         assert metric_value(demo, "buddy_skips") > 0
 
     def test_histogram_suffixes(self):
-        demo = fleet_payload()["scenarios"]["demo"]
+        demo = fleet().blocks()["demo"]
         assert metric_value(demo, "t_ub_count") == 3.0
         assert metric_value(demo, "t_ub_mean") == pytest.approx(2.0)
         assert metric_value(demo, "duration_p50") is not None
 
     def test_unknown_metric_is_none(self):
-        assert metric_value(fleet_payload()["scenarios"]["demo"], "nope") is None
+        assert metric_value(fleet().blocks()["demo"], "nope") is None
 
 
 class TestEvaluateRules:
@@ -110,15 +107,13 @@ class TestEvaluateRules:
             "demo:t_ub_p95 < 100",
             "sessions_total >= 1",
         ])
-        assert evaluate_rules(fleet_payload(), rules) == []
+        assert evaluate_rules(fleet(), rules) == []
 
     def test_violation_produces_alert_record(self):
-        alerts = evaluate_rules(
-            fleet_payload(), parse_rules(["demo:error_rate <= 0"])
-        )
+        alerts = evaluate_rules(fleet(), parse_rules(["demo:error_rate <= 0"]))
         assert len(alerts) == 1
         alert = alerts[0]
-        assert alert["schema"] == ALERTS_SCHEMA
+        assert "schema" not in alert  # the record is an element of a report's alerts block
         assert alert["scenario"] == "demo"
         assert alert["metric"] == "error_rate"
         assert alert["value"] == pytest.approx(0.25)
@@ -127,82 +122,128 @@ class TestEvaluateRules:
 
     def test_unpinned_rule_fans_out_over_scenarios(self):
         # Both demo and chaos have errors, so both trip.
-        alerts = evaluate_rules(fleet_payload(), parse_rules(["errors <= 0"]))
+        alerts = evaluate_rules(fleet(), parse_rules(["errors <= 0"]))
         assert [a["scenario"] for a in alerts] == ["chaos", "demo"]
 
     def test_absent_pinned_scenario_is_an_alert(self):
-        alerts = evaluate_rules(
-            fleet_payload(), parse_rules(["ghost:error_rate <= 1"])
-        )
+        alerts = evaluate_rules(fleet(), parse_rules(["ghost:error_rate <= 1"]))
         assert len(alerts) == 1
         assert alerts[0]["scenario"] == "ghost"
         assert "absent" in alerts[0]["message"]
 
+    def test_unavailable_metric_is_an_alert(self):
+        rule = Rule(text="demo:nope < 1", scenario="demo", metric="nope", op="<",
+                    threshold=1.0, baseline_factor=None)
+        [alert] = evaluate_rules(fleet(), [rule])
+        assert alert["message"] == "metric 'nope' unavailable"
+
     def test_baseline_relative_rule(self):
-        payload = fleet_payload()
+        agg = fleet()
         # Against itself: p95 <= 1.0 * baseline holds, < it does not.
         assert evaluate_rules(
-            payload, parse_rules(["demo:t_ub_p95 <= baseline"]), baseline=payload
+            agg, parse_rules(["demo:t_ub_p95 <= baseline"]), baseline=agg
         ) == []
         worse = parse_rules(["demo:t_ub_p95 <= 0.5 * baseline"])
-        alerts = evaluate_rules(payload, worse, baseline=payload)
+        alerts = evaluate_rules(agg, worse, baseline=agg)
         assert len(alerts) == 1
         assert alerts[0]["baseline_value"] == alerts[0]["value"]
         assert alerts[0]["limit"] == pytest.approx(0.5 * alerts[0]["value"])
 
     def test_baseline_rule_without_baseline_raises(self):
         with pytest.raises(ValueError, match="baseline-relative"):
-            evaluate_rules(
-                fleet_payload(), parse_rules(["t_ub_p95 < 2 * baseline"])
-            )
+            evaluate_rules(fleet(), parse_rules(["t_ub_p95 < 2 * baseline"]))
 
     def test_scenario_missing_from_baseline_is_an_alert(self):
-        payload = fleet_payload()
-        baseline = {"schema": payload["schema"], "scenarios": {}}
         alerts = evaluate_rules(
-            payload, parse_rules(["demo:t_ub_p95 <= baseline"]), baseline=baseline
+            fleet(), parse_rules(["demo:t_ub_p95 <= baseline"]), baseline=Aggregate()
         )
         assert len(alerts) == 1
         assert "no baseline value" in alerts[0]["message"]
 
 
-class _ListSink:
-    def __init__(self) -> None:
-        self.records: list[dict] = []
+URL = "http://127.0.0.1:9"
 
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
+
+@pytest.fixture
+def served(monkeypatch):
+    """``repro watch`` against an in-memory fleet: the payload each
+    fetch returns (settable), the fetch count and every sleep."""
+    state = {"payload": fleet().as_dict(), "fetches": 0, "slept": []}
+
+    def fetch(_client):
+        state["fetches"] += 1
+        return state["payload"]
+
+    monkeypatch.setattr(ServeClient, "fleet", fetch)
+    monkeypatch.setattr(time, "sleep", state["slept"].append)
+    return state
 
 
 class TestWatchdog:
-    def test_run_once_emits_to_sinks_and_counts(self):
-        payload = fleet_payload()
-        sink = _ListSink()
-        dog = Watchdog(
-            lambda: payload,
-            parse_rules(["demo:error_rate <= 0", "demo:sessions_total >= 1"]),
-            sinks=[sink],
-        )
-        alerts = dog.run_once()
-        assert len(alerts) == 1
-        assert sink.records == alerts
-        assert dog.evaluations == 1
-        assert dog.alerts_total == 1
+    """The fetch-evaluate-emit-sleep loop of ``repro watch``."""
 
-    def test_run_repeats_without_real_sleeping(self):
-        payload = fleet_payload()
-        slept: list[float] = []
-        dog = Watchdog(lambda: payload, parse_rules(["errors <= 0"]))
-        alerts = dog.run(3, 5.0, sleep=slept.append)
-        assert dog.evaluations == 3
-        assert len(alerts) == 3 * 2  # two scenarios trip per pass
-        assert slept == [5.0, 5.0]  # no sleep after the last pass
+    def test_run_once_emits_to_sinks_and_counts(self, served, tmp_path, capsys):
+        path = tmp_path / "alerts.jsonl"
+        rc = main(["watch", URL, "--json", "--alerts", str(path),
+                   "--rule", "demo:error_rate <= 0", "--rule", "demo:sessions_total >= 1"])
+        assert rc == EXIT_FINDINGS
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["evaluations"] == served["fetches"] == 1
+        lines = [json.loads(x) for x in path.read_text().splitlines()]
+        assert lines == [{"schema": "repro.report/v1", "alerts": payload["alerts"]}]
+        assert [a["rule"] for a in payload["alerts"]] == ["demo:error_rate <= 0"]
 
-    def test_clean_fleet_emits_nothing(self):
-        sink = _ListSink()
-        dog = Watchdog(
-            fleet_payload, parse_rules(["error_rate <= 0.5"]), sinks=[sink]
-        )
-        assert dog.run(2, 0.0, sleep=lambda _s: None) == []
-        assert sink.records == []
-        assert dog.alerts_total == 0
+    def test_run_repeats_without_real_sleeping(self, served, tmp_path, capsys):
+        path = tmp_path / "alerts.jsonl"
+        rc = main(["watch", URL, "--json", "--iterations", "3", "--interval", "5",
+                   "--alerts", str(path), "--rule", "errors <= 0"])
+        assert rc == EXIT_FINDINGS
+        payload = json.loads(capsys.readouterr().out)
+        assert served["fetches"] == payload["evaluations"] == 3
+        assert len(payload["alerts"]) == 3 * 2  # two scenarios trip per pass
+        assert len(path.read_text().splitlines()) == 3 * 2  # one line per alert
+        assert served["slept"] == [5.0, 5.0]  # no sleep after the last pass
+
+    def test_clean_fleet_emits_nothing(self, served, tmp_path, capsys):
+        path = tmp_path / "alerts.jsonl"
+        rc = main(["watch", URL, "--iterations", "2", "--interval", "0",
+                   "--alerts", str(path), "--rule", "error_rate <= 0.5"])
+        assert rc == EXIT_OK
+        assert "fleet healthy" in capsys.readouterr().out
+        assert path.read_text() == ""
+
+
+class TestWatchGuards:
+    @pytest.mark.parametrize("flags", [["--iterations", "0"], ["--interval", "-1"]])
+    def test_bad_pass_schedule_is_usage_error_before_any_fetch(self, served, capsys, flags):
+        rc = main(["watch", URL, "--rule", "error_rate <= 1", *flags])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert served["fetches"] == 0 and served["slept"] == []
+
+    def test_legacy_baseline_gives_the_same_verdict(self, served, tmp_path, capsys):
+        # The legacy file and a current-format one over the same sessions
+        # agree on a fleet that holds the rule and on one that trips it.
+        current = tmp_path / "baseline.json"
+        current.write_text(json.dumps(fleet().as_dict()))
+        slower = Aggregate()
+        observe_fleet(slower, [(s, st, 2 * t, d) for s, st, t, d in SESSIONS])
+        rule = ["--rule", "demo:t_ub_p95 <= 1.5 * baseline"]
+        for payload, want in ((fleet().as_dict(), EXIT_OK), (slower.as_dict(), EXIT_FINDINGS)):
+            served["payload"] = payload
+            outs = []
+            for base in (LEGACY_BASELINE, current):
+                assert main(["watch", URL, "--json", "--baseline", str(base), *rule]) == want
+                outs.append(json.loads(capsys.readouterr().out)["alerts"])
+            assert outs[0] == outs[1]
+
+    def test_non_aggregate_baseline_is_usage_error(self, served, tmp_path, capsys):
+        # A `repro run --json` report is not a fleet baseline.
+        base = tmp_path / "report.json"
+        base.write_text(json.dumps({"schema": "repro.report/v1", "runs": [{"name": "x"}]}))
+        rc = main(["watch", URL, "--baseline", str(base), "--rule", "t_ub_p95 <= baseline"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(base) in err and "not an aggregate payload" in err
+        assert served["fetches"] == 0

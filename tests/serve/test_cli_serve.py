@@ -9,6 +9,7 @@ from typing import Iterator
 import pytest
 
 from repro.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from repro.obs import validate_report_payload
 from repro.serve import ServeConfig
 
 from tests.serve.conftest import ServerHandle, start_server
@@ -159,7 +160,8 @@ class TestWatchCli:
         ])
         assert rc == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.alerts/v1"
+        assert payload["schema"] == "repro.report/v1"
+        assert validate_report_payload(payload) == []
         assert payload["rules"] == [
             "demo:errors <= 0", "demo:sessions_total < 1",
         ]
@@ -180,9 +182,10 @@ class TestWatchCli:
         ])
         assert rc == EXIT_FINDINGS
         capsys.readouterr()
-        lines = alerts_path.read_text().strip().splitlines()
+        lines = [json.loads(x) for x in alerts_path.read_text().splitlines()]
         assert len(lines) == 1
-        assert json.loads(lines[0])["rule"] == "demo:sessions_total < 1"
+        assert lines[0]["schema"] == "repro.report/v1"
+        assert [a["rule"] for a in lines[0]["alerts"]] == ["demo:sessions_total < 1"]
 
     def test_malformed_rule_is_usage_error(self, cli_server, capsys):
         rc = main(["watch", cli_server.url, "--rule", "bogus_metric < 1"])

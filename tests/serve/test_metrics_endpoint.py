@@ -9,8 +9,10 @@ from typing import Iterator
 
 import pytest
 
+from repro.obs import validate_report_payload
 from repro.obs.stream import validate_openmetrics
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, SessionServer
+from repro.serve.spec import SessionSpec
 
 from tests.serve.conftest import ServerHandle, small_spec, start_server
 
@@ -62,24 +64,28 @@ class TestMetricsEndpoint:
 
     def test_fleet_endpoint_payload(self, fleet_server):
         payload = fleet_server.client.fleet()
-        assert payload["schema"] == "repro.fleet/v1"
-        demo = payload["scenarios"]["demo"]
+        assert payload["schema"] == "repro.report/v1"
+        assert validate_report_payload(payload) == []
+        assert payload["draining"] is False
+        groups = payload["aggregate"]["groups"]
+        demo = groups["demo"]
         assert demo["sessions"]["done"] == 2
         assert demo["errors"] == 0
         assert demo["t_ub"]["summary"]["count"] == 2
         assert demo["t_ub"]["summary"]["p95"] > 0
-        crash = payload["scenarios"]["crash"]
+        crash = groups["crash"]
         assert crash["errors"] == 1
         assert crash["error_rate"] == 1.0
         # The failed session left no latency sample behind.
         assert crash["t_ub"]["summary"]["count"] == 0
-        assert payload["totals"]["sessions"] == 3
-        assert payload["totals"]["errors"] == 1
+        totals = payload["aggregate"]["totals"]
+        assert totals["sessions_total"] == 3
+        assert totals["errors"] == 1
 
     def test_rollup_consistent_with_scrape(self, fleet_server):
-        # /fleet and /metrics render the same registry rollup.
+        # /fleet and /metrics render the same registry aggregate.
         payload = fleet_server.client.fleet()
-        rate = payload["scenarios"]["crash"]["error_rate"]
+        rate = payload["aggregate"]["groups"]["crash"]["error_rate"]
         assert (
             f'repro_fleet_error_rate{{scenario="crash"}} {rate:g}'
             in fleet_server.client.metrics()
@@ -98,3 +104,27 @@ class TestMetricsWithoutProfile:
 
     def test_empty_registry_scrapes_clean(self, server):
         assert validate_openmetrics(server.client.metrics()) == []
+
+
+class TestMetricsGrouping:
+    def test_subscriber_families_validate_with_two_attached_sessions(self):
+        # Two running sessions with subscribers: the two per-session
+        # subscriber families used to come out interleaved.
+        server = SessionServer(ServeConfig(workers=1))
+        registry = server.registry
+        for label in ("a", "b"):
+            session = registry.create(SessionSpec.from_dict(small_spec(label=label)))
+            registry.mark_started(session.id, 1)
+            registry.attach(session.id)
+            registry.publish(session.id, [b"{}\n", b"{}\n"])
+        text = server.render_metrics()
+        assert validate_openmetrics(text) == []
+        lines = text.splitlines()
+        at = lines.index("# TYPE repro_server_subscribers gauge")
+        assert [line.split("{")[0] for line in lines[at + 2:at + 7]] == [
+            "repro_server_subscribers", "repro_server_subscribers",
+            "# TYPE repro_server_subscriber_queue_depth gauge",
+            "# HELP repro_server_subscriber_queue_depth Queued telemetry records per "
+            "session, summed over its subscribers",
+            "repro_server_subscriber_queue_depth",
+        ]

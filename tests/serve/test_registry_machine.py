@@ -243,9 +243,9 @@ class RegistryMachine(RuleBasedStateMachine):
         assert reg.stats()["sessions_active"] == recount
         assert list(reg.queued) == [m.real for m in self.fifo]
         assert [s.id for s in reg.list()] == [m.real.id for m in self.sessions]
-        # The fleet rollup saw each terminal transition once, drops and all.
-        totals = reg.rollup.as_dict()["totals"]
-        assert totals["sessions"] == len(self.sessions) - recount
+        # The fleet aggregate saw each terminal transition once, drops and all.
+        totals = reg.aggregate.as_dict()["aggregate"]["totals"]
+        assert totals["sessions_total"] == len(self.sessions) - recount
         assert totals["telemetry_dropped"] == sum(
             m.real.dropped for m in self.sessions if m.terminal
         )

@@ -316,6 +316,20 @@ class TestReportBaseline:
         assert main([*DEMO_PAIR, "--baseline", str(invalid)]) == 2
         assert "baseline" in capsys.readouterr().err
 
+    def test_baseline_without_comparison_is_usage_error(self, tmp_path, capsys):
+        # A valid report with nothing to diff against used to print an
+        # empty diff and pass; a fleet aggregate payload is refused too.
+        assert main(["run", "demo", "--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert "comparison" not in single
+        for payload in (single, {"schema": "repro.report/v1",
+                                 "aggregate": {"groups": {}, "totals": {}}}):
+            base = tmp_path / "base.json"
+            base.write_text(json.dumps(payload))
+            assert main([*DEMO_PAIR, "--baseline", str(base)]) == 2
+            err = capsys.readouterr().err
+            assert "no comparison block" in err and str(base) in err
+
 
 class TestMonitor:
     def snapshot(self, t: float, final: bool = False) -> dict:
