@@ -7,28 +7,26 @@ wire and weighs the control bytes against the buffering work avoided.
 """
 
 from conftest import emit
-from repro.bench.figure4 import Figure4Spec, build_figure4_simulation
+from repro.bench.figure4 import Figure4Spec, figure4_rows
 from repro.bench.reporting import format_table
 
 
 def _run(u_procs, buddy, exports=401):
+    """The wire and rep counters of one Figure-4 run, read off its row."""
     spec = Figure4Spec(u_procs=u_procs, exports=exports, runs=1,
                        jitter=0.0, buddy_help=buddy)
-    cs = build_figure4_simulation(spec)
-    cs.run()
-    net = cs.world.network
-    rep = cs._programs["F"].exp_rep
-    assert rep is not None
-    slow = cs.context("F", spec.slow_rank)
+    (row,) = figure4_rows(spec)
+    wire = row["counters"]
+    (requests,) = [
+        s["value"] for s in row["metrics"]["metrics"]
+        if s["name"] == "rep.requests" and s["labels"] == {"program": "F"}
+    ]
     return {
-        "messages": net.messages_sent,
-        "bytes": net.bytes_sent,
-        "buddy_msgs": rep.buddy_messages_sent,
-        "requests": rep.requests_seen,
-        "skips": slow.stats.decisions().get("skip", 0),
-        "memcpy_saved_s": slow.stats.decisions().get("skip", 0)
-        * spec.preset().memory.memcpy_time(spec.f_elements() * 8, now=1e9),
-        "export_total_s": sum(r.cost for r in slow.stats.export_records),
+        "messages": wire["ctl_messages"] + wire["data_messages"],
+        "buddy_msgs": row["metrics"]["paper"]["buddy_helps_sent"],
+        "requests": int(requests),
+        "skips": row["p_s"]["decisions"].get("skip", 0),
+        "export_total_s": row["p_s"]["export_time"],
     }
 
 

@@ -7,7 +7,7 @@ exactly what the optimization removes.
 """
 
 from conftest import emit
-from repro.bench.figure4 import Figure4Spec, run_figure4_once
+from repro.bench.figure4 import Figure4Spec, figure4_rows
 from repro.bench.reporting import format_table
 
 
@@ -21,19 +21,19 @@ def test_eq2_tub_with_and_without_buddy(benchmark, scale):
                 spec = Figure4Spec(
                     u_procs=u, exports=exports, runs=1, jitter=0.0, buddy_help=buddy
                 )
-                out[(u, buddy)] = run_figure4_once(spec)
+                out[(u, buddy)] = figure4_rows(spec)[0]["p_s"]
         return out
 
     runs = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
     rows = []
-    for (u, buddy), run in sorted(runs.items()):
+    for (u, buddy), ps in sorted(runs.items()):
         rows.append(
             [
                 u,
                 "on" if buddy else "off",
-                f"{run.t_ub * 1e3:.3f}",
-                f"{run.unnecessary_total * 1e3:.1f}",
-                f"{run.skip_fraction:.2f}",
+                f"{ps['t_ub'] * 1e3:.3f}",
+                f"{ps['unnecessary_total'] * 1e3:.1f}",
+                f"{ps['skip_fraction']:.2f}",
             ]
         )
     emit(
@@ -44,10 +44,10 @@ def test_eq2_tub_with_and_without_buddy(benchmark, scale):
     )
     for u in (16, 32):
         on, off = runs[(u, True)], runs[(u, False)]
-        assert on.t_ub <= off.t_ub
-        assert on.unnecessary_total < off.unnecessary_total
+        assert on["t_ub"] <= off["t_ub"]
+        assert on["unnecessary_total"] < off["unnecessary_total"]
     # Strict improvement where the importer is fast enough to help.
-    assert runs[(32, True)].t_ub < 0.2 * max(runs[(32, False)].t_ub, 1e-12)
+    assert runs[(32, True)]["t_ub"] < 0.2 * max(runs[(32, False)]["t_ub"], 1e-12)
     benchmark.extra_info["paper"] = "buddy-help drives T_i (and T_ub) to zero"
 
 

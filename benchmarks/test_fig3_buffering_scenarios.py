@@ -8,30 +8,32 @@ where buddy-help pays.
 
 from conftest import emit
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import run_exporter_slower, run_importer_slower
+from repro.bench.rows import run_row
+from repro.scenarios import build
+
+
+def _row(scenario, exports, buddy_help=True):
+    return run_row(scenario, build(scenario, {"exports": exports, "buddy_help": buddy_help}))
 
 
 def test_fig3a_importer_slower(benchmark, scale):
-    res = benchmark.pedantic(
-        run_importer_slower,
-        kwargs={"exports": min(scale["exports"], 400)},
-        rounds=1,
-        iterations=1,
-    )
+    exports = min(scale["exports"], 400)
+    row = benchmark.pedantic(_row, args=("fig3a", exports), rounds=1, iterations=1)
+    ps = row["p_s"]
     emit(
         "Figure 3(a): importer slower",
         format_table(
             ["exports", "requests", "buffered%", "skip%", "T_ub (s)"],
             [[
-                res.exports,
-                res.requests,
-                f"{res.buffered_fraction:.2f}",
-                f"{res.skip_fraction:.2f}",
-                f"{res.buffer_stats.t_ub:.4g}",
+                exports,
+                len(row["answers"]["0"]),
+                f"{ps['buffered_fraction']:.2f}",
+                f"{ps['skip_fraction']:.2f}",
+                f"{ps['t_ub']:.4g}",
             ]],
         ),
     )
-    assert res.buffered_fraction == 1.0
+    assert ps["buffered_fraction"] == 1.0
     benchmark.extra_info["paper"] = "every export buffered; exporter unaffected"
 
 
@@ -39,10 +41,7 @@ def test_fig3b_exporter_slower(benchmark, scale):
     exports = min(scale["exports"], 400)
 
     def run_both():
-        return (
-            run_exporter_slower(exports=exports, buddy_help=True),
-            run_exporter_slower(exports=exports, buddy_help=False),
-        )
+        return [_row("fig3b", exports, buddy)["p_s"] for buddy in (True, False)]
 
     with_buddy, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
     emit(
@@ -50,17 +49,12 @@ def test_fig3b_exporter_slower(benchmark, scale):
         format_table(
             ["buddy", "skip%", "buffered%", "T_ub (s)", "total export time (s)"],
             [
-                ["on", f"{with_buddy.skip_fraction:.2f}",
-                 f"{with_buddy.buffered_fraction:.2f}",
-                 f"{with_buddy.buffer_stats.t_ub:.4g}",
-                 f"{with_buddy.exporter_export_time_total:.4g}"],
-                ["off", f"{without.skip_fraction:.2f}",
-                 f"{without.buffered_fraction:.2f}",
-                 f"{without.buffer_stats.t_ub:.4g}",
-                 f"{without.exporter_export_time_total:.4g}"],
+                [label, f"{ps['skip_fraction']:.2f}", f"{ps['buffered_fraction']:.2f}",
+                 f"{ps['t_ub']:.4g}", f"{ps['export_time']:.4g}"]
+                for label, ps in (("on", with_buddy), ("off", without))
             ],
         ),
     )
-    assert with_buddy.skip_fraction > without.skip_fraction
-    assert with_buddy.exporter_export_time_total < without.exporter_export_time_total
+    assert with_buddy["skip_fraction"] > without["skip_fraction"]
+    assert with_buddy["export_time"] < without["export_time"]
     benchmark.extra_info["paper"] = "in-region buffering is the cost buddy-help removes"

@@ -15,8 +15,8 @@ Paper observations reproduced and asserted here:
 import pytest
 
 from conftest import emit
-from repro.bench.figure4 import Figure4Spec, run_figure4
-from repro.bench.reporting import format_series, format_table
+from repro.bench.figure4 import Figure4Spec, figure4_rows
+from repro.bench.reporting import format_series, format_table, mean_series
 from repro.util.stats import SeriesSummary
 
 
@@ -26,91 +26,86 @@ def _spec(u_procs, scale, **kw):
     )
 
 
-def _report(result):
-    spec = result.spec
-    mean = result.mean_series()
-    rows = []
-    for i, run in enumerate(result.runs):
-        s = run.summary()
-        rows.append(
-            [
-                i,
-                f"{s.head_mean * 1e3:.3f}",
-                f"{s.body_mean * 1e3:.3f}",
-                f"{s.tail_mean * 1e3:.3f}",
-                f"{run.skip_fraction:.2f}",
-                run.optimal_iteration if run.optimal_iteration is not None else "-",
-                f"{run.t_ub * 1e3:.2f}",
-            ]
-        )
-    table = format_table(
-        ["run", "head ms", "body ms", "tail ms", "skip%", "opt iter", "T_ub ms"],
-        rows,
-    )
+def _runs(spec, benchmark):
+    """``p_s`` of every run of *spec*, timed once, with its report emitted."""
+    rows = benchmark.pedantic(figure4_rows, args=(spec,), rounds=1, iterations=1)
+    runs = [row["p_s"] for row in rows]
+    table = []
+    for i, ps in enumerate(runs):
+        s = SeriesSummary.from_series(ps["series"])
+        table.append([
+            i,
+            f"{s.head_mean * 1e3:.3f}",
+            f"{s.body_mean * 1e3:.3f}",
+            f"{s.tail_mean * 1e3:.3f}",
+            f"{ps['skip_fraction']:.2f}",
+            _opt(ps),
+            f"{ps['t_ub'] * 1e3:.2f}",
+        ])
+    mean = mean_series([ps["series"] for ps in runs])
     emit(
         f"Figure 4: U={spec.u_procs} processes ({spec.runs} runs, "
         f"{spec.exports} exports)",
-        table + "\n" + format_series("mean p_s export time", mean, unit="s"),
+        format_table(
+            ["run", "head ms", "body ms", "tail ms", "skip%", "opt iter", "T_ub ms"], table
+        )
+        + "\n"
+        + format_series("mean p_s export time", mean, unit="s"),
     )
+    return runs
+
+
+def _opt(ps):
+    return ps["optimal_iteration"] if ps["optimal_iteration"] is not None else "-"
 
 
 @pytest.mark.parametrize("u_procs,sub", [(4, "a"), (8, "b")], ids=["fig4a-u4", "fig4b-u8"])
 def test_fig4_importer_slower_flat_series(benchmark, scale, u_procs, sub):
-    spec = _spec(u_procs, scale)
-    result = benchmark.pedantic(run_figure4, args=(spec,), rounds=1, iterations=1)
-    _report(result)
-    for run in result.runs:
+    runs = _runs(_spec(u_procs, scale), benchmark)
+    for ps in runs:
         # Every export buffered (plus the matched sends): no skips.
-        assert run.decisions.get("skip", 0) == 0
-        assert run.optimal_iteration is None
-        s = SeriesSummary.from_series(run.series, head=30, tail=200)
+        assert ps["decisions"].get("skip", 0) == 0
+        assert ps["optimal_iteration"] is None
+        s = SeriesSummary.from_series(ps["series"], head=30, tail=200)
         # ~8% init surcharge on the head of the series.
         assert s.head_mean > 1.03 * s.body_mean
         # A few percent faster after the peer processes finish.
         assert s.tail_mean < s.body_mean
-    benchmark.extra_info["skip_fraction"] = result.runs[0].skip_fraction
+    benchmark.extra_info["skip_fraction"] = runs[0]["skip_fraction"]
     benchmark.extra_info["paper"] = "flat series; +8% head; -4% tail"
 
 
 def test_fig4c_u16_gradual_optimal_state(benchmark, scale):
-    spec = _spec(16, scale)
-    result = benchmark.pedantic(run_figure4, args=(spec,), rounds=1, iterations=1)
-    _report(result)
+    runs = _runs(_spec(16, scale), benchmark)
     full = scale["exports"] >= 1001
-    for run in result.runs:
+    for ps in runs:
         # The catch-up is deliberately near-critical (paper: ~400
         # iterations to the optimal state), so short REPRO_QUICK runs
         # only see its beginning.
-        assert run.skip_fraction > (0.5 if full else 0.2)
+        assert ps["skip_fraction"] > (0.5 if full else 0.2)
         if full:
-            assert run.optimal_iteration is not None
+            assert ps["optimal_iteration"] is not None
             # Paper: around 400 iterations; accept the broad band the
             # "gradual catch-up" claim implies.
-            assert 100 <= run.optimal_iteration <= 700
+            assert 100 <= ps["optimal_iteration"] <= 700
         # The series decays: late exports are cheaper than early ones.
-        s = run.summary()
+        s = SeriesSummary.from_series(ps["series"])
         assert s.tail_mean < (0.5 if full else 0.9) * s.head_mean
-    benchmark.extra_info["optimal_iterations"] = [
-        r.optimal_iteration for r in result.runs
-    ]
+    benchmark.extra_info["optimal_iterations"] = [ps["optimal_iteration"] for ps in runs]
     benchmark.extra_info["paper"] = "optimal state at ~400 iterations"
 
 
 def test_fig4d_u32_fast_optimal_state(benchmark, scale):
-    spec = _spec(32, scale)
-    result = benchmark.pedantic(run_figure4, args=(spec,), rounds=1, iterations=1)
-    _report(result)
-    for run in result.runs:
-        assert run.skip_fraction > 0.8
-        assert run.optimal_iteration is not None
+    runs = _runs(_spec(32, scale), benchmark)
+    for ps in runs:
+        assert ps["skip_fraction"] > 0.8
+        assert ps["optimal_iteration"] is not None
         # Paper: around 25 iterations.
-        assert run.optimal_iteration <= 80
+        assert ps["optimal_iteration"] <= 80
         # Figure 6 / optimal state: T_i == 0 once reached; total in-region
         # waste stays negligible.
-        assert run.t_ub < 0.01
-    benchmark.extra_info["optimal_iterations"] = [
-        r.optimal_iteration for r in result.runs
-    ]
+        assert ps["t_ub"] < 0.01
+    benchmark.extra_info["optimal_iterations"] = [ps["optimal_iteration"] for ps in runs]
     benchmark.extra_info["paper"] = "optimal state at ~25 iterations"
 
 
@@ -120,21 +115,17 @@ def test_fig4_cross_configuration_ordering(benchmark, scale):
 
     def run_all():
         return {
-            u: run_figure4(_spec(u, {"exports": scale["exports"], "runs": 1}))
+            u: figure4_rows(_spec(u, {"exports": scale["exports"], "runs": 1}))[0]["p_s"]
             for u in (4, 8, 16, 32)
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = []
     means = {}
-    for u, result in results.items():
-        run = result.runs[0]
-        s = run.summary()
+    for u, ps in results.items():
+        s = SeriesSummary.from_series(ps["series"])
         means[u] = s.mean
-        rows.append(
-            [u, f"{s.mean * 1e3:.3f}", f"{run.skip_fraction:.2f}",
-             run.optimal_iteration if run.optimal_iteration is not None else "-"]
-        )
+        rows.append([u, f"{s.mean * 1e3:.3f}", f"{ps['skip_fraction']:.2f}", _opt(ps)])
     emit(
         "Figure 4 cross-configuration summary",
         format_table(["U procs", "mean export ms", "skip%", "opt iter"], rows),

@@ -15,8 +15,9 @@ Run:  python examples/figure4_sweep.py [--full] [--no-buddy]
 
 import argparse
 
-from repro.bench.figure4 import Figure4Spec, run_figure4
-from repro.bench.reporting import format_series, format_table
+from repro.bench.figure4 import Figure4Spec, figure4_rows
+from repro.bench.reporting import format_series, format_table, mean_series
+from repro.util.stats import SeriesSummary
 
 
 def main():
@@ -38,17 +39,19 @@ def main():
         spec = Figure4Spec(
             u_procs=u, exports=exports, runs=runs, buddy_help=buddy
         )
-        result = run_figure4(spec)
-        mean = result.mean_series()
+        p_s = [row["p_s"] for row in figure4_rows(spec)]
+        mean = mean_series([ps["series"] for ps in p_s])
         print(format_series(f"4({sub}) U={u:<2}  p_s export time", mean, unit="s"))
-        run0 = result.runs[0]
+        run0 = p_s[0]
+        summary = SeriesSummary.from_series(run0["series"])
+        opt = run0["optimal_iteration"]
         rows.append([
             f"4({sub})", u,
-            f"{run0.summary().head_mean * 1e3:.3f}",
-            f"{run0.summary().tail_mean * 1e3:.3f}",
-            f"{run0.skip_fraction:.2f}",
-            run0.optimal_iteration if run0.optimal_iteration is not None else "never",
-            f"{run0.t_ub * 1e3:.2f}",
+            f"{summary.head_mean * 1e3:.3f}",
+            f"{summary.tail_mean * 1e3:.3f}",
+            f"{run0['skip_fraction']:.2f}",
+            opt if opt is not None else "never",
+            f"{run0['t_ub'] * 1e3:.2f}",
         ])
         print()
 

@@ -25,55 +25,64 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.bench.figure4 import Figure4Spec, run_figure4_once  # noqa: E402
-from repro.bench.resilience import run_once  # noqa: E402
+from repro.bench.figure4 import Figure4Spec, figure4_rows  # noqa: E402
+from repro.bench.rows import run_row  # noqa: E402
 from repro.bench.traces import (  # noqa: E402
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
 )
 from repro.faults import FaultPlan  # noqa: E402
+from repro.scenarios import build  # noqa: E402
 
 OUT = ROOT / "tests" / "golden" / "seed_replay.json"
 
 
-def _chaos_case(plan: FaultPlan | None) -> dict:
-    r = run_once(plan, exports=40, requests=15)
+def chaos_case(plan: FaultPlan | None, **overrides) -> dict:
+    """The pinned fields of one ``resilience`` row under *plan*."""
+    row = run_row(
+        "resilience",
+        build("resilience", {"exports": 40, "requests": 15}),
+        fault_plan=plan,
+        **overrides,
+    )
     return {
-        "drop": r.drop,
-        "answers": {str(k): v for k, v in sorted(r.answers.items())},
-        "skip_count": r.skip_count,
-        "t_ub": r.t_ub,
-        "retransmissions": r.retransmissions,
-        "dup_discards": r.dup_discards,
-        "sim_time": r.sim_time,
+        "drop": plan.drop if plan is not None else 0.0,
+        "answers": row["answers"],
+        "skip_count": row["p_s"]["decisions"].get("skip", 0),
+        "t_ub": row["p_s"]["t_ub"],
+        "retransmissions": row["counters"]["retransmissions"],
+        "dup_discards": row["counters"]["dup_discards"],
+        "sim_time": row["sim_time"],
     }
 
 
-def _figure4_case(u_procs: int) -> dict:
-    spec = replace(Figure4Spec(u_procs=u_procs), exports=161, runs=1)
-    run = run_figure4_once(spec, run_index=0)
+def figure4_case(u_procs: int, **overrides) -> dict:
+    """The pinned fields of the first ``fig4`` row at 161 exports."""
+    spec = replace(Figure4Spec(u_procs=u_procs), exports=161, runs=1, **overrides)
+    (row,) = figure4_rows(spec)
+    ps = row["p_s"]
     return {
         "u_procs": u_procs,
-        "series": run.series,
-        "decisions": run.decisions,
-        "t_ub": run.t_ub,
-        "unnecessary_total": run.unnecessary_total,
-        "buddy_messages": run.buddy_messages,
-        "optimal_iteration": run.optimal_iteration,
-        "sim_time": run.sim_time,
+        "series": ps["series"],
+        "decisions": ps["decisions"],
+        "t_ub": ps["t_ub"],
+        "unnecessary_total": ps["unnecessary_total"],
+        "buddy_messages": row["metrics"]["paper"]["buddy_helps_sent"],
+        "optimal_iteration": ps["optimal_iteration"],
+        "sim_time": row["sim_time"],
     }
 
 
 def main() -> None:
     golden = {
         "chaos": {
-            "baseline": _chaos_case(None),
-            "faulty": _chaos_case(
+            "baseline": chaos_case(None),
+            "faulty": chaos_case(
                 FaultPlan(seed=7, drop=0.2, dup=0.1, delay_jitter=5e-5, reorder=0.1)
             ),
         },
-        "figure4": [_figure4_case(16), _figure4_case(32)],
+        "figure4": [figure4_case(16), figure4_case(32)],
         "traces": {
             "fig5": scenario_fig5().rendered(),
             "fig7": scenario_fig7_with_buddy().rendered(),

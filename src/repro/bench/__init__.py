@@ -1,65 +1,50 @@
 """Benchmark harness: regenerates every figure of the paper.
 
 The coupled experiments are described once, in :mod:`repro.scenarios`;
-the modules here run them through :func:`repro.run` and fold the
-:class:`~repro.RunResult` into the rows the paper plots.
+every run of one is a ``repro run`` row (:func:`run_row`), and a
+multi-run experiment is a list of rows.
 
-* :mod:`repro.bench.figure4` -- the Section-5 micro-benchmark
-  (Figure 4 a-d): per-iteration export time of the slowest exporter
-  process for importer sizes 4/8/16/32, six runs each.
-* :mod:`repro.bench.scenarios` -- the Figure-3 buffering scenarios
-  (importer-slower vs exporter-slower).
-* :mod:`repro.bench.resilience` -- the chaos sweep: the same answers
-  under every fault plan.
 * :mod:`repro.bench.rows` -- the one fold of a run into what the paper
-  plots: ``p_s``'s export path and the importer's answers (every
-  runner here and every ``repro run`` row).
+  plots (``p_s``'s export path and the importer's answers) and
+  :func:`run_row`, which runs a scenario build into its row: every
+  ``repro run`` cell, benchmark, golden and report reads it.
+* :mod:`repro.bench.figure4` -- the Section-5 micro-benchmark
+  (Figure 4 a-d): :func:`figure4_rows`, the rows of one importer size,
+  six runs by default.
 * :mod:`repro.bench.traces` -- the event-trace scripts of Figures
   5, 7 and 8, plus the Figure-6 optimal-state predicate.
 * :mod:`repro.bench.experiments_report` -- every figure as one
-  markdown report (``repro experiments``).
+  markdown report (``repro experiments``), rendered from rows.
 * :mod:`repro.bench.reporting` -- ASCII tables/series so the pytest
   benchmarks print the same rows the paper plots.
+
+Figure 3 and the resilience sweep need no runner of their own: they are
+``run_row`` over scenarios ``fig3a`` / ``fig3b`` and ``resilience``.
 """
 
-from repro.bench.figure4 import (
-    Figure4Result,
-    Figure4Run,
-    Figure4Spec,
-    build_figure4_simulation,
-    run_figure4,
-    run_figure4_once,
-)
+from repro.bench.figure4 import Figure4Spec, build_figure4_simulation, figure4_rows
+from repro.bench.reporting import format_series, format_table, mean_series, summarize_runs
+from repro.bench.rows import run_row
 from repro.bench.traces import (
     TraceScenario,
+    optimal_state_reached,
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
-    optimal_state_reached,
 )
-from repro.bench.scenarios import (
-    BufferingScenarioResult,
-    run_importer_slower,
-    run_exporter_slower,
-)
-from repro.bench.reporting import format_series, format_table, summarize_runs
 
 __all__ = [
     "Figure4Spec",
-    "Figure4Run",
-    "Figure4Result",
     "build_figure4_simulation",
-    "run_figure4",
-    "run_figure4_once",
+    "figure4_rows",
+    "run_row",
     "TraceScenario",
     "scenario_fig5",
     "scenario_fig7_with_buddy",
     "scenario_fig8_without_buddy",
     "optimal_state_reached",
-    "BufferingScenarioResult",
-    "run_importer_slower",
-    "run_exporter_slower",
     "format_series",
     "format_table",
+    "mean_series",
     "summarize_runs",
 ]

@@ -3,21 +3,30 @@
 ``python -m repro experiments`` runs every paper experiment and emits a
 markdown report with the measured numbers — the same content as the
 hand-written ``EXPERIMENTS.md``, but produced mechanically so a reader
-can diff claims against a fresh run on their machine.
+can diff claims against a fresh run on their machine.  Every number
+is read from ``repro run`` rows (:func:`~repro.bench.rows.run_row`,
+:func:`~repro.bench.figure4.figure4_rows`).
 """
 
 from __future__ import annotations
 
 from typing import TextIO
 
-from repro.bench.figure4 import Figure4Spec, run_figure4
-from repro.bench.scenarios import run_exporter_slower, run_importer_slower
+from repro.bench.figure4 import Figure4Spec, figure4_rows
+from repro.bench.reporting import mean_series
+from repro.bench.rows import run_row
 from repro.bench.traces import (
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
 )
+from repro.scenarios import build
 from repro.util.stats import SeriesSummary
+
+
+def _mean(rows: list[dict], key: str) -> float:
+    """``p_s[key]`` averaged over *rows*."""
+    return sum(row["p_s"][key] for row in rows) / len(rows)
 
 
 def generate_report(
@@ -39,17 +48,17 @@ def generate_report(
     w("|---|---|---|---|---|---|---|---|---|\n")
     fig4 = {}
     for u in (4, 8, 16, 32):
-        result = run_figure4(
+        rows = fig4[u] = figure4_rows(
             Figure4Spec(u_procs=u, exports=exports, runs=runs, seed=seed)
         )
-        fig4[u] = result
-        s = SeriesSummary.from_series(result.mean_series(), head=30, tail=300)
-        skip = sum(r.skip_fraction for r in result.runs) / len(result.runs)
-        t_ub = sum(r.t_ub for r in result.runs) / len(result.runs)
+        s = SeriesSummary.from_series(
+            mean_series([row["p_s"]["series"] for row in rows]), head=30, tail=300
+        )
+        skip, t_ub = _mean(rows, "skip_fraction"), _mean(rows, "t_ub")
         opts = sorted(
-            r.optimal_iteration
-            for r in result.runs
-            if r.optimal_iteration is not None
+            row["p_s"]["optimal_iteration"]
+            for row in rows
+            if row["p_s"]["optimal_iteration"] is not None
         )
         opt_text = f"{opts[0]}–{opts[-1]}" if opts else "never"
         w(
@@ -65,29 +74,25 @@ def generate_report(
     w("## Eq. (2) — T_ub with buddy-help off\n\n")
     w("| U procs | T_ub on (ms) | T_ub off (ms) | reduction |\n|---|---|---|---|\n")
     for u in (16, 32):
-        off = run_figure4(
+        off = figure4_rows(
             Figure4Spec(u_procs=u, exports=exports, runs=max(1, runs // 2),
                         seed=seed, buddy_help=False)
         )
-        t_on = sum(r.t_ub for r in fig4[u].runs) / len(fig4[u].runs)
-        t_off = sum(r.t_ub for r in off.runs) / len(off.runs)
+        t_on, t_off = _mean(fig4[u], "t_ub"), _mean(off, "t_ub")
         ratio = "∞" if t_on == 0 else f"{t_off / t_on:.0f}×"
         w(f"| {u} | {t_on * 1e3:.2f} | {t_off * 1e3:.2f} | {ratio} |\n")
     w("\n")
 
     # ---- Figure 3 ---------------------------------------------------------
     w("## Figure 3 — buffering scenarios\n\n")
-    a = run_importer_slower()
-    b_on = run_exporter_slower(buddy_help=True)
-    b_off = run_exporter_slower(buddy_help=False)
-    w(f"* (a) importer slower: buffered {a.buffered_fraction:.0%}, "
-      f"skipped {a.skip_fraction:.0%}\n")
-    w(f"* (b) exporter slower, buddy on:  skipped {b_on.skip_fraction:.0%}, "
-      f"T_ub {b_on.buffer_stats.t_ub:.4g} s, export time "
-      f"{b_on.exporter_export_time_total:.4g} s\n")
-    w(f"* (b) exporter slower, buddy off: skipped {b_off.skip_fraction:.0%}, "
-      f"T_ub {b_off.buffer_stats.t_ub:.4g} s, export time "
-      f"{b_off.exporter_export_time_total:.4g} s\n\n")
+    a = run_row("fig3a", build("fig3a"))["p_s"]
+    w(f"* (a) importer slower: buffered {a['buffered_fraction']:.0%}, "
+      f"skipped {a['skip_fraction']:.0%}\n")
+    for flag, label in ((True, "on: "), (False, "off:")):
+        b = run_row("fig3b", build("fig3b", {"buddy_help": flag}))["p_s"]
+        w(f"* (b) exporter slower, buddy {label} skipped {b['skip_fraction']:.0%}, "
+          f"T_ub {b['t_ub']:.4g} s, export time {b['export_time']:.4g} s\n")
+    w("\n")
 
     # ---- Traces -------------------------------------------------------------
     w("## Figures 5, 7, 8 — event traces\n\n")

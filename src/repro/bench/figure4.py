@@ -27,60 +27,31 @@ What the shapes mean:
   almost immediately (paper: ≈ 25 iterations).
 
 The configuration itself is :class:`repro.scenarios.Figure4Spec`
-(scenario ``fig4``); this module runs it and folds the result.
+(scenario ``fig4``); this module runs it into ``repro run`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import Any
 
 from repro.api.facade import build
 from repro.bench import rows
-from repro.bench.reporting import summarize_runs
 from repro.core.coupler import CoupledSimulation
 from repro.scenarios import Figure4Spec
-from repro.util.stats import SeriesSummary
 
 
-@dataclass
-class Figure4Run:
-    """Results of one run: the ``p_s`` series plus framework counters."""
+def figure4_rows(spec: Figure4Spec) -> list[dict[str, Any]]:
+    """The ``spec.runs`` rows of one configuration (:func:`rows.run_row`).
 
-    series: list[float]
-    decisions: dict[str, int]
-    t_ub: float
-    unnecessary_total: float
-    buddy_messages: int
-    optimal_iteration: int | None
-    sim_time: float
-
-    @property
-    def skip_fraction(self) -> float:
-        """Fraction of exports whose memcpy was skipped."""
-        return rows.skip_fraction(self.decisions)
-
-    def summary(self) -> SeriesSummary:
-        """Head/body/tail summary of the series."""
-        return SeriesSummary.from_series(self.series)
-
-
-@dataclass
-class Figure4Result:
-    """All runs of one configuration."""
-
-    spec: Figure4Spec
-    runs: list[Figure4Run] = field(default_factory=list)
-
-    def mean_series(self) -> list[float]:
-        """Elementwise mean across runs."""
-        n = min(len(r.series) for r in self.runs)
-        return [
-            sum(r.series[i] for r in self.runs) / len(self.runs) for i in range(n)
-        ]
-
-    def mean_summary(self) -> SeriesSummary:
-        """Summary of the mean series."""
-        return summarize_runs([r.series for r in self.runs])
+    Run *i* is seeded ``spec.seed * 1000 + i``, so the runs differ only
+    in their cost-model jitter.
+    """
+    seeds = [spec.seed * 1000 + i for i in range(spec.runs)]
+    return [
+        rows.run_row(f"fig4 u_procs={spec.u_procs} seed={seed}", spec.scenario(seed))
+        for seed in seeds
+    ]
 
 
 def build_figure4_simulation(
@@ -97,29 +68,6 @@ def build_figure4_simulation(
 
 #: Re-exported: the perf harness imports it from this module.
 optimal_iteration_of = rows.optimal_iteration_of
-
-
-def run_figure4_once(spec: Figure4Spec, run_index: int = 0) -> Figure4Run:
-    """Execute one run and collect the ``p_s`` series and counters."""
-    result = spec.scenario(seed=spec.seed * 1000 + run_index).run()
-    fold = rows.fold_run(result)
-    return Figure4Run(
-        series=fold.series,
-        decisions=fold.decisions,
-        t_ub=fold.ledger.t_ub,
-        unnecessary_total=fold.ledger.unnecessary_total_time,
-        buddy_messages=result.paper_metrics.buddy_helps_sent,
-        optimal_iteration=fold.optimal_iteration,
-        sim_time=result.sim_time,
-    )
-
-
-def run_figure4(spec: Figure4Spec) -> Figure4Result:
-    """Execute all ``spec.runs`` runs of one configuration."""
-    result = Figure4Result(spec=spec)
-    for i in range(spec.runs):
-        result.runs.append(run_figure4_once(spec, run_index=i))
-    return result
 
 
 def spec_for_subfigure(sub: str, **overrides) -> Figure4Spec:

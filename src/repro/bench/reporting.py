@@ -82,12 +82,15 @@ def format_series(
     return "\n".join(lines)
 
 
-def summarize_runs(series_list: Sequence[Sequence[float]]) -> SeriesSummary:
-    """Summary of the elementwise-mean series across repeated runs."""
+def mean_series(series_list: Sequence[Sequence[float]]) -> list[float]:
+    """Elementwise mean across repeated runs, over the shortest's length."""
     require(len(series_list) > 0, "need at least one run")
     n = min(len(s) for s in series_list)
-    require(n > 0, "series must be non-empty")
-    mean_series = [
-        sum(s[i] for s in series_list) / len(series_list) for i in range(n)
-    ]
-    return SeriesSummary.from_series(mean_series)
+    return [sum(s[i] for s in series_list) / len(series_list) for i in range(n)]
+
+
+def summarize_runs(series_list: Sequence[Sequence[float]]) -> SeriesSummary:
+    """Summary of the elementwise-mean series across repeated runs."""
+    mean = mean_series(series_list)
+    require(len(mean) > 0, "series must be non-empty")
+    return SeriesSummary.from_series(mean)

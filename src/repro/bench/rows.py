@@ -1,12 +1,15 @@
-"""The one fold from a finished run to the numbers the paper plots.
+"""One run of an experiment, as the one row every consumer reads.
 
 Every registered scenario (:mod:`repro.scenarios`) has one shape: the
 first program exports over the first connection and its last rank is
 the slow ``p_s``; the second program imports.  :func:`fold_run` reads
 that shape off the run's configuration — no program or region name is
-hard-coded — so the Figure-3, Figure-4 and resilience runners and every
-``repro run`` row share this one read of ``p_s``'s ledger and of the
-importer's answers.
+hard-coded — and :func:`run_row` merges the fold with the run's report
+(:func:`~repro.obs.export.report_run`).  That row is what ``repro run
+--json`` prints per cell and what the Figure-3, Figure-4, Eq.-2 and
+resilience benchmarks, the seed-replay goldens and ``repro
+experiments`` read; :func:`repro.bench.figure4.figure4_rows` is a list
+of them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from typing import Any
 
 from repro.core.buffers import BufferStats
 from repro.core.exporter import ExportDecision
+from repro.obs.export import report_run
+from repro.scenarios import ScenarioBuild
 
 #: One importer rank's answers: ``(request_ts, matched_ts-or-None)``.
 AnswerLog = list[tuple[float, float | None]]
@@ -96,6 +101,7 @@ class RunFold:
                 "skip_fraction": skip_fraction(self.decisions),
                 "buffered_fraction": buffered_fraction(self.decisions),
                 "t_ub": self.ledger.t_ub,
+                "unnecessary_total": self.ledger.unnecessary_total_time,
                 "export_time": self.export_time,
                 "optimal_iteration": self.optimal_iteration,
             },
@@ -130,3 +136,10 @@ def fold_run(result: Any) -> RunFold:
         },
         mean_answer_latency=sum(latencies) / len(latencies) if latencies else 0.0,
     )
+
+
+def run_row(name: str, build: ScenarioBuild, **overrides: Any) -> dict[str, Any]:
+    """Run *build* (*overrides* replaced into its options) and return its
+    ``repro run`` row: :func:`report_run` merged with the fold."""
+    result = build.run(**overrides)
+    return {**report_run(name, result), **fold_run(result).row()}

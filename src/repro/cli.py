@@ -229,8 +229,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from itertools import product
     from pathlib import Path
 
-    from repro.bench.rows import fold_run
-    from repro.obs.export import REPORT_SCHEMA, report_run, validate_report_payload
+    from repro.bench.rows import run_row
+    from repro.obs.export import REPORT_SCHEMA, validate_report_payload
     from repro.scenarios import build
 
     try:
@@ -277,14 +277,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             },
         }
         try:
-            result = builds[k // len(plans)].run(fault_plan=plan, provenance=args.provenance)
+            row.update(run_row(
+                name, builds[k // len(plans)], fault_plan=plan, provenance=args.provenance
+            ))
         except OSError:
             raise
         except Exception as exc:  # noqa: BLE001 - a failed cell is a row
             row["error"] = f"{type(exc).__name__}: {exc}"
             print(f"FAIL: {name}: {row['error']}", file=sys.stderr)
-        else:
-            row.update(report_run(name, result), **fold_run(result).row())
         rows.append(row)
 
     payload: dict[str, Any] = {"schema": REPORT_SCHEMA, "runs": rows}
@@ -450,7 +450,18 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     import io
 
     from repro.bench.experiments_report import generate_report
+    from repro.scenarios import scenario_params
 
+    # Refused before any run: the Figure-4 runs take fig4's exports range.
+    exports = scenario_params("fig4")["exports"]
+    if args.runs < 1:
+        print(f"error: --runs {args.runs} is not >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not exports.accepts(args.exports):
+        print(
+            f"error: --exports {args.exports} is not {exports.describe()}", file=sys.stderr
+        )
+        return EXIT_USAGE
     if args.json:
         buf = io.StringIO()
         generate_report(buf, exports=args.exports, runs=args.runs)

@@ -148,8 +148,9 @@ class CouplingConfig:
     ) -> list[str]:
         """Check internal consistency; returns a list of warnings.
 
-        Hard errors (unknown programs, duplicate connections, an
-        *imported* region with no exporter) raise :class:`ConfigError`;
+        Hard errors (unknown programs, duplicate connections, a region
+        imported over more than one connection, an *imported* region
+        with no exporter) raise :class:`ConfigError`;
         soft issues (an exported region nobody imports — legal, just
         zero-overhead) are returned as warnings.
 
@@ -173,6 +174,14 @@ class CouplingConfig:
             if conn.exporter.program == conn.importer.program:
                 raise ConfigError(
                     f"connection {conn.connection_id} couples a program to itself"
+                )
+        for conn in self.connections:
+            ep = conn.importer
+            n = len(self.connections_importing(ep.program, ep.region))
+            if n > 1:
+                raise ConfigError(
+                    f"region {ep} is imported over {n} connections; at most one "
+                    "exporter per imported region is supported"
                 )
         # The declared-region maps may be partial (cover only some
         # programs); connections touching undeclared programs are

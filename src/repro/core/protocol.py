@@ -305,13 +305,7 @@ class ContextBase:
                     match_backend=runtime.match_backend,
                 )
             imp_conns = config.connections_importing(self.program, rname)
-            if imp_conns:
-                if len(imp_conns) != 1:
-                    raise ValidationError(
-                        f"region {self.program}.{rname} is imported over "
-                        f"{len(imp_conns)} connections; at most one exporter "
-                        "per imported region is supported"
-                    )
+            if imp_conns:  # one at most: CouplingConfig.validate
                 self.import_states[rname] = RegionImportState(
                     rname, imp_conns[0].connection_id
                 )

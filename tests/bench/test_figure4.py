@@ -6,21 +6,22 @@ we verify the builder and the qualitative regimes at reduced size.
 
 import sys
 import types
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.figure4 import (
-    Figure4Result,
     Figure4Spec,
     build_figure4_simulation,
+    figure4_rows,
     optimal_iteration_of,
-    run_figure4,
-    run_figure4_once,
     spec_for_subfigure,
 )
+from repro.bench.reporting import mean_series, summarize_runs
 from repro.core.exporter import ExportDecision
 from repro.core.protocol import ProtocolDriver
 from repro.des.channel import Network
+from repro.util.stats import SeriesSummary
 from repro.util.validation import ValidationError
 
 
@@ -28,6 +29,11 @@ def small(u_procs, **kw):
     defaults = dict(u_procs=u_procs, exports=161, runs=2, jitter=0.0)
     defaults.update(kw)
     return Figure4Spec(**defaults)
+
+
+def first_p_s(spec):
+    """``p_s`` of the spec's first run (seed ``spec.seed * 1000``)."""
+    return figure4_rows(replace(spec, runs=1))[0]["p_s"]
 
 
 class TestSpec:
@@ -87,62 +93,77 @@ class TestBuilder:
 
 class TestRegimes:
     def test_importer_slower_all_buffered(self):
-        run = run_figure4_once(small(4))
-        assert run.decisions.get("skip", 0) == 0
-        assert run.decisions["buffer"] + run.decisions.get("send", 0) == 161
-        assert run.optimal_iteration is None
-        assert run.skip_fraction == 0.0
+        ps = first_p_s(small(4))
+        assert ps["decisions"].get("skip", 0) == 0
+        assert ps["decisions"]["buffer"] + ps["decisions"].get("send", 0) == 161
+        assert ps["optimal_iteration"] is None
+        assert ps["skip_fraction"] == 0.0
 
     def test_importer_faster_skips_dominate(self):
-        run = run_figure4_once(small(32))
-        assert run.skip_fraction > 0.5
-        assert run.optimal_iteration is not None
-        assert run.optimal_iteration < 60
+        ps = first_p_s(small(32))
+        assert ps["skip_fraction"] > 0.5
+        assert ps["optimal_iteration"] is not None
+        assert ps["optimal_iteration"] < 60
 
     def test_u16_between(self):
-        run4 = run_figure4_once(small(4))
-        run16 = run_figure4_once(small(16))
-        run32 = run_figure4_once(small(32))
-        assert run4.skip_fraction < run16.skip_fraction < run32.skip_fraction
+        skips = [first_p_s(small(u))["skip_fraction"] for u in (4, 16, 32)]
+        assert skips[0] < skips[1] < skips[2]
 
     def test_buddy_ablation(self):
-        on = run_figure4_once(small(32, buddy_help=True))
-        off = run_figure4_once(small(32, buddy_help=False))
-        assert on.buddy_messages > 0
-        assert off.buddy_messages == 0
-        assert on.skip_fraction > off.skip_fraction
-        assert on.t_ub <= off.t_ub
+        (on,) = figure4_rows(small(32, runs=1, buddy_help=True))
+        (off,) = figure4_rows(small(32, runs=1, buddy_help=False))
+        assert on["metrics"]["paper"]["buddy_helps_sent"] > 0
+        assert off["metrics"]["paper"]["buddy_helps_sent"] == 0
+        assert on["p_s"]["skip_fraction"] > off["p_s"]["skip_fraction"]
+        assert on["p_s"]["t_ub"] <= off["p_s"]["t_ub"]
+        assert on["p_s"]["unnecessary_total"] < off["p_s"]["unnecessary_total"]
         # The paper's Figure-6 claim: optimal state only with buddy-help.
-        assert on.optimal_iteration is not None
+        assert on["p_s"]["optimal_iteration"] is not None
 
     def test_sends_match_one_in_twenty(self):
-        run = run_figure4_once(small(32))
-        assert run.decisions.get("send", 0) == small(32).n_requests
+        ps = first_p_s(small(32))
+        assert ps["decisions"].get("send", 0) == small(32).n_requests
 
     def test_init_head_elevated_when_flat(self):
-        run = run_figure4_once(small(4))
-        s = run.summary()
+        s = SeriesSummary.from_series(first_p_s(small(4))["series"])
         assert s.head_mean > s.body_mean  # the ~8% init surcharge
 
 
 class TestMultiRun:
-    def test_run_figure4_aggregates(self):
+    def test_figure4_rows_aggregate(self):
         spec = small(4, exports=61, runs=3, jitter=0.01)
-        result = run_figure4(spec)
-        assert isinstance(result, Figure4Result)
-        assert len(result.runs) == 3
-        mean = result.mean_series()
+        rows = figure4_rows(spec)
+        assert len(rows) == 3
+        series = [row["p_s"]["series"] for row in rows]
+        mean = mean_series(series)
         assert len(mean) == 61
         # jitter means runs differ, but only slightly
-        assert result.runs[0].series != result.runs[1].series
-        summary = result.mean_summary()
-        assert summary.count == 61
+        assert series[0] != series[1]
+        assert summarize_runs(series).count == 61
 
     def test_runs_with_same_index_reproducible(self):
+        # Run i is seeded spec.seed * 1000 + i, whatever spec.runs is.
         spec = small(4, exports=41, jitter=0.02)
-        a = run_figure4_once(spec, run_index=1)
-        b = run_figure4_once(spec, run_index=1)
-        assert a.series == b.series
+        a = figure4_rows(replace(spec, runs=2))[1]["p_s"]
+        b = figure4_rows(replace(spec, runs=3))[1]["p_s"]
+        assert a["series"] == b["series"]
+
+    def test_rows_are_repro_run_rows(self, capsys):
+        """Run i of a spec is the ``repro run fig4`` cell seeded
+        ``spec.seed * 1000 + i``: the same row, key for key, but its name."""
+        import json
+
+        from repro.cli import main
+
+        (row,) = figure4_rows(Figure4Spec(u_procs=16, exports=61, seed=7, runs=1))
+        assert main(["run", "fig4", "-p", "u_procs=16", "-p", "exports=61",
+                     "-p", "seed=7000", "--json"]) == 0
+        (cell,) = json.loads(capsys.readouterr().out)["runs"]
+        got = json.loads(json.dumps(row))
+        for key in ("name", "scenario", "params", "fault_plan"):
+            cell.pop(key)
+        got.pop("name")
+        assert got == cell
 
 
 class TestOptimalIterationOf:

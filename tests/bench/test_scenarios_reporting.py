@@ -6,38 +6,49 @@ from repro.bench.reporting import (
     downsample,
     format_series,
     format_table,
+    mean_series,
     sparkline,
     summarize_runs,
 )
-from repro.bench.scenarios import run_exporter_slower, run_importer_slower
+from repro.bench.rows import run_row
+from repro.scenarios import build
+
+
+def fig3(scenario, exports=100, buddy_help=True):
+    """The ``repro run`` row of scenario ``fig3a`` / ``fig3b``."""
+    return run_row(scenario, build(scenario, {"exports": exports, "buddy_help": buddy_help}))
 
 
 class TestFigure3Scenarios:
     def test_importer_slower_buffers_everything(self):
-        res = run_importer_slower(exports=100)
-        assert res.buffered_fraction == pytest.approx(1.0)
-        assert res.skip_fraction == 0.0
-        assert res.buffer_stats.buffered_count == 100
+        row = fig3("fig3a")
+        assert row["p_s"]["buffered_fraction"] == pytest.approx(1.0)
+        assert row["p_s"]["skip_fraction"] == 0.0
+        # p_s (rank 1 of the exporter E) paid a memcpy for every export.
+        (buffered,) = [
+            s["value"] for s in row["metrics"]["metrics"]
+            if s["name"] == "buffer.buffered" and s["labels"]["rank"] == "1"
+        ]
+        assert buffered == 100
 
     def test_importer_slower_insensitive_to_buddy(self):
-        on = run_importer_slower(exports=100, buddy_help=True)
-        off = run_importer_slower(exports=100, buddy_help=False)
-        assert on.decisions == off.decisions
+        on = fig3("fig3a", buddy_help=True)
+        off = fig3("fig3a", buddy_help=False)
+        assert on["p_s"]["decisions"] == off["p_s"]["decisions"]
 
     def test_exporter_slower_buddy_skips(self):
-        res = run_exporter_slower(exports=100, buddy_help=True)
-        assert res.skip_fraction > 0.3
+        assert fig3("fig3b")["p_s"]["skip_fraction"] > 0.3
 
     def test_exporter_slower_buddy_beats_no_buddy(self):
-        on = run_exporter_slower(exports=100, buddy_help=True)
-        off = run_exporter_slower(exports=100, buddy_help=False)
-        assert on.skip_fraction > off.skip_fraction
-        assert on.buffer_stats.t_ub <= off.buffer_stats.t_ub
-        assert on.exporter_export_time_total < off.exporter_export_time_total
+        on = fig3("fig3b", buddy_help=True)["p_s"]
+        off = fig3("fig3b", buddy_help=False)["p_s"]
+        assert on["skip_fraction"] > off["skip_fraction"]
+        assert on["t_ub"] <= off["t_ub"]
+        assert on["export_time"] < off["export_time"]
 
     def test_request_count(self):
-        res = run_importer_slower(exports=100)
-        assert res.requests == 5  # requests at 20, 40, 60, 80, 100
+        row = fig3("fig3a")
+        assert len(row["answers"]["0"]) == 5  # requests at 20, 40, 60, 80, 100
 
 
 class TestFormatTable:
@@ -90,3 +101,10 @@ class TestSeriesRendering:
     def test_summarize_runs_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_runs([])
+        with pytest.raises(ValueError, match="series must be non-empty"):
+            summarize_runs([[]])
+
+    def test_mean_series_truncates_to_the_shortest_run(self):
+        assert mean_series([[1.0, 2.0, 9.0], [3.0, 4.0]]) == [2.0, 3.0]
+        with pytest.raises(ValueError):
+            mean_series([])

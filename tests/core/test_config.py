@@ -22,6 +22,9 @@ P0.r1 P2.r3 REG 0.1
 P0.r2 P4.r2 REGU 0.3
 """
 
+#: One region (``C.d``) imported from two exporters: lint rule G108.
+TWO_EXPORTERS = "A c /a 2\nB c /b 2\nC c /c 2\n#\nA.d C.d REGL 2.5\nB.d C.d REGL 2.5\n"
+
 
 class TestParsing:
     def test_paper_example(self):
@@ -129,6 +132,18 @@ class TestValidation:
         cfg = parse_config("A c /x 2\nA.r1 A.r2 REGL 0.1\n")
         with pytest.raises(ConfigError, match="couples a program to itself"):
             cfg.validate()
+
+    def test_region_imported_over_two_connections_rejected(self):
+        cfg = parse_config(TWO_EXPORTERS)
+        with pytest.raises(ConfigError, match="C.d is imported over 2 connections"):
+            cfg.validate()
+
+    def test_runtime_refuses_it_at_construction(self):
+        # Before any program registers: only the config knows the rule.
+        from repro.core.coupler import CoupledSimulation
+
+        with pytest.raises(ConfigError, match="at most one exporter"):
+            CoupledSimulation(TWO_EXPORTERS)
 
     def test_declared_exports_mismatch(self):
         cfg = parse_config(PAPER_EXAMPLE)

@@ -3,11 +3,12 @@
 import json
 
 from repro.api import RunOptions
-from repro.bench.resilience import run_once, run_resilience_sweep
+from repro.bench.rows import run_row
 from repro.cli import main
 from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
 from repro.data.decomposition import BlockDecomposition
 from repro.faults import FaultPlan
+from repro.scenarios import build
 from repro.util.tracing import Tracer
 
 
@@ -62,24 +63,39 @@ class TestChaosDeterminism:
         assert (trace_a, stats_a) != (trace_c, stats_c)
 
 
+def resilience_row(plan):
+    """The ``repro run resilience`` row under *plan* (``None`` = fault-free)."""
+    scenario = build("resilience", {"exports": 16, "requests": 6})
+    return run_row("resilience", scenario, fault_plan=plan)
+
+
+def fault_counts(row):
+    """The fault layer's ``faults.*`` counters of *row* (none when fault-free)."""
+    return {
+        s["name"]: s["value"] for s in row["metrics"]["metrics"]
+        if s["name"].startswith("faults.")
+    }
+
+
 class TestResilienceSweep:
     def test_small_sweep_is_answer_consistent(self):
-        sweep = run_resilience_sweep(
-            drop_rates=(0.0, 0.2), exports=16, requests=6, seed=7
-        )
-        assert len(sweep.runs) == 3  # baseline + two chaos runs
-        assert sweep.answers_consistent
-        chaos = sweep.runs[-1]
-        assert chaos.fault_stats is not None
-        assert chaos.fault_stats["dropped"] > 0
-        assert chaos.retransmissions > 0
+        baseline = resilience_row(None)
+        chaos = [
+            resilience_row(
+                FaultPlan(seed=7, drop=drop, dup=0.1, delay_jitter=5e-5, reorder=0.1)
+            )
+            for drop in (0.0, 0.2)
+        ]
+        assert all(row["answers"] == baseline["answers"] for row in chaos)
+        assert fault_counts(chaos[-1])["faults.dropped"] > 0
+        assert chaos[-1]["counters"]["retransmissions"] > 0
 
     def test_run_once_reports_the_ledgers(self):
-        r = run_once(None, exports=16, requests=6)
-        assert r.fault_stats is None
-        assert r.mean_answer_latency > 0.0
-        assert len(r.answers) == 2
-        assert all(len(log) == 6 for log in r.answers.values())
+        row = resilience_row(None)
+        assert fault_counts(row) == {}
+        assert row["mean_answer_latency"] > 0.0
+        assert len(row["answers"]) == 2
+        assert all(len(log) == 6 for log in row["answers"].values())
 
 
 def chaos_argv(exports, requests, seed, *drops):

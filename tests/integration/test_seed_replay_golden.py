@@ -2,7 +2,8 @@
 
 The fixtures in ``tests/golden/seed_replay.json`` were generated by
 ``scripts/gen_goldens.py`` on the *unoptimized* hot paths (pre
-fast-path DES core, pre zero-copy data plane).  These tests prove that
+fast-path DES core, pre zero-copy data plane); today both it and these
+tests read the ``repro run`` rows of :func:`~repro.bench.rows.run_row`.  These tests prove that
 the optimized implementation replays the exact same behavior: final
 answers, skip counts, ``T_ub`` ledgers, per-iteration export-cost
 series and rendered traces, down to the last bit of every float.
@@ -16,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.figure4 import Figure4Spec, run_figure4_once
-from repro.bench.resilience import run_once
+from repro.bench.figure4 import Figure4Spec, figure4_rows
+from repro.bench.rows import run_row
 from repro.bench.traces import (
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
 )
 from repro.faults import FaultPlan
+from repro.scenarios import build
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "seed_replay.json"
 
@@ -41,15 +43,21 @@ BACKENDS = ["legacy", "sorted"]
 
 
 def _chaos_dict(plan, match_backend="legacy"):
-    r = run_once(plan, exports=40, requests=15, match_backend=match_backend)
+    """The golden fields of the ``repro run resilience`` row under *plan*."""
+    row = run_row(
+        "resilience",
+        build("resilience", {"exports": 40, "requests": 15}),
+        fault_plan=plan,
+        match_backend=match_backend,
+    )
     return {
-        "drop": r.drop,
-        "answers": {str(k): [list(t) for t in v] for k, v in sorted(r.answers.items())},
-        "skip_count": r.skip_count,
-        "t_ub": r.t_ub,
-        "retransmissions": r.retransmissions,
-        "dup_discards": r.dup_discards,
-        "sim_time": r.sim_time,
+        "drop": plan.drop if plan is not None else 0.0,
+        "answers": row["answers"],
+        "skip_count": row["p_s"]["decisions"].get("skip", 0),
+        "t_ub": row["p_s"]["t_ub"],
+        "retransmissions": row["counters"]["retransmissions"],
+        "dup_discards": row["counters"]["dup_discards"],
+        "sim_time": row["sim_time"],
     }
 
 
@@ -82,14 +90,15 @@ class TestFigure4Golden:
             runs=1,
             match_backend=backend,
         )
-        run = run_figure4_once(spec, run_index=0)
-        assert run.series == case["series"], "export-cost series diverged"
-        assert _normalize(run.decisions) == case["decisions"]
-        assert run.t_ub == case["t_ub"]
-        assert run.unnecessary_total == case["unnecessary_total"]
-        assert run.buddy_messages == case["buddy_messages"]
-        assert run.optimal_iteration == case["optimal_iteration"]
-        assert run.sim_time == case["sim_time"]
+        (row,) = figure4_rows(spec)
+        ps = row["p_s"]
+        assert ps["series"] == case["series"], "export-cost series diverged"
+        assert _normalize(ps["decisions"]) == case["decisions"]
+        assert ps["t_ub"] == case["t_ub"]
+        assert ps["unnecessary_total"] == case["unnecessary_total"]
+        assert row["metrics"]["paper"]["buddy_helps_sent"] == case["buddy_messages"]
+        assert ps["optimal_iteration"] == case["optimal_iteration"]
+        assert row["sim_time"] == case["sim_time"]
 
 
 class TestTraceGolden:

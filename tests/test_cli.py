@@ -128,6 +128,15 @@ class TestValidateConfig:
         assert main(["validate-config", str(cfg)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_region_imported_twice_is_invalid(self, tmp_path, capsys):
+        # What lint calls G108 and the runtime refuses at construction.
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("A c /a 2\nB c /b 2\nC c /c 2\n#\nA.d C.d REGL 2.5\nB.d C.d REGL 2.5\n")
+        assert main(["validate-config", str(cfg)]) == 1
+        assert "C.d is imported over 2 connections" in capsys.readouterr().err
+        assert main(["validate-config", str(cfg), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
     def test_missing_file(self, capsys):
         # Unreadable is a usage error (as in ``lint``); invalid stays 1.
         assert main(["validate-config", "/nonexistent/x.cfg"]) == 2
@@ -157,6 +166,30 @@ class TestExperimentsReport:
         assert rc == 0
         out = capsys.readouterr().out
         assert "| U procs |" in out
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        import repro.bench.experiments_report as report
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(report, "figure4_rows", never)
+        monkeypatch.setattr(report, "run_row", never)
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_refused(self, runs, no_runs, capsys):
+        assert main(["experiments", "--exports", "81", "--runs", runs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --runs {runs} is not >= 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("exports", ["0", "100001"])
+    def test_exports_outside_the_fig4_range_refused(self, exports, no_runs, capsys):
+        assert main(["experiments", "--exports", exports, "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --exports {exports} is not int 1..100000\n"
+        assert captured.out == ""
 
 
 class TestJsonMode:

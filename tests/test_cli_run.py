@@ -1,5 +1,5 @@
-"""``repro run``: grid parsing, usage errors, failed cells, and parity
-with the bench runners the verb replaced."""
+"""``repro run``: grid parsing, usage errors, failed cells, and the
+checks made across a grid's rows."""
 
 import json
 
@@ -115,80 +115,13 @@ class TestFailedCell:
 
 
 class TestParity:
-    """Every removed verb's numbers, bit-identical through ``run``."""
-
-    def test_fig4_rows_equal_run_figure4_once(self, capsys):
-        from repro.bench.figure4 import run_figure4_once
-        from repro.scenarios import Figure4Spec
-
-        spec = Figure4Spec(u_procs=16, exports=61, seed=7)
-        code, payload = run_json(
-            ["run", "fig4", "-p", "u_procs=16", "-p", "exports=61", "-p", "seed=7000,7001"],
-            capsys,
-        )
-        assert code == 0
-        for index, row in enumerate(payload["runs"]):
-            want = run_figure4_once(spec, run_index=index)
-            ps = row["p_s"]
-            assert ps["series"] == want.series
-            assert ps["decisions"] == want.decisions
-            assert ps["t_ub"] == want.t_ub
-            assert ps["optimal_iteration"] == want.optimal_iteration
-            assert ps["skip_fraction"] == want.skip_fraction
-            assert row["metrics"]["paper"]["buddy_helps_sent"] == want.buddy_messages
-            assert row["sim_time"] == want.sim_time
-
-    @pytest.mark.parametrize("buddy", [True, False])
-    def test_fig3_rows_equal_the_buffering_runners(self, buddy, capsys):
-        from repro.bench.scenarios import run_exporter_slower, run_importer_slower
-
-        flag = json.dumps(buddy)
-        code, payload = run_json(
-            ["run", "fig3a", "-p", "exports=60", "-p", f"buddy_help={flag}"], capsys
-        )
-        assert code == 0
-        rows = payload["runs"]
-        code, payload = run_json(
-            ["run", "fig3b", "-p", "exports=60", "-p", "buddy_help=true,false"], capsys
-        )
-        assert code == 0
-        rows.append(payload["runs"][0 if buddy else 1])
-        wants = [run_importer_slower(60, buddy), run_exporter_slower(60, buddy)]
-        for row, want in zip(rows, wants):
-            ps = row["p_s"]
-            assert ps["buffered_fraction"] == want.buffered_fraction
-            assert ps["skip_fraction"] == want.skip_fraction
-            assert ps["t_ub"] == want.buffer_stats.t_ub
-            assert ps["export_time"] == want.exporter_export_time_total
-            assert ps["decisions"] == want.decisions
-            assert len(row["answers"]["0"]) == want.requests
-            assert row["sim_time"] == want.sim_time
+    """The checks ``run`` makes over its rows: answer consistency across
+    fault plans and the buddy-help pair's comparison block.  (Each row is
+    :func:`repro.bench.rows.run_row`; the goldens pin its numbers.)"""
 
     def chaos_argv(self):
         return ["run", "resilience", "-p", "exports=16", "-p", "requests=6",
                 "--fault", "null", "--fault", CHAOS % 0.0, "--fault", CHAOS % 0.2]
-
-    def test_fault_grid_equals_run_resilience_sweep(self, capsys):
-        from repro.bench.resilience import run_resilience_sweep
-
-        code, payload = run_json(self.chaos_argv(), capsys)
-        assert code == 0
-        assert payload["answers_consistent"] is True
-        sweep = run_resilience_sweep(drop_rates=(0.0, 0.2), exports=16, requests=6, seed=7)
-        assert len(payload["runs"]) == len(sweep.runs) == 3
-        for row, want in zip(payload["runs"], sweep.runs):
-            assert row["answers_match"] is True
-            assert row["answers"] == {
-                str(rank): [list(a) for a in log] for rank, log in want.answers.items()
-            }
-            assert row["mean_answer_latency"] == want.mean_answer_latency
-            assert row["p_s"]["t_ub"] == want.t_ub
-            assert row["p_s"]["decisions"].get("skip", 0) == want.skip_count
-            assert row["counters"]["retransmissions"] == want.retransmissions
-            assert row["counters"]["dup_discards"] == want.dup_discards
-            assert row["sim_time"] == want.sim_time
-        assert payload["runs"][0]["fault_plan"] is None
-        assert payload["runs"][2]["fault_plan"]["drop"] == 0.2
 
     def test_a_divergent_cell_exits_1(self, monkeypatch, capsys):
         real = repro.bench.rows.fold_run
@@ -205,6 +138,8 @@ class TestParity:
         assert code == 1
         assert payload["answers_consistent"] is False
         assert [r["answers_match"] for r in payload["runs"]] == [True, True, False]
+        assert payload["runs"][0]["fault_plan"] is None
+        assert payload["runs"][2]["fault_plan"]["drop"] == 0.2
 
     def test_demo_pair_comparison_equals_the_report(self, capsys):
         from repro.obs import validate_report_payload
