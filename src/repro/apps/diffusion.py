@@ -17,8 +17,8 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
-from repro.apps.halo import halo_exchange, halo_exchange_blocking
-from repro.apps.stencil import apply_dirichlet, laplacian
+from repro.apps.halo import halo_exchange, halo_exchange_blocking, neighbor_table
+from repro.apps.stencil import RowBlockedStencil, apply_dirichlet, laplacian
 from repro.data.darray import DistributedArray
 from repro.data.decomposition import BlockDecomposition
 from repro.util.validation import require
@@ -67,7 +67,14 @@ class WaveSolver2D:
         self.steps_taken = 0
         self.u = DistributedArray(decomp, rank, halo=1)
         self.u_prev = DistributedArray(decomp, rank, halo=1)
-        self._lap = np.empty(self.u.local.shape)
+        # Homogeneous Dirichlet on the faces without a neighbor.
+        neighbors = neighbor_table(decomp, rank)
+        physical = [face for face, peer in neighbors.items() if peer is None]
+        self._stencil = (
+            None
+            if self.u.region.is_empty
+            else RowBlockedStencil(self.u.padded.shape, dx, dirichlet=physical)
+        )
 
     # -- setup ---------------------------------------------------------------
     def set_initial(
@@ -88,50 +95,22 @@ class WaveSolver2D:
             self.u_prev.local[...] -= self.dt * v.local
 
     # -- stepping ------------------------------------------------------------
-    def _is_physical_boundary(self) -> dict[str, bool]:
-        coords = self.decomp.rank_to_coords(self.rank)
-        return {
-            "north": coords[0] == 0,
-            "south": coords[0] == self.decomp.grid[0] - 1,
-            "west": coords[1] == 0,
-            "east": coords[1] == self.decomp.grid[1] - 1,
-        }
-
-    def _zero_physical_ghosts(self, arr: DistributedArray) -> None:
-        # Dirichlet u = 0 outside the global domain.
-        p = arr.padded
-        b = self._is_physical_boundary()
-        if b["north"]:
-            p[0, :] = 0.0
-        if b["south"]:
-            p[-1, :] = 0.0
-        if b["west"]:
-            p[:, 0] = 0.0
-        if b["east"]:
-            p[:, -1] = 0.0
-
     def step_local(self, forcing: np.ndarray | None = None) -> None:
-        """Advance one step assuming ghosts are already up to date."""
-        if self.u.region.is_empty:
-            self.time += self.dt
-            self.steps_taken += 1
-            return
-        self._zero_physical_ghosts(self.u)
-        lap = laplacian(self.u.padded, dx=self.dx, out=self._lap)
-        u = self.u.local
-        up = self.u_prev.local
-        dt2 = self.dt * self.dt
-        # up is overwritten with u^{n+1}, then the two buffers swap —
-        # no per-step allocation beyond the laplacian scratch array.
-        new = 2.0 * u - up + dt2 * (self.c * self.c) * lap
-        if forcing is not None:
-            require(
-                forcing.shape == u.shape,
-                f"forcing shape {forcing.shape} != local shape {u.shape}",
+        """Advance one step assuming ghosts are already up to date.
+
+        ``u_prev``'s interior is overwritten with ``u^{n+1}``, then the
+        two buffers swap: no per-step allocation.
+        """
+        if self._stencil is not None:
+            dt2 = self.dt * self.dt
+            self._stencil.step(
+                self.u.padded,
+                dt2 * (self.c * self.c),
+                prev=self.u_prev.padded,
+                forcing=forcing,
+                fcoef=dt2,
             )
-            new += dt2 * forcing
-        up[...] = new
-        self.u, self.u_prev = self.u_prev, self.u
+            self.u, self.u_prev = self.u_prev, self.u
         self.time += self.dt
         self.steps_taken += 1
 

@@ -8,6 +8,13 @@ grids:
   oscillates in time (smooth, good for convergence tests);
 * :func:`rotating_source` — a Gaussian source circling the domain
   center (time-varying support, good for visual demos).
+
+:func:`evaluate_on_region` hands a field *open* index grids — a column
+of x and a row of y — so each coordinate term is computed once per
+row or column and only the terms that mix x and y run over the whole
+block.  An elementwise field broadcasts to exactly the values the dense
+``meshgrid`` pair gave, so the result is bit-identical; the two fields
+here finish their full-block passes in place.
 """
 
 from __future__ import annotations
@@ -18,8 +25,15 @@ from typing import Callable
 import numpy as np
 
 from repro.data.region import RectRegion
+from repro.util.validation import require
 
-#: A forcing field: ``f(t, X, Y) -> ndarray`` with X/Y index grids.
+#: A forcing field ``f(t, X, Y) -> array``.  It must be *elementwise*:
+#: the value at a point depends only on ``t`` and that point's ``X`` and
+#: ``Y``, and the result broadcasts against ``X`` and ``Y``.  The grids
+#: may be dense (both of the block's shape) or open (:func:`evaluate_on_region`
+#: passes an ``(n, 1)`` column and a ``(1, m)`` row), and a field of
+#: ``X`` alone, of ``Y`` alone or a constant is fine: the caller
+#: broadcasts the result to the block's shape.
 ForcingField = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -31,15 +45,20 @@ def gaussian_pulse(
 ) -> ForcingField:
     """An oscillating Gaussian bump fixed at *center*.
 
-    ``f(t, x, y) = A · sin(ω t) · exp(-((x-cx)² + (y-cy)²) / (2σ²))``
+    ``f(t, x, y) = A · sin(ω t) · exp(-((x-cx)² + (y-cy)²) / (2σ²))``;
+    *sigma* must be positive.
     """
-
+    require(sigma > 0, f"sigma must be > 0, got {sigma}")
     cx, cy = center
     two_sigma2 = 2.0 * sigma * sigma
 
     def field(t: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         r2 = (X - cx) ** 2 + (Y - cy) ** 2
-        return amplitude * math.sin(omega * t) * np.exp(-r2 / two_sigma2)
+        np.negative(r2, out=r2)
+        r2 /= two_sigma2
+        np.exp(r2, out=r2)
+        r2 *= amplitude * math.sin(omega * t)
+        return r2
 
     return field
 
@@ -51,8 +70,12 @@ def rotating_source(
     period: float = 40.0,
     amplitude: float = 1.0,
 ) -> ForcingField:
-    """A Gaussian source circling the domain center with *period*."""
+    """A Gaussian source circling the domain center with *period*.
 
+    *sigma* and *period* must be positive.
+    """
+    require(sigma > 0, f"sigma must be > 0, got {sigma}")
+    require(period > 0, f"period must be > 0, got {period}")
     cx, cy = domain[0] / 2.0, domain[1] / 2.0
     radius = min(domain) * radius_fraction
     two_sigma2 = 2.0 * sigma * sigma
@@ -62,7 +85,11 @@ def rotating_source(
         sx = cx + radius * math.cos(angle)
         sy = cy + radius * math.sin(angle)
         r2 = (X - sx) ** 2 + (Y - sy) ** 2
-        return amplitude * np.exp(-r2 / two_sigma2)
+        np.negative(r2, out=r2)
+        r2 /= two_sigma2
+        np.exp(r2, out=r2)
+        r2 *= amplitude
+        return r2
 
     return field
 
@@ -72,14 +99,16 @@ def evaluate_on_region(
 ) -> np.ndarray:
     """Evaluate *field* at time *t* on the index points of *region*.
 
-    Returns an array of ``region.shape`` — the local block a rank
-    exports.  Coordinates are the global integer indices (the paper's
-    grids are index-space coupled; physical scaling is the caller's
-    concern via the field closure).
+    Returns a C-contiguous array of ``region.shape`` and *dtype* — the
+    local block a rank exports.  Coordinates are the global integer
+    indices (the paper's grids are index-space coupled; physical scaling
+    is the caller's concern via the field closure), passed as open grids
+    (see :data:`ForcingField`).
     """
     if region.is_empty:
         return np.zeros(region.shape, dtype=dtype)
     xs = np.arange(region.lo[0], region.hi[0], dtype=np.float64)
     ys = np.arange(region.lo[1], region.hi[1], dtype=np.float64)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return np.asarray(field(t, X, Y), dtype=dtype)
+    X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    values = np.broadcast_to(field(t, X, Y), region.shape)
+    return np.ascontiguousarray(values, dtype=dtype)

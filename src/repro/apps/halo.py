@@ -9,6 +9,7 @@ backend can reuse the same wire pattern through
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Generator
 
 import numpy as np
@@ -40,6 +41,17 @@ def neighbor_table(decomp: BlockDecomposition, rank: int) -> dict[str, int | Non
         else:
             table[name] = None
     return table
+
+
+@lru_cache(maxsize=256)
+def _peers(decomp: BlockDecomposition, rank: int) -> tuple[tuple[str, int], ...]:
+    """``(direction, peer)`` of each neighbor of *rank*, in :data:`DIRECTIONS` order.
+
+    Built once per decomposition and rank, not once per exchange; the
+    cache holds at most 256 of them.
+    """
+    table = neighbor_table(decomp, rank)
+    return tuple((d, peer) for d, peer in table.items() if peer is not None)
 
 
 def _edge_view(arr: DistributedArray, direction: str) -> np.ndarray:
@@ -78,37 +90,33 @@ def halo_exchange(
     per-direction tag, so no deadlock and no barrier.
     """
     require(arr.halo >= 1, "halo_exchange needs halo >= 1")
-    neighbors = neighbor_table(arr.decomp, arr.rank)
-    for direction, peer in neighbors.items():
-        if peer is not None:
-            # A genuine copy, NOT ascontiguousarray: sends are
-            # asynchronous and the sender may update its field in place
-            # before the message is consumed; an aliasing view would
-            # leak the *future* state to the neighbor.
-            comm.send(
-                _edge_view(arr, direction).copy(),
-                dest=peer,
-                tag=f"{tag_base}:{direction}",
-            )
-    for direction, peer in neighbors.items():
-        if peer is not None:
-            # The neighbor sent toward us with the opposite label.
-            msg = yield comm.recv(source=peer, tag=f"{tag_base}:{OPPOSITE[direction]}")
-            _ghost_view(arr, direction)[...] = msg.payload
+    peers = _peers(arr.decomp, arr.rank)
+    for direction, peer in peers:
+        # A genuine copy, NOT ascontiguousarray: sends are
+        # asynchronous and the sender may update its field in place
+        # before the message is consumed; an aliasing view would
+        # leak the *future* state to the neighbor.
+        comm.send(
+            _edge_view(arr, direction).copy(),
+            dest=peer,
+            tag=f"{tag_base}:{direction}",
+        )
+    for direction, peer in peers:
+        # The neighbor sent toward us with the opposite label.
+        msg = yield comm.recv(source=peer, tag=f"{tag_base}:{OPPOSITE[direction]}")
+        _ghost_view(arr, direction)[...] = msg.payload
 
 
 def halo_exchange_blocking(comm: Any, arr: DistributedArray, tag_base: str = "halo") -> None:
     """Blocking form of :func:`halo_exchange` for the threaded backend."""
     require(arr.halo >= 1, "halo_exchange needs halo >= 1")
-    neighbors = neighbor_table(arr.decomp, arr.rank)
-    for direction, peer in neighbors.items():
-        if peer is not None:
-            comm.send(
-                _edge_view(arr, direction).copy(),  # see halo_exchange
-                dest=peer,
-                tag=f"{tag_base}:{direction}",
-            )
-    for direction, peer in neighbors.items():
-        if peer is not None:
-            msg = comm.recv(source=peer, tag=f"{tag_base}:{OPPOSITE[direction]}")
-            _ghost_view(arr, direction)[...] = msg.payload
+    peers = _peers(arr.decomp, arr.rank)
+    for direction, peer in peers:
+        comm.send(
+            _edge_view(arr, direction).copy(),  # see halo_exchange
+            dest=peer,
+            tag=f"{tag_base}:{direction}",
+        )
+    for direction, peer in peers:
+        msg = comm.recv(source=peer, tag=f"{tag_base}:{OPPOSITE[direction]}")
+        _ghost_view(arr, direction)[...] = msg.payload

@@ -17,8 +17,8 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
-from repro.apps.halo import halo_exchange, halo_exchange_blocking
-from repro.apps.stencil import apply_dirichlet, laplacian
+from repro.apps.halo import halo_exchange, halo_exchange_blocking, neighbor_table
+from repro.apps.stencil import RowBlockedStencil, apply_dirichlet, laplacian
 from repro.data.darray import DistributedArray
 from repro.data.decomposition import BlockDecomposition
 from repro.util.validation import require
@@ -55,40 +55,25 @@ class HeatSolver2D:
         self.time = 0.0
         self.steps_taken = 0
         self.u = DistributedArray(decomp, rank, halo=1)
-        self._lap = np.empty(self.u.local.shape)
+        # Homogeneous Dirichlet on the faces without a neighbor.
+        neighbors = neighbor_table(decomp, rank)
+        physical = [face for face, peer in neighbors.items() if peer is None]
+        self._stencil = (
+            None
+            if self.u.region.is_empty
+            else RowBlockedStencil(self.u.padded.shape, dx, dirichlet=physical)
+        )
 
     def set_initial(self, u0: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
         """Initialize the temperature field from ``u0(X, Y)``."""
         self.u.fill_from(u0)
 
-    def _zero_physical_ghosts(self) -> None:
-        p = self.u.padded
-        coords = self.decomp.rank_to_coords(self.rank)
-        if coords[0] == 0:
-            p[0, :] = 0.0
-        if coords[0] == self.decomp.grid[0] - 1:
-            p[-1, :] = 0.0
-        if coords[1] == 0:
-            p[:, 0] = 0.0
-        if coords[1] == self.decomp.grid[1] - 1:
-            p[:, -1] = 0.0
-
     def step_local(self, forcing: np.ndarray | None = None) -> None:
         """Advance one step assuming ghosts are up to date."""
-        if self.u.region.is_empty:
-            self.time += self.dt
-            self.steps_taken += 1
-            return
-        self._zero_physical_ghosts()
-        lap = laplacian(self.u.padded, dx=self.dx, out=self._lap)
-        u = self.u.local
-        u += self.dt * self.alpha * lap
-        if forcing is not None:
-            require(
-                forcing.shape == u.shape,
-                f"forcing shape {forcing.shape} != local shape {u.shape}",
+        if self._stencil is not None:
+            self._stencil.step(
+                self.u.padded, self.dt * self.alpha, forcing=forcing, fcoef=self.dt
             )
-            u += self.dt * forcing
         self.time += self.dt
         self.steps_taken += 1
 

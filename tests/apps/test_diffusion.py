@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps.diffusion import WaveSolver2D, cfl_limit, solve_reference
-from repro.apps.forcing import gaussian_pulse, evaluate_on_region
+from repro.apps.forcing import evaluate_on_region, gaussian_pulse, rotating_source
 from repro.data.darray import DistributedArray
 from repro.data.decomposition import BlockDecomposition
 from repro.vmpi import DesWorld
@@ -83,7 +83,7 @@ class TestDistributedMatchesReference:
         world.spawn_all("W", main)
         world.run()
         full = DistributedArray.assemble([blocks[r] for r in range(decomp.nprocs)])
-        np.testing.assert_allclose(full, reference, atol=1e-12)
+        assert np.array_equal(full, reference)
 
     def test_forced(self):
         shape = (16, 16)
@@ -109,7 +109,7 @@ class TestDistributedMatchesReference:
         world.spawn_all("W", main)
         world.run()
         full = DistributedArray.assemble([blocks[r] for r in range(4)])
-        np.testing.assert_allclose(full, reference, atol=1e-12)
+        assert np.array_equal(full, reference)
 
     def test_velocity_initial_condition(self):
         shape = (12, 12)
@@ -131,7 +131,54 @@ class TestDistributedMatchesReference:
         world.spawn_all("W", main)
         world.run()
         full = DistributedArray.assemble([blocks[0], blocks[1]])
-        np.testing.assert_allclose(full, reference, atol=1e-12)
+        assert np.array_equal(full, reference)
+
+
+def run_distributed(shape, grid, steps, dt, dx=1.0, u0=None, field=None):
+    """Assembled field of a DES run of WaveSolver2D on *grid*."""
+    decomp = BlockDecomposition(shape, grid)
+    world = DesWorld()
+    world.create_program("W", decomp.nprocs)
+    blocks = {}
+
+    def main(comm):
+        solver = WaveSolver2D(decomp, comm.rank, dt=dt, dx=dx)
+        if u0 is not None:
+            solver.set_initial(u0)
+        for _ in range(steps):
+            f_block = None
+            if field is not None:
+                f_block = evaluate_on_region(field, solver.time, solver.u.region)
+            yield from solver.step_des(comm, forcing=f_block)
+        blocks[comm.rank] = solver.u
+
+    world.spawn_all("W", main)
+    world.run()
+    return DistributedArray.assemble([blocks[r] for r in range(decomp.nprocs)])
+
+
+class TestExactCases:
+    """Row counts off the kernel's block size, dx != 1, the benchmark's forcing."""
+
+    @pytest.mark.parametrize(
+        "shape,grid,dx,forced",
+        [
+            ((130, 70), (3, 2), 1.0, False),
+            ((130, 70), (3, 2), 1.5, True),
+            ((130, 70), (1, 2), 1.0, True),  # 130 local rows: 64 + 64 + 2
+            ((24, 18), (2, 2), 1.5, False),
+        ],
+    )
+    def test_matches_reference_exactly(self, shape, grid, dx, forced):
+        steps, dt = 12, 0.5
+        u0 = standing_mode(shape)
+        field = None
+        if forced:
+            domain = (float(shape[0]), float(shape[1]))
+            field = rotating_source(domain=domain, sigma=6.0, period=7.0)
+        reference = solve_reference(shape, steps=steps, dt=dt, dx=dx, u0=u0, forcing=field)
+        full = run_distributed(shape, grid, steps, dt, dx=dx, u0=u0, field=field)
+        assert np.array_equal(full, reference)
 
 
 class TestSolverState:
@@ -151,7 +198,16 @@ class TestSolverState:
         assert s.local_energy() > 0.0
 
     def test_forcing_shape_mismatch_rejected(self):
-        d = BlockDecomposition((8, 8), (1, 1))
+        """Refused before any write: fields, time and step count unchanged."""
+        d = BlockDecomposition((8, 8), (2, 1))
         s = WaveSolver2D(d, 0, dt=0.5)
+        s.set_initial(standing_mode((8, 8)))
+        s.u.padded[...] = np.arange(s.u.padded.size).reshape(s.u.padded.shape)
+        s.step_local()
+        u, u_prev = s.u, s.u_prev
+        before = (u.padded.copy(), u_prev.padded.copy(), s.time, s.steps_taken)
         with pytest.raises(ValueError, match="forcing shape"):
-            s.step_local(forcing=np.zeros((3, 3)))
+            s.step_local(forcing=np.zeros((4, 7)))
+        assert s.u is u and s.u_prev is u_prev
+        assert np.array_equal(u.padded, before[0]) and np.array_equal(u_prev.padded, before[1])
+        assert (s.time, s.steps_taken) == before[2:]

@@ -39,6 +39,12 @@ class TestGaussianPulse:
         np.testing.assert_allclose(sub, full[2:7, 4:9])
 
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_pulse(center=(0.0, 0.0), sigma=sigma)
+
+
 class TestRotatingSource:
     def test_source_moves(self):
         f = rotating_source(domain=(32.0, 32.0), period=8.0, sigma=2.0)
@@ -59,6 +65,27 @@ class TestRotatingSource:
         )
 
 
+    @pytest.mark.parametrize("sigma", [0.0, -2.0])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            rotating_source(domain=(16.0, 16.0), sigma=sigma)
+
+    @pytest.mark.parametrize("period", [0.0, -4.0])
+    def test_period_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="period"):
+            rotating_source(domain=(16.0, 16.0), period=period)
+
+    def test_open_grids_give_the_dense_values(self):
+        """Evaluating on open grids is bit-identical to the dense meshgrid pair."""
+        f = rotating_source(domain=(40.0, 30.0), sigma=3.0, period=9.0, amplitude=1.7)
+        region = RectRegion((5, 3), (37, 29))
+        X, Y = np.meshgrid(
+            np.arange(5.0, 37.0), np.arange(3.0, 29.0), indexing="ij"
+        )
+        for t in (0.0, 1.3, 8.25):
+            assert np.array_equal(evaluate_on_region(f, t, region), f(t, X, Y))
+
+
 class TestEvaluateOnRegion:
     def test_empty_region(self):
         f = gaussian_pulse(center=(0, 0), sigma=1.0)
@@ -69,6 +96,26 @@ class TestEvaluateOnRegion:
         f = gaussian_pulse(center=(0, 0), sigma=1.0)
         out = evaluate_on_region(f, 0.5, RectRegion((0, 0), (2, 2)), dtype=np.float32)
         assert out.dtype == np.float32
+
+
+    @pytest.mark.parametrize(
+        "field,expected",
+        [
+            (lambda t, X, Y: 1.5, lambda X, Y: np.full((3, 4), 1.5)),
+            (lambda t, X, Y: X * 2.0, lambda X, Y: X * 2.0),
+            (lambda t, X, Y: Y - 1.0, lambda X, Y: Y - 1.0),
+        ],
+        ids=["constant", "x_only", "y_only"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_partial_fields_fill_the_region(self, field, expected, dtype):
+        region = RectRegion((2, 5), (5, 9))
+        X, Y = np.meshgrid(np.arange(2.0, 5.0), np.arange(5.0, 9.0), indexing="ij")
+        out = evaluate_on_region(field, 0.0, region, dtype=dtype)
+        assert out.shape == region.shape
+        assert out.dtype == dtype
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, expected(X, Y).astype(dtype))
 
 
 class TestImbalanceProfiles:

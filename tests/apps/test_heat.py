@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps.forcing import gaussian_pulse, evaluate_on_region
+from repro.apps.forcing import evaluate_on_region, gaussian_pulse, rotating_source
 from repro.apps.heat import HeatSolver2D, heat_cfl_limit, solve_heat_reference
 from repro.data.darray import DistributedArray
 from repro.data.decomposition import BlockDecomposition
@@ -92,7 +92,7 @@ class TestDistributedMatchesReference:
         world.spawn_all("H", main)
         world.run()
         full = DistributedArray.assemble([blocks[r] for r in range(decomp.nprocs)])
-        np.testing.assert_allclose(full, reference, atol=1e-12)
+        assert np.array_equal(full, reference)
 
     def test_forced(self):
         shape = (12, 12)
@@ -117,7 +117,57 @@ class TestDistributedMatchesReference:
         world.spawn_all("H", main)
         world.run()
         full = DistributedArray.assemble([blocks[0], blocks[1]])
-        np.testing.assert_allclose(full, reference, atol=1e-12)
+        assert np.array_equal(full, reference)
+
+    @pytest.mark.parametrize(
+        "shape,grid,dx,forced",
+        [
+            ((130, 70), (3, 2), 1.0, False),
+            ((130, 70), (3, 2), 1.5, True),
+            ((130, 70), (1, 2), 1.0, True),  # 130 local rows: 64 + 64 + 2
+            ((18, 15), (2, 2), 1.5, False),
+        ],
+    )
+    def test_exact_cases(self, shape, grid, dx, forced):
+        """Row counts off the kernel's block size, dx != 1, the benchmark's forcing."""
+        steps, dt = 12, 0.2
+        u0 = sine_mode(shape)
+        field = None
+        if forced:
+            domain = (float(shape[0]), float(shape[1]))
+            field = rotating_source(domain=domain, sigma=6.0, period=7.0)
+        reference = solve_heat_reference(
+            shape, steps=steps, dt=dt, dx=dx, u0=u0, forcing=field
+        )
+        decomp = BlockDecomposition(shape, grid)
+        world = DesWorld()
+        world.create_program("H", decomp.nprocs)
+        blocks = {}
+
+        def main(comm):
+            solver = HeatSolver2D(decomp, comm.rank, dt=dt, dx=dx)
+            solver.set_initial(u0)
+            for _ in range(steps):
+                f_block = None
+                if field is not None:
+                    f_block = evaluate_on_region(field, solver.time, solver.u.region)
+                yield from solver.step_des(comm, forcing=f_block)
+            blocks[comm.rank] = solver.u
+
+        world.spawn_all("H", main)
+        world.run()
+        full = DistributedArray.assemble([blocks[r] for r in range(decomp.nprocs)])
+        assert np.array_equal(full, reference)
+
+    def test_bad_forcing_leaves_state_unchanged(self):
+        d = BlockDecomposition((8, 8), (1, 2))
+        s = HeatSolver2D(d, 0, dt=0.2)
+        s.u.padded[...] = np.arange(s.u.padded.size).reshape(s.u.padded.shape)
+        before = s.u.padded.copy()
+        with pytest.raises(ValueError, match="forcing shape"):
+            s.step_local(forcing=np.zeros((8, 8)))
+        assert np.array_equal(s.u.padded, before)
+        assert (s.time, s.steps_taken) == (0.0, 0)
 
     def test_diagnostics(self):
         d = BlockDecomposition((8, 8), (1, 1))

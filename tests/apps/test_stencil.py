@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.apps.stencil import apply_dirichlet, laplacian
+from repro.apps.stencil import BLOCK_ROWS, RowBlockedStencil, apply_dirichlet, laplacian
 
 
 class TestLaplacian:
@@ -68,3 +69,74 @@ class TestDirichlet:
         a = np.zeros((4, 4))
         apply_dirichlet(a, 7.0)
         assert a[0, 0] == 7.0
+
+
+def interior(a):
+    return a[1:-1, 1:-1]
+
+
+def ghosts(a):
+    """Copy of every ghost cell of a padded array (its border)."""
+    return np.concatenate([a[0], a[-1], a[1:-1, 0], a[1:-1, -1]])
+
+
+class TestRowBlockedStencil:
+    @settings(max_examples=150)
+    @given(
+        rows=st.integers(1, 150),
+        cols=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        leapfrog=st.booleans(),
+        forced=st.booleans(),
+        dx=st.sampled_from([1.0, 1.5, 0.3]),
+        coef=st.floats(0.01, 2.0),
+        fcoef=st.floats(0.01, 2.0),
+    )
+    def test_equals_laplacian_formula_bit_for_bit(
+        self, rows, cols, seed, leapfrog, forced, dx, coef, fcoef
+    ):
+        """The solvers' former whole-array expressions are the oracle."""
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((rows + 2, cols + 2))  # random ghost cells too
+        prev = rng.standard_normal(u.shape) if leapfrog else None
+        f = rng.standard_normal((rows, cols)) if forced else None
+        u_in = u.copy()
+        lap = laplacian(u_in, dx=dx)
+        if leapfrog:
+            expected = 2.0 * interior(u_in) - interior(prev) + coef * lap
+        else:
+            expected = interior(u_in) + coef * lap
+        if forced:
+            expected += fcoef * f
+        dst = u if prev is None else prev
+        dst_ghosts = ghosts(dst)
+
+        RowBlockedStencil(u.shape, dx).step(u, coef, prev=prev, forcing=f, fcoef=fcoef)
+
+        assert np.array_equal(interior(dst), expected)
+        assert np.array_equal(ghosts(dst), dst_ghosts)
+        if leapfrog:
+            assert np.array_equal(u, u_in)
+
+    def test_dirichlet_faces_zeroed_before_the_step(self):
+        u = np.ones((BLOCK_ROWS + 7, 6))
+        RowBlockedStencil(u.shape, dirichlet=["north", "east"]).step(u, 0.25)
+        assert not u[0].any() and not u[:, -1].any()
+        assert u[-1, :-1].all() and u[1:, 0].all()
+        assert u[1, 1] == 1.0 + 0.25 * (0.0 + 1.0 + 1.0 + 1.0 - 4.0)
+
+    def test_wrong_forcing_shape_refused_before_any_write(self):
+        u = np.arange(30.0).reshape(5, 6)
+        before = u.copy()
+        kernel = RowBlockedStencil(u.shape, dirichlet=["north", "south", "west", "east"])
+        with pytest.raises(ValueError, match="forcing shape"):
+            kernel.step(u, 0.1, forcing=np.zeros((3, 3)))
+        assert np.array_equal(u, before)
+
+    def test_wrong_array_shape_refused(self):
+        with pytest.raises(ValueError):
+            RowBlockedStencil((5, 6)).step(np.zeros((6, 5)), 0.1)
+
+    def test_too_small_rejected(self):
+        with pytest.raises(ValueError):
+            RowBlockedStencil((2, 5))
