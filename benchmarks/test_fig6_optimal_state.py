@@ -9,9 +9,8 @@ Characteristics asserted (paper Section 5):
 """
 
 from conftest import emit
-from repro.bench.figure4 import Figure4Spec, build_figure4_simulation
+from repro.bench.figure4 import Figure4Spec, build_figure4_simulation, optimal_iteration_of
 from repro.bench.reporting import format_table
-from repro.bench.traces import optimal_state_reached
 from repro.core.exporter import ExportDecision
 
 
@@ -28,11 +27,15 @@ def test_fig6_optimal_state(benchmark, scale):
     cs = benchmark.pedantic(run, rounds=1, iterations=1)
     ctx = cs.context("F", spec.slow_rank)
     records = ctx.stats.export_records
-    assert optimal_state_reached(records[: -25], window=40)
+    # Exports past the last request can never be skipped: judge the
+    # in-window ones.  The last 40 of them hold no blind buffer.
+    cutoff = spec.n_requests * spec.request_period
+    in_window = [r for r in records if r.ts <= cutoff]
+    optimal = optimal_iteration_of(records, cutoff_ts=cutoff)
+    assert optimal is not None and optimal <= len(in_window) - 40
 
     # Characterize the steady tail (excluding the post-last-request end).
-    cutoff = spec.n_requests * spec.request_period
-    tail = [r for r in records if r.ts <= cutoff][-100:]
+    tail = in_window[-100:]
     buffers = sum(1 for r in tail if r.decision is ExportDecision.BUFFER)
     sends = sum(1 for r in tail if r.decision is ExportDecision.SEND)
     skips = sum(1 for r in tail if r.decision is ExportDecision.SKIP)

@@ -19,5 +19,5 @@ def test_fig7_trace(benchmark):
     # the buddy answer; only the match 9.6 (and post-region 10.6) copy.
     assert skips == [4.6, 5.6, 6.6, 7.6, 8.6]
     assert memcpys == [1.6, 2.6, 3.6, 9.6, 10.6]
-    assert scenario.process.state.buffer.t_ub() == 0.0
+    assert scenario.t_ub == 0.0
     benchmark.extra_info["paper"] = "all in-region non-matches skipped; T_i = 0"

@@ -21,7 +21,7 @@ def test_fig8_trace(benchmark):
     ]
     assert memcpys == [1.6, 2.6, 3.6, 5.6, 6.6, 7.6, 8.6, 9.6, 10.6]
     assert removes == [5.6, 6.6, 7.6, 8.6]  # candidate churn
-    assert scenario.process.state.buffer.t_ub() == 4.0  # unit-cost memcpys
+    assert scenario.t_ub == 4.0  # unit-cost memcpys
     benchmark.extra_info["paper"] = "buffer-and-replace churn; match at 10.6"
 
 
@@ -35,8 +35,7 @@ def test_fig7_vs_fig8_savings(benchmark):
         "Buddy-help savings in the Figure 7/8 window",
         f"memcpys: {without.memcpy_count()} -> {with_b.memcpy_count()} "
         f"(saved {saved_memcpys})\n"
-        f"T_ub:    {without.process.state.buffer.t_ub():.1f} -> "
-        f"{with_b.process.state.buffer.t_ub():.1f}",
+        f"T_ub:    {without.t_ub:.1f} -> {with_b.t_ub:.1f}",
     )
     assert saved_memcpys == 4
     benchmark.extra_info["saved_memcpys"] = saved_memcpys

@@ -1,59 +1,21 @@
 #!/usr/bin/env python
 """Reproduce the paper's event traces (Figures 5, 7 and 8).
 
-Two ways of generating them:
-
-1. **Scripted** — drive the export-side state machine through exactly
-   the event order of the figures; line-by-line reproduction.
-2. **Emergent** — run a real two-program coupled simulation with a
-   tracer attached and print the slow process's events; the same
-   pattern falls out of the full runtime (requests, PENDING replies,
-   rep finalization, buddy-help messages, skips).
+Each figure is a run of a registered scenario — ``fig5``, and ``fig7``
+with ``buddy_help`` on (Figure 7) and off (Figure 8) — with a tracer on
+the slow process ``p_s``: every line comes from the full runtime
+(requests, PENDING replies, rep finalization, buddy-help messages,
+skips).
 
 Run:  python examples/buddy_help_traces.py
 """
 
-import repro
 from repro.bench.traces import (
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
 )
-from repro.core.coupler import RegionDef
-from repro.data import BlockDecomposition
-from repro.util.tracing import Tracer, format_trace
-
-
-def emergent_trace(buddy_help=True, with_tracer=True):
-    """Run a real coupled system; returns the :class:`repro.RunResult`."""
-    config = "F c0 /bin/F 2\nU c1 /bin/U 2\n#\nF.d U.d REGL 2.5\n"
-    tracer = (
-        Tracer(predicate=lambda e: e.who in ("F.p1", "F.rep"))
-        if with_tracer
-        else None
-    )
-
-    def f_main(ctx):
-        scale = 4.0 if ctx.rank == 1 else 1.0  # rank 1 is p_s
-        for k in range(46):
-            yield from ctx.export("d", 1.6 + k)
-            yield from ctx.compute(0.001 * scale)
-
-    def u_main(ctx):
-        for want in (20.0, 40.0):
-            yield from ctx.compute(0.004)
-            yield from ctx.import_("d", want)
-
-    dec = BlockDecomposition((16, 16), (2, 1))
-    deci = BlockDecomposition((16, 16), (1, 2))
-    return repro.run(
-        config,
-        [
-            repro.Program("F", main=f_main, regions={"d": RegionDef(dec)}),
-            repro.Program("U", main=u_main, regions={"d": RegionDef(deci)}),
-        ],
-        repro.RunOptions(buddy_help=buddy_help, tracer=tracer, seed=2),
-    )
+from repro.scenarios import build
 
 
 def banner(title):
@@ -63,41 +25,32 @@ def banner(title):
 
 
 def main():
-    banner("Figure 5 (scripted): REGL 2.5, requests at 20 and 40")
+    banner("Figure 5: REGL 2.5, requests at 20 and 40")
     s5 = scenario_fig5()
     print(s5.rendered())
     print(f"\n-> skips grow 4 -> 7 across windows "
           f"(total {s5.skip_count()} skips, {s5.memcpy_count()} memcpys)")
 
-    banner("Figure 7 (scripted): REGL 5.0 WITH buddy-help")
+    banner("Figure 7: REGL 5.0 WITH buddy-help")
     s7 = scenario_fig7_with_buddy()
     print(s7.rendered())
-    print(f"\n-> T_i = {s7.process.state.buffer.t_ub():.0f} (no wasted in-region memcpy)")
+    print(f"\n-> T_i = {s7.t_ub:.0f} (no wasted in-region memcpy)")
 
-    banner("Figure 8 (scripted): REGL 5.0 WITHOUT buddy-help")
+    banner("Figure 8: REGL 5.0 WITHOUT buddy-help")
     s8 = scenario_fig8_without_buddy()
     print(s8.rendered())
-    print(f"\n-> T_i = {s8.process.state.buffer.t_ub():.0f} unit-cost wasted memcpys "
+    print(f"\n-> T_i = {s8.t_ub:.0f} unit-cost wasted memcpys "
           "(the buffer-and-replace churn)")
 
-    banner("Emergent trace from the full runtime (slow process F.p1)")
-    result = emergent_trace()
-    tracer = result.tracer
-    print(format_trace(tracer.events[:40]))
-    skips = sum(1 for e in tracer.events if e.kind == "export_skip")
-    buddies = sum(1 for e in tracer.events if e.kind == "buddy_help_recv")
-    print(f"\n-> {buddies} buddy-help messages received, {skips} memcpys skipped")
-
-    banner("T_ub accounting via RunResult.metrics (with vs. without help)")
-    paper = result.metrics.paper
-    baseline = emergent_trace(buddy_help=False, with_tracer=False)
-    paper_off = baseline.metrics.paper
+    banner("T_ub accounting via RunResult.metrics (fig7, with vs. without help)")
+    paper = build("fig7", {"buddy_help": True}).run().metrics.paper
+    paper_off = build("fig7", {"buddy_help": False}).run().metrics.paper
     print(paper.render())
     print(
-        f"\n-> measured no-help run:  T_ub = {paper_off.t_ub_total:.6g} s"
-        f"\n-> with buddy-help:       T_ub = {paper.t_ub_total:.6g} s"
-        f"\n-> positive saving:       {paper.t_ub_saving:.6g} s "
-        f"(counterfactual estimate {paper.t_ub_no_help_estimate:.6g} s "
+        f"\n-> measured no-help run:  T_ub = {paper_off.t_ub_total:.6g}"
+        f"\n-> with buddy-help:       T_ub = {paper.t_ub_total:.6g}"
+        f"\n-> positive saving:       {paper.t_ub_saving:.6g} "
+        f"(counterfactual estimate {paper.t_ub_no_help_estimate:.6g} "
         "matches the no-help measurement)"
     )
     assert paper.t_ub_saving > 0, "buddy-help should save buffering time"

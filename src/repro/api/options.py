@@ -13,7 +13,7 @@ benchmark specs, and derive with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.exceptions import ConfigError
 from repro.costs import FAST_TEST, ClusterPreset
@@ -58,15 +58,14 @@ class RunOptions:
         ``"report"`` only accumulates findings, ``None`` consults the
         ``REPRO_SANITIZE`` environment variable, ``False`` disables.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`; the DES network then
+        Optional :class:`~repro.faults.FaultPlan`; the DES network or
+        the live runtime's mailbox hook
+        (:class:`~repro.faults.injectors.LiveFaultInjector`) then
         executes it and the protocol switches to resilient mode.
-    fault_injector:
-        Live-runtime fault hook (``"live"`` only), typically a
-        :class:`repro.faults.injectors.LiveFaultInjector`.
     retransmit_timeout:
         Base request-retransmission timeout; ``None`` derives a bound
         from the network model (DES, when a fault plan is given) or the
-        runtime default (live, when an injector is installed).
+        runtime default (live, when a fault plan is given).
     max_retransmits:
         Retransmission attempts per request before giving up; ``None``
         uses the runtime default (12 on DES, 8 on live).
@@ -125,7 +124,6 @@ class RunOptions:
     record_operations: bool = False
     sanitize: bool | str | None = None
     fault_plan: FaultPlan | None = None
-    fault_injector: Callable[..., Any] | None = None
     retransmit_timeout: float | None = None
     max_retransmits: int | None = None
     time_scale: float = 1.0

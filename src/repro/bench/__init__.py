@@ -11,8 +11,8 @@ multi-run experiment is a list of rows.
 * :mod:`repro.bench.figure4` -- the Section-5 micro-benchmark
   (Figure 4 a-d): :func:`figure4_rows`, the rows of one importer size,
   six runs by default.
-* :mod:`repro.bench.traces` -- the event-trace scripts of Figures
-  5, 7 and 8, plus the Figure-6 optimal-state predicate.
+* :mod:`repro.bench.traces` -- the event traces of Figures 5, 7 and 8:
+  ``p_s``'s lines of a ``fig5`` / ``fig7`` run.
 * :mod:`repro.bench.experiments_report` -- every figure as one
   markdown report (``repro experiments``), rendered from rows.
 * :mod:`repro.bench.reporting` -- ASCII tables/series so the pytest
@@ -27,7 +27,6 @@ from repro.bench.reporting import format_series, format_table, mean_series, summ
 from repro.bench.rows import run_row
 from repro.bench.traces import (
     TraceScenario,
-    optimal_state_reached,
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
@@ -42,7 +41,6 @@ __all__ = [
     "scenario_fig5",
     "scenario_fig7_with_buddy",
     "scenario_fig8_without_buddy",
-    "optimal_state_reached",
     "format_series",
     "format_table",
     "mean_series",

@@ -103,8 +103,8 @@ def generate_report(
     s7 = scenario_fig7_with_buddy()
     s8 = scenario_fig8_without_buddy()
     w(f"* Figure 7 (buddy on):  {s7.memcpy_count()} memcpys, "
-      f"{s7.skip_count()} skips, T_i = {s7.process.state.buffer.t_ub():.0f}\n")
+      f"{s7.skip_count()} skips, T_i = {s7.t_ub:.0f}\n")
     w(f"* Figure 8 (buddy off): {s8.memcpy_count()} memcpys, "
-      f"{s8.skip_count()} skips, T_i = {s8.process.state.buffer.t_ub():.0f}\n")
+      f"{s8.skip_count()} skips, T_i = {s8.t_ub:.0f}\n")
     w(f"* buddy-help saves exactly "
       f"{s8.memcpy_count() - s7.memcpy_count()} in-region memcpys per window\n")

@@ -430,7 +430,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
                 "trace": scenario.rendered(),
                 "skips": scenario.skip_count(),
                 "memcpys": scenario.memcpy_count(),
-                "t_ub": scenario.process.state.buffer.t_ub(),
+                "t_ub": scenario.t_ub,
             }
             for key, (title, scenario) in results.items()
         }
@@ -441,7 +441,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         print(scenario.rendered())
         print(
             f"\n  {scenario.skip_count()} skips, {scenario.memcpy_count()} memcpys, "
-            f"T_i ledger = {scenario.process.state.buffer.t_ub():.0f}"
+            f"T_i ledger = {scenario.t_ub:.0f}"
         )
     return 0
 

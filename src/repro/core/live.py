@@ -48,6 +48,7 @@ from repro.core.protocol import (
 )
 from repro.core.spine import ProtocolEvent
 from repro.data.region import RectRegion
+from repro.faults.injectors import LiveFaultInjector
 from repro.match.result import MatchKind
 from repro.util.validation import require, require_positive
 from repro.vmpi.thread_backend import MailboxTimeout, ThreadMailbox, ThreadWorld
@@ -123,7 +124,7 @@ class LiveProcessContext(ContextBase):
     ) -> tuple[float | None, np.ndarray | None]:
         """Request the region's object for *ts*; blocks until resolved.
 
-        On a resilient runtime (``fault_injector`` or
+        On a resilient runtime (``fault_plan`` or
         ``retransmit_timeout`` set) each blocking receive runs under a
         retransmission loop: a timed-out wait re-posts the
         :class:`~repro.core.wire.ImpProcRequest` with exponential
@@ -200,11 +201,12 @@ class LiveCoupledSimulation(ProtocolDriver):
         ``RunOptions(runtime="live")``.  How this runtime reads the
         ones whose meaning depends on it:
 
-        * ``fault_injector`` is installed as
+        * ``fault_plan`` is applied by a
+          :class:`~repro.faults.injectors.LiveFaultInjector` installed as
           :attr:`ThreadWorld.fault_hook` and switches the runtime to
           resilient mode (relaxed request ordering + retransmission).
         * ``retransmit_timeout`` is in wall seconds and defaults to
-          ``0.25`` when a fault injector is installed; set it
+          ``0.25`` when a fault plan is given; set it
           explicitly to enable resilience without chaos.
           ``max_retransmits`` (default 8) bounds each blocking receive
           (exponential backoff, exponent capped at 6).
@@ -234,7 +236,8 @@ class LiveCoupledSimulation(ProtocolDriver):
         self.time_scale = options.time_scale
         self.default_timeout = options.default_timeout
         self.world = ThreadWorld(default_timeout=options.default_timeout)
-        self.world.fault_hook = options.fault_injector
+        if options.fault_plan is not None:
+            self.world.fault_hook = LiveFaultInjector(options.fault_plan)
         #: Happens-before race detection (opt-in, duck-typed so the
         #: core layer does not import :mod:`repro.analysis.races`).
         #: ``None`` keeps every hook a single attribute check.
@@ -246,7 +249,7 @@ class LiveCoupledSimulation(ProtocolDriver):
         #: that process's export states / that rep's state machines.
         self._locks: dict[tuple[str, str], Any] = {}
         rto = options.retransmit_timeout
-        if rto is None and options.fault_injector is not None:
+        if rto is None and options.fault_plan is not None:
             rto = 0.25
         super().__init__(
             config,

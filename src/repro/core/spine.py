@@ -1,8 +1,8 @@
 """The event spine: each protocol decision is announced once.
 
-:class:`~repro.core.protocol.ProtocolDriver` (and the scripted traces of
-:mod:`repro.bench.traces`) build one :class:`ProtocolEvent` per decision
-and hand that same event to every fold watching the run:
+:class:`~repro.core.protocol.ProtocolDriver` builds one
+:class:`ProtocolEvent` per decision — nothing outside :mod:`repro.core`
+does — and hands that same event to every fold watching the run:
 :class:`PaperFold` (the Figure-5/7/8 :class:`~repro.util.tracing.Tracer`),
 :class:`CausalFold` (the :class:`~repro.obs.trace.CausalLog`; it owns
 the causal bookkeeping and returns the span context the outgoing wire

@@ -133,10 +133,10 @@ def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = No
 class LiveFaultInjector:
     """Mailbox-post hook applying a :class:`FaultPlan` on the live runtime.
 
-    Install via ``RunOptions(runtime="live", fault_injector=...)`` (the
-    live runtime assigns it to ``ThreadWorld.fault_hook``).  Framework messages posted
-    to eligible planes are then dropped, duplicated or delayed; user
-    traffic and shutdown sentinels pass through untouched.
+    The live runtime installs one as ``ThreadWorld.fault_hook`` for
+    ``RunOptions(runtime="live", fault_plan=...)``.  Framework messages
+    posted to eligible planes are then dropped, duplicated or delayed;
+    user traffic and shutdown sentinels pass through untouched.
 
     Parameters
     ----------

@@ -110,7 +110,6 @@ _UNRECORDED_OPTION_FIELDS = (
     "preset",
     "tracer",
     "fault_plan",
-    "fault_injector",
     "telemetry_sinks",
     "race_monitor",
     "provenance",

@@ -1,14 +1,15 @@
 """Named, parameter-checked coupled scenarios: where a run is described.
 
 Every experiment of the paper has one shape — an exporter program whose
-last rank is the slow ``p_s``, an importer program issuing periodic
-requests (Section 5, Figures 3–4) — so it is written out once
-(:func:`_pair`) and the experiments are registered as parameter sets of
-it: ``demo`` (and ``crash`` / ``crash_hard``, which fail rank 0 of the
-exporter — the latter by killing its process, for the broken-pool tests
-only), ``fig3a`` / ``fig3b``, ``fig4`` (one run of a
-:class:`Figure4Spec`) and ``resilience`` (the chaos sweep's coupling).
-``docs/serving.md`` tabulates them.
+last rank is the slow ``p_s``, an importer program issuing requests
+(Section 5, Figures 3–8) — so it is written out once (:func:`_pair`) and
+the experiments are registered as parameter sets of it: ``demo`` (and
+``crash`` / ``crash_hard``, which fail rank 0 of the exporter — the
+latter by killing its process, for the broken-pool tests only),
+``fig3a`` / ``fig3b``, ``fig4`` (one run of a :class:`Figure4Spec`),
+``fig5`` / ``fig7`` (the event traces of Figures 5, 7 and 8) and
+``resilience`` (the chaos sweep's coupling).  ``docs/serving.md``
+tabulates them.
 
 A name plus plain-JSON parameters is all a front-end needs — arbitrary
 ``main`` callables cannot cross the session server's wire — so ``repro
@@ -184,7 +185,8 @@ def _pair(
     export_work: float,
     slow_factor: float,
     imports: Sequence[float],
-    import_work: float,
+    import_work: float = 0.0,
+    request_at: Sequence[float] | None = None,
     import_scale: float = 1.0,
     elements: bool = False,
     names: tuple[str, str] = ("E", "I"),
@@ -203,9 +205,11 @@ def _pair(
     times; the last rank is ``p_s`` and works *slow_factor* times as
     long.  Every importer rank works ``import_work``, then imports, once
     per timestamp of *imports* — compute first, so the first request
-    goes out one importer period into the run.  Work is virtual seconds,
-    or with *elements* grid points through the preset's compute model.
-    Rank 0 of the exporter fails before export *crash_after*.
+    goes out one importer period into the run — or, given *request_at*,
+    issues request *k* at virtual time ``request_at[k]`` (a time already
+    past is an error).  Work is virtual seconds, or with *elements* grid
+    points through the preset's compute model.  Rank 0 of the exporter
+    fails before export *crash_after*.
     """
     exporter, importer = names
     slow_rank = prod(grids[0]) - 1
@@ -226,8 +230,13 @@ def _pair(
             yield from work(ctx, export_work, scale)
 
     def import_main(ctx: Any) -> Generator[Any, Any, None]:
-        for want in imports:
-            yield from work(ctx, import_work, import_scale)
+        for k, want in enumerate(imports):
+            if request_at is None:
+                yield from work(ctx, import_work, import_scale)
+            else:
+                wait = request_at[k] - ctx.sim.now
+                require(wait >= 0, f"request {want:g} due at {request_at[k]:g} is past")
+                yield from ctx.compute(wait)
             yield from ctx.import_(region, want)
 
     return ScenarioBuild(
@@ -329,6 +338,59 @@ register_scenario(
     {
         "exports": Param("int", 40, *_STEPS),
         "requests": Param("int", 15, *_STEPS),
+        "seed": Param("int", 0, 0),
+        "buddy_help": _BUDDY_HELP,
+    },
+)
+
+#: A unit memcpy: ``p_s``'s 1 024-byte block copies in exactly 1.0 and
+#: frees for nothing, so a buffered export costs 1, a skip 0, and the
+#: Eq. 1 ledger counts wasted memcpys.
+_UNIT_MEMCPY = replace(
+    _FLAT,
+    name="unit-memcpy",
+    memory=replace(_FLAT.memory, setup_time=0.0, bandwidth=1024.0, free_time=0.0),
+)
+
+
+def _trace(
+    exports: int, seed: int, buddy_help: bool, *,
+    tolerance: float, slow_factor: float, imports: tuple[float, ...],
+    request_at: tuple[float, ...],
+) -> ScenarioBuild:
+    """The event traces of Figures 5, 7 and 8: F(2) → U(1) on unit memcpys.
+
+    Rank 0 works 1e-3 per export, ``p_s`` *slow_factor* times that; U
+    issues each request at a fixed virtual time, while ``p_s`` is still
+    short of it and rank 0 already past it.
+    """
+    return _pair(
+        RunOptions(preset=_UNIT_MEMCPY, buddy_help=buddy_help, seed=seed),
+        exports=exports, export_work=1e-3, slow_factor=slow_factor,
+        imports=imports, request_at=request_at, names=("F", "U"), region="D",
+        shape=(16, 16), grids=((2, 1), (1, 1)), tolerance=tolerance,
+    )
+
+
+# Figure 5: REGL 2.5, requests for 20 and 40 — p_s's skip runs grow 4 → 7.
+register_scenario(
+    "fig5",
+    partial(_trace, tolerance=2.5, slow_factor=1000.0, imports=(20.0, 40.0),
+            request_at=(27.5, 57.5)),
+    {
+        "exports": Param("int", 40, *_STEPS),
+        "seed": Param("int", 0, 0),
+        "buddy_help": _BUDDY_HELP,
+    },
+)
+# Figure 7: REGL 5.0, a request for 10 — no in-region churn; Figure 8 is
+# the same run with buddy_help=false.
+register_scenario(
+    "fig7",
+    partial(_trace, tolerance=5.0, slow_factor=4000.0, imports=(10.0,),
+            request_at=(12.0,)),
+    {
+        "exports": Param("int", 10, *_STEPS),
         "seed": Param("int", 0, 0),
         "buddy_help": _BUDDY_HELP,
     },

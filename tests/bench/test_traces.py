@@ -1,13 +1,10 @@
-"""Tests asserting the scripted traces reproduce the paper's figures."""
+"""Tests asserting the ``fig5`` / ``fig7`` runs reproduce the paper's figures."""
 
-import pytest
-
+from repro.bench.rows import optimal_iteration_of
 from repro.bench.traces import (
-    ScriptedProcess,
     scenario_fig5,
     scenario_fig7_with_buddy,
     scenario_fig8_without_buddy,
-    optimal_state_reached,
 )
 from repro.core.exporter import ExportDecision
 from repro.util import tracing
@@ -73,7 +70,7 @@ class TestFigure7:
     def test_no_in_region_churn(self):
         """With buddy-help, T_i = 0: no in-region buffer was wasted."""
         s = scenario_fig7_with_buddy()
-        assert s.process.state.buffer.t_ub() == 0.0
+        assert s.t_ub == 0.0
 
 
 class TestFigure8:
@@ -98,17 +95,18 @@ class TestFigure8:
         s = scenario_fig8_without_buddy()
         sends = [e for e in s.events if e.kind == tracing.EXPORT_SEND]
         assert [e.timestamp for e in sends] == [9.6]
-        # The send happens at the 10.6 export event (same tick).
-        export_106 = next(
-            e for e in s.events
-            if e.kind == tracing.EXPORT_MEMCPY and e.timestamp == 10.6
-        )
-        assert sends[0].time == export_106.time
+        # p_s finds the match at the 10.6 export: the send is its next line
+        # (one unit memcpy later), then the slow-path MATCH reply.
+        lines = s.rendered(numbered=False).splitlines()
+        at = lines.index("export D@10.6, call memcpy.")
+        assert lines[at + 1 : at + 3] == [
+            "send D@9.6 out.", "reply {D@10, MATCH, D@10.6}."
+        ]
 
     def test_t_ub_positive_without_buddy(self):
         """Eq. 1: four wasted in-region memcpys (5.6..8.6) at unit cost."""
         s = scenario_fig8_without_buddy()
-        assert s.process.state.buffer.t_ub() == pytest.approx(4.0)
+        assert s.t_ub == 4.0
 
 
 class TestBuddyVsNoBuddyComparison:
@@ -122,12 +120,15 @@ class TestBuddyVsNoBuddyComparison:
 
 
 class TestOptimalStatePredicate:
+    """Figure 6's optimal state, as :func:`optimal_iteration_of` defines it:
+    no export after the returned index is blindly buffered."""
+
     def _records(self, decisions):
         class R:
-            def __init__(self, d):
-                self.decision = d
+            def __init__(self, i, d):
+                self.ts, self.decision = 1.6 + i, d
 
-        return [R(d) for d in decisions]
+        return [R(i, d) for i, d in enumerate(decisions)]
 
     def test_pure_skip_send_tail_is_optimal(self):
         recs = self._records(
@@ -136,7 +137,7 @@ class TestOptimalStatePredicate:
             + [ExportDecision.SEND]
             + [ExportDecision.SKIP] * 1
         )
-        assert optimal_state_reached(recs, window=20)
+        assert optimal_iteration_of(recs) == 5
 
     def test_buffer_in_tail_is_not_optimal(self):
         recs = self._records(
@@ -144,25 +145,9 @@ class TestOptimalStatePredicate:
             + [ExportDecision.BUFFER]
             + [ExportDecision.SKIP] * 9
         )
-        assert not optimal_state_reached(recs, window=20)
-
-    def test_all_skip_no_send_not_optimal(self):
-        recs = self._records([ExportDecision.SKIP] * 20)
-        assert not optimal_state_reached(recs, window=20)
+        assert optimal_iteration_of(recs) == 11
+        # A window that ends on the blind buffer never reaches the state.
+        assert optimal_iteration_of(recs, cutoff_ts=recs[10].ts) is None
 
     def test_empty_records(self):
-        assert not optimal_state_reached([], window=20)
-
-
-class TestScriptedProcessMisuse:
-    def test_out_of_order_export_rejected(self):
-        p = ScriptedProcess(tolerance=2.5)
-        p.export(5.0)
-        with pytest.raises(ValueError):
-            p.export(4.0)
-
-    def test_out_of_order_request_rejected(self):
-        p = ScriptedProcess(tolerance=2.5)
-        p.request(20.0)
-        with pytest.raises(ValueError):
-            p.request(10.0)
+        assert optimal_iteration_of([]) is None

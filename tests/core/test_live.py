@@ -204,6 +204,25 @@ def test_runtimes_make_identical_decisions(options):
     assert set(live.counters) == set(des.counters)
 
 
+def test_live_runtime_applies_the_fault_plan():
+    """``fault_plan`` drives the live mailbox hook: lost messages are
+    retransmitted and every importer gets the fault-free answers."""
+    from repro.faults import FaultPlan
+
+    def answers(result):
+        return [
+            (r.request_ts, r.answer.kind, r.answer.matched_ts)
+            for rank in (0, 1)
+            for r in result.context("U", rank).import_states["d"].records
+        ]
+
+    # Seed 1337's first draw drops on each of the ctl, cpl and rep planes,
+    # so whichever message opens a plane is lost and must be re-asked.
+    faulty = _run_on("live", fault_plan=FaultPlan(seed=1337, drop=0.1))
+    assert answers(faulty) == answers(_run_on("live"))
+    assert faulty.counters["retransmissions"] > 0
+
+
 class TestLivePropertyViolations:
     def test_divergent_live_program_raises(self):
         """Ranks exporting different timestamp lines must be caught by

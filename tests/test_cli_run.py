@@ -159,3 +159,15 @@ class TestParity:
         # Either order of the two cells is the same comparison.
         code, swapped = run_json(["run", "demo", "-p", "buddy_help=false,true"], capsys)
         assert swapped["comparison"] == payload["comparison"]
+
+    def test_fig7_pair_is_figures_7_and_8(self, capsys):
+        """Figures 7 and 8 as one ``run``: ``p_s`` wastes nothing with help
+        and four unit memcpys without; rank 0, past the request before it
+        arrives, churns four either way."""
+        code, payload = run_json(["run", "fig7", "-p", "buddy_help=true,false"], capsys)
+        assert code == 0
+        assert [r["p_s"]["t_ub"] for r in payload["runs"]] == [0.0, 4.0]
+        comparison = payload["comparison"]
+        assert comparison["t_ub_with_help"] == 4.0
+        assert comparison["t_ub_without_help"] == 8.0
+        assert comparison["t_ub_no_help_estimate"] == comparison["t_ub_without_help"]

@@ -240,3 +240,21 @@ class TestAnnouncedOnce:
                 ):
                     sites.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
         assert sites == [], f"decisions announced outside the spine: {sites}"
+
+    def test_only_core_announces(self):
+        """Outside ``repro/core/`` nothing builds a ``ProtocolEvent`` or
+        drives a fold's ``handlers()``: every trace line is the runtime's."""
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).resolve().parent
+        sites = []
+        for path in sorted(root.rglob("*.py")):
+            if path.relative_to(root).parts[0] == "core":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                    ("ProtocolEvent", ".handlers")
+                ):
+                    sites.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert sites == [], f"protocol events built outside repro.core: {sites}"

@@ -29,6 +29,8 @@ SMALL = {
     "fig3a": {"exports": 41},
     "fig3b": {"exports": 41},
     "fig4": {"exports": 41, "u_procs": 32},
+    "fig5": {},
+    "fig7": {},
     "resilience": {"exports": 12, "requests": 4},
 }
 
@@ -38,7 +40,8 @@ RUNNABLE = [n for n in scenario_names() if n != "crash_hard"]
 
 def test_the_papers_experiments_are_registered():
     assert set(scenario_names()) >= {
-        "demo", "crash", "crash_hard", "fig3a", "fig3b", "fig4", "resilience",
+        "demo", "crash", "crash_hard", "fig3a", "fig3b", "fig4", "fig5", "fig7",
+        "resilience",
     }
     assert set(SMALL) == set(RUNNABLE)
 
@@ -130,6 +133,17 @@ class TestParamChecking:
                 assert p.maximum is not None, key
                 with pytest.raises(ValueError, match=rf"{key}=1000000000 is not int 1\.\."):
                     build(name, {key: 10**9})
+
+    def test_a_request_time_already_past_is_refused(self):
+        from repro.api import RunOptions
+        from repro.scenarios import _pair
+
+        late = _pair(
+            RunOptions(), exports=4, export_work=1e-3, slow_factor=1.0,
+            imports=(2.0, 3.0), request_at=(5.0, 1.0),
+        )
+        with pytest.raises(ValueError, match="request 3 due at 1 is past"):
+            late.run()
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario 'nope'.*fig3a"):
