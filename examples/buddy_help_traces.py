@@ -5,16 +5,13 @@ Each figure is a run of a registered scenario — ``fig5``, and ``fig7``
 with ``buddy_help`` on (Figure 7) and off (Figure 8) — with a tracer on
 the slow process ``p_s``: every line comes from the full runtime
 (requests, PENDING replies, rep finalization, buddy-help messages,
-skips).
+skips).  The same rows print with ``repro run fig5 --trace`` and
+``repro run fig7 -p buddy_help=true,false --trace``.
 
 Run:  python examples/buddy_help_traces.py
 """
 
-from repro.bench.traces import (
-    scenario_fig5,
-    scenario_fig7_with_buddy,
-    scenario_fig8_without_buddy,
-)
+from repro.bench.rows import memcpy_count, run_row
 from repro.scenarios import build
 
 
@@ -24,22 +21,28 @@ def banner(title):
     print("=" * 64)
 
 
+def trace_of(scenario, **params):
+    """``p_s``'s block of a traced ``repro run`` row."""
+    return run_row(scenario, build(scenario, params), trace=True)["p_s"]
+
+
 def main():
     banner("Figure 5: REGL 2.5, requests at 20 and 40")
-    s5 = scenario_fig5()
-    print(s5.rendered())
+    s5 = trace_of("fig5")
+    print("\n".join(s5["trace"]))
     print(f"\n-> skips grow 4 -> 7 across windows "
-          f"(total {s5.skip_count()} skips, {s5.memcpy_count()} memcpys)")
+          f"(total {s5['decisions']['skip']} skips, "
+          f"{memcpy_count(s5['decisions'])} memcpys)")
 
     banner("Figure 7: REGL 5.0 WITH buddy-help")
-    s7 = scenario_fig7_with_buddy()
-    print(s7.rendered())
-    print(f"\n-> T_i = {s7.t_ub:.0f} (no wasted in-region memcpy)")
+    s7 = trace_of("fig7")
+    print("\n".join(s7["trace"]))
+    print(f"\n-> T_i = {s7['t_ub']:.0f} (no wasted in-region memcpy)")
 
     banner("Figure 8: REGL 5.0 WITHOUT buddy-help")
-    s8 = scenario_fig8_without_buddy()
-    print(s8.rendered())
-    print(f"\n-> T_i = {s8.t_ub:.0f} unit-cost wasted memcpys "
+    s8 = trace_of("fig7", buddy_help=False)
+    print("\n".join(s8["trace"]))
+    print(f"\n-> T_i = {s8['t_ub']:.0f} unit-cost wasted memcpys "
           "(the buffer-and-replace churn)")
 
     banner("T_ub accounting via RunResult.metrics (fig7, with vs. without help)")

@@ -27,11 +27,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.figure4 import Figure4Spec, figure4_rows  # noqa: E402
 from repro.bench.rows import run_row  # noqa: E402
-from repro.bench.traces import (  # noqa: E402
-    scenario_fig5,
-    scenario_fig7_with_buddy,
-    scenario_fig8_without_buddy,
-)
 from repro.faults import FaultPlan  # noqa: E402
 from repro.scenarios import build  # noqa: E402
 
@@ -74,6 +69,11 @@ def figure4_case(u_procs: int, **overrides) -> dict:
     }
 
 
+def trace_case(scenario: str, **params) -> str:
+    """``p_s``'s trace of one ``repro run --trace`` row, as one string."""
+    return "\n".join(run_row(scenario, build(scenario, params), trace=True)["p_s"]["trace"])
+
+
 def main() -> None:
     golden = {
         "chaos": {
@@ -84,9 +84,9 @@ def main() -> None:
         },
         "figure4": [figure4_case(16), figure4_case(32)],
         "traces": {
-            "fig5": scenario_fig5().rendered(),
-            "fig7": scenario_fig7_with_buddy().rendered(),
-            "fig8": scenario_fig8_without_buddy().rendered(),
+            "fig5": trace_case("fig5"),
+            "fig7": trace_case("fig7"),
+            "fig8": trace_case("fig7", buddy_help=False),
         },
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,9 @@ any process runs:
 * **G105/G106/G107/G108** — duplicate connections, self-coupling,
   exported regions nobody imports (the legal zero-overhead path), and
   regions imported over more than one connection (unsupported).
+  The unknown-program, G105, G106 and G108 errors are
+  :data:`repro.core.config.ENDPOINT_RULES`, which
+  :meth:`~repro.core.config.CouplingConfig.validate` also raises.
 
 Timestamp cadences are declared with ``#@`` directives inside the
 configuration file (ordinary comments to the runtime parser)::
@@ -40,7 +43,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.report import Finding, Report, Severity
-from repro.core.config import CouplingConfig, parse_config
+from repro.core.config import CouplingConfig, endpoint_errors, parse_config
 from repro.core.exceptions import ConfigError
 from repro.match.policies import MatchPolicy
 
@@ -185,7 +188,8 @@ def analyze_config_text(text: str, path: str | Path | None = None) -> Report:
         )
         return report
     cadences = parse_directives(text, loc, report)
-    report.extend(analyze_config(config, cadences=cadences, path=loc))
+    # The findings only: this report already counts the file once.
+    report.extend(analyze_config(config, cadences=cadences, path=loc).findings)
     return report
 
 
@@ -210,71 +214,18 @@ def analyze_config(
 def _check_endpoints(
     config: CouplingConfig, cadences: Cadences, loc: str | None, report: Report
 ) -> None:
-    seen: set[tuple[str, str]] = set()
-    imported: dict[tuple[str, str], int] = {}
-    for conn in config.connections:
-        for side, ep in (("exporter", conn.exporter), ("importer", conn.importer)):
-            if ep.program not in config.programs:
-                report.add(
-                    Finding(
-                        rule="G101",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"{side} endpoint {ep} names unknown program "
-                            f"{ep.program!r}; the framework would reject this "
-                            "coupling at initialization"
-                        ),
-                        paper="§3 (early detection of incorrect couplings)",
-                        file=loc,
-                        connection=conn.connection_id,
-                    )
-                )
-        pair = (str(conn.exporter), str(conn.importer))
-        if pair in seen:
-            report.add(
-                Finding(
-                    rule="G105",
-                    severity=Severity.ERROR,
-                    message=f"duplicate connection {conn.connection_id}",
-                    paper="§3 (coupling configuration)",
-                    file=loc,
-                    connection=conn.connection_id,
-                )
+    for error in endpoint_errors(config):
+        report.add(
+            Finding(
+                rule=error.rule,
+                severity=Severity.ERROR,
+                message=error.message,
+                paper="§3 (early detection of incorrect couplings)",
+                file=loc,
+                program=error.program,
+                connection=error.connection,
             )
-        seen.add(pair)
-        if conn.exporter.program == conn.importer.program:
-            report.add(
-                Finding(
-                    rule="G106",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"connection {conn.connection_id} couples program "
-                        f"{conn.exporter.program!r} to itself"
-                    ),
-                    paper="§3 (coupling configuration)",
-                    file=loc,
-                    connection=conn.connection_id,
-                )
-            )
-        key = (conn.importer.program, conn.importer.region)
-        imported[key] = imported.get(key, 0) + 1
-
-    for (prog, region), n in sorted(imported.items()):
-        if n > 1:
-            report.add(
-                Finding(
-                    rule="G108",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"region {prog}.{region} is imported over {n} "
-                        "connections; at most one exporter per imported "
-                        "region is supported"
-                    ),
-                    paper="§3 (coupling configuration)",
-                    file=loc,
-                    program=prog,
-                )
-            )
+        )
 
     # Directive endpoints must exist in the coupling graph; a cadence
     # for a region no connection touches is a dangling region name

@@ -11,36 +11,25 @@ multi-run experiment is a list of rows.
 * :mod:`repro.bench.figure4` -- the Section-5 micro-benchmark
   (Figure 4 a-d): :func:`figure4_rows`, the rows of one importer size,
   six runs by default.
-* :mod:`repro.bench.traces` -- the event traces of Figures 5, 7 and 8:
-  ``p_s``'s lines of a ``fig5`` / ``fig7`` run.
 * :mod:`repro.bench.experiments_report` -- every figure as one
   markdown report (``repro experiments``), rendered from rows.
 * :mod:`repro.bench.reporting` -- ASCII tables/series so the pytest
   benchmarks print the same rows the paper plots.
 
-Figure 3 and the resilience sweep need no runner of their own: they are
-``run_row`` over scenarios ``fig3a`` / ``fig3b`` and ``resilience``.
+Figure 3, the Figure 5/7/8 traces and the resilience sweep need no
+runner of their own: they are ``run_row`` over scenarios ``fig3a`` /
+``fig3b``, ``fig5`` / ``fig7`` (with ``trace=True``) and ``resilience``.
 """
 
 from repro.bench.figure4 import Figure4Spec, build_figure4_simulation, figure4_rows
 from repro.bench.reporting import format_series, format_table, mean_series, summarize_runs
 from repro.bench.rows import run_row
-from repro.bench.traces import (
-    TraceScenario,
-    scenario_fig5,
-    scenario_fig7_with_buddy,
-    scenario_fig8_without_buddy,
-)
 
 __all__ = [
     "Figure4Spec",
     "build_figure4_simulation",
     "figure4_rows",
     "run_row",
-    "TraceScenario",
-    "scenario_fig5",
-    "scenario_fig7_with_buddy",
-    "scenario_fig8_without_buddy",
     "format_series",
     "format_table",
     "mean_series",

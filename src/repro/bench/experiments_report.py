@@ -10,16 +10,12 @@ is read from ``repro run`` rows (:func:`~repro.bench.rows.run_row`,
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TextIO
 
 from repro.bench.figure4 import Figure4Spec, figure4_rows
 from repro.bench.reporting import mean_series
-from repro.bench.rows import run_row
-from repro.bench.traces import (
-    scenario_fig5,
-    scenario_fig7_with_buddy,
-    scenario_fig8_without_buddy,
-)
+from repro.bench.rows import memcpy_count, run_row
 from repro.scenarios import build
 from repro.util.stats import SeriesSummary
 
@@ -96,15 +92,19 @@ def generate_report(
 
     # ---- Traces -------------------------------------------------------------
     w("## Figures 5, 7, 8 — event traces\n\n")
-    s5 = scenario_fig5()
-    skips5 = [e.timestamp for e in s5.events if e.kind == "export_skip"]
-    w(f"* Figure 5: skip runs of {len([t for t in skips5 if t < 20])} then "
-      f"{len([t for t in skips5 if 20 < t < 40])} memcpys (paper: 4 then 7)\n")
-    s7 = scenario_fig7_with_buddy()
-    s8 = scenario_fig8_without_buddy()
-    w(f"* Figure 7 (buddy on):  {s7.memcpy_count()} memcpys, "
-      f"{s7.skip_count()} skips, T_i = {s7.t_ub:.0f}\n")
-    w(f"* Figure 8 (buddy off): {s8.memcpy_count()} memcpys, "
-      f"{s8.skip_count()} skips, T_i = {s8.t_ub:.0f}\n")
-    w(f"* buddy-help saves exactly "
-      f"{s8.memcpy_count() - s7.memcpy_count()} in-region memcpys per window\n")
+    lines5 = run_row("fig5", build("fig5"), trace=True)["p_s"]["trace"]
+    runs5 = [
+        len(list(run))
+        for skip, run in groupby(lines5, key=lambda line: line.endswith("skip memcpy."))
+        if skip
+    ]
+    w(f"* Figure 5: skip runs of {' then '.join(map(str, runs5))} memcpys "
+      "(paper: 4 then 7)\n")
+    s7, s8 = (
+        run_row("fig7", build("fig7", {"buddy_help": flag}))["p_s"] for flag in (True, False)
+    )
+    for label, s in (("Figure 7 (buddy on): ", s7), ("Figure 8 (buddy off):", s8)):
+        w(f"* {label} {memcpy_count(s['decisions'])} memcpys, "
+          f"{s['decisions'].get('skip', 0)} skips, T_i = {s['t_ub']:.0f}\n")
+    saved = memcpy_count(s8["decisions"]) - memcpy_count(s7["decisions"])
+    w(f"* buddy-help saves exactly {saved} in-region memcpys per window\n")

@@ -9,18 +9,21 @@ hard-coded — and :func:`run_row` merges the fold with the run's report
 --json`` prints per cell and what the Figure-3, Figure-4, Eq.-2 and
 resilience benchmarks, the seed-replay goldens and ``repro
 experiments`` read; :func:`repro.bench.figure4.figure4_rows` is a list
-of them.
+of them, and the Figure 5/7/8 traces are ``p_s.trace`` of ``fig5`` /
+``fig7`` rows run with ``trace=True``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.buffers import BufferStats
+from repro.core.config import CouplingConfig, Endpoint, parse_config
 from repro.core.exporter import ExportDecision
 from repro.obs.export import report_run
 from repro.scenarios import ScenarioBuild
+from repro.util.tracing import Tracer, format_trace
 
 #: One importer rank's answers: ``(request_ts, matched_ts-or-None)``.
 AnswerLog = list[tuple[float, float | None]]
@@ -32,11 +35,15 @@ def skip_fraction(decisions: dict[str, int]) -> float:
     return decisions.get("skip", 0) / total if total else 0.0
 
 
+def memcpy_count(decisions: dict[str, int]) -> int:
+    """Number of exports whose memcpy was paid (buffered or sent)."""
+    return decisions.get("buffer", 0) + decisions.get("send", 0)
+
+
 def buffered_fraction(decisions: dict[str, int]) -> float:
     """Fraction of exports that were buffered (memcpy paid)."""
     total = sum(decisions.values())
-    done = decisions.get("buffer", 0) + decisions.get("send", 0)
-    return done / total if total else 0.0
+    return memcpy_count(decisions) / total if total else 0.0
 
 
 def optimal_iteration_of(records: list, cutoff_ts: float | None = None) -> int | None:
@@ -110,12 +117,17 @@ class RunFold:
         }
 
 
+def p_s_of(config: CouplingConfig) -> tuple[Endpoint, int]:
+    """``p_s``: the first connection's exported region and its last rank."""
+    exp = config.connections[0].exporter
+    return exp, config.programs[exp.program].nprocs - 1
+
+
 def fold_run(result: Any) -> RunFold:
     """Fold a :class:`~repro.RunResult` of the scenario shape."""
     config = result.simulation.config
-    conn = config.connections[0]
-    exp, imp = conn.exporter, conn.importer
-    slow_rank = config.programs[exp.program].nprocs - 1
+    exp, slow_rank = p_s_of(config)
+    imp = config.connections[0].importer
     stats = result.context(exp.program, slow_rank).stats
     records = {
         rank: result.context(imp.program, rank).import_states[imp.region].records
@@ -138,8 +150,30 @@ def fold_run(result: Any) -> RunFold:
     )
 
 
-def run_row(name: str, build: ScenarioBuild, **overrides: Any) -> dict[str, Any]:
+def run_row(
+    name: str,
+    build: ScenarioBuild,
+    trace: bool = False,
+    keep: Callable[[Any], None] | None = None,
+    **overrides: Any,
+) -> dict[str, Any]:
     """Run *build* (*overrides* replaced into its options) and return its
-    ``repro run`` row: :func:`report_run` merged with the fold."""
+    ``repro run`` row: :func:`report_run` merged with the fold.
+
+    ``trace=True`` records ``p_s``'s events and adds them to the row as
+    ``p_s.trace``: numbered lines in the paper's Figure-5/7/8 notation.
+    *keep*, when given, also receives the :class:`~repro.RunResult`.
+    """
+    if trace:
+        exp, slow_rank = p_s_of(parse_config(build.config))
+        who = f"{exp.program}.p{slow_rank}"
+        if overrides.get("tracer") is None:
+            overrides["tracer"] = Tracer(lambda e: e.who == who)
     result = build.run(**overrides)
-    return {**report_run(name, result), **fold_run(result).row()}
+    if keep is not None:
+        keep(result)
+    row = {**report_run(name, result), **fold_run(result).row()}
+    if trace:
+        events = [e for e in result.tracer.events if e.who == who]
+        row["p_s"]["trace"] = format_trace(events).splitlines()
+    return row

@@ -9,13 +9,13 @@ Commands
     ``p_s``'s export path and the importer's answers.  Answers must not
     change across fault plans; two cells that differ only in
     ``buddy_help`` add the buddy-help ``comparison`` that
-    ``--baseline`` gates; ``--provenance`` records a one-cell run.
-``traces`` (alias ``trace``)
-    Print the Figure 5/7/8 event traces in the paper's notation,
-    export a Chrome ``trace_event`` timeline with ``--chrome PATH``,
-    or dump the causal happens-before report with ``--causal``
-    (``repro.causal/v1``; combined with ``--chrome`` the timeline
-    gains flow arrows along each import's resolution chain).
+    ``--baseline`` gates.  ``--trace`` adds ``p_s``'s event trace to each
+    row (``run fig5 --trace`` is Figure 5, ``run fig7 -p
+    buddy_help=true,false --trace`` Figures 7 and 8); ``--provenance``,
+    ``--chrome`` and ``--causal`` record a one-cell run as a
+    ``repro.prov/v1`` log, a Chrome ``trace_event`` timeline and a
+    ``repro.causal/v1`` report (with ``--chrome``, the timeline gains
+    flow arrows along each import's resolution chain).
 ``monitor``
     Render streaming telemetry (``repro.telemetry/v1`` JSONL written
     by a :class:`repro.obs.JsonlSink`); ``--follow`` tails the file
@@ -39,12 +39,11 @@ Commands
     ledger|pending|matches`` time-travels to any virtual instant, and
     ``--edit PLAN.json`` / ``--edit-tolerance`` re-runs with an edited
     fault plan or match tolerance and diffs the two causal DAGs.
-``validate-config``
-    Parse and validate a coupling configuration file.
 ``lint``
     Static analysis: coupling-graph checks over configuration files
-    and Property-1 AST lint over coupling programs (see
-    ``docs/static_analysis.md``).
+    (including every rule ``CouplingConfig.validate`` enforces at
+    initialization) and Property-1 AST lint over coupling programs
+    (see ``docs/static_analysis.md``).
 ``verify``
     Exhaustive control-plane model checking (``repro.verify/v1``):
     explore every bounded message interleaving and fault action of a
@@ -62,7 +61,7 @@ Commands
 Conventions (see ``docs/cli.md``): every subcommand accepts ``--json``
 for machine-readable output on stdout, and exit codes are shared —
 :data:`EXIT_OK` (0) success, :data:`EXIT_FINDINGS` (1) findings (failed
-cells, divergent answers, lint errors, verify violations, invalid config),
+cells, divergent answers, lint errors, verify violations),
 :data:`EXIT_USAGE` (2) usage or internal errors (argparse's own
 convention).  :func:`main` enforces the last: an unreadable or
 unwritable path is ``error: …`` on stderr and exit 2, any other
@@ -75,6 +74,7 @@ import argparse
 import json
 import sys
 import traceback
+from pathlib import Path
 from typing import Any, Sequence
 
 from repro import __version__
@@ -227,11 +227,11 @@ def _run_table(rows: list[dict[str, Any]]) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run every cell of a scenario's parameter × fault-plan grid."""
     from itertools import product
-    from pathlib import Path
 
-    from repro.bench.rows import run_row
+    from repro.bench.rows import memcpy_count, run_row
     from repro.obs.export import REPORT_SCHEMA, validate_report_payload
     from repro.scenarios import build
+    from repro.util.tracing import Tracer
 
     try:
         if args.name == "crash_hard":
@@ -244,8 +244,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         combos = [dict(zip(grid, values)) for values in product(*grid.values())]
         builds = [build(args.name, params) for params in combos]
         cells = [(params, j) for params in combos for j in range(len(plans))]
-        if args.provenance and len(cells) > 1:
-            raise ValueError(f"--provenance records one run; the grid has {len(cells)} cells")
+        one_run = [flag for flag in ("provenance", "chrome", "causal") if getattr(args, flag)]
+        if one_run and len(cells) > 1:
+            raise ValueError(f"--{one_run[0]} records one run; the grid has {len(cells)} cells")
         pair = _buddy_pair(cells)
         base_payload = None
         if args.baseline:
@@ -263,6 +264,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    watch = {"causal_trace": bool(args.causal), "tracer": Tracer() if args.chrome else None}
+    kept: list[Any] = []  # the one-cell run's result, for --chrome/--causal
     rows: list[dict[str, Any]] = []
     for k, (params, j) in enumerate(cells):
         words = [f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in params.items()]
@@ -278,7 +281,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
         try:
             row.update(run_row(
-                name, builds[k // len(plans)], fault_plan=plan, provenance=args.provenance
+                name, builds[k // len(plans)], trace=args.trace, fault_plan=plan,
+                provenance=args.provenance, keep=kept.append if one_run else None, **watch,
             ))
         except OSError:
             raise
@@ -286,6 +290,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
             print(f"FAIL: {name}: {row['error']}", file=sys.stderr)
         rows.append(row)
+    views = _write_views(args, kept[0], rows[0]) if one_run and kept else []
 
     payload: dict[str, Any] = {"schema": REPORT_SCHEMA, "runs": rows}
     failed = any("error" in row for row in rows)
@@ -321,8 +326,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return code
 
     print(_run_table(rows))
+    for row in rows:
+        ps = row.get("p_s", {})
+        if "trace" in ps:
+            print(f"\n== {row['name']}\n\n" + "\n".join(ps["trace"]))
+            print(
+                f"\n  {ps['decisions'].get('skip', 0)} skips, "
+                f"{memcpy_count(ps['decisions'])} memcpys, T_ub = {ps['t_ub']:.6g}"
+            )
     if args.provenance:
         print(f"recorded -> {args.provenance}")
+    if views:
+        print("\n".join(views))
     if comparison is not None:
         print(
             f"\nT_ub with buddy-help    = {comparison['t_ub_with_help']:.6g} s"
@@ -354,96 +369,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_traces(args: argparse.Namespace) -> int:
-    from repro.bench.traces import (
-        scenario_fig5,
-        scenario_fig7_with_buddy,
-        scenario_fig8_without_buddy,
-    )
+def _write_views(args: argparse.Namespace, result: Any, row: dict[str, Any]) -> list[str]:
+    """Write a one-cell run's ``--causal``/``--chrome`` files from its
+    *result*; their summaries go into *row*, the human lines are returned."""
+    from repro.obs.export import write_chrome_trace
 
-    causal_opt = getattr(args, "causal", None)
-    if getattr(args, "chrome", None) or causal_opt is not None:
-        from repro.obs.export import write_chrome_trace
-        from repro.scenarios import build
-        from repro.util.tracing import Tracer
-
-        result = build("demo").run(tracer=Tracer(), causal_trace=causal_opt is not None)
-        causal = result.causal if causal_opt is not None else None
-        payload: dict[str, Any] = {}
-        lines: list[str] = []
-        if causal is not None:
-            payload["causal"] = {
-                "spans": len(causal.spans),
-                "imports": len(causal.trace_ids),
-                "resolutions": len(causal.resolutions),
-                "buddy_skips": len(causal.buddy_skips),
-            }
-            if causal_opt == "-":
-                payload["causal"]["report"] = causal.as_dict()
-                lines.append(causal.render())
-            else:
-                from pathlib import Path
-
-                Path(causal_opt).write_text(
-                    causal.to_json() + "\n", encoding="utf-8"
-                )
-                payload["causal"]["path"] = causal_opt
-                lines.append(
-                    f"wrote {causal_opt} ({len(causal.spans)} causal spans, "
-                    f"{len(causal.resolutions)} resolutions, "
-                    f"{len(causal.buddy_skips)} buddy skips)"
-                )
-        if getattr(args, "chrome", None):
-            path = write_chrome_trace(args.chrome, result.timeline, causal=causal)
-            spans = result.timeline.span_count()
-            events = result.timeline.event_count()
-            payload.update({
-                "path": str(path),
-                "spans": spans,
-                "instants": events,
-                "threads": result.timeline.whos(),
-            })
-            flows = " + causal flow arrows" if causal is not None else ""
+    causal = result.causal if args.causal else None
+    lines: list[str] = []
+    if causal is not None:
+        parts = {"spans": causal.spans, "imports": causal.trace_ids,
+                 "resolutions": causal.resolutions, "buddy_skips": causal.buddy_skips}
+        summary = row["causal"] = {key: len(part) for key, part in parts.items()}
+        if args.causal == "-":
+            summary["report"] = causal.as_dict()
+            lines.append(causal.render())
+        else:
+            Path(args.causal).write_text(causal.to_json() + "\n", encoding="utf-8")
+            summary["path"] = args.causal
             lines.append(
-                f"wrote {path} ({spans} spans, {events} instants{flows}; "
-                "load in chrome://tracing or https://ui.perfetto.dev)"
+                f"wrote {args.causal} ({summary['spans']} causal spans, "
+                f"{summary['resolutions']} resolutions, {summary['buddy_skips']} buddy skips)"
             )
-        if not _emit(args, payload):
-            print("\n".join(lines))
-        return 0
-
-    scenarios = {
-        "5": ("Figure 5: typical buddy-help scenario (REGL 2.5)", scenario_fig5),
-        "7": ("Figure 7: with buddy-help (REGL 5.0)", scenario_fig7_with_buddy),
-        "8": ("Figure 8: without buddy-help (REGL 5.0)", scenario_fig8_without_buddy),
-    }
-    wanted = list(scenarios.keys()) if args.figure == "all" else [args.figure]
-    results = {}
-    for key in wanted:
-        title, fn = scenarios[key]
-        scenario = fn()
-        results[key] = (title, scenario)
-    if _emit(args, {
-        "figures": {
-            key: {
-                "title": title,
-                "trace": scenario.rendered(),
-                "skips": scenario.skip_count(),
-                "memcpys": scenario.memcpy_count(),
-                "t_ub": scenario.t_ub,
-            }
-            for key, (title, scenario) in results.items()
+    if args.chrome:
+        timeline = result.timeline
+        path = write_chrome_trace(args.chrome, timeline, causal=causal)
+        chrome = row["chrome"] = {
+            "path": str(path), "spans": timeline.span_count(),
+            "instants": timeline.event_count(), "threads": timeline.whos(),
         }
-    }):
-        return 0
-    for title, scenario in results.values():
-        print(f"\n== {title}\n")
-        print(scenario.rendered())
-        print(
-            f"\n  {scenario.skip_count()} skips, {scenario.memcpy_count()} memcpys, "
-            f"T_i ledger = {scenario.t_ub:.0f}"
+        flows = " + causal flow arrows" if causal is not None else ""
+        lines.append(
+            f"wrote {path} ({chrome['spans']} spans, {chrome['instants']} instants{flows}; "
+            "load in chrome://tracing or https://ui.perfetto.dev)"
         )
-    return 0
+    return lines
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -462,20 +421,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             f"error: --exports {args.exports} is not {exports.describe()}", file=sys.stderr
         )
         return EXIT_USAGE
-    if args.json:
-        buf = io.StringIO()
-        generate_report(buf, exports=args.exports, runs=args.runs)
-        _emit(args, {"report_markdown": buf.getvalue()})
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
-        return 0
+    buf = io.StringIO()
+    generate_report(buf, exports=args.exports, runs=args.runs)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            generate_report(fh, exports=args.exports, runs=args.runs)
-        print(f"wrote {args.out}")
-    else:
-        generate_report(sys.stdout, exports=args.exports, runs=args.runs)
+        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+    if not _emit(args, {"report_markdown": buf.getvalue()}):
+        sys.stdout.write(f"wrote {args.out}\n" if args.out else buf.getvalue())
     return 0
 
 
@@ -700,7 +651,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _monitor_run(args: argparse.Namespace) -> int:
     import time as _time
-    from pathlib import Path
 
     if args.attach:
         return _monitor_attach(args)
@@ -809,17 +759,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_session_params(pairs: Sequence[str]) -> dict[str, Any]:
-    """``KEY=VALUE`` pairs → scenario params (values parsed as JSON)."""
-    params: dict[str, Any] = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"expected KEY=VALUE, got {pair!r}")
-        params[key] = _json_value(raw)
-    return params
-
-
 def _cmd_sessions(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient, ServeError
 
@@ -827,21 +766,24 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     try:
         if args.action == "submit":
             try:
-                params = _parse_session_params(args.param or [])
-                fault_plan = json.loads(args.fault) if args.fault else None
-            except (ValueError, json.JSONDecodeError) as exc:
+                grid = _parse_grid(args.param or [])
+                for key, values in grid.items():
+                    if len(values) > 1:
+                        raise ValueError(f"--param {key} takes one value, got {len(values)}")
+                optional = {
+                    "fault_plan": json.loads(args.fault) if args.fault else None,
+                    "telemetry_interval": args.interval,
+                    "label": args.label or None,
+                    "provenance": args.provenance or None,
+                }
+            except ValueError as exc:  # incl. json.JSONDecodeError
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            spec: dict[str, Any] = {"scenario": args.scenario, "params": params}
-            if fault_plan is not None:
-                spec["fault_plan"] = fault_plan
-            if args.interval is not None:
-                spec["telemetry_interval"] = args.interval
-            if args.label:
-                spec["label"] = args.label
-            if args.provenance:
-                spec["provenance"] = True
-            info = client.submit(spec)
+            info = client.submit({
+                "scenario": args.scenario,
+                "params": {key: values[0] for key, values in grid.items()},
+                **{key: v for key, v in optional.items() if v is not None},
+            })
             if args.wait is not None:
                 info = client.wait(info["id"], timeout=args.wait)
             if not _emit(args, info):
@@ -909,7 +851,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     counts or connection errors.
     """
     import time
-    from pathlib import Path
 
     from repro.obs.export import REPORT_SCHEMA
     from repro.obs.fleet import Aggregate
@@ -991,44 +932,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate_config(args: argparse.Namespace) -> int:
-    from repro.core.config import load_config
-    from repro.core.exceptions import ConfigError
-
-    try:
-        cfg = load_config(args.path)
-        warnings = cfg.validate()
-    except ConfigError as exc:
-        if not _emit(args, {"ok": False, "error": str(exc)}):
-            print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
-    if _emit(args, {
-        "ok": True,
-        "programs": {
-            name: {"nprocs": prog.nprocs, "cluster": prog.cluster}
-            for name, prog in sorted(cfg.programs.items())
-        },
-        "connections": [str(conn) for conn in cfg.connections],
-        "warnings": list(warnings),
-    }):
-        return 0
-    print(f"OK: {len(cfg.programs)} programs, {len(cfg.connections)} connections")
-    for name, prog in sorted(cfg.programs.items()):
-        print(f"  program {name}: {prog.nprocs} procs on {prog.cluster}")
-    for conn in cfg.connections:
-        print(f"  connection {conn}")
-    for w in warnings:
-        print(f"  warning: {w}")
-    return 0
-
-
 #: File suffixes treated as coupling configuration files by ``lint``.
 _CONFIG_SUFFIXES = (".cfg", ".conf", ".cpl")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis import analyze_config_text, lint_path
     from repro.analysis.report import Report
 
@@ -1112,8 +1020,6 @@ def _verify_races(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.model import (
         check_suite,
         mutation_config,
@@ -1220,6 +1126,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the (single) cell into a repro.prov/v1 log (.gz compresses)",
     )
     prun.add_argument(
+        "--trace", action="store_true",
+        help="add p_s's event trace, in the paper's Figure-5/7/8 notation, to each row",
+    )
+    prun.add_argument(
+        "--chrome", metavar="PATH",
+        help="write the (single) cell's Chrome trace_event JSON timeline to PATH "
+        "(chrome://tracing / Perfetto)",
+    )
+    prun.add_argument(
+        "--causal", metavar="PATH", nargs="?", const="-",
+        help="write the (single) cell's repro.causal/v1 report to PATH (print it "
+        "with no PATH); with --chrome, adds happens-before flow arrows",
+    )
+    prun.add_argument(
         "--baseline", metavar="PATH",
         help="diff the buddy-help comparison against a saved repro.report/v1 "
         "payload; exit 1 on regression beyond --threshold",
@@ -1230,26 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(prun)
     prun.set_defaults(fn=_cmd_run)
-
-    pt = sub.add_parser(
-        "traces",
-        aliases=["trace"],
-        help="print the Figure 5/7/8 traces (or export a Chrome trace)",
-    )
-    pt.add_argument("--figure", choices=["5", "7", "8", "all"], default="all")
-    pt.add_argument(
-        "--chrome", metavar="PATH",
-        help="run the coupled demo and write a Chrome trace_event JSON "
-        "timeline to PATH (chrome://tracing / Perfetto)",
-    )
-    pt.add_argument(
-        "--causal", metavar="PATH", nargs="?", const="-",
-        help="run the demo with causal tracing on; write the "
-        "repro.causal/v1 report to PATH (print the summary with no "
-        "PATH); with --chrome, adds happens-before flow arrows",
-    )
-    _add_json_flag(pt)
-    pt.set_defaults(fn=_cmd_traces)
 
     prep = sub.add_parser(
         "replay",
@@ -1467,11 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(pw)
     pw.set_defaults(fn=_cmd_watch)
-
-    pv = sub.add_parser("validate-config", help="check a coupling config file")
-    pv.add_argument("path")
-    _add_json_flag(pv)
-    pv.set_defaults(fn=_cmd_validate_config)
 
     pl = sub.add_parser(
         "lint",

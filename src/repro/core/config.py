@@ -23,9 +23,10 @@ work for exported regions nobody imports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.exceptions import ConfigError
 from repro.match.policies import MatchPolicy, parse_policy
@@ -148,9 +149,8 @@ class CouplingConfig:
     ) -> list[str]:
         """Check internal consistency; returns a list of warnings.
 
-        Hard errors (unknown programs, duplicate connections, a region
-        imported over more than one connection, an *imported* region
-        with no exporter) raise :class:`ConfigError`;
+        Hard errors (the first break of :data:`ENDPOINT_RULES`, an
+        *imported* region with no exporter) raise :class:`ConfigError`;
         soft issues (an exported region nobody imports — legal, just
         zero-overhead) are returned as warnings.
 
@@ -158,31 +158,10 @@ class CouplingConfig:
         name to the region names the program actually registers,
         enabling the early mismatch detection the paper describes.
         """
+        errors = endpoint_errors(self)
+        if errors:
+            raise ConfigError(errors[0].message)
         warnings: list[str] = []
-        seen: set[tuple[str, str]] = set()
-        for conn in self.connections:
-            for side, ep in (("exporter", conn.exporter), ("importer", conn.importer)):
-                if ep.program not in self.programs:
-                    raise ConfigError(
-                        f"connection {conn.connection_id}: unknown {side} "
-                        f"program {ep.program!r}"
-                    )
-            pair = (str(conn.exporter), str(conn.importer))
-            if pair in seen:
-                raise ConfigError(f"duplicate connection {conn.connection_id}")
-            seen.add(pair)
-            if conn.exporter.program == conn.importer.program:
-                raise ConfigError(
-                    f"connection {conn.connection_id} couples a program to itself"
-                )
-        for conn in self.connections:
-            ep = conn.importer
-            n = len(self.connections_importing(ep.program, ep.region))
-            if n > 1:
-                raise ConfigError(
-                    f"region {ep} is imported over {n} connections; at most one "
-                    "exporter per imported region is supported"
-                )
         # The declared-region maps may be partial (cover only some
         # programs); connections touching undeclared programs are
         # checked at runtime registration instead.
@@ -222,6 +201,69 @@ class CouplingConfig:
                             f"imported region {prog}.{region} has no exporter"
                         )
         return warnings
+
+
+@dataclass(frozen=True)
+class EndpointError:
+    """One break of a Figure-2 endpoint rule (see :data:`ENDPOINT_RULES`)."""
+
+    #: The rule's ``repro lint`` id.
+    rule: str
+    message: str
+    #: The offending connection's id, or the importing program whose
+    #: region is imported twice.
+    connection: str | None = None
+    program: str | None = None
+
+
+def _unknown_programs(config: CouplingConfig) -> Iterator[EndpointError]:
+    for conn in config.connections:
+        for side, ep in (("exporter", conn.exporter), ("importer", conn.importer)):
+            if ep.program not in config.programs:
+                where = conn.connection_id
+                yield EndpointError("G101", f"connection {where}: unknown {side} program "
+                                    f"{ep.program!r}", connection=where)
+
+
+def _duplicate_connections(config: CouplingConfig) -> Iterator[EndpointError]:
+    seen: set[str] = set()
+    for where in (conn.connection_id for conn in config.connections):
+        if where in seen:
+            yield EndpointError("G105", f"duplicate connection {where}", connection=where)
+        seen.add(where)
+
+
+def _self_couplings(config: CouplingConfig) -> Iterator[EndpointError]:
+    for conn in config.connections:
+        if conn.exporter.program == conn.importer.program:
+            where = conn.connection_id
+            yield EndpointError("G106", f"connection {where} couples a program to itself",
+                                connection=where)
+
+
+def _regions_imported_twice(config: CouplingConfig) -> Iterator[EndpointError]:
+    for ep, n in Counter(conn.importer for conn in config.connections).items():
+        if n > 1:
+            yield EndpointError("G108", f"region {ep} is imported over {n} connections; at "
+                                "most one exporter per imported region is supported",
+                                program=ep.program)
+
+
+#: The paper's Figure-2 endpoint rules, the "incorrect couplings" the
+#: framework catches at initialization, in the order they are checked.
+#: :meth:`CouplingConfig.validate` raises the first break and ``repro
+#: lint`` reports every one under the rule's id.
+ENDPOINT_RULES: tuple[Callable[[CouplingConfig], Iterator[EndpointError]], ...] = (
+    _unknown_programs,
+    _duplicate_connections,
+    _self_couplings,
+    _regions_imported_twice,
+)
+
+
+def endpoint_errors(config: CouplingConfig) -> list[EndpointError]:
+    """Every break of :data:`ENDPOINT_RULES` in *config*."""
+    return [error for rule in ENDPOINT_RULES for error in rule(config)]
 
 
 def parse_config(text: str) -> CouplingConfig:

@@ -162,28 +162,21 @@ class LiveFaultInjector:
 
     def __call__(self, world: Any, address: Hashable, msg: Any) -> None:
         """Deliver *msg* to *address*, applying the plan."""
-        from repro.core.wire import DataPiece, Shutdown
+        from repro.core.wire import Shutdown
 
         plane = classify_plane(address)
         if isinstance(msg, Shutdown) or not self.plan.eligible(plane):
             world.mailbox(address).put(msg)
             return
-        assert plane is not None
         with self._lock:  # a stream's block position is not thread-safe
-            rng = self._rngs.stream(f"faults/{plane}")
-            u_drop = rng.random()
-            u_dup = rng.random()
-            u_jitter = rng.random()
-            u_reorder = rng.random()
-            u_hold = rng.random()
-        protected = self.plan.protect_data and isinstance(msg, DataPiece)
-        if u_drop < self.plan.drop and not protected:
+            decision = self.plan.decide(
+                self._rngs.stream(f"faults/{plane}"), self._reorder_bound, msg
+            )
+        if decision.drop:
             self.dropped += 1
             return
-        delay = u_jitter * self.plan.delay_jitter
-        if u_reorder < self.plan.reorder:
-            delay += u_hold * self._reorder_bound
-        copies = 2 if u_dup < self.plan.dup else 1
+        delay = decision.delay
+        copies = 2 if decision.dup else 1
         self.duplicated += copies - 1
         box = world.mailbox(address)
         for _ in range(copies):

@@ -32,7 +32,7 @@ from typing import Any, Callable, Hashable
 
 from repro.des.channel import Network
 from repro.des.core import Event, Simulator
-from repro.faults.plan import FaultPlan, classify_plane
+from repro.faults.plan import NO_FAULT, FaultPlan, classify_plane
 from repro.util import tracing
 from repro.util.rng import RngRegistry
 from repro.util.tracing import NullTracer, Tracer
@@ -115,38 +115,27 @@ class FaultyNetwork(Network):
         if not self.plan.eligible(plane) or not self.plan.active(self.sim._now):
             return self._handoff(src, dst, payload, nbytes, 0.0)
         assert plane is not None
-        # Fixed draw count per eligible send — the determinism contract.
-        rng = self._rngs.stream(f"faults/{plane}")
-        u_drop = rng.random()
-        u_dup = rng.random()
-        u_jitter = rng.random()
-        u_reorder = rng.random()
-        u_hold = rng.random()
+        decision = self.plan.decide(
+            self._rngs.stream(f"faults/{plane}"), self._reorder_bound, payload
+        )
         self.stats.eligible += 1
-
-        drop = u_drop < self.plan.drop
-        dup = u_dup < self.plan.dup
-        jitter = u_jitter * self.plan.delay_jitter
-        reordered = u_reorder < self.plan.reorder
-        hold = u_hold * self._reorder_bound if reordered else 0.0
         if self.victim is not None and not self.victim(src, dst, payload):
-            drop = dup = reordered = False
-            jitter = hold = 0.0
-        if drop and self._droppable(payload):
+            decision = NO_FAULT
+        if decision.drop:
             self.stats.note_drop(plane)
             if self.tracer.enabled:
                 self._trace(tracing.FAULT_DROP, dst, payload)
             return Event(self.sim)  # never fires: the message is gone
 
-        delay = jitter + hold
+        delay = decision.delay
         if delay > 0.0:
             self.stats.delayed += 1
-            if reordered:
+            if decision.reordered:
                 self.stats.reordered += 1
             if self.tracer.enabled:
                 self._trace(tracing.FAULT_DELAY, dst, payload, delay=delay)
         done = self._handoff(src, dst, payload, nbytes, delay)
-        if dup:
+        if decision.dup:
             # The wire-level duplicate: same payload, same sequence
             # number, handed off right behind the original (the pair
             # clamp keeps it from overtaking).
@@ -157,14 +146,6 @@ class FaultyNetwork(Network):
         return done
 
     # -- internals -------------------------------------------------------
-    def _droppable(self, payload: Any) -> bool:
-        if not self.plan.protect_data:
-            return True
-        # Imported lazily so the DES layer stays importable standalone.
-        from repro.core.wire import DataPiece
-
-        return not isinstance(payload, DataPiece)
-
     def _handoff(
         self, src: Hashable, dst: Hashable, payload: Any, nbytes: int, delay: float
     ) -> Event:

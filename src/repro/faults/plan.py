@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping, NamedTuple
 
 from repro.util.validation import require, require_known_keys
 
@@ -59,6 +59,21 @@ def classify_plane(address: Hashable) -> str | None:
         if len(address) == 2 and address[0] == "rep" and isinstance(address[1], str):
             return "rep"
     return None
+
+
+class FaultDecision(NamedTuple):
+    """What a plan does to one eligible message (see :meth:`FaultPlan.decide`)."""
+
+    drop: bool
+    dup: bool
+    #: Extra delivery delay: the jitter plus any reorder hold-back.
+    delay: float
+    #: Whether the delay includes a reorder hold-back.
+    reordered: bool
+
+
+#: The decision that leaves a message alone.
+NO_FAULT = FaultDecision(False, False, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -156,6 +171,27 @@ class FaultPlan:
         if self.reorder_delay is not None:
             return self.reorder_delay
         return 4.0 * (max(latency, 0.0) + self.delay_jitter)
+
+    def decide(self, rng: Any, reorder_bound: float, payload: Any) -> FaultDecision:
+        """The plan's decision for one eligible message carrying *payload*.
+
+        Draws exactly five uniforms from *rng*, the stream of the
+        message's plane (the determinism contract), whatever the
+        outcome.  *reorder_bound* is :meth:`effective_reorder_delay` of
+        the executing network.  A :class:`~repro.core.wire.DataPiece` is
+        never dropped while :attr:`protect_data` holds.
+        """
+        u_drop, u_dup, u_jitter, u_reorder, u_hold = (rng.random() for _ in range(5))
+        reordered = u_reorder < self.reorder
+        hold = u_hold * reorder_bound if reordered else 0.0
+        drop = u_drop < self.drop
+        if drop and self.protect_data:
+            # Imported lazily so the DES layer stays importable standalone.
+            from repro.core.wire import DataPiece
+
+            drop = not isinstance(payload, DataPiece)
+        delay = u_jitter * self.delay_jitter + hold
+        return FaultDecision(drop, u_dup < self.dup, delay, reordered)
 
     def describe(self) -> dict[str, Any]:
         """A plain-dict summary (for reports and JSON dumps)."""

@@ -11,7 +11,7 @@ region reads as 2.5 s on the ruler.
 
 The validators are deliberately hand-rolled (the repo takes no schema
 dependency): they return a list of human-readable problems, empty when
-the payload conforms.  CI runs them against real ``repro trace
+the payload conforms.  CI runs them against real ``repro run
 --chrome`` and ``repro run --json`` output.
 """
 

@@ -88,3 +88,74 @@ class TestPlanSemantics:
         assert d["dup"] == 0.5
         assert d["planes"] == ["rep"]
         assert d["protect_data"] is True
+
+
+class TestDecide:
+    """Both runtimes decide each message's fate through :meth:`FaultPlan.decide`."""
+
+    PLAN = FaultPlan(seed=11, drop=0.3, dup=0.3, delay_jitter=0.5, reorder=0.3)
+    CTL = ("ctl", "F", 0)
+
+    @staticmethod
+    def payloads():
+        from repro.core.wire import DataPiece, FwdRequest
+        from repro.data.region import RectRegion
+
+        piece = DataPiece(
+            connection_id="c", match_ts=1.0, src_rank=0,
+            region=RectRegion((0, 0), (1, 1)), data=None, nbytes=8,
+        )
+        return [FwdRequest(connection_id="c", request_ts=float(k)) for k in range(40)] + [
+            piece
+        ] * 20
+
+    def test_draws_five_uniforms_whatever_the_outcome(self):
+        from repro.util.rng import RngRegistry
+
+        for plan in (FaultPlan(seed=3), self.PLAN):
+            stream, witness = (RngRegistry(seed=3).stream("faults/ctl") for _ in range(2))
+            for _ in range(10):
+                plan.decide(stream, 1.0, "payload")
+            for _ in range(50):
+                witness.random()
+            assert stream.random() == witness.random()
+
+    def test_both_runtimes_make_the_same_decisions(self, monkeypatch):
+        from repro.des import Simulator
+        from repro.faults import FaultyNetwork, LiveFaultInjector
+
+        decided = []
+        real = FaultPlan.decide
+
+        def spy(plan, *args):
+            decided.append(real(plan, *args))
+            return decided[-1]
+
+        monkeypatch.setattr(FaultPlan, "decide", spy)
+        net = FaultyNetwork(Simulator(), self.PLAN)
+        net.register(self.CTL)
+        for msg in self.payloads():
+            net.send(("ctl", "U", 0), self.CTL, msg)
+        des, decided[:] = list(decided), []
+
+        class World:
+            def __init__(self):
+                self.posted = []
+
+            def mailbox(self, address):
+                return self
+
+            def put(self, msg):
+                self.posted.append(msg)
+
+        injector = LiveFaultInjector(self.PLAN, delay_scale=1e-9)
+        for msg in self.payloads():
+            injector(World(), self.CTL, msg)
+        assert decided == des
+        assert {"drop", "dup", "reordered"} <= {
+            key for d in des for key in ("drop", "dup", "reordered") if getattr(d, key)
+        }
+        assert not any(d.drop for d in des[40:])  # protect_data spares DataPieces
+        assert (injector.dropped, injector.duplicated) == (
+            net.stats.dropped, net.stats.duplicated
+        )

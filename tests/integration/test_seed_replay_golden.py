@@ -19,11 +19,6 @@ import pytest
 
 from repro.bench.figure4 import Figure4Spec, figure4_rows
 from repro.bench.rows import run_row
-from repro.bench.traces import (
-    scenario_fig5,
-    scenario_fig7_with_buddy,
-    scenario_fig8_without_buddy,
-)
 from repro.faults import FaultPlan
 from repro.scenarios import build
 
@@ -101,8 +96,27 @@ class TestFigure4Golden:
         assert row["sim_time"] == case["sim_time"]
 
 
+#: The golden's trace keys: Figure 5, and ``fig7`` with buddy-help on
+#: (Figure 7) and off (Figure 8).
+TRACE_CELLS = {
+    "fig5": ("fig5", {}),
+    "fig7": ("fig7", {}),
+    "fig8": ("fig7", {"buddy_help": False}),
+}
+
+
 class TestTraceGolden:
     def test_rendered_traces_are_bit_identical(self, golden):
-        assert scenario_fig5().rendered() == golden["traces"]["fig5"]
-        assert scenario_fig7_with_buddy().rendered() == golden["traces"]["fig7"]
-        assert scenario_fig8_without_buddy().rendered() == golden["traces"]["fig8"]
+        for key, (scenario, params) in TRACE_CELLS.items():
+            row = run_row(scenario, build(scenario, params), trace=True)
+            assert "\n".join(row["p_s"]["trace"]) == golden["traces"][key]
+
+    def test_run_trace_rows_are_the_golden_traces(self, golden, capsys):
+        from repro.cli import main
+
+        traces = []
+        for argv in (["fig5"], ["fig7", "-p", "buddy_help=true,false"]):
+            assert main(["run", *argv, "--trace", "--json"]) == 0
+            runs = json.loads(capsys.readouterr().out)["runs"]
+            traces += ["\n".join(row["p_s"]["trace"]) for row in runs]
+        assert traces == [golden["traces"][key] for key in ("fig5", "fig7", "fig8")]

@@ -88,6 +88,28 @@ class TestSessionsCli:
         assert rc == EXIT_USAGE
         assert "cannot reach" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("pairs", "error"),
+        [
+            (["seed=1", "seed=2"], "error: param 'seed' given twice\n"),
+            (["u_procs=4,8"], "error: --param u_procs takes one value, got 2\n"),
+        ],
+        ids=["repeated-key", "comma-list"],
+    )
+    def test_one_value_per_param_is_checked_before_any_request(
+        self, pairs, error, monkeypatch, capsys
+    ):
+        from repro.serve.client import ServeClient
+
+        requests: list[tuple] = []
+        monkeypatch.setattr(ServeClient, "_request", lambda *a, **k: requests.append(a))
+        argv = ["sessions", "submit", "--url", "http://127.0.0.1:1"]
+        for pair in pairs:
+            argv += ["--param", pair]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == error
+        assert requests == []
+
 
 class TestMonitorAttachCli:
     def test_attach_streams_to_final_and_exits_ok(self, cli_server, capsys):

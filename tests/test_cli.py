@@ -48,34 +48,56 @@ class TestFigure4:
 
 
 class TestTraces:
+    """Figures 5, 7 and 8 are ``run --trace`` rows of ``fig5`` and ``fig7``."""
+
     def test_all_figures(self, capsys):
-        assert main(["traces"]) == 0
+        assert main(["run", "fig5", "--trace"]) == 0
+        assert main(["run", "fig7", "-p", "buddy_help=true,false", "--trace"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 5" in out
-        assert "Figure 7" in out
-        assert "Figure 8" in out
+        assert "== fig5\n" in out
+        assert "== fig7 buddy_help=true\n" in out
+        assert "== fig7 buddy_help=false\n" in out
         assert "receive buddy-help {D@20, YES, D@19.6}." in out
 
     def test_single_figure(self, capsys):
-        assert main(["traces", "--figure", "8"]) == 0
+        assert main(["run", "fig7", "-p", "buddy_help=false", "--trace"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 8" in out
-        assert "Figure 5" not in out
+        assert "== fig7 buddy_help=false" in out
+        assert "fig5" not in out and "buddy_help=true" not in out
+        # The counts under the trace are p_s.decisions (Figure 8).
+        assert "1 skips, 9 memcpys, T_ub = 4" in out
 
     def test_chrome_export(self, tmp_path, capsys):
         from repro.obs import validate_chrome_trace
 
         path = tmp_path / "trace.json"
-        assert main(["trace", "--chrome", str(path)]) == 0
+        assert main(["run", "demo", "--chrome", str(path)]) == 0
         assert str(path) in capsys.readouterr().out
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
         phases = {e["ph"] for e in payload["traceEvents"]}
         assert {"X", "M"} <= phases
 
-    def test_trace_alias_runs_figures(self, capsys):
-        assert main(["trace", "--figure", "5"]) == 0
-        assert "Figure 5" in capsys.readouterr().out
+    def test_chrome_records_the_named_scenario(self, tmp_path, capsys):
+        path = tmp_path / "fig5.json"
+        assert main(["run", "fig5", "--chrome", str(path), "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["runs"][0]
+        # fig5's importer has one rank (demo's has two), and its run
+        # lasts 69 virtual seconds (demo's 0.18).
+        assert row["chrome"]["threads"] == ["F.p0", "F.p1", "F.rep", "U.p0"]
+        events = json.loads(path.read_text())["traceEvents"]
+        assert max(e.get("ts", 0) for e in events) > 60e6
+
+    @pytest.mark.parametrize(
+        "flag", [["--chrome", "{path}"], ["--causal"]], ids=["chrome", "causal"]
+    )
+    def test_recording_a_grid_is_a_usage_error(self, flag, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        argv = ["run", "fig7", "-p", "buddy_help=true,false",
+                *[a.format(path=path) for a in flag]]
+        assert main(argv) == 2
+        assert f"{flag[0]} records one run; the grid has 2 cells" in capsys.readouterr().err
+        assert not path.exists()
 
 
 #: The buddy-help on/off pair of the demo: what ``comparison`` is made of.
@@ -115,39 +137,45 @@ class TestScenarios:
 
 
 class TestValidateConfig:
+    """``lint CONFIG`` is the one config check: ``CouplingConfig.validate``'s
+    endpoint rules are lint findings."""
+
     def test_valid_file(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("A c /x 2\nB c /y 2\n#\nA.r B.r REGL 0.5\n")
-        assert main(["validate-config", str(cfg)]) == 0
+        assert main(["lint", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "OK: 2 programs, 1 connections" in out
+        assert "OK: no findings (1 target(s) examined)" in out
 
     def test_invalid_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("A c /x 2\nA.r GHOST.r REGL 0.5\n")
-        assert main(["validate-config", str(cfg)]) == 1
-        assert "INVALID" in capsys.readouterr().err
+        assert main(["lint", str(cfg)]) == 1
+        assert "error G101 connection A.r->GHOST.r: unknown importer program 'GHOST'" in (
+            capsys.readouterr().out
+        )
 
     def test_region_imported_twice_is_invalid(self, tmp_path, capsys):
         # What lint calls G108 and the runtime refuses at construction.
         cfg = tmp_path / "two.cfg"
         cfg.write_text("A c /a 2\nB c /b 2\nC c /c 2\n#\nA.d C.d REGL 2.5\nB.d C.d REGL 2.5\n")
-        assert main(["validate-config", str(cfg)]) == 1
-        assert "C.d is imported over 2 connections" in capsys.readouterr().err
-        assert main(["validate-config", str(cfg), "--json"]) == 1
-        assert json.loads(capsys.readouterr().out)["ok"] is False
+        assert main(["lint", str(cfg)]) == 1
+        assert "C.d is imported over 2 connections" in capsys.readouterr().out
+        assert main(["lint", str(cfg), "--json"]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert (finding["rule"], finding["severity"]) == ("G108", "error")
 
     def test_missing_file(self, capsys):
-        # Unreadable is a usage error (as in ``lint``); invalid stays 1.
-        assert main(["validate-config", "/nonexistent/x.cfg"]) == 2
+        # Unreadable is a usage error; invalid stays 1.
+        assert main(["lint", "/nonexistent/x.cfg"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_warning_surfaced(self, tmp_path, capsys):
-        # A syntactically valid config with no connections -> no warnings,
+        # A syntactically valid config with no connections -> no findings,
         # but exercise the plain-OK path.
         cfg = tmp_path / "warn.cfg"
         cfg.write_text("A c /x 2\n")
-        assert main(["validate-config", str(cfg)]) == 0
+        assert main(["lint", str(cfg)]) == 0
 
 
 class TestExperimentsReport:
@@ -207,10 +235,10 @@ class TestJsonMode:
         assert len(payload["runs"]) == 1
 
     def test_traces_json(self, capsys):
-        assert main(["traces", "--figure", "5", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "5" in payload["figures"]
-        assert "skips" in payload["figures"]["5"]
+        assert main(["run", "fig5", "--trace", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["runs"]
+        assert row["p_s"]["trace"][0] == "  1  export D@1.6, call memcpy."
+        assert row["p_s"]["decisions"]["skip"] == 11
 
     def test_scenarios_json(self, capsys):
         assert main(["run", "fig3b", "-p", "exports=40", "--json"]) == 0
@@ -230,17 +258,18 @@ class TestJsonMode:
     def test_validate_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("A c /x 2\nB c /y 2\n#\nA.r B.r REGL 0.5\n")
-        assert main(["validate-config", str(cfg), "--json"]) == 0
+        assert main(["lint", str(cfg), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["programs"]["A"]["nprocs"] == 2
+        assert payload["findings"] == []
+        assert payload["examined"] == 1
 
     def test_validate_config_json_invalid(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("A c /x 2\nA.r GHOST.r REGL 0.5\n")
-        assert main(["validate-config", str(cfg), "--json"]) == 1
+        assert main(["lint", str(cfg), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
+        assert payload["summary"]["error"] == 1
+        assert payload["findings"][0]["rule"] == "G101"
 
     def test_lint_json(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -258,12 +287,12 @@ class TestJsonMode:
 class TestCausalTraceCli:
     def test_causal_report_written(self, tmp_path, capsys):
         path = tmp_path / "causal.json"
-        rc = main(["trace", "--causal", str(path), "--json"])
+        rc = main(["run", "demo", "--causal", str(path), "--json"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["causal"]["path"] == str(path)
-        assert payload["causal"]["resolutions"] == 4
-        assert payload["causal"]["buddy_skips"] == 4
+        (row,) = json.loads(capsys.readouterr().out)["runs"]
+        assert row["causal"]["path"] == str(path)
+        assert row["causal"]["resolutions"] == 4
+        assert row["causal"]["buddy_skips"] == 4
         report = json.loads(path.read_text())
         assert report["schema"] == "repro.causal/v1"
         for r in report["resolutions"]:
@@ -272,7 +301,7 @@ class TestCausalTraceCli:
             assert sum(r["stages"].values()) == pytest.approx(r["latency"])
 
     def test_causal_summary_to_stdout(self, capsys):
-        rc = main(["trace", "--causal"])
+        rc = main(["run", "demo", "--causal"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "causal trace:" in out
@@ -283,7 +312,7 @@ class TestCausalTraceCli:
 
         chrome = tmp_path / "chrome.json"
         rc = main(
-            ["trace", "--causal", str(tmp_path / "c.json"),
+            ["run", "demo", "--causal", str(tmp_path / "c.json"),
              "--chrome", str(chrome)]
         )
         assert rc == 0
@@ -295,7 +324,7 @@ class TestCausalTraceCli:
 
     def test_chrome_without_causal_has_no_flows(self, tmp_path, capsys):
         chrome = tmp_path / "chrome.json"
-        assert main(["trace", "--chrome", str(chrome)]) == 0
+        assert main(["run", "demo", "--chrome", str(chrome)]) == 0
         obj = json.loads(chrome.read_text())
         assert not {"s", "f"} & {e["ph"] for e in obj["traceEvents"]}
 
@@ -524,13 +553,13 @@ class TestExitCodeContract:
         "argv",
         [
             ["run", "demo", "--provenance", "{path}"],
-            ["traces", "--figure", "5", "--chrome", "{path}"],
-            ["traces", "--figure", "5", "--causal", "{path}"],
+            ["run", "fig5", "--chrome", "{path}"],
+            ["run", "fig5", "--causal", "{path}"],
             ["experiments", "--exports", "21", "--runs", "1", "--out", "{path}"],
             ["verify", "--max-states", "200", "--mutate", "no_answer_cache",
              "--cex", "{path}"],
         ],
-        ids=["record", "traces-chrome", "traces-causal",
+        ids=["record", "run-chrome", "run-causal",
              "experiments-out", "verify-cex"],
     )
     def test_unwritable_output_path_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -564,12 +593,20 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["figure4", "scenarios", "chaos", "record", "report"])
+    @pytest.mark.parametrize(
+        "verb", ["figure4", "scenarios", "chaos", "record", "report", "traces", "trace"]
+    )
     def test_verbs_folded_into_run_are_usage_errors(self, verb, capsys):
         with pytest.raises(SystemExit) as exc:
             main([verb])
         assert exc.value.code == 2
         assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+    def test_validate_config_folded_into_lint_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-config", "x.cfg"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'validate-config'" in capsys.readouterr().err
 
     def test_match_backend_flags_read_the_one_registry_and_default(self):
         from repro.match import DEFAULT_MATCH_BACKEND, MATCH_BACKENDS
