@@ -24,20 +24,28 @@ See README.md for a tour, docs/api.md for the facade reference, and
 EXPERIMENTS.md for the paper-vs-measured record.
 """
 
-__version__ = "1.0.0"
+from typing import TYPE_CHECKING
 
-from repro.api import Program, RunOptions, RunResult, build, run
-from repro.core import (
-    CoupledSimulation,
-    LiveCoupledSimulation,
-    RegionDef,
-)
-from repro.core.config import CouplingConfig, load_config, parse_config
-from repro.data import BlockDecomposition, CommSchedule, DistributedArray, RectRegion
-from repro.faults import FaultPlan
-from repro.match import MatchPolicy, PolicyKind
-from repro.obs import MetricsSnapshot, PaperMetrics, SpanRecorder, TimelineSet
-from repro.util.tracing import NullTracer, Tracer
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api.facade import Program, RunResult, build, run
+    from repro.api.options import RunOptions
+    from repro.core.config import CouplingConfig, load_config, parse_config
+    from repro.core.coupler import CoupledSimulation, RegionDef
+    from repro.core.live import LiveCoupledSimulation
+    from repro.data.decomposition import BlockDecomposition
+    from repro.data.darray import DistributedArray
+    from repro.data.region import RectRegion
+    from repro.data.schedule import CommSchedule
+    from repro.faults.plan import FaultPlan
+    from repro.match.policies import MatchPolicy, PolicyKind
+    from repro.obs.metrics import MetricsSnapshot
+    from repro.obs.paper import PaperMetrics
+    from repro.obs.spans import SpanRecorder, TimelineSet
+    from repro.util.tracing import NullTracer, Tracer
+
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -73,3 +81,24 @@ __all__ = [
     "Tracer",
     "NullTracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.api.facade": ("Program", "RunResult", "build", "run"),
+        "repro.api.options": ("RunOptions",),
+        "repro.core.config": ("CouplingConfig", "load_config", "parse_config"),
+        "repro.core.coupler": ("CoupledSimulation", "RegionDef"),
+        "repro.core.live": ("LiveCoupledSimulation",),
+        "repro.data.decomposition": ("BlockDecomposition",),
+        "repro.data.darray": ("DistributedArray",),
+        "repro.data.region": ("RectRegion",),
+        "repro.data.schedule": ("CommSchedule",),
+        "repro.faults.plan": ("FaultPlan",),
+        "repro.match.policies": ("MatchPolicy", "PolicyKind"),
+        "repro.obs.metrics": ("MetricsSnapshot",),
+        "repro.obs.paper": ("PaperMetrics",),
+        "repro.obs.spans": ("SpanRecorder", "TimelineSet"),
+        "repro.util.tracing": ("NullTracer", "Tracer"),
+    },
+)

@@ -36,18 +36,23 @@ citation) with text and JSON renderers, and are exposed on the command
 line as ``repro lint`` and ``repro verify``.
 """
 
-from repro.analysis.report import Finding, Report, Severity
-from repro.analysis.graph import analyze_config, analyze_config_text
-from repro.analysis.astlint import lint_path, lint_source
-from repro.analysis.sanitizer import ProtocolSanitizer, SanitizerError
-from repro.analysis.model import (
-    ModelConfig,
-    check,
-    check_suite,
-    mutation_config,
-    replay_schedule,
-)
-from repro.analysis.races import RaceMonitor, RaceRecord
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.astlint import lint_path, lint_source
+    from repro.analysis.graph import analyze_config, analyze_config_text
+    from repro.analysis.model import (
+        ModelConfig,
+        check,
+        check_suite,
+        mutation_config,
+        replay_schedule,
+    )
+    from repro.analysis.races import RaceMonitor, RaceRecord
+    from repro.analysis.report import Finding, Report, Severity
+    from repro.analysis.sanitizer import ProtocolSanitizer, SanitizerError
 
 __all__ = [
     "Finding",
@@ -67,3 +72,21 @@ __all__ = [
     "RaceMonitor",
     "RaceRecord",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.astlint": ("lint_path", "lint_source"),
+        "repro.analysis.graph": ("analyze_config", "analyze_config_text"),
+        "repro.analysis.model": (
+            "ModelConfig",
+            "check",
+            "check_suite",
+            "mutation_config",
+            "replay_schedule",
+        ),
+        "repro.analysis.races": ("RaceMonitor", "RaceRecord"),
+        "repro.analysis.report": ("Finding", "Report", "Severity"),
+        "repro.analysis.sanitizer": ("ProtocolSanitizer", "SanitizerError"),
+    },
+)

@@ -237,6 +237,7 @@ class LintRule:
     paper: ClassVar[str] = "§4 (Property 1)"
 
     def check(self, scope: ScopeState, file: str | None) -> Iterable[Finding]:
+        """The rule's findings in *scope*, a scope of *file*."""
         raise NotImplementedError
 
     def _finding(self, message: str, file: str | None, line: int) -> Finding:
@@ -256,6 +257,7 @@ class RankConditionalCollective(LintRule):
     code = "P101"
 
     def check(self, scope: ScopeState, file: str | None) -> Iterable[Finding]:
+        """See :meth:`LintRule.check`."""
         for call in scope.calls:
             if call.rank_branches:
                 yield self._finding(
@@ -275,6 +277,7 @@ class RankDependentTripCount(LintRule):
     code = "P102"
 
     def check(self, scope: ScopeState, file: str | None) -> Iterable[Finding]:
+        """See :meth:`LintRule.check`."""
         for call in scope.calls:
             if call.rank_loops and not call.rank_branches:
                 yield self._finding(
@@ -293,6 +296,7 @@ class RankTaintedTimestamp(LintRule):
     code = "P103"
 
     def check(self, scope: ScopeState, file: str | None) -> Iterable[Finding]:
+        """See :meth:`LintRule.check`."""
         for call in scope.calls:
             if call.ts_arg is not None and _mentions_rank(
                 call.ts_arg, scope.tainted
@@ -313,6 +317,7 @@ class RankDependentEarlyExit(LintRule):
     code = "P104"
 
     def check(self, scope: ScopeState, file: str | None) -> Iterable[Finding]:
+        """See :meth:`LintRule.check`."""
         for ex in scope.exits:
             if ex.scope_has_collectives:
                 yield self._finding(

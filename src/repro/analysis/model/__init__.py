@@ -9,23 +9,28 @@ Findings carry M2xx rule codes in the shared :mod:`repro.analysis.report`
 model; see ``docs/static_analysis.md``.
 """
 
-from repro.analysis.model.checker import (
-    RULE_PAPER,
-    SCHEMA,
-    CheckResult,
-    SuiteResult,
-    check,
-    check_suite,
-    directed_worlds,
-)
-from repro.analysis.model.machine import (
-    MUTATIONS,
-    ModelConfig,
-    ModelMachine,
-    mutation_config,
-    plane_of_channel,
-)
-from repro.analysis.model.replay import ReplayResult, replay_schedule
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.model.checker import (
+        RULE_PAPER,
+        SCHEMA,
+        CheckResult,
+        SuiteResult,
+        check,
+        check_suite,
+        directed_worlds,
+    )
+    from repro.analysis.model.machine import (
+        MUTATIONS,
+        ModelConfig,
+        ModelMachine,
+        mutation_config,
+        plane_of_channel,
+    )
+    from repro.analysis.model.replay import ReplayResult, replay_schedule
 
 __all__ = [
     "CheckResult",
@@ -43,3 +48,26 @@ __all__ = [
     "plane_of_channel",
     "replay_schedule",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.model.checker": (
+            "RULE_PAPER",
+            "SCHEMA",
+            "CheckResult",
+            "SuiteResult",
+            "check",
+            "check_suite",
+            "directed_worlds",
+        ),
+        "repro.analysis.model.machine": (
+            "MUTATIONS",
+            "ModelConfig",
+            "ModelMachine",
+            "mutation_config",
+            "plane_of_channel",
+        ),
+        "repro.analysis.model.replay": ("ReplayResult", "replay_schedule"),
+    },
+)

@@ -184,6 +184,7 @@ class NoAnswerCacheExporterRep(ExporterRep):
     """
 
     def on_request(self, connection_id: str, request_ts: float) -> list[Any]:
+        """:meth:`ExporterRep.on_request` without the answer cache."""
         st = self._conn(connection_id).get(request_ts)
         if st is not None and not self.strict_order and st.finalized is not None:
             self.duplicate_requests += 1
@@ -202,6 +203,7 @@ class NoMustSendConnection(ConnectionExportState):
     """
 
     def apply_answer(self, answer: FinalAnswer, source: str) -> ApplyOutcome:
+        """The parent's ``apply_answer``, minus ``must_send`` for a buddy match."""
         applied = super().apply_answer(answer, source)
         if source == "buddy" and answer.matched_ts is not None:
             self.must_send.discard(answer.matched_ts)  # the mutation

@@ -5,7 +5,20 @@ See :mod:`repro.api.facade` for the facade and
 here is also re-exported at the package top level (``repro.run`` …).
 """
 
-from repro.api.facade import Program, RunResult, build, run
-from repro.api.options import RunOptions
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api.facade import Program, RunResult, build, run
+    from repro.api.options import RunOptions
 
 __all__ = ["Program", "RunOptions", "RunResult", "build", "run"]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.api.facade": ("Program", "RunResult", "build", "run"),
+        "repro.api.options": ("RunOptions",),
+    },
+)

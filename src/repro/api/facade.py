@@ -24,18 +24,21 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.api.options import RunOptions
 from repro.core.config import CouplingConfig, load_config
 from repro.core.coupler import CoupledSimulation
-from repro.core.live import LiveCoupledSimulation
-from repro.obs.collect import collect_metrics
-from repro.obs.metrics import MetricsSnapshot
-from repro.obs.paper import PaperMetrics, compute_paper_metrics
-from repro.obs.spans import TimelineSet, build_timelines
-from repro.obs.trace import CausalReport, build_causal_report
-from repro.util.tracing import Tracer
+
+if TYPE_CHECKING:
+    # The live runtime and the observability builders are opt-in: each
+    # is imported on the branch or in the accessor that uses it.
+    from repro.core.live import LiveCoupledSimulation
+    from repro.obs.metrics import MetricsSnapshot
+    from repro.obs.paper import PaperMetrics
+    from repro.obs.spans import TimelineSet
+    from repro.obs.trace import CausalReport
+    from repro.util.tracing import Tracer
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ class RunResult:
         during the run.
         """
         if self._metrics is None:
+            from repro.obs.collect import collect_metrics
+
             registry = collect_metrics(self.simulation)
             self._metrics = registry.snapshot(paper=self.paper_metrics)
         return self._metrics
@@ -130,12 +135,16 @@ class RunResult:
         metrics = self._metrics
         if metrics is not None and metrics.paper is not None:
             return metrics.paper
+        from repro.obs.paper import compute_paper_metrics
+
         return compute_paper_metrics(self.simulation)
 
     @property
     def timeline(self) -> TimelineSet:
         """Per-rank span timelines over the run (computed once)."""
         if self._timeline is None:
+            from repro.obs.spans import build_timelines
+
             self._timeline = build_timelines(self.simulation)
         return self._timeline
 
@@ -148,6 +157,8 @@ class RunResult:
         Requires ``RunOptions(causal_trace=True)``; raises otherwise.
         """
         if self._causal is None:
+            from repro.obs.trace import build_causal_report
+
             self._causal = build_causal_report(self.simulation)
         return self._causal
 
@@ -212,6 +223,8 @@ def build(
     cfg = load_config(config) if isinstance(config, Path) else config
     sim: CoupledSimulation | LiveCoupledSimulation
     if opts.runtime == "live":
+        from repro.core.live import LiveCoupledSimulation
+
         sim = LiveCoupledSimulation(
             cfg,
             options=opts,
@@ -254,14 +267,14 @@ def run(
     sinks = tuple(opts.telemetry_sinks)
     prov = getattr(sim, "_prov", None)
     try:
-        if isinstance(sim, LiveCoupledSimulation):
+        if isinstance(sim, CoupledSimulation):
+            sim.run(until=until)
+            sim_time = sim.sim.now
+        else:
             if until is not None:
                 raise ValueError("until= applies to the DES runtime only")
             sim.run()
             sim_time = 0.0
-        else:
-            sim.run(until=until)
-            sim_time = sim.sim.now
     except BaseException as exc:
         # A crashing run must still leave its sinks well-formed: one
         # last ``final`` snapshot marked ``aborted`` (so a follower

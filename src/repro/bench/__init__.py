@@ -21,9 +21,14 @@ runner of their own: they are ``run_row`` over scenarios ``fig3a`` /
 ``fig3b``, ``fig5`` / ``fig7`` (with ``trace=True``) and ``resilience``.
 """
 
-from repro.bench.figure4 import Figure4Spec, build_figure4_simulation, figure4_rows
-from repro.bench.reporting import format_series, format_table, mean_series, summarize_runs
-from repro.bench.rows import run_row
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench.figure4 import Figure4Spec, build_figure4_simulation, figure4_rows
+    from repro.bench.reporting import format_series, format_table, mean_series, summarize_runs
+    from repro.bench.rows import run_row
 
 __all__ = [
     "Figure4Spec",
@@ -35,3 +40,17 @@ __all__ = [
     "mean_series",
     "summarize_runs",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.bench.figure4": ("Figure4Spec", "build_figure4_simulation", "figure4_rows"),
+        "repro.bench.reporting": (
+            "format_series",
+            "format_table",
+            "mean_series",
+            "summarize_runs",
+        ),
+        "repro.bench.rows": ("run_row",),
+    },
+)

@@ -17,12 +17,13 @@ reproduction charges virtual time from three models instead:
 paper's figures.
 """
 
-from repro.costs.models import (
-    ComputeCostModel,
-    MemoryCostModel,
-    NetworkCostModel,
-)
-from repro.costs.presets import PAPER_CLUSTER, FAST_TEST, ClusterPreset
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
+    from repro.costs.presets import FAST_TEST, PAPER_CLUSTER, ClusterPreset
 
 __all__ = [
     "MemoryCostModel",
@@ -32,3 +33,11 @@ __all__ = [
     "PAPER_CLUSTER",
     "FAST_TEST",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.costs.models": ("ComputeCostModel", "MemoryCostModel", "NetworkCostModel"),
+        "repro.costs.presets": ("FAST_TEST", "PAPER_CLUSTER", "ClusterPreset"),
+    },
+)

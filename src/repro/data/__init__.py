@@ -23,19 +23,20 @@ Layers:
   in-memory form plus a form running over ``vmpi`` communicators).
 """
 
-from repro.data.region import RectRegion
-from repro.data.decomposition import (
-    BlockDecomposition,
-    BlockCyclicDecomposition,
-    choose_process_grid,
-)
-from repro.data.darray import DistributedArray
-from repro.data.schedule import CommSchedule, TransferItem
-from repro.data.redistribute import (
-    extract_block,
-    insert_block,
-    redistribute_pure,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.data.darray import DistributedArray
+    from repro.data.decomposition import (
+        BlockCyclicDecomposition,
+        BlockDecomposition,
+        choose_process_grid,
+    )
+    from repro.data.redistribute import extract_block, insert_block, redistribute_pure
+    from repro.data.region import RectRegion
+    from repro.data.schedule import CommSchedule, TransferItem
 
 __all__ = [
     "RectRegion",
@@ -49,3 +50,18 @@ __all__ = [
     "insert_block",
     "redistribute_pure",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.data.darray": ("DistributedArray",),
+        "repro.data.decomposition": (
+            "BlockCyclicDecomposition",
+            "BlockDecomposition",
+            "choose_process_grid",
+        ),
+        "repro.data.redistribute": ("extract_block", "insert_block", "redistribute_pure"),
+        "repro.data.region": ("RectRegion",),
+        "repro.data.schedule": ("CommSchedule", "TransferItem"),
+    },
+)

@@ -19,19 +19,24 @@ No wall-clock time is ever consulted; runs with equal seeds are
 bit-identical.
 """
 
-from repro.des.core import (
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-    AnyOf,
-    AllOf,
-    PriorityLevel,
-    SimulationError,
-)
-from repro.des.store import Store, FilterStore, StoreFullError
-from repro.des.channel import Channel, Delivery, Network
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.des.channel import Channel, Delivery, Network
+    from repro.des.core import (
+        AllOf,
+        AnyOf,
+        Event,
+        Interrupt,
+        PriorityLevel,
+        Process,
+        SimulationError,
+        Simulator,
+        Timeout,
+    )
+    from repro.des.store import FilterStore, Store, StoreFullError
 
 __all__ = [
     "Event",
@@ -50,3 +55,22 @@ __all__ = [
     "Delivery",
     "Network",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.des.channel": ("Channel", "Delivery", "Network"),
+        "repro.des.core": (
+            "AllOf",
+            "AnyOf",
+            "Event",
+            "Interrupt",
+            "PriorityLevel",
+            "Process",
+            "SimulationError",
+            "Simulator",
+            "Timeout",
+        ),
+        "repro.des.store": ("FilterStore", "Store", "StoreFullError"),
+    },
+)

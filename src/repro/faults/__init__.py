@@ -20,14 +20,19 @@ live with the protocol itself in :mod:`repro.core`; see
 ``docs/resilience.md`` for the guarantees.
 """
 
-from repro.faults.injectors import (
-    LiveFaultInjector,
-    ProcessFaultSpec,
-    inject_main,
-    live_stalled_main,
-)
-from repro.faults.network import FaultStats, FaultyNetwork
-from repro.faults.plan import FaultPlan, classify_plane
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.injectors import (
+        LiveFaultInjector,
+        ProcessFaultSpec,
+        inject_main,
+        live_stalled_main,
+    )
+    from repro.faults.network import FaultStats, FaultyNetwork
+    from repro.faults.plan import FaultPlan, classify_plane
 
 __all__ = [
     "FaultPlan",
@@ -39,3 +44,17 @@ __all__ = [
     "inject_main",
     "live_stalled_main",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.faults.injectors": (
+            "LiveFaultInjector",
+            "ProcessFaultSpec",
+            "inject_main",
+            "live_stalled_main",
+        ),
+        "repro.faults.network": ("FaultStats", "FaultyNetwork"),
+        "repro.faults.plan": ("FaultPlan", "classify_plane"),
+    },
+)

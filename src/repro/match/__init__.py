@@ -21,17 +21,22 @@ raises :class:`CollectiveViolationError` on the illegal mixtures that
 would break Property 1.
 """
 
-from repro.match.result import MatchKind, MatchResponse, FinalAnswer
-from repro.match.policies import MatchPolicy, PolicyKind, parse_policy
-from repro.match.engine import ExportHistory, MatchEngine
-from repro.match.sorted_engine import BatchResponses, SortedMatchEngine
-from repro.match.backend import (
-    DEFAULT_MATCH_BACKEND,
-    MATCH_BACKENDS,
-    MatchBackend,
-    make_backend,
-)
-from repro.match.aggregate import CollectiveViolationError, aggregate_responses
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.match.aggregate import CollectiveViolationError, aggregate_responses
+    from repro.match.backend import (
+        DEFAULT_MATCH_BACKEND,
+        MATCH_BACKENDS,
+        MatchBackend,
+        make_backend,
+    )
+    from repro.match.engine import ExportHistory, MatchEngine
+    from repro.match.policies import MatchPolicy, PolicyKind, parse_policy
+    from repro.match.result import FinalAnswer, MatchKind, MatchResponse
+    from repro.match.sorted_engine import BatchResponses, SortedMatchEngine
 
 __all__ = [
     "MatchKind",
@@ -51,3 +56,20 @@ __all__ = [
     "CollectiveViolationError",
     "aggregate_responses",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.match.aggregate": ("CollectiveViolationError", "aggregate_responses"),
+        "repro.match.backend": (
+            "DEFAULT_MATCH_BACKEND",
+            "MATCH_BACKENDS",
+            "MatchBackend",
+            "make_backend",
+        ),
+        "repro.match.engine": ("ExportHistory", "MatchEngine"),
+        "repro.match.policies": ("MatchPolicy", "PolicyKind", "parse_policy"),
+        "repro.match.result": ("FinalAnswer", "MatchKind", "MatchResponse"),
+        "repro.match.sorted_engine": ("BatchResponses", "SortedMatchEngine"),
+    },
+)

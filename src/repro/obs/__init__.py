@@ -35,59 +35,64 @@ The usual entry point is the facade: ``result.metrics`` /
 :class:`repro.api.RunResult`.
 """
 
-from repro.obs.collect import collect_metrics
-from repro.obs.export import (
-    REPORT_SCHEMA,
-    chrome_trace,
-    validate_chrome_trace,
-    validate_report_payload,
-    write_chrome_trace,
-)
-from repro.obs.fleet import Aggregate
-from repro.obs.profile import Profile, SamplingProfiler
-from repro.obs.stream import (
-    ExpositionBuilder,
-    JsonlSink,
-    OpenMetricsSink,
-    TelemetrySink,
-    build_snapshot,
-    escape_label_value,
-    render_openmetrics,
-    validate_openmetrics,
-)
-from repro.obs.watch import Rule, evaluate_rules, parse_rule, parse_rules
-from repro.obs.trace import (
-    CausalLog,
-    CausalReport,
-    CausalSpan,
-    TraceContext,
-    build_causal_report,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricSample,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.paper import PaperMetrics, compute_paper_metrics
-from repro.obs.prov import (
-    PROV_SCHEMA,
-    ProvenanceError,
-    ProvenanceLog,
-    ProvenanceRecorder,
-    read_log,
-    validate_provenance_log,
-)
-from repro.obs.replay import (
-    diff_causal,
-    differential_replay,
-    materialize,
-    replay,
-    verify_replay,
-)
-from repro.obs.spans import Span, SpanRecorder, Timeline, TimelineSet, build_timelines
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.collect import collect_metrics
+    from repro.obs.export import (
+        REPORT_SCHEMA,
+        chrome_trace,
+        validate_chrome_trace,
+        validate_report_payload,
+        write_chrome_trace,
+    )
+    from repro.obs.fleet import Aggregate
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricSample,
+        MetricsRegistry,
+        MetricsSnapshot,
+    )
+    from repro.obs.paper import PaperMetrics, compute_paper_metrics
+    from repro.obs.profile import Profile, SamplingProfiler
+    from repro.obs.prov import (
+        PROV_SCHEMA,
+        ProvenanceError,
+        ProvenanceLog,
+        ProvenanceRecorder,
+        read_log,
+        validate_provenance_log,
+    )
+    from repro.obs.replay import (
+        diff_causal,
+        differential_replay,
+        materialize,
+        replay,
+        verify_replay,
+    )
+    from repro.obs.spans import Span, SpanRecorder, Timeline, TimelineSet, build_timelines
+    from repro.obs.stream import (
+        ExpositionBuilder,
+        JsonlSink,
+        OpenMetricsSink,
+        TelemetrySink,
+        build_snapshot,
+        escape_label_value,
+        render_openmetrics,
+        validate_openmetrics,
+    )
+    from repro.obs.trace import (
+        CausalLog,
+        CausalReport,
+        CausalSpan,
+        TraceContext,
+        build_causal_report,
+    )
+    from repro.obs.watch import Rule, evaluate_rules, parse_rule, parse_rules
 
 __all__ = [
     "PROV_SCHEMA",
@@ -141,3 +146,68 @@ __all__ = [
     "verify_replay",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.obs.collect": ("collect_metrics",),
+        "repro.obs.export": (
+            "REPORT_SCHEMA",
+            "chrome_trace",
+            "validate_chrome_trace",
+            "validate_report_payload",
+            "write_chrome_trace",
+        ),
+        "repro.obs.fleet": ("Aggregate",),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricSample",
+            "MetricsRegistry",
+            "MetricsSnapshot",
+        ),
+        "repro.obs.paper": ("PaperMetrics", "compute_paper_metrics"),
+        "repro.obs.profile": ("Profile", "SamplingProfiler"),
+        "repro.obs.prov": (
+            "PROV_SCHEMA",
+            "ProvenanceError",
+            "ProvenanceLog",
+            "ProvenanceRecorder",
+            "read_log",
+            "validate_provenance_log",
+        ),
+        "repro.obs.replay": (
+            "diff_causal",
+            "differential_replay",
+            "materialize",
+            "replay",
+            "verify_replay",
+        ),
+        "repro.obs.spans": (
+            "Span",
+            "SpanRecorder",
+            "Timeline",
+            "TimelineSet",
+            "build_timelines",
+        ),
+        "repro.obs.stream": (
+            "ExpositionBuilder",
+            "JsonlSink",
+            "OpenMetricsSink",
+            "TelemetrySink",
+            "build_snapshot",
+            "escape_label_value",
+            "render_openmetrics",
+            "validate_openmetrics",
+        ),
+        "repro.obs.trace": (
+            "CausalLog",
+            "CausalReport",
+            "CausalSpan",
+            "TraceContext",
+            "build_causal_report",
+        ),
+        "repro.obs.watch": ("Rule", "evaluate_rules", "parse_rule", "parse_rules"),
+    },
+)

@@ -75,6 +75,7 @@ class Timeline:
     events: list[TraceEvent] = field(default_factory=list)
 
     def sort(self) -> None:
+        """Order spans by start and events by time, in place."""
         self.spans.sort(key=lambda s: (s.start, s.end, s.name))
         self.events.sort(key=lambda e: (e.time, e.kind))
 
@@ -120,12 +121,15 @@ class TimelineSet:
         return out
 
     def span_count(self) -> int:
+        """Spans across every thread."""
         return sum(len(tl.spans) for tl in self.timelines.values())
 
     def event_count(self) -> int:
+        """Trace events across every thread."""
         return sum(len(tl.events) for tl in self.timelines.values())
 
     def sort(self) -> None:
+        """Sort every thread's timeline in place."""
         for tl in self.timelines.values():
             tl.sort()
 

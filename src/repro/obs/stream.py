@@ -167,11 +167,13 @@ class JsonlSink:
         self.records = 0
 
     def emit(self, record: dict[str, Any]) -> None:
+        """Append *record* as one line and flush it."""
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self.records += 1
 
     def close(self) -> None:
+        """Close the file (idempotent)."""
         if not self._fh.closed:
             self._fh.close()
 
@@ -191,13 +193,15 @@ class OpenMetricsSink:
         self.last: dict[str, Any] | None = None
 
     def emit(self, record: dict[str, Any]) -> None:
+        """Replace the file with *record*'s exposition."""
         text = render_openmetrics(record)
         with open(self.path, "w", encoding="utf-8") as fh:
             fh.write(text)
         self.records += 1
         self.last = record
 
-    def close(self) -> None:  # nothing held open between flushes
+    def close(self) -> None:
+        """Nothing to release: no file stays open between snapshots."""
         return None
 
 

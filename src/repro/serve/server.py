@@ -131,13 +131,21 @@ class SessionServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Fork the workers and bind the listener."""
+        """Fork the workers and bind the listener.
+
+        The workers fork first, so none inherits the listening socket;
+        a failed bind retires them all before the error propagates.
+        """
         self._loop = asyncio.get_running_loop()
         for _ in range(self.config.workers):
             self._workers.append(self._spawn())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host, self.config.port
+            )
+        except BaseException:
+            self._stop_workers()
+            raise
         sockets = self._server.sockets or ()
         self.port = sockets[0].getsockname()[1] if sockets else self.config.port
 
@@ -199,6 +207,15 @@ class SessionServer:
             worker.process.kill()
             worker.process.join()
 
+    def _stop_workers(self) -> None:
+        """Ask every worker to exit, then reap them all."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+        for worker in workers:
+            self._retire(worker)
+
     def _dispatch(self) -> None:
         """Hand queued sessions, oldest first, to idle workers."""
         queued = self.registry.queued
@@ -246,12 +263,7 @@ class SessionServer:
             cancelled.append(session.id)
         for session in self.registry.active():
             await session.done_event.wait()
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            with contextlib.suppress(OSError):
-                worker.conn.send(None)
-        for worker in workers:
-            self._retire(worker)
+        self._stop_workers()
         return {
             "schema": SERVE_SCHEMA,
             "drained": drained,

@@ -18,6 +18,7 @@ cancelled.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import signal
@@ -29,6 +30,20 @@ from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SessionSpec
 
 __all__ = ["worker_main", "run_session", "PipeSink"]
+
+#: What a session imports on first use beyond this module's imports:
+#: the report's metrics builder, the telemetry emitter behind the pipe
+#: sink, and the opt-in provenance recorder and faulty network.  They
+#: are imported here, before the server forks the pool, so no session
+#: pays for an import.
+SESSION_MODULES = (
+    "repro.faults.network",
+    "repro.obs.collect",
+    "repro.obs.prov",
+    "repro.obs.stream",
+)
+for _module in SESSION_MODULES:
+    importlib.import_module(_module)
 
 #: Wall-clock slice one telemetry frame covers: the first record of a
 #: slice leaves at once, the rest of it rides the next frame.
@@ -48,6 +63,7 @@ class PipeSink:
         self.deadline = 0.0
 
     def emit(self, record: dict[str, Any]) -> None:
+        """Encode *record*; flush the frame once its slice is over."""
         self.lines.append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
         if monotonic() >= self.deadline:
             self.close()

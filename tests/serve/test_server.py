@@ -408,6 +408,21 @@ class TestStructure:
         stop()
         assert multiprocessing.active_children() == []
 
+    def test_failed_bind_leaves_no_children(self):
+        """The workers fork before the bind; a bind that fails reaps them."""
+        import asyncio
+
+        from repro.serve import SessionServer
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            server = SessionServer(ServeConfig(host="127.0.0.1", port=port, workers=2))
+            with pytest.raises(OSError):
+                asyncio.run(server.start())
+        assert multiprocessing.active_children() == []
+
 
 class TestConcurrencyAndDrain:
     def test_concurrent_submit_and_cancel_races_stay_consistent(self, server):

@@ -5,9 +5,16 @@ module, class and function in ``repro`` carries a docstring, and every
 ``__all__`` name actually resolves.
 """
 
+import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +31,51 @@ PACKAGES = [
     "repro.core",
     "repro.apps",
     "repro.bench",
+    "repro.api",
+    "repro.obs",
+    "repro.faults",
+    "repro.analysis",
+    "repro.analysis.model",
+    "repro.serve",
 ]
+
+
+def repro_modules_added(code: str, setup: str = "") -> list[str]:
+    """The ``repro`` modules *code* adds to ``sys.modules`` after *setup*,
+    both run in a fresh interpreter (no online sanitizer)."""
+    script = (
+        "import json, sys\n"
+        f"{setup}\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps(sorted(m for m in added if m.split('.')[0] == 'repro')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def lazy_surface(pkg_name: str) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+    """A package ``__init__``'s ``if TYPE_CHECKING:`` imports and its
+    ``lazy_exports`` table, each as ``(module, name)`` pairs."""
+    path = Path(importlib.import_module(pkg_name).__file__)
+    typed: set[tuple[str, str]] = set()
+    table: set[tuple[str, str]] = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            typed |= {(imp.module, a.name) for imp in node.body for a in imp.names}
+        elif isinstance(node, ast.Assign) and ast.unparse(node.value).startswith(
+            "lazy_exports("
+        ):
+            literal = ast.literal_eval(node.value.args[1])
+            table |= {(module, name) for module, names in literal.items() for name in names}
+    return typed, table
 
 
 def iter_modules():
@@ -56,6 +107,109 @@ class TestAllIntegrity:
         pkg = importlib.import_module(pkg_name)
         for name in getattr(pkg, "__all__", []):
             assert hasattr(pkg, name), f"{pkg_name}.__all__ lists missing {name!r}"
+
+
+class TestLazySurface:
+    """Every package ``__init__`` re-exports lazily through
+    :func:`repro._lazy.lazy_exports`: a name's submodule is imported on
+    first access, and the surface is listed three ways that must agree."""
+
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
+    def test_table_typing_imports_and_all_name_the_same_set(self, pkg_name):
+        pkg = importlib.import_module(pkg_name)
+        typed, table = lazy_surface(pkg_name)
+        assert table, f"{pkg_name} has no lazy_exports table"
+        assert typed == table
+        assert {name for _, name in table} == set(pkg.__all__) - {"__version__"}
+
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
+    def test_names_resolve_to_their_home_and_are_cached(self, pkg_name):
+        pkg = importlib.import_module(pkg_name)
+        for module, name in sorted(lazy_surface(pkg_name)[1]):
+            assert getattr(pkg, name) is getattr(importlib.import_module(module), name)
+            assert name in vars(pkg), f"{pkg_name}.{name} was not cached"
+
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
+    def test_dir_lists_all(self, pkg_name):
+        pkg = importlib.import_module(pkg_name)
+        assert set(pkg.__all__) <= set(dir(pkg))
+
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
+    def test_unknown_name_raises_attribute_error_naming_the_module(self, pkg_name):
+        pkg = importlib.import_module(pkg_name)
+        message = f"module {pkg_name!r} has no attribute 'no_such_name'"
+        with pytest.raises(AttributeError, match=re.escape(message)):
+            pkg.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize("pkg_name", PACKAGES)
+    def test_star_import_binds_all(self, pkg_name):
+        namespace: dict = {}
+        exec(f"from {pkg_name} import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(importlib.import_module(pkg_name).__all__)
+
+    def test_an_export_outranks_its_same_named_submodule(self):
+        """Importing ``repro.obs.replay`` binds the submodule onto the
+        package; ``repro.obs.replay`` the export is still the function."""
+        repro_modules_added(
+            "import inspect\n"
+            "import repro.obs.replay\n"
+            "from repro.obs import replay\n"
+            "assert inspect.isfunction(replay), replay"
+        )
+
+    def test_star_import_of_repro_binds_the_public_surface(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted([
+            "__version__", "run", "build", "Program", "RunOptions", "RunResult",
+            "CouplingConfig", "load_config", "parse_config", "CoupledSimulation",
+            "LiveCoupledSimulation", "RegionDef", "BlockDecomposition", "CommSchedule",
+            "DistributedArray", "RectRegion", "MatchPolicy", "PolicyKind",
+            "MetricsSnapshot", "PaperMetrics", "SpanRecorder", "TimelineSet",
+            "FaultPlan", "Tracer", "NullTracer",
+        ])
+
+
+class TestColdStart:
+    """What an import or a run loads, each in a fresh interpreter: a
+    caller pays only for the layers it uses."""
+
+    def test_import_repro_loads_only_the_package(self):
+        assert repro_modules_added("import repro") == ["repro", "repro._lazy"]
+
+    def test_match_layer_loads_no_higher_layer(self):
+        loaded = repro_modules_added("from repro.match import *")
+        assert [m for m in loaded if m.startswith(
+            ("repro.core", "repro.des", "repro.obs", "repro.api")
+        )] == []
+
+    def test_des_run_loads_no_opt_in_layer(self):
+        loaded = repro_modules_added(
+            "from repro.scenarios import build\nbuild('demo', {}).run()"
+        )
+        opt_in = (
+            "repro.serve", "repro.analysis", "repro.core.live",
+            "repro.vmpi.thread_backend", "repro.obs.prov", "repro.obs.replay",
+            "repro.obs.fleet", "repro.obs.watch",
+        )
+        assert "repro.core.coupler" in loaded
+        assert [m for m in loaded if m.startswith(opt_in)] == []
+
+    def test_worker_forks_warm(self):
+        """A served session imports nothing the worker did not import
+        before the fork: not the first one, nor one with provenance and
+        a fault plan."""
+        params = {"exports": 12, "imports": [4.0, 8.0], "seed": 3}
+        plain = {"scenario": "demo", "params": params}
+        opt_in = {**plain, "provenance": True, "fault_plan": {"seed": 5, "drop": 0.1}}
+        loaded = repro_modules_added(
+            f"assert run_session('a', {plain!r})['ok']\n"
+            f"assert run_session('b', {opt_in!r})['ok']",
+            setup="from repro.serve.worker import run_session",
+        )
+        assert loaded == []
 
 
 class TestDocstrings:
@@ -145,10 +299,7 @@ class TestLayering:
 
     @pytest.mark.parametrize("lower", sorted(FORBIDDEN))
     def test_no_upward_imports(self, lower):
-        import sys
-
-        # Import the lower layer fresh and inspect what lands in
-        # sys.modules as its dependencies.
+        # No module of the lower layer names a forbidden one in its source.
         pkg = importlib.import_module(lower)
         sources = []
         if hasattr(pkg, "__path__"):
@@ -161,7 +312,19 @@ class TestLayering:
                 assert f"from {banned}" not in src and f"import {banned}" not in src, (
                     f"{mod.__name__} imports {banned} (layering violation)"
                 )
-        del sys
+
+    @pytest.mark.parametrize("lower", sorted(FORBIDDEN))
+    def test_no_upward_imports_at_runtime(self, lower):
+        """Importing the lower layer and every submodule of it in a fresh
+        interpreter lands none of its forbidden layers in sys.modules."""
+        loaded = repro_modules_added(
+            "import importlib, pkgutil\n"
+            f"pkg = importlib.import_module({lower!r})\n"
+            "for info in pkgutil.walk_packages(getattr(pkg, '__path__', []), pkg.__name__ + '.'):\n"
+            "    importlib.import_module(info.name)"
+        )
+        banned = tuple(self.FORBIDDEN[lower])
+        assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
 
     def test_only_the_facade_constructs_a_runtime(self):
         """A coupled run is described in ``repro.scenarios`` and built by
