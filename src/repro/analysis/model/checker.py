@@ -26,7 +26,10 @@ checks six invariants:
 States are copy-on-write per component and hashed with BLAKE2b-128 over
 the components' cached canonical bytes (:meth:`ModelMachine.digest`), so
 the visited set stores 16-byte digests, not object graphs, and a
-transition re-encodes only what it wrote.  The search is a depth-first
+transition re-encodes only what it wrote.  A transition goes through
+the machine's transition table (:meth:`ModelMachine.step`), which runs
+the protocol code once per distinct local input and replays the stored
+effect after that.  The search is a depth-first
 walk with **sleep sets**
 (Godefroid): after exploring action *a* from a state, every previously
 explored action independent of *a* is put to sleep in *a*'s successor —
@@ -234,7 +237,7 @@ class _Explorer:
                 w = clone_working(frame.w)
                 self.transitions += 1
                 try:
-                    machine.apply(w, action)
+                    machine.step(w, action)
                 except VIOLATION_ERRORS as exc:
                     self._record(
                         "M203",

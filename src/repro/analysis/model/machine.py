@@ -23,6 +23,9 @@ What is written here, and why it cannot be the runtimes' code:
   of one, so a child shares the rest with its parent and each component
   caches its canonical bytes and (exporter ranks) its M204 verdict; a
   run has one state and no use for any of it;
+* the transition table (:meth:`ModelMachine.step`) — exploration meets
+  the same local input many times over and runs :meth:`ModelMachine.
+  apply` once per distinct one; a run never repeats an input;
 * action enumeration and footprints — the nondeterministic scheduler
   and its partial-order reduction replace a runtime's event loop, and
   the footprint's ``("c", comp)`` tokens are also what ``apply`` thaws;
@@ -79,7 +82,10 @@ stamper's choice depend on dead history.
 States are hashed over canonical nested tuples, one per component
 (``canon()``, :meth:`ModelMachine.digest`); behavioural fields only —
 reporting counters are excluded so states that cannot be distinguished
-by any future behaviour merge.  The deep copy and the whole-state
+by any future behaviour merge.  The canonical form covers every field
+any check reads: a field left out merges states that behave
+differently, and the transition table, keyed by these bytes, installs
+one's effect in the other.  The deep copy and the whole-state
 encode this replaced are the oracle of
 ``tests/analysis/test_model_cow.py``.
 """
@@ -371,6 +377,26 @@ def mutation_config(name: str) -> ModelConfig:
 
 Action = tuple[Any, ...]
 Seq = tuple[str, int]
+
+#: What an action reads, as :meth:`ModelMachine.step` keys it: the
+#: components whose canonical bytes it reads (every one it may write),
+#: the components of which it reads only the dedup memory (the stamper's
+#: view of a send target), the links and the budget attributes.
+_ReadSet = tuple[
+    tuple[str, ...], tuple[str, ...], tuple[tuple[str, str], ...], tuple[str, ...]
+]
+
+#: What an action did, as :meth:`ModelMachine.step` replays it: the
+#: components and channel tuples it replaced, the budgets it set, the
+#: buddy skips it counted per exporter rank and, for a transition the
+#: protocol rejected, the exception's type and message.
+_Effect = tuple[
+    tuple[tuple[str, Any], ...],
+    tuple[tuple[tuple[str, str], tuple[Any, ...]], ...],
+    tuple[tuple[str, int], ...],
+    tuple[tuple[int, int], ...],
+    tuple[type[Exception], str] | None,
+]
 
 #: Marks an exporter rank whose M204 verdict has not been computed yet.
 _UNCHECKED: Any = object()
@@ -678,6 +704,9 @@ class _ExpRank:
         )
         return (
             self.pos, self.closed, self.crashed, conns, buf,
+            # was_sent() outlives freeing: M206 and the lookup of a
+            # re-asked match read it.
+            tuple(sorted(region.buffer._sent_ts)),
             tuple(sorted(self.seen)),
         )
 
@@ -865,6 +894,12 @@ class ModelMachine:
             action: tuple(tok[1] for tok in footprint if tok[0] == "c")
             for action, footprint in self.footprints.items()
         }
+        #: action -> what it reads (see :meth:`step`).
+        self._reads = {action: self._read_set(action) for action in self.footprints}
+        #: The transition table: cache key -> :data:`_Effect`.
+        self._effects: dict[bytes, _Effect] = {}
+        #: ``(type, canonical bytes)`` -> the one component object with them.
+        self._interned: dict[tuple[type[Any], bytes], Any] = {}
         self.driver = _ModelDriver(config, self.spec)
 
     # -- construction -------------------------------------------------------
@@ -1112,6 +1147,132 @@ class ModelMachine:
             chan = w.chans[link]
             w.chans[link] = chan[:1] + chan  # wire-level copy: same sequence number
             w.dup_left -= 1
+
+    def step(self, w: _Working, action: Action) -> None:
+        """:meth:`apply`, run once per distinct local input.
+
+        An action reads a few components and links of *w* (its read
+        set, :meth:`_read_set`), and the outcome of :meth:`apply` is a
+        function of those alone.  The key is BLAKE2b-128 over the
+        action and the canonical form of what it reads; the first time
+        a key comes up, :meth:`apply` runs and what it replaced is
+        stored (:meth:`_learn`), and every later time that is installed
+        in *w* and nothing runs.  So the state space, every statistic
+        and every raised violation are those of :meth:`apply`, which
+        counterexample replay still calls directly.
+        """
+        comps, chans = w.comps, w.chans
+        full, seen, links, budgets = self._reads[action]
+        key = hashlib.blake2b(
+            marshal.dumps(
+                (
+                    action,
+                    [comps[n].enc or self._encode(comps[n]) for n in full],
+                    [sorted(comps[n].seen) for n in seen],
+                    [chans[link] for link in links],
+                    [getattr(w, b) for b in budgets],
+                ),
+                2,
+            ),
+            digest_size=16,
+        ).digest()
+        effect = self._effects.get(key)
+        if effect is None:
+            self._learn(w, action, key)
+            return
+        new_comps, new_chans, new_budgets, skips, error = effect
+        for r, n in skips:
+            self.driver.exporters[r].stats.buddy_skips += n
+        if error is not None:
+            raise error[0](error[1])
+        comps.update(new_comps)
+        chans.update(new_chans)
+        for b, value in new_budgets:
+            setattr(w, b, value)
+
+    def _learn(self, w: _Working, action: Action, key: bytes) -> None:
+        """Run :meth:`apply` on *w* and store what it did under *key*.
+
+        A replaced component is interned by its canonical bytes, in *w*
+        and in the effect, so states and effects that hold equal
+        components hold one object.  A violation is stored as its type
+        and message (the exception object would pin its traceback's
+        frames) and propagates.
+        """
+        full, _seen, links, budgets = self._reads[action]
+        comps, chans = w.comps, w.chans
+        before = [comps[n] for n in full]
+        before_chans = [chans[link] for link in links]
+        stats = [ctx.stats for ctx in self.driver.exporters]
+        skipped = [s.buddy_skips for s in stats]
+
+        def skips() -> tuple[tuple[int, int], ...]:
+            return tuple(
+                (r, s.buddy_skips - n)
+                for r, (s, n) in enumerate(zip(stats, skipped))
+                if s.buddy_skips != n
+            )
+
+        try:
+            self.apply(w, action)
+        except VIOLATION_ERRORS as exc:
+            self._effects[key] = ((), (), (), skips(), (type(exc), str(exc)))
+            raise
+        new_comps = []
+        for name, old in zip(full, before):
+            comp = comps[name]
+            if comp is not old:
+                enc = comp.enc or self._encode(comp)
+                comp = comps[name] = self._interned.setdefault((type(comp), enc), comp)
+                new_comps.append((name, comp))
+        self._effects[key] = (
+            tuple(new_comps),
+            tuple(
+                (link, chans[link])
+                for link, old in zip(links, before_chans)
+                if chans[link] is not old
+            ),
+            tuple((b, getattr(w, b)) for b in budgets),
+            skips(),
+            None,
+        )
+
+    def _read_set(self, action: Action) -> _ReadSet:
+        """What :meth:`apply` reads to run *action*, read off its code.
+
+        A component it may write is read whole (its replacement is
+        stored and installed whole); of a send target it reads only the
+        dedup memory the stamper consults (:meth:`_ModelDriver.
+        _net_send`).
+
+        * ``deliver`` — the receiver, the dedup memory of every
+          component it may send to, every link into it (in-flight
+          pruning) and every link out of it;
+        * ``drop`` — the receiver (its memory is pruned), every link
+          into it and the drop budget;
+        * ``dup`` — the link and the dup budget;
+        * ``issue``/``retransmit`` — the importer rank, the importer
+          rep's memory and the link up to it;
+        * ``export``/``close`` — the exporter rank, the exporter rep's
+          memory and the link up to it;
+        * ``crash`` — the exporter rank and the crash budget.
+        """
+        kind = action[0]
+        if kind in ("deliver", "drop", "dup"):
+            dst = action[2]
+            if kind == "dup":
+                return (), (), ((action[1], dst),), ("dup_left",)
+            if kind == "drop":
+                return (dst,), (), self._in_links[dst], ("drop_left",)
+            outs = self._out_links(dst)
+            return (
+                (dst,), outs, self._in_links[dst] + tuple((dst, o) for o in outs), ()
+            )
+        name = f"{'I' if kind in ('issue', 'retransmit') else 'E'}{action[1]}"
+        if kind == "crash":
+            return (name,), (), (), ("crash_left",)
+        rep = name[0] + "R"
+        return (name,), (rep,), ((name, rep),), ()
 
     def _in_flight(self, w: _Working, dst: str) -> set[Seq]:
         """Sequence numbers with a wire copy left toward *dst*."""

@@ -179,7 +179,10 @@ def encode(w):
                 for ts, entry in sorted(c.region.buffer._entries.items())
             )
             exp.append(
-                (c.pos, c.closed, c.crashed, tuple(conns), buf, pruned(name))
+                (
+                    c.pos, c.closed, c.crashed, tuple(conns), buf,
+                    tuple(sorted(c.region.buffer._sent_ts)), pruned(name),
+                )
             )
     irep = tuple(
         (
@@ -295,6 +298,23 @@ def machines():
 @given(world=st.sampled_from(WALKED), rng=st.randoms(use_true_random=False))
 def test_cow_states_match_the_deep_copy_oracle(machines, world, rng):
     walk(machines[world], rng)
+
+
+class TestCanonicalFormCoversSentTs:
+    """``was_sent`` outlives freeing, and M206 and the re-asked match's
+    lookup read it: two exporter ranks that differ only in whether a
+    freed timestamp was sent behave differently, so they must encode
+    differently (or the checker merges them, and the transition table,
+    which interns components by their bytes, swaps one for the other)."""
+
+    def test_a_sent_timestamp_changes_the_bytes(self):
+        machine = ModelMachine(WORLDS["clean"])
+        unsent = machine.initial_working().comps["E0"]
+        sent = unsent.thaw()
+        sent.region.buffer._sent_ts.add(3.5)
+        assert sent.region.buffer.was_sent(3.5)
+        assert not unsent.region.buffer.was_sent(3.5)
+        assert marshal.dumps(sent.canon(), 2) != marshal.dumps(unsent.canon(), 2)
 
 
 #: One wire duplicate, then a drop of the copy left behind: the drop

@@ -62,7 +62,15 @@ class TestNoMustSend:
     def test_caught_with_exactly_the_expected_rule(self, no_must_send_suite):
         assert _rules(no_must_send_suite) == ["M206"]
         hits = {name: r.stats["rule_hits"] for name, r in no_must_send_suite.worlds}
-        assert hits == {"clean": {"M206": 4}, "buddy": {"M206": 6}}
+        # The canonical form covers the ledger's sent set (was_sent()
+        # outlives freeing): terminal states that differ only in whether
+        # a freed match was sent are told apart, 4 -> 8 and 6 -> 12 hits.
+        assert hits == {"clean": {"M206": 8}, "buddy": {"M206": 12}}
+        counts = {
+            name: (r.stats["states"], r.stats["transitions"])
+            for name, r in no_must_send_suite.worlds
+        }
+        assert counts == {"clean": (7_604, 18_042), "buddy": (13_395, 33_131)}
 
     def test_counterexample_is_well_formed(self, no_must_send_suite):
         (cex,) = no_must_send_suite.counterexamples
