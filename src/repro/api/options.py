@@ -87,7 +87,7 @@ class RunOptions:
         disables streaming entirely.
     telemetry_interval:
         Period between telemetry snapshots — virtual seconds on the
-        DES runtime, wall seconds on the live runtime.
+        DES runtime, wall seconds on the live runtime; finite and > 0.
     race_monitor:
         Live runtime: a :class:`repro.analysis.races.RaceMonitor`
         receiving shared-state accesses and synchronization events
@@ -149,7 +149,10 @@ class RunOptions:
             self.buffer_policy in ("error", "block"),
             "buffer_policy: 'error' or 'block'",
         )
-        require(self.telemetry_interval > 0, "telemetry_interval must be > 0")
+        require(
+            0 < self.telemetry_interval < float("inf"),
+            "telemetry_interval must be a finite number > 0",
+        )
         if self.provenance is not None:
             require(
                 isinstance(self.provenance, str) and bool(self.provenance),

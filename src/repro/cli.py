@@ -177,24 +177,24 @@ def _parse_grid(pairs: Sequence[str]) -> dict[str, list[Any]]:
     return grid
 
 
-def _parse_fault(raw: str) -> Any:
-    """A ``--fault`` value → a :class:`~repro.faults.FaultPlan` or ``None``."""
-    from repro.faults import FaultPlan
+def _cells(name: str, grid: dict[str, list[Any]], faults: Sequence[str]) -> list[Any]:
+    """The :class:`~repro.scenarios.Cell` of every params × ``--fault``
+    (JSON object or ``null``) combination, the fault plan varying fastest."""
+    from itertools import product
 
-    obj = json.loads(raw)
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ValueError(f"--fault takes a JSON object or null, got {raw!r}")
-    return FaultPlan.from_dict(obj)
+    from repro.scenarios import Cell
+
+    plans = [json.loads(raw) for raw in faults]
+    return [Cell(name, dict(zip(grid, values)), plan)
+            for values in product(*grid.values()) for plan in plans]
 
 
-def _buddy_pair(cells: list[tuple[dict[str, Any], int]]) -> tuple[int, int] | None:
+def _buddy_pair(cells: list[Any]) -> tuple[int, int] | None:
     """``(with-help, without-help)`` cell indices, when the grid is two
     cells that differ only in ``buddy_help``; else ``None``."""
     if len(cells) != 2:
         return None
-    (a, _), (b, _) = cells
+    a, b = (cell.params for cell in cells)
     if {k for k in a if a[k] != b[k]} != {"buddy_help"}:
         return None
     return (0, 1) if a["buddy_help"] else (1, 0)
@@ -226,24 +226,19 @@ def _run_table(rows: list[dict[str, Any]]) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run every cell of a scenario's parameter × fault-plan grid."""
-    from itertools import product
-
     from repro.bench.rows import memcpy_count, run_row
     from repro.obs.export import REPORT_SCHEMA, validate_report_payload
-    from repro.scenarios import build
     from repro.util.tracing import Tracer
 
+    faults = args.fault or ["null"]
     try:
         if args.name == "crash_hard":
             raise ValueError(
                 "scenario 'crash_hard' kills the process that runs it; "
                 "submit it to repro serve instead"
             )
-        grid = _parse_grid(args.param or [])
-        plans = [_parse_fault(raw) for raw in args.fault or ["null"]]
-        combos = [dict(zip(grid, values)) for values in product(*grid.values())]
-        builds = [build(args.name, params) for params in combos]
-        cells = [(params, j) for params in combos for j in range(len(plans))]
+        cells = _cells(args.name, _parse_grid(args.param or []), faults)
+        builds = [cell.build() for cell in cells]
         one_run = [flag for flag in ("provenance", "chrome", "causal") if getattr(args, flag)]
         if one_run and len(cells) > 1:
             raise ValueError(f"--{one_run[0]} records one run; the grid has {len(cells)} cells")
@@ -267,36 +262,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     watch = {"causal_trace": bool(args.causal), "tracer": Tracer() if args.chrome else None}
     kept: list[Any] = []  # the one-cell run's result, for --chrome/--causal
     rows: list[dict[str, Any]] = []
-    for k, (params, j) in enumerate(cells):
-        words = [f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in params.items()]
-        name = " ".join([args.name, *words, *([f"fault={j}"] if len(plans) > 1 else [])])
-        plan = plans[j]
-        row: dict[str, Any] = {
-            "name": name,
-            "scenario": args.name,
-            "params": params,
-            "fault_plan": None if plan is None else {
-                key: v for key, v in plan.describe().items() if v != float("inf")
-            },
-        }
+    for k, (cell, built) in enumerate(zip(cells, builds)):
+        suffix = f" fault={k % len(faults)}" if len(faults) > 1 else ""
+        row = cell.row(cell.name + suffix)
         try:
             row.update(run_row(
-                name, builds[k // len(plans)], trace=args.trace, fault_plan=plan,
-                provenance=args.provenance, keep=kept.append if one_run else None, **watch,
+                row["name"], built, trace=args.trace, provenance=args.provenance,
+                keep=kept.append if one_run else None, **watch,
             ))
         except OSError:
             raise
         except Exception as exc:  # noqa: BLE001 - a failed cell is a row
             row["error"] = f"{type(exc).__name__}: {exc}"
-            print(f"FAIL: {name}: {row['error']}", file=sys.stderr)
+            print(f"FAIL: {row['name']}: {row['error']}", file=sys.stderr)
         rows.append(row)
     views = _write_views(args, kept[0], rows[0]) if one_run and kept else []
 
     payload: dict[str, Any] = {"schema": REPORT_SCHEMA, "runs": rows}
     failed = any("error" in row for row in rows)
-    if len(plans) > 1:
+    if len(faults) > 1:
         for k, row in enumerate(rows):
-            first = rows[k - k % len(plans)]
+            first = rows[k - k % len(faults)]
             row["answers_match"] = "answers" in row and row["answers"] == first.get("answers")
         payload["answers_consistent"] = all(row["answers_match"] for row in rows)
         failed = failed or not payload["answers_consistent"]
@@ -770,20 +756,13 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
                 for key, values in grid.items():
                     if len(values) > 1:
                         raise ValueError(f"--param {key} takes one value, got {len(values)}")
-                optional = {
-                    "fault_plan": json.loads(args.fault) if args.fault else None,
-                    "telemetry_interval": args.interval,
-                    "label": args.label or None,
-                    "provenance": args.provenance or None,
-                }
+                (cell,) = _cells(args.scenario, grid, [args.fault or "null"])
             except ValueError as exc:  # incl. json.JSONDecodeError
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            info = client.submit({
-                "scenario": args.scenario,
-                "params": {key: values[0] for key, values in grid.items()},
-                **{key: v for key, v in optional.items() if v is not None},
-            })
+            # A null field is the spec's default.
+            info = client.submit({**cell.to_dict(), "telemetry_interval": args.interval,
+                                  "label": args.label or None, "provenance": args.provenance})
             if args.wait is not None:
                 info = client.wait(info["id"], timeout=args.wait)
             if not _emit(args, info):

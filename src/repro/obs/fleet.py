@@ -1,11 +1,13 @@
 """The fleet aggregate: one commutative fold of finished sessions.
 
-A server's registry turns each terminal session into one flat row
-(:meth:`repro.serve.registry.SessionRecord.row`); :class:`Aggregate`
-folds rows into per-scenario groups, so the fleet-wide shape of the
-paper's headline quantities (Eq. 2 ``T_ub``, PENDING-resolution
-latency, buddy-help savings) stays visible while traffic flows.  What
-a group keeps is listed once, in :data:`FIELDS`: folding, merging,
+A server's registry turns each terminal session into one row
+(:meth:`repro.serve.registry.SessionRecord.row`: the ``repro run`` row
+of its cell plus state, duration and telemetry counts);
+:class:`Aggregate` folds rows into per-scenario groups, so the
+fleet-wide shape of the paper's headline quantities (Eq. 2 ``T_ub``,
+PENDING-resolution latency, buddy-help savings) stays visible while
+traffic flows.  What a group keeps, and where in a row each field is
+read, is listed once, in :data:`FIELDS`: folding, merging,
 the payload block and its reader, the ``repro_fleet_*`` OpenMetrics
 families and the rule vocabulary of :mod:`repro.obs.watch` all derive
 from it.  Rows fold, and aggregates merge, in any order to the same
@@ -16,6 +18,7 @@ histogram state, so :meth:`Aggregate.from_dict` restores it exactly.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Any
 
@@ -25,20 +28,24 @@ from repro.obs.stream import ExpositionBuilder
 
 __all__ = ["FIELDS", "STATS", "Aggregate"]
 
-#: ``(field, reducer, family, help)``: ``dist`` keeps a Histogram, ``sum`` a total.
-FIELDS: tuple[tuple[str, str, str, str], ...] = (
-    ("t_ub", "dist", "repro_fleet_t_ub_seconds", "Eq. 2 T_ub per successful session"),
-    ("resolution", "dist", "repro_fleet_resolution_latency_seconds",
+#: ``(field, source, reducer, family, help)``: *source* is the field's
+#: dotted path in a row (a row without a number there adds nothing);
+#: ``dist`` keeps a Histogram, ``sum`` a total.
+FIELDS: tuple[tuple[str, str, str, str, str], ...] = (
+    ("t_ub", "metrics.paper.t_ub_total", "dist", "repro_fleet_t_ub_seconds",
+     "Eq. 2 T_ub per successful session"),
+    ("resolution", "metrics.paper.pending_resolution.mean", "dist",
+     "repro_fleet_resolution_latency_seconds",
      "Mean PENDING-resolution latency per successful session"),
-    ("duration", "dist", "repro_fleet_session_duration_seconds",
+    ("duration", "duration", "dist", "repro_fleet_session_duration_seconds",
      "Wall-clock duration of successful sessions"),
-    ("buddy_saved_total", "sum", "repro_fleet_buddy_saved_seconds",
-     "Buddy-help memcpy savings summed per scenario"),
-    ("buddy_skips", "sum", "repro_fleet_buddy_skips",
+    ("buddy_saved_total", "metrics.paper.buddy_saved_total", "sum",
+     "repro_fleet_buddy_saved_seconds", "Buddy-help memcpy savings summed per scenario"),
+    ("buddy_skips", "metrics.paper.buddy_skips", "sum", "repro_fleet_buddy_skips",
      "Buddy-enabled skips summed per scenario"),
-    ("telemetry_records", "sum", "repro_fleet_telemetry_records",
+    ("telemetry_records", "telemetry_records", "sum", "repro_fleet_telemetry_records",
      "Telemetry records published per scenario"),
-    ("telemetry_dropped", "sum", "repro_fleet_telemetry_dropped",
+    ("telemetry_dropped", "telemetry_dropped", "sum", "repro_fleet_telemetry_dropped",
      "Telemetry records dropped (backpressure) per scenario"),
 )
 
@@ -54,14 +61,14 @@ Group = dict[str, Any]
 
 
 def _empty() -> Group:
-    return {"sessions": {}, **{f: Histogram() if r == "dist" else 0 for f, r, _, _ in FIELDS}}
+    return {"sessions": {}, **{f: Histogram() if r == "dist" else 0 for f, _, r, *_ in FIELDS}}
 
 
 def _merge(a: Group, b: Group) -> Group:
     sessions = dict(a["sessions"])
     for state, n in b["sessions"].items():
         sessions[state] = sessions.get(state, 0) + n
-    fields = {f: a[f].merge(b[f]) if r == "dist" else a[f] + b[f] for f, r, _, _ in FIELDS}
+    fields = {f: a[f].merge(b[f]) if r == "dist" else a[f] + b[f] for f, _, r, *_ in FIELDS}
     return {"sessions": sessions, **fields}
 
 
@@ -75,10 +82,17 @@ def _block(group: Group) -> dict[str, Any]:
         "errors": errors,
         "error_rate": errors / total if total else 0.0,
     }
-    for f, r, _, _ in FIELDS:
+    for f, _, r, *_ in FIELDS:
         h = group[f]
         out[f] = {"summary": h.summary(), "state": h.as_state()} if r == "dist" else h
     return out
+
+
+def _at(row: Any, path: str) -> Any:
+    """The value at dotted *path* of *row*, or ``None``."""
+    for key in path.split("."):
+        row = row.get(key) if isinstance(row, dict) else None
+    return row
 
 
 def _group(block: dict[str, Any], legacy: bool) -> Group:
@@ -88,10 +102,13 @@ def _group(block: dict[str, Any], legacy: bool) -> Group:
         for k, v in dict(block.pop("telemetry", {})).items():
             block[f"telemetry_{k}"] = v
     out = _empty()
-    out["sessions"] = {str(k): int(v) for k, v in dict(block.get("sessions", {})).items()}
-    for f, r, _, _ in FIELDS:
+    tallies = dict(block.get("sessions", {}))
+    if any(int(n) != n or n < 0 for n in tallies.values()):
+        raise ValueError(f"session tallies must be whole numbers >= 0, got {tallies}")
+    out["sessions"] = {str(k): int(n) for k, n in tallies.items()}
+    for f, _, r, *_ in FIELDS:
         value = block.get(f, {} if r == "dist" else 0)
-        if r == "sum" and not isinstance(value, (int, float)):
+        if r == "sum" and (not isinstance(value, (int, float)) or math.isnan(value)):
             raise TypeError(f"{f} must be a number, got {value!r}")
         out[f] = Histogram.from_state(dict(value).get("state", {})) if r == "dist" else value
     return out
@@ -104,11 +121,11 @@ class Aggregate:
         self.groups: dict[str, Group] = {}
 
     def add(self, row: dict[str, Any]) -> None:
-        """Fold one row: its ``state`` tally and every numeric field."""
+        """Fold one row: its ``state`` tally and every field its source holds."""
         group = self.groups.setdefault(str(row["scenario"]), _empty())
         group["sessions"][row["state"]] = group["sessions"].get(row["state"], 0) + 1
-        for f, r, _, _ in FIELDS:
-            value = row.get(f)
+        for f, source, r, _, _ in FIELDS:
+            value = _at(row, source)
             if not isinstance(value, (int, float)):
                 continue
             if r == "dist":
@@ -171,7 +188,7 @@ class Aggregate:
             for state, n in block["sessions"].items():
                 out.sample(sessions, "counter", {"scenario": key, "state": state}, n)
             out.sample(rate, "gauge", {"scenario": key}, block["error_rate"])
-        for f, r, fam, help_text in FIELDS:
+        for f, _, r, fam, help_text in FIELDS:
             count_fam = f"{fam.removesuffix('_seconds')}_samples"
             if r == "sum":
                 out.family(fam, "counter", help_text)

@@ -171,17 +171,23 @@ class Histogram:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> Histogram:
-        """Rebuild a histogram from :meth:`as_state` output."""
+        """Rebuild a histogram from :meth:`as_state` output.
+
+        A state no histogram can be in — a count that is not a whole
+        number >= 0, a NaN anywhere, ``min > max`` — raises ValueError.
+        """
         out = cls()
-        n = int(state.get("count", 0))
-        if n:
-            s = out.stats
-            s._n = n
-            s._mean = float(state["mean"])
-            s._m2 = float(state.get("m2", 0.0))
-            s._min = float(state["min"])
-            s._max = float(state["max"])
+        s, count = out.stats, state.get("count", 0)
+        if int(count) != count or count < 0:
+            raise ValueError(f"histogram count must be a whole number >= 0, got {count!r}")
+        if count:
+            s._n, s._mean, s._m2 = int(count), float(state["mean"]), float(state.get("m2", 0))
+            s._min, s._max = float(state["min"]), float(state["max"])
         out._reservoir = [float(x) for x in state.get("reservoir", [])]
+        if any(map(math.isnan, (s._mean, s._m2, s._min, s._max, *out._reservoir))) or (
+            count and s._min > s._max
+        ):
+            raise ValueError("histogram state holds a NaN or min > max")
         return out
 
     def summary(self) -> dict[str, float]:

@@ -32,8 +32,8 @@ from repro.obs.fleet import FIELDS, STATS, Aggregate
 __all__ = ["Rule", "evaluate_rules", "metric_value", "parse_rule", "parse_rules"]
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_DISTS = tuple(f for f, r, _, _ in FIELDS if r == "dist")
-_SUMS = tuple(f for f, r, _, _ in FIELDS if r == "sum")
+_DISTS = tuple(f for f, _, r, *_ in FIELDS if r == "dist")
+_SUMS = tuple(f for f, _, r, *_ in FIELDS if r == "sum")
 _PLAIN = ("error_rate", "errors", "sessions_total", *_SUMS)
 
 _RULE_RE = re.compile(

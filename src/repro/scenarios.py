@@ -13,20 +13,23 @@ tabulates them.
 
 A name plus plain-JSON parameters is all a front-end needs — arbitrary
 ``main`` callables cannot cross the session server's wire — so ``repro
-run`` (which sweeps a grid of params and fault plans), the
-:mod:`repro.bench` runners and the server all call
+run``, the :mod:`repro.bench` runners and the server all call
 :func:`build` and run the :class:`ScenarioBuild` through
-:func:`repro.run`.  Downstream projects add scenarios with
-:func:`register_scenario`.
+:func:`repro.run`.  One run of the paper is fully named by *(scenario,
+params, fault plan)*: that triple is a :class:`Cell`, what a ``repro
+run`` grid expands into and what a served session is.  Downstream
+projects add scenarios with :func:`register_scenario`.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from math import prod
-from typing import Any, Callable, Generator, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, Sequence, TypeVar
 
 from repro.api.facade import Program, RunResult, run
 from repro.api.options import RunOptions
@@ -34,10 +37,12 @@ from repro.core.coupler import RegionDef
 from repro.costs import ClusterPreset
 from repro.costs.models import ComputeCostModel, MemoryCostModel, NetworkCostModel
 from repro.data.decomposition import BlockDecomposition, choose_process_grid
+from repro.faults.plan import FaultPlan
 from repro.match.backend import DEFAULT_MATCH_BACKEND
-from repro.util.validation import require
+from repro.util.validation import require, require_known_keys
 
 __all__ = [
+    "Cell",
     "Figure4Spec",
     "Param",
     "ScenarioBuild",
@@ -161,6 +166,69 @@ def build(name: str, params: Mapping[str, Any] | None = None) -> ScenarioBuild:
             raise ValueError(f"scenario {name!r}: {problem}; valid params are {valid}")
         kwargs[key] = p.normalise(value)
     return fn(**kwargs)
+
+
+_C = TypeVar("_C", bound="Cell")
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One run: a registered scenario, its params and a fault plan.
+
+    ``repro run`` expands its grid into cells and a served session is one
+    (:class:`repro.serve.spec.SessionSpec` adds serve-only fields), so
+    both parse, build and head their row here.  :meth:`build` checks the
+    params against the scenario's table.
+    """
+
+    scenario: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+    #: Given as a :class:`FaultPlan` or what :meth:`FaultPlan.from_dict` reads.
+    fault_plan: FaultPlan | None = None
+
+    def __post_init__(self) -> None:
+        require(isinstance(self.scenario, str) and bool(self.scenario),
+                "scenario must be a non-empty string")
+        require(isinstance(self.params, Mapping), "params must be a mapping")
+        object.__setattr__(self, "params", dict(self.params))
+        if not isinstance(self.fault_plan, (FaultPlan, type(None))):
+            require(isinstance(self.fault_plan, Mapping),
+                    "fault_plan must be a JSON object or null")
+            object.__setattr__(self, "fault_plan", FaultPlan.from_dict(self.fault_plan))
+
+    @property
+    def name(self) -> str:
+        """The row name, ``"demo exports=200 seed=7"`` (values as compact JSON)."""
+        words = (f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in self.params.items())
+        return " ".join([self.scenario, *words])
+
+    def build(self) -> ScenarioBuild:
+        """:func:`build` of the scenario and params, the fault plan applied."""
+        built = build(self.scenario, self.params)
+        return replace(built, options=replace(built.options, fault_plan=self.fault_plan))
+
+    def row(self, name: str | None = None) -> dict[str, Any]:
+        """The head of the cell's run row: *name* (default :attr:`name`),
+        ``scenario``, ``params`` and ``fault_plan`` as plain JSON (the
+        plan's ``describe()`` less its infinite values)."""
+        plan = self.fault_plan and {
+            key: v for key, v in self.fault_plan.describe().items() if v != math.inf
+        }
+        return {"name": name or self.name, "scenario": self.scenario,
+                "params": dict(self.params), "fault_plan": plan}
+
+    def to_dict(self) -> dict[str, Any]:
+        """Every field as plain JSON (the fault plan as in :meth:`row`)."""
+        head = self.row()
+        return {f.name: head.get(f.name, getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls: type[_C], obj: Any) -> _C:
+        """Parse a JSON object of this class's fields (``null`` means the
+        default); anything else raises :class:`ValueError`."""
+        require(isinstance(obj, Mapping), f"{cls.__name__} must be a JSON object")
+        require_known_keys(obj, (f.name for f in fields(cls)), f"{cls.__name__} keys")
+        return cls(**{key: v for key, v in obj.items() if v is not None})
 
 
 # -- the one shape --------------------------------------------------------------

@@ -14,10 +14,8 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.scenarios import ScenarioBuild, register_scenario, scenario_names
     from repro.serve.client import ServeClient, ServeError, split_attach_url
     from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
-    from repro.serve.scenarios import build_scenario
     from repro.serve.server import ServeConfig, SessionServer
     from repro.serve.spec import SERVE_SCHEMA, SESSION_STATES, TERMINAL_STATES, SessionSpec
 
@@ -25,7 +23,6 @@ __all__ = [
     "SERVE_SCHEMA",
     "SESSION_STATES",
     "TERMINAL_STATES",
-    "ScenarioBuild",
     "ServeClient",
     "ServeConfig",
     "ServeError",
@@ -34,19 +31,14 @@ __all__ = [
     "SessionRegistry",
     "SessionServer",
     "SessionSpec",
-    "build_scenario",
-    "register_scenario",
-    "scenario_names",
     "split_attach_url",
 ]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.scenarios": ("ScenarioBuild", "register_scenario", "scenario_names"),
         "repro.serve.client": ("ServeClient", "ServeError", "split_attach_url"),
         "repro.serve.registry": ("ServerFull", "SessionRecord", "SessionRegistry"),
-        "repro.serve.scenarios": ("build_scenario",),
         "repro.serve.server": ("ServeConfig", "SessionServer"),
         "repro.serve.spec": (
             "SERVE_SCHEMA",

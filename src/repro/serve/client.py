@@ -35,6 +35,20 @@ class ServeError(RuntimeError):
         self.message = message
 
 
+def _raise_for_status(status: int, raw: bytes) -> None:
+    """Raise the :class:`ServeError` of a 4xx/5xx answer: the ``error``
+    field of a JSON object body, else the body's own text."""
+    if status < 400:
+        return
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        payload = None
+    if isinstance(payload, dict) and "error" in payload:
+        raise ServeError(status, str(payload["error"]))
+    raise ServeError(status, raw.decode("utf-8", "replace"))
+
+
 def split_attach_url(url: str) -> tuple[str, str | None]:
     """Split an attach URL into ``(base_url, session_id-or-None)``.
 
@@ -71,13 +85,14 @@ class ServeClient:
         conn.request(method, path, body=payload, headers=headers)
         return conn, conn.getresponse()
 
-    def _request(
+    def _read(
         self,
         method: str,
         path: str,
         body: Mapping[str, Any] | None = None,
         timeout: float | None = None,
-    ) -> dict[str, Any]:
+    ) -> tuple[int, bytes]:
+        """One request's status and body; a 4xx/5xx answer raises ServeError."""
         conn, resp = self._open(
             method, path, body, self.timeout if timeout is None else timeout
         )
@@ -85,36 +100,25 @@ class ServeClient:
             raw = resp.read()
         finally:
             conn.close()
+        _raise_for_status(resp.status, raw)
+        return resp.status, raw
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: Mapping[str, Any] | None = None,
+        timeout: float | None = None,
+    ) -> dict[str, Any]:
+        """A request whose success body is one JSON object."""
+        status, raw = self._read(method, path, body, timeout)
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeError(resp.status, f"unparseable response body: {exc}") from exc
-        if resp.status >= 400:
-            message = (
-                payload.get("error", raw.decode("utf-8", "replace"))
-                if isinstance(payload, dict)
-                else str(payload)
-            )
-            raise ServeError(resp.status, str(message))
+            raise ServeError(status, f"unparseable response body: {exc}") from exc
         if not isinstance(payload, dict):
-            raise ServeError(resp.status, f"expected a JSON object, got {payload!r}")
+            raise ServeError(status, f"expected a JSON object, got {payload!r}")
         return payload
-
-    def _request_text(self, method: str, path: str) -> str:
-        """A request whose success body is plain text, not JSON."""
-        conn, resp = self._open(method, path, None, self.timeout)
-        try:
-            raw = resp.read()
-        finally:
-            conn.close()
-        if resp.status >= 400:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-                message = str(payload.get("error", raw))
-            except (ValueError, AttributeError):
-                message = raw.decode("utf-8", "replace")
-            raise ServeError(resp.status, message)
-        return raw.decode("utf-8")
 
     # -- control surface ---------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -127,7 +131,7 @@ class ServeClient:
 
     def metrics(self) -> str:
         """The ``GET /metrics`` OpenMetrics text exposition."""
-        return self._request_text("GET", "/metrics")
+        return self._read("GET", "/metrics")[1].decode("utf-8")
 
     def fleet(self) -> dict[str, Any]:
         """The server's fleet aggregate (a ``repro.report/v1`` payload)."""
@@ -212,13 +216,7 @@ class ServeClient:
         )
         try:
             if resp.status >= 400:
-                raw = resp.read()
-                try:
-                    payload = json.loads(raw.decode("utf-8"))
-                    message = str(payload.get("error", raw))
-                except (ValueError, AttributeError):
-                    message = raw.decode("utf-8", "replace")
-                raise ServeError(resp.status, message)
+                _raise_for_status(resp.status, resp.read())
             while True:
                 line = resp.readline()
                 if not line:

@@ -105,24 +105,17 @@ class SessionRecord:
         }
 
     def row(self) -> dict[str, Any]:
-        """This terminal session as a fleet-aggregate row: a failed one
-        has no trustworthy report, so only ``done`` adds paper fields."""
-        row: dict[str, Any] = {"scenario": self.spec.scenario, "state": self.state,
-                               "telemetry_records": self.records,
-                               "telemetry_dropped": self.dropped}
-        if self.state != "done":
-            return row
-        if self.finished is not None and self.finished >= self.created:
+        """This terminal session as a fleet-aggregate row: a done
+        session's run row (``repro run``'s row of its cell) plus state,
+        duration and telemetry counts.  A failed one has no trustworthy
+        report, so it adds no run row."""
+        done = self.state == "done"
+        run = ((self.report or {}).get("runs") or [{}])[0] if done else {}
+        row = {**run, "scenario": self.spec.scenario,
+               "state": self.state, "telemetry_records": self.records,
+               "telemetry_dropped": self.dropped}
+        if done and self.finished is not None and self.finished >= self.created:
             row["duration"] = self.finished - self.created
-        run = ((self.report or {}).get("runs") or [{}])[0]
-        paper = (run.get("metrics") or {}).get("paper")
-        if isinstance(paper, dict) and paper:
-            pending = paper.get("pending_resolution") or {}
-            row.update(t_ub=paper.get("t_ub_total", 0.0),
-                       buddy_saved_total=paper.get("buddy_saved_total", 0.0),
-                       buddy_skips=paper.get("buddy_skips", 0))
-            if pending.get("count"):
-                row["resolution"] = pending.get("mean", 0.0)
         return row
 
 

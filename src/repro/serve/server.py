@@ -55,7 +55,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
-from repro.serve.scenarios import build_scenario
 from repro.serve.spec import SERVE_SCHEMA, SessionSpec
 from repro.serve.worker import worker_main
 
@@ -474,7 +473,7 @@ class SessionServer:
                     spec = SessionSpec.from_dict(body or {})
                     # Pure closures, nothing runs: a spec the worker
                     # could not build is refused here, not queued.
-                    build_scenario(spec)
+                    spec.build()
                 except (ValueError, TypeError) as exc:
                     raise _HttpError(400, str(exc)) from exc
                 session = self.submit(spec)

@@ -1,10 +1,11 @@
 """Session specifications and states for the coupling service.
 
 A :class:`SessionSpec` is the *wire-safe* description of one coupled
-run: a named scenario from :mod:`repro.scenarios` plus plain-data
-parameters.  Specs travel as JSON over the HTTP surface and as pickles
-into the worker pool, so they hold no callables, sockets or runtime
-objects — the worker process rebuilds the real
+run: a :class:`repro.scenarios.Cell` (a named scenario, plain-data
+parameters and a fault plan — exactly one ``repro run`` grid cell) plus
+the three fields only serving has.  Specs travel as JSON over the HTTP
+surface and into the worker pool, so they hold no callables, sockets or
+runtime objects — the worker process rebuilds the real
 :class:`~repro.api.options.RunOptions` and :class:`~repro.api.Program`
 declarations from the spec alone.  That restriction is what makes a
 session submittable from another process (or, later, another host)
@@ -29,12 +30,11 @@ Session lifecycle::
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+import math
+from dataclasses import dataclass, replace
 
-from repro.faults.plan import FaultPlan
-from repro.util.validation import require_known_keys
+from repro.scenarios import Cell, ScenarioBuild
+from repro.util.validation import require
 
 __all__ = [
     "SESSION_STATES",
@@ -52,27 +52,21 @@ SESSION_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States a session never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+
 @dataclass(frozen=True)
-class SessionSpec:
-    """Wire-safe description of one coupled session.
+class SessionSpec(Cell):
+    """One served session: a :class:`~repro.scenarios.Cell` (``scenario``
+    defaults to ``"demo"``) plus what only serving has.
 
     Attributes
     ----------
-    scenario:
-        Name of a registered scenario (see
-        :func:`repro.scenarios.scenario_names`).
-    params:
-        Scenario-specific parameters (plain JSON data), checked
-        against the scenario's table by :func:`repro.scenarios.build`.
-    fault_plan:
-        Optional :class:`~repro.faults.plan.FaultPlan` as a plain dict
-        (see :meth:`repro.faults.plan.FaultPlan.from_dict`) — per-session chaos is a
-        first-class submission input.
     telemetry_interval:
         Period between ``repro.telemetry/v1`` snapshots of this
-        session (virtual seconds on the DES runtime).
+        session (virtual seconds on the DES runtime): a served session
+        is sampled, a ``repro run`` cell is not.
     label:
-        Optional human-readable name echoed in listings and reports.
+        Optional human-readable name echoed in listings, and the name
+        of the session's report row (the cell's name when unset).
     provenance:
         Record the session into a ``repro.prov/v1`` provenance log; the
         log text is retrievable at ``GET /sessions/{id}/provenance``
@@ -81,52 +75,21 @@ class SessionSpec:
     """
 
     scenario: str = "demo"
-    params: Mapping[str, Any] = field(default_factory=dict)
-    fault_plan: Mapping[str, Any] | None = None
     telemetry_interval: float = 0.05
     label: str | None = None
     provenance: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, str) or not self.scenario:
-            raise ValueError("scenario must be a non-empty string")
-        if not isinstance(self.params, Mapping):
-            raise ValueError("params must be a mapping")
-        object.__setattr__(self, "params", dict(self.params))
-        if self.fault_plan is not None:
-            if not isinstance(self.fault_plan, Mapping):
-                raise ValueError("fault_plan must be a mapping or null")
-            object.__setattr__(self, "fault_plan", dict(self.fault_plan))
-            FaultPlan.from_dict(self.fault_plan)  # validate eagerly
-        if (
-            not isinstance(self.telemetry_interval, (int, float))
-            or isinstance(self.telemetry_interval, bool)
-            or not self.telemetry_interval > 0
-        ):
-            raise ValueError("telemetry_interval must be a positive number")
-        if self.label is not None and not isinstance(self.label, str):
-            raise ValueError("label must be a string or null")
-        if not isinstance(self.provenance, bool):
-            raise ValueError("provenance must be a boolean")
+        super().__post_init__()
+        interval = self.telemetry_interval
+        require(isinstance(interval, (int, float)) and not isinstance(interval, bool)
+                and 0 < interval < math.inf, "telemetry_interval must be a finite number > 0")
+        require(self.label is None or isinstance(self.label, str),
+                "label must be a string or null")
+        require(isinstance(self.provenance, bool), "provenance must be a boolean")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON body of ``POST /sessions``)."""
-        return {
-            "scenario": self.scenario,
-            "params": dict(self.params),
-            "fault_plan": None if self.fault_plan is None else dict(self.fault_plan),
-            "telemetry_interval": self.telemetry_interval,
-            "label": self.label,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, Any]) -> "SessionSpec":
-        """Parse and validate a submitted spec; raises ValueError."""
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"spec must be an object, got {type(obj).__name__}")
-        require_known_keys(
-            obj, (f.name for f in dataclasses.fields(cls)), "spec keys"
-        )
-        kwargs = {k: v for k, v in obj.items() if v is not None or k in ("label",)}
-        return cls(**kwargs)
+    def build(self) -> ScenarioBuild:
+        """The cell's build, sampled every :attr:`telemetry_interval`."""
+        built = super().build()
+        options = replace(built.options, telemetry_interval=self.telemetry_interval)
+        return replace(built, options=options)

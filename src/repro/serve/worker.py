@@ -18,15 +18,17 @@ cancelled.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import os
 import signal
+from pathlib import Path
 from time import monotonic
 from typing import Any
 
-from repro.obs.export import REPORT_SCHEMA, report_run
-from repro.serve.scenarios import build_scenario
+from repro.bench.rows import run_row
+from repro.obs.export import REPORT_SCHEMA
 from repro.serve.spec import SessionSpec
 
 __all__ = ["worker_main", "run_session", "PipeSink"]
@@ -99,9 +101,11 @@ def run_session(
     """Execute one session; returns a pickle-able outcome dict.
 
     With a pipe, sends ``started`` first (the server flips the session
-    to ``running`` and learns the worker pid), runs the scenario with a
-    :class:`PipeSink` spliced into its telemetry sinks, and sends the
-    outcome behind the last telemetry frame.  Works pipe-less too
+    to ``running`` and learns the worker pid), runs the spec's cell with
+    a :class:`PipeSink` spliced into its telemetry sinks, and sends the
+    outcome behind the last telemetry frame.  The report's one row is
+    the cell's ``repro run`` row (:func:`repro.bench.rows.run_row`),
+    named by the label, else by the cell.  Works pipe-less too
     (in-process calls): the benchmark harness uses that mode to measure
     pure session throughput.
     """
@@ -111,7 +115,7 @@ def run_session(
     prov_path: str | None = None
     try:
         spec = SessionSpec.from_dict(spec_dict)
-        build = build_scenario(spec)
+        build = spec.build()
         overrides: dict[str, Any] = {}
         if conn is not None:
             overrides["telemetry_sinks"] = (*build.options.telemetry_sinks, PipeSink(conn))
@@ -126,7 +130,8 @@ def run_session(
             )
             os.close(fd)
             overrides["provenance"] = prov_path
-        result = build.run(**overrides)
+        row = spec.row(spec.label)
+        row.update(run_row(row["name"], build, **overrides))
     except Exception as exc:  # noqa: BLE001 - reported to the server
         outcome = {
             "ok": False,
@@ -134,28 +139,18 @@ def run_session(
             "error": f"{type(exc).__name__}: {exc}",
         }
     else:
-        row = report_run(spec.label or session_id, result)
         outcome = {
             "ok": True,
             "session": session_id,
-            "sim_time": result.sim_time,
-            "counters": dict(result.counters),
-            "report": {
-                "schema": REPORT_SCHEMA,
-                "runs": [{**row, "scenario": spec.scenario}],
-            },
+            "sim_time": row["sim_time"],
+            "counters": row["counters"],
+            "report": {"schema": REPORT_SCHEMA, "runs": [row]},
         }
     if prov_path is not None:
-        try:
-            with open(prov_path, encoding="utf-8") as fh:
-                outcome["provenance"] = fh.read()
-        except OSError:
-            outcome["provenance"] = None
-        finally:
-            try:
-                os.unlink(prov_path)
-            except OSError:
-                pass
+        with contextlib.suppress(OSError):
+            outcome["provenance"] = Path(prov_path).read_text(encoding="utf-8")
+        with contextlib.suppress(OSError):
+            os.unlink(prov_path)
     if conn is not None:
         # The facade closed the sink on either path, so the last
         # telemetry frame is already ahead of this one on the pipe.

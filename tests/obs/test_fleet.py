@@ -135,7 +135,7 @@ class TestErrorAccounting:
 
     def test_negative_duration_is_dropped(self):
         row = session_row("demo", "done", report=report_for(1.0), duration=-5.0)
-        assert "duration" not in row and row["t_ub"] == 1.0
+        assert "duration" not in row and row["metrics"]["paper"]["t_ub_total"] == 1.0
 
     def test_totals_block(self):
         totals = fleet().as_dict()["aggregate"]["totals"]
@@ -215,6 +215,35 @@ class TestRestartSafety:
                 Aggregate.from_dict({"schema": "repro.report/v1",
                                      "aggregate": {"groups": {"demo": bad}}})
 
+    @pytest.mark.parametrize(
+        ("field", "key", "value"),
+        [
+            ("t_ub", "count", -1),
+            ("t_ub", "count", 1.5),
+            ("t_ub", "mean", float("nan")),
+            ("t_ub", "m2", float("nan")),
+            ("duration", "min", float("nan")),
+            ("duration", "max", float("nan")),
+            ("resolution", "reservoir", [float("nan")]),
+            ("t_ub", "min", 1e9),
+            ("sessions", "done", -5),
+            ("buddy_saved_total", None, float("nan")),
+        ],
+        ids=["negative-count", "fractional-count", "nan-mean", "nan-m2", "nan-min",
+             "nan-max", "nan-sample", "min-above-max", "negative-tally", "nan-sum"],
+    )
+    def test_corrupt_group_rejected(self, field, key, value):
+        payload = json.loads(json.dumps(fleet().as_dict()))
+        group = payload["aggregate"]["groups"]["demo"]
+        if field == "sessions":
+            group["sessions"][key] = value
+        elif key is None:
+            group[field] = value
+        else:
+            group[field]["state"][key] = value
+        with pytest.raises(ValueError, match="malformed aggregate group 'demo'"):
+            Aggregate.from_dict(json.loads(json.dumps(payload)))
+
     def test_legacy_payload_reads_to_the_same_groups(self):
         legacy = json.loads(LEGACY_BASELINE.read_text(encoding="utf-8"))
         assert legacy["schema"] == "repro.fleet/v1"
@@ -235,13 +264,28 @@ class TestRestartSafety:
 #: Finite non-negative samples (T_ub, latencies, durations, savings).
 _FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
 _INTS = st.integers(min_value=0, max_value=10**6)
+_SOURCES = {f: source for f, source, _, _, _ in FIELDS}
+
+
+def nest(flat: dict) -> dict:
+    """A row holding each field of *flat* at its ``FIELDS`` source path."""
+    row: dict = {}
+    for key, value in flat.items():
+        *parents, leaf = _SOURCES.get(key, key).split(".")
+        node = row
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[leaf] = value
+    return row
+
+
 _ROWS = st.lists(
     st.fixed_dictionaries(
         {"scenario": st.sampled_from(["demo", "crash", "fig4"]),
          "state": st.sampled_from(["done", "failed", "cancelled"])},
         optional={f: _FLOATS if r == "dist" or f == "buddy_saved_total" else _INTS
-                  for f, r, _, _ in FIELDS},
-    ),
+                  for f, _, r, _, _ in FIELDS},
+    ).map(nest),
     max_size=RESERVOIR_CAPACITY - 1,
 )
 
@@ -260,7 +304,7 @@ def assert_same(got: Aggregate, want: Aggregate) -> None:
     for key, g in got.groups.items():
         w = want.groups[key]
         assert g["sessions"] == w["sessions"]
-        for f, r, _, _ in FIELDS:
+        for f, _, r, _, _ in FIELDS:
             if r == "dist":
                 gs, ws = g[f].as_state(), w[f].as_state()
                 for k in ("count", "min", "max"):
@@ -326,7 +370,7 @@ class TestOpenMetricsRendering:
         lines = self.build_text().splitlines()
         families = [line.split()[2] for line in lines if line.startswith("# TYPE ")]
         assert len(families) == len(set(families)) == 2 + sum(
-            2 if r == "dist" else 1 for _, r, _, _ in FIELDS
+            2 if r == "dist" else 1 for _, _, r, _, _ in FIELDS
         )
         current = None
         for line in lines[:-1]:
@@ -352,4 +396,4 @@ class TestScenarioRollupBasics:
         assert totals["sessions_total"] == 0 and totals["error_rate"] == 0.0
         assert totals["t_ub"]["summary"]["count"] == 0
         assert set(totals) == {"sessions", "sessions_total", "errors", "error_rate",
-                               *(f for f, _, _, _ in FIELDS)}
+                               *(f for f, *_ in FIELDS)}

@@ -247,3 +247,13 @@ class TestWatchGuards:
         err = capsys.readouterr().err
         assert str(base) in err and "not an aggregate payload" in err
         assert served["fetches"] == 0
+
+    def test_corrupt_baseline_is_usage_error(self, served, tmp_path, capsys):
+        payload = fleet().as_dict()
+        payload["aggregate"]["groups"]["demo"]["t_ub"]["state"]["count"] = -1
+        base = tmp_path / "corrupt.json"
+        base.write_text(json.dumps(payload))
+        rc = main(["watch", URL, "--baseline", str(base), "--rule", "t_ub_p95 <= baseline"])
+        assert rc == EXIT_USAGE
+        assert "malformed aggregate group 'demo'" in capsys.readouterr().err
+        assert served["fetches"] == 0

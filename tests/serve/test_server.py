@@ -91,6 +91,13 @@ class TestSessions:
             server.client.submit({"scenario": "no_such_scenario"})
         assert err.value.status == 400
 
+    def test_non_finite_telemetry_interval_is_400(self, server):
+        # The body carries the JSON extension ``Infinity``: a DES run
+        # sampled that rarely used to report sim_time = inf.
+        with pytest.raises(ServeError, match="telemetry_interval") as err:
+            server.client.submit({"scenario": "demo", "telemetry_interval": float("inf")})
+        assert err.value.status == 400
+
     def test_bad_scenario_params_are_400_and_never_queued(self):
         # Its own server: "no session was created" is read off /sessions.
         handle, stop = start_server(ServeConfig(workers=1))
