@@ -105,7 +105,7 @@ class RunOptions:
         Unknown names raise :class:`~repro.core.exceptions.ConfigError`
         at construction time.
     provenance:
-        Path of a ``repro.prov/v1`` provenance log to record the run
+        Path of a ``repro.prov/v2`` provenance log to record the run
         into (``.gz`` suffix gzips it).  Recording captures every wire
         message, DES scheduling decision, match resolution, RNG draw,
         and process operation, making the run bit-exactly replayable

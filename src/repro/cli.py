@@ -13,7 +13,7 @@ Commands
     row (``run fig5 --trace`` is Figure 5, ``run fig7 -p
     buddy_help=true,false --trace`` Figures 7 and 8); ``--provenance``,
     ``--chrome`` and ``--causal`` record a one-cell run as a
-    ``repro.prov/v1`` log, a Chrome ``trace_event`` timeline and a
+    ``repro.prov/v2`` log, a Chrome ``trace_event`` timeline and a
     ``repro.causal/v1`` report (with ``--chrome``, the timeline gains
     flow arrows along each import's resolution chain).
 ``monitor``
@@ -1102,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prun.add_argument(
         "--provenance", metavar="PATH",
-        help="record the (single) cell into a repro.prov/v1 log (.gz compresses)",
+        help="record the (single) cell into a repro.prov/v2 log (.gz compresses)",
     )
     prun.add_argument(
         "--trace", action="store_true",
@@ -1134,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="bit-exact replay of a provenance log: verify, time-travel, diff",
     )
-    prep.add_argument("log", help="repro.prov/v1 log file (.gz supported)")
+    prep.add_argument("log", help="repro.prov/v2 or v1 log file (.gz supported)")
     prep.add_argument(
         "--at", type=float, default=None, metavar="T",
         help="time-travel: materialize run state at virtual time T",
@@ -1263,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pss_submit.add_argument("--label", help="human-readable session label")
     pss_submit.add_argument(
         "--provenance", action="store_true",
-        help="record the session into a repro.prov/v1 provenance log, "
+        help="record the session into a repro.prov/v2 provenance log, "
         "retrievable at /sessions/ID/provenance",
     )
     pss_submit.add_argument(
@@ -1288,7 +1288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pss_prov = pss_sub.add_parser(
         "provenance",
-        help="fetch a finished session's repro.prov/v1 log "
+        help="fetch a finished session's repro.prov/v2 log "
         "(submit with --provenance first)",
     )
     pss_prov.add_argument("id", help="session id")

@@ -107,8 +107,8 @@ class ProcessContext(ContextBase):
         require(seconds >= 0, "compute time must be >= 0")
         yield self.sim.timeout(seconds)
         self.stats.compute_time += seconds
-        if self._rt._watch:
-            self._rt._fold[spine.COMPUTE](ProtocolEvent(
+        if self._rt._watch and (fold := self._rt._fold[spine.COMPUTE]) is not spine.ignore:
+            fold(ProtocolEvent(
                 spine.COMPUTE, self.who, self.sim._now,
                 program=self.program, rank=self.rank, values=(seconds,),
             ))
@@ -122,16 +122,15 @@ class ProcessContext(ContextBase):
         *scale* injects load imbalance (the paper's slowed process
         ``p_s`` does "extra computational work").
         """
-        t = self._rt.preset.compute.iteration_time(
-            elements, rng=self._rng, scale=scale
-        )
+        rt = self._rt
+        t = rt.preset.compute.iteration_time(elements, rng=self._rng, scale=scale)
         yield self.sim.timeout(t)
         self.stats.compute_time += t
-        if self._rt._watch:
+        if rt._watch and (fold := rt._fold[spine.COMPUTE_ELEMENTS]) is not spine.ignore:
             # Announced as (elements, scale), not the drawn time: replay
             # re-issues the same draw from the same named stream, which
             # keeps the shared per-rank RNG in lock-step with exports.
-            self._rt._fold[spine.COMPUTE_ELEMENTS](ProtocolEvent(
+            fold(ProtocolEvent(
                 spine.COMPUTE_ELEMENTS, self.who, self.sim._now,
                 program=self.program, rank=self.rank,
                 values=(int(elements), float(scale)),
@@ -209,8 +208,8 @@ class ProcessContext(ContextBase):
             charge = 0.0
         if outcome.replaced:
             charge += memory.free_buffers_time(len(outcome.replaced))
-        if coupler._watch:
-            coupler._fold[spine.EXPORT](ProtocolEvent(
+        if coupler._watch and (fold := coupler._fold[spine.EXPORT]) is not spine.ignore:
+            fold(ProtocolEvent(
                 spine.EXPORT, self.who, t0, program=self.program, rank=self.rank,
                 region=region, ts=ts, decision=outcome,
                 values=(None if data is None else data.dtype.name,),
@@ -257,8 +256,8 @@ class ProcessContext(ContextBase):
         coupler = self._rt
         cid = handle.connection_id
         ts = handle.ts
-        if coupler._watch:
-            coupler._fold[spine.IMPORT_WAIT](ProtocolEvent(
+        if coupler._watch and (fold := coupler._fold[spine.IMPORT_WAIT]) is not spine.ignore:
+            fold(ProtocolEvent(
                 spine.IMPORT_WAIT, self.who, self.sim._now, cid, ts,
                 program=self.program, rank=self.rank, region=handle.region,
             ))

@@ -762,8 +762,8 @@ class ProtocolDriver:
                 ),
                 nbytes=nbytes,
             )
-        if self._watch:
-            self._fold[spine.EXPORT_SEND](ProtocolEvent(
+        if self._watch and (fold := self._fold[spine.EXPORT_SEND]) is not spine.ignore:
+            fold(ProtocolEvent(
                 spine.EXPORT_SEND, ctx.who, self._now(), cid, rank=ctx.rank, ts=m
             ))
 
@@ -812,8 +812,8 @@ class ProtocolDriver:
         evicted = st.collect_evictions()
         if not evicted:
             return 0
-        if self._watch:
-            self._fold[spine.EVICT](ProtocolEvent(
+        if self._watch and (fold := self._fold[spine.EVICT]) is not spine.ignore:
+            fold(ProtocolEvent(
                 spine.EVICT, ctx.who, self._now(),
                 rank=ctx.rank, ts=evicted[-1].ts, decision=evicted,
             ))

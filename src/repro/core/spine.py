@@ -7,7 +7,7 @@ does — and hands that same event to every fold watching the run:
 :class:`CausalFold` (the :class:`~repro.obs.trace.CausalLog`; it owns
 the causal bookkeeping and returns the span context the outgoing wire
 message carries), :class:`ProvenanceFold` (match and operation rows of a
-``repro.prov/v1`` log), :class:`OperationFold` (the Property-1 log) and
+provenance log), :class:`OperationFold` (the Property-1 log) and
 the online sanitizer (:class:`repro.analysis.sanitizer.ProtocolSanitizer`).
 The kind → paper line / causal span / provenance row / Property-1 op /
 sanitizer rule table is in ``docs/observability.md``.
@@ -338,15 +338,17 @@ class OperationFold(Fold):
         self.operation_log.log(ev.program, ev.rank, "import", ev.region, ev.request)
 
 
-def _ignore(ev: ProtocolEvent) -> None:
-    """The fold of a kind no subscriber reads."""
+def ignore(ev: ProtocolEvent) -> None:
+    """The fold of a kind no subscriber reads: a site whose kind often
+    has none (an export under a causal-only run) tests for it and builds
+    no event."""
 
 
 def _fan_out(handlers: list[Handler]) -> Handler:
     """One callable handing an event to *handlers* in order and returning
     what the first returns."""
     if len(handlers) < 2:
-        return handlers[0] if handlers else _ignore
+        return handlers[0] if handlers else ignore
     first, *rest = handlers
 
     def fan(ev: ProtocolEvent) -> Any:

@@ -17,7 +17,7 @@ Three pillars (see ``docs/observability.md``):
   critical-path stage attribution per import, and opt-in streaming
   telemetry sinks (JSONL, OpenMetrics) for live monitoring.
 * :mod:`repro.obs.prov` + :mod:`repro.obs.replay` — provenance-grade
-  run recording (``repro.prov/v1`` append-only logs, opt-in via
+  run recording (``repro.prov/v2`` append-only logs, opt-in via
   ``RunOptions.provenance``), bit-exact replay from the log alone,
   time-travel queries over buffer ledgers and PENDING frontiers, and
   differential replay diffing two causal DAGs.

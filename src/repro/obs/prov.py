@@ -1,4 +1,4 @@
-"""Provenance-grade run recording: the ``repro.prov/v1`` log.
+"""Provenance-grade run recording: the ``repro.prov/v2`` log.
 
 Opt-in via ``RunOptions(provenance="run.prov")``, a
 :class:`ProvenanceRecorder` captures *everything* a coupled run does
@@ -17,17 +17,15 @@ into one compact, versioned, append-only JSONL+binary log:
   request's timestamp and the deciding export watermark);
 * every **DES scheduling decision** that touches the kernel heap and
   every **RNG draw** from both :class:`~repro.util.rng.RngRegistry`
-  registries (the coupler's and the network world's) — batch-encoded
-  as base64 binary columns at close, off the dispatch path.
+  registries (the coupler's and the network world's).
 
 While the run is going every row is a plain tuple; nothing is encoded
-until :meth:`ProvenanceRecorder.close`, which writes op, wire and match
-rows a *kind* at a time — one line template per key set, one ``json``
-call per numeric column (see the column encoder below).  The bytes are
-those of one ``json.dumps(row, sort_keys=True)`` per row, which
-``tests/obs/test_prov_encoder.py`` keeps as the reference.  What a
-recorded run costs end to end is the ``prov_record`` workload of
-``perf/run.py``.
+until :meth:`ProvenanceRecorder.close`, which writes columns: one
+``ops`` block line per ``(program, rank)``, one ``wire`` and one
+``match`` block line, and the scheduling decisions and RNG draws.
+:func:`read_log` decodes each block once (a ``repro.prov/v1`` log's
+per-row lines into the same blocks).  What a recorded run costs end to
+end is the ``prov_record`` workload of ``perf/run.py``.
 
 The final record carries SHA-256 digests of the run's
 ``repro.report/v1`` and ``repro.causal/v1`` payloads, making every log
@@ -40,19 +38,25 @@ Paths ending in ``.gz`` are written/read gzip-compressed.
 from __future__ import annotations
 
 import base64
+import contextlib
 import gzip
 import hashlib
 import json
+import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.obs.export import REPORT_SCHEMA, report_run
 
 __all__ = [
+    "Block",
     "PROV_SCHEMA",
     "ProvenanceError",
     "ProvenanceLog",
@@ -66,8 +70,10 @@ __all__ = [
     "validate_provenance_log",
 ]
 
-#: Version tag of the provenance log format.
-PROV_SCHEMA = "repro.prov/v1"
+#: Version tag of the provenance log format, and of the per-row format
+#: before blocks, which :func:`read_log` still reads.
+PROV_SCHEMA = "repro.prov/v2"
+PROV_SCHEMA_V1 = "repro.prov/v1"
 
 #: Operation kinds a process context records (and replay re-drives) and
 #: the fields each carries, in ``on_op`` argument order.  The writer and
@@ -80,8 +86,12 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
     "import_wait": ("region", "ts"),
 }
 
-_WIRE_FIELDS = ("now", "seq", "src", "dst", "msg", "plane", "nbytes", "trace")
-_MATCH_FIELDS = ("now", "cid", "rank", "request_ts", "kind", "latest", "backend")
+#: The fields of a wire and of a match row, in ``on_wire``/``on_match``
+#: argument order.
+_FIELDS: dict[str, tuple[str, ...]] = {
+    "wire": ("now", "seq", "src", "dst", "msg", "plane", "nbytes", "trace"),
+    "match": ("now", "cid", "rank", "request_ts", "kind", "latest", "backend"),
+}
 
 #: RunOptions fields serialized into the header verbatim (all
 #: JSON-safe scalars).  With ``_UNRECORDED_OPTION_FIELDS`` it partitions
@@ -320,7 +330,7 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
     return {
         "schema": PROV_SCHEMA,
         "t": "header",
-        "version": 1,
+        "version": 2,
         "runtime": runtime,
         "seed": options.seed,
         "match_backend": options.match_backend,
@@ -334,81 +344,50 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
     }
 
 
-# -- column encoder ---------------------------------------------------------
-# Rows of one kind share a key set, so a kind is written as one line
-# template plus one encoded column per varying key.  Every value still
-# goes through ``json``: byte-for-byte what
-# ``json.dumps(row, sort_keys=True)`` writes per row, without a call
-# per row.
-
-_encode = json.JSONEncoder(sort_keys=True).encode
+# -- block columns -------------------------------------------------------------
+# A block line holds n rows as one encoded column per field: numbers as
+# base64 float64/int64 (like ``sched``), anything else (names,
+# addresses, trace contexts, mixed) as its distinct values, each written
+# once, plus a base64 column of indices into them.
 
 
-def _scalars(column: Sequence[Any]) -> list[str]:
-    """Encode *column* with one ``json`` call and split it back.
-
-    Numbers and ``None`` never contain the item separator; a column
-    that does (a count mismatch shows it) is encoded value by value.
-    """
-    cells = _encode(column)[1:-1].split(", ")
-    return cells if len(cells) == len(column) else [_encode(v) for v in column]
-
-
-def _distinct(column: Sequence[Any]) -> list[str]:
-    """Encode each distinct value of a name/address *column* once."""
-    cache: dict[Any, str] = dict.fromkeys(column, "")
-    for value in cache:
-        cache[value] = _encode(value)
-    return [cache[value] for value in column]
-
-
-def _traces(column: Sequence[Any]) -> list[str]:
-    """``null`` or ``[trace_id, span_id]`` per trace context."""
-    live = [tr for tr in column if tr is not None]
-    pairs = zip(
-        _scalars([tr.trace_id for tr in live]),
-        _scalars([tr.span_id for tr in live]),
-    )
-    return ["null" if tr is None else "[%s, %s]" % next(pairs) for tr in column]
+def _column(values: Sequence[Any]) -> list[Any]:
+    """``[code, base64]``, plus the distinct values when *code* indexes them."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return ["f8", _b64(np.array(values, dtype=np.float64))]
+    if kinds == {int}:
+        with contextlib.suppress(OverflowError):
+            return ["i8", _b64(np.array(values, dtype=np.int64))]
+    # Keyed by type too unless all are names, so 1 and 1.0 stay apart.
+    named = kinds <= {str, type(None)}
+    keys = values if named else list(zip(map(type, values), values))
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    code = "u1" if len(index) <= 1 << 8 else "u2" if len(index) <= 1 << 16 else "u4"
+    codes = np.array([index[key] for key in keys], dtype=code)
+    return [code, _b64(codes), list(index) if named else [value for _, value in index]]
 
 
-#: Columns not encoded by :func:`_scalars`: names repeat (a handful of
-#: distinct values per run), addresses are ``str`` or tuples of ``str``
-#: and ``int``.
-_COLUMN_ENCODERS: dict[str, Callable[[Sequence[Any]], list[str]]] = {
-    **dict.fromkeys(
-        ("p", "op", "region", "dtype", "src", "dst", "msg", "plane", "cid",
-         "kind", "backend"),
-        _distinct,
-    ),
-    "trace": _traces,
-}
+def _values(column: Any) -> list[Any]:
+    """The decoded values of one :func:`_column`."""
+    code, data, *table = column
+    if code not in ("f8", "i8", "u1", "u2", "u4") or len(table) > 1:
+        raise ValueError(f"bad column {code!r}")
+    values = _unb64(data, code).tolist()
+    return list(map(table[0].__getitem__, values)) if table else values
 
 
-def _encode_rows(
-    t: str, names: tuple[str, ...], rows: list[tuple[Any, ...]]
-) -> list[str]:
-    """The log lines of the ``"t": t`` *rows*, ``names[i]`` being ``row[i]``."""
-    if not rows:
-        return []
-    columns = dict(zip(names, zip(*rows, strict=True), strict=True))
-    cells = []
-    parts = []
-    for key in sorted(("t", *names)):
-        if key == "t":
-            parts.append(f'"t": {_encode(t)}')
-        else:
-            parts.append(f"{_encode(key)}: %s")
-            cells.append(_COLUMN_ENCODERS.get(key, _scalars)(columns[key]))
-    template = "{" + ", ".join(parts) + "}\n"
-    return [template % row for row in zip(*cells)]
+def _block(t: str, n: int, columns: Mapping[str, Sequence[Any]], **head: Any) -> str:
+    """The log line of *n* rows held as *columns*."""
+    cols = {name: _column(values) for name, values in columns.items()}
+    return json.dumps({"t": t, "n": n, "cols": cols, **head}, sort_keys=True) + "\n"
 
 
 # -- recorder ---------------------------------------------------------------
 
 
 class ProvenanceRecorder:
-    """Buffered writer of one run's ``repro.prov/v1`` log.
+    """Buffered writer of one run's ``repro.prov/v2`` log.
 
     Hot-path hooks are designed to be as close to free as recording
     allows: wire/match/op events append one small tuple to a Python
@@ -416,9 +395,9 @@ class ProvenanceRecorder:
     not a dict), the DES scheduling hook *is* ``list.append`` (installed
     as ``sim._sched_hook``), and RNG draws go through one bound-method
     call.  Everything except the header is encoded and written once, at
-    :meth:`close`: op, wire and match rows per kind through
-    :func:`_encode_rows`, scheduling decisions and RNG draws as base64
-    binary columns.
+    :meth:`close`: op rows as one ``ops`` block per ``(program, rank)``,
+    wire and match rows as one block each, scheduling decisions and RNG
+    draws as base64 binary columns.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -533,28 +512,26 @@ class ProvenanceRecorder:
         if self._fh is None:
             # Header never written (run died before finalize_setup):
             # still produce a well-formed, clearly-aborted log.
-            self._header = {"schema": PROV_SCHEMA, "t": "header", "version": 1}
+            self._header = {"schema": PROV_SCHEMA, "t": "header", "version": 2}
             self._fh = open_text(self.path, "w")
             self._fh.write(json.dumps(self._header, sort_keys=True) + "\n")
         fh = self._fh
         write = fh.write
-        # Ops go out grouped by (program, rank), each group in recorded
-        # order (the sort is stable).  They are encoded per kind, then
-        # drawn back out: the k-th row is the next line of its kind.
-        rows = sorted(self._ops, key=itemgetter(0, 1))
-        lines = {
-            kind: iter(
-                _encode_rows(
-                    "op",
-                    ("p", "r", "op") + fields,
-                    [row for row in rows if row[2] == kind],
-                )
-            )
-            for kind, fields in OP_FIELDS.items()
-        }
-        fh.writelines(map(next, map(lines.__getitem__, [row[2] for row in rows])))
-        fh.writelines(_encode_rows("wire", _WIRE_FIELDS, self._wire))
-        fh.writelines(_encode_rows("match", _MATCH_FIELDS, self._match))
+        # One ops block per (program, rank), rows in recorded order (stable
+        # sorts), with no tuple built per row: each wakes the cyclic GC.
+        ops = sorted(sorted(self._ops, key=itemgetter(1)), key=itemgetter(0))
+        for program, of_program in groupby(ops, itemgetter(0)):
+            for rank, group in groupby(of_program, itemgetter(1)):
+                rows = list(group)
+                cols: dict[str, Sequence[Any]] = {"op": [row[2] for row in rows]}
+                for kind in dict.fromkeys(cols["op"]):
+                    of_kind = [row for row in rows if row[2] == kind]
+                    for i, f in enumerate(OP_FIELDS[kind], start=3):
+                        cols[f"{kind}.{f}"] = [row[i] for row in of_kind]
+                write(_block("ops", len(rows), cols, p=program, r=rank))
+        for t, flat in (("wire", self._wire), ("match", self._match)):
+            if flat:
+                write(_block(t, len(flat), dict(zip(_FIELDS[t], zip(*flat)))))
         if self.sched:
             times = np.array([s[0] for s in self.sched], dtype=np.float64)
             prios = np.array([s[1] for s in self.sched], dtype=np.uint8)
@@ -620,16 +597,65 @@ class RngTrace:
         return int(self.codes.size)
 
 
+class Block(Sequence[dict[str, Any]]):
+    """The *n* rows of one ``ops``, ``wire`` or ``match`` block, as columns.
+
+    ``cols`` maps a field to its values; in an ops block the ``op``
+    column is the kind sequence and ``"<kind>.<field>"`` holds a field of
+    that kind's rows.  Item ``i`` is the row dict a v1 log stored on one
+    line; :attr:`rows` builds them all on first access, and replay, which
+    reads the columns through :meth:`items`, builds none.
+    """
+
+    def __init__(self, head: dict[str, Any], n: int, cols: dict[str, list[Any]]) -> None:
+        self.head, self.n, self.cols = head, n, cols
+
+    def items(self) -> Iterator[tuple[str, tuple[Any, ...]]]:
+        """``(kind, field values)`` per row, zipped from the columns."""
+        kinds = self.cols.get("op")
+        if kinds is None:
+            t = self.head["t"]
+            return zip(repeat(t), zip(*[self.cols[f] for f in _FIELDS[t]]))
+        rows = {
+            kind: zip(*[self.cols[f"{kind}.{f}"] for f in OP_FIELDS[kind]])
+            for kind in dict.fromkeys(kinds)
+        }
+        return zip(kinds, map(next, map(rows.__getitem__, kinds)))
+
+    @cached_property
+    def rows(self) -> list[dict[str, Any]]:
+        """Every row as the dict a v1 line held (keys sorted, as parsed)."""
+        op = "op" in self.cols
+        fields = {**_FIELDS, **OP_FIELDS}
+        return [
+            dict(sorted({**self.head, **dict(zip(fields[kind], values)),
+                         **({"op": kind} if op else {})}.items()))
+            for kind, values in self.items()
+        ]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: Any) -> Any:
+        return self.rows[i]
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class ProvenanceLog:
-    """A parsed ``repro.prov/v1`` log."""
+    """A parsed provenance log."""
 
     path: str
     header: dict[str, Any]
-    #: ``(program, rank)`` → ordered operation rows.
-    ops: dict[tuple[str, int], list[dict[str, Any]]]
-    wire: list[dict[str, Any]]
-    matches: list[dict[str, Any]]
+    #: ``(program, rank)`` → its operation rows.
+    ops: dict[tuple[str, int], Block]
+    wire: Block
+    matches: Block
     #: ``(times, prios, seqs)`` arrays, or ``None`` when no heap
     #: scheduling happened (or the log predates the batch).
     sched: tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -646,90 +672,111 @@ class ProvenanceLog:
         """Whether the recorded run raised (or never finished)."""
         return self.end is None or bool(self.end.get("aborted"))
 
-    def ops_for(self, program: str) -> dict[int, list[dict[str, Any]]]:
+    def ops_for(self, program: str) -> dict[int, Block]:
         """Rank → operation rows of one program."""
-        return {
-            rank: rows
-            for (prog, rank), rows in self.ops.items()
-            if prog == program
-        }
+        return {rank: rows for (prog, rank), rows in self.ops.items() if prog == program}
+
+
+def _decoded(row: dict[str, Any], head: dict[str, Any]) -> Block:
+    cols = {name: _values(column) for name, column in row["cols"].items()}
+    return Block(head, int(row["n"]), cols)
+
+
+def _append_v1(ops: dict[Any, Block], flat: dict[str, Block], t: str, row: Any) -> None:
+    """Append one v1 row to its block; a field the row lacks leaves its
+    column short, which :func:`validate_provenance_log` reports."""
+    if t == "op":
+        p, r = str(row["p"]), int(row["r"])
+        block = ops.setdefault((p, r), Block({"t": "op", "p": p, "r": r}, 0, {"op": []}))
+        kind = row.get("op")
+        fields, prefix = OP_FIELDS.get(kind, ()), f"{kind}."
+        block.cols["op"].append(kind)
+    else:
+        block, fields, prefix = flat[t], _FIELDS[t], ""
+    block.n += 1
+    for f in fields:
+        if f in row:
+            block.cols.setdefault(prefix + f, []).append(row[f])
 
 
 def read_log(path: str | Path) -> ProvenanceLog:
-    """Parse a provenance log file (gzip-aware via the ``.gz`` suffix)."""
+    """Parse a provenance log file (gzip-aware via the ``.gz`` suffix).
+
+    A v2 block line is parsed and decoded once; a v1 log's ``op``,
+    ``wire`` and ``match`` rows are appended to the same blocks.
+    """
     header: dict[str, Any] | None = None
-    ops: dict[tuple[str, int], list[dict[str, Any]]] = {}
-    wire: list[dict[str, Any]] = []
-    matches: list[dict[str, Any]] = []
+    v1 = False
+    ops: dict[tuple[str, int], Block] = {}
+    flat = {t: Block({"t": t}, 0, {f: [] for f in fs}) for t, fs in _FIELDS.items()}
     sched: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     rng: dict[str, RngTrace] = {}
     end: dict[str, Any] | None = None
     try:
-        fh = open_text(path, "r")
-    except OSError as exc:
-        raise ProvenanceError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProvenanceError(
-                    f"{path}:{lineno}: not JSON: {exc}"
-                ) from exc
-            if not isinstance(row, dict):
-                raise ProvenanceError(f"{path}:{lineno}: not an object")
-            t = row.get("t")
-            try:
-                if t == "header":
-                    if row.get("schema") != PROV_SCHEMA:
-                        raise ProvenanceError(
-                            f"{path}: schema must be {PROV_SCHEMA!r}, "
-                            f"got {row.get('schema')!r}"
-                        )
-                    header = row
-                elif t == "op":
-                    key = (str(row["p"]), int(row["r"]))
-                    ops.setdefault(key, []).append(row)
-                elif t == "wire":
-                    wire.append(row)
-                elif t == "match":
-                    matches.append(row)
-                elif t == "sched":
-                    sched = (
-                        _unb64(row["times"], "float64"),
-                        _unb64(row["prios"], "uint8"),
-                        _unb64(row["seqs"], "uint64"),
-                    )
-                elif t == "rng":
-                    rng[str(row["stream"])] = RngTrace(
-                        stream=str(row["stream"]),
-                        methods=tuple(row["methods"]),
-                        codes=_unb64(row["codes"], "uint16"),
-                        values=_unb64(row["values"], "float64"),
-                    )
-                elif t == "end":
-                    end = row
-                else:
+        with open_text(path, "r") as fh:
+            text = fh.read()
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise ProvenanceError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ProvenanceError(f"{path}:{lineno}: not JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ProvenanceError(f"{path}:{lineno}: not an object")
+        t = row.get("t")
+        try:
+            if t == "header":
+                if row.get("schema") not in (PROV_SCHEMA, PROV_SCHEMA_V1):
                     raise ProvenanceError(
-                        f"{path}:{lineno}: unknown record type {t!r}"
+                        f"{path}: schema must be {PROV_SCHEMA!r}, "
+                        f"got {row.get('schema')!r}"
                     )
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                # A missing key, a non-integer rank, damaged base64
-                # (``binascii.Error`` is a ``ValueError``).
+                header, v1 = row, row["schema"] == PROV_SCHEMA_V1
+            elif v1 and t in ("op", "wire", "match"):
+                _append_v1(ops, flat, t, row)
+            elif t == "ops":
+                p, r = str(row["p"]), int(row["r"])
+                ops[p, r] = _decoded(row, {"t": "op", "p": p, "r": r})
+            elif t in flat:
+                flat[t] = _decoded(row, {"t": t})
+            elif t == "sched":
+                sched = (
+                    _unb64(row["times"], "float64"),
+                    _unb64(row["prios"], "uint8"),
+                    _unb64(row["seqs"], "uint64"),
+                )
+            elif t == "rng":
+                rng[str(row["stream"])] = RngTrace(
+                    stream=str(row["stream"]),
+                    methods=tuple(row["methods"]),
+                    codes=_unb64(row["codes"], "uint16"),
+                    values=_unb64(row["values"], "float64"),
+                )
+            elif t == "end":
+                end = row
+            else:
                 raise ProvenanceError(
-                    f"{path}:{lineno}: malformed {t} record: {exc!r}"
-                ) from exc
+                    f"{path}:{lineno}: unknown record type {t!r}"
+                )
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+            # A missing key or column, a non-integer rank, damaged
+            # base64 (``binascii.Error`` is a ``ValueError``), a
+            # table index out of range.
+            raise ProvenanceError(
+                f"{path}:{lineno}: malformed {t} record: {exc!r}"
+            ) from exc
     if header is None:
         raise ProvenanceError(f"{path}: no header record")
     return ProvenanceLog(
         path=str(path),
         header=header,
         ops=ops,
-        wire=wire,
-        matches=matches,
+        wire=flat["wire"],
+        matches=flat["match"],
         sched=sched,
         rng=rng,
         end=end,
@@ -740,7 +787,7 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
     """Structural problems with *log*; empty when it conforms."""
     problems: list[str] = []
     header = log.header
-    if header.get("schema") != PROV_SCHEMA:
+    if header.get("schema") not in (PROV_SCHEMA, PROV_SCHEMA_V1):
         problems.append(
             f"header schema must be {PROV_SCHEMA!r}, got {header.get('schema')!r}"
         )
@@ -754,32 +801,32 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
         problems.append("header.config must be the configuration text")
     if not isinstance(header.get("options"), dict):
         problems.append("header.options must be an object")
-    required = {kind: frozenset(fields) for kind, fields in OP_FIELDS.items()}
-    for (prog, rank), rows in log.ops.items():
+    #: (name, block, column → the length it must have)
+    needs = [(t, b, dict.fromkeys(_FIELDS[t], b.n))
+             for t, b in zip(_FIELDS, (log.wire, log.matches))]
+    for (prog, rank), block in log.ops.items():
         if prog not in programs:
             problems.append(f"op rows for undeclared program {prog!r}")
             continue
         nprocs = int(programs[prog].get("nprocs", 0))
         if not (0 <= rank < nprocs):
             problems.append(f"op rows for out-of-range rank {prog}.{rank}")
-        for i, row in enumerate(rows):
-            op = row.get("op")
-            need = required.get(op) if isinstance(op, str) else None
-            if need is None:
-                problems.append(f"ops[{prog}.{rank}][{i}]: unknown op {op!r}")
-            elif not row.keys() >= need:
-                missing = ", ".join(f for f in OP_FIELDS[op] if f not in row)
-                problems.append(f"ops[{prog}.{rank}][{i}]: {op} missing {missing}")
-    for i, row in enumerate(log.wire):
-        for key in ("now", "seq", "msg", "plane", "nbytes"):
-            if key not in row:
-                problems.append(f"wire[{i}]: missing {key}")
-        if row.get("plane") not in ("ctl", "data", None):
-            problems.append(f"wire[{i}]: bad plane {row.get('plane')!r}")
-    for i, row in enumerate(log.matches):
-        for key in ("now", "cid", "rank", "request_ts", "kind", "backend"):
-            if key not in row:
-                problems.append(f"match[{i}]: missing {key}")
+        name, need = f"ops[{prog}.{rank}]", {"op": block.n}
+        for kind, count in Counter(map(str, block.cols.get("op", ()))).items():
+            if kind not in OP_FIELDS:
+                problems.append(f"{name}: unknown op {kind!r}")
+            need.update((f"{kind}.{f}", count) for f in OP_FIELDS.get(kind, ()))
+        needs.append((name, block, need))
+    for name, block, need in needs:
+        for column, n in need.items():
+            have = block.cols.get(column)
+            if have is None and n:
+                problems.append(f"{name}: no {column} column")
+            elif have is not None and len(have) != n:
+                problems.append(f"{name}: {column} column has {len(have)} values, not {n}")
+    planes = [p for p in log.wire.cols.get("plane", ()) if p not in ("ctl", "data", None)]
+    if planes:
+        problems.append(f"wire: bad plane {planes[0]!r}")
     if log.sched is not None:
         times, prios, seqs = log.sched
         if not (times.size == prios.size == seqs.size):

@@ -1,11 +1,11 @@
 """Bit-exact replay, time-travel queries, and differential replay.
 
-A ``repro.prov/v1`` log (see :mod:`repro.obs.prov`) carries enough to
+A provenance log (see :mod:`repro.obs.prov`) carries enough to
 reconstruct its run *from the log alone*: the configuration text, the
 frozen run options, the cost-model preset, the fault plan, every
 region declaration, and the ordered operation stream of every process.
 :func:`replay` synthesizes one generator main per program from those
-operation rows and re-runs the real DES runtime — determinism (named
+operation columns and re-runs the real DES runtime — determinism (named
 RNG streams, a totally ordered kernel, seeded fault draws) does the
 rest, and :func:`verify_replay` proves it by comparing SHA-256 digests
 of the replayed ``repro.report/v1`` and ``repro.causal/v1`` payloads
@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs.prov import (
+    Block,
     ProvenanceError,
     ProvenanceLog,
     PROV_SCHEMA,
@@ -88,37 +89,29 @@ def _check_replayable(log: ProvenanceLog) -> None:
 
 
 def _make_main(
-    ops_by_rank: dict[int, list[dict[str, Any]]]
+    ops_by_rank: dict[int, Block]
 ) -> Callable[[Any], Generator[Any, Any, None]]:
     """One generator main re-driving a program's recorded operations."""
 
     def main(ctx: Any) -> Generator[Any, Any, None]:
         pending: dict[tuple[str, float], Any] = {}
-        for op in ops_by_rank.get(ctx.rank, []):
-            kind = op["op"]
-            if kind == "compute":
-                yield from ctx.compute(op["seconds"])
-            elif kind == "compute_elements":
-                yield from ctx.compute_elements(
-                    int(op["elements"]), scale=float(op["scale"])
-                )
-            elif kind == "export":
+        block = ops_by_rank.get(ctx.rank)
+        for kind, fields in () if block is None else block.items():
+            if kind == "export":
+                region, ts, dtype = fields
                 data = None
-                dtype = op.get("dtype")
                 if dtype is not None:
-                    data = np.zeros(
-                        ctx.local_region(op["region"]).shape,
-                        dtype=np.dtype(dtype),
-                    )
-                yield from ctx.export(op["region"], op["ts"], data)
+                    data = np.zeros(ctx.local_region(region).shape, dtype=np.dtype(dtype))
+                yield from ctx.export(region, ts, data)
+            elif kind == "compute":
+                yield from ctx.compute(*fields)
+            elif kind == "compute_elements":
+                elements, scale = fields
+                yield from ctx.compute_elements(int(elements), scale=float(scale))
             elif kind == "import_begin":
-                key = (op["region"], op["ts"])
-                pending[key] = ctx.import_begin(op["region"], op["ts"])
-            elif kind == "import_wait":
-                handle = pending.pop((op["region"], op["ts"]))
-                yield from ctx.import_wait(handle)
-            else:  # validated at read time; belt and braces
-                raise ProvenanceError(f"unknown recorded op {kind!r}")
+                pending[fields] = ctx.import_begin(*fields)
+            else:  # import_wait: Block.items() raises on an unknown kind
+                yield from ctx.import_wait(pending.pop(fields))
 
     return main
 

@@ -157,7 +157,7 @@ class ServeClient:
         return self._request("GET", f"/sessions/{session_id}/report")
 
     def provenance(self, session_id: str) -> str:
-        """The ``repro.prov/v1`` log text of a finished session.
+        """The ``repro.prov/v2`` log text of a finished session.
 
         Only available when the session was submitted with
         ``provenance=true``; the text is a complete provenance log,

@@ -61,10 +61,8 @@ class SessionRecord:
     cancel_reason: str | None = None
     #: The ``repro.report/v1`` payload once the session is done.
     report: dict[str, Any] | None = None
-    #: The ``repro.prov/v1`` log text, when the spec asked for one.
+    #: The provenance log text, when the spec asked for one.
     provenance: str | None = None
-    sim_time: float | None = None
-    counters: dict[str, int] | None = None
     #: Telemetry bookkeeping.
     records: int = 0
     dropped: int = 0
@@ -78,8 +76,14 @@ class SessionRecord:
         """Whether the session has reached a final state."""
         return self.state in TERMINAL_STATES
 
+    def _run(self) -> dict[str, Any]:
+        """The report's one run row (empty until the session is done)."""
+        return ((self.report or {}).get("runs") or [{}])[0]
+
     def info(self) -> dict[str, Any]:
-        """The JSON view served by ``GET /sessions/{id}``."""
+        """The JSON view served by ``GET /sessions/{id}``; ``sim_time``
+        and ``counters`` are read from the report's run row."""
+        run = self._run()
         return {
             "schema": SERVE_SCHEMA,
             "id": self.id,
@@ -92,8 +96,8 @@ class SessionRecord:
             "worker_pid": self.worker_pid,
             "error": self.error,
             "cancel_reason": self.cancel_reason,
-            "sim_time": self.sim_time,
-            "counters": self.counters,
+            "sim_time": run.get("sim_time"),
+            "counters": run.get("counters"),
             "report_ready": self.report is not None,
             "provenance_ready": self.provenance is not None,
             "telemetry": {
@@ -110,7 +114,7 @@ class SessionRecord:
         duration and telemetry counts.  A failed one has no trustworthy
         report, so it adds no run row."""
         done = self.state == "done"
-        run = ((self.report or {}).get("runs") or [{}])[0] if done else {}
+        run = self._run() if done else {}
         row = {**run, "scenario": self.spec.scenario,
                "state": self.state, "telemetry_records": self.records,
                "telemetry_dropped": self.dropped}
@@ -283,8 +287,6 @@ class SessionRegistry:
         if outcome is not None:
             session.report = outcome.get("report")
             session.provenance = outcome.get("provenance")
-            session.sim_time = outcome.get("sim_time")
-            session.counters = outcome.get("counters")
         for queue in session.subscribers:  # may evict (and count) a line
             self._offer(session, queue, _EOS)
         session.subscribers.clear()

@@ -19,7 +19,7 @@ Wire surface (one request per connection, ``Connection: close``)::
     GET    /sessions                list sessions + server stats
     GET    /sessions/{id}           one session's info
     GET    /sessions/{id}/report    the repro.report/v1 payload
-    GET    /sessions/{id}/provenance the repro.prov/v1 log text
+    GET    /sessions/{id}/provenance the repro.prov/v2 log text
     GET    /sessions/{id}/telemetry stream repro.telemetry/v1 JSONL
     DELETE /sessions/{id}           cancel (optional {"reason": ...})
     GET    /stats                   server-wide counters

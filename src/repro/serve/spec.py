@@ -68,7 +68,7 @@ class SessionSpec(Cell):
         Optional human-readable name echoed in listings, and the name
         of the session's report row (the cell's name when unset).
     provenance:
-        Record the session into a ``repro.prov/v1`` provenance log; the
+        Record the session into a ``repro.prov/v2`` provenance log; the
         log text is retrievable at ``GET /sessions/{id}/provenance``
         once the session is done, turning any served run into a
         bit-exactly replayable artifact.

@@ -142,8 +142,6 @@ def run_session(
         outcome = {
             "ok": True,
             "session": session_id,
-            "sim_time": row["sim_time"],
-            "counters": row["counters"],
             "report": {"schema": REPORT_SCHEMA, "runs": [row]},
         }
     if prov_path is not None:

@@ -101,6 +101,29 @@ class TestSanitizedPathCost:
         )
 
 
+class TestCausalOnlyPathCost:
+    """The same count for a ``demo`` run (2 000 exports, 99 imports,
+    seed 1) with only the causal trace on — every replay of a
+    provenance log runs so.  The causal fold reads no export, compute,
+    eviction or export-send, and those sites build no event for it:
+    30.5 calls per event when they built one and dropped it, 28.4 now.
+    """
+
+    CEILING = 28.8
+
+    def test_calls_per_event_stay_under_the_ceiling(self):
+        params = {"exports": 2000, "imports": [20.0 * (j + 1) for j in range(99)], "seed": 1}
+        b = build("demo", params)
+        options = replace(b.options, causal_trace=True)
+        sim = build_simulation(b.config, list(b.programs), options)
+        calls, events = _count_calls(sim)
+        assert events == 12968
+        assert calls / events < self.CEILING, (
+            f"{calls} calls for {events} events = {calls / events:.1f} per event: "
+            "a site builds an event no fold reads (see core/spine.py, ignore)"
+        )
+
+
 class TestFoldsCorrelate:
     @pytest.fixture(scope="class")
     def watched(self, tmp_path_factory):

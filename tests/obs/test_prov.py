@@ -1,4 +1,4 @@
-"""Provenance recording: the ``repro.prov/v1`` log format.
+"""Provenance recording: the ``repro.prov/v2`` log format.
 
 Covers header serialization round-trips (options, presets, fault
 plans, decompositions), the recorder lifecycle (header → rows → end,
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.faults.plan import FaultPlan
 from repro.match import DEFAULT_MATCH_BACKEND
 from repro.obs.prov import (
     PROV_SCHEMA,
+    PROV_SCHEMA_V1,
     ProvenanceError,
     ProvenanceRecorder,
     decomp_from_dict,
@@ -282,7 +284,7 @@ class TestRecorderLifecycle:
 
 
 def _rewrite(path, out, t, edit, *, where=lambda row: True):
-    """Copy log *path* to *out* with *edit* applied to the first *t* row."""
+    """Copy log *path* to *out* with *edit* applied to the first *t* line."""
     done = False
     with open(out, "w", encoding="utf-8") as fh:
         for line in path.read_text(encoding="utf-8").splitlines():
@@ -295,19 +297,38 @@ def _rewrite(path, out, t, edit, *, where=lambda row: True):
     return out
 
 
+def _edit_column(name, change):
+    """An edit replacing block column *name* by ``change(values)``."""
+
+    def edit(row):
+        row["cols"][name] = prov._column(change(prov._values(row["cols"][name])))
+
+    return edit
+
+
+def _has(name):
+    return lambda row: name in row["cols"]
+
+
 class TestCorruptRows:
-    """A damaged row is a ProvenanceError or a listed problem, never a traceback."""
+    """A damaged block is a ProvenanceError naming its line or one listed
+    problem, and ``repro replay`` exits 2 — never a traceback."""
 
     @pytest.mark.parametrize(
         "t, edit",
         [
-            ("op", lambda row: row.pop("p")),
-            ("op", lambda row: row.update(r="x")),
+            ("ops", lambda row: row.pop("p")),
+            ("ops", lambda row: row.update(r="x")),
+            ("ops", lambda row: row["cols"]["op"].__setitem__(1, row["cols"]["op"][1][:-3])),
+            ("wire", lambda row: row["cols"].update(seq=["f4", ""])),
             ("sched", lambda row: row.update(times=row["times"][:-3])),
             ("sched", lambda row: row.update(seqs=7)),
             ("rng", lambda row: row.pop("methods")),
         ],
-        ids=["op-no-p", "op-rank-x", "sched-b64-cut", "sched-not-text", "rng-no-methods"],
+        ids=[
+            "op-no-p", "op-rank-x", "ops-b64-cut", "wire-bad-code",
+            "sched-b64-cut", "sched-not-text", "rng-no-methods",
+        ],
     )
     def test_read_log_names_the_line(self, tmp_path, faulty, t, edit):
         from repro.cli import main
@@ -321,19 +342,51 @@ class TestCorruptRows:
             read_log(bad)
         assert main(["replay", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "t, where, edit, problem",
+        [
+            (
+                "wire", _has("nbytes"), lambda row: row["cols"].pop("nbytes"),
+                "wire: no nbytes column",
+            ),
+            (
+                "ops", _has("compute.seconds"), lambda row: row["cols"].pop("compute.seconds"),
+                "ops[F.0]: no compute.seconds column",
+            ),
+            (
+                "ops", _has("compute.seconds"),
+                _edit_column("op", lambda v: ["sleep" if k == "compute" else k for k in v]),
+                "ops[F.0]: unknown op 'sleep'",
+            ),
+        ],
+        ids=["missing-column", "kind-without-column", "unknown-kind"],
+    )
+    def test_validator_lists_one_problem(
+        self, recorded, tmp_path, capsys, t, where, edit, problem
+    ):
+        from repro.cli import main
+
+        path, _ = recorded
+        bad = _rewrite(path, tmp_path / "bad.prov", t, edit, where=where)
+        assert validate_provenance_log(read_log(bad)) == [problem]
+        assert main(["replay", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_export_without_ts_is_reported(self, recorded, tmp_path, capsys):
+        """An export block whose ts column lost a value: a short column."""
         from repro.cli import main
 
         path, _ = recorded
         bad = _rewrite(
             path,
             tmp_path / "bad.prov",
-            "op",
-            lambda row: row.pop("ts"),
-            where=lambda row: row["op"] == "export",
+            "ops",
+            _edit_column("export.ts", lambda values: values[:-1]),
+            where=_has("export.ts"),
         )
         assert validate_provenance_log(read_log(bad)) == [
-            "ops[F.0][0]: export missing ts"
+            "ops[F.0]: export.ts column has 45 values, not 46"
         ]
         assert main(["replay", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -345,24 +398,25 @@ class TestCorruptRows:
         assert issued == {"export", "compute", "import_begin", "import_wait"}
         for kind in issued:
             for name in prov.OP_FIELDS[kind]:
+                column = f"{kind}.{name}"
                 bad = _rewrite(
                     path,
                     tmp_path / "bad.prov",
-                    "op",
-                    lambda row: row.pop(name),
-                    where=lambda row: row["op"] == kind,
+                    "ops",
+                    lambda row: row["cols"].pop(column),
+                    where=_has(column),
                 )
                 (problem,) = validate_provenance_log(read_log(bad))
-                assert problem.endswith(f"{kind} missing {name}")
+                assert problem.endswith(f"no {column} column")
 
-    def test_truncation_is_aborted_or_an_error(self, recorded, tmp_path):
-        """Cut anywhere, a log reads as aborted (problems listed) or raises
+    def test_truncation_is_aborted_or_an_error(self, faulty, tmp_path):
+        """Cut at every line boundary, in the middle of every line and every
+        97 bytes, a log reads as aborted (problems listed) or raises
         ProvenanceError — never any other exception."""
-        path, _ = recorded
-        data = path.read_bytes()
-        cuts = {i + 1 for i, b in enumerate(data) if b == 0x0A} | set(
-            range(0, len(data), 97)
-        )
+        data = faulty.read_bytes()
+        starts = [0] + [i + 1 for i, b in enumerate(data) if b == 0x0A]
+        cuts = set(starts) | set(range(0, len(data), 97))
+        cuts |= {(a + b) // 2 for a, b in zip(starts, starts[1:])}
         cuts.discard(len(data))
         aborted = refused = 0
         cut = tmp_path / "cut.prov"
@@ -377,22 +431,48 @@ class TestCorruptRows:
             aborted += 1
         lines = data.count(b"\n")
         assert aborted >= lines - 1  # every line boundary past the header
-        assert refused > 0
+        assert refused >= lines - 1  # every cut inside a line
         assert aborted + refused == len(cuts)
+
+    def test_a_flipped_byte_is_read_or_refused(self, faulty, tmp_path):
+        """One byte flipped at a quarter, half and three quarters of every
+        block line, within ASCII and out of UTF-8: read (problems or
+        none) or ProvenanceError, and a log with no problems still builds
+        its rows."""
+        data = faulty.read_bytes()
+        starts = [0] + [i + 1 for i, b in enumerate(data) if b == 0x0A]
+        flipped = tmp_path / "flip.prov"
+        refused = 0
+        for a, b in zip(starts[1:], starts[2:]):
+            for at in (a + (b - a) // 4, (a + b) // 2, b - (b - a) // 4):
+                for mask in (0x01, 0x80):
+                    damaged = bytearray(data)
+                    damaged[at] ^= mask
+                    flipped.write_bytes(bytes(damaged))
+                    try:
+                        log = read_log(flipped)
+                    except ProvenanceError:
+                        refused += 1
+                        continue
+                    if not validate_provenance_log(log):
+                        for block in (*log.ops.values(), log.wire, log.matches):
+                            assert len(list(block)) == len(block)
+        assert refused > 0
 
 
 class TestRecordingCost:
     """Counts, not timings: interpreter calls spent after a recorded run ends.
 
-    ``close`` encodes a column at a time, so its calls per row fall as
-    the log grows (0.17 on the 2000-export run ``prov_record`` times);
-    the per-row writer it replaced made 9.15 at any size.  ``finalize``
-    digests a report whose collection tallies before it asks the
-    registry (14 487 calls on this run when it asked per export record).
+    ``close`` encodes one column per block field, so its calls per row
+    fall as the log grows; the per-kind line templates it replaced made
+    832 calls here (0.55 per row), and the per-row writer before them
+    9.15 per row at any size.  ``finalize`` digests a report whose
+    collection tallies before it asks the registry (14 487 calls on this
+    run when it asked per export record).
     """
 
-    #: ≈10% above the measured 832 calls for 1524 rows, and 5546 calls.
-    CLOSE_CALLS_PER_ROW = 0.60
+    #: ≈10% above the measured 504 calls for 1524 rows, and 5546 calls.
+    CLOSE_CALLS_PER_ROW = 0.37
     FINALIZE_CALLS = 6100
 
     def test_calls_after_the_run_stay_under_the_ceilings(self, tmp_path, monkeypatch):
@@ -441,6 +521,44 @@ class TestRecordingCost:
         )
 
 
+#: ``repro run demo -p exports=40 -p seed=5 --fault CHAOS --provenance F``
+#: recorded in the v1 per-row format, CHAOS being the chaos plan
+#: ``{"seed":5,"drop":0.1,"dup":0.05,"delay_jitter":2e-4}``.
+V1_LOG = Path(__file__).parents[1] / "golden" / "prov_v1_demo.prov.gz"
+
+
+class TestV1Log:
+    """A log written before blocks reads into the same blocks."""
+
+    def test_reads_validates_and_replays(self):
+        from repro.obs.replay import verify_replay
+
+        log = read_log(V1_LOG)
+        assert log.header["schema"] == PROV_SCHEMA_V1
+        assert validate_provenance_log(log) == []
+        verdict = verify_replay(log)
+        assert verdict["ok"] and verdict["report_identical"] and verdict["causal_identical"]
+
+    def test_rows_equal_a_v2_recording(self, tmp_path):
+        old = read_log(V1_LOG)
+        path = tmp_path / "v2.prov"
+        plan = FaultPlan.from_dict(old.header["fault_plan"])
+        build("demo", {"exports": 40, "seed": 5}).run(provenance=str(path), fault_plan=plan)
+        new = read_log(path)
+        assert new.header["schema"] == PROV_SCHEMA
+        assert sum(map(len, new.ops.values())) == 172 and len(new.wire) == 109
+        assert new.ops == old.ops
+        assert new.wire == old.wire and new.matches == old.matches
+        assert all(np.array_equal(a, b) for a, b in zip(new.sched, old.sched, strict=True))
+        assert new.rng.keys() == old.rng.keys() and new.rng
+        for name, trace in new.rng.items():
+            was = old.rng[name]
+            assert trace.methods == was.methods
+            assert np.array_equal(trace.codes, was.codes)
+            assert np.array_equal(trace.values, was.values)
+        assert new.end == old.end
+
+
 class TestGzip:
     def test_open_text_round_trip(self, tmp_path):
         p = tmp_path / "x.txt.gz"
@@ -459,6 +577,17 @@ class TestGzip:
         log = read_log(p)
         assert validate_provenance_log(log) == []
         assert log.wire and log.sched
+
+    @pytest.mark.parametrize("at", [100, 1000], ids=["crc", "deflate"])
+    def test_damaged_gzip_is_refused(self, tmp_path, at):
+        """A flipped byte in a ``.gz`` log fails its CRC or its deflate
+        stream: a ProvenanceError either way, never a ``zlib.error``."""
+        data = bytearray(V1_LOG.read_bytes())
+        data[at] ^= 0x55
+        bad = tmp_path / "bad.prov.gz"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(ProvenanceError, match="cannot read"):
+            read_log(bad)
 
     def test_jsonl_sink_gzip_round_trip(self, tmp_path, demo_runner):
         p = tmp_path / "tele.jsonl.gz"

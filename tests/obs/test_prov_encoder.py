@@ -1,11 +1,12 @@
-"""Differential oracle for the provenance column encoder.
+"""Differential oracle for the provenance block writer and reader.
 
-``ProvenanceRecorder.close`` writes op, wire and match rows one *kind*
-at a time: a line template per key set and one encoded column per
-varying key.  The writer it replaced — one ``json.dumps(row,
-sort_keys=True)`` per row, from the dict each call site used to build —
-lives on here as :func:`reference_lines`.  Both are fed the same
-recorded tuples and must produce the same bytes.
+``ProvenanceRecorder.close`` writes op, wire and match rows as column
+blocks, and :func:`read_log` hands each row back as a dict.  The per-row
+writer of the v1 format — one ``json.dumps(row, sort_keys=True)`` per
+row, from the dict each call site used to build — lives on here as
+:func:`reference_lines`.  Both are fed the same recorded tuples: the
+rows read back from the blocks must equal the rows the reference lines
+parse to.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import prov
-from repro.obs.prov import PROV_SCHEMA, ProvenanceRecorder
+from repro.obs.prov import PROV_SCHEMA, ProvenanceRecorder, read_log
 from repro.obs.trace import TraceContext
 
 HEADER = {"schema": PROV_SCHEMA, "t": "header", "runtime": "des"}
@@ -90,7 +91,8 @@ def reference_lines(ops, wire, match):
     return out
 
 
-def written_lines(path, ops, wire, match):
+def written_rows(path, ops, wire, match):
+    """The rows :func:`read_log` returns after the recorder wrote them."""
     rec = ProvenanceRecorder(path)
     rec.set_header(HEADER)
     for program, rank, kind, fields in ops:
@@ -100,8 +102,25 @@ def written_lines(path, ops, wire, match):
     for row in match:
         rec.on_match(*row)
     rec.close()
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.readlines()[1:-1]  # between the header and the end record
+    log = read_log(path)
+    return [row for block in (*log.ops.values(), log.wire, log.matches) for row in block]
+
+
+def reference_rows(ops, wire, match):
+    return [json.loads(line) for line in reference_lines(ops, wire, match)]
+
+
+def _nan_free(rows):
+    """*rows* with NaN as a string: the only value not equal to itself."""
+    return [
+        {k: "NaN" if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+        for row in rows
+    ]
+
+
+def same_rows(ops, wire, match, path):
+    written = written_rows(path, ops, wire, match)
+    return _nan_free(written) == _nan_free(reference_rows(ops, wire, match))
 
 
 # -- generated rows ------------------------------------------------------------
@@ -156,10 +175,8 @@ def log_path(tmp_path_factory):
 class TestEncoderOracle:
     @settings(max_examples=150)
     @given(ops=op_rows, wire=wire_rows, match=match_rows)
-    def test_bytes_equal_the_per_row_writer(self, log_path, ops, wire, match):
-        assert written_lines(log_path, ops, wire, match) == reference_lines(
-            ops, wire, match
-        )
+    def test_rows_equal_the_per_row_writers(self, log_path, ops, wire, match):
+        assert same_rows(ops, wire, match, log_path)
 
     def test_kinds_interleaved_on_one_rank_keep_recorded_order(self, log_path):
         ops = [
@@ -171,24 +188,52 @@ class TestEncoderOracle:
             ("F", 0, "compute_elements", (4096, -0.0)),
             ("F", 0, "compute", (math.inf,)),
         ]
-        lines = written_lines(log_path, ops, [], [])
-        assert lines == reference_lines(ops, [], [])
-        assert [json.loads(line)["op"] for line in lines] == [
+        rows = written_rows(log_path, ops, [], [])
+        assert rows == reference_rows(ops, [], [])
+        assert [row["op"] for row in rows] == [
             "export", "compute", "export", "compute_elements", "compute",
             "import_begin", "import_wait",
         ]
 
     def test_a_column_holding_the_item_separator_is_still_exact(self, log_path):
-        # ``ts`` is a number in every run; a value whose encoding holds
-        # ", " must not shift its neighbours' cells.
+        # ``ts`` is a number in every run; a value holding ", " is one
+        # table entry like any other.
         ops = [("F", 0, "import_begin", ("d", "1, 2")), ("F", 0, "import_begin", ("d", 3))]
-        assert written_lines(log_path, ops, [], []) == reference_lines(ops, [], [])
+        assert written_rows(log_path, ops, [], []) == reference_rows(ops, [], [])
+
+    def test_values_keep_their_json_type(self, log_path):
+        """An int stays an int beside an equal float, an int past int64
+        and a bool are kept, and -0.0 keeps its sign in a float column."""
+        ops = [
+            ("F", 0, "import_begin", ("d", 1)),
+            ("F", 0, "import_begin", ("d", 1.0)),
+            ("F", 0, "import_begin", ("d", True)),
+            ("F", 0, "compute_elements", (10**20, -0.0)),
+        ]
+        rows = written_rows(log_path, ops, [], [])
+        assert json.dumps(rows, sort_keys=True) == json.dumps(
+            reference_rows(ops, [], []), sort_keys=True
+        )
+
+    def test_rows_are_built_on_access(self, log_path):
+        ops = [("F", 0, "export", ("d", 1.6, None)), ("F", 0, "compute", (0.001,))]
+        written_rows(log_path, ops, [], [])
+        block = read_log(log_path).ops["F", 0]
+        assert len(block) == 2 and "rows" not in vars(block)
+        assert block[1] == {"t": "op", "p": "F", "r": 0, "op": "compute", "seconds": 0.001}
+        assert list(block.items()) == [("export", ("d", 1.6, None)), ("compute", (0.001,))]
 
     def test_seeded_mutation_is_caught(self, log_path, monkeypatch):
-        """Keys written in another order than ``sort_keys`` gives: caught."""
+        """A table whose indices land one entry off: caught."""
         ops = [("F", 0, "export", ("d", 1.6, None)), ("F", 0, "compute", (0.001,))]
         wire = [(0.5, 1, ("cpl", "F", 0), ("rep", "F"), "ProcResponse", "ctl", 64, None)]
-        monkeypatch.setattr(
-            prov, "sorted", lambda it, **kw: sorted(it, reverse=True, **kw), raising=False
-        )
-        assert written_lines(log_path, ops, wire, []) != reference_lines(ops, wire, [])
+        column = prov._column
+
+        def rotated(values):
+            out = column(values)
+            if len(out) == 3:
+                out[2] = out[2][1:] + out[2][:1]
+            return out
+
+        monkeypatch.setattr(prov, "_column", rotated)
+        assert not same_rows(ops, wire, [], log_path)

@@ -55,15 +55,16 @@ class TestLifecycle:
         async def main() -> None:
             reg = SessionRegistry()
             s = reg.create(SessionSpec())
+            run_row = {"name": "demo", "sim_time": 1.5, "counters": {"ctl_messages": 3}}
             outcome = {
                 "ok": True,
-                "sim_time": 1.5,
-                "counters": {"ctl_messages": 3},
-                "report": {"schema": "repro.report/v1", "runs": []},
+                "report": {"schema": "repro.report/v1", "runs": [run_row]},
             }
             reg.apply_outcome(s.id, outcome)
             assert s.state == "done"
-            assert s.sim_time == 1.5 and s.report is not None
+            info = s.info()
+            assert info["sim_time"] == 1.5 and info["counters"] == {"ctl_messages": 3}
+            assert info["report_ready"]
             assert s.done_event.is_set()
 
         run(main())
