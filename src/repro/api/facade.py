@@ -297,6 +297,12 @@ def run(
         counters=_counters(sim),
     )
     if prov is not None:
-        prov.finalize(result)
-        prov.close()
+        # A digest that raises still ends the log with an aborted record.
+        try:
+            prov.finalize(result)
+        except BaseException as exc:
+            prov.abort(exc)
+            raise
+        finally:
+            prov.close()
     return result

@@ -200,14 +200,17 @@ class CausalFold(Fold):
         self, ev: ProtocolEvent, name: str, cause: TraceContext | None,
         extra: tuple[int, ...] = (), **attrs: Any,
     ) -> TraceContext:
-        """Record a span caused by *cause* (or rooted at the request key)."""
+        """Record a span caused by *cause* (or rooted at the request key),
+        its fields handed straight to the log's columns."""
         if cause is None:
             tid, parents = self.log.trace_for(ev.cid, ev.request), extra
         else:
             tid, parents = cause.trace_id, (cause.span_id, *extra)
-        return self.log.record(
+        if extra:  # a gathered response may also be the cause
+            parents = tuple(dict.fromkeys(parents))
+        return self.log.append(
             tid, name, ev.who, ev.time, parents,
-            connection=ev.cid, request=ev.request, **attrs,
+            {"connection": ev.cid, "request": ev.request, **attrs},
         )
 
     # -- importer processes ----------------------------------------------------

@@ -28,9 +28,10 @@ per-row lines into the same blocks).  What a recorded run costs end to
 end is the ``prov_record`` workload of ``perf/run.py``.
 
 The final record carries SHA-256 digests of the run's
-``repro.report/v1`` and ``repro.causal/v1`` payloads, making every log
-self-verifying: a replay is *bit-exact* exactly when it reproduces
-those digests (see :func:`repro.obs.replay.verify_replay`).
+``repro.report/v1`` payload and of its causal DAG (the span,
+resolution and buddy-skip columns as blocks, :func:`causal_digest`),
+making every log self-verifying: a replay is *bit-exact* exactly when
+it reproduces those digests (see :func:`repro.obs.replay.verify_replay`).
 
 Paths ending in ``.gz`` are written/read gzip-compressed.
 """
@@ -43,11 +44,11 @@ import gzip
 import hashlib
 import json
 import zlib
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
 
@@ -62,6 +63,7 @@ __all__ = [
     "ProvenanceLog",
     "ProvenanceRecorder",
     "build_header",
+    "causal_digest",
     "causal_payload",
     "open_text",
     "payload_digest",
@@ -383,6 +385,55 @@ def _block(t: str, n: int, columns: Mapping[str, Sequence[Any]], **head: Any) ->
     return json.dumps({"t": t, "n": n, "cols": cols, **head}, sort_keys=True) + "\n"
 
 
+#: The ``causal_digest`` of end records whose ``causal_sha256`` is
+#: :func:`causal_digest`; an end record without the key (every log
+#: written before it) holds ``payload_digest(causal_payload(result))``.
+CAUSAL_DIGEST = "blocks"
+
+#: The digested fields of a resolution and of a buddy skip, in order.
+_RESOLUTION = ("trace_id", "connection_id", "request_ts", "who", "issued_at",
+               "resolved_at", "latency", "answer_kind", "case", "retransmits")
+_SKIP = ("who", "connection_id", "request_ts", "export_ts", "lead")
+
+
+def _sparse(t: str, columns: Mapping[str, Mapping[int, Any]]) -> Iterator[str]:
+    """One block per key of *columns* (key → row → value), keys sorted."""
+    for key, rows in sorted(columns.items()):
+        yield _block(t, len(rows), {"rows": list(rows), "values": list(rows.values())}, key=key)
+
+
+def _fields(t: str, items: Sequence[Any], fields: tuple[str, ...], **cols: Any) -> str:
+    """The block of *items*' *fields* (plus *cols*), one column each."""
+    columns = zip(fields, zip(*map(attrgetter(*fields), items)))
+    return _block(t, len(items), {**dict(columns), **cols})
+
+
+def causal_digest(report: Any) -> str:
+    """SHA-256 of a :class:`~repro.obs.trace.CausalReport` as blocks in
+    the log rows' column codec: the span columns, one block per attr key
+    (its rows and values: an absent key is not a ``None``), the
+    resolutions (one block per stage) and the buddy skips."""
+    log, res = report.log, report.resolutions
+    stages: defaultdict[str, dict[int, float]] = defaultdict(dict)
+    for i, r in enumerate(res):
+        for stage, seconds in r.stages.items():
+            stages[stage][i] = seconds
+    parents = log.parents
+    blocks = [
+        _block("spans", len(log), {
+            "trace": log.trace_ids, "name": log.names, "who": log.whos, "time": log.times,
+            "parents.n": list(map(len, parents)), "parents": list(chain.from_iterable(parents)),
+        }),
+        *_sparse("attr", log.attrs),
+        _fields("resolutions", res, _RESOLUTION,
+                **{"path.n": [len(r.path) for r in res], "path": [p for r in res for p in r.path],
+                   "chain.n": [len(r.chain) for r in res], "chain": [c for r in res for c in r.chain]}),
+        *_sparse("stage", stages),
+        _fields("buddy_skips", report.buddy_skips, _SKIP),
+    ]
+    return hashlib.sha256("".join(blocks).encode("utf-8")).hexdigest()
+
+
 # -- recorder ---------------------------------------------------------------
 
 
@@ -483,12 +534,9 @@ class ProvenanceRecorder:
             "sim_time": result.sim_time,
             "counters": dict(result.counters),
             "report_sha256": payload_digest(report),
-            "causal_sha256": None,
+            "causal_sha256": causal_digest(result.causal),
+            "causal_digest": CAUSAL_DIGEST,
         }
-        try:
-            end["causal_sha256"] = payload_digest(causal_payload(result))
-        except Exception:  # noqa: BLE001 - live runs have no causal DAG
-            end["causal_sha256"] = None
         self._end = end
         return end
 
@@ -833,6 +881,9 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
             problems.append("sched: column lengths differ")
     if log.end is None:
         problems.append("no end record (truncated log)")
+    elif log.end.get("causal_digest", CAUSAL_DIGEST) != CAUSAL_DIGEST:
+        problems.append(f"end.causal_digest must be {CAUSAL_DIGEST!r}, "
+                        f"got {log.end['causal_digest']!r}")
     elif not log.end.get("aborted"):
         if not isinstance(log.end.get("report_sha256"), str):
             problems.append("end.report_sha256 missing on a clean run")

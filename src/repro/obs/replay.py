@@ -8,8 +8,8 @@ region declaration, and the ordered operation stream of every process.
 operation columns and re-runs the real DES runtime — determinism (named
 RNG streams, a totally ordered kernel, seeded fault draws) does the
 rest, and :func:`verify_replay` proves it by comparing SHA-256 digests
-of the replayed ``repro.report/v1`` and ``repro.causal/v1`` payloads
-against the ones recorded in the log's end record.
+of the replayed ``repro.report/v1`` payload and causal DAG against the
+ones recorded in the log's end record.
 
 On top of plain replay:
 
@@ -37,10 +37,12 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs.prov import (
+    CAUSAL_DIGEST,
     Block,
     ProvenanceError,
     ProvenanceLog,
     PROV_SCHEMA,
+    causal_digest,
     causal_payload,
     decomp_from_dict,
     options_from_dict,
@@ -229,7 +231,9 @@ def verify_replay(
 ) -> dict[str, Any]:
     """Replay *log* and check bit-exactness against its recorded digests.
 
-    Same-backend replays must reproduce both payload digests exactly.
+    Same-backend replays must reproduce both recorded digests exactly,
+    the causal one by the rule the end record names (``causal_digest``;
+    absent in logs written before it, which digest the payload).
     Cross-backend replays (an explicit *match_backend* differing from
     the recorded one) are held to the paper's guarantee instead: every
     resolution's answer kind, aggregation case, and retransmission
@@ -242,10 +246,12 @@ def verify_replay(
     recorded_backend = str(log.header.get("match_backend", "legacy"))
     backend = recorded_backend if match_backend is None else match_backend
     cross = backend != recorded_backend
+    end = log.end or {}
+    rule = end.get("causal_digest")
+    if rule not in (None, CAUSAL_DIGEST):
+        raise ProvenanceError(f"log {log.path}: unknown causal_digest {rule!r}")
     result = replay(log, match_backend=backend)
     report = report_payload(result)
-    causal = causal_payload(result)
-    end = log.end or {}
     payload: dict[str, Any] = {
         "schema": PROV_SCHEMA,
         "log": log.path,
@@ -254,15 +260,17 @@ def verify_replay(
         "cross_backend": cross,
         "sim_time": result.sim_time,
         "report_sha256": payload_digest(report),
-        "causal_sha256": payload_digest(causal),
+        "causal_sha256": causal_digest(result.causal)
+        if rule
+        else payload_digest(causal_payload(result)),
         "recorded_report_sha256": end.get("report_sha256"),
         "recorded_causal_sha256": end.get("causal_sha256"),
     }
     if cross:
         payload["report_identical"] = None
         payload["causal_identical"] = None
-        payload["decisions_match"] = _decisions(causal) == _decisions_from_end(
-            log, recorded_backend
+        payload["decisions_match"] = _decisions(result) == _decisions(
+            replay(log, match_backend=recorded_backend)
         )
         payload["ok"] = bool(payload["decisions_match"])
     else:
@@ -286,26 +294,16 @@ def verify_replay(
     return payload
 
 
-def _decisions(causal: dict[str, Any]) -> dict[tuple[Any, ...], tuple[Any, ...]]:
-    """``(connection, request, who)`` → the decision triple."""
-    out: dict[tuple[Any, ...], tuple[Any, ...]] = {}
-    for r in causal.get("resolutions", []):
-        key = (r.get("connection"), r.get("request"), r.get("who"))
-        out[key] = (r.get("answer_kind"), r.get("case"), r.get("retransmits"))
-    return out
+def _decisions(result: Any) -> dict[tuple[Any, ...], tuple[Any, ...]]:
+    """``(connection, request, who)`` → the decision triple of a run.
 
-
-def _decisions_from_end(
-    log: ProvenanceLog, recorded_backend: str
-) -> dict[tuple[Any, ...], tuple[Any, ...]]:
-    """The recorded run's decisions, recovered by a same-backend replay.
-
-    The log stores digests, not the full causal payload, so the
-    baseline DAG is reconstructed the same way every other derived view
-    is: by replaying the log under its own recorded backend.
+    The log stores digests, not the causal DAG, so a recorded run's
+    decisions come from replaying it under its own recorded backend.
     """
-    baseline = replay(log, match_backend=recorded_backend)
-    return _decisions(causal_payload(baseline))
+    return {
+        (r.connection_id, r.request_ts, r.who): (r.answer_kind, r.case, r.retransmits)
+        for r in result.causal.resolutions
+    }
 
 
 # -- time travel ------------------------------------------------------------

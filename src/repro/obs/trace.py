@@ -6,8 +6,8 @@ broadcast of that answer lets slower exporter processes skip buffering
 (Eq. 1-2).  This module makes those chains first-class.  Every
 control-plane wire message carries a compact :class:`TraceContext`
 (trace id + the sending span's id); the event spine's causal fold
-(:mod:`repro.core.spine`) records a :class:`CausalSpan` at each protocol
-event into a :class:`CausalLog`;
+(:mod:`repro.core.spine`) appends a span at each protocol event to
+the columns of a :class:`CausalLog`;
 :func:`build_causal_report` reconstructs the per-import happens-before
 DAG, walks the critical path of every resolution, and attributes its
 latency to protocol stages.
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -104,17 +105,25 @@ class CausalSpan(NamedTuple):
 
 
 class CausalLog:
-    """Append-only recorder of causal spans.
+    """Append-only recorder of causal spans, held as columns: one list
+    per span field, the attr key order of each span (:attr:`shapes`) and
+    one sparse column per attr key (:attr:`attrs`: key → row → value).
 
-    Span ids are allocated in record order, trace ids in first-use
-    order of their ``(connection_id, request_ts)`` key — both are
-    deterministic under the DES runtime (same seed, same schedule,
-    same ids), which is what the seed-replay tests rely on.  A lock
-    makes the log safe for the threaded live runtime.
+    A span's id is its row; trace ids are allocated in first-use order
+    of their ``(connection_id, request_ts)`` key — both deterministic
+    under the DES runtime, which is what the seed-replay tests rely on.
+    A lock makes the log safe for the threaded live runtime.
     """
 
     def __init__(self) -> None:
-        self.spans: list[CausalSpan] = []
+        self.trace_ids: list[int] = []
+        self.names: list[str] = []
+        self.whos: list[str] = []
+        self.times: list[float] = []
+        self.parents: list[tuple[int, ...]] = []
+        self.shapes: list[tuple[str, ...]] = []
+        self.attrs: defaultdict[str, dict[int, Any]] = defaultdict(dict)
+        self._spans: tuple[CausalSpan, ...] = ()
         self._trace_keys: dict[tuple[str, float], int] = {}
         self._lock = threading.Lock()
 
@@ -146,17 +155,43 @@ class CausalLog:
         **attrs: Any,
     ) -> TraceContext:
         """Append a span; returns the context to stamp onto messages."""
-        trace_id = int(trace_id)
         parent_ids = tuple(dict.fromkeys(map(int, parents)))
+        return self.append(int(trace_id), name, who, time, parent_ids, attrs)
+
+    def append(self, trace_id: int, name: str, who: str, time: float,
+               parents: tuple[int, ...], attrs: dict[str, Any]) -> TraceContext:
+        """:meth:`record` for a caller whose trace id is an int and whose
+        parent ids are distinct ints (the causal fold's path)."""
+        columns = self.attrs
         with self._lock:
-            span_id = len(self.spans)
-            self.spans.append(
-                CausalSpan(span_id, trace_id, name, who, float(time), parent_ids, attrs)
-            )
+            span_id = len(self.times)
+            self.trace_ids.append(trace_id)
+            self.names.append(name)
+            self.whos.append(who)
+            self.times.append(float(time))
+            self.parents.append(parents)
+            self.shapes.append(tuple(attrs))
+            for key in attrs:
+                columns[key][span_id] = attrs[key]
         return TraceContext(trace_id, span_id)
 
+    @property
+    def spans(self) -> tuple[CausalSpan, ...]:
+        """Every span as a :class:`CausalSpan`, built on first access
+        (again once the log has grown), attrs in their recorded order."""
+        with self._lock:
+            if len(self._spans) != len(self.times):
+                attrs = self.attrs
+                self._spans = tuple(
+                    CausalSpan(i, *row, {key: attrs[key][i] for key in shape})
+                    for i, (*row, shape) in enumerate(zip(
+                        self.trace_ids, self.names, self.whos, self.times, self.parents, self.shapes
+                    ))
+                )
+            return self._spans
+
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.times)
 
 
 #: Critical-path stage of an edge, keyed by the span the edge ends at.
@@ -170,10 +205,6 @@ STAGE_OF: Mapping[str, str] = {
 }
 
 _WIRE_STAGE = "wire_transit"
-
-
-def _stage_for(span_name: str) -> str:
-    return STAGE_OF.get(span_name, _WIRE_STAGE)
 
 
 @dataclass(frozen=True)
@@ -241,16 +272,21 @@ class ImportResolution:
 
 @dataclass(frozen=True)
 class CausalReport:
-    """The reconstructed happens-before DAG plus its derived views."""
+    """The happens-before DAG (the columns of *log*) plus its derived views."""
 
-    spans: tuple[CausalSpan, ...]
+    log: CausalLog
     resolutions: tuple[ImportResolution, ...]
     buddy_skips: tuple[BuddySkip, ...]
 
     @property
+    def spans(self) -> tuple[CausalSpan, ...]:
+        """Every span, in record order (built on first access)."""
+        return self.log.spans
+
+    @property
     def trace_ids(self) -> tuple[int, ...]:
         """Distinct trace ids, ascending."""
-        return tuple(sorted({s.trace_id for s in self.spans}))
+        return tuple(sorted(set(self.log.trace_ids)))
 
     def trace_spans(self, trace_id: int) -> tuple[CausalSpan, ...]:
         """All spans of one trace, in record order."""
@@ -258,10 +294,9 @@ class CausalReport:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All happens-before edges as ``(parent_id, child_id)``."""
-        out: list[tuple[int, int]] = []
-        for s in self.spans:
-            out.extend((p, s.span_id) for p in s.parents)
-        return tuple(out)
+        return tuple(
+            (p, child) for child, parents in enumerate(self.log.parents) for p in parents
+        )
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (schema ``repro.causal/v1``)."""
@@ -279,7 +314,7 @@ class CausalReport:
     def render(self) -> str:
         """Human summary: one line per resolution, then buddy leads."""
         lines = [
-            f"causal trace: {len(self.spans)} spans, "
+            f"causal trace: {len(self.log)} spans, "
             f"{len(self.trace_ids)} imports, "
             f"{len(self.resolutions)} resolutions"
         ]
@@ -299,123 +334,90 @@ class CausalReport:
         return "\n".join(lines)
 
 
-def _critical_path(
-    end: CausalSpan, by_id: dict[int, CausalSpan], clip_at: float
-) -> list[CausalSpan]:
-    """Walk max-time parents from *end* back to (or past) *clip_at*."""
-    path = [end]
-    cur = end
-    while cur.parents and cur.time > clip_at:
-        parent = max(
-            (by_id[p] for p in cur.parents if p in by_id),
-            key=lambda s: (s.time, s.span_id),
-            default=None,
-        )
-        if parent is None:
-            break
-        path.append(parent)
-        cur = parent
-    return path
-
-
-def _attribute_stages(
-    path: list[CausalSpan], issued_at: float
-) -> dict[str, float]:
-    """Per-stage durations along *path*; clips the first edge at
-    *issued_at* so the stage durations sum exactly to the resolution
-    latency ``path[0].time - issued_at``."""
+def _critical_path(log: CausalLog, end: int, issued_at: float) -> tuple[list[int], dict[str, float]]:
+    """The path of max-time parents from span *end* back to (or past)
+    *issued_at*, end first, and its per-stage durations; the first edge
+    is clipped at *issued_at*, so they sum exactly to the latency."""
+    times, names, parents, known = log.times, log.names, log.parents, range(len(log))
+    path: list[int] = [end]
     stages: dict[str, float] = {}
-    for child, parent in zip(path, path[1:]):
-        start = max(parent.time, issued_at)
-        dur = child.time - start
-        if dur <= 0.0:
-            continue
-        stage = _stage_for(child.name)
-        stages[stage] = stages.get(stage, 0.0) + dur
+    while parents[end] and times[end] > issued_at:
+        ids = [p for p in parents[end] if p in known]
+        if not ids:
+            break
+        parent = max(ids, key=lambda p: (times[p], p)) if ids[1:] else ids[0]
+        dur = times[end] - max(times[parent], issued_at)
+        if dur > 0.0:
+            stage = STAGE_OF.get(names[end], _WIRE_STAGE)
+            stages[stage] = stages.get(stage, 0.0) + dur
+        path.append(parent)
+        end = parent
     # A root later than the issue time (answer already cached when the
     # request was re-asked) leaves a leading wait: count it as wire
     # transit so the telescoped sum still equals the latency.
-    if path:
-        root = path[-1]
-        if root.time > issued_at:
-            lead = root.time - issued_at
-            stages[_WIRE_STAGE] = stages.get(_WIRE_STAGE, 0.0) + lead
-    return stages
+    if times[end] > issued_at:
+        stages[_WIRE_STAGE] = stages.get(_WIRE_STAGE, 0.0) + (times[end] - issued_at)
+    return path, stages
 
 
 def build_causal_report(source: Any) -> CausalReport:
     """Reconstruct the causal DAG from *source*.
 
     *source* is a :class:`CausalLog` or a finished simulation exposing
-    one as ``.causal`` (both runtimes do when ``causal_trace`` is on).
+    one as ``.causal`` (both runtimes do when ``causal_trace`` is on);
+    one pass over its columns finds roots, retransmits, first aggregates,
+    end points and buddy skips.
     """
     log = source if isinstance(source, CausalLog) else getattr(source, "causal", None)
     require(isinstance(log, CausalLog), "no causal log: run with causal_trace=True")
     assert isinstance(log, CausalLog)
-    spans = tuple(log.spans)
-    by_id = {s.span_id: s for s in spans}
-    # One pass: each trace's spans in log order, and every span some
-    # 'complete' span continues.
-    by_trace: dict[int, list[CausalSpan]] = {}
+    tids, names, whos, times = log.trace_ids, log.names, log.whos, log.times
+    roots: dict[tuple[int, str], int] = {}
+    retransmits: Counter[tuple[int, str]] = Counter()
+    aggregates: dict[int, int] = {}
     continued: set[int] = set()
-    for s in spans:
-        by_trace.setdefault(s.trace_id, []).append(s)
-        if s.name == "complete":
-            continued.update(s.parents)
-
+    ends: list[int] = []
+    skips: list[int] = []
+    for i, name in enumerate(names):
+        if name == "request":
+            # The rank's own request root: its earliest request span.
+            root = roots.setdefault((tids[i], whos[i]), i)
+            if times[i] < times[root]:
+                roots[tids[i], whos[i]] = i
+        elif name == "retransmit":
+            retransmits[tids[i], whos[i]] += 1
+        elif name == "aggregate":
+            aggregates.setdefault(tids[i], i)
+        elif name == "buddy_skip":
+            skips.append(i)
+        elif name in ("answered", "complete"):
+            ends.append(i)
+            if name == "complete":
+                continued.update(log.parents[i])
+    connection, request, kind, case, export_ts, lead = (
+        log.attrs.get(key, {})
+        for key in ("connection", "request", "kind", "case", "export_ts", "lead")
+    )
     resolutions: list[ImportResolution] = []
-    for span in spans:
-        if span.name not in ("answered", "complete"):
-            continue
+    for end in ends:
         # An 'answered' span a 'complete' span continues is skipped: the
         # completion is the authoritative end point.
-        if span.name == "answered" and span.span_id in continued:
+        key = (tids[end], whos[end])
+        root = roots.get(key)
+        if root is None or (names[end] == "answered" and end in continued):
             continue
-        # The rank's own request root: earliest 'request' span of this
-        # trace recorded by the same process.
-        end_who = span.who
-        trace = by_trace[span.trace_id]
-        roots = [s for s in trace if s.name == "request" and s.who == end_who]
-        if not roots:
-            continue
-        root = min(roots, key=lambda s: (s.time, s.span_id))
-        issued_at = root.time
-        path = _critical_path(span, by_id, clip_at=issued_at)
-        stages = _attribute_stages(path, issued_at)
-        retransmits = sum(
-            1 for s in trace if s.name == "retransmit" and s.who == end_who
-        )
-        agg = next((s for s in trace if s.name == "aggregate"), None)
-        resolutions.append(
-            ImportResolution(
-                trace_id=span.trace_id,
-                connection_id=str(root.attrs.get("connection", "")),
-                request_ts=float(root.attrs.get("request", 0.0)),
-                who=end_who,
-                issued_at=issued_at,
-                resolved_at=span.time,
-                latency=span.time - issued_at,
-                path=tuple(s.span_id for s in path),
-                chain=tuple(s.name for s in reversed(path)),
-                stages=stages,
-                answer_kind=span.attrs.get("kind"),
-                case=None if agg is None else agg.attrs.get("case"),
-                retransmits=retransmits,
-            )
-        )
-
-    skips = tuple(
-        BuddySkip(
-            who=s.who,
-            connection_id=str(s.attrs.get("connection", "")),
-            request_ts=float(s.attrs.get("request", 0.0)),
-            export_ts=float(s.attrs.get("export_ts", 0.0)),
-            lead=float(s.attrs.get("lead", 0.0)),
-        )
-        for s in spans
-        if s.name == "buddy_skip"
+        issued_at = times[root]
+        path, stages = _critical_path(log, end, issued_at)
+        resolutions.append(ImportResolution(
+            key[0], str(connection.get(root, "")), float(request.get(root, 0.0)), key[1],
+            issued_at, times[end], times[end] - issued_at, tuple(path),
+            tuple(names[i] for i in reversed(path)), stages,
+            kind.get(end), case.get(aggregates.get(key[0])), retransmits[key],
+        ))
+    buddy_skips = tuple(
+        BuddySkip(whos[i], str(connection.get(i, "")), float(request.get(i, 0.0)),
+                  float(export_ts.get(i, 0.0)), float(lead.get(i, 0.0)))
+        for i in skips
     )
     resolutions.sort(key=lambda r: (r.trace_id, r.who, r.resolved_at))
-    return CausalReport(
-        spans=spans, resolutions=tuple(resolutions), buddy_skips=skips
-    )
+    return CausalReport(log=log, resolutions=tuple(resolutions), buddy_skips=buddy_skips)

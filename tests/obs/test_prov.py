@@ -23,6 +23,7 @@ from repro.obs import prov
 from repro.faults.plan import FaultPlan
 from repro.match import DEFAULT_MATCH_BACKEND
 from repro.obs.prov import (
+    CAUSAL_DIGEST,
     PROV_SCHEMA,
     PROV_SCHEMA_V1,
     ProvenanceError,
@@ -36,6 +37,7 @@ from repro.obs.prov import (
     read_log,
     validate_provenance_log,
 )
+from repro.obs.replay import verify_replay
 from repro.obs.stream import JsonlSink
 from repro.scenarios import Figure4Spec, build
 from repro.util.rng import _substream_seed
@@ -146,6 +148,17 @@ class TestRecordedLog:
         assert not log.aborted
         assert log.end["report_sha256"]
         assert log.end["causal_sha256"]
+
+    def test_end_names_the_causal_digest_rule(self, recorded, tmp_path):
+        path, _ = recorded
+        assert read_log(path).end["causal_digest"] == CAUSAL_DIGEST
+        out = _rewrite(path, tmp_path / "rule.prov", "end",
+                       lambda row: row.update(causal_digest="columns"))
+        assert validate_provenance_log(read_log(out)) == [
+            "end.causal_digest must be 'blocks', got 'columns'"
+        ]
+        with pytest.raises(ProvenanceError, match="unknown causal_digest 'columns'"):
+            verify_replay(out)
 
     def test_validator_accepts_good_log(self, recorded):
         path, _ = recorded
@@ -273,6 +286,19 @@ class TestRecorderLifecycle:
         assert log.end["error"].startswith("RuntimeError")
         # An aborted log is structurally valid — the partial prefix is
         # still readable (append-only format); only replay refuses it.
+        assert validate_provenance_log(log) == []
+
+    def test_a_failing_digest_aborts_the_log_and_raises(self, tmp_path, monkeypatch):
+        def broken(report):
+            raise RuntimeError("digest failed")
+
+        monkeypatch.setattr(prov, "causal_digest", broken)
+        p = tmp_path / "digest.prov"
+        with pytest.raises(RuntimeError, match="digest failed"):
+            build("demo").run(provenance=str(p))
+        log = read_log(p)
+        assert log.aborted and log.end["error"] == "RuntimeError: digest failed"
+        assert log.end["causal_sha256"] is None and log.wire and log.ops
         assert validate_provenance_log(log) == []
 
     def test_close_is_idempotent(self, tmp_path):
@@ -468,12 +494,14 @@ class TestRecordingCost:
     832 calls here (0.55 per row), and the per-row writer before them
     9.15 per row at any size.  ``finalize`` digests a report whose
     collection tallies before it asks the registry (14 487 calls on this
-    run when it asked per export record).
+    run when it asked per export record), and the causal trace's
+    columns as blocks (5 546 calls when it built a dict per span and
+    digested their JSON).
     """
 
-    #: ≈10% above the measured 504 calls for 1524 rows, and 5546 calls.
+    #: ≈10% above the measured 504 calls for 1524 rows, and 4 574 calls.
     CLOSE_CALLS_PER_ROW = 0.37
-    FINALIZE_CALLS = 6100
+    FINALIZE_CALLS = 5050
 
     def test_calls_after_the_run_stay_under_the_ceilings(self, tmp_path, monkeypatch):
         import sys
@@ -503,10 +531,13 @@ class TestRecordingCost:
 
             monkeypatch.setattr(ProvenanceRecorder, name, method)
 
-        counted("finalize")
-        counted("close")
         path = tmp_path / "cost.prov"
         params = {"exports": 300, "imports": [20.0 * (j + 1) for j in range(14)]}
+        # An untimed run first: the first finalize in a process pays the
+        # report path's lazy imports, which are not what is counted.
+        build("demo", params).run(provenance=str(path), causal_trace=True)
+        counted("finalize")
+        counted("close")
         build("demo", params).run(provenance=str(path), causal_trace=True)
         log = read_log(path)
         rows = len(log.wire) + len(log.matches) + sum(map(len, log.ops.values()))
@@ -525,14 +556,13 @@ class TestRecordingCost:
 #: recorded in the v1 per-row format, CHAOS being the chaos plan
 #: ``{"seed":5,"drop":0.1,"dup":0.05,"delay_jitter":2e-4}``.
 V1_LOG = Path(__file__).parents[1] / "golden" / "prov_v1_demo.prov.gz"
+V2_LOG = Path(__file__).parents[1] / "golden" / "prov_v2_demo.prov.gz"
 
 
 class TestV1Log:
     """A log written before blocks reads into the same blocks."""
 
     def test_reads_validates_and_replays(self):
-        from repro.obs.replay import verify_replay
-
         log = read_log(V1_LOG)
         assert log.header["schema"] == PROV_SCHEMA_V1
         assert validate_provenance_log(log) == []
@@ -556,7 +586,26 @@ class TestV1Log:
             assert trace.methods == was.methods
             assert np.array_equal(trace.codes, was.codes)
             assert np.array_equal(trace.values, was.values)
-        assert new.end == old.end
+        # The causal digest is the one end field a v2 recording changes:
+        # it names its rule (``causal_digest``), a v1 log predates it.
+        digest = {"causal_sha256", "causal_digest"}
+        assert new.end["causal_digest"] == CAUSAL_DIGEST and "causal_digest" not in old.end
+        assert {k: v for k, v in new.end.items() if k not in digest} == {
+            k: v for k, v in old.end.items() if k not in digest
+        }
+
+
+class TestV2Log:
+    """A v2 log written before the causal digest named its rule (the
+    ``demo`` at ``exports=40 seed=5`` under the chaos plan): its
+    ``causal_sha256`` digests the ``repro.causal/v1`` payload."""
+
+    def test_reads_validates_and_replays_under_the_legacy_rule(self):
+        log = read_log(V2_LOG)
+        assert log.header["schema"] == PROV_SCHEMA and "causal_digest" not in log.end
+        assert validate_provenance_log(log) == []
+        verdict = verify_replay(log)
+        assert verdict["ok"] and verdict["report_identical"] and verdict["causal_identical"]
 
 
 class TestGzip:
@@ -641,5 +690,7 @@ class TestLiveAudit:
         assert log.runtime == "live"
         assert not log.aborted
         assert log.wire and log.matches
+        # The live runtime records a causal DAG too, so its log is digested.
+        assert log.end["causal_sha256"] and log.end["causal_digest"] == CAUSAL_DIGEST
         kinds = {op["op"] for ops in log.ops_for("E").values() for op in ops}
         assert "export" in kinds

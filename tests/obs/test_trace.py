@@ -9,8 +9,11 @@ lead time the answer arrived ahead of the local decision.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.obs.trace import (
     STAGE_OF,
     CausalLog,
@@ -18,7 +21,10 @@ from repro.obs.trace import (
     TraceContext,
     build_causal_report,
 )
+from repro.scenarios import build
 from repro.util.validation import ValidationError
+
+GOLDEN = Path(__file__).parents[1] / "golden" / "causal_demo.json"
 
 
 class TestCausalLog:
@@ -138,3 +144,13 @@ class TestDeterminismAndGating:
         assert direct.as_dict() == causal_result.causal.as_dict()
         with pytest.raises(ValidationError):
             build_causal_report(object())
+
+
+class TestGolden:
+    def test_chaos_demo_report_is_byte_identical(self):
+        """``repro run demo -p exports=40 -p seed=5 --fault CHAOS --causal``:
+        retransmits, cached aggregates and buddy skips, attrs in their
+        recorded key order."""
+        plan = FaultPlan.from_dict({"seed": 5, "drop": 0.1, "dup": 0.05, "delay_jitter": 2e-4})
+        run = build("demo", {"exports": 40, "seed": 5}).run(causal_trace=True, fault_plan=plan)
+        assert run.causal.to_json() + "\n" == GOLDEN.read_text(encoding="utf-8")
