@@ -2,7 +2,7 @@
 """Live coupled diffusion on real threads.
 
 The same coupling pattern as ``coupled_diffusion.py`` but with the
-*live* runtime (:class:`repro.core.LiveCoupledSimulation`): eight real
+*live* runtime (:class:`repro.LiveCoupledSimulation`): eight real
 OS threads (2×2 solver ranks + 2×2 source ranks, plus framework agents
 and reps) exchanging a heat source field through the buddy-help
 framework at wall-clock time, solving ``u_t = ∇²u + f``.

@@ -13,9 +13,9 @@ Entry points:
 * :func:`repro.run` — the one-call facade: configuration +
   :class:`repro.Program` declarations + frozen
   :class:`repro.RunOptions` in, :class:`repro.RunResult` out.
-* :class:`repro.core.CoupledSimulation` — couple programs on the
+* :class:`repro.CoupledSimulation` — couple programs on the
   deterministic discrete-event runtime (all benchmarks run here).
-* :class:`repro.core.LiveCoupledSimulation` — the same protocol on OS
+* :class:`repro.LiveCoupledSimulation` — the same protocol on OS
   threads and wall-clock time.
 * :mod:`repro.bench` — regenerate every figure of the paper.
 * ``python -m repro`` — command-line access to the experiments.
@@ -46,41 +46,6 @@ if TYPE_CHECKING:
     from repro.util.tracing import NullTracer, Tracer
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    # facade
-    "run",
-    "build",
-    "Program",
-    "RunOptions",
-    "RunResult",
-    # configuration
-    "CouplingConfig",
-    "load_config",
-    "parse_config",
-    # runtimes and declarations
-    "CoupledSimulation",
-    "LiveCoupledSimulation",
-    "RegionDef",
-    # data plane
-    "BlockDecomposition",
-    "CommSchedule",
-    "DistributedArray",
-    "RectRegion",
-    # matching
-    "MatchPolicy",
-    "PolicyKind",
-    # observability
-    "MetricsSnapshot",
-    "PaperMetrics",
-    "SpanRecorder",
-    "TimelineSet",
-    # faults and tracing
-    "FaultPlan",
-    "Tracer",
-    "NullTracer",
-]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),

@@ -41,52 +41,13 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.astlint import lint_path, lint_source
-    from repro.analysis.graph import analyze_config, analyze_config_text
-    from repro.analysis.model import (
-        ModelConfig,
-        check,
-        check_suite,
-        mutation_config,
-        replay_schedule,
-    )
-    from repro.analysis.races import RaceMonitor, RaceRecord
-    from repro.analysis.report import Finding, Report, Severity
-    from repro.analysis.sanitizer import ProtocolSanitizer, SanitizerError
-
-__all__ = [
-    "Finding",
-    "Report",
-    "Severity",
-    "analyze_config",
-    "analyze_config_text",
-    "lint_path",
-    "lint_source",
-    "ProtocolSanitizer",
-    "SanitizerError",
-    "ModelConfig",
-    "check",
-    "check_suite",
-    "mutation_config",
-    "replay_schedule",
-    "RaceMonitor",
-    "RaceRecord",
-]
+    from repro.analysis.astlint import lint_path
+    from repro.analysis.graph import analyze_config_text
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.analysis.astlint": ("lint_path", "lint_source"),
-        "repro.analysis.graph": ("analyze_config", "analyze_config_text"),
-        "repro.analysis.model": (
-            "ModelConfig",
-            "check",
-            "check_suite",
-            "mutation_config",
-            "replay_schedule",
-        ),
-        "repro.analysis.races": ("RaceMonitor", "RaceRecord"),
-        "repro.analysis.report": ("Finding", "Report", "Severity"),
-        "repro.analysis.sanitizer": ("ProtocolSanitizer", "SanitizerError"),
+        "repro.analysis.astlint": ("lint_path",),
+        "repro.analysis.graph": ("analyze_config_text",),
     },
 )

@@ -14,15 +14,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.model.checker import (
-        RULE_PAPER,
-        SCHEMA,
-        CheckResult,
-        SuiteResult,
-        check,
-        check_suite,
-        directed_worlds,
-    )
+    from repro.analysis.model.checker import SCHEMA, check, check_suite, directed_worlds
     from repro.analysis.model.machine import (
         MUTATIONS,
         ModelConfig,
@@ -30,37 +22,12 @@ if TYPE_CHECKING:
         mutation_config,
         plane_of_channel,
     )
-    from repro.analysis.model.replay import ReplayResult, replay_schedule
-
-__all__ = [
-    "CheckResult",
-    "ModelConfig",
-    "ModelMachine",
-    "MUTATIONS",
-    "ReplayResult",
-    "RULE_PAPER",
-    "SCHEMA",
-    "SuiteResult",
-    "check",
-    "check_suite",
-    "directed_worlds",
-    "mutation_config",
-    "plane_of_channel",
-    "replay_schedule",
-]
+    from repro.analysis.model.replay import replay_schedule
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.analysis.model.checker": (
-            "RULE_PAPER",
-            "SCHEMA",
-            "CheckResult",
-            "SuiteResult",
-            "check",
-            "check_suite",
-            "directed_worlds",
-        ),
+        "repro.analysis.model.checker": ("SCHEMA", "check", "check_suite", "directed_worlds"),
         "repro.analysis.model.machine": (
             "MUTATIONS",
             "ModelConfig",
@@ -68,6 +35,6 @@ __getattr__, __dir__ = lazy_exports(
             "mutation_config",
             "plane_of_channel",
         ),
-        "repro.analysis.model.replay": ("ReplayResult", "replay_schedule"),
+        "repro.analysis.model.replay": ("replay_schedule",),
     },
 )

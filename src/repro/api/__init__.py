@@ -10,15 +10,13 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.api.facade import Program, RunResult, build, run
+    from repro.api.facade import Program, build, run
     from repro.api.options import RunOptions
-
-__all__ = ["Program", "RunOptions", "RunResult", "build", "run"]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.api.facade": ("Program", "RunResult", "build", "run"),
+        "repro.api.facade": ("Program", "build", "run"),
         "repro.api.options": ("RunOptions",),
     },
 )

@@ -77,7 +77,7 @@ class RunOptions:
         Record a happens-before DAG of every control-plane message
         (request → match → aggregate → answer, buddy notifications,
         retransmissions).  The DAG is available as ``sim.causal`` /
-        :attr:`repro.api.RunResult.causal` and exportable as Chrome
+        :attr:`repro.RunResult.causal` and exportable as Chrome
         trace flow events.  Off by default: the no-op path costs one
         attribute check per send.
     telemetry_sinks:

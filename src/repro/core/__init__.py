@@ -28,64 +28,11 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.buffers import BufferManager, BufferStats
-    from repro.core.config import (
-        ConnectionSpec,
-        CouplingConfig,
-        ProgramSpec,
-        load_config,
-        parse_config,
-    )
-    from repro.core.coupler import CoupledSimulation, ProcessContext, RegionDef
-    from repro.core.exceptions import ConfigError, FrameworkError, PropertyViolationError
-    from repro.core.exporter import ExportDecision, RegionExportState
-    from repro.core.importer import RegionImportState
-    from repro.core.live import LiveCoupledSimulation, LiveProcessContext
-    from repro.core.properties import OperationLog, check_property1
-    from repro.core.rep import ExporterRep, ImporterRep
-
-__all__ = [
-    "ConfigError",
-    "FrameworkError",
-    "PropertyViolationError",
-    "ProgramSpec",
-    "ConnectionSpec",
-    "CouplingConfig",
-    "parse_config",
-    "load_config",
-    "BufferManager",
-    "BufferStats",
-    "ExportDecision",
-    "RegionExportState",
-    "ExporterRep",
-    "ImporterRep",
-    "RegionImportState",
-    "CoupledSimulation",
-    "ProcessContext",
-    "RegionDef",
-    "LiveCoupledSimulation",
-    "LiveProcessContext",
-    "OperationLog",
-    "check_property1",
-]
+    from repro.core.coupler import RegionDef
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.core.buffers": ("BufferManager", "BufferStats"),
-        "repro.core.config": (
-            "ConnectionSpec",
-            "CouplingConfig",
-            "ProgramSpec",
-            "load_config",
-            "parse_config",
-        ),
-        "repro.core.coupler": ("CoupledSimulation", "ProcessContext", "RegionDef"),
-        "repro.core.exceptions": ("ConfigError", "FrameworkError", "PropertyViolationError"),
-        "repro.core.exporter": ("ExportDecision", "RegionExportState"),
-        "repro.core.importer": ("RegionImportState",),
-        "repro.core.live": ("LiveCoupledSimulation", "LiveProcessContext"),
-        "repro.core.properties": ("OperationLog", "check_property1"),
-        "repro.core.rep": ("ExporterRep", "ImporterRep"),
+        "repro.core.coupler": ("RegionDef",),
     },
 )

@@ -29,39 +29,16 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.data.darray import DistributedArray
-    from repro.data.decomposition import (
-        BlockCyclicDecomposition,
-        BlockDecomposition,
-        choose_process_grid,
-    )
-    from repro.data.redistribute import extract_block, insert_block, redistribute_pure
+    from repro.data.decomposition import BlockDecomposition
     from repro.data.region import RectRegion
-    from repro.data.schedule import CommSchedule, TransferItem
-
-__all__ = [
-    "RectRegion",
-    "BlockDecomposition",
-    "BlockCyclicDecomposition",
-    "choose_process_grid",
-    "DistributedArray",
-    "CommSchedule",
-    "TransferItem",
-    "extract_block",
-    "insert_block",
-    "redistribute_pure",
-]
+    from repro.data.schedule import CommSchedule
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "repro.data.darray": ("DistributedArray",),
-        "repro.data.decomposition": (
-            "BlockCyclicDecomposition",
-            "BlockDecomposition",
-            "choose_process_grid",
-        ),
-        "repro.data.redistribute": ("extract_block", "insert_block", "redistribute_pure"),
+        "repro.data.decomposition": ("BlockDecomposition",),
         "repro.data.region": ("RectRegion",),
-        "repro.data.schedule": ("CommSchedule", "TransferItem"),
+        "repro.data.schedule": ("CommSchedule",),
     },
 )

@@ -125,7 +125,7 @@ def redistribute_threaded(
     array: DistributedArray,
     peer_base_tag: int = 7000,
 ) -> int:
-    """Execute *schedule* over a :class:`~repro.vmpi.ThreadCommunicator`.
+    """Execute *schedule* over a :class:`~repro.vmpi.thread_backend.ThreadCommunicator`.
 
     The two programs must share one communicator whose ranks are laid
     out as ``[src_0..src_{M-1}, dst_0..dst_{N-1}]`` (a merged

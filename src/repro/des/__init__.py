@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.des.channel import Channel, Delivery, Network
+    from repro.des.channel import Channel, Network
     from repro.des.core import (
         AllOf,
         AnyOf,
@@ -34,32 +34,13 @@ if TYPE_CHECKING:
         Process,
         SimulationError,
         Simulator,
-        Timeout,
     )
     from repro.des.store import FilterStore, Store, StoreFullError
-
-__all__ = [
-    "Event",
-    "Interrupt",
-    "Process",
-    "Simulator",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "PriorityLevel",
-    "SimulationError",
-    "Store",
-    "FilterStore",
-    "StoreFullError",
-    "Channel",
-    "Delivery",
-    "Network",
-]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.des.channel": ("Channel", "Delivery", "Network"),
+        "repro.des.channel": ("Channel", "Network"),
         "repro.des.core": (
             "AllOf",
             "AnyOf",
@@ -69,7 +50,6 @@ __getattr__, __dir__ = lazy_exports(
             "Process",
             "SimulationError",
             "Simulator",
-            "Timeout",
         ),
         "repro.des.store": ("FilterStore", "Store", "StoreFullError"),
     },

@@ -25,36 +25,15 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.faults.injectors import (
-        LiveFaultInjector,
-        ProcessFaultSpec,
-        inject_main,
-        live_stalled_main,
-    )
-    from repro.faults.network import FaultStats, FaultyNetwork
+    from repro.faults.injectors import LiveFaultInjector, ProcessFaultSpec, inject_main
+    from repro.faults.network import FaultyNetwork
     from repro.faults.plan import FaultPlan, classify_plane
-
-__all__ = [
-    "FaultPlan",
-    "FaultStats",
-    "FaultyNetwork",
-    "LiveFaultInjector",
-    "ProcessFaultSpec",
-    "classify_plane",
-    "inject_main",
-    "live_stalled_main",
-]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.faults.injectors": (
-            "LiveFaultInjector",
-            "ProcessFaultSpec",
-            "inject_main",
-            "live_stalled_main",
-        ),
-        "repro.faults.network": ("FaultStats", "FaultyNetwork"),
+        "repro.faults.injectors": ("LiveFaultInjector", "ProcessFaultSpec", "inject_main"),
+        "repro.faults.network": ("FaultyNetwork",),
         "repro.faults.plan": ("FaultPlan", "classify_plane"),
     },
 )

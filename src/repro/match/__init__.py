@@ -15,10 +15,11 @@ decides which exported timestamp (if any) satisfies the request:
 Because exports arrive in increasing timestamp order, a process can
 answer a request *definitively* only once its export stream has reached
 the request timestamp (or ended); until then the answer is ``PENDING``
-(Section 3.1 of the paper).  :func:`aggregate_responses` implements the
+(Section 3.1 of the paper).
+:func:`~repro.match.aggregate.aggregate_responses` implements the
 representative's five-legal-cases combination rule (Section 4) and
-raises :class:`CollectiveViolationError` on the illegal mixtures that
-would break Property 1.
+raises :class:`~repro.match.aggregate.CollectiveViolationError` on the
+illegal mixtures that would break Property 1.
 """
 
 from typing import TYPE_CHECKING
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.match.aggregate import CollectiveViolationError, aggregate_responses
     from repro.match.backend import (
         DEFAULT_MATCH_BACKEND,
         MATCH_BACKENDS,
@@ -34,33 +34,13 @@ if TYPE_CHECKING:
         make_backend,
     )
     from repro.match.engine import ExportHistory, MatchEngine
-    from repro.match.policies import MatchPolicy, PolicyKind, parse_policy
-    from repro.match.result import FinalAnswer, MatchKind, MatchResponse
-    from repro.match.sorted_engine import BatchResponses, SortedMatchEngine
-
-__all__ = [
-    "MatchKind",
-    "MatchResponse",
-    "FinalAnswer",
-    "MatchPolicy",
-    "PolicyKind",
-    "parse_policy",
-    "ExportHistory",
-    "MatchEngine",
-    "SortedMatchEngine",
-    "BatchResponses",
-    "MatchBackend",
-    "MATCH_BACKENDS",
-    "DEFAULT_MATCH_BACKEND",
-    "make_backend",
-    "CollectiveViolationError",
-    "aggregate_responses",
-]
+    from repro.match.policies import parse_policy
+    from repro.match.result import MatchKind
+    from repro.match.sorted_engine import SortedMatchEngine
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.match.aggregate": ("CollectiveViolationError", "aggregate_responses"),
         "repro.match.backend": (
             "DEFAULT_MATCH_BACKEND",
             "MATCH_BACKENDS",
@@ -68,8 +48,8 @@ __getattr__, __dir__ = lazy_exports(
             "make_backend",
         ),
         "repro.match.engine": ("ExportHistory", "MatchEngine"),
-        "repro.match.policies": ("MatchPolicy", "PolicyKind", "parse_policy"),
-        "repro.match.result": ("FinalAnswer", "MatchKind", "MatchResponse"),
-        "repro.match.sorted_engine": ("BatchResponses", "SortedMatchEngine"),
+        "repro.match.policies": ("parse_policy",),
+        "repro.match.result": ("MatchKind",),
+        "repro.match.sorted_engine": ("SortedMatchEngine",),
     },
 )

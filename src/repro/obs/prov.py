@@ -43,6 +43,7 @@ import contextlib
 import gzip
 import hashlib
 import json
+import struct
 import zlib
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
@@ -353,6 +354,14 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
 # once, plus a base64 column of indices into them.
 
 
+_F8 = struct.Struct("<d")
+
+
+def _bits(value: Any) -> Any:
+    """*value*, or its IEEE-754 bytes if it is a float."""
+    return _F8.pack(value) if isinstance(value, float) else value
+
+
 def _column(values: Sequence[Any]) -> list[Any]:
     """``[code, base64]``, plus the distinct values when *code* indexes them."""
     kinds = set(map(type, values))
@@ -361,13 +370,21 @@ def _column(values: Sequence[Any]) -> list[Any]:
     if kinds == {int}:
         with contextlib.suppress(OverflowError):
             return ["i8", _b64(np.array(values, dtype=np.int64))]
-    # Keyed by type too unless all are names, so 1 and 1.0 stay apart.
+    # Keyed by type too unless all are names, so 1 and 1.0 stay apart, and
+    # a float by its IEEE-754 bits too, so 0.0 and -0.0 do (a call per
+    # value, paid only by a column that holds a float).
     named = kinds <= {str, type(None)}
-    keys = values if named else list(zip(map(type, values), values))
+    if named:
+        keys = values
+    elif any(issubclass(kind, float) for kind in kinds):
+        keys = list(zip(map(type, values), map(_bits, values), values))
+    else:
+        keys = list(zip(map(type, values), values))
     index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     code = "u1" if len(index) <= 1 << 8 else "u2" if len(index) <= 1 << 16 else "u4"
     codes = np.array([index[key] for key in keys], dtype=code)
-    return [code, _b64(codes), list(index) if named else [value for _, value in index]]
+    table = list(index) if named else [key[-1] for key in index]
+    return [code, _b64(codes), table]
 
 
 def _values(column: Any) -> list[Any]:

@@ -14,37 +14,15 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.serve.client import ServeClient, ServeError, split_attach_url
-    from repro.serve.registry import ServerFull, SessionRecord, SessionRegistry
+    from repro.serve.client import ServeClient, ServeError
     from repro.serve.server import ServeConfig, SessionServer
-    from repro.serve.spec import SERVE_SCHEMA, SESSION_STATES, TERMINAL_STATES, SessionSpec
-
-__all__ = [
-    "SERVE_SCHEMA",
-    "SESSION_STATES",
-    "TERMINAL_STATES",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServerFull",
-    "SessionRecord",
-    "SessionRegistry",
-    "SessionServer",
-    "SessionSpec",
-    "split_attach_url",
-]
+    from repro.serve.spec import SessionSpec
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.serve.client": ("ServeClient", "ServeError", "split_attach_url"),
-        "repro.serve.registry": ("ServerFull", "SessionRecord", "SessionRegistry"),
+        "repro.serve.client": ("ServeClient", "ServeError"),
         "repro.serve.server": ("ServeConfig", "SessionServer"),
-        "repro.serve.spec": (
-            "SERVE_SCHEMA",
-            "SESSION_STATES",
-            "TERMINAL_STATES",
-            "SessionSpec",
-        ),
+        "repro.serve.spec": ("SessionSpec",),
     },
 )

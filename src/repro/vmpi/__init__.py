@@ -27,16 +27,9 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.vmpi.datatypes import nbytes_of
-    from repro.vmpi.des_backend import DesCommunicator, DesWorld
-    from repro.vmpi.message import ANY_SOURCE, ANY_TAG, Message
+    from repro.vmpi.des_backend import DesWorld
+    from repro.vmpi.message import ANY_SOURCE, ANY_TAG
     from repro.vmpi.plans import (
-        Action,
-        CollectivePlan,
-        CombineAction,
-        CopyAction,
-        RecvAction,
-        SendAction,
         plan_allgather,
         plan_allreduce,
         plan_alltoall,
@@ -50,60 +43,15 @@ if TYPE_CHECKING:
         plan_scatter,
         simulate_plans,
     )
-    from repro.vmpi.reduce_ops import LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, ReduceOp
-    from repro.vmpi.thread_backend import ThreadCommunicator, ThreadWorld
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Message",
-    "nbytes_of",
-    "ReduceOp",
-    "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "LAND",
-    "LOR",
-    "MAXLOC",
-    "MINLOC",
-    "Action",
-    "SendAction",
-    "RecvAction",
-    "CombineAction",
-    "CopyAction",
-    "CollectivePlan",
-    "plan_bcast",
-    "plan_reduce",
-    "plan_allreduce",
-    "plan_barrier",
-    "plan_gather",
-    "plan_scatter",
-    "plan_allgather",
-    "plan_alltoall",
-    "plan_scan",
-    "plan_exscan",
-    "plan_reduce_scatter",
-    "simulate_plans",
-    "DesCommunicator",
-    "DesWorld",
-    "ThreadCommunicator",
-    "ThreadWorld",
-]
+    from repro.vmpi.reduce_ops import MAX, MAXLOC, MIN, PROD, SUM
+    from repro.vmpi.thread_backend import ThreadWorld
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.vmpi.datatypes": ("nbytes_of",),
-        "repro.vmpi.des_backend": ("DesCommunicator", "DesWorld"),
-        "repro.vmpi.message": ("ANY_SOURCE", "ANY_TAG", "Message"),
+        "repro.vmpi.des_backend": ("DesWorld",),
+        "repro.vmpi.message": ("ANY_SOURCE", "ANY_TAG"),
         "repro.vmpi.plans": (
-            "Action",
-            "CollectivePlan",
-            "CombineAction",
-            "CopyAction",
-            "RecvAction",
-            "SendAction",
             "plan_allgather",
             "plan_allreduce",
             "plan_alltoall",
@@ -117,17 +65,7 @@ __getattr__, __dir__ = lazy_exports(
             "plan_scatter",
             "simulate_plans",
         ),
-        "repro.vmpi.reduce_ops": (
-            "LAND",
-            "LOR",
-            "MAX",
-            "MAXLOC",
-            "MIN",
-            "MINLOC",
-            "PROD",
-            "SUM",
-            "ReduceOp",
-        ),
-        "repro.vmpi.thread_backend": ("ThreadCommunicator", "ThreadWorld"),
+        "repro.vmpi.reduce_ops": ("MAX", "MAXLOC", "MIN", "PROD", "SUM"),
+        "repro.vmpi.thread_backend": ("ThreadWorld",),
     },
 )

@@ -188,7 +188,7 @@ class ThreadCommunicator:
         self.size = len(self._addresses)
         self._mailbox = world.mailbox(self._addresses[rank])
         self._coll_seq = 0
-        #: Diagnostics, mirroring :class:`repro.vmpi.DesCommunicator`:
+        #: Diagnostics, mirroring :class:`repro.vmpi.des_backend.DesCommunicator`:
         #: sends split into user p2p vs. internal collective traffic.
         self.sent_messages = 0
         self.received_messages = 0

@@ -7,6 +7,7 @@ module, class and function in ``repro`` carries a docstring, and every
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -20,24 +21,26 @@ import pytest
 
 import repro
 
+REPO = Path(__file__).resolve().parent.parent
+
 PACKAGES = [
     "repro",
-    "repro.util",
-    "repro.des",
-    "repro.vmpi",
-    "repro.data",
-    "repro.match",
-    "repro.costs",
-    "repro.core",
-    "repro.apps",
-    "repro.bench",
-    "repro.api",
-    "repro.obs",
-    "repro.faults",
-    "repro.analysis",
-    "repro.analysis.model",
-    "repro.serve",
+    *(info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg),
 ]
+
+#: Where a name is read through its package path: code, and the prose
+#: and CI steps that tell a user what to import.
+CODE_DIRS = ("src", "tests", "perf", "benchmarks", "examples", "scripts")
+DOC_FILES = [
+    *sorted((REPO / "docs").glob("*.md")),
+    *(REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
+]
+CI_FILES = sorted((REPO / ".github").rglob("*.yml"))
+
+#: A backticked dotted name (not a schema such as ``repro.report/v1``).
+DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)(?![/\w])")
+#: ``from PKG import a, b`` or ``from PKG import (a, b)`` in prose.
+DOC_IMPORT = re.compile(r"from (repro(?:\.\w+)*) import (\([^)]*\)|[^\n]*)")
 
 
 def repro_modules_added(code: str, setup: str = "") -> list[str]:
@@ -78,6 +81,64 @@ def lazy_surface(pkg_name: str) -> tuple[set[tuple[str, str]], set[tuple[str, st
     return typed, table
 
 
+def dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def package_path_reads(packages: set[str]) -> set[tuple[str, str]]:
+    """Every ``(package, name)`` of *packages* that something reads
+    through the package path: ``from PKG import NAME`` or ``PKG.NAME``
+    in code outside the package ``__init__``s, and a backticked
+    ``PKG.NAME`` or ``from PKG import NAME`` in the docs and CI steps."""
+    reads: set[tuple[str, str]] = set()
+    for top in CODE_DIRS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            if top == "src" and path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    if node.module in packages:
+                        reads |= {(node.module, alias.name) for alias in node.names}
+                elif isinstance(node, ast.Attribute) and dotted(node.value) in packages:
+                    reads.add((dotted(node.value), node.attr))
+    for path in DOC_FILES + CI_FILES:
+        text = path.read_text()
+        for name in DOC_NAME.findall(text):
+            parts = name.split(".")
+            reads |= {
+                (".".join(parts[:i]), parts[i])
+                for i in range(1, len(parts))
+                if ".".join(parts[:i]) in packages
+            }
+        for module, names in DOC_IMPORT.findall(text):
+            if module in packages:
+                parts = names.strip("()").split(",")
+                imported = [part.split()[0] for part in parts if part.strip()]
+                reads |= {(module, name) for name in imported}
+    return reads
+
+
+def resolves(name: str) -> bool:
+    """Whether dotted *name* is a module, or an attribute path under one."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
 def iter_modules():
     seen = []
     for pkg_name in PACKAGES:
@@ -112,15 +173,47 @@ class TestAllIntegrity:
 class TestLazySurface:
     """Every package ``__init__`` re-exports lazily through
     :func:`repro._lazy.lazy_exports`: a name's submodule is imported on
-    first access, and the surface is listed three ways that must agree."""
+    first access, and the surface is listed twice, in the table (which
+    ``__all__`` derives from) and in the ``TYPE_CHECKING`` imports, and
+    the two must agree.  A package with nothing to re-export is its
+    docstring alone."""
 
     @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_table_typing_imports_and_all_name_the_same_set(self, pkg_name):
         pkg = importlib.import_module(pkg_name)
         typed, table = lazy_surface(pkg_name)
-        assert table, f"{pkg_name} has no lazy_exports table"
+        if not table:
+            assert len(ast.parse(Path(pkg.__file__).read_text()).body) == 1
+            assert not typed and not hasattr(pkg, "__all__")
+            return
+        names = {name for _, name in table}
         assert typed == table
-        assert {name for _, name in table} == set(pkg.__all__) - {"__version__"}
+        # ruff's F401 is off in package ``__init__``s (it cannot see the
+        # ``__all__`` the table sets), so an import beyond these is caught here.
+        body = ast.parse(Path(pkg.__file__).read_text()).body
+        imports = [
+            alias.name
+            for node in body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert imports == ["TYPE_CHECKING", "lazy_exports"]
+        assert names == set(pkg.__all__) - {"__version__"}
+        # Loading a submodule binds it onto the package, which would
+        # hide an export spelled like it.
+        assert names.isdisjoint(info.name for info in pkgutil.iter_modules(pkg.__path__))
+
+    def test_every_export_has_a_caller(self):
+        """A subpackage re-exports exactly the names something reads
+        through its package path; ``repro`` itself is the documented
+        surface and exempt."""
+        subpackages = set(PACKAGES) - {"repro"}
+        exported = {(pkg, name) for pkg in subpackages for _, name in lazy_surface(pkg)[1]}
+        reads = package_path_reads(subpackages)
+        assert sorted(f"{pkg}.{name}" for pkg, name in exported - reads) == []
+        # Anything else read through a package path is a submodule of it.
+        others = {f"{pkg}.{name}" for pkg, name in reads - exported}
+        assert sorted(name for name in others if importlib.util.find_spec(name) is None) == []
 
     @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_names_resolve_to_their_home_and_are_cached(self, pkg_name):
@@ -132,7 +225,7 @@ class TestLazySurface:
     @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_dir_lists_all(self, pkg_name):
         pkg = importlib.import_module(pkg_name)
-        assert set(pkg.__all__) <= set(dir(pkg))
+        assert set(getattr(pkg, "__all__", ())) <= set(dir(pkg))
 
     @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_unknown_name_raises_attribute_error_naming_the_module(self, pkg_name):
@@ -143,20 +236,14 @@ class TestLazySurface:
 
     @pytest.mark.parametrize("pkg_name", PACKAGES)
     def test_star_import_binds_all(self, pkg_name):
+        pkg = importlib.import_module(pkg_name)
         namespace: dict = {}
         exec(f"from {pkg_name} import *", namespace)
         del namespace["__builtins__"]
-        assert set(namespace) == set(importlib.import_module(pkg_name).__all__)
-
-    def test_an_export_outranks_its_same_named_submodule(self):
-        """Importing ``repro.obs.replay`` binds the submodule onto the
-        package; ``repro.obs.replay`` the export is still the function."""
-        repro_modules_added(
-            "import inspect\n"
-            "import repro.obs.replay\n"
-            "from repro.obs import replay\n"
-            "assert inspect.isfunction(replay), replay"
-        )
+        if hasattr(pkg, "__all__"):
+            assert set(namespace) == set(pkg.__all__)
+        else:  # a docstring-only package: only the submodules loaded so far
+            assert all(inspect.ismodule(value) for value in namespace.values())
 
     def test_star_import_of_repro_binds_the_public_surface(self):
         namespace: dict = {}
@@ -421,3 +508,19 @@ class TestAnnouncedOnce:
                 ):
                     sites.append(f"{path.relative_to(root)}:{node.lineno}")
         assert sites == [], f"protocol events built outside repro.core: {sites}"
+
+
+class TestDocsNames:
+    """The docs name only what exists: every backticked ``repro.…`` name
+    in ``docs/*.md``, ``README.md``, ``DESIGN.md`` and ``EXPERIMENTS.md``
+    is a module or an attribute path under one."""
+
+    def test_every_dotted_name_in_the_docs_resolves(self):
+        unresolved = [
+            f"{path.relative_to(REPO)}:{lineno}: {name}"
+            for path in DOC_FILES
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            for name in DOC_NAME.findall(line)
+            if not resolves(name)
+        ]
+        assert unresolved == []
