@@ -482,7 +482,14 @@ class CoupledSimulation(ProtocolDriver):
                         self._main_proc(ctx), name=f"{prog.name}.{ctx.rank}"
                     )
         if self.telemetry_sinks:
-            self.sim.process(self._telemetry_proc(), name="telemetry")
+            if self._mains_running():
+                # The kernel calls the emitter between events: it
+                # schedules none, so a watched run's clock and schedule
+                # are the unwatched run's.
+                self.sim._tick_at = self.sim._now + self.telemetry_interval
+                self.sim._tick = self._telemetry_proc
+            else:
+                self._telemetry_proc(final=True)
 
     def _send_pieces(self, ctx: ContextBase, region: str, cid: str, m: float) -> None:
         # Defined on this class so perf/tracing.py can book every piece
@@ -514,29 +521,19 @@ class CoupledSimulation(ProtocolDriver):
             if not self._seq_duplicate(msg, seen, who):
                 self._rep_handle(prog, msg)
 
-    def _telemetry_proc(self) -> Generator[Event, Any, None]:
-        """Periodic telemetry flush; ends with the last user main.
+    def _telemetry_proc(self, final: bool = False) -> float:
+        """Emit one telemetry snapshot; returns when the next tick is due.
 
-        The loop must terminate (the DES scheduler otherwise never runs
-        dry), so it watches the alive count of every main-bearing
-        program and emits one ``final`` snapshot when the last exits.
+        The kernel calls it every ``telemetry_interval`` while the run
+        has events left; the exit of the last user main emits the
+        ``final`` snapshot and stops the ticks.
         """
         # Imported lazily: the core stays importable without obs.stream
         # and pays nothing when streaming is off.
         from repro.obs.stream import emit_snapshot
 
-        def running() -> bool:
-            return any(
-                p.alive > 0 for p in self._programs.values() if p.main is not None
-            )
-
-        emitted_final = False
-        while running():
-            yield self.sim.timeout(self.telemetry_interval)
-            emitted_final = not running()
-            emit_snapshot(self, self.telemetry_sinks, final=emitted_final)
-        if not emitted_final:
-            emit_snapshot(self, self.telemetry_sinks, final=True)
+        emit_snapshot(self, self.telemetry_sinks, final=final)
+        return self.sim._now + self.telemetry_interval
 
     def _main_proc(self, ctx: ProcessContext) -> Generator[Event, Any, None]:
         """User main wrapped with end-of-stream bookkeeping."""
@@ -546,6 +543,14 @@ class CoupledSimulation(ProtocolDriver):
         finally:
             ctx._program.alive -= 1
             self._close_exports(ctx)
+        # Only a main that returns gets here: one an aborted run closes
+        # emits nothing (the facade writes that run's last record).
+        if self.sim._tick is not None and not self._mains_running():
+            self.sim._tick = None
+            self._telemetry_proc(final=True)
+
+    def _mains_running(self) -> bool:
+        return any(p.alive for p in self._programs.values() if p.main is not None)
 
     # -- reporting -------------------------------------------------------------
     def export_series(self, program: str, rank: int) -> list[float]:

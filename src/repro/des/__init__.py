@@ -35,7 +35,7 @@ if TYPE_CHECKING:
         SimulationError,
         Simulator,
     )
-    from repro.des.store import FilterStore, Store, StoreFullError
+    from repro.des.store import Store, StoreFullError
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
@@ -51,6 +51,6 @@ __getattr__, __dir__ = lazy_exports(
             "SimulationError",
             "Simulator",
         ),
-        "repro.des.store": ("FilterStore", "Store", "StoreFullError"),
+        "repro.des.store": ("Store", "StoreFullError"),
     },
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.des.core import Event, Simulator
-from repro.des.store import FilterStore
+from repro.des.store import Store
 from repro.util.validation import (
     ValidationError, require, require_non_negative, require_positive,
 )
@@ -75,7 +75,7 @@ class Network:
         self.latency = latency
         self.bandwidth = bandwidth
         self._congestion = congestion
-        self._mailboxes: dict[Hashable, FilterStore] = {}
+        self._mailboxes: dict[Hashable, Store] = {}
         self._in_flight = 0
         # MPI-style non-overtaking: a message between a (src, dst) pair
         # never arrives before an earlier message of the same pair,
@@ -85,15 +85,15 @@ class Network:
         self.bytes_sent = 0
 
     # -- endpoints -----------------------------------------------------
-    def register(self, address: Hashable) -> FilterStore:
+    def register(self, address: Hashable) -> Store:
         """Create (or fetch) the mailbox for *address*."""
         box = self._mailboxes.get(address)
         if box is None:
-            box = FilterStore(self.sim)
+            box = Store(self.sim)
             self._mailboxes[address] = box
         return box
 
-    def mailbox(self, address: Hashable) -> FilterStore:
+    def mailbox(self, address: Hashable) -> Store:
         """Fetch an existing mailbox; raises ``KeyError`` if unknown."""
         return self._mailboxes[address]
 

@@ -31,6 +31,12 @@ Cancellation uses tombstones: :meth:`Event.cancel` marks a scheduled
 event dead and ``_step`` discards it when popped, without paying for
 a heap re-sort or a linear scan.
 
+A periodic watcher (streaming telemetry) is a *tick*, not a process:
+:meth:`Simulator.run` calls ``_tick`` between two events, when the next
+lies past ``_tick_at``, so it schedules nothing and consumes no
+``seq`` — a watched run fires the unwatched run's events at the same
+times and ends at the same time.
+
 Processes are plain Python generators.  A process yields the event it
 wants to wait for; when that event fires, the process is resumed with
 the event's value (or the event's exception is thrown into it).  This
@@ -396,6 +402,13 @@ class Simulator:
         #: fully determined by ``seq``, so heap placements alone pin
         #: down the schedule, and ``des_dispatch`` stays uninstrumented.
         self._sched_hook: Optional[Callable[[tuple[float, int, int]], None]] = None
+        #: Optional observer called between events: when the next event
+        #: lies past ``_tick_at`` and no same-instant lane is pending,
+        #: :meth:`run` sets the clock to ``_tick_at`` and calls it; it
+        #: returns the time of the next tick.  A tick schedules no event
+        #: and consumes no ``seq``, so watching cannot move the run.
+        self._tick: Optional[Callable[[], float]] = None
+        self._tick_at = float("inf")
 
     @property
     def now(self) -> float:
@@ -506,6 +519,29 @@ class Simulator:
         lanes = self._lanes
         return bool(self._heap or lanes[0] or lanes[1] or lanes[2])
 
+    def _run_ticking(self, horizon: float) -> None:
+        """Fire every event due by *horizon*, and the ticks due between.
+
+        Events run in segments that end where a tick is due: every lane
+        empty and the heap's head past it.  Ticks fire while events
+        remain, or up to a finite *horizon*; once the tick is cleared or
+        lies past *horizon*, the last loop is the plain one.
+        """
+        lane0, lane1, lane2 = self._lanes
+        heap = self._heap
+        step = self._step
+        unbounded = horizon == float("inf")
+        while self._tick is not None and self._tick_at <= horizon:
+            at = self._tick_at
+            while lane0 or lane1 or lane2 or (heap and heap[0][0] <= at):
+                step()
+            if self._tick is None or (unbounded and not heap):
+                break
+            self._now = at
+            self._tick_at = self._tick()
+        while lane0 or lane1 or lane2 or (heap and heap[0][0] <= horizon):
+            step()
+
     def run(self, until: float | Event | None = None) -> Any:
         """Run the event loop.
 
@@ -514,9 +550,13 @@ class Simulator:
         until:
             ``None`` runs until the schedule drains.  A number runs
             until the clock would pass it (the clock is then advanced
-            exactly to it).  An :class:`Event` runs until that event
-            has been processed and returns its value.
+            exactly to it, firing the ticks due up to it).  An
+            :class:`Event` runs until that event has been processed and
+            returns its value; it fires no tick.
         """
+        if until is None and self._tick is not None:
+            self._run_ticking(float("inf"))
+            return None
         if until is None:
             step = self._step
             heap = self._heap
@@ -539,15 +579,7 @@ class Simulator:
             return sentinel.value
         horizon = float(until)
         require_non_negative(horizon - self._now, "run-until horizon (must be >= now)")
-        lanes = self._lanes
-        heap = self._heap
-        while (
-            lanes[0]
-            or lanes[1]
-            or lanes[2]
-            or (heap and heap[0][0] <= horizon)
-        ):
-            self._step()
+        self._run_ticking(horizon)
         self._now = horizon
         return None
 

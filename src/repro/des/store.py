@@ -6,9 +6,8 @@ empty store blocks the caller until an item arrives, and a ``put`` on a
 full bounded store blocks until space frees up.  Items are delivered in
 FIFO order and each item is delivered to exactly one getter.
 
-:class:`FilterStore` additionally supports *matched* receives
-(:meth:`Store.get_matching`), which is how the message layer implements
-MPI-style ``(source, tag)`` matching.
+:meth:`Store.get_matching` is a *matched* receive, which is how the
+message layer implements MPI-style ``(source, tag)`` matching.
 """
 
 from __future__ import annotations
@@ -146,13 +145,3 @@ class Store:
             put_ev, item = self._putters.popleft()
             self._items.append(item)
             put_ev.succeed(None)
-
-
-class FilterStore(Store):
-    """Alias of :class:`Store` kept for API clarity.
-
-    Historically a separate class; predicate routing now lives in the
-    base store (every ``put`` consults parked getters' predicates), so
-    this subclass only documents intent at construction sites that rely
-    on matched receives.
-    """

@@ -16,11 +16,11 @@ The quantities the paper argues with (see ``docs/paper_mapping.md``):
 * **Slowest-process lag**: per program, the spread between the
   most-loaded and least-loaded rank's compute time (the paper's
   ``p_s`` is the rank with the largest lag).
-* **PENDING-resolution latency**: virtual time from a request reaching
-  a process that answered PENDING to the rep finalizing that request —
-  how long the slow path stays open.  Computed from trace events when
-  a tracer recorded the run, else estimated from importer-side answer
-  latencies.
+* **PENDING-resolution latency**: how long an import request stays
+  open, from the importer issuing it to the answer reaching it, read
+  from the importers' request records, which every run keeps whoever
+  watches it.  Per-request timing with stage attribution (which part
+  was the PENDING wait) is ``RunResult.causal.resolutions``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.util import tracing
 from repro.util.stats import OnlineStats
-from repro.util.tracing import Tracer
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,8 @@ class PaperMetrics:
     slowest_lag_by_program: dict[str, float]
     #: PENDING-resolution latency summary (virtual seconds).
     pending_resolution: dict[str, float] = field(default_factory=dict)
-    #: Where the latency came from: "trace" or "import_records".
+    #: Where the latency came from: "import_records", or "none" when
+    #: no request was answered.
     pending_resolution_source: str = "none"
 
     @property
@@ -107,36 +106,8 @@ class PaperMetrics:
         return "\n".join(lines)
 
 
-def _pending_latency_from_trace(tracer: Tracer) -> OnlineStats:
-    """PENDING open-time per request, from the recorded event stream.
-
-    A request — a ``(connection, request timestamp)`` pair — counts
-    when at least one process replied ``PENDING`` to it; its latency
-    runs from the first ``request_recv`` to the ``rep_finalize``
-    carrying the final answer.
-    """
-    first_recv: dict[tuple[str | None, float], float] = {}
-    went_pending: set[tuple[str | None, float]] = set()
-    out = OnlineStats()
-    for e in tracer.events:
-        req = e.detail.get("request")
-        if req is None:
-            continue
-        key = (e.detail.get("cid"), float(req))
-        if e.kind == tracing.REQUEST_RECV:
-            first_recv.setdefault(key, e.time)
-        elif e.kind == tracing.REQUEST_REPLY:
-            if str(e.detail.get("answer", "")).endswith("PENDING"):
-                went_pending.add(key)
-        elif e.kind == tracing.REP_FINALIZE and key in went_pending:
-            went_pending.discard(key)
-            if key in first_recv:
-                out.add(e.time - first_recv.pop(key))
-    return out
-
-
 def _pending_latency_from_imports(sim: Any) -> OnlineStats:
-    """Fallback: importer-side request→answer latency."""
+    """Importer-side request→answer latency, one sample per request."""
     out = OnlineStats()
     for prog in getattr(sim, "_programs", {}).values():
         for ctx in getattr(prog, "contexts", []):
@@ -147,17 +118,14 @@ def _pending_latency_from_imports(sim: Any) -> OnlineStats:
     return out
 
 
-def compute_paper_metrics(sim: Any, tracer: Tracer | None = None) -> PaperMetrics:
+def compute_paper_metrics(sim: Any) -> PaperMetrics:
     """Roll the paper's quantities up from a finished simulation.
 
     *sim* is a :class:`~repro.core.coupler.CoupledSimulation` or
-    :class:`~repro.core.live.LiveCoupledSimulation` after ``run()``;
-    *tracer* defaults to the simulation's own tracer.  The Eq. 1–2 and
-    buddy-saving numbers come from always-on protocol counters, so
-    they are exact even for runs traced with a
-    :class:`~repro.util.tracing.NullTracer`.
+    :class:`~repro.core.live.LiveCoupledSimulation` after ``run()``.
+    Every number comes from always-on protocol state, so a run reports
+    the same metrics whatever watched it.
     """
-    tracer = tracer if tracer is not None else getattr(sim, "tracer", Tracer())
     t_ub_by_rank: dict[str, float] = {}
     t_by_window: dict[int, float] = {}
     buddy_saved: dict[str, float] = {}
@@ -194,11 +162,7 @@ def compute_paper_metrics(sim: Any, tracer: Tracer | None = None) -> PaperMetric
     t_ub_total = sum(t_ub_by_rank.values())
     saved_total = sum(buddy_saved.values())
 
-    latency = _pending_latency_from_trace(tracer)
-    source = "trace"
-    if latency.count == 0:
-        latency = _pending_latency_from_imports(sim)
-        source = "import_records" if latency.count else "none"
+    latency = _pending_latency_from_imports(sim)
     pending = (
         {
             "count": float(latency.count),
@@ -221,5 +185,5 @@ def compute_paper_metrics(sim: Any, tracer: Tracer | None = None) -> PaperMetric
         buddy_skips=buddy_skips,
         slowest_lag_by_program=lag,
         pending_resolution=pending,
-        pending_resolution_source=source,
+        pending_resolution_source="import_records" if latency.count else "none",
     )

@@ -48,7 +48,7 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
@@ -113,17 +113,18 @@ _OPTION_FIELDS = (
     "time_scale",
     "default_timeout",
     "causal_trace",
-    "telemetry_interval",
     "match_backend",
 )
 
 #: The fields the header deliberately leaves out: the unserializable
-#: ones and ``provenance`` itself — replays re-derive those.
+#: ones, ``provenance`` itself — replays re-derive those — and
+#: ``telemetry_interval``, which no run's result depends on.
 _UNRECORDED_OPTION_FIELDS = (
     "preset",
     "tracer",
     "fault_plan",
     "telemetry_sinks",
+    "telemetry_interval",
     "race_monitor",
     "provenance",
 )
@@ -253,18 +254,8 @@ def _region_to_dict(rdef: Any) -> dict[str, Any]:
 
 
 def options_to_dict(options: Any) -> dict[str, Any]:
-    """The JSON-safe scalar fields of a :class:`RunOptions`.
-
-    ``telemetry_active`` records whether any telemetry sink was
-    attached (the sinks themselves are unserializable): the periodic
-    sampler is a real DES process whose timers consume event sequence
-    numbers and can extend ``sim_time`` past the last user main, so a
-    bit-exact replay must re-create it (with a null sink) whenever the
-    recorded run had one.
-    """
-    d = {name: getattr(options, name) for name in _OPTION_FIELDS}
-    d["telemetry_active"] = bool(getattr(options, "telemetry_sinks", ()))
-    return d
+    """The JSON-safe scalar fields of a :class:`RunOptions`."""
+    return {name: getattr(options, name) for name in _OPTION_FIELDS}
 
 
 def options_from_dict(
@@ -357,9 +348,21 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
 _F8 = struct.Struct("<d")
 
 
-def _bits(value: Any) -> Any:
-    """*value*, or its IEEE-754 bytes if it is a float."""
-    return _F8.pack(value) if isinstance(value, float) else value
+def _key(value: Any) -> Any:
+    """*value*'s type with, for a float, its IEEE-754 bytes and, for a
+    tuple, its items' keys: equal only for values written alike, so
+    1, 1.0 and True, 0.0 and -0.0, and tuples of them stay apart."""
+    if isinstance(value, float):
+        return type(value), _F8.pack(value)
+    if isinstance(value, tuple):
+        return type(value), tuple(map(_key, value))
+    return type(value), value
+
+
+def _flat(values: Sequence[Any]) -> bool:
+    """True when every tuple in *values* holds only names and ints."""
+    tuples = compress(values, map(isinstance, values, repeat(tuple)))
+    return set(map(type, chain.from_iterable(tuples))) <= {str, int, type(None)}
 
 
 def _column(values: Sequence[Any]) -> list[Any]:
@@ -370,21 +373,22 @@ def _column(values: Sequence[Any]) -> list[Any]:
     if kinds == {int}:
         with contextlib.suppress(OverflowError):
             return ["i8", _b64(np.array(values, dtype=np.int64))]
-    # Keyed by type too unless all are names, so 1 and 1.0 stay apart, and
-    # a float by its IEEE-754 bits too, so 0.0 and -0.0 do (a call per
-    # value, paid only by a column that holds a float).
-    named = kinds <= {str, type(None)}
-    if named:
-        keys = values
-    elif any(issubclass(kind, float) for kind in kinds):
-        keys = list(zip(map(type, values), map(_bits, values), values))
+    # Keyed by type too unless all are names, so 1 and 1.0 stay apart,
+    # and a float by its IEEE-754 bits, so 0.0 and -0.0 do, inside a
+    # tuple too: a call per value, paid only by a column holding a float
+    # or a tuple of more than names and ints (not by addresses or trace
+    # contexts), which ``(type, value)`` keys exactly.
+    if kinds <= {str, type(None)}:
+        keys: Sequence[Any] = values
+    elif any(issubclass(kind, float) for kind in kinds) or not _flat(values):
+        keys = list(map(_key, values))
     else:
         keys = list(zip(map(type, values), values))
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    table = dict(zip(keys, values))
+    index = {key: i for i, key in enumerate(table)}
     code = "u1" if len(index) <= 1 << 8 else "u2" if len(index) <= 1 << 16 else "u4"
-    codes = np.array([index[key] for key in keys], dtype=code)
-    table = list(index) if named else [key[-1] for key in index]
-    return [code, _b64(codes), table]
+    codes = np.array(list(map(index.__getitem__, keys)), dtype=code)
+    return [code, _b64(codes), list(table.values())]
 
 
 def _values(column: Any) -> list[Any]:

@@ -170,16 +170,6 @@ def _rebuild_config(log: ProvenanceLog, tolerance: float | None) -> Any:
     return config
 
 
-class _NullSink:
-    """Discards telemetry; replays the recorded sampler's schedule only."""
-
-    def emit(self, record: dict[str, Any]) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
 def replay(
     log: ProvenanceLog | str | Path,
     *,
@@ -211,12 +201,6 @@ def replay(
     options = options_from_dict(
         header["options"], preset=preset, fault_plan=plan
     )
-    if header["options"].get("telemetry_active"):
-        # The recorded run had a telemetry sampler: a real DES process
-        # whose periodic timers consume seq numbers and hold the clock
-        # until the last sampling tick.  Re-create it against a null
-        # sink so the replayed event schedule is identical.
-        options = dataclasses.replace(options, telemetry_sinks=(_NullSink(),))
     if match_backend is not None:
         options = dataclasses.replace(options, match_backend=match_backend)
     config = _rebuild_config(log, tolerance)
@@ -275,12 +259,16 @@ def verify_replay(
         payload["ok"] = bool(payload["decisions_match"])
     else:
         # A header that still carries ``batch_control`` (false: true was
-        # refused above) predates the option's removal.  Its report
-        # digest covered the two retired frame counters and cannot be
-        # recomputed, so such a log verifies on the causal digest alone.
+        # refused above) predates the option's removal, and one with
+        # ``telemetry_active: true`` predates telemetry ticking between
+        # events.  Their report digests covered the two retired frame
+        # counters, or the old sampler's events and clock hold, and
+        # cannot be recomputed, so such a log verifies on the causal
+        # digest alone.
+        options = log.header["options"]
         payload["report_identical"] = (
             None
-            if "batch_control" in log.header["options"]
+            if "batch_control" in options or options.get("telemetry_active")
             else payload["report_sha256"] == end.get("report_sha256")
         )
         payload["causal_identical"] = (

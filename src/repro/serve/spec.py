@@ -62,8 +62,8 @@ class SessionSpec(Cell):
     ----------
     telemetry_interval:
         Period between ``repro.telemetry/v1`` snapshots of this
-        session (virtual seconds on the DES runtime): a served session
-        is sampled, a ``repro run`` cell is not.
+        session (virtual seconds on the DES runtime); the snapshots
+        move nothing in the session's row.
     label:
         Optional human-readable name echoed in listings, and the name
         of the session's report row (the cell's name when unset).
@@ -89,7 +89,7 @@ class SessionSpec(Cell):
         require(isinstance(self.provenance, bool), "provenance must be a boolean")
 
     def build(self) -> ScenarioBuild:
-        """The cell's build, sampled every :attr:`telemetry_interval`."""
+        """The cell's build, watched every :attr:`telemetry_interval`."""
         built = super().build()
         options = replace(built.options, telemetry_interval=self.telemetry_interval)
         return replace(built, options=options)

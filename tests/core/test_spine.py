@@ -7,6 +7,7 @@ events, so a decision one of them recorded is recorded by every fold
 that reads its kind, with the same connection, request and time.
 """
 
+import gc
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -35,7 +36,13 @@ def _watched_options(tmp_path, **extra):
 
 def _count_calls(sim):
     """Python calls made, and DES events dispatched, running *sim* (its
-    wiring and the provenance header not counted)."""
+    wiring and the provenance header not counted).
+
+    The collector is off in the window: a collection there would count
+    the finalizers of earlier tests' garbage (their suspended agent and
+    rep processes) and any ``gc.callbacks`` (Hypothesis registers one),
+    which are not calls of this run.
+    """
     sim.start()
     calls = 0
 
@@ -45,11 +52,15 @@ def _count_calls(sim):
             calls += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         sim.sim.run()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls, sim.sim.kernel_counters()["dispatched"]
 
 

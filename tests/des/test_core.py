@@ -340,6 +340,77 @@ class TestLegacySimulatorFidelity:
         assert _drive(Simulator(), scripts) == _drive(_LegacySimulator(), scripts)
 
 
+def _ticking(interval, log):
+    """A simulator whose tick logs ``("tick", now)`` every *interval*."""
+    sim = Simulator()
+
+    def tick():
+        log.append(("tick", sim.now))
+        return sim.now + interval
+
+    sim._tick_at = interval
+    sim._tick = tick
+    return sim
+
+
+class TestTick:
+    """The tick observes between events: it schedules none, so a watched
+    run is the unwatched one."""
+
+    @staticmethod
+    def _steps(sim, log):
+        def proc():
+            for _ in range(3):
+                yield sim.timeout(1.0)
+                log.append(("event", sim.now))
+
+        return sim.process(proc())
+
+    def test_fires_between_events_and_never_holds_the_clock(self):
+        log = []
+        sim = _ticking(0.5, log)
+        self._steps(sim, log)
+        sim.run()
+        # A tick at an event's instant waits for that instant's events.
+        assert log == [
+            ("tick", 0.5), ("event", 1.0), ("tick", 1.0), ("tick", 1.5),
+            ("event", 2.0), ("tick", 2.0), ("tick", 2.5), ("event", 3.0),
+        ]
+        assert sim.now == 3.0 and sim.events_scheduled == 5
+
+    def test_a_horizon_fires_the_ticks_due_by_it(self):
+        ticks = []
+        sim = _ticking(0.5, ticks)
+        self._steps(sim, [])
+        sim.run(until=4.0)
+        assert [t for _, t in ticks] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+        assert sim.now == 4.0
+
+    def test_an_event_horizon_fires_no_tick(self):
+        ticks = []
+        sim = _ticking(0.75, ticks)
+        sim.run(until=self._steps(sim, []))
+        assert ticks == [] and sim.now == 3.0
+
+    def test_clearing_the_tick_stops_it(self):
+        ticks = []
+        sim = _ticking(0.5, ticks)
+        self._steps(sim, [])
+        sim.timeout(1.25).callbacks.append(lambda ev: setattr(sim, "_tick", None))
+        sim.run()
+        assert [t for _, t in ticks] == [0.5, 1.0] and sim.now == 3.0
+
+    @given(
+        scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5),
+        interval=st.sampled_from([0.25, 0.5, 0.75]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_mixes_run_as_unwatched(self, scripts, interval):
+        ticks: list = []
+        assert _drive(_ticking(interval, ticks), scripts) == _drive(Simulator(), scripts)
+        assert ticks == sorted(ticks)
+
+
 class TestEvents:
     def test_double_trigger_rejected(self):
         sim = Simulator()

@@ -1,8 +1,8 @@
-"""Tests for Store/FilterStore: FIFO, blocking, matched receives."""
+"""Tests for Store: FIFO, blocking, matched receives."""
 
 import pytest
 
-from repro.des import FilterStore, Simulator, Store, StoreFullError
+from repro.des import Simulator, Store, StoreFullError
 
 
 class TestBasicFifo:
@@ -139,7 +139,7 @@ class TestBoundedStore:
 class TestMatchedReceive:
     def test_matching_item_taken_others_left(self):
         sim = Simulator()
-        store = FilterStore(sim)
+        store = Store(sim)
         store.put(("red", 1))
         store.put(("blue", 2))
         got = []
@@ -155,7 +155,7 @@ class TestMatchedReceive:
 
     def test_blocked_matcher_woken_by_matching_put_only(self):
         sim = Simulator()
-        store = FilterStore(sim)
+        store = Store(sim)
         got = []
 
         def matcher():
@@ -176,7 +176,7 @@ class TestMatchedReceive:
 
     def test_non_matching_put_goes_to_unfiltered_getter(self):
         sim = Simulator()
-        store = FilterStore(sim)
+        store = Store(sim)
         got = []
 
         def filtered():
@@ -203,7 +203,7 @@ class TestMatchedReceive:
 
     def test_waiting_getters_counter(self):
         sim = Simulator()
-        store = FilterStore(sim)
+        store = Store(sim)
 
         def proc():
             yield store.get()

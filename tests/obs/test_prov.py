@@ -557,6 +557,9 @@ class TestRecordingCost:
 #: ``{"seed":5,"drop":0.1,"dup":0.05,"delay_jitter":2e-4}``.
 V1_LOG = Path(__file__).parents[1] / "golden" / "prov_v1_demo.prov.gz"
 V2_LOG = Path(__file__).parents[1] / "golden" / "prov_v2_demo.prov.gz"
+#: The same run watched by a ``JsonlSink`` every 0.05 s, recorded while
+#: telemetry was a DES process (header ``telemetry_active: true``).
+TELEMETRY_LOG = Path(__file__).parents[1] / "golden" / "prov_v2_telemetry.prov.gz"
 
 
 class TestV1Log:
@@ -606,6 +609,23 @@ class TestV2Log:
         assert validate_provenance_log(log) == []
         verdict = verify_replay(log)
         assert verdict["ok"] and verdict["report_identical"] and verdict["causal_identical"]
+
+
+class TestTelemetryLog:
+    """A log recorded while telemetry was a DES process: its report
+    digest covers the sampler's events and clock hold, which no run
+    makes now, so it verifies on the causal digest alone."""
+
+    def test_reads_validates_and_replays_on_the_causal_digest(self):
+        log = read_log(TELEMETRY_LOG)
+        assert log.header["options"]["telemetry_active"] is True
+        assert log.end["sim_time"] == 0.2
+        assert validate_provenance_log(log) == []
+        verdict = verify_replay(log)
+        assert verdict["ok"] is True
+        assert verdict["report_identical"] is None
+        assert verdict["causal_identical"] is True
+        assert verdict["sim_time"] < log.end["sim_time"]
 
 
 class TestGzip:

@@ -200,7 +200,7 @@ class TestEncoderOracle:
     def test_values_keep_their_json_type(self, log_path):
         """An int stays an int beside an equal float, an int past int64
         and a bool are kept, and -0.0 keeps its sign in a float column
-        and beside 0.0 in a mixed one."""
+        and beside 0.0 in a mixed one — inside a tuple too."""
         ops = [
             ("F", 0, "import_begin", ("d", 1)),
             ("F", 0, "import_begin", ("d", 1.0)),
@@ -209,6 +209,14 @@ class TestEncoderOracle:
             ("F", 1, "import_begin", ("d", 0.0)),
             ("F", 1, "import_begin", ("d", -0.0)),
             ("F", 1, "import_begin", ("d", "a")),
+            ("F", 2, "import_begin", ("d", (0.0,))),
+            ("F", 2, "import_begin", ("d", (-0.0,))),
+            ("F", 2, "import_begin", ("d", (1,))),
+            ("F", 2, "import_begin", ("d", (1.0,))),
+            ("F", 2, "import_begin", ("d", (True,))),
+            ("F", 2, "import_begin", ("d", ((1, "x"), 2))),
+            ("F", 2, "import_begin", ("d", ((1.0, "x"), 2))),
+            ("F", 2, "import_begin", ("d", "a")),
         ]
         rows = written_rows(log_path, ops, [], [])
         assert json.dumps(rows, sort_keys=True) == json.dumps(

@@ -80,6 +80,7 @@ class RecountingSink:
     def __init__(self) -> None:
         self.sim = None
         self.ticks: list[tuple[int, int]] = []
+        self.finals: list[bool] = []
 
     def emit(self, record: dict) -> None:
         pending = completed = 0
@@ -99,6 +100,7 @@ class RecountingSink:
             completed += len(recs) - open_
         assert record["totals"]["pending_imports"] == pending
         self.ticks.append((pending, completed))
+        self.finals.append(record["final"])
 
     def close(self) -> None:
         pass
@@ -115,11 +117,17 @@ class TestDesStreaming:
             b.options, telemetry_sinks=(sink,), telemetry_interval=0.002
         )
         sink.sim = build(b.config, b.programs, options)
-        sink.sim.run()
+        # Wired, then driven by the kernel itself: the last main's exit
+        # still writes the one final snapshot, last.
+        sink.sim.start()
+        sink.sim.sim.run()
         assert len(sink.ticks) > 10
         # The run was watched mid-flight: open and finished imports at once.
         assert any(p and c for p, c in sink.ticks)
         assert sink.ticks[-1][0] == 0
+        assert sink.finals == [False] * (len(sink.finals) - 1) + [True]
+        # No tick held the clock: the run ends where it does unwatched.
+        assert sink.sim.sim.now == b.run().sim_time
 
     def test_jsonl_sink_records_periodic_and_final(self, tmp_path, demo_runner):
         path = tmp_path / "tele.jsonl"
@@ -160,9 +168,22 @@ class TestDesStreaming:
         assert "repro_run_final 1" in text
         assert sink.records >= 2 and sink.last is not None
 
+    def test_a_run_without_mains_still_ends_its_stream(self):
+        # No main ever exits, so the final snapshot is written at setup.
+        sink = RecordingSink()
+        regions = {"d": RegionDef(BlockDecomposition((16, 16), (1, 1)))}
+        result = run(
+            "F c0 /bin/F 1\nU c1 /bin/U 1\n#\nF.d U.d REGL 2.5\n",
+            [Program("F", regions=regions), Program("U", regions=regions)],
+            RunOptions(telemetry_sinks=(sink,)),
+        )
+        assert [rec["final"] for rec in sink.records] == [True]
+        assert result.sim_time == 0.0 and sink.closed
+
     def test_no_sinks_means_no_telemetry_process(self, demo_result):
-        # The opt-out default: nothing registered, nothing emitted.
+        # The opt-out default: nothing registered, no tick, nothing emitted.
         assert demo_result.simulation.telemetry_sinks == ()
+        assert demo_result.simulation.sim._tick is None
 
 
 class TestTeardownOnCrash:

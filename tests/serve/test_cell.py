@@ -2,8 +2,8 @@
 
 The served report row and provenance log of a cell are compared with
 what ``repro run`` produces for the same cell, in-process: the worker
-runs with a stub pipe, so its telemetry sampler is on exactly as in a
-pool worker.
+runs with a stub pipe, so its telemetry is on exactly as in a pool
+worker, and watching changes nothing.
 """
 
 from __future__ import annotations
@@ -49,23 +49,6 @@ def cli_row(capsys, argv: list[str]) -> dict:
     return row
 
 
-def sampler_free(row: dict) -> tuple[dict, dict]:
-    """*row* without ``sim_time`` and ``des.events.*`` samples, and those
-    samples by ``name{labels}``."""
-    rest = dict(row, metrics=dict(row["metrics"]))
-    del rest["sim_time"]
-    events = {}
-    kept = []
-    for sample in row["metrics"]["metrics"]:
-        if sample["name"].startswith("des.events."):
-            labels = ",".join(f"{k}={v}" for k, v in sorted(sample["labels"].items()))
-            events[f"{sample['name']}{{{labels}}}"] = sample["value"]
-        else:
-            kept.append(sample)
-    rest["metrics"]["metrics"] = kept
-    return rest, events
-
-
 CASES = {
     "params": (
         SessionSpec(scenario="demo", params={"exports": 200, "seed": 7}, label="plain"),
@@ -88,14 +71,8 @@ class TestServedRowIsTheRunRow:
         assert got["name"] == (spec.label or "demo exports=200 seed=7")
         assert want["name"] == "demo exports=200 seed=7"
         assert {"p_s", "answers", "params", "fault_plan"} <= set(got)
-        got_rest, got_events = sampler_free({**got, "name": want["name"]})
-        want_rest, want_events = sampler_free(want)
-        assert got_rest == want_rest
-        # The sampler's own wake-ups: it dispatches and schedules more.
-        assert got_events.keys() == want_events.keys()
-        moved = {k for k in got_events if got_events[k] != want_events[k]}
-        assert moved <= {"des.events.dispatched{}", "des.events.scheduled{lane=fast}",
-                         "des.events.scheduled{lane=heap}"}
+        # Watched every 0.05 s, the served run is the unwatched one.
+        assert {**got, "name": want["name"]} == want
 
     def test_fleet_row_is_the_run_row(self):
         from repro.serve.registry import SessionRecord
@@ -110,26 +87,16 @@ class TestServedRowIsTheRunRow:
 
 
 class TestServedProvenance:
-    def test_log_equals_the_cli_log_but_for_the_sampler(self, tmp_path, capsys):
+    def test_log_equals_the_cli_log_byte_for_byte(self, tmp_path, capsys):
         spec = SessionSpec(scenario="demo", params={"exports": 200, "seed": 7},
                            provenance=True)
         text = served(spec)["provenance"]
-        served_path = tmp_path / "served.prov"
-        served_path.write_text(text, encoding="utf-8")
         cli_path = tmp_path / "cli.prov"
         cli_row(capsys, ["demo", "-p", "exports=200", "-p", "seed=7",
                          "--provenance", str(cli_path)])
-        a, b = read_log(served_path), read_log(cli_path)
-        assert a.wire == b.wire and len(a.wire) == 31
-        assert a.matches == b.matches and len(a.matches) == 5
-        assert a.ops == b.ops
-        differ = {k for k in a.header["options"]
-                  if a.header["options"][k] != b.header["options"].get(k)}
-        assert differ == {"telemetry_interval", "telemetry_active"}
-        assert (a.header["options"]["telemetry_interval"],
-                b.header["options"]["telemetry_interval"]) == (0.05, 0.25)
-        rest = {k for k in a.header if a.header[k] != b.header.get(k)}
-        assert rest == {"options"}
+        assert text == cli_path.read_text(encoding="utf-8")
+        log = read_log(cli_path)
+        assert len(log.wire) == 31 and len(log.matches) == 5
 
 
 class TestCell:
