@@ -179,36 +179,6 @@ def _counters(sim: CoupledSimulation | LiveCoupledSimulation) -> dict[str, int]:
     return {n: int(getattr(sim, n)) for n in names}
 
 
-def _close_sinks(sinks: tuple[Any, ...]) -> None:
-    """Close every telemetry sink, best effort."""
-    for sink in sinks:
-        close = getattr(sink, "close", None)
-        if close is not None:
-            with contextlib.suppress(Exception):
-                close()
-
-
-def _abort_telemetry(sim: Any, sinks: tuple[Any, ...], exc: BaseException) -> None:
-    """Error-path teardown: emit one aborted final snapshot, close sinks.
-
-    The periodic telemetry emitters only write their ``final`` record
-    on a clean finish; when a run raises, this flushes a last snapshot
-    with ``final: true`` and ``aborted: true`` (plus the error) so the
-    ``repro.telemetry/v1`` stream still terminates properly.
-    """
-    if sinks:
-        with contextlib.suppress(Exception):
-            from repro.obs.stream import build_snapshot
-
-            record = build_snapshot(sim, final=True)
-            record["aborted"] = True
-            record["error"] = f"{type(exc).__name__}: {exc}"
-            for sink in sinks:
-                with contextlib.suppress(Exception):
-                    sink.emit(record)
-    _close_sinks(sinks)
-
-
 def build(
     config: CouplingConfig | str | Path,
     programs: list[Program] | tuple[Program, ...],
@@ -260,49 +230,34 @@ def run(
         A :class:`~repro.api.options.RunOptions`; defaults to
         ``RunOptions()`` (DES runtime, fast-test preset).
     until:
-        Optional virtual-time horizon (DES runtime only).
+        Optional virtual-time horizon (DES runtime only).  A run it
+        stops before every main returned ends aborted; one that ends
+        before it keeps its own completion time.
+
+    Every watcher of the run ends through
+    :meth:`~repro.core.protocol.ProtocolDriver.end`, whatever the
+    ending: one ``final`` telemetry record, closed sinks, and a
+    provenance end record.
     """
     opts = options if options is not None else RunOptions()
+    if until is not None and opts.runtime == "live":
+        raise ValueError("until= applies to the DES runtime only")
     sim = build(config, programs, opts)
-    sinks = tuple(opts.telemetry_sinks)
-    prov = getattr(sim, "_prov", None)
     try:
         if isinstance(sim, CoupledSimulation):
             sim.run(until=until)
-            sim_time = sim.sim.now
         else:
-            if until is not None:
-                raise ValueError("until= applies to the DES runtime only")
             sim.run()
-            sim_time = 0.0
     except BaseException as exc:
-        # A crashing run must still leave its sinks well-formed: one
-        # last ``final`` snapshot marked ``aborted`` (so a follower
-        # sees the stream end rather than hang on a truncated file),
-        # then every sink flushed and closed.  The provenance log gets
-        # the same guarantee: whatever was captured is written out with
-        # an end record naming the error, so a crash is still auditable
-        # (though only clean logs replay).
-        _abort_telemetry(sim, sinks, exc)
-        if prov is not None:
-            with contextlib.suppress(Exception):
-                prov.abort(exc)
-                prov.close()
+        # The run's error wins over any failure to write its ending.
+        with contextlib.suppress(Exception):
+            sim.end(error=exc)
         raise
-    _close_sinks(sinks)
     result = RunResult(
         simulation=sim,
         options=opts,
-        sim_time=sim_time,
+        sim_time=sim.sim.now if isinstance(sim, CoupledSimulation) else 0.0,
         counters=_counters(sim),
     )
-    if prov is not None:
-        # A digest that raises still ends the log with an aborted record.
-        try:
-            prov.finalize(result)
-        except BaseException as exc:
-            prov.abort(exc)
-            raise
-        finally:
-            prov.close()
+    sim.end(result)
     return result

@@ -71,7 +71,7 @@ from repro.data.region import RectRegion
 from repro.des import AnyOf, Event, Simulator
 from repro.match.result import MatchKind
 from repro.util.rng import RngRegistry
-from repro.util.validation import require, require_positive
+from repro.util.validation import require, require_non_negative, require_positive
 from repro.vmpi.des_backend import DesWorld
 
 if TYPE_CHECKING:
@@ -424,9 +424,6 @@ class CoupledSimulation(ProtocolDriver):
             fault_rngs = getattr(self.world.network, "_rngs", None)
             if fault_rngs is not None:
                 fault_rngs.set_recorder(self._prov.on_rng)
-            # The hook is the recorder's list append — no indirection on
-            # the kernel's heap branch beyond one attribute check.
-            sim._sched_hook = self._prov.sched.append
         if fault_plan is not None:
             # The faulty network narrates drops/dups/delays into the
             # same tracer as the protocol.
@@ -459,9 +456,23 @@ class CoupledSimulation(ProtocolDriver):
 
     # -- run ----------------------------------------------------------------
     def run(self, until: float | None = None) -> None:
-        """Finalize the wiring and run the simulation."""
+        """Finalize the wiring and run the simulation.
+
+        A finite *until* stops the clock at that virtual time unless the
+        run is over first — every main returned and the schedule
+        drained — where the clock then stays: a horizon past a run's end
+        does not move its time.
+        """
         self.start()
-        self.sim.run(until)
+        sim = self.sim
+        if until is None:
+            sim.run()
+            return
+        require_non_negative(until - sim.now, "run-until horizon (must be >= now)")
+        sim._run_ticking(float(until))
+        if self._mains_running() or sim.peek() != float("inf"):
+            self._stopped_at = until
+            sim.run(until)  # fires nothing more: the clock goes to the horizon
 
     def start(self) -> None:
         """Finalize the wiring without running (drive the clock yourself)."""
@@ -528,11 +539,7 @@ class CoupledSimulation(ProtocolDriver):
         has events left; the exit of the last user main emits the
         ``final`` snapshot and stops the ticks.
         """
-        # Imported lazily: the core stays importable without obs.stream
-        # and pays nothing when streaming is off.
-        from repro.obs.stream import emit_snapshot
-
-        emit_snapshot(self, self.telemetry_sinks, final=final)
+        self._emit_telemetry(final)
         return self.sim._now + self.telemetry_interval
 
     def _main_proc(self, ctx: ProcessContext) -> Generator[Event, Any, None]:
@@ -544,13 +551,10 @@ class CoupledSimulation(ProtocolDriver):
             ctx._program.alive -= 1
             self._close_exports(ctx)
         # Only a main that returns gets here: one an aborted run closes
-        # emits nothing (the facade writes that run's last record).
+        # emits nothing (``end`` writes that run's last record).
         if self.sim._tick is not None and not self._mains_running():
             self.sim._tick = None
             self._telemetry_proc(final=True)
-
-    def _mains_running(self) -> bool:
-        return any(p.alive for p in self._programs.values() if p.main is not None)
 
     # -- reporting -------------------------------------------------------------
     def export_series(self, program: str, rank: int) -> list[float]:

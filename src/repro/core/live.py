@@ -353,38 +353,24 @@ class LiveCoupledSimulation(ProtocolDriver):
                     thread(f"{prog.name}.{ctx.rank}", self._main_body, ctx)
                     for ctx in prog.contexts
                 )
-        telemetry_stop: threading.Event | None = None
-        telemetry_thread: threading.Thread | None = None
+        telemetry_stop = threading.Event()
         if self.telemetry_sinks:
-            from repro.obs.stream import emit_snapshot
 
-            telemetry_stop = threading.Event()
+            def telemetry_loop() -> None:
+                while not telemetry_stop.wait(self.telemetry_interval):
+                    self._emit_telemetry()
 
-            def telemetry_loop(stop: threading.Event) -> None:
-                while not stop.wait(self.telemetry_interval):
-                    emit_snapshot(self, self.telemetry_sinks, final=False)
-
-            telemetry_thread = threading.Thread(
-                target=telemetry_loop,
-                args=(telemetry_stop,),
-                name="telemetry",
-                daemon=True,
-            )
-            telemetry_thread.start()
+            service.append(thread("telemetry", telemetry_loop))
         for t in service:
             t.start()
         for t in mains:
             t.start()
         for t in mains:
             t.join(timeout=join_timeout)
-        if telemetry_stop is not None and telemetry_thread is not None:
-            telemetry_stop.set()
-            telemetry_thread.join(timeout=5.0)
-            from repro.obs.stream import emit_snapshot
-
-            emit_snapshot(self, self.telemetry_sinks, final=True)
         alive = [t.name for t in mains if t.is_alive()]
-        # Stop the service loops regardless of outcome.
+        # Stop the telemetry and service loops regardless of outcome;
+        # ``end`` writes the stream's final record.
+        telemetry_stop.set()
         for prog in self._programs.values():
             self.world.mailbox(("rep", prog.name)).put(wire.Shutdown())
             for r in range(prog.nprocs):
@@ -392,9 +378,11 @@ class LiveCoupledSimulation(ProtocolDriver):
         for t in service:
             t.join(timeout=5.0)
         if errors:
-            raise RuntimeError(f"live run failed: {errors[0]!r}") from errors[0]
+            self._failed = RuntimeError(f"live run failed: {errors[0]!r}")
+            raise self._failed from errors[0]
         if alive:
-            raise RuntimeError(f"application threads did not finish: {alive}")
+            self._failed = RuntimeError(f"application threads did not finish: {alive}")
+            raise self._failed
 
     # -- internals ------------------------------------------------------------
     def _finalize_setup(self) -> None:

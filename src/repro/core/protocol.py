@@ -84,6 +84,18 @@ _DIRECTIVE_KINDS: dict[type, str] = {
 }
 
 
+class Ending(NamedTuple):
+    """How a run ended, as :meth:`ProtocolDriver.end` classified it."""
+
+    #: ``"complete"`` (every main returned), ``"stopped"`` (an
+    #: ``until=`` horizon cut the schedule short, or it drained before
+    #: every main returned), ``"raised"``, or ``"failed"`` (a live
+    #: thread failed or hung).
+    kind: str
+    #: Why a run that did not complete ended; ``None`` when it did.
+    reason: str | None
+
+
 def _unguarded(key: Any, *accesses: Any) -> ContextManager[Any]:
     """The guard of a single-threaded runtime: nothing to hold."""
     return _UNGUARDED
@@ -491,6 +503,14 @@ class ProtocolDriver:
             c.connection_id: _ConnRuntime(c) for c in self.config.connections
         }
         self._started = False
+        #: Set by :meth:`end`, the run's one ending.
+        self._ending: Ending | None = None
+        #: Whether the stream's ``final`` telemetry record went out.
+        self._stream_ended = False
+        #: The ``until=`` horizon that cut the DES schedule short.
+        self._stopped_at: float | None = None
+        #: The error a live run raises when a thread failed or hung.
+        self._failed: BaseException | None = None
 
     # -- setup ------------------------------------------------------------
     def _add_program(
@@ -635,6 +655,69 @@ class ProtocolDriver:
             self.tracer, self.causal, self.sanitizer, self._prov,
             self.operation_log, self.match_backend,
         )
+
+    # -- the ending ------------------------------------------------------------
+    def _mains_running(self) -> bool:
+        return any(p.alive for p in self._programs.values() if p.main is not None)
+
+    def _emit_telemetry(self, final: bool = False, **end: Any) -> None:
+        """Send one snapshot (plus the *end* keys) to every sink; a
+        ``final`` one ends the stream, and nothing is sent after it."""
+        if self._stream_ended:
+            return
+        # Imported lazily: the core stays importable without obs.stream
+        # and pays nothing when streaming is off.
+        from repro.obs.stream import emit_snapshot
+
+        self._stream_ended = final
+        emit_snapshot(self, self.telemetry_sinks, final, **end)
+
+    def _classify(self, error: BaseException | None) -> Ending:
+        if error is not None:
+            kind = "failed" if error is self._failed else "raised"
+            return Ending(kind, f"{type(error).__name__}: {error}")
+        running = self._mains_running()
+        if self._stopped_at is not None:
+            left = "every main returned" if running else "the schedule drained"
+            return Ending("stopped", f"stopped at until={self._stopped_at} before {left}")
+        if running:
+            return Ending("stopped", "the schedule drained before every main returned")
+        return Ending("complete", None)
+
+    def end(self, result: Any = None, error: BaseException | None = None) -> Ending:
+        """End the run's watching, once; returns how the run ended.
+
+        Classifies the ending (:class:`Ending`) and writes from it what
+        the watchers leave behind: the stream's one ``final`` telemetry
+        record (``aborted`` with the reason unless the run completed;
+        none when the last main's exit already wrote it), every sink
+        closed, and the provenance log's end record — the digests of
+        *result* for a complete run, an abort naming the reason
+        otherwise — before the log is closed.  Idempotent.
+        """
+        if self._ending is not None:
+            return self._ending
+        ending = self._ending = self._classify(error)
+        if self.telemetry_sinks:
+            aborted = {} if ending.reason is None else {"aborted": True, "error": ending.reason}
+            self._emit_telemetry(final=True, **aborted)
+            for sink in self.telemetry_sinks:
+                with contextlib.suppress(Exception):
+                    sink.close()
+        prov = self._prov
+        if prov is not None:
+            try:
+                if ending.reason is not None:
+                    prov.abort(ending.reason)
+                elif result is not None:
+                    try:
+                        prov.finalize(result)
+                    except BaseException as exc:
+                        prov.abort(exc)
+                        raise
+            finally:
+                prov.close()
+        return ending
 
     def check_property1(self, raise_on_violation: bool = True) -> list[str]:
         """Verify Property 1 over the recorded operation log.

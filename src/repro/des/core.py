@@ -396,12 +396,6 @@ class Simulator:
         self._heap_scheduled = 0
         self._cancel_count = 0
         self._active_process: Optional[Process] = None
-        #: Optional provenance hook called with ``(time, prio, seq)``
-        #: for every heap scheduling decision.  The same-instant lane
-        #: fast path is deliberately left unhooked — lane order is
-        #: fully determined by ``seq``, so heap placements alone pin
-        #: down the schedule, and ``des_dispatch`` stays uninstrumented.
-        self._sched_hook: Optional[Callable[[tuple[float, int, int]], None]] = None
         #: Optional observer called between events: when the next event
         #: lies past ``_tick_at`` and no same-instant lane is pending,
         #: :meth:`run` sets the clock to ``_tick_at`` and calls it; it
@@ -451,12 +445,7 @@ class Simulator:
             self._lanes[1].append((seq, ev))
         else:
             self._heap_scheduled += 1
-            entry = (self._now + delay, 1, seq, ev)
-            if self._sched_hook is not None:
-                # Slice off the event: the provenance log records the
-                # placement, never pins the event object in memory.
-                self._sched_hook(entry[:3])
-            _heappush(self._heap, entry)
+            _heappush(self._heap, (self._now + delay, 1, seq, ev))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "process") -> Process:

@@ -15,17 +15,19 @@ into one compact, versioned, append-only JSONL+binary log:
   number, src/dst address, payload type, plane, size, trace context);
 * every **match-engine resolution** (backend-tagged, with the
   request's timestamp and the deciding export watermark);
-* every **DES scheduling decision** that touches the kernel heap and
-  every **RNG draw** from both :class:`~repro.util.rng.RngRegistry`
+* every **RNG draw** from both :class:`~repro.util.rng.RngRegistry`
   registries (the coupler's and the network world's).
 
 While the run is going every row is a plain tuple; nothing is encoded
 until :meth:`ProvenanceRecorder.close`, which writes columns: one
 ``ops`` block line per ``(program, rank)``, one ``wire`` and one
-``match`` block line, and the scheduling decisions and RNG draws.
-:func:`read_log` decodes each block once (a ``repro.prov/v1`` log's
-per-row lines into the same blocks).  What a recorded run costs end to
-end is the ``prov_record`` workload of ``perf/run.py``.
+``match`` block line, and the RNG draws.  :func:`read_log` decodes
+each block once (a ``repro.prov/v1`` log's per-row lines into the same
+blocks) and skips the ``sched`` line of logs written while the kernel's
+heap placements were recorded: a replay rebuilds the run from the
+operations and the header, and the digests prove it.  What a recorded
+run costs end to end is the ``prov_record`` workload of
+``perf/run.py``.
 
 The final record carries SHA-256 digests of the run's
 ``repro.report/v1`` payload and of its causal DAG (the span,
@@ -340,7 +342,7 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
 
 # -- block columns -------------------------------------------------------------
 # A block line holds n rows as one encoded column per field: numbers as
-# base64 float64/int64 (like ``sched``), anything else (names,
+# base64 float64/int64 (like ``rng`` values), anything else (names,
 # addresses, trace contexts, mixed) as its distinct values, each written
 # once, plus a base64 column of indices into them.
 
@@ -464,12 +466,11 @@ class ProvenanceRecorder:
     Hot-path hooks are designed to be as close to free as recording
     allows: wire/match/op events append one small tuple to a Python
     list (``on_op`` takes the op's kind and its ``OP_FIELDS`` values,
-    not a dict), the DES scheduling hook *is* ``list.append`` (installed
-    as ``sim._sched_hook``), and RNG draws go through one bound-method
-    call.  Everything except the header is encoded and written once, at
+    not a dict), and RNG draws go through one bound-method call.
+    Everything except the header is encoded and written once, at
     :meth:`close`: op rows as one ``ops`` block per ``(program, rank)``,
-    wire and match rows as one block each, scheduling decisions and RNG
-    draws as base64 binary columns.
+    wire and match rows as one block each, RNG draws as base64 binary
+    columns.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -481,9 +482,6 @@ class ProvenanceRecorder:
         ] = []
         self._match: list[tuple[float, str, int, float, str, float, str]] = []
         self._ops: list[tuple[Any, ...]] = []
-        #: ``(fire_time, priority, seq)`` per heap insertion; the DES
-        #: kernel's ``_sched_hook`` is bound to ``self.sched.append``.
-        self.sched: list[tuple[float, int, int]] = []
         #: Per stream, the method and the value of each draw in order;
         #: methods are coded at :meth:`close`, not per draw.
         self._rng: dict[str, tuple[list[str], list[float]]] = {}
@@ -561,12 +559,15 @@ class ProvenanceRecorder:
         self._end = end
         return end
 
-    def abort(self, exc: BaseException) -> None:
-        """Mark the log as coming from a run that raised."""
+    def abort(self, reason: BaseException | str) -> None:
+        """Mark the log as coming from a run that did not complete:
+        *reason* says why, or is the error the run raised."""
+        if isinstance(reason, BaseException):
+            reason = f"{type(reason).__name__}: {reason}"
         self._end = {
             "t": "end",
             "aborted": True,
-            "error": f"{type(exc).__name__}: {exc}",
+            "error": reason,
             "sim_time": None,
             "counters": {},
             "report_sha256": None,
@@ -601,23 +602,6 @@ class ProvenanceRecorder:
         for t, flat in (("wire", self._wire), ("match", self._match)):
             if flat:
                 write(_block(t, len(flat), dict(zip(_FIELDS[t], zip(*flat)))))
-        if self.sched:
-            times = np.array([s[0] for s in self.sched], dtype=np.float64)
-            prios = np.array([s[1] for s in self.sched], dtype=np.uint8)
-            seqs = np.array([s[2] for s in self.sched], dtype=np.uint64)
-            write(
-                json.dumps(
-                    {
-                        "t": "sched",
-                        "n": len(self.sched),
-                        "times": _b64(times),
-                        "prios": _b64(prios),
-                        "seqs": _b64(seqs),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
         for stream, (drawn, values) in sorted(self._rng.items()):
             methods = list(dict.fromkeys(drawn))  # in first-drawn order
             code = {method: i for i, method in enumerate(methods)}
@@ -725,9 +709,6 @@ class ProvenanceLog:
     ops: dict[tuple[str, int], Block]
     wire: Block
     matches: Block
-    #: ``(times, prios, seqs)`` arrays, or ``None`` when no heap
-    #: scheduling happened (or the log predates the batch).
-    sched: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     rng: dict[str, RngTrace] = field(default_factory=dict)
     end: dict[str, Any] | None = None
 
@@ -778,7 +759,6 @@ def read_log(path: str | Path) -> ProvenanceLog:
     v1 = False
     ops: dict[tuple[str, int], Block] = {}
     flat = {t: Block({"t": t}, 0, {f: [] for f in fs}) for t, fs in _FIELDS.items()}
-    sched: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     rng: dict[str, RngTrace] = {}
     end: dict[str, Any] | None = None
     try:
@@ -813,11 +793,7 @@ def read_log(path: str | Path) -> ProvenanceLog:
             elif t in flat:
                 flat[t] = _decoded(row, {"t": t})
             elif t == "sched":
-                sched = (
-                    _unb64(row["times"], "float64"),
-                    _unb64(row["prios"], "uint8"),
-                    _unb64(row["seqs"], "uint64"),
-                )
+                pass  # heap placements, written by older logs and not read
             elif t == "rng":
                 rng[str(row["stream"])] = RngTrace(
                     stream=str(row["stream"]),
@@ -846,7 +822,6 @@ def read_log(path: str | Path) -> ProvenanceLog:
         ops=ops,
         wire=flat["wire"],
         matches=flat["match"],
-        sched=sched,
         rng=rng,
         end=end,
     )
@@ -896,10 +871,6 @@ def validate_provenance_log(log: ProvenanceLog) -> list[str]:
     planes = [p for p in log.wire.cols.get("plane", ()) if p not in ("ctl", "data", None)]
     if planes:
         problems.append(f"wire: bad plane {planes[0]!r}")
-    if log.sched is not None:
-        times, prios, seqs = log.sched
-        if not (times.size == prios.size == seqs.size):
-            problems.append("sched: column lengths differ")
     if log.end is None:
         problems.append("no end record (truncated log)")
     elif log.end.get("causal_digest", CAUSAL_DIGEST) != CAUSAL_DIGEST:

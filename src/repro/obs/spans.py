@@ -242,20 +242,6 @@ def _import_spans(sim: Any) -> Iterable[Span]:
                         )
 
 
-def _end_time(sim: Any, recorder: SpanRecorder) -> float:
-    """Best-known run end time for flushing unclosed user spans."""
-    inner = getattr(sim, "sim", None)
-    if inner is not None and hasattr(inner, "now"):
-        return float(inner.now)
-    clock = getattr(sim, "elapsed", None)
-    if callable(clock):
-        return float(clock())
-    # No runtime clock (bare recorder merge): latest known timestamp.
-    times = [s.end for s in recorder.spans]
-    times.extend(t for stack in recorder._open.values() for t, _ in stack)
-    return max(times, default=0.0)
-
-
 def build_timelines(
     sim: Any,
     tracer: Any = None,
@@ -274,7 +260,7 @@ def build_timelines(
         out.timeline(span.who).spans.append(span)
     if recorder is not None:
         if recorder.open_spans():
-            recorder.flush_open(_end_time(sim, recorder))
+            recorder.flush_open(sim._now())
         for span in recorder.spans:
             out.timeline(span.who).spans.append(span)
     tracer = tracer if tracer is not None else getattr(sim, "tracer", None)

@@ -16,13 +16,17 @@ Two sink implementations ship in-repo:
   every flush, suitable for a Prometheus file-based scrape.  The
   exposition is checked by :func:`validate_openmetrics` in CI.
 
-Both runtimes call :func:`emit_snapshot` from their periodic flush
-hook; streaming is strictly opt-in — with no sinks configured neither
+Both runtimes send a snapshot from their periodic flush hook, and
+:meth:`~repro.core.protocol.ProtocolDriver.end` writes the stream's one
+``final`` record when the last main's exit did not (``aborted: true``
+and the reason when the run did not complete) and closes the sinks;
+streaming is strictly opt-in — with no sinks configured neither
 runtime ever imports this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from itertools import chain
@@ -58,23 +62,12 @@ class TelemetrySink(Protocol):
 # ---------------------------------------------------------------------------
 # snapshot construction
 # ---------------------------------------------------------------------------
-def _sim_now(sim: Any) -> float:
-    """Current run time of either runtime (virtual or wall seconds)."""
-    inner = getattr(sim, "sim", None)
-    if inner is not None and hasattr(inner, "now"):
-        return float(inner.now)
-    clock = getattr(sim, "elapsed", None)
-    if callable(clock):
-        return float(clock())
-    return 0.0
-
-
 def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
     """One ``repro.telemetry/v1`` record for a running coupled simulation.
 
     *sim* is a :class:`~repro.core.coupler.CoupledSimulation` or
-    :class:`~repro.core.live.LiveCoupledSimulation` (anything with the
-    shared ``_programs`` runtime layout works).
+    :class:`~repro.core.live.LiveCoupledSimulation`: the record's time
+    is its port's clock, its tallies the shared ``_programs`` layout.
     """
     programs: dict[str, Any] = {}
     tot_pending = 0
@@ -118,7 +111,7 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
         tot_t_ub += t_ub
     return {
         "schema": SCHEMA,
-        "time": _sim_now(sim),
+        "time": sim._now(),
         "final": bool(final),
         "programs": programs,
         "totals": {
@@ -136,12 +129,16 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
 
 
 def emit_snapshot(
-    sim: Any, sinks: Iterable[TelemetrySink], final: bool = False
+    sim: Any, sinks: Iterable[TelemetrySink], final: bool = False, **end: Any
 ) -> dict[str, Any]:
-    """Build one snapshot and deliver it to every sink."""
-    record = build_snapshot(sim, final=final)
+    """Build one snapshot, plus the *end* keys, and deliver it to every
+    sink.  A sink that fails to take a ``final`` one does not keep it
+    from the others."""
+    record = {**build_snapshot(sim, final=final), **end}
+    skip = contextlib.suppress(Exception) if final else contextlib.nullcontext()
     for sink in sinks:
-        sink.emit(record)
+        with skip:
+            sink.emit(record)
     return record
 
 

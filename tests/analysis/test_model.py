@@ -8,7 +8,6 @@ protocol — and a finding as soon as that shared code is broken.
 """
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.analysis.model import (
 )
 from repro.core.protocol import ProtocolDriver
 from repro.core.rep import DeliverAnswer
+from tests.callcount import count_calls
 
 #: 2-program × 2-process world, faults directed at the rep plane only
 #: (clean + drop-rep + buddy worlds; ~30k summed distinct states in a
@@ -134,20 +134,8 @@ class TestCheckerPathCost:
     CEILING = 42.6
 
     def test_calls_per_transition_stay_under_the_ceiling(self):
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" or event == "c_call":
-                calls += 1
-
         config = dict(directed_worlds())["clean"]
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            result = check(config)
-        finally:
-            sys.setprofile(previous)
+        calls, result = count_calls(check, config)
         transitions = result.stats["transitions"]
         assert transitions == 17_510
         assert calls / transitions < self.CEILING, (

@@ -4,7 +4,6 @@ Full-size (1001-export, 6-run) executions live in ``benchmarks/``; here
 we verify the builder and the qualitative regimes at reduced size.
 """
 
-import sys
 import types
 from dataclasses import replace
 
@@ -23,6 +22,7 @@ from repro.core.protocol import ProtocolDriver
 from repro.des.channel import Network
 from repro.util.stats import SeriesSummary
 from repro.util.validation import ValidationError
+from tests.callcount import count_calls
 
 
 def small(u_procs, **kw):
@@ -215,23 +215,11 @@ class TestExportPathCost:
     CEILING = 24.0
 
     def test_calls_per_event_stay_under_the_ceiling(self):
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" or event == "c_call":
-                calls += 1
-
-        events = 0
+        calls = events = 0
         for sub in "abcd":
             cs = build_figure4_simulation(spec_for_subfigure(sub, exports=121))
             cs.start()  # wiring (and its process-wide schedule cache) not counted
-            previous = sys.getprofile()
-            sys.setprofile(count)
-            try:
-                cs.sim.run()
-            finally:
-                sys.setprofile(previous)
+            calls += count_calls(cs.sim.run)[0]
             events += cs.sim.kernel_counters()["dispatched"]
         assert events == 9901
         assert calls / events < self.CEILING, (
@@ -263,31 +251,11 @@ class TestMessagePathCost:
                 if isinstance(c, types.CodeType) and c.co_name == "_deliver"
             ),
         }
-        calls = 0
-        depth = 0  # Python frames open inside the message path
-
-        def count(frame, event, arg):
-            nonlocal calls, depth
-            if event == "call":
-                if depth or frame.f_code in entries:
-                    depth += 1
-                    calls += 1
-            elif event == "return":
-                if depth:
-                    depth -= 1
-            elif event == "c_call" and depth:
-                calls += 1
-
-        messages = 0
+        calls = messages = 0
         for sub in "abcd":
             cs = build_figure4_simulation(spec_for_subfigure(sub, exports=121))
             cs.start()
-            previous = sys.getprofile()
-            sys.setprofile(count)
-            try:
-                cs.sim.run()
-            finally:
-                sys.setprofile(previous)
+            calls += count_calls(cs.sim.run, within=entries)[0]
             messages += cs.world.network.messages_sent
         assert messages == 1770
         assert calls / messages < self.CEILING, (

@@ -7,8 +7,6 @@ events, so a decision one of them recorded is recorded by every fold
 that reads its kind, with the same connection, request and time.
 """
 
-import gc
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -20,6 +18,7 @@ from repro.obs.prov import read_log
 from repro.scenarios import build
 from repro.util import tracing
 from repro.util.tracing import Tracer
+from tests.callcount import count_calls
 
 
 def _watched_options(tmp_path, **extra):
@@ -36,31 +35,9 @@ def _watched_options(tmp_path, **extra):
 
 def _count_calls(sim):
     """Python calls made, and DES events dispatched, running *sim* (its
-    wiring and the provenance header not counted).
-
-    The collector is off in the window: a collection there would count
-    the finalizers of earlier tests' garbage (their suspended agent and
-    rep processes) and any ``gc.callbacks`` (Hypothesis registers one),
-    which are not calls of this run.
-    """
+    wiring and the provenance header not counted)."""
     sim.start()
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
-
-    previous = sys.getprofile()
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        sim.sim.run()
-    finally:
-        sys.setprofile(previous)
-        if collecting:
-            gc.enable()
+    calls, _ = count_calls(sim.sim.run)
     return calls, sim.sim.kernel_counters()["dispatched"]
 
 

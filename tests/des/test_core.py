@@ -40,11 +40,10 @@ class _LegacySimulator:
     every schedule, immediate or future, goes through one binary heap,
     so the order is the ``(time, priority, seq)`` total order by
     construction.  The shipped kernel serves same-instant events from
-    immediate lanes and places timeouts inline, and must fire, count
-    and report heap placements exactly as this does.  Events,
-    processes and conditions are the shipped classes; they reach the
-    scheduler only through ``_seq``, ``_lanes``, ``_cancel_count`` and
-    ``_active_process``.
+    immediate lanes and places timeouts inline, and must fire and
+    count exactly as this does.  Events, processes and conditions are
+    the shipped classes; they reach the scheduler only through
+    ``_seq``, ``_lanes``, ``_cancel_count`` and ``_active_process``.
     """
 
     def __init__(self):
@@ -55,7 +54,6 @@ class _LegacySimulator:
         self._timed = 0
         self._cancel_count = 0
         self._active_process = None
-        self._sched_hook = None
 
     @property
     def now(self):
@@ -81,8 +79,6 @@ class _LegacySimulator:
         entry = (self._now + delay, int(PriorityLevel.NORMAL), self._seq, ev)
         if delay != 0.0:
             self._timed += 1
-            if self._sched_hook is not None:
-                self._sched_hook(entry[:3])
         heapq.heappush(self._heap, entry)
         return ev
 
@@ -253,12 +249,10 @@ def _drive(sim, scripts):
     """Run one process per script on *sim*; return everything observable.
 
     That is the firing order of every event and process step, the
-    kernel counters, the ``_sched_hook`` placements and the clock.  A
-    kernel error ends the run and is part of the outcome.
+    kernel counters and the clock.  A kernel error ends the run and is
+    part of the outcome.
     """
     log = []
-    placements = []
-    sim._sched_hook = placements.append
     procs = []
 
     def fired(tag):
@@ -302,7 +296,7 @@ def _drive(sim, scripts):
         error = None
     except Exception as exc:  # both kernels must fail alike
         error = re.sub(r" at 0x[0-9a-f]+", "", repr(exc))
-    return log, sim.kernel_counters(), placements, sim.now, error
+    return log, sim.kernel_counters(), sim.now, error
 
 
 class TestLegacySimulatorFidelity:

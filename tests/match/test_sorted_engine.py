@@ -15,7 +15,6 @@ is for: no per-request Python work above that line.
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from repro.match.sorted_engine import (
     BatchResponses,
     SortedMatchEngine,
 )
+from tests.callcount import count_calls
 
 ALL_POLICIES = [
     MatchPolicy(PolicyKind.REGL, 2.5),
@@ -506,20 +506,7 @@ class TestBatchResponsesSequence:
 
 def _calls(fn):
     """Python-level calls made while *fn* runs (exact, untimed)."""
-    count = 0
-
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call":
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return count
+    return count_calls(fn, c_calls=False)[0]
 
 
 class TestMatchPathCost:
