@@ -23,14 +23,15 @@ checks six invariants:
            transferred every MATCH answer it holds
 =========  ==============================================================
 
-States are copy-on-write per component and hashed with BLAKE2b-128 over
-the components' cached canonical bytes (:meth:`ModelMachine.digest`), so
-the visited set stores 16-byte digests, not object graphs, and a
-transition re-encodes only what it wrote.  A transition goes through
-the machine's transition table (:meth:`ModelMachine.step`), which runs
-the protocol code once per distinct local input and replays the stored
-effect after that.  The search is a depth-first
-walk with **sleep sets**
+States are copy-on-write per component and identified by a 128-bit
+Zobrist hash (:meth:`ModelMachine.digest`: the XOR of one BLAKE2b-128
+per component, link and budget), so the visited set stores integers,
+not object graphs.  A transition goes through the machine's transition
+table (:meth:`ModelMachine.step`), which runs the protocol code once per
+distinct local input, replays the stored effect after that and returns
+the digest change stored with it: a child's digest is its parent's XOR
+that change, and no state is hashed whole but the initial one.  The
+search is a depth-first walk with **sleep sets**
 (Godefroid): after exploring action *a* from a state, every previously
 explored action independent of *a* is put to sleep in *a*'s successor —
 permutations of commuting actions are walked once instead of ``n!``
@@ -123,7 +124,7 @@ class _Frame:
     already explored from it)."""
 
     w: _Working
-    digest: bytes
+    digest: int
     todo: Iterator[Action]
     asleep: set[Action]
 
@@ -142,8 +143,8 @@ class _Explorer:
             )
             for a, fa in footprints.items()
         }
-        self.visited: dict[bytes, frozenset[Action]] = {}
-        self.parent: dict[bytes, tuple[bytes, Action]] = {}
+        self.visited: dict[int, frozenset[Action]] = {}
+        self.parent: dict[int, tuple[int, Action]] = {}
         self.report = Report()
         self.counterexamples: list[dict[str, Any]] = []
         self.rule_hits: dict[str, int] = {}
@@ -155,7 +156,7 @@ class _Explorer:
         self.complete = True
 
     # -- helpers ------------------------------------------------------------
-    def _path_to(self, digest: bytes, extra: Action | None) -> list[Action]:
+    def _path_to(self, digest: int, extra: Action | None) -> list[Action]:
         actions: list[Action] = [] if extra is None else [extra]
         cur = digest
         while cur in self.parent:
@@ -165,7 +166,7 @@ class _Explorer:
         return actions
 
     def _record(
-        self, rule: str, message: str, digest: bytes, extra: Action | None
+        self, rule: str, message: str, digest: int, extra: Action | None
     ) -> None:
         self.rule_hits[rule] = self.rule_hits.get(rule, 0) + 1
         if self.rule_hits[rule] > 1:
@@ -192,7 +193,7 @@ class _Explorer:
         )
 
     def _inspect(
-        self, w: _Working, actions: list[Action], digest: bytes
+        self, w: _Working, actions: list[Action], digest: int
     ) -> None:
         """Invariant checks on a newly reached state."""
         occupancy = self.machine.check_occupancy(w)
@@ -237,7 +238,7 @@ class _Explorer:
                 w = clone_working(frame.w)
                 self.transitions += 1
                 try:
-                    machine.step(w, action)
+                    digest = frame.digest ^ machine.step(w, action)
                 except VIOLATION_ERRORS as exc:
                     self._record(
                         "M203",
@@ -246,7 +247,6 @@ class _Explorer:
                         action,
                     )
                     continue
-                digest = machine.digest(w)
                 stored = visited.get(digest)
                 if stored is None:
                     visited[digest] = child_sleep

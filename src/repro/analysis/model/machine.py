@@ -79,15 +79,17 @@ wire copy disappears (delivery or drop) — a remembered seq with no
 live copy can never be consulted again, and keeping it would make the
 stamper's choice depend on dead history.
 
-States are hashed over canonical nested tuples, one per component
-(``canon()``, :meth:`ModelMachine.digest`); behavioural fields only —
-reporting counters are excluded so states that cannot be distinguished
-by any future behaviour merge.  The canonical form covers every field
-any check reads: a field left out merges states that behave
+Each component is encoded as a canonical nested tuple (``canon()``);
+behavioural fields only — reporting counters are excluded so states
+that cannot be distinguished by any future behaviour merge.  A state's
+digest (:meth:`ModelMachine.digest`) is the XOR of one hash per
+component, per link and per budget, so a transition changes it by the
+hashes of the slots it replaced, and the transition table stores that
+change with the rest of the effect.  The canonical form covers every
+field any check reads: a field left out merges states that behave
 differently, and the transition table, keyed by these bytes, installs
-one's effect in the other.  The deep copy and the whole-state
-encode this replaced are the oracle of
-``tests/analysis/test_model_cow.py``.
+one's effect in the other.  The deep copy and the whole-state encode
+this replaced are the oracle of ``tests/analysis/test_model_cow.py``.
 """
 
 from __future__ import annotations
@@ -388,15 +390,20 @@ _ReadSet = tuple[
 
 #: What an action did, as :meth:`ModelMachine.step` replays it: the
 #: components and channel tuples it replaced, the budgets it set, the
-#: buddy skips it counted per exporter rank and, for a transition the
-#: protocol rejected, the exception's type and message.
+#: buddy skips it counted per exporter rank, for a transition the
+#: protocol rejected the exception's type and message, and otherwise
+#: the change of the state's digest.
 _Effect = tuple[
     tuple[tuple[str, Any], ...],
     tuple[tuple[tuple[str, str], tuple[Any, ...]], ...],
     tuple[tuple[str, int], ...],
     tuple[tuple[int, int], ...],
     tuple[type[Exception], str] | None,
+    int,
 ]
+
+#: The fault budgets of a state, each one digest slot.
+_BUDGETS = ("drop_left", "dup_left", "crash_left")
 
 #: Marks an exporter rank whose M204 verdict has not been computed yet.
 _UNCHECKED: Any = object()
@@ -721,7 +728,10 @@ class _Working:
     The two maps are private to a state, what they point at is shared
     with the states it was cloned from and into: a component is written
     only after :meth:`thaw` replaced it with a private copy, a channel
-    only by putting a new tuple in its slot.
+    only by putting a new tuple in its slot.  Each component, each link
+    and each of the three budgets is one slot of the state's digest
+    (:meth:`ModelMachine.digest`): a transition changes the digest by
+    the old and new hashes of the slots it replaced and of no other.
     """
 
     comps: dict[str, Any]
@@ -900,6 +910,8 @@ class ModelMachine:
         self._effects: dict[bytes, _Effect] = {}
         #: ``(type, canonical bytes)`` -> the one component object with them.
         self._interned: dict[tuple[type[Any], bytes], Any] = {}
+        #: ``(slot, value bytes)`` -> that slot's share of a digest.
+        self._slot_hashes: dict[tuple[Any, bytes], int] = {}
         self.driver = _ModelDriver(config, self.spec)
 
     # -- construction -------------------------------------------------------
@@ -948,24 +960,40 @@ class ModelMachine:
         )
 
     # -- canonical encoding -------------------------------------------------
-    def digest(self, w: _Working) -> bytes:
-        """16-byte BLAKE2b digest of the canonical form of *w*: each
-        component's ``canon()``, then the channels and the fault budgets.
+    def digest(self, w: _Working) -> int:
+        """128-bit Zobrist hash of *w*: the XOR of one :meth:`_slot`
+        hash per component (its ``canon()`` bytes), per link (its whole
+        channel tuple) and per fault budget.
 
         ``marshal`` version 2 writes no back reference and no interning
         flag, so the bytes are a function of value, never of object
         identity (a wire-level ``dup`` puts the *same* entry tuple in a
-        channel twice), and its streams are self-delimiting, so hashing
-        the concatenation loses nothing.  A component keeps its bytes
-        until it is thawed: a transition re-encodes what it wrote.
+        channel twice).  Hashing the slot's name with its value keeps
+        equal values in different slots apart, and hashing a channel
+        whole keeps an entry held twice from cancelling out.  The DFS
+        calls this for the initial state only: every later digest is
+        its parent's XOR the change :meth:`step` returns.
         """
-        parts = [comp.enc or self._encode(comp) for comp in w.comps.values()]
-        parts.append(
-            marshal.dumps(
-                (tuple(w.chans.values()), w.drop_left, w.dup_left, w.crash_left), 2
+        slot = self._slot
+        h = 0
+        for name, comp in w.comps.items():
+            h ^= slot(name, comp.enc or self._encode(comp))
+        for link, chan in w.chans.items():
+            h ^= slot(link, marshal.dumps(chan, 2))
+        for b in _BUDGETS:
+            h ^= slot(b, marshal.dumps(getattr(w, b), 2))
+        return h
+
+    def _slot(self, slot: Any, value: bytes) -> int:
+        """BLAKE2b-128 of slot name *slot* holding *value*, memoized."""
+        key = (slot, value)
+        h = self._slot_hashes.get(key)
+        if h is None:
+            h = self._slot_hashes[key] = int.from_bytes(
+                hashlib.blake2b(marshal.dumps(key, 2), digest_size=16).digest(),
+                "little",
             )
-        )
-        return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+        return h
 
     @staticmethod
     def _encode(comp: Any) -> bytes:
@@ -1148,8 +1176,9 @@ class ModelMachine:
             w.chans[link] = chan[:1] + chan  # wire-level copy: same sequence number
             w.dup_left -= 1
 
-    def step(self, w: _Working, action: Action) -> None:
-        """:meth:`apply`, run once per distinct local input.
+    def step(self, w: _Working, action: Action) -> int:
+        """:meth:`apply`, run once per distinct local input; returns
+        the change of *w*'s :meth:`digest`.
 
         An action reads a few components and links of *w* (its read
         set, :meth:`_read_set`), and the outcome of :meth:`apply` is a
@@ -1159,7 +1188,9 @@ class ModelMachine:
         stored (:meth:`_learn`), and every later time that is installed
         in *w* and nothing runs.  So the state space, every statistic
         and every raised violation are those of :meth:`apply`, which
-        counterexample replay still calls directly.
+        counterexample replay still calls directly.  The key covers the
+        old value of every slot the effect replaces, so the digest
+        change is stored with the effect too.
         """
         comps, chans = w.comps, w.chans
         full, seen, links, budgets = self._reads[action]
@@ -1178,9 +1209,8 @@ class ModelMachine:
         ).digest()
         effect = self._effects.get(key)
         if effect is None:
-            self._learn(w, action, key)
-            return
-        new_comps, new_chans, new_budgets, skips, error = effect
+            return self._learn(w, action, key)
+        new_comps, new_chans, new_budgets, skips, error, delta = effect
         for r, n in skips:
             self.driver.exporters[r].stats.buddy_skips += n
         if error is not None:
@@ -1189,9 +1219,11 @@ class ModelMachine:
         chans.update(new_chans)
         for b, value in new_budgets:
             setattr(w, b, value)
+        return delta
 
-    def _learn(self, w: _Working, action: Action, key: bytes) -> None:
-        """Run :meth:`apply` on *w* and store what it did under *key*.
+    def _learn(self, w: _Working, action: Action, key: bytes) -> int:
+        """Run :meth:`apply` on *w*, store what it did under *key* and
+        return the digest change.
 
         A replaced component is interned by its canonical bytes, in *w*
         and in the effect, so states and effects that hold equal
@@ -1200,9 +1232,10 @@ class ModelMachine:
         frames) and propagates.
         """
         full, _seen, links, budgets = self._reads[action]
-        comps, chans = w.comps, w.chans
+        comps, chans, slot = w.comps, w.chans, self._slot
         before = [comps[n] for n in full]
         before_chans = [chans[link] for link in links]
+        before_budgets = [getattr(w, b) for b in budgets]
         stats = [ctx.stats for ctx in self.driver.exporters]
         skipped = [s.buddy_skips for s in stats]
 
@@ -1216,8 +1249,9 @@ class ModelMachine:
         try:
             self.apply(w, action)
         except VIOLATION_ERRORS as exc:
-            self._effects[key] = ((), (), (), skips(), (type(exc), str(exc)))
+            self._effects[key] = ((), (), (), skips(), (type(exc), str(exc)), 0)
             raise
+        delta = 0
         new_comps = []
         for name, old in zip(full, before):
             comp = comps[name]
@@ -1225,17 +1259,25 @@ class ModelMachine:
                 enc = comp.enc or self._encode(comp)
                 comp = comps[name] = self._interned.setdefault((type(comp), enc), comp)
                 new_comps.append((name, comp))
+                delta ^= slot(name, old.enc or self._encode(old)) ^ slot(name, enc)
+        new_chans = []
+        for link, old_chan in zip(links, before_chans):
+            chan = chans[link]
+            if chan is not old_chan:
+                new_chans.append((link, chan))
+                delta ^= slot(link, marshal.dumps(old_chan, 2))
+                delta ^= slot(link, marshal.dumps(chan, 2))
+        new_budgets = []
+        for b, old_value in zip(budgets, before_budgets):
+            value = getattr(w, b)
+            new_budgets.append((b, value))
+            delta ^= slot(b, marshal.dumps(old_value, 2))
+            delta ^= slot(b, marshal.dumps(value, 2))
         self._effects[key] = (
-            tuple(new_comps),
-            tuple(
-                (link, chans[link])
-                for link, old in zip(links, before_chans)
-                if chans[link] is not old
-            ),
-            tuple((b, getattr(w, b)) for b in budgets),
-            skips(),
-            None,
+            tuple(new_comps), tuple(new_chans), tuple(new_budgets), skips(), None,
+            delta,
         )
+        return delta
 
     def _read_set(self, action: Action) -> _ReadSet:
         """What :meth:`apply` reads to run *action*, read off its code.
