@@ -79,6 +79,14 @@ wire copy disappears (delivery or drop) — a remembered seq with no
 live copy can never be consulted again, and keeping it would make the
 stamper's choice depend on dead history.
 
+That pruning makes an invariant of every reachable state, *seen within
+in flight*: every seq a component remembers rides a link into it, and
+since a seq names its sender, a sender's seqs toward a receiver ride
+only that sender's link.  So a ``(sender, k)`` in the receiver's memory
+is also in flight on the ``(sender, receiver)`` link, and the stamper's
+choice is a function of that link alone.  ``tests/analysis/
+test_model_table.py`` asserts the invariant on every state it reaches.
+
 Each component is encoded as a canonical nested tuple (``canon()``);
 behavioural fields only — reporting counters are excluded so states
 that cannot be distinguished by any future behaviour merge.  A state's
@@ -382,11 +390,8 @@ Seq = tuple[str, int]
 
 #: What an action reads, as :meth:`ModelMachine.step` keys it: the
 #: components whose canonical bytes it reads (every one it may write),
-#: the components of which it reads only the dedup memory (the stamper's
-#: view of a send target), the links and the budget attributes.
-_ReadSet = tuple[
-    tuple[str, ...], tuple[str, ...], tuple[tuple[str, str], ...], tuple[str, ...]
-]
+#: the links and the budget attributes.
+_ReadSet = tuple[tuple[str, ...], tuple[tuple[str, str], ...], tuple[str, ...]]
 
 #: What an action did, as :meth:`ModelMachine.step` replays it: the
 #: components and channel tuples it replaced, the budgets it set, the
@@ -1193,13 +1198,12 @@ class ModelMachine:
         change is stored with the effect too.
         """
         comps, chans = w.comps, w.chans
-        full, seen, links, budgets = self._reads[action]
+        full, links, budgets = self._reads[action]
         key = hashlib.blake2b(
             marshal.dumps(
                 (
                     action,
                     [comps[n].enc or self._encode(comps[n]) for n in full],
-                    [sorted(comps[n].seen) for n in seen],
                     [chans[link] for link in links],
                     [getattr(w, b) for b in budgets],
                 ),
@@ -1231,7 +1235,7 @@ class ModelMachine:
         and message (the exception object would pin its traceback's
         frames) and propagates.
         """
-        full, _seen, links, budgets = self._reads[action]
+        full, links, budgets = self._reads[action]
         comps, chans, slot = w.comps, w.chans, self._slot
         before = [comps[n] for n in full]
         before_chans = [chans[link] for link in links]
@@ -1283,38 +1287,35 @@ class ModelMachine:
         """What :meth:`apply` reads to run *action*, read off its code.
 
         A component it may write is read whole (its replacement is
-        stored and installed whole); of a send target it reads only the
-        dedup memory the stamper consults (:meth:`_ModelDriver.
-        _net_send`).
+        stored and installed whole).  Of a send target the stamper
+        (:meth:`_ModelDriver._net_send`) also consults the dedup memory,
+        but by the seen-within-in-flight invariant (module docstring)
+        that adds nothing to the link it sends on, which is in the set.
 
-        * ``deliver`` — the receiver, the dedup memory of every
-          component it may send to, every link into it (in-flight
+        * ``deliver`` — the receiver, every link into it (in-flight
           pruning) and every link out of it;
         * ``drop`` — the receiver (its memory is pruned), every link
           into it and the drop budget;
         * ``dup`` — the link and the dup budget;
-        * ``issue``/``retransmit`` — the importer rank, the importer
-          rep's memory and the link up to it;
-        * ``export``/``close`` — the exporter rank, the exporter rep's
-          memory and the link up to it;
+        * ``issue``/``retransmit`` — the importer rank and the link up
+          to its rep;
+        * ``export``/``close`` — the exporter rank and the link up to
+          its rep;
         * ``crash`` — the exporter rank and the crash budget.
         """
         kind = action[0]
         if kind in ("deliver", "drop", "dup"):
             dst = action[2]
             if kind == "dup":
-                return (), (), ((action[1], dst),), ("dup_left",)
+                return (), ((action[1], dst),), ("dup_left",)
             if kind == "drop":
-                return (dst,), (), self._in_links[dst], ("drop_left",)
-            outs = self._out_links(dst)
-            return (
-                (dst,), outs, self._in_links[dst] + tuple((dst, o) for o in outs), ()
-            )
+                return (dst,), self._in_links[dst], ("drop_left",)
+            outs = tuple((dst, o) for o in self._out_links(dst))
+            return (dst,), self._in_links[dst] + outs, ()
         name = f"{'I' if kind in ('issue', 'retransmit') else 'E'}{action[1]}"
         if kind == "crash":
-            return (name,), (), (), ("crash_left",)
-        rep = name[0] + "R"
-        return (name,), (rep,), ((name, rep),), ()
+            return (name,), (), ("crash_left",)
+        return (name,), ((name, name[0] + "R"),), ()
 
     def _in_flight(self, w: _Working, dst: str) -> set[Seq]:
         """Sequence numbers with a wire copy left toward *dst*."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -273,9 +274,17 @@ class ConnectionExportState:
         Returns ``(decision, window, replaced_candidate_ts)``.  The
         caller must already have appended *ts* to the shared history.
         """
-        if ts in self.must_send:
-            self.must_send.discard(ts)
-            return (ExportDecision.SEND, None, None)
+        must_send = self.must_send
+        if must_send:
+            if ts in must_send:
+                must_send.discard(ts)
+                return (ExportDecision.SEND, None, None)
+            for m in must_send:  # a loop, not min(): the export path makes no call
+                if m < ts:
+                    # The collective matched an object this process was
+                    # to export later, and its stream just went past it.
+                    history = self.engine.history
+                    raise unexported_match(self.conn.connection_id, history, m)
         # In-region candidate for an open request?  Checked BEFORE the
         # skip threshold: a later request's arrival advances the
         # threshold past the regions of still-unresolved earlier
@@ -405,6 +414,23 @@ class ConnectionExportState:
             if req.candidate_ts is not None:
                 keep.add(req.candidate_ts)
         return keep
+
+
+def unexported_match(
+    where: str, history: ExportHistory, m: float
+) -> PropertyViolationError:
+    """Property 1 broken: the collective verdict is MATCH/*m*, but the
+    stream of *history* has passed *m* without exporting it (the verdict
+    came from ranks whose export lines differ from this one).  The error
+    names *m* and this process's exports around it."""
+    exports = history.all_timestamps()
+    i = bisect_left(exports, m)
+    around = ", ".join(f"{t:g}" for t in exports[max(i - 1, 0) : i + 1])
+    return PropertyViolationError(
+        f"{where}: the collective verdict MATCH/{m:g} names a timestamp this "
+        f"process never exported (its exports around it: {around}) — "
+        "Property 1 violated"
+    )
 
 
 def _answer_from(response: MatchResponse) -> FinalAnswer:

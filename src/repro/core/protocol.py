@@ -51,7 +51,7 @@ from repro.core import spine, wire
 from repro.core.buffers import BufferEntry
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
 from repro.core.exceptions import ConfigError, FrameworkError
-from repro.core.exporter import ExportDecision, RegionExportState
+from repro.core.exporter import ExportDecision, RegionExportState, unexported_match
 from repro.core.importer import RegionImportState
 from repro.core.properties import OperationLog, check_property1
 from repro.core.rep import (
@@ -799,14 +799,22 @@ class ProtocolDriver:
         self, ctx: ContextBase, region: str, cid: str, m: float
     ) -> BufferEntry | None:
         """The buffered match *m*, marked sent; ``None`` once it is gone
-        after a transfer.  A match neither buffered nor ever sent raises."""
-        buffer = ctx.export_states[region].buffer
+        after a transfer.  A match neither buffered nor ever sent raises:
+        :class:`PropertyViolationError` when this process never exported
+        *m* although its stream has passed it (the collective verdict
+        came from ranks whose export lines differ from this one), the
+        control-loss error when *m* was exported and then evicted."""
+        st = ctx.export_states[region]
+        buffer = st.buffer
         if not buffer.has(m):
             if buffer.was_sent(m):
                 # Already transferred (a retransmission-driven re-send
                 # by the agent can beat this call and evict the entry);
                 # the importer deduplicates pieces, nothing to do.
                 return None
+            history = st.history
+            if history.latest > m and not history.in_interval(m, m):
+                raise unexported_match(f"{ctx.who} on {cid}", history, m)
             raise FrameworkError(
                 f"{ctx.who}: match @{m:g} of {cid} is no longer buffered — "
                 "pipelined imports combined with control-message loss can "

@@ -15,9 +15,7 @@ from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.des.core import Event, Simulator
 from repro.des.store import Store
-from repro.util.validation import (
-    ValidationError, require, require_non_negative, require_positive,
-)
+from repro.util.validation import ValidationError, require_non_negative, require_positive
 
 _INF = float("inf")
 
@@ -103,15 +101,6 @@ class Network:
         return self._in_flight
 
     # -- transfer ------------------------------------------------------
-    def transfer_delay(self, nbytes: int) -> float:
-        """Delay for an *nbytes* message at current congestion."""
-        require_non_negative(nbytes, "nbytes")
-        bandwidth = self.bandwidth
-        base = self.latency + (nbytes / bandwidth if bandwidth != _INF else 0.0)
-        if self._congestion is not None:
-            base *= self._congestion(self._in_flight)
-        return base
-
     def send(self, src: Hashable, dst: Hashable, payload: Any, nbytes: int = 0) -> Event:
         """Send *payload* from *src* to *dst*.
 
@@ -123,7 +112,8 @@ class Network:
         mailbox = self._mailboxes.get(dst)
         if mailbox is None:
             raise ValidationError(f"unknown destination {dst!r}")
-        # transfer_delay(nbytes), inlined: one call less per message.
+        # The delay is latency plus size over bandwidth, scaled by the
+        # congestion factor at the current number of messages in flight.
         if type(nbytes) is not int or nbytes < 0:
             require_non_negative(nbytes, "nbytes")
         bandwidth = self.bandwidth
@@ -156,32 +146,3 @@ class Network:
         timer.callbacks.append(_deliver)
         return done
 
-
-class Channel:
-    """A convenience point-to-point pipe between two fixed endpoints.
-
-    Wraps a :class:`Network` pair of mailboxes with ``send``/``recv``
-    generator helpers for simple two-party tests and examples.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: float = 0.0,
-        bandwidth: float = float("inf"),
-    ) -> None:
-        self.sim = sim
-        self._net = Network(sim, latency=latency, bandwidth=bandwidth)
-        self._net.register("a")
-        self._net.register("b")
-
-    def send(self, side: str, payload: Any, nbytes: int = 0) -> Event:
-        """Send from *side* (``"a"`` or ``"b"``) to the opposite side."""
-        require(side in ("a", "b"), "side must be 'a' or 'b'")
-        other = "b" if side == "a" else "a"
-        return self._net.send(side, other, payload, nbytes)
-
-    def recv(self, side: str) -> Event:
-        """Event carrying the next :class:`Delivery` for *side*."""
-        require(side in ("a", "b"), "side must be 'a' or 'b'")
-        return self._net.mailbox(side).get()

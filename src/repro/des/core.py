@@ -12,7 +12,7 @@ Two structures back that order (the hot-path split):
 
 * a binary heap of ``(time, priority, seq, event)`` tuples for events
   scheduled in the *future* (``delay > 0``), and
-* three *immediate lanes* — one FIFO deque per priority level — for
+* two *immediate lanes* — one FIFO deque per priority level — for
   events scheduled at the *current instant* (``delay == 0``: every
   ``succeed``/``fail``, process bootstrap and resume carrier).
 
@@ -40,8 +40,8 @@ times and ends at the same time.
 Processes are plain Python generators.  A process yields the event it
 wants to wait for; when that event fires, the process is resumed with
 the event's value (or the event's exception is thrown into it).  This
-mirrors SimPy's programming model, which is the de-facto idiom for
-Python DES code, but the implementation here is self-contained.
+mirrors SimPy's programming model, but the kernel carries only what the
+runtimes use: no interrupts, and one composite wait, :class:`AnyOf`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class PriorityLevel(IntEnum):
 
     URGENT = 0
     NORMAL = 1
-    LOW = 2
 
 
 _new_event = object.__new__
@@ -160,8 +159,6 @@ class Event:
 
         The kernel discards the event when it reaches the head of the
         schedule: no callbacks run, and a failure value is not raised.
-        Cancelling is how abandoned timers (e.g. the loser of a
-        wait-with-timeout race) avoid burdening the event loop.
         Cancelling an already-processed event is an error.
         """
         if self._processed:
@@ -184,21 +181,6 @@ class Timeout(Event):
         raise TypeError("build a Timeout with Simulator.timeout(delay, value)")
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    Attributes
-    ----------
-    cause:
-        The value passed to :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The interrupt cause supplied by the interrupter."""
-        return self.args[0]
-
-
 class Process(Event):
     """A running generator; also an event that fires when it returns.
 
@@ -208,7 +190,7 @@ class Process(Event):
     the generator becomes this process-event's value.
     """
 
-    __slots__ = ("name", "_gen", "_waiting_on")
+    __slots__ = ("name", "_gen")
 
     def __init__(
         self,
@@ -220,7 +202,6 @@ class Process(Event):
         require(hasattr(gen, "send") and hasattr(gen, "throw"), "gen must be a generator")
         self.name = name
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         # Kick the generator at the current instant.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
@@ -231,31 +212,9 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event (the
-        event may still fire later, the process just no longer waits).
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        waited = self._waiting_on
-        if waited is not None and self._resume in waited.callbacks:
-            waited.callbacks.remove(self._resume)
-        self._waiting_on = None
-        carrier = Event(self.sim)
-        carrier.callbacks.append(self._resume)
-        carrier.fail(Interrupt(cause), priority=PriorityLevel.URGENT)
-        carrier.defuse()
-
-    # -- engine --------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         # Runs once per process step: slots are read directly (the
-        # public properties are a call each) and ``sim`` is looked up once.
-        self._waiting_on = None
-        sim = self.sim
-        sim._active_process = self
+        # public properties are a call each).
         try:
             if trigger._ok:
                 target = self._gen.send(trigger._value)
@@ -263,20 +222,18 @@ class Process(Event):
                 trigger._defused = True
                 target = self._gen.throw(trigger._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # generator crashed
-            sim._active_process = None
             self.fail(exc)
             return
-        sim._active_process = None
         # The kernel's own classes are matched by exact type (no call);
         # anything else pays the isinstance walk.
         if type(target) not in _EVENT_TYPES and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
+        sim = self.sim
         if target.sim is not sim:
             raise SimulationError("cannot wait on an event from another Simulator")
         if target._processed:
@@ -289,75 +246,40 @@ class Process(Event):
                 carrier.fail(target._value, priority=PriorityLevel.URGENT)
                 carrier.defuse()
             return
-        self._waiting_on = target
         target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite waits."""
+class AnyOf(Event):
+    """Fires as soon as any constituent event has fired.
 
-    __slots__ = ("_events", "_pending")
+    Its value is a dict mapping the already-fired events to their
+    values (there may be more than one if several fire at one instant);
+    a failed constituent fails it with that event's exception.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
-        require(len(self._events) > 0, "condition needs at least one event")
-        self._pending = 0
+        require(len(self._events) > 0, "AnyOf needs at least one event")
         for ev in self._events:
             if ev._processed:
                 self._check(ev)
             else:
-                self._pending += 1
                 ev.callbacks.append(self._check)
-        # Handle the all-already-processed case.
-        if not self._triggered and self._pending == 0:
-            self._finalize()
 
     def _check(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            ev.defuse()
-            self.fail(ev.value)
+        if not ev._ok:
+            ev._defused = True
+            self.fail(ev._value)
             return
-        self._pending -= 1
-        if self._satisfied(ev):
-            self._finalize()
-
-    def _results(self) -> dict[Event, Any]:
-        return {ev: ev.value for ev in self._events if ev._processed and ev.ok}
-
-    def _finalize(self) -> None:
-        if not self._triggered:
-            self.succeed(self._results())
-
-    def _satisfied(self, ev: Event) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+        self.succeed({e: e._value for e in self._events if e._processed and e._ok})
 
 
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event has fired.
-
-    Its value is a dict mapping the already-fired events to their
-    values (there may be more than one if several fire at one instant).
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self, ev: Event) -> bool:
-        return True
-
-
-class AllOf(_Condition):
-    """Fires when all constituent events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self, ev: Event) -> bool:
-        return self._pending <= 0
-
-
-_EVENT_TYPES = frozenset({Event, Timeout, Process, AnyOf, AllOf})
+_EVENT_TYPES = frozenset({Event, Timeout, Process, AnyOf})
 
 
 class Simulator:
@@ -382,8 +304,7 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         #: Immediate lanes: one FIFO of ``(seq, event)`` per priority
         #: level, holding events scheduled for the current instant.
-        self._lanes: tuple[deque[tuple[int, Event]], ...] = (
-            deque(),
+        self._lanes: tuple[deque[tuple[int, Event]], deque[tuple[int, Event]]] = (
             deque(),
             deque(),
         )
@@ -395,7 +316,6 @@ class Simulator:
         #: no instrumentation cost at all.
         self._heap_scheduled = 0
         self._cancel_count = 0
-        self._active_process: Optional[Process] = None
         #: Optional observer called between events: when the next event
         #: lies past ``_tick_at`` and no same-instant lane is pending,
         #: :meth:`run` sets the clock to ``_tick_at`` and calls it; it
@@ -409,16 +329,7 @@ class Simulator:
         """Current virtual time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- construction helpers -------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending :class:`Event`."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing after *delay* time units.
 
@@ -452,14 +363,6 @@ class Simulator:
         """Start *gen* as a process at the current instant."""
         return Process(self, gen, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of *events* fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all of *events* have fired."""
-        return AllOf(self, events)
-
     # -- scheduling ------------------------------------------------------
     def _step(self) -> None:
         """Fire the next event in (time, prio, seq) order.
@@ -474,7 +377,7 @@ class Simulator:
         lanes = self._lanes
         heap = self._heap
         event: Event | None = None
-        for prio in (0, 1, 2):
+        for prio in (0, 1):
             lane = lanes[prio]
             if lane:
                 if heap:
@@ -504,78 +407,55 @@ class Simulator:
         if not event._ok and not event._defused:
             raise event._value
 
-    def _has_pending(self) -> bool:
-        lanes = self._lanes
-        return bool(self._heap or lanes[0] or lanes[1] or lanes[2])
-
     def _run_ticking(self, horizon: float) -> None:
         """Fire every event due by *horizon*, and the ticks due between.
 
-        Events run in segments that end where a tick is due: every lane
+        Events run in segments that end where a tick is due: both lanes
         empty and the heap's head past it.  Ticks fire while events
         remain, or up to a finite *horizon*; once the tick is cleared or
         lies past *horizon*, the last loop is the plain one.
         """
-        lane0, lane1, lane2 = self._lanes
+        lane0, lane1 = self._lanes
         heap = self._heap
         step = self._step
         unbounded = horizon == float("inf")
         while self._tick is not None and self._tick_at <= horizon:
             at = self._tick_at
-            while lane0 or lane1 or lane2 or (heap and heap[0][0] <= at):
+            while lane0 or lane1 or (heap and heap[0][0] <= at):
                 step()
             if self._tick is None or (unbounded and not heap):
                 break
             self._now = at
             self._tick_at = self._tick()
-        while lane0 or lane1 or lane2 or (heap and heap[0][0] <= horizon):
+        while lane0 or lane1 or (heap and heap[0][0] <= horizon):
             step()
 
-    def run(self, until: float | Event | None = None) -> Any:
+    def run(self, until: float | None = None) -> None:
         """Run the event loop.
 
-        Parameters
-        ----------
-        until:
-            ``None`` runs until the schedule drains.  A number runs
-            until the clock would pass it (the clock is then advanced
-            exactly to it, firing the ticks due up to it).  An
-            :class:`Event` runs until that event has been processed and
-            returns its value; it fires no tick.
+        ``until=None`` runs until the schedule drains.  A number runs
+        until the clock would pass it (the clock is then advanced
+        exactly to it, firing the ticks due up to it).
         """
         if until is None and self._tick is not None:
             self._run_ticking(float("inf"))
-            return None
+            return
         if until is None:
             step = self._step
             heap = self._heap
-            lane0, lane1, lane2 = self._lanes
-            while heap or lane0 or lane1 or lane2:  # _has_pending(), inlined
+            lane0, lane1 = self._lanes
+            while heap or lane0 or lane1:
                 step()
-            return None
-        if isinstance(until, Event):
-            sentinel = until
-            step = self._step
-            while not sentinel._processed:
-                if not self._has_pending():
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited event fired "
-                        "(deadlock: some process waits forever)"
-                    )
-                step()
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
+            return
         horizon = float(until)
         require_non_negative(horizon - self._now, "run-until horizon (must be >= now)")
         self._run_ticking(horizon)
         self._now = horizon
-        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when drained)."""
-        lanes = self._lanes
-        if lanes[0] or lanes[1] or lanes[2]:
+        lane0, lane1 = self._lanes
+        if lane0 or lane1:
             return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
@@ -598,8 +478,8 @@ class Simulator:
     @property
     def events_dispatched(self) -> int:
         """Events popped off the schedule (fired or tombstone-discarded)."""
-        pending = len(self._heap) + sum(len(lane) for lane in self._lanes)
-        return self._seq - pending
+        lane0, lane1 = self._lanes
+        return self._seq - len(self._heap) - len(lane0) - len(lane1)
 
     @property
     def events_cancelled(self) -> int:

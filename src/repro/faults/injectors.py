@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Hashable
 
-from repro.des.core import Event, Interrupt, Timeout
+from repro.des.core import Event, Timeout
 from repro.faults.plan import FaultPlan, classify_plane
 from repro.util import tracing
 from repro.util.rng import RngRegistry
@@ -82,9 +82,10 @@ class ProcessFaultSpec:
 def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = None) -> MainFn:
     """Wrap a DES ``main(ctx)`` generator with *spec*'s process faults.
 
-    The wrapper forwards every yielded event, resumed value and thrown
-    exception between the kernel and the inner generator, splicing in
-    stall timeouts, slowdown timeouts and the crash cut-off.
+    The wrapper forwards every yielded event and resumed value between
+    the kernel and the inner generator, splicing in stall timeouts,
+    slowdown timeouts and the crash cut-off.  A failed event raises in
+    the wrapper and ends the process with that error.
     """
     if spec.is_noop:
         return main
@@ -93,7 +94,6 @@ def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = No
         sim = ctx.sim
         gen = main(ctx)
         stalled = spec.stall_at is None or spec.stall_for == 0.0  # "already done"
-        send: Callable[[Any], Event] = gen.send
         value: Any = None
         while True:
             if spec.crash_at is not None and sim.now >= spec.crash_at:
@@ -109,23 +109,15 @@ def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = No
                     )
                 yield sim.timeout(spec.stall_for)
             try:
-                target = send(value)
+                target = gen.send(value)
             except StopIteration as stop:
                 return stop.value
-            try:
-                value = yield target
-                # Stretch the wait the process just completed: the extra
-                # (slowdown - 1) share lands after the original event so
-                # the event's own value is preserved.
-                if (
-                    spec.slowdown > 1.0
-                    and isinstance(target, Timeout)
-                    and target.delay > 0.0
-                ):
-                    yield sim.timeout(target.delay * (spec.slowdown - 1.0))
-                send = gen.send
-            except Interrupt as exc:
-                send, value = gen.throw, exc
+            value = yield target
+            # Stretch the wait the process just completed: the extra
+            # (slowdown - 1) share lands after the original event so
+            # the event's own value is preserved.
+            if spec.slowdown > 1.0 and isinstance(target, Timeout) and target.delay > 0.0:
+                yield sim.timeout(target.delay * (spec.slowdown - 1.0))
 
     return wrapped
 

@@ -113,9 +113,9 @@ class DesWorld:
             for comm in self._programs[name]
         ]
 
-    def run(self, until: float | Event | None = None) -> Any:
+    def run(self, until: float | None = None) -> None:
         """Run the simulation (delegates to :meth:`Simulator.run`)."""
-        return self.sim.run(until)
+        self.sim.run(until)
 
 
 class DesCommunicator:

@@ -10,7 +10,9 @@ explore the fast suite's three worlds and every world of the three
 mutation suites; they must reach the same states by the same parents
 and report the same statistics, rule hits and counterexamples — equal
 visited maps mean the incremental digest of every reached state is the
-from-scratch one.
+from-scratch one.  The plain side also asserts, on every state it
+reaches, the invariant that lets the table key a send on its link alone
+(seen within in flight).
 
 The digest this one replaced, BLAKE2b-128 over the concatenated bytes of
 the whole state, is kept below as an oracle: on the clean and buddy
@@ -74,11 +76,23 @@ RULE_HITS = {
 }
 
 
+def assert_seen_in_flight(w):
+    """The seen-within-in-flight invariant (``analysis/model/machine.py``):
+    every seq a component remembers rides the link from its sender into
+    it.  ``step`` keys a send on that link alone because of it."""
+    for name, comp in w.comps.items():
+        for seq in comp.seen:
+            flying = [m[-2] for m in w.chans[(seq[0], name)]]
+            assert seq in flying, f"{name} remembers {seq}, not in flight to it"
+
+
 def apply_from_scratch(machine, w, action):
     """``step`` without the table: ``apply``, and the digest change read
-    off the whole state before and after."""
+    off the whole state before and after.  Every state it reaches must
+    keep the seen-within-in-flight invariant."""
     before = machine.digest(w)
     machine.apply(w, action)
+    assert_seen_in_flight(w)
     return machine.digest(w) ^ before
 
 

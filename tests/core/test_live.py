@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.api import RunOptions
 from repro.core.coupler import RegionDef
-from repro.core.exceptions import ConfigError
+from repro.core.exceptions import ConfigError, PropertyViolationError
 from repro.core.live import LiveCoupledSimulation
 from repro.data import BlockDecomposition
 
@@ -245,8 +245,14 @@ class TestLivePropertyViolations:
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U", main=i_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))})
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as exc_info:
             sim.run(join_timeout=20.0)
+        # Whichever rank meets the divergence first, the rep or rank 0
+        # told to send the collective's MATCH/19.1, names Property 1.
+        cause = exc_info.value.__cause__
+        assert type(cause) is PropertyViolationError
+        assert "19.1" in str(cause) and "19.6" in str(cause)
+        assert "Property 1 violated" in str(cause)
 
     def test_import_timeout_surfaces(self):
         """An importer waiting on an exporter that is alive but silent

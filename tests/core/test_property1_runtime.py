@@ -11,9 +11,11 @@ Two mechanisms, both tested here:
 
 import pytest
 
+import repro
+from repro.analysis.sanitizer import SanitizerError
 from repro.api import RunOptions
 from repro.core.coupler import CoupledSimulation, RegionDef
-from repro.core.exceptions import PropertyViolationError
+from repro.core.exceptions import FrameworkError, PropertyViolationError
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
 
@@ -133,3 +135,126 @@ class TestRepDetection:
         cs = build(e_main, i_requests=(20.0,), record=False)
         with pytest.raises(PropertyViolationError):
             cs.run()
+
+
+DIVERGENT_CONFIG = """
+F c0 /bin/F 2
+U c1 /bin/U 2
+#
+F.d U.d REGL 2.5
+"""
+
+
+def divergent_run(buddy_help, sanitize, rank0_compute=0.001):
+    """The divergent programs of ``test_live.py::TestLivePropertyViolations``
+    on the DES: F has 2 ranks, rank 1 exports ``1.6 + k + 0.5``, and U
+    imports 20.0 under ``REGL 2.5``.  The collective verdict is rank 1's
+    MATCH/19.1; rank 0's own answer would be MATCH/19.6."""
+
+    def e_main(ctx):
+        shift = 0.5 if ctx.rank == 1 else 0.0
+        pause = rank0_compute if ctx.rank == 0 else 0.001
+        for k in range(30):
+            yield from ctx.export("d", 1.6 + k + shift)
+            yield from ctx.compute(pause)
+
+    def i_main(ctx):
+        yield from ctx.compute(0.01)
+        yield from ctx.import_("d", 20.0)
+
+    repro.run(
+        DIVERGENT_CONFIG,
+        [
+            repro.Program("F", main=e_main,
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+            repro.Program("U", main=i_main,
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+        ],
+        RunOptions(buddy_help=buddy_help, sanitize=sanitize),
+    )
+
+
+class TestDivergentRunVerdicts:
+    """A Property-1 violation is reported as one whichever path meets it
+    first: the rep (buddy-help off) or the rank that is told to send an
+    object it never exported (buddy-help on)."""
+
+    UNEXPORTED = (
+        "F.p0 on F.d->U.d: the collective verdict MATCH/19.1 names a timestamp "
+        "this process never exported (its exports around it: 18.6, 19.6) — "
+        "Property 1 violated"
+    )
+
+    @pytest.mark.parametrize("sanitize", ["report", "strict"])
+    @pytest.mark.parametrize("buddy_help", [True, False])
+    def test_divergent_run(self, buddy_help, sanitize):
+        with pytest.raises(FrameworkError) as exc_info:
+            divergent_run(buddy_help, sanitize)
+        error = exc_info.value
+        if buddy_help:
+            assert type(error) is PropertyViolationError
+            assert str(error) == self.UNEXPORTED
+        elif sanitize == "report":
+            assert type(error) is PropertyViolationError
+            assert str(error) == (
+                "F rep: process 0 answered MATCH/19.6 for request @20.0 on "
+                "F.d->U.d, but the collective verdict was MATCH/19.1 — "
+                "Property 1 violated"
+            )
+        else:
+            assert type(error) is SanitizerError
+            assert "S301" in str(error) and "definitive responses disagree" in str(error)
+
+    def test_a_verdict_heard_before_the_stream_passes_it(self):
+        """Rank 0 is slow: it hears MATCH/19.1 before its stream reaches
+        19.1, and raises when the stream passes it (without the check the
+        import waits forever for rank 0's pieces and the run drains)."""
+        with pytest.raises(PropertyViolationError) as exc_info:
+            divergent_run(True, None, rank0_compute=0.01)
+        assert str(exc_info.value) == self.UNEXPORTED.replace("F.p0 on ", "")
+
+
+class TestMatchEntry:
+    """``ProtocolDriver._match_entry`` tells a Property-1 violation from a
+    match lost to control-message loss by the export history."""
+
+    LOSS = (
+        "E.p0: match @{m:g} of E.d->I.d is no longer buffered — pipelined "
+        "imports combined with control-message loss can evict a pending "
+        "match (see docs/resilience.md)"
+    )
+
+    @pytest.fixture
+    def ctx(self):
+        def e_main(ctx):
+            yield from ctx.compute(0.001)
+
+        cs = build(e_main, i_requests=(), record=False)
+        cs.start()
+        ctx = cs.context("E", 0)
+        for ts in (1.0, 2.0, 3.0):
+            ctx.export_states["d"].history.add(ts)  # exported, never buffered
+        return cs, ctx
+
+    def test_an_exported_match_gone_from_the_buffer_is_control_loss(self, ctx):
+        cs, ctx = ctx
+        with pytest.raises(FrameworkError) as exc_info:
+            cs._match_entry(ctx, "d", "E.d->I.d", 2.0)
+        assert type(exc_info.value) is FrameworkError
+        assert str(exc_info.value) == self.LOSS.format(m=2.0)
+
+    def test_a_passed_timestamp_never_exported_is_property1(self, ctx):
+        cs, ctx = ctx
+        with pytest.raises(PropertyViolationError) as exc_info:
+            cs._match_entry(ctx, "d", "E.d->I.d", 2.5)
+        assert str(exc_info.value) == (
+            "E.p0 on E.d->I.d: the collective verdict MATCH/2.5 names a timestamp "
+            "this process never exported (its exports around it: 2, 3) — "
+            "Property 1 violated"
+        )
+
+    def test_a_timestamp_not_yet_reached_is_control_loss(self, ctx):
+        cs, ctx = ctx
+        with pytest.raises(FrameworkError) as exc_info:
+            cs._match_entry(ctx, "d", "E.d->I.d", 4.0)
+        assert type(exc_info.value) is FrameworkError

@@ -1,8 +1,8 @@
-"""Tests for Network/Channel: latency, bandwidth, congestion, ordering."""
+"""Tests for Network: latency, bandwidth, congestion, ordering."""
 
 import pytest
 
-from repro.des import Channel, Network, Simulator
+from repro.des import Network, Simulator
 
 
 class TestNetworkDelivery:
@@ -127,37 +127,3 @@ class TestCongestion:
         net.send("a", "b", "second")  # 1 other in flight: delay 2.0
         sim.run()
         assert times == [("first", 1.0), ("second", 2.0)]
-
-    def test_transfer_delay_query(self):
-        sim = Simulator()
-        net = Network(sim, latency=0.5, bandwidth=10.0)
-        assert net.transfer_delay(5) == pytest.approx(1.0)
-
-
-class TestChannel:
-    def test_bidirectional(self):
-        sim = Simulator()
-        ch = Channel(sim, latency=0.25)
-        log = []
-
-        def side_a():
-            ch.send("a", "ping")
-            d = yield ch.recv("a")
-            log.append(("a got", d.payload, sim.now))
-
-        def side_b():
-            d = yield ch.recv("b")
-            log.append(("b got", d.payload, sim.now))
-            ch.send("b", "pong")
-
-        sim.process(side_a())
-        sim.process(side_b())
-        sim.run()
-        assert ("b got", "ping", 0.25) in log
-        assert ("a got", "pong", 0.5) in log
-
-    def test_invalid_side(self):
-        sim = Simulator()
-        ch = Channel(sim)
-        with pytest.raises(ValueError):
-            ch.send("c", "x")

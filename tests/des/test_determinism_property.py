@@ -27,7 +27,7 @@ def _run_scenario(spec):
                 yield sim.timeout(arg)
                 log.append(("slept", idx, round(sim.now, 9)))
             elif op == "put":
-                store.put((idx, arg))
+                store.put_nowait((idx, arg))
                 log.append(("put", idx, arg))
             elif op == "get":
                 item = yield store.get()

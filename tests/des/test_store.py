@@ -1,8 +1,6 @@
 """Tests for Store: FIFO, blocking, matched receives."""
 
-import pytest
-
-from repro.des import Simulator, Store, StoreFullError
+from repro.des import Simulator, Store
 
 
 class TestBasicFifo:
@@ -12,8 +10,8 @@ class TestBasicFifo:
         got = []
 
         def proc():
-            store.put("a")
-            store.put("b")
+            store.put_nowait("a")
+            store.put_nowait("b")
             got.append((yield store.get()))
             got.append((yield store.get()))
 
@@ -32,7 +30,7 @@ class TestBasicFifo:
 
         def putter():
             yield sim.timeout(3.0)
-            store.put("x")
+            store.put_nowait("x")
 
         sim.process(getter())
         sim.process(putter())
@@ -50,8 +48,8 @@ class TestBasicFifo:
 
         def putter():
             yield sim.timeout(1.0)
-            store.put(1)
-            store.put(2)
+            store.put_nowait(1)
+            store.put_nowait(2)
 
         sim.process(getter("first"))
         sim.process(getter("second"))
@@ -74,7 +72,7 @@ class TestBasicFifo:
         def putter():
             yield sim.timeout(1.0)
             for i in range(3):
-                store.put(i)
+                store.put_nowait(i)
 
         sim.process(putter())
         sim.run()
@@ -83,8 +81,8 @@ class TestBasicFifo:
     def test_len_and_inspection(self):
         sim = Simulator()
         store = Store(sim)
-        store.put("a")
-        store.put("b")
+        store.put_nowait("a")
+        store.put_nowait("b")
         assert len(store) == 2
         assert not store.is_empty
         assert store.peek_all() == ["a", "b"]
@@ -93,55 +91,21 @@ class TestBasicFifo:
     def test_nowait_operations(self):
         sim = Simulator()
         store = Store(sim)
-        store.put_nowait("x")
-        assert store.get_nowait() == "x"
-        with pytest.raises(IndexError):
-            store.get_nowait()
-
-
-class TestBoundedStore:
-    def test_put_nowait_raises_when_full(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        store.put_nowait("a")
-        with pytest.raises(StoreFullError):
-            store.put_nowait("b")
-
-    def test_put_blocks_when_full(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")  # blocks until consumer takes "a"
-            done.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(2.0)
-            item = yield store.get()
-            assert item == "a"
-
-        sim.process(producer())
-        sim.process(consumer())
+        store.put_nowait("x")  # nobody waits: buffered
+        first = store.get()
+        second = store.get()  # nothing buffered: parks
+        store.put_nowait("y")  # handed to the parked getter
         sim.run()
-        assert done == [2.0]
-
-    def test_is_full(self):
-        sim = Simulator()
-        store = Store(sim, capacity=2)
-        store.put("a")
-        assert not store.is_full
-        store.put("b")
-        assert store.is_full
+        assert (first.value, second.value) == ("x", "y")
+        assert store.is_empty
 
 
 class TestMatchedReceive:
     def test_matching_item_taken_others_left(self):
         sim = Simulator()
         store = Store(sim)
-        store.put(("red", 1))
-        store.put(("blue", 2))
+        store.put_nowait(("red", 1))
+        store.put_nowait(("blue", 2))
         got = []
 
         def proc():
@@ -164,9 +128,9 @@ class TestMatchedReceive:
 
         def producer():
             yield sim.timeout(1.0)
-            store.put("other")
+            store.put_nowait("other")
             yield sim.timeout(1.0)
-            store.put("wanted")
+            store.put_nowait("wanted")
 
         sim.process(matcher())
         sim.process(producer())
@@ -192,22 +156,11 @@ class TestMatchedReceive:
 
         def producer():
             yield sim.timeout(1.0)
-            store.put("ordinary")
+            store.put_nowait("ordinary")
             yield sim.timeout(1.0)
-            store.put("special")
+            store.put_nowait("special")
 
         sim.process(producer())
         sim.run()
         assert ("plain", "ordinary") in got
         assert ("filtered", "special") in got
-
-    def test_waiting_getters_counter(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def proc():
-            yield store.get()
-
-        sim.process(proc())
-        sim.run()  # process parks on get
-        assert store.waiting_getters == 1
