@@ -27,10 +27,12 @@ States are copy-on-write per component and identified by a 128-bit
 Zobrist hash (:meth:`ModelMachine.digest`: the XOR of one BLAKE2b-128
 per component, link and budget), so the visited set stores integers,
 not object graphs.  A transition goes through the machine's transition
-table (:meth:`ModelMachine.step`), which runs the protocol code once per
-distinct local input, replays the stored effect after that and returns
-the digest change stored with it: a child's digest is its parent's XOR
-that change, and no state is hashed whole but the initial one.  The
+table (:meth:`ModelMachine.step`), keyed on interned objects: it runs
+the protocol code once per distinct local input and returns the stored
+effect after that, with the digest change stored with it.  A child's
+digest is its parent's XOR that change, and no state is hashed whole
+but the initial one; a child already visited under a sleep set that
+covers its own is not even built (:func:`clone_working`).  The
 search is a depth-first walk with **sleep sets**
 (Godefroid): after exploring action *a* from a state, every previously
 explored action independent of *a* is put to sleep in *a*'s successor —
@@ -219,26 +221,18 @@ class _Explorer:
             self.complete = False
             return
         stack = [_Frame(w, digest, iter(actions), set())]
+        self.max_depth = 1
         while stack:
-            if len(stack) > self.max_depth:
-                self.max_depth = len(stack)
             frame = stack[-1]
             asleep = frame.asleep
             for action in frame.todo:
                 if action in asleep:
                     self.sleep_skips += 1
                     continue
-                # Godefroid: what slept or was explored here and commutes
-                # with *action* sleeps in its successor.  (One object per
-                # distinct set: the visited map holds a few hundred, not one
-                # per state.)
-                child_sleep = independent[action] & asleep
-                child_sleep = sleeps.setdefault(child_sleep, child_sleep)
                 asleep.add(action)
-                w = clone_working(frame.w)
                 self.transitions += 1
                 try:
-                    digest = frame.digest ^ machine.step(w, action)
+                    effect = machine.step(frame.w, action)
                 except VIOLATION_ERRORS as exc:
                     self._record(
                         "M203",
@@ -247,7 +241,20 @@ class _Explorer:
                         action,
                     )
                     continue
+                digest = frame.digest ^ effect[0]
                 stored = visited.get(digest)
+                # Godefroid: what slept or was explored here and commutes
+                # with *action* sleeps in its successor (*action* is not
+                # independent of itself).  A child visited under a subset
+                # of that is covered: neither it nor its sleep set is built.
+                commuting = independent[action]
+                if stored is not None and stored <= commuting and stored <= asleep:
+                    continue
+                w = clone_working(frame.w, effect)
+                # One object per distinct set: the visited map holds a few
+                # hundred, not one per state.
+                child_sleep = commuting & asleep
+                child_sleep = sleeps.setdefault(child_sleep, child_sleep)
                 if stored is None:
                     visited[digest] = child_sleep
                     self.parent[digest] = (frame.digest, action)
@@ -256,8 +263,6 @@ class _Explorer:
                     if len(visited) >= self.max_states:
                         self.complete = False
                         return
-                elif stored <= child_sleep:
-                    continue
                 else:
                     # Revisit with new wake-ups: re-expand under the
                     # intersection so no interleaving is lost to caching.
@@ -267,6 +272,8 @@ class _Explorer:
                     actions = machine.enabled_actions(w)
                 if actions:
                     stack.append(_Frame(w, digest, iter(actions), set(child_sleep)))
+                    if len(stack) > self.max_depth:
+                        self.max_depth = len(stack)
                     break
             else:
                 stack.pop()

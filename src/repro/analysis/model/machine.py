@@ -23,9 +23,10 @@ What is written here, and why it cannot be the runtimes' code:
   of one, so a child shares the rest with its parent and each component
   caches its canonical bytes and (exporter ranks) its M204 verdict; a
   run has one state and no use for any of it;
-* the transition table (:meth:`ModelMachine.step`) — exploration meets
-  the same local input many times over and runs :meth:`ModelMachine.
-  apply` once per distinct one; a run never repeats an input;
+* the transition table (:meth:`ModelMachine.step`) and the intern
+  tables under it — exploration meets the same local input many times
+  over and runs :meth:`ModelMachine.apply` once per distinct one; a run
+  never repeats an input;
 * action enumeration and footprints — the nondeterministic scheduler
   and its partial-order reduction replace a runtime's event loop, and
   the footprint's ``("c", comp)`` tokens are also what ``apply`` thaws;
@@ -89,15 +90,18 @@ test_model_table.py`` asserts the invariant on every state it reaches.
 
 Each component is encoded as a canonical nested tuple (``canon()``);
 behavioural fields only — reporting counters are excluded so states
-that cannot be distinguished by any future behaviour merge.  A state's
-digest (:meth:`ModelMachine.digest`) is the XOR of one hash per
-component, per link and per budget, so a transition changes it by the
-hashes of the slots it replaced, and the transition table stores that
-change with the rest of the effect.  The canonical form covers every
-field any check reads: a field left out merges states that behave
-differently, and the transition table, keyed by these bytes, installs
-one's effect in the other.  The deep copy and the whole-state encode
-this replaced are the oracle of ``tests/analysis/test_model_cow.py``.
+that cannot be distinguished by any future behaviour merge.  Every
+component of a reached state is interned by its type and those bytes,
+and every channel tuple by its ``marshal`` bytes, so equal values are
+one object and the transition table keys on objects.  A state's digest
+(:meth:`ModelMachine.digest`) is the XOR of one hash per component, per
+link and per budget, so a transition changes it by the hashes of the
+slots it replaced, and the transition table stores that change with the
+rest of the effect.  The canonical form covers every field any check
+reads: a field left out merges states that behave differently, and the
+transition table, keyed by the interned objects, installs one's effect
+in the other.  The deep copy and the whole-state encode this replaced
+are the oracle of ``tests/analysis/test_model_cow.py``.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ import functools
 import hashlib
 import marshal
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -389,22 +394,21 @@ Action = tuple[Any, ...]
 Seq = tuple[str, int]
 
 #: What an action reads, as :meth:`ModelMachine.step` keys it: the
-#: components whose canonical bytes it reads (every one it may write),
-#: the links and the budget attributes.
-_ReadSet = tuple[tuple[str, ...], tuple[tuple[str, str], ...], tuple[str, ...]]
+#: component it may write (none for ``dup``), the links and the budget.
+_ReadSet = tuple[str | None, tuple[tuple[str, str], ...], str | None]
 
-#: What an action did, as :meth:`ModelMachine.step` replays it: the
-#: components and channel tuples it replaced, the budgets it set, the
-#: buddy skips it counted per exporter rank, for a transition the
-#: protocol rejected the exception's type and message, and otherwise
-#: the change of the state's digest.
+#: What an action did, as :meth:`ModelMachine.step` returns it: the
+#: change of the state's digest, the components and the channel tuples
+#: it replaced (interned), the budgets it set, and what a table hit must
+#: replay besides — ``None``, or the buddy skips it counted per exporter
+#: rank and, for a transition the protocol rejected, the exception's
+#: type and message.
 _Effect = tuple[
-    tuple[tuple[str, Any], ...],
-    tuple[tuple[tuple[str, str], tuple[Any, ...]], ...],
-    tuple[tuple[str, int], ...],
-    tuple[tuple[int, int], ...],
-    tuple[type[Exception], str] | None,
     int,
+    dict[str, Any],
+    dict[tuple[str, str], tuple[Any, ...]],
+    tuple[tuple[str, int], ...],
+    tuple[tuple[tuple[int, int], ...], tuple[type[Exception], str] | None] | None,
 ]
 
 #: The fault budgets of a state, each one digest slot.
@@ -751,17 +755,26 @@ class _Working:
         return comp
 
 
-def clone_working(w: _Working) -> _Working:
-    """A child of *w* that shares every component and channel with it.
+#: The effect of an action that replaced nothing.
+_UNCHANGED: _Effect = (0, {}, {}, (), None)
 
-    The DFS expands each state once per enabled action, and an action
-    writes one component (its footprint says which): the child copies
-    the two small maps and :meth:`ModelMachine.apply` thaws what it is
-    about to write.  *w* itself is never written again.
+
+def clone_working(w: _Working, effect: _Effect = _UNCHANGED) -> _Working:
+    """A child of *w* that shares every component and channel with it
+    but those *effect* (from :meth:`ModelMachine.step`) replaces.
+
+    An action writes one component (its footprint says which): the
+    child copies the two small maps, and :meth:`ModelMachine.apply`
+    thaws what it is about to write when it runs on the child.  *w*
+    itself is never written again.
     """
-    return _Working(
-        dict(w.comps), dict(w.chans), w.drop_left, w.dup_left, w.crash_left
+    child = _Working(
+        {**w.comps, **effect[1]}, {**w.chans, **effect[2]},
+        w.drop_left, w.dup_left, w.crash_left,
     )
+    for b, value in effect[3]:
+        setattr(child, b, value)
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +904,14 @@ class ModelMachine:
             dst: tuple(link for link in self._links if link[1] == dst)
             for _src, dst in self._links
         }
-        self._fault_links = frozenset(
-            link for link in self._links
+        #: link -> its ``deliver`` action, and a ``deliver`` on a link
+        #: faults may target -> that link's ``drop`` and ``dup``.
+        self._delivers = {link: ("deliver", *link) for link in self._links}
+        self._faults = {
+            self._delivers[link]: (("drop", *link), ("dup", *link))
+            for link in self._links
             if plane_of_channel(*link) in config.fault_planes
-        )
+        }
         #: Every action some state of this world can enable -> its footprint.
         self.footprints: dict[Action, frozenset[Any]] = {
             action: self.footprint(action)
@@ -911,12 +928,23 @@ class ModelMachine:
         }
         #: action -> what it reads (see :meth:`step`).
         self._reads = {action: self._read_set(action) for action in self.footprints}
-        #: The transition table: cache key -> :data:`_Effect`.
-        self._effects: dict[bytes, _Effect] = {}
-        #: ``(type, canonical bytes)`` -> the one component object with them.
+        #: The transition table: :meth:`step`'s key -> :data:`_Effect`.
+        self._effects: dict[tuple[Any, ...], _Effect] = {}
+        #: ``(type, canonical bytes)`` -> the one component object with
+        #: them, and ``marshal`` bytes -> the one channel tuple with them.
+        #: Every component and channel of a reached state is one of
+        #: these, which keeps alive every object a key holds or names.
         self._interned: dict[tuple[type[Any], bytes], Any] = {}
-        #: ``(slot, value bytes)`` -> that slot's share of a digest.
+        self._interned_chans: dict[bytes, tuple[Any, ...]] = {}
+        #: ``(slot, value bytes)`` -> that slot's share of a digest.  Per
+        #: slot, not per value: I0 and I1 may hold one object, and the
+        #: empty channel sits on every link.
         self._slot_hashes: dict[tuple[Any, bytes], int] = {}
+        #: The rank components of a state, importers first (at least
+        #: two names, so the getter returns a tuple), and what each tuple
+        #: of them adds to :meth:`enabled_actions`.
+        self._rank_slots = operator.itemgetter(*self._imp_ids, *self._exp_ids)
+        self._shares: dict[tuple[Any, ...], tuple[Any, ...]] = {}
         self.driver = _ModelDriver(config, self.spec)
 
     # -- construction -------------------------------------------------------
@@ -947,7 +975,7 @@ class ModelMachine:
         return region
 
     def initial_working(self) -> _Working:
-        """A fresh initial state."""
+        """The initial state, its components and channel interned."""
         cfg = self.config
         comps: dict[str, Any] = {
             name: _ImpRank(retr_left=cfg.retransmit_budget) for name in self._imp_ids
@@ -957,12 +985,22 @@ class ModelMachine:
         for name in self._exp_ids:
             comps[name] = _ExpRank(self._new_region())
         return _Working(
-            comps,
-            dict.fromkeys(self._links, ()),
+            {name: self._intern(comp) for name, comp in comps.items()},
+            dict.fromkeys(self._links, self._intern_chan(())),
             cfg.drop_budget,
             cfg.dup_budget,
             cfg.crash_budget,
         )
+
+    def _intern(self, comp: Any) -> Any:
+        """The one component object with *comp*'s type and canonical bytes."""
+        key = (type(comp), comp.enc or self._encode(comp))
+        return self._interned.setdefault(key, comp)
+
+    def _intern_chan(self, chan: tuple[Any, ...]) -> tuple[Any, ...]:
+        """The one channel tuple with *chan*'s ``marshal`` v2 bytes, which
+        keep 1, 1.0 and ``True`` apart, and 0.0 and -0.0."""
+        return self._interned_chans.setdefault(marshal.dumps(chan, 2), chan)
 
     # -- canonical encoding -------------------------------------------------
     def digest(self, w: _Working) -> int:
@@ -1017,43 +1055,59 @@ class ModelMachine:
         budget" instead would let the explorer waste the whole budget
         *before* a loss and then report a phantom livelock the real
         unbounded-timeout runtime cannot exhibit.
+
+        What the rank slots contribute is a function of the components
+        in them, cached on the tuple of those objects (:meth:`_share`):
+        a key per slot, not per object, since equal ranks are one
+        object after interning.
         """
-        cfg = self.config
-        comps = w.comps
-        imp = [comps[name] for name in self._imp_ids]
-        exp = [comps[name] for name in self._exp_ids]
-        crashed = [name for name, e in zip(self._exp_ids, exp) if e.crashed]
-        live_chans = [
-            link for link, msgs in w.chans.items()
+        ranks = self._rank_slots(w.comps)
+        local, retransmits, crashes, crashed = (
+            self._shares.get(ranks) or self._share(ranks)
+        )
+        delivers = self._delivers
+        actions: list[Action] = [
+            delivers[link] for link, msgs in w.chans.items()
             if msgs and link[1] not in crashed
         ]
-        actions: list[Action] = [("deliver", *link) for link in live_chans]
-        nreq, nexports = len(cfg.requests), len(cfg.exports)
-        for r, i in enumerate(imp):
-            if i.outstanding is None and i.next_req < nreq:
-                actions.append(("issue", r))
-        for r, e in enumerate(exp):
-            if e.crashed:
-                continue
-            if e.pos < nexports:
-                actions.append(("export", r))
-            elif not e.closed:
-                actions.append(("close", r))
-        if not actions and cfg.mode == "resilient":
-            for r, i in enumerate(imp):
-                if i.outstanding is not None and i.retr_left > 0:
-                    actions.append(("retransmit", r))
+        live = actions[:]
+        actions += local
+        if not actions and self.config.mode == "resilient":
+            actions += retransmits
         if w.drop_left > 0 or w.dup_left > 0:
-            fault_chans = [ch for ch in live_chans if ch in self._fault_links]
+            faults = self._faults
             if w.drop_left > 0:
-                actions += [("drop", *ch) for ch in fault_chans]
+                actions += [faults[a][0] for a in live if a in faults]
             if w.dup_left > 0:
-                actions += [("dup", *ch) for ch in fault_chans]
-        if w.crash_left > 0 and len(crashed) < cfg.nexp - 1:
-            for r, e in enumerate(exp):
-                if not e.crashed:
-                    actions.append(("crash", r))
+                actions += [faults[a][1] for a in live if a in faults]
+        if w.crash_left > 0 and len(crashed) < self.config.nexp - 1:
+            actions += crashes
         return actions
+
+    def _share(self, ranks: tuple[Any, ...]) -> tuple[Any, ...]:
+        """What rank components *ranks* (:attr:`_rank_slots` order)
+        enable, stored in :attr:`_shares`: the ``issue``, ``export`` and
+        ``close`` actions, the ``retransmit`` ones (for a quiescent
+        state), the ``crash`` ones and the crashed exporters' names."""
+        cfg = self.config
+        imp, exp = ranks[: cfg.nimp], ranks[cfg.nimp :]
+        local = [
+            ("issue", r) for r, i in enumerate(imp)
+            if i.outstanding is None and i.next_req < len(cfg.requests)
+        ]
+        for r, e in enumerate(exp):
+            if not e.crashed and (e.pos < len(cfg.exports) or not e.closed):
+                local.append(("export" if e.pos < len(cfg.exports) else "close", r))
+        share = self._shares[ranks] = (
+            local,
+            [
+                ("retransmit", r) for r, i in enumerate(imp)
+                if i.outstanding is not None and i.retr_left > 0
+            ],
+            [("crash", r) for r, e in enumerate(exp) if not e.crashed],
+            [name for name, e in zip(self._exp_ids, exp) if e.crashed],
+        )
+        return share
 
     def footprint(self, action: Action) -> frozenset[Any]:
         """Dependency footprint for the sleep-set independence relation.
@@ -1181,112 +1235,93 @@ class ModelMachine:
             w.chans[link] = chan[:1] + chan  # wire-level copy: same sequence number
             w.dup_left -= 1
 
-    def step(self, w: _Working, action: Action) -> int:
-        """:meth:`apply`, run once per distinct local input; returns
-        the change of *w*'s :meth:`digest`.
+    def step(self, w: _Working, action: Action) -> _Effect:
+        """What *action* does to *w* (not written; :func:`clone_working`
+        makes the child): :meth:`apply`, run once per distinct local input.
 
-        An action reads a few components and links of *w* (its read
-        set, :meth:`_read_set`), and the outcome of :meth:`apply` is a
-        function of those alone.  The key is BLAKE2b-128 over the
-        action and the canonical form of what it reads; the first time
-        a key comes up, :meth:`apply` runs and what it replaced is
-        stored (:meth:`_learn`), and every later time that is installed
-        in *w* and nothing runs.  So the state space, every statistic
-        and every raised violation are those of :meth:`apply`, which
-        counterexample replay still calls directly.  The key covers the
-        old value of every slot the effect replaces, so the digest
-        change is stored with the effect too.
+        The outcome of :meth:`apply` is a function of the action's read
+        set (:meth:`_read_set`) alone.  Every component and channel of a
+        reached state is interned, so the key is a plain tuple of the
+        action, the component object, the budget and each link's
+        channel ``id`` (never reused: the intern tables hold every
+        object).  A miss runs :meth:`apply` (:meth:`_learn`); a hit
+        returns the stored effect, its buddy skips counted and its
+        violation raised again.  So the state space, every statistic
+        and every violation are those of :meth:`apply`, which
+        counterexample replay calls directly.  The key covers the old
+        value of every slot the effect replaces, so the digest change
+        is stored with it.
         """
-        comps, chans = w.comps, w.chans
-        full, links, budgets = self._reads[action]
-        key = hashlib.blake2b(
-            marshal.dumps(
-                (
-                    action,
-                    [comps[n].enc or self._encode(comps[n]) for n in full],
-                    [chans[link] for link in links],
-                    [getattr(w, b) for b in budgets],
-                ),
-                2,
-            ),
-            digest_size=16,
-        ).digest()
+        name, links, budget = self._reads[action]
+        key = (
+            action,
+            w.comps[name] if name else None,
+            getattr(w, budget) if budget else None,
+            *map(id, map(w.chans.__getitem__, links)),
+        )
         effect = self._effects.get(key)
         if effect is None:
             return self._learn(w, action, key)
-        new_comps, new_chans, new_budgets, skips, error, delta = effect
-        for r, n in skips:
-            self.driver.exporters[r].stats.buddy_skips += n
-        if error is not None:
-            raise error[0](error[1])
-        comps.update(new_comps)
-        chans.update(new_chans)
-        for b, value in new_budgets:
-            setattr(w, b, value)
-        return delta
+        if effect[4] is not None:
+            skips, error = effect[4]
+            for r, n in skips:
+                self.driver.exporters[r].stats.buddy_skips += n
+            if error is not None:
+                raise error[0](error[1])
+        return effect
 
-    def _learn(self, w: _Working, action: Action, key: bytes) -> int:
-        """Run :meth:`apply` on *w*, store what it did under *key* and
-        return the digest change.
+    def _learn(self, w: _Working, action: Action, key: tuple[Any, ...]) -> _Effect:
+        """Run :meth:`apply` on a child of *w*, store what it did under
+        *key* and return it.
 
-        A replaced component is interned by its canonical bytes, in *w*
-        and in the effect, so states and effects that hold equal
-        components hold one object.  A violation is stored as its type
-        and message (the exception object would pin its traceback's
-        frames) and propagates.
+        A replaced component or channel is interned, so the effect
+        holds one object per value and every state reached through it
+        is interned too.  A violation is stored as its type and message
+        (the exception object would pin its traceback's frames) and
+        propagates.
         """
-        full, links, budgets = self._reads[action]
-        comps, chans, slot = w.comps, w.chans, self._slot
-        before = [comps[n] for n in full]
-        before_chans = [chans[link] for link in links]
-        before_budgets = [getattr(w, b) for b in budgets]
+        name, links, budget = self._reads[action]
+        child, slot = clone_working(w), self._slot
         stats = [ctx.stats for ctx in self.driver.exporters]
         skipped = [s.buddy_skips for s in stats]
 
-        def skips() -> tuple[tuple[int, int], ...]:
-            return tuple(
+        def side(error: tuple[type[Exception], str] | None = None) -> Any:
+            skips = tuple(
                 (r, s.buddy_skips - n)
                 for r, (s, n) in enumerate(zip(stats, skipped))
                 if s.buddy_skips != n
             )
+            return (skips, error) if skips or error else None
 
         try:
-            self.apply(w, action)
+            self.apply(child, action)
         except VIOLATION_ERRORS as exc:
-            self._effects[key] = ((), (), (), skips(), (type(exc), str(exc)), 0)
+            self._effects[key] = (0, {}, {}, (), side((type(exc), str(exc))))
             raise
-        delta = 0
-        new_comps = []
-        for name, old in zip(full, before):
-            comp = comps[name]
+        delta, new_comps, new_chans, new_budgets = 0, {}, {}, ()
+        if name:
+            old, comp = w.comps[name], self._intern(child.comps[name])
             if comp is not old:
-                enc = comp.enc or self._encode(comp)
-                comp = comps[name] = self._interned.setdefault((type(comp), enc), comp)
-                new_comps.append((name, comp))
-                delta ^= slot(name, old.enc or self._encode(old)) ^ slot(name, enc)
-        new_chans = []
-        for link, old_chan in zip(links, before_chans):
-            chan = chans[link]
-            if chan is not old_chan:
-                new_chans.append((link, chan))
+                new_comps[name] = comp
+                delta ^= slot(name, old.enc or self._encode(old)) ^ slot(name, comp.enc)
+        for link in links:
+            old_chan, chan = w.chans[link], child.chans[link]
+            if chan is not old_chan and (chan := self._intern_chan(chan)) is not old_chan:
+                new_chans[link] = chan
                 delta ^= slot(link, marshal.dumps(old_chan, 2))
                 delta ^= slot(link, marshal.dumps(chan, 2))
-        new_budgets = []
-        for b, old_value in zip(budgets, before_budgets):
-            value = getattr(w, b)
-            new_budgets.append((b, value))
-            delta ^= slot(b, marshal.dumps(old_value, 2))
-            delta ^= slot(b, marshal.dumps(value, 2))
-        self._effects[key] = (
-            tuple(new_comps), tuple(new_chans), tuple(new_budgets), skips(), None,
-            delta,
-        )
-        return delta
+        if budget:
+            old_value, value = getattr(w, budget), getattr(child, budget)
+            new_budgets = ((budget, value),)
+            delta ^= slot(budget, marshal.dumps(old_value, 2))
+            delta ^= slot(budget, marshal.dumps(value, 2))
+        effect = self._effects[key] = (delta, new_comps, new_chans, new_budgets, side())
+        return effect
 
     def _read_set(self, action: Action) -> _ReadSet:
         """What :meth:`apply` reads to run *action*, read off its code.
 
-        A component it may write is read whole (its replacement is
+        The component it may write is read whole (its replacement is
         stored and installed whole).  Of a send target the stamper
         (:meth:`_ModelDriver._net_send`) also consults the dedup memory,
         but by the seen-within-in-flight invariant (module docstring)
@@ -1307,15 +1342,15 @@ class ModelMachine:
         if kind in ("deliver", "drop", "dup"):
             dst = action[2]
             if kind == "dup":
-                return (), ((action[1], dst),), ("dup_left",)
+                return None, ((action[1], dst),), "dup_left"
             if kind == "drop":
-                return (dst,), self._in_links[dst], ("drop_left",)
+                return dst, self._in_links[dst], "drop_left"
             outs = tuple((dst, o) for o in self._out_links(dst))
-            return (dst,), self._in_links[dst] + outs, ()
+            return dst, self._in_links[dst] + outs, None
         name = f"{'I' if kind in ('issue', 'retransmit') else 'E'}{action[1]}"
         if kind == "crash":
-            return (name,), (), ("crash_left",)
-        return (name,), ((name, name[0] + "R"),), ()
+            return name, (), "crash_left"
+        return name, ((name, name[0] + "R"),), None
 
     def _in_flight(self, w: _Working, dst: str) -> set[Seq]:
         """Sequence numbers with a wire copy left toward *dst*."""
@@ -1390,18 +1425,19 @@ class ModelMachine:
 
         The verdict of a rank is a function of its component alone and
         is cached on it, so a newly reached state checks only the ranks
-        its transition wrote.
+        its transition wrote.  The cached text names no rank: one
+        interned component may sit in two slots.
         """
         for r, name in enumerate(self._exp_ids):
             e = w.comps[name]
             verdict = e.m204
             if verdict is _UNCHECKED:
-                verdict = e.m204 = self._occupancy(r, e)
+                verdict = e.m204 = self._occupancy(e)
             if verdict is not None:
-                return verdict
+                return f"E.p{r}: {verdict}"
         return None
 
-    def _occupancy(self, r: int, e: _ExpRank) -> str | None:
+    def _occupancy(self, e: _ExpRank) -> str | None:
         """The two M204 checks of one exporter rank (crashed: none).
 
         * the *eviction line*: no live, unsent entry may sit strictly
@@ -1423,7 +1459,7 @@ class ModelMachine:
         for ts, entry in region.buffer._entries.items():
             if ts < threshold and not entry.sent and ts not in keep:
                 return (
-                    f"E.p{r}: buffered object @{ts:g} lies below the "
+                    f"buffered object @{ts:g} lies below the "
                     f"eviction line {threshold:g} outside every keep-set "
                     "— occupancy exceeds the Eq. 1-2 window bound"
                 )
@@ -1433,7 +1469,7 @@ class ModelMachine:
             ) + len(keep)
             if region.buffer.live_count > bound:
                 return (
-                    f"E.p{r}: {region.buffer.live_count} live objects "
+                    f"{region.buffer.live_count} live objects "
                     f"exceed the window bound {bound} "
                     f"(eviction line {threshold:g})"
                 )

@@ -552,6 +552,7 @@ class CoupledSimulation(ProtocolDriver):
             self._close_exports(ctx)
         # Only a main that returns gets here: one an aborted run closes
         # emits nothing (``end`` writes that run's last record).
+        self._main_returned(ctx)
         if self.sim._tick is not None and not self._mains_running():
             self.sim._tick = None
             self._telemetry_proc(final=True)

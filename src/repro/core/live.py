@@ -417,3 +417,5 @@ class LiveCoupledSimulation(ProtocolDriver):
                 ctx._program.alive -= 1
             with ctx.lock:
                 self._close_exports(ctx)
+        with ctx.lock:
+            self._main_returned(ctx)

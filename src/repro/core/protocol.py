@@ -50,7 +50,7 @@ import numpy as np
 from repro.core import spine, wire
 from repro.core.buffers import BufferEntry
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
-from repro.core.exceptions import ConfigError, FrameworkError
+from repro.core.exceptions import ConfigError, FrameworkError, PropertyViolationError
 from repro.core.exporter import ExportDecision, RegionExportState, unexported_match
 from repro.core.importer import RegionImportState
 from repro.core.properties import OperationLog, check_property1
@@ -898,6 +898,45 @@ class ProtocolDriver:
             for cid, response in responses:
                 self._send_response(ctx, cid, response)
 
+    def _check_buddy_match(
+        self, ctx: ContextBase, st: RegionExportState, cid: str,
+        request_ts: float, m: float,
+    ) -> None:
+        """Raise :class:`PropertyViolationError` unless MATCH/*m*, heard
+        from the rep after this rank's stream passed *m*, is this rank's
+        own answer so far: *m* is among its exports and none of its
+        exports in the region is preferred to it.  With one export line
+        on every rank, the collective's match is the best of every
+        prefix of the line that reaches it.  Without the check, a rank
+        told to send an object it had exported and freed would report
+        control-message loss, and one that still held it would send it
+        and answer the import with another line's match."""
+        policy, history = self._connections[cid].spec.policy, st.history
+        own = policy.select_best(history.in_interval(*policy.region(request_ts)), request_ts)
+        if own == m:
+            return
+        where = f"{ctx.who} on {cid}"
+        if not history.in_interval(m, m):
+            raise unexported_match(where, history, m)
+        raise PropertyViolationError(
+            f"{where}: the collective verdict MATCH/{m:g} for request "
+            f"@{request_ts} is not this process's answer: it exported "
+            f"{own:g}, closer to the request — Property 1 violated"
+        )
+
+    def _main_returned(self, ctx: ContextBase) -> None:
+        """A main returned: a match it heard from the rep before its
+        stream reached it (``must_send``) is one the stream ended short
+        of, so the collective's export line goes on past this rank's —
+        :class:`PropertyViolationError` (else the importer would wait
+        for this rank's pieces forever).  Not called for a main closed
+        by a crash."""
+        for st in ctx.export_states.values():
+            for cid, conn in st.connections.items():
+                if conn.must_send:
+                    m = min(conn.must_send)
+                    raise unexported_match(f"{ctx.who} on {cid}", st.history, m)
+
     def _evict(self, ctx: ContextBase, st: RegionExportState) -> int:
         """Free entries past the eviction threshold; returns how many."""
         evicted = st.collect_evictions()
@@ -974,8 +1013,11 @@ class ProtocolDriver:
             ):
                 applied = st.on_buddy_answer(cid, answer)
                 ctx.stats.buddy_answers_received += 1
-                if applied.send_now is not None:
-                    self._send_pieces(ctx, region, cid, applied.send_now)
+                m = applied.send_now
+                if m is not None:
+                    if st.history.latest > m:
+                        self._check_buddy_match(ctx, st, cid, answer.request_ts, m)
+                    self._send_pieces(ctx, region, cid, m)
                 return self._evict(ctx, st)
         raise FrameworkError(f"agent received unexpected message {msg!r}")
 

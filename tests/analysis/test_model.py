@@ -64,6 +64,19 @@ class TestExhaustiveExploration:
             "drop-rep": (9_752, 21_977),
             "buddy": (12_783, 32_333),
         }
+        # The DFS's own counters, exact: the sleep-set bookkeeping, the
+        # covered-child skip and the re-expansion move these and not the
+        # two above when they go wrong.
+        assert {
+            name: tuple(
+                r.stats[k] for k in ("sleep_skips", "revisits", "terminals", "max_depth")
+            )
+            for name, r in fast_suite.worlds
+        } == {
+            "clean": (13_038, 2_131, 16, 21),
+            "drop-rep": (17_104, 2_517, 32, 29),
+            "buddy": (24_980, 4_321, 20, 23),
+        }
 
     def test_world_shape_is_two_by_two(self):
         assert FAST_BASE.nimp == 2 and FAST_BASE.nexp == 2
@@ -121,19 +134,22 @@ class TestCheckerPathCost:
     copies, re-encodes and re-checks the one component its action
     writes, and the transition table runs the protocol code only for a
     local input it has not seen (713 of the clean world's 17 510
-    transitions); the rest install a stored effect, and the child's
-    digest is its parent's XOR the change stored with it.  Wall time cannot
-    be asserted in a unit test; the number of calls the interpreter
-    makes can (``TestExportPathCost`` and ``TestMatchPathCost`` do the
-    same for their paths) — it repeats exactly and moves only when the
-    per-transition path grows.
+    transitions).  The table keys on interned objects, so a hit builds
+    one plain tuple and hashes nothing; the child's digest is its
+    parent's XOR the change stored with the effect, and a child already
+    visited under a covering sleep set is not even built.  Wall time
+    cannot be asserted in a unit test; the number of calls the
+    interpreter makes can (``TestExportPathCost`` and
+    ``TestMatchPathCost`` do the same for their paths) — it repeats
+    exactly and moves only when the per-transition path grows.
     """
 
-    #: ≈10% above the measured 31.2 (38.7 hashing every reached state
-    #: whole; 110.0 running the protocol code on every transition as
-    #: well; 286.4 deep-copying and re-encoding the whole state on every
-    #: transition besides).
-    CEILING = 34.3
+    #: ≈10% above the measured 16.6 (28.4 keying the table on the
+    #: BLAKE2b of the marshalled read set and cloning on every hit; 38.7
+    #: hashing every reached state whole as well; 110.0 running the
+    #: protocol code on every transition; 286.4 deep-copying and
+    #: re-encoding the whole state on every transition besides).
+    CEILING = 18.2
 
     def test_calls_per_transition_stay_under_the_ceiling(self):
         config = dict(directed_worlds())["clean"]

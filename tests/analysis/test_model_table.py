@@ -1,24 +1,28 @@
 """Differential tests: the transition table against plain ``apply``, and
 the incremental digest against whole-state hashing.
 
-``ModelMachine.step`` runs ``apply`` once per distinct local input,
-installs the stored effect every later time and returns the digest
-change stored with it.  Patched back to ``apply`` plus a digest of the
-whole state before and after, the checker runs the protocol code and
-hashes every state from scratch on every transition.  Both sides
-explore the fast suite's three worlds and every world of the three
-mutation suites; they must reach the same states by the same parents
-and report the same statistics, rule hits and counterexamples — equal
-visited maps mean the incremental digest of every reached state is the
-from-scratch one.  The plain side also asserts, on every state it
-reaches, the invariant that lets the table key a send on its link alone
-(seen within in flight).
+``ModelMachine.step`` runs ``apply`` once per distinct local input and
+returns the stored effect every later time, with the digest change
+stored with it; the explorer builds the child of an effect only when it
+is not already covered.  Patched back to ``apply`` on a child
+plus a digest of the whole state before and after, the checker runs the
+protocol code and hashes every state from scratch on every transition,
+through the same seam for hits and misses.  Both sides explore the fast
+suite's three worlds and every world of the three mutation suites; they
+must reach the same states by the same parents and report the same
+statistics, rule hits and counterexamples — equal visited maps mean the
+incremental digest of every reached state is the from-scratch one.
+The plain side also asserts, on every state it reaches, the invariant
+that lets the table key a send on its link alone (seen within in
+flight) and that every component is the interned object for its bytes,
+which the table's identity keys rely on.
 
 The digest this one replaced, BLAKE2b-128 over the concatenated bytes of
 the whole state, is kept below as an oracle: on the clean and buddy
 worlds the two must split the visited states into the same classes.
 """
 
+import contextlib
 import hashlib
 import marshal
 
@@ -31,7 +35,7 @@ from repro.analysis.model import (
     mutation_config,
 )
 from repro.analysis.model.checker import _Explorer
-from repro.analysis.model.machine import clone_working
+from repro.analysis.model.machine import VIOLATION_ERRORS, clone_working
 from tests.analysis.test_model import FAST_BASE
 
 WORLDS = {
@@ -57,6 +61,7 @@ def explore(cfg):
         "sleep_skips": explorer.sleep_skips,
         "revisits": explorer.revisits,
         "terminals": explorer.terminals,
+        "max_depth": explorer.max_depth,
         "buddy_skips": sum(
             ctx.stats.buddy_skips for ctx in explorer.machine.driver.exporters
         ),
@@ -86,14 +91,29 @@ def assert_seen_in_flight(w):
             assert seq in flying, f"{name} remembers {seq}, not in flight to it"
 
 
+def assert_interned(machine, w):
+    """Every component of *w* is the one object for its type and its
+    canonical bytes, encoded afresh (a stale cached ``enc`` fails too)."""
+    for name, comp in w.comps.items():
+        key = (type(comp), marshal.dumps(comp.canon(), 2))
+        assert machine._interned.get(key) is comp, f"{name} is not interned"
+
+
 def apply_from_scratch(machine, w, action):
-    """``step`` without the table: ``apply``, and the digest change read
-    off the whole state before and after.  Every state it reaches must
-    keep the seen-within-in-flight invariant."""
-    before = machine.digest(w)
-    machine.apply(w, action)
-    assert_seen_in_flight(w)
-    return machine.digest(w) ^ before
+    """``step`` without the table: ``apply`` on a child of *w*, interned
+    as every reached state is, and an effect that replaces every slot,
+    its digest change read off the whole state before and after.  Every
+    state it reaches must keep the seen-within-in-flight invariant and
+    hold interned components only."""
+    child = clone_working(w)
+    machine.apply(child, action)
+    assert_seen_in_flight(child)
+    comps = {name: machine._intern(comp) for name, comp in child.comps.items()}
+    chans = {link: machine._intern_chan(chan) for link, chan in child.chans.items()}
+    budgets = tuple((b, getattr(child, b)) for b in ("drop_left", "dup_left", "crash_left"))
+    effect = (machine.digest(child) ^ machine.digest(w), comps, chans, budgets, None)
+    assert_interned(machine, clone_working(w, effect))
+    return effect
 
 
 @pytest.mark.parametrize("world", list(WORLDS))
@@ -133,9 +153,10 @@ def test_digest_partitions_states_as_the_concatenated_digest(world, monkeypatch)
     step = ModelMachine.step
 
     def recording_step(machine, w, action):
-        delta = step(machine, w, action)
-        pairs.add((concatenated_digest(w), machine.digest(w)))
-        return delta
+        effect = step(machine, w, action)
+        child = clone_working(w, effect)
+        pairs.add((concatenated_digest(child), machine.digest(child)))
+        return effect
 
     monkeypatch.setattr(ModelMachine, "step", recording_step)
     explorer = _Explorer(dict(directed_worlds())[world], 500_000, por=True)
@@ -182,3 +203,66 @@ class TestDigestTraps:
         spent = clone_working(w)
         spent.drop_left -= 1
         assert machine.digest(spent) != machine.digest(w)
+
+
+class TestInternTraps:
+    """What interning by ``==`` or keying on a component alone would get
+    wrong: the table and the enabled-action cache key on object identity."""
+
+    @pytest.fixture
+    def machine(self):
+        return ModelMachine(ModelConfig())
+
+    def after(self, machine, *actions):
+        w = machine.initial_working()
+        for action in actions:
+            w = clone_working(w, machine.step(w, action))
+        return w
+
+    def test_equal_channels_with_other_bytes_intern_and_key_apart(self, machine):
+        w = self.after(machine, ("issue", 0))
+        link = ("I0", "IR")
+        (entry,) = w.chans[link]
+        for a, b in ((4.0, 4), (0.0, -0.0)):
+            chans = [machine._intern_chan(((entry[0], ts) + entry[2:],)) for ts in (a, b)]
+            assert chans[0] == chans[1] and chans[0] is not chans[1]
+            table = len(machine._effects)
+            for chan in chans:
+                child = clone_working(w)
+                child.chans[link] = chan
+                with contextlib.suppress(*VIOLATION_ERRORS):
+                    machine.step(child, ("deliver", *link))
+            assert len(machine._effects) == table + 2
+
+    def test_equal_ranks_share_an_object_yet_enable_apart(self, machine):
+        for _ in range(2):  # the second time reads the cached share
+            w = machine.initial_working()
+            assert w.comps["I0"] is w.comps["I1"]
+            assert w.comps["E0"] is w.comps["E1"]
+            actions = machine.enabled_actions(w)
+            for r in (0, 1):
+                for kind in ("issue", "export", "crash"):
+                    assert actions.count((kind, r)) == 1
+
+    def test_components_swapped_between_slots_key_apart(self, machine):
+        w = self.after(machine, ("export", 0), ("export", 0))
+        swapped = clone_working(w)
+        swapped.comps["E0"], swapped.comps["E1"] = w.comps["E1"], w.comps["E0"]
+        assert {("close", 0), ("export", 1)} <= set(machine.enabled_actions(w))
+        assert {("export", 0), ("close", 1)} <= set(machine.enabled_actions(swapped))
+        table = len(machine._effects)
+        children = [clone_working(x, machine.step(x, ("crash", 0))) for x in (w, swapped)]
+        assert len(machine._effects) == table + 2
+        assert machine.digest(children[0]) != machine.digest(children[1])
+
+    def test_a_shared_rank_verdict_names_its_slot(self, machine):
+        """An M204 verdict is cached on the component, which interning
+        may put in both exporter slots: the text names the slot checked."""
+        w = machine.initial_working()
+        rank = w.comps["E0"].thaw()
+        rank.region.on_export(1.5, nbytes=8, memcpy_cost=1.0)
+        rank.region.on_request(machine.cid, 4.0)  # no eviction runs after it
+        w.comps["E0"] = w.comps["E1"] = rank
+        assert machine.check_occupancy(w).startswith("E.p0: buffered object @1.5")
+        w.comps["E0"] = machine.initial_working().comps["E0"]
+        assert machine.check_occupancy(w).startswith("E.p1: buffered object @1.5")

@@ -258,3 +258,63 @@ class TestMatchEntry:
         with pytest.raises(FrameworkError) as exc_info:
             cs._match_entry(ctx, "d", "E.d->I.d", 4.0)
         assert type(exc_info.value) is FrameworkError
+
+
+def cut_short_run(buddy_help, short_rank, importer_delay, short_pause=0.01, long_pause=0.01):
+    """F's rank *short_rank* exports ``1.6 + k`` for k < 18 and the other
+    rank for k < 30; U computes *importer_delay*, then imports 20.0 under
+    ``REGL 2.5``.  The lines differ (18.6 vs 19.6 for the request): a
+    collective verdict of either is a Property-1 violation."""
+
+    def e_main(ctx):
+        short = ctx.rank == short_rank
+        for k in range(18 if short else 30):
+            yield from ctx.export("d", 1.6 + k)
+            yield from ctx.compute(short_pause if short else long_pause)
+
+    def i_main(ctx):
+        yield from ctx.compute(importer_delay)
+        yield from ctx.import_("d", 20.0)
+
+    repro.run(
+        DIVERGENT_CONFIG,
+        [
+            repro.Program("F", main=e_main,
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+            repro.Program("U", main=i_main,
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+        ],
+        RunOptions(buddy_help=buddy_help),
+    )
+
+
+class TestCutShortStream:
+    """A rank whose export line ends before the other's is reported as a
+    Property-1 violation with buddy-help on as with it off, whenever the
+    request arrives.  With buddy-help on the long rank is told to send
+    18.6 after exporting 19.6: the check must come before the buffer
+    lookup, which would report control-message loss once 18.6 is freed
+    and send it while it is still held (both imports answered by 18.6)."""
+
+    @pytest.mark.parametrize("short_rank", [0, 1])
+    @pytest.mark.parametrize("importer_delay", [0.0, 0.1, 0.18, 0.19, 0.2])
+    @pytest.mark.parametrize("buddy_help", [True, False])
+    def test_reported_as_property1(self, buddy_help, importer_delay, short_rank):
+        with pytest.raises(PropertyViolationError) as exc_info:
+            cut_short_run(buddy_help, short_rank, importer_delay)
+        message = str(exc_info.value)
+        assert "18.6" in message and "19.6" in message
+        assert message.endswith("Property 1 violated")
+
+    @pytest.mark.parametrize("short_rank", [0, 1])
+    def test_a_match_heard_before_the_line_ends_short_of_it(self, short_rank):
+        """The short rank is slow: it hears MATCH/19.6 before exporting
+        it and its main returns with the match still to send (unchecked,
+        the run drains with both imports waiting)."""
+        with pytest.raises(PropertyViolationError) as exc_info:
+            cut_short_run(True, short_rank, 0.0, long_pause=0.001)
+        assert str(exc_info.value) == (
+            f"F.p{short_rank} on F.d->U.d: the collective verdict MATCH/19.6 "
+            "names a timestamp this process never exported (its exports "
+            "around it: 18.6) — Property 1 violated"
+        )
