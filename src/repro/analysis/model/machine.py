@@ -11,7 +11,7 @@ transition is a call into the driver both runtimes run: rep dispatch and
 directive → wire message (``_rep_handle``), agent handling of forwarded
 requests and buddy answers (``_agent_handle``), the export and close
 epilogues (``_buddy_skip``, ``_after_export``, ``_evict``,
-``_close_exports``), the importer's request, re-drive and answer steps
+``_close_exports``, ``_main_returned``), the importer's request, re-drive and answer steps
 (``_import_begin``, ``_retransmit``, ``_import_answered``) and every
 causal span of a replayed counterexample.  A defect in that code is a
 defect the checker explores; there is no second copy to drift.
@@ -538,6 +538,7 @@ def _clone_conn(conn: Any, hist: Any) -> Any:
     new.answers = dict(conn.answers)
     new.must_send = set(conn.must_send)
     new._buddy_raises = list(conn._buddy_raises)
+    new.unconfirmed = dict(conn.unconfirmed)
     return new
 
 
@@ -711,6 +712,10 @@ class _ExpRank:
                 tuple(sorted(conn.must_send)),
                 conn.window_count,
                 tuple(conn._buddy_raises),
+                tuple(
+                    (ts, _enc_answer(a))
+                    for ts, (_start, _high, a) in sorted(conn.unconfirmed.items())
+                ),
             )
             for cid, conn in sorted(region.connections.items())
         )
@@ -1212,6 +1217,7 @@ class ModelMachine:
             e, ctx = w.comps[self._exp_ids[action[1]]], drv.exporters[action[1]]
             e.closed = True
             drv._close_exports(ctx)
+            drv._main_returned(ctx)
             drv._evict(ctx, e.region)
         elif kind == "crash":
             w.comps[self._exp_ids[action[1]]].crashed = True

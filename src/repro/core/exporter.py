@@ -36,7 +36,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.core.buffers import BufferEntry, BufferManager
 from repro.core.config import ConnectionSpec
@@ -135,9 +135,12 @@ class ConnectionExportState:
         history: ExportHistory,
         strict_order: bool = True,
         match_backend: str = DEFAULT_MATCH_BACKEND,
+        who: str = "",
     ) -> None:
         self.conn = conn
         self.policy = conn.policy
+        #: How a Property-1 error names it: ``"F.p0 on F.d->U.d"``.
+        self.where = f"{who} on {conn.connection_id}" if who else conn.connection_id
         self.disjoint = conn.disjoint_regions
         #: Relaxed under resilient runtimes: a retransmitted request may
         #: arrive after a later request already advanced the mark.
@@ -163,6 +166,11 @@ class ConnectionExportState:
         #: ``(raised_to, request_ts)``.  :meth:`buddy_enabler` walks
         #: this to name the answer that enabled a given buddy skip.
         self._buddy_raises: list[tuple[float, float]] = []
+        #: Buddy answers adopted and not yet confirmed by this stream:
+        #: ``request_ts -> (start, high, answer)`` (:meth:`check_verdict`).
+        self.unconfirmed: dict[float, tuple[float, float, FinalAnswer]] = {}
+        #: Their lowest *start*: an export below it weighs nothing.
+        self.unconfirmed_low: float = math.inf
 
     # -- events ---------------------------------------------------------
     def on_request(self, request_ts: float) -> RequestOutcome:
@@ -223,7 +231,8 @@ class ConnectionExportState:
         """Learn the final answer for a request (local decision or buddy).
 
         Raises :class:`PropertyViolationError` if it contradicts an
-        answer this process already holds — that would mean the
+        answer this process already holds, or (a buddy answer) its own
+        exports so far (:meth:`check_verdict`) — either would mean the
         program's processes are not collective.
         """
         ts = answer.request_ts
@@ -237,22 +246,31 @@ class ConnectionExportState:
             return ApplyOutcome(answer=answer, send_now=None, was_news=False)
         self.answers[ts] = answer
         self.open_requests.pop(ts, None)
-        if source == "buddy" and self.disjoint:
-            self._buddy_raises.append((self.policy.region(ts)[1], ts))
+        low, high = self.policy.region(ts)
+        history, m = self.engine.history, answer.matched_ts
+        latest = history.latest
+        if source == "buddy":
+            # Held against the exports so far, then each later one from
+            # *start* until the stream passes the region (:meth:`weigh`);
+            # no export below a match at or under the request is closer.
+            if latest >= low:
+                self.check_verdict(answer, history.in_interval(low, high), latest)
+            if latest < high:
+                start = m if m is not None and m <= ts else low
+                self.unconfirmed[ts] = (start, high, answer)
+                if start < self.unconfirmed_low:
+                    self.unconfirmed_low = start
+            if self.disjoint:
+                self._buddy_raises.append((high, ts))
+        if self.disjoint:
+            # Successive acceptable regions do not overlap, so nothing up
+            # to this region's high can satisfy any future request; the
+            # match itself is protected by ``must_send``/``keep_set``.
+            self._raise_threshold(high, local=source == "local")
 
         send_now: float | None = None
-        if answer.kind is MatchKind.MATCH:
-            m = answer.matched_ts
-            assert m is not None
-            if self.disjoint:
-                # Successive acceptable regions do not overlap, so
-                # nothing up to this request's region high can satisfy
-                # any future request; the match itself is protected by
-                # ``must_send``/``keep_set``.
-                self._raise_threshold(
-                    self.policy.region(ts)[1], local=source == "local"
-                )
-            if self.engine.history.latest >= m:
+        if m is not None:  # a MATCH
+            if latest >= m:
                 # Already exported: the object is buffered (the skip
                 # threshold can never have passed an eventual match) —
                 # transfer it now.
@@ -261,12 +279,53 @@ class ConnectionExportState:
                 # The buddy-help payoff: the match is known before this
                 # process has even generated it.
                 self.must_send.add(m)
-        else:
-            if self.disjoint:
-                self._raise_threshold(
-                    self.policy.region(ts)[1], local=source == "local"
-                )
         return ApplyOutcome(answer=answer, send_now=send_now, was_news=True)
+
+    def check_verdict(self, answer: FinalAnswer, exports: Sequence[float],
+                      latest: float) -> None:
+        """Property 1 for an adopted buddy answer: one line on every rank
+        makes it this process's own, so it must agree with *exports* (in
+        its region, not yet weighed) and *latest* (``inf`` once the main
+        returned).  MATCH/m is refuted when the stream passed m without
+        exporting it or by an export preferred to m, NO_MATCH by any."""
+        r, m, history = answer.request_ts, answer.matched_ts, self.engine.history
+        verdict = f"{self.where}: the collective verdict"
+        if m is None:
+            if exports:
+                raise PropertyViolationError(
+                    f"{verdict} NO_MATCH for request @{r} is not this process's answer: "
+                    f"it exported {exports[0]:g}, inside the request's region — "
+                    "Property 1 violated"
+                )
+            return
+        if latest > m and m not in exports and not history.in_interval(m, m):
+            items = history.all_timestamps()
+            i = bisect_left(items, m)
+            around = ", ".join(f"{t:g}" for t in items[max(i - 1, 0) : i + 1])
+            raise PropertyViolationError(
+                f"{verdict} MATCH/{m:g} names a timestamp this process never exported "
+                f"(its exports around it: {around}) — Property 1 violated"
+            )
+        for x in exports:
+            if x != m and self.policy.select_best((x, m), r) == x:
+                raise PropertyViolationError(
+                    f"{verdict} MATCH/{m:g} for request @{r} is not this process's answer: "
+                    f"it exported {x:g}, closer to the request — Property 1 violated"
+                )
+
+    def weigh(self, ts: float) -> None:
+        """Check export *ts* against each unconfirmed answer it reached."""
+        pending, low = self.unconfirmed, math.inf
+        for r in list(pending):
+            start, high, answer = pending[r]
+            if ts >= start:
+                self.check_verdict(answer, (ts,) if ts <= high else (), ts)
+                if ts >= high:
+                    del pending[r]
+                    continue
+            if start < low:
+                low = start
+        self.unconfirmed_low = low
 
     def vote_export(self, ts: float) -> tuple[ExportDecision, int | None, float | None]:
         """This connection's vote for a new export at *ts*.
@@ -274,17 +333,11 @@ class ConnectionExportState:
         Returns ``(decision, window, replaced_candidate_ts)``.  The
         caller must already have appended *ts* to the shared history.
         """
-        must_send = self.must_send
-        if must_send:
-            if ts in must_send:
-                must_send.discard(ts)
-                return (ExportDecision.SEND, None, None)
-            for m in must_send:  # a loop, not min(): the export path makes no call
-                if m < ts:
-                    # The collective matched an object this process was
-                    # to export later, and its stream just went past it.
-                    history = self.engine.history
-                    raise unexported_match(self.conn.connection_id, history, m)
+        if ts >= self.unconfirmed_low:
+            self.weigh(ts)
+        if ts in self.must_send:
+            self.must_send.discard(ts)
+            return (ExportDecision.SEND, None, None)
         # In-region candidate for an open request?  Checked BEFORE the
         # skip threshold: a later request's arrival advances the
         # threshold past the regions of still-unresolved earlier
@@ -405,8 +458,7 @@ class ConnectionExportState:
     def keep_set(self) -> set[float]:
         """Timestamps eviction must never free for this connection."""
         keep = set(self.must_send)
-        for ts, answer in self.answers.items():
-            del ts
+        for answer in self.answers.values():
             if answer.kind is MatchKind.MATCH:
                 assert answer.matched_ts is not None
                 keep.add(answer.matched_ts)
@@ -414,23 +466,6 @@ class ConnectionExportState:
             if req.candidate_ts is not None:
                 keep.add(req.candidate_ts)
         return keep
-
-
-def unexported_match(
-    where: str, history: ExportHistory, m: float
-) -> PropertyViolationError:
-    """Property 1 broken: the collective verdict is MATCH/*m*, but the
-    stream of *history* has passed *m* without exporting it (the verdict
-    came from ranks whose export lines differ from this one).  The error
-    names *m* and this process's exports around it."""
-    exports = history.all_timestamps()
-    i = bisect_left(exports, m)
-    around = ", ".join(f"{t:g}" for t in exports[max(i - 1, 0) : i + 1])
-    return PropertyViolationError(
-        f"{where}: the collective verdict MATCH/{m:g} names a timestamp this "
-        f"process never exported (its exports around it: {around}) — "
-        "Property 1 violated"
-    )
 
 
 def _answer_from(response: MatchResponse) -> FinalAnswer:
@@ -457,6 +492,7 @@ class RegionExportState:
         capacity_bytes: int | None = None,
         strict_order: bool = True,
         match_backend: str = DEFAULT_MATCH_BACKEND,
+        who: str = "",
     ) -> None:
         self.region_name = region_name
         self.history = ExportHistory()
@@ -467,6 +503,7 @@ class RegionExportState:
                 self.history,
                 strict_order=strict_order,
                 match_backend=match_backend,
+                who=who,
             )
             for c in connections
         }

@@ -326,6 +326,7 @@ class LiveCoupledSimulation(ProtocolDriver):
                     fn(*args)
                 except BaseException as exc:  # noqa: BLE001 - reported below
                     errors.append(exc)
+                    self.world.abort()  # blocked receives end now, not at their timeout
 
             return runner
 

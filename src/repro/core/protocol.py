@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -50,8 +51,8 @@ import numpy as np
 from repro.core import spine, wire
 from repro.core.buffers import BufferEntry
 from repro.core.config import ConnectionSpec, CouplingConfig, parse_config
-from repro.core.exceptions import ConfigError, FrameworkError, PropertyViolationError
-from repro.core.exporter import ExportDecision, RegionExportState, unexported_match
+from repro.core.exceptions import ConfigError, FrameworkError
+from repro.core.exporter import ExportDecision, RegionExportState
 from repro.core.importer import RegionImportState
 from repro.core.properties import OperationLog, check_property1
 from repro.core.rep import (
@@ -315,6 +316,7 @@ class ContextBase:
                     capacity_bytes=capacity_bytes,
                     strict_order=runtime.strict_order,
                     match_backend=runtime.match_backend,
+                    who=self.who,
                 )
             imp_conns = config.connections_importing(self.program, rname)
             if imp_conns:  # one at most: CouplingConfig.validate
@@ -342,6 +344,7 @@ class ContextBase:
         #: ``(connection_id, request_ts)``: feeds the per-window
         #: buddy-help lead times.
         self._buddy_arrivals: dict[tuple[str, float], float] = {}
+        self.crashed = False  # a fault injector cut the main off
 
     def local_region(self, region: str) -> RectRegion:
         """This rank's owned sub-box of *region*."""
@@ -799,22 +802,14 @@ class ProtocolDriver:
         self, ctx: ContextBase, region: str, cid: str, m: float
     ) -> BufferEntry | None:
         """The buffered match *m*, marked sent; ``None`` once it is gone
-        after a transfer.  A match neither buffered nor ever sent raises:
-        :class:`PropertyViolationError` when this process never exported
-        *m* although its stream has passed it (the collective verdict
-        came from ranks whose export lines differ from this one), the
-        control-loss error when *m* was exported and then evicted."""
-        st = ctx.export_states[region]
-        buffer = st.buffer
+        after a transfer.  One never sent and gone was lost: control loss."""
+        buffer = ctx.export_states[region].buffer
         if not buffer.has(m):
             if buffer.was_sent(m):
                 # Already transferred (a retransmission-driven re-send
                 # by the agent can beat this call and evict the entry);
                 # the importer deduplicates pieces, nothing to do.
                 return None
-            history = st.history
-            if history.latest > m and not history.in_interval(m, m):
-                raise unexported_match(f"{ctx.who} on {cid}", history, m)
             raise FrameworkError(
                 f"{ctx.who}: match @{m:g} of {cid} is no longer buffered — "
                 "pipelined imports combined with control-message loss can "
@@ -898,44 +893,14 @@ class ProtocolDriver:
             for cid, response in responses:
                 self._send_response(ctx, cid, response)
 
-    def _check_buddy_match(
-        self, ctx: ContextBase, st: RegionExportState, cid: str,
-        request_ts: float, m: float,
-    ) -> None:
-        """Raise :class:`PropertyViolationError` unless MATCH/*m*, heard
-        from the rep after this rank's stream passed *m*, is this rank's
-        own answer so far: *m* is among its exports and none of its
-        exports in the region is preferred to it.  With one export line
-        on every rank, the collective's match is the best of every
-        prefix of the line that reaches it.  Without the check, a rank
-        told to send an object it had exported and freed would report
-        control-message loss, and one that still held it would send it
-        and answer the import with another line's match."""
-        policy, history = self._connections[cid].spec.policy, st.history
-        own = policy.select_best(history.in_interval(*policy.region(request_ts)), request_ts)
-        if own == m:
-            return
-        where = f"{ctx.who} on {cid}"
-        if not history.in_interval(m, m):
-            raise unexported_match(where, history, m)
-        raise PropertyViolationError(
-            f"{where}: the collective verdict MATCH/{m:g} for request "
-            f"@{request_ts} is not this process's answer: it exported "
-            f"{own:g}, closer to the request — Property 1 violated"
-        )
-
     def _main_returned(self, ctx: ContextBase) -> None:
-        """A main returned: a match it heard from the rep before its
-        stream reached it (``must_send``) is one the stream ended short
-        of, so the collective's export line goes on past this rank's —
-        :class:`PropertyViolationError` (else the importer would wait
-        for this rank's pieces forever).  Not called for a main closed
-        by a crash."""
-        for st in ctx.export_states.values():
-            for cid, conn in st.connections.items():
-                if conn.must_send:
-                    m = min(conn.must_send)
-                    raise unexported_match(f"{ctx.who} on {cid}", st.history, m)
+        """A main returned with its line whole: each buddy answer still
+        unconfirmed is checked against all of it (not after a crash)."""
+        if not ctx.crashed:
+            for st in ctx.export_states.values():
+                for conn in st.connections.values():
+                    for _start, _high, answer in conn.unconfirmed.values():
+                        conn.check_verdict(answer, (), math.inf)
 
     def _evict(self, ctx: ContextBase, st: RegionExportState) -> int:
         """Free entries past the eviction threshold; returns how many."""
@@ -1013,11 +978,8 @@ class ProtocolDriver:
             ):
                 applied = st.on_buddy_answer(cid, answer)
                 ctx.stats.buddy_answers_received += 1
-                m = applied.send_now
-                if m is not None:
-                    if st.history.latest > m:
-                        self._check_buddy_match(ctx, st, cid, answer.request_ts, m)
-                    self._send_pieces(ctx, region, cid, m)
+                if applied.send_now is not None:
+                    self._send_pieces(ctx, region, cid, applied.send_now)
                 return self._evict(ctx, st)
         raise FrameworkError(f"agent received unexpected message {msg!r}")
 

@@ -27,10 +27,6 @@ every enqueue still consumes one ``seq`` and ``_step`` compares
 *bit-identical* to the plain-heap implementation (asserted by the
 seed-replay golden tests).
 
-Cancellation uses tombstones: :meth:`Event.cancel` marks a scheduled
-event dead and ``_step`` discards it when popped, without paying for
-a heap re-sort or a linear scan.
-
 A periodic watcher (streaming telemetry) is a *tick*, not a process:
 :meth:`Simulator.run` calls ``_tick`` between two events, when the next
 lies past ``_tick_at``, so it schedules nothing and consumes no
@@ -85,7 +81,6 @@ class Event:
         "_triggered",
         "_processed",
         "_defused",
-        "_cancelled",
     )
 
     def __init__(self, sim: "Simulator") -> None:
@@ -99,9 +94,6 @@ class Event:
         #: A failed event whose exception was delivered to a waiter is
         #: "defused" and will not crash the simulation at process time.
         self._defused = False
-        #: Tombstone: a cancelled scheduled event is discarded by the
-        #: kernel when popped instead of being processed.
-        self._cancelled = False
 
     # -- state ---------------------------------------------------------
     @property
@@ -153,18 +145,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel won't re-raise it."""
         self._defused = True
-
-    def cancel(self) -> None:
-        """Tombstone a triggered-but-unprocessed event.
-
-        The kernel discards the event when it reaches the head of the
-        schedule: no callbacks run, and a failure value is not raised.
-        Cancelling an already-processed event is an error.
-        """
-        if self._processed:
-            raise SimulationError(f"cannot cancel processed event {self!r}")
-        self._cancelled = True
-        self.sim._cancel_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -310,12 +290,11 @@ class Simulator:
         )
         self._seq = 0
         #: Kernel counters (see :meth:`kernel_counters`).  Only the
-        #: heap branch of :meth:`timeout` and ``Event.cancel`` pay for an
-        #: increment; everything else is derived from ``_seq`` and the
-        #: live structure sizes, so the same-instant fast path carries
-        #: no instrumentation cost at all.
+        #: heap branch of :meth:`timeout` pays for an increment;
+        #: everything else is derived from ``_seq`` and the live
+        #: structure sizes, so the same-instant fast path carries no
+        #: instrumentation cost at all.
         self._heap_scheduled = 0
-        self._cancel_count = 0
         #: Optional observer called between events: when the next event
         #: lies past ``_tick_at`` and no same-instant lane is pending,
         #: :meth:`run` sets the clock to ``_tick_at`` and calls it; it
@@ -349,7 +328,6 @@ class Simulator:
         ev._triggered = True
         ev._processed = False
         ev._defused = False
-        ev._cancelled = False
         ev.delay = delay
         self._seq = seq = self._seq + 1
         if delay == 0.0:
@@ -395,9 +373,6 @@ class Simulator:
                 raise SimulationError("no pending events to step")
             when, _prio, _seq, event = heapq.heappop(heap)
             self._now = when
-        if event._cancelled:
-            event._processed = True
-            return
         event._processed = True
         callbacks = event.callbacks
         if callbacks:
@@ -477,14 +452,9 @@ class Simulator:
 
     @property
     def events_dispatched(self) -> int:
-        """Events popped off the schedule (fired or tombstone-discarded)."""
+        """Events popped off the schedule and fired."""
         lane0, lane1 = self._lanes
         return self._seq - len(self._heap) - len(lane0) - len(lane1)
-
-    @property
-    def events_cancelled(self) -> int:
-        """Events tombstoned via :meth:`Event.cancel`."""
-        return self._cancel_count
 
     def kernel_counters(self) -> dict[str, int]:
         """Scheduling counters for :func:`repro.obs.collect.collect_metrics`."""
@@ -493,5 +463,8 @@ class Simulator:
             "heap_scheduled": self.heap_scheduled,
             "fast_lane_scheduled": self.fast_lane_scheduled,
             "dispatched": self.events_dispatched,
-            "cancelled": self.events_cancelled,
+            # The kernel cancels nothing; the key stays because
+            # ``repro.report/v1``'s metrics name ``des.events.cancelled``
+            # and the recorded fixtures' report digests cover it.
+            "cancelled": 0,
         }

@@ -57,7 +57,8 @@ class ProcessFaultSpec:
         Virtual time at (or after) which the process fail-stops: its
         generator is closed and never resumes.  Streams it exports are
         closed by the framework's normal end-of-process path, so peers
-        see clean NO_MATCH answers rather than a hang.
+        see clean NO_MATCH answers rather than a hang; buddy answers its
+        stream had not yet confirmed are left unchecked.
     """
 
     stall_at: float | None = None
@@ -100,6 +101,7 @@ def inject_main(main: MainFn, spec: ProcessFaultSpec, tracer: Tracer | None = No
                 if tracer is not None and tracer.enabled:
                     tracer.record(tracing.FAULT_CRASH, ctx.who, sim.now)
                 gen.close()
+                ctx.crashed = True
                 return None
             if not stalled and sim.now >= spec.stall_at:
                 stalled = True

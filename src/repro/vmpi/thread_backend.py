@@ -25,13 +25,19 @@ class MailboxTimeout(RuntimeError):
     """Raised when a blocking receive exceeds its timeout."""
 
 
-class ThreadMailbox:
-    """A predicate-matching blocking mailbox for one rank."""
+class MailboxAborted(RuntimeError):
+    """Raised by a blocking receive once its world was aborted."""
 
-    def __init__(self) -> None:
+
+class ThreadMailbox:
+    """A predicate-matching blocking mailbox for one rank; a receive that
+    finds *aborted* (its world's, :meth:`ThreadWorld.abort`) set raises."""
+
+    def __init__(self, aborted: threading.Event) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._items: list[Message] = []
+        self._aborted = aborted
 
     def put(self, msg: Message) -> None:
         """Deposit *msg* and wake matching waiters."""
@@ -55,6 +61,8 @@ class ThreadMailbox:
         with self._cond:
             found = _scan()
             while found is None:
+                if self._aborted.is_set():
+                    raise MailboxAborted("the run was aborted by an earlier error")
                 if not self._cond.wait(timeout=timeout):
                     raise MailboxTimeout(
                         f"no matching message within {timeout} s"
@@ -87,6 +95,16 @@ class ThreadWorld:
         #: :meth:`post` (set by the live coupler to inject chaos; see
         #: :class:`repro.faults.injectors.LiveFaultInjector`).
         self.fault_hook: Callable[["ThreadWorld", Any, Any], None] | None = None
+        #: Set by :meth:`abort`; every mailbox of the world reads it.
+        self.aborted = threading.Event()
+
+    def abort(self) -> None:
+        """Fail fast: every blocked receive of the world wakes and raises
+        :class:`MailboxAborted`, and so does every later one."""
+        self.aborted.set()
+        for box in list(self._mailboxes.values()):
+            with box._cond:
+                box._cond.notify_all()
 
     def post(self, address: Any, msg: Any) -> None:
         """Deliver *msg* to *address* through the fault hook, if any.
@@ -107,7 +125,7 @@ class ThreadWorld:
             raise ValidationError(f"program {name!r} already exists")
         addresses = [(name, r) for r in range(nprocs)]
         for addr in addresses:
-            self._mailboxes[addr] = ThreadMailbox()
+            self._mailboxes[addr] = ThreadMailbox(self.aborted)
         comms = [
             ThreadCommunicator(self, comm_id=name, addresses=addresses, rank=r)
             for r in range(nprocs)
@@ -127,7 +145,7 @@ class ThreadWorld:
         """Create (or fetch) a mailbox at an arbitrary *address*."""
         box = self._mailboxes.get(address)
         if box is None:
-            box = ThreadMailbox()
+            box = ThreadMailbox(self.aborted)
             self._mailboxes[address] = box
         return box
 

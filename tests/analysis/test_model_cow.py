@@ -72,6 +72,7 @@ def _clone_region(region):
         c.answers = dict(conn.answers)
         c.must_send = set(conn.must_send)
         c._buddy_raises = list(conn._buddy_raises)
+        c.unconfirmed = dict(conn.unconfirmed)
         new.connections[cid] = c
     return new
 
@@ -172,6 +173,10 @@ def encode(w):
                         tuple(sorted(conn.must_send)),
                         conn.window_count,
                         tuple(conn._buddy_raises),
+                        tuple(
+                            (ts, _enc_answer(a))
+                            for ts, (_start, _high, a) in sorted(conn.unconfirmed.items())
+                        ),
                     )
                 )
             buf = tuple(

@@ -123,10 +123,45 @@ class TestBuddyHelp:
         state.on_buddy_answer(
             cid, FinalAnswer(request_ts=20.0, kind=MatchKind.NO_MATCH)
         )
-        # Everything up to the region high (20.0) can never match.
-        assert export(state, 18.0).decision is ExportDecision.SKIP
-        assert export(state, 19.9).decision is ExportDecision.SKIP
+        # Everything up to the region high (20.0) can never match.  No
+        # export of a conformant line lies inside the region: one there
+        # refutes the collective NO_MATCH (the next test).
+        assert state.connections[cid].skip_threshold == 20.0
+        assert export(state, 17.0).decision is ExportDecision.SKIP
         assert export(state, 20.5).decision is ExportDecision.BUFFER
+
+    def test_an_export_in_a_buddy_no_match_region_is_property1(self):
+        state, [cid] = make_state(tolerance=2.5)
+        export(state, 1.6)
+        state.on_request(cid, 20.0)
+        state.on_buddy_answer(
+            cid, FinalAnswer(request_ts=20.0, kind=MatchKind.NO_MATCH)
+        )
+        with pytest.raises(PropertyViolationError, match="it exported 18, inside"):
+            export(state, 18.0)
+
+    @pytest.mark.parametrize(
+        "kind, match, stream, refuting",
+        [
+            # Closer below the request, before the match is reached.
+            (PolicyKind.REGU, 21.6, (20.6, 21.6), 20.6),
+            (PolicyKind.REG, 21.6, (18.6, 19.6), 18.6),
+            # Closer above the match, after it was sent.
+            (PolicyKind.REGL, 18.6, (17.6, 18.6, 19.6), 19.6),
+        ],
+    )
+    def test_an_export_preferred_to_a_buddy_match_is_property1(
+        self, kind, match, stream, refuting
+    ):
+        state, [cid] = make_state(tolerance=2.5, kind=kind)
+        export(state, 1.6)
+        state.on_buddy_answer(
+            cid, FinalAnswer(request_ts=20.0, kind=MatchKind.MATCH, matched_ts=match)
+        )
+        with pytest.raises(PropertyViolationError, match=f"it exported {refuting:g}, closer"):
+            for ts in stream:
+                export(state, ts)
+        assert state.history.latest == refuting
 
     def test_buddy_for_already_buffered_match_triggers_send(self):
         state, [cid] = make_state()

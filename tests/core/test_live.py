@@ -5,6 +5,8 @@ These are behavioural, not timing-sensitive: the protocol outcomes
 skip counts under forced skew) must mirror the DES runtime.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -224,9 +226,12 @@ def test_live_runtime_applies_the_fault_plan():
 
 
 class TestLivePropertyViolations:
-    def test_divergent_live_program_raises(self):
+    @pytest.mark.parametrize("buddy_help", [True, False])
+    def test_divergent_live_program_raises(self, buddy_help):
         """Ranks exporting different timestamp lines must be caught by
-        the rep even under real-thread nondeterminism."""
+        the rep even under real-thread nondeterminism, and the first
+        error ends the run at once: the threads blocked on a receive
+        do not wait out ``default_timeout``."""
 
         def e_main(ctx):
             shift = 0.5 if ctx.rank == 1 else 0.0
@@ -239,14 +244,17 @@ class TestLivePropertyViolations:
             ctx.import_("d", 20.0)
 
         sim = LiveCoupledSimulation(
-            CONFIG, options=RunOptions(runtime="live", default_timeout=10.0)
+            CONFIG,
+            options=RunOptions(runtime="live", buddy_help=buddy_help, default_timeout=10.0),
         )
         sim.add_program("F", main=e_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))})
         sim.add_program("U", main=i_main,
                         regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))})
+        start = time.perf_counter()
         with pytest.raises(RuntimeError) as exc_info:
             sim.run(join_timeout=20.0)
+        assert time.perf_counter() - start <= 0.5
         # Whichever rank meets the divergence first, the rep or rank 0
         # told to send the collective's MATCH/19.1, names Property 1.
         cause = exc_info.value.__cause__

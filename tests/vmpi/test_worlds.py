@@ -1,8 +1,13 @@
 """Tests for DesWorld / ThreadWorld container behaviour."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.vmpi import DesWorld, ThreadWorld, SUM
+from repro.vmpi.thread_backend import MailboxAborted
 
 
 class TestDesWorld:
@@ -124,3 +129,36 @@ class TestThreadWorld:
         rb = world.run_program("B", lambda c: c.allreduce(1, SUM))
         assert ra == [2, 2]
         assert rb == [3, 3, 3]
+
+    def test_abort_wakes_every_blocked_receive(self):
+        """More receivers than cores, blocked with no timeout, each on
+        its own mailbox: one ``abort`` ends every one of them at once,
+        and a receive begun after it does not block either."""
+        world = ThreadWorld(default_timeout=None)
+        boxes = [world.register(("box", i)) for i in range(8)]
+        outcomes: list[BaseException] = []
+        lock = threading.Lock()
+
+        def receive(box):
+            try:
+                box.get(lambda _m: True)
+            except MailboxAborted as exc:
+                with lock:
+                    outcomes.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=receive, args=(b,)) for b in boxes]
+            for t in threads:
+                t.start()
+            time.sleep(0.05)
+            world.abort()
+            for t in threads:
+                t.join(timeout=2.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == len(boxes)
+        with pytest.raises(MailboxAborted):
+            boxes[0].get(lambda _m: True)
