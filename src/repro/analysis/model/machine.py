@@ -10,10 +10,10 @@ engine and buffer ledger inside) — and every protocol step of a
 transition is a call into the driver both runtimes run: rep dispatch and
 directive → wire message (``_rep_handle``), agent handling of forwarded
 requests and buddy answers (``_agent_handle``), the export and close
-epilogues (``_buddy_skip``, ``_after_export``, ``_evict``,
-``_close_exports``, ``_main_returned``), the importer's request, re-drive and answer steps
-(``_import_begin``, ``_retransmit``, ``_import_answered``) and every
-causal span of a replayed counterexample.  A defect in that code is a
+epilogues (``_buddy_skip``, ``_exported``, ``_main_ended``), the
+importer's request, re-drive and answer steps (``_import_begin``,
+``_retransmit``, ``_import_answered``) and every causal span of a
+replayed counterexample.  A defect in that code is a
 defect the checker explores; there is no second copy to drift.
 
 What is written here, and why it cannot be the runtimes' code:
@@ -826,10 +826,11 @@ class _ModelDriver(ProtocolDriver):
             RunOptions(
                 buddy_help=config.buddy_help, match_backend=config.match_backend,
                 sanitize=False,
+                retransmit_timeout=None if config.strict_order else 1.0,
             ),
             RuntimePort(now=lambda: self.clock, send=self._net_send),
-            rto=None if config.strict_order else 1.0,
-            max_retransmits=config.retransmit_budget,
+            default_rto=lambda _plan: 1.0,  # no plan: the adversary is explored
+            default_max_retransmits=config.retransmit_budget,
         )
         # The data plane is not modelled (see _send_pieces): the two
         # decompositions only have to agree on a global shape.
@@ -1202,7 +1203,6 @@ class ModelMachine:
                 drv.importers[action[1]],
                 ImportHandle(REGION, self.cid, i.outstanding, record=None),
                 attempt=self.config.retransmit_budget - i.retr_left,
-                rto=1.0,
             )
         elif kind == "export":
             e, ctx = w.comps[self._exp_ids[action[1]]], drv.exporters[action[1]]
@@ -1211,13 +1211,14 @@ class ModelMachine:
             outcome = e.region.on_export(ts, nbytes=8, memcpy_cost=1.0)
             if outcome.buddy_skip:
                 drv._buddy_skip(ctx, ts, outcome)
-            drv._after_export(ctx, REGION, ts, outcome)
-            drv._evict(ctx, e.region)
+            drv._exported(ctx, REGION, ts, outcome)
         elif kind == "close":
             e, ctx = w.comps[self._exp_ids[action[1]]], drv.exporters[action[1]]
             e.closed = True
-            drv._close_exports(ctx)
-            drv._main_returned(ctx)
+            drv._main_ended(ctx, returned=True)
+            # Closing can raise the eviction line M204 holds every later
+            # state to, and a model rank outlives its main: evict now
+            # (without it the clean world has 11 004 states, not 7 196).
             drv._evict(ctx, e.region)
         elif kind == "crash":
             w.comps[self._exp_ids[action[1]]].crashed = True

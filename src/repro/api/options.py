@@ -45,10 +45,10 @@ class RunOptions:
         A :class:`~repro.util.tracing.Tracer` receiving protocol
         events; ``None`` records nothing.
     buffer_capacity_bytes:
-        Optional bound on each process's framework buffer.
+        Optional bound on each process's framework buffer (either runtime).
     buffer_policy:
         ``"error"`` (raise when an export would exceed the capacity)
-        or ``"block"`` (backpressure until eviction frees space).
+        or ``"block"`` (backpressure until eviction frees space; DES only).
     record_operations:
         Record every export/import into an operation log so Property-1
         conformance can be checked after the run (either runtime).
@@ -67,8 +67,8 @@ class RunOptions:
         from the network model (DES, when a fault plan is given) or the
         runtime default (live, when a fault plan is given).
     max_retransmits:
-        Retransmission attempts per request before giving up; ``None``
-        uses the runtime default (12 on DES, 8 on live).
+        Retransmission attempts per request before giving up, ``>= 0``;
+        ``None`` uses the runtime default (12 on DES, 8 on live).
     time_scale:
         Live runtime: multiplier on ``ctx.compute`` sleeps.
     default_timeout:

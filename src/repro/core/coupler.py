@@ -49,13 +49,14 @@ paper measures it — inside the export call.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
 from repro.core import spine, wire
 from repro.core.config import CouplingConfig
-from repro.core.exceptions import FrameworkError
+from repro.core.exceptions import ConfigError, FrameworkError
 from repro.core.exporter import ExportDecision
 from repro.core.protocol import (
     ContextBase,
@@ -67,11 +68,9 @@ from repro.core.protocol import (
     _ProgramRuntime,
 )
 from repro.core.spine import ProtocolEvent
-from repro.data.region import RectRegion
-from repro.des import AnyOf, Event, Simulator
-from repro.match.result import MatchKind
+from repro.des import AnyOf, Event, Process, Simulator
 from repro.util.rng import RngRegistry
-from repro.util.validation import require, require_non_negative, require_positive
+from repro.util.validation import require, require_non_negative
 from repro.vmpi.des_backend import DesWorld
 
 if TYPE_CHECKING:
@@ -91,15 +90,11 @@ class ProcessContext(ContextBase):
         program: _ProgramRuntime,
         rank: int,
     ) -> None:
-        super().__init__(
-            coupler,
-            program,
-            rank,
-            capacity_bytes=coupler.buffer_capacity_bytes,
-            memcpy_base=coupler.preset.memory.memcpy_base,
-        )
+        super().__init__(coupler, program, rank, memcpy_base=coupler.preset.memory.memcpy_base)
         self.sim: Simulator = coupler.sim
         self._rng = coupler.rng.stream(f"compute/{self.program}.{rank}")
+        #: The coupling data plane's mailbox: answers and pieces.
+        self._box = coupler.world.network.mailbox(("cpl", self.program, rank))
 
     # -- time ------------------------------------------------------------------
     def compute(self, seconds: float) -> Generator[Event, Any, float]:
@@ -217,9 +212,7 @@ class ProcessContext(ContextBase):
         if charge > 0:
             yield sim.timeout(charge)
 
-        coupler._after_export(self, region, ts, outcome)
-        # Threshold-driven eviction uncovered by this call.
-        evicted = coupler._evict(self, st)
+        evicted = coupler._exported(self, region, ts, outcome)
         if evicted:
             free_cost = memory.free_buffers_time(evicted)
             yield sim.timeout(free_cost)
@@ -254,74 +247,39 @@ class ProcessContext(ContextBase):
         """
         require(not handle.done, "import handle already completed")
         coupler = self._rt
-        cid = handle.connection_id
-        ts = handle.ts
         if coupler._watch and (fold := coupler._fold[spine.IMPORT_WAIT]) is not spine.ignore:
             fold(ProtocolEvent(
-                spine.IMPORT_WAIT, self.who, self.sim._now, cid, ts,
-                program=self.program, rank=self.rank, region=handle.region,
+                spine.IMPORT_WAIT, self.who, self.sim._now, handle.connection_id,
+                handle.ts, program=self.program, rank=self.rank, region=handle.region,
             ))
-        box = coupler.world.network.mailbox(("cpl", self.program, self.rank))
-        answer_ev = box.get_matching(
-            lambda d: type(d.payload) is wire.AnswerToProc
-            and d.payload.connection_id == cid
-            and d.payload.answer.request_ts == ts
-        )
-        delivery = yield from self._await_with_retransmit(answer_ev, handle)
-        msg: wire.AnswerToProc = delivery.payload
-        coupler._import_answered(self, handle, msg)
-        if msg.answer.kind is MatchKind.NO_MATCH:
-            return (None, None)
-        m = msg.answer.matched_ts
-        assert m is not None
-        schedule = coupler._connections[cid].schedule
-        assert schedule is not None
-        expected = len(schedule.recvs_for(self.rank))
-        # Keyed by (src_rank, region) so duplicated and re-sent pieces
-        # collapse to one piece per scheduled transfer.
-        pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
-        while len(pieces) < expected:
-            piece_ev = box.get_matching(
-                lambda d: type(d.payload) is wire.DataPiece
-                and d.payload.connection_id == cid
-                and d.payload.match_ts == m
-            )
-            d = yield from self._await_with_retransmit(piece_ev, handle)
-            pieces.setdefault((d.payload.src_rank, d.payload.region), d.payload)
-        block = coupler._import_complete(self, handle, msg, list(pieces.values()))
-        return (m, block)
+        return self._import_flow(handle, self._wait)
 
-    def _await_with_retransmit(
-        self, get_ev: Event, handle: ImportHandle
+    def _wait(
+        self, handle: ImportHandle, kind: type, key: float
     ) -> Generator[Event, Any, Any]:
-        """Wait for *get_ev*; retransmit the request on timeout.
-
-        Without a retransmission timeout this is a plain wait (the
-        classic reliable-network protocol).  With one, each expiry
-        re-sends the request (see ``ProtocolDriver._retransmit``);
-        backoff doubles per attempt.
-        """
+        """Wait for the *kind* message of *handle* keyed *key*; on a
+        resilient run, retransmit the request on each timeout."""
+        cid, answer = handle.connection_id, kind is wire.AnswerToProc
+        get_ev = self._box.get_matching(
+            lambda d: type(p := d.payload) is kind and p.connection_id == cid
+            and (p.answer.request_ts if answer else p.match_ts) == key
+        )
         coupler = self._rt
-        rto = coupler._rto
-        if rto is None:
-            result = yield get_ev
-            return result
+        if coupler._rto is None:
+            return (yield get_ev).payload
         attempt = 0
         while True:
-            timer = self.sim.timeout(rto * (2 ** min(attempt, 6)))
-            yield AnyOf(self.sim, [get_ev, timer])
+            yield AnyOf(self.sim, [get_ev, self.sim.timeout(coupler._backoff(attempt))])
             if get_ev.triggered:
-                return get_ev.value
+                return get_ev.value.payload
             attempt += 1
-            coupler._retransmit(self, handle, attempt, rto * (2 ** min(attempt, 6)))
+            coupler._retransmit(self, handle, attempt)
 
     def import_(
         self, region: str, ts: float
     ) -> Generator[Event, Any, tuple[float | None, np.ndarray | None]]:
         """Blocking import: :meth:`import_begin` + :meth:`import_wait`."""
-        handle = self.import_begin(region, ts)
-        result = yield from self.import_wait(handle)
-        return result
+        return self.import_wait(self.import_begin(region, ts))
 
     def _assemble(
         self, region: str, pieces: list[wire.DataPiece]
@@ -363,6 +321,9 @@ class CoupledSimulation(ProtocolDriver):
           given, else disables retransmission (the classic
           reliable-network protocol); ``max_retransmits`` defaults
           to 12.
+        * every ``main`` must return a generator (a generator function,
+          or a callable returning one); anything else raises
+          :class:`ConfigError` when the main starts.
     """
 
     def __init__(
@@ -387,31 +348,18 @@ class CoupledSimulation(ProtocolDriver):
         )
         self.sim: Simulator = self.world.sim
         sim = self.sim
-        rto = options.retransmit_timeout
-        if rto is None and fault_plan is not None:
-            # Comfortably above one fault-free round trip plus the worst
-            # jitter/reorder hold-back, so spurious retransmissions stay
-            # rare while lost requests still recover quickly.
-            lat = preset.network.latency
-            rto = max(
-                1e-3,
-                8.0
-                * (
-                    lat
-                    + fault_plan.delay_jitter
-                    + fault_plan.effective_reorder_delay(lat)
-                ),
-            )
-        max_retransmits = (
-            12 if options.max_retransmits is None else options.max_retransmits
-        )
-        require_positive(max_retransmits, "max_retransmits")
+        lat = preset.network.latency
         super().__init__(
             config,
             options,
             RuntimePort(now=lambda: sim._now, send=self.world.network.send),
-            rto=rto,
-            max_retransmits=max_retransmits,
+            # Comfortably above one fault-free round trip plus the worst
+            # jitter/reorder hold-back, so spurious retransmissions stay
+            # rare while lost requests still recover quickly.
+            default_rto=lambda plan: max(
+                1e-3, 8.0 * (lat + plan.delay_jitter + plan.effective_reorder_delay(lat))
+            ),
+            default_max_retransmits=12,
         )
         self.preset = preset
         self.fault_plan = fault_plan
@@ -432,6 +380,8 @@ class CoupledSimulation(ProtocolDriver):
         self.buffer_policy = options.buffer_policy
         #: Poll interval while stalled on a full buffer.
         self.backpressure_poll = 1.0e-4
+        #: Every main's context and process.
+        self._mains: list[tuple[ProcessContext, Process]] = []
 
     # -- setup ------------------------------------------------------------
     def add_program(
@@ -461,12 +411,20 @@ class CoupledSimulation(ProtocolDriver):
         A finite *until* stops the clock at that virtual time unless the
         run is over first — every main returned and the schedule
         drained — where the clock then stays: a horizon past a run's end
-        does not move its time.
+        does not move its time.  Without one, a schedule that drains
+        while a main still waits raises :class:`FrameworkError`.
         """
         self.start()
         sim = self.sim
         if until is None:
             sim.run()
+            if self._mains_running():
+                waiting = ", ".join(ctx.who for ctx, proc in self._mains if proc.is_alive)
+                crashed = ", ".join(ctx.who for ctx, _proc in self._mains if ctx.crashed)
+                raise FrameworkError(
+                    f"the schedule drained while mains still wait: {waiting} "
+                    f"(crashed: {crashed or 'none'})"
+                )
             return
         require_non_negative(until - sim.now, "run-until horizon (must be >= now)")
         sim._run_ticking(float(until))
@@ -489,9 +447,8 @@ class CoupledSimulation(ProtocolDriver):
                 )
             if prog.main is not None:
                 for ctx in prog.contexts:
-                    self.sim.process(
-                        self._main_proc(ctx), name=f"{prog.name}.{ctx.rank}"
-                    )
+                    proc = self.sim.process(self._main_proc(ctx), name=f"{prog.name}.{ctx.rank}")
+                    self._mains.append((ctx, proc))
         if self.telemetry_sinks:
             if self._mains_running():
                 # The kernel calls the emitter between events: it
@@ -544,15 +501,23 @@ class CoupledSimulation(ProtocolDriver):
 
     def _main_proc(self, ctx: ProcessContext) -> Generator[Event, Any, None]:
         """User main wrapped with end-of-stream bookkeeping."""
-        assert ctx._program.main is not None
+        prog = ctx._program
+        assert prog.main is not None
+        returned = False
         try:
-            yield from ctx._program.main(ctx)
+            body = prog.main(ctx)
+            if not isinstance(body, GeneratorType):
+                raise ConfigError(
+                    f"program {prog.name!r}: main(ctx) returned {type(body).__name__}, "
+                    "not a generator; the des runtime resumes a generator main"
+                )
+            yield from body
+            returned = True
         finally:
-            ctx._program.alive -= 1
-            self._close_exports(ctx)
+            prog.alive -= 1
+            self._main_ended(ctx, returned)
         # Only a main that returns gets here: one an aborted run closes
         # emits nothing (``end`` writes that run's last record).
-        self._main_returned(ctx)
         if self.sim._tick is not None and not self._mains_running():
             self.sim._tick = None
             self._telemetry_proc(final=True)

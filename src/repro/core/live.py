@@ -27,15 +27,18 @@ user would embed in real applications.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import threading
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 
 import numpy as np
 
 from repro.core import spine, wire
 from repro.core.config import CouplingConfig
+from repro.core.exceptions import ConfigError
 from repro.core.exporter import ExportDecision
 from repro.core.protocol import (
     ContextBase,
@@ -47,11 +50,9 @@ from repro.core.protocol import (
     _ProgramRuntime,
 )
 from repro.core.spine import ProtocolEvent
-from repro.data.region import RectRegion
 from repro.faults.injectors import LiveFaultInjector
-from repro.match.result import MatchKind
 from repro.util.validation import require, require_positive
-from repro.vmpi.thread_backend import MailboxTimeout, ThreadMailbox, ThreadWorld
+from repro.vmpi.thread_backend import MailboxTimeout, ThreadWorld
 
 if TYPE_CHECKING:
     from repro.api.options import RunOptions
@@ -68,6 +69,8 @@ class LiveProcessContext(ContextBase):
         super().__init__(runtime, program, rank)
         #: Guards the export states shared with this process's agent.
         self.lock = runtime._locks[("ctx", self.who)] = threading.RLock()
+        #: The coupling data plane's mailbox: answers and pieces.
+        self._box = runtime.world.mailbox(("cpl", self.program, rank))
 
     # -- time -----------------------------------------------------------------
     def compute(self, seconds: float) -> None:
@@ -108,8 +111,7 @@ class LiveProcessContext(ContextBase):
                     decision=outcome,
                     values=(None if data is None else data.dtype.name,),
                 ))
-            rt._after_export(self, region, ts, outcome)
-            rt._evict(self, st)
+            rt._exported(self, region, ts, outcome)
         cost = rt.elapsed() - t0
         if outcome.buddy_skip:
             rt._buddy_skip(self, ts, outcome)
@@ -132,60 +134,39 @@ class LiveProcessContext(ContextBase):
         """
         rt = self._rt
         handle = rt._import_begin(self, region, ts)
-        cid = handle.connection_id
-        box = rt.world.mailbox(("cpl", self.program, self.rank))
         timeout = rt.default_timeout if timeout is None else timeout
-        msg: wire.AnswerToProc = self._get_with_retransmit(
-            box,
-            lambda m: isinstance(m, wire.AnswerToProc)
-            and m.connection_id == cid
-            and m.answer.request_ts == ts,
-            handle,
-            timeout,
+        flow = self._import_flow(
+            handle, lambda h, kind, key: self._wait(h, kind, key, timeout)
         )
-        rt._import_answered(self, handle, msg)
-        if msg.answer.kind is MatchKind.NO_MATCH:
-            return (None, None)
-        m = msg.answer.matched_ts
-        assert m is not None
-        schedule = rt._connections[cid].schedule
-        assert schedule is not None
-        expected = len(schedule.recvs_for(self.rank))
-        # Keyed by (src_rank, region) so duplicated or re-driven pieces
-        # collapse instead of double-counting.
-        pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
-        while len(pieces) < expected:
-            piece = self._get_with_retransmit(
-                box,
-                lambda p: isinstance(p, wire.DataPiece)
-                and p.connection_id == cid
-                and p.match_ts == m,
-                handle,
-                timeout,
-            )
-            pieces.setdefault((piece.src_rank, piece.region), piece)
-        block = rt._import_complete(self, handle, msg, list(pieces.values()))
-        return (m, block)
+        try:
+            flow.send(None)  # every wait blocks, none suspends the flow
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("a live wait suspended the import flow")
 
-    def _get_with_retransmit(
-        self,
-        box: ThreadMailbox,
-        pred: Callable[[Any], bool],
-        handle: ImportHandle,
-        timeout: float | None,
-    ) -> Any:
-        """Blocking receive; on a resilient runtime, re-ask on timeout."""
+    def _wait(
+        self, handle: ImportHandle, kind: type, key: float, timeout: float | None
+    ) -> Generator[None, None, Any]:
+        """Block for the *kind* message of *handle* keyed *key*; on a
+        resilient runtime, re-ask on each timeout.  A generator that
+        returns without yielding: the import flow runs in one step."""
+        cid, answer = handle.connection_id, kind is wire.AnswerToProc
+
+        def pred(p: Any) -> bool:
+            return type(p) is kind and p.connection_id == cid and (
+                p.answer.request_ts if answer else p.match_ts) == key
+
         rt = self._rt
         if rt._rto is None:
-            return box.get(pred, timeout=timeout)
+            return self._box.get(pred, timeout=timeout)
         attempt = 0
         while True:
-            rto = rt._rto * (2 ** min(attempt, 6))
             try:
-                return box.get(pred, timeout=rto)
+                return self._box.get(pred, timeout=rt._backoff(attempt))
             except MailboxTimeout:
                 attempt += 1
-                rt._retransmit(self, handle, attempt, rto)
+                rt._retransmit(self, handle, attempt)
+        yield  # unreachable: makes this a generator for ``yield from``
 
 
 class LiveCoupledSimulation(ProtocolDriver):
@@ -210,6 +191,8 @@ class LiveCoupledSimulation(ProtocolDriver):
           explicitly to enable resilience without chaos.
           ``max_retransmits`` (default 8) bounds each blocking receive
           (exponential backoff, exponent capped at 6).
+        * ``buffer_policy="block"`` (backpressure) is refused with
+          :class:`ConfigError`, and so is a generator main.
         * ``default_timeout`` is the blocking-receive timeout
           (deadlock diagnosis).
         * ``provenance`` logs are audit-only — wall-clock scheduling is
@@ -228,11 +211,9 @@ class LiveCoupledSimulation(ProtocolDriver):
             from repro.api.options import RunOptions
 
             options = RunOptions(runtime="live")
+        if options.buffer_policy == "block":
+            raise ConfigError("buffer_policy='block' (backpressure) is for the des runtime only")
         require_positive(options.time_scale, "time_scale")
-        max_retransmits = (
-            8 if options.max_retransmits is None else options.max_retransmits
-        )
-        require(max_retransmits >= 0, "max_retransmits must be >= 0")
         self.time_scale = options.time_scale
         self.default_timeout = options.default_timeout
         self.world = ThreadWorld(default_timeout=options.default_timeout)
@@ -248,9 +229,6 @@ class LiveCoupledSimulation(ProtocolDriver):
         #: ``("ctx", who)`` / ``("rep", program)`` → the lock guarding
         #: that process's export states / that rep's state machines.
         self._locks: dict[tuple[str, str], Any] = {}
-        rto = options.retransmit_timeout
-        if rto is None and options.fault_plan is not None:
-            rto = 0.25
         super().__init__(
             config,
             options,
@@ -259,8 +237,8 @@ class LiveCoupledSimulation(ProtocolDriver):
                 send=self._deliver,
                 guard=self._locked,
             ),
-            rto=rto,
-            max_retransmits=max_retransmits,
+            default_rto=lambda _plan: 0.25,
+            default_max_retransmits=8,
         )
 
     # -- setup ------------------------------------------------------------
@@ -271,7 +249,12 @@ class LiveCoupledSimulation(ProtocolDriver):
         regions: dict[str, RegionDef] | None = None,
         nprocs: int | None = None,
     ) -> _ProgramRuntime:
-        """Register a program (same contract as the DES coupler)."""
+        """Register a program (same contract as the DES coupler, but
+        *main* is a plain function: this runtime calls it and blocks)."""
+        if inspect.isgeneratorfunction(main):
+            raise ConfigError(
+                f"program {name!r}: main is a generator function; the live runtime calls it"
+            )
         return self._add_program(
             name, main, regions, nprocs, self.world.create_program, self.world.register
         )
@@ -410,13 +393,18 @@ class LiveCoupledSimulation(ProtocolDriver):
             handle(msg)
 
     def _main_body(self, ctx: LiveProcessContext) -> None:
-        assert ctx._program.main is not None
+        prog = ctx._program
+        assert prog.main is not None
+        returned = False
         try:
-            ctx._program.main(ctx)
+            if isinstance(prog.main(ctx), GeneratorType):
+                raise ConfigError(
+                    f"program {prog.name!r}: main(ctx) returned a generator; "
+                    "the live runtime calls a plain main"
+                )
+            returned = True
         finally:
             with self._lock:
-                ctx._program.alive -= 1
+                prog.alive -= 1
             with ctx.lock:
-                self._close_exports(ctx)
-        with ctx.lock:
-            self._main_returned(ctx)
+                self._main_ended(ctx, returned)

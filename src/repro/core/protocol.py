@@ -28,12 +28,17 @@ subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
     thread runtime fills it with its lock and race-monitor calls, the
     DES leaves it empty.
 
+What an export, an import and a main's end set off is written here once
+(:meth:`ProtocolDriver._exported`, :meth:`ContextBase._import_flow`,
+:meth:`ProtocolDriver._main_ended`), and so are the retransmission
+backoff and the ``retransmit_timeout``/``max_retransmits`` defaults rule.
 What stays with a runtime (:mod:`repro.core.coupler` on generators and
 virtual time, :mod:`repro.core.live` on OS threads,
 :mod:`repro.analysis.model.machine` on an explored action schedule) is
-clock, mailboxes, scheduling, waiting and shutdown.
-Methods that free buffer entries return the eviction count so the DES
-adapter alone ``yield``\\ s the modelled free time.
+how it waits (the ``wait`` it drives an import flow with), what time
+costs, how many mains are alive, and how it shuts down.  Methods that
+free buffer entries return the eviction count so the DES adapter alone
+``yield``\\ s the modelled free time.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, NamedTuple
+from typing import Any, Callable, ContextManager, Generator, NamedTuple
 
 import numpy as np
 
@@ -290,7 +295,6 @@ class ContextBase:
         runtime: "ProtocolDriver",
         program: _ProgramRuntime,
         rank: int,
-        capacity_bytes: int | None = None,
         memcpy_base: Callable[[int], float] | None = None,
     ) -> None:
         self._rt = runtime
@@ -313,7 +317,7 @@ class ContextBase:
                 self.export_states[rname] = RegionExportState(
                     rname,
                     exp_conns,
-                    capacity_bytes=capacity_bytes,
+                    capacity_bytes=runtime.options.buffer_capacity_bytes,
                     strict_order=runtime.strict_order,
                     match_backend=runtime.match_backend,
                     who=self.who,
@@ -388,6 +392,31 @@ class ContextBase:
             block[sl] = p.data
         return block
 
+    def _import_flow(
+        self, handle: ImportHandle, wait: Callable[[ImportHandle, type, float], Any]
+    ) -> Generator[Any, Any, tuple[float | None, np.ndarray | None]]:
+        """Resolve the request behind *handle*: ``(matched_ts, block)``,
+        ``(None, None)`` on NO_MATCH.  ``yield from wait(handle, kind,
+        key)`` is the runtime's receive of an answer (keyed by request
+        timestamp) or a piece (keyed by match timestamp)."""
+        rt = self._rt
+        msg: wire.AnswerToProc = yield from wait(handle, wire.AnswerToProc, handle.ts)
+        rt._import_answered(self, handle, msg)
+        if msg.answer.kind is MatchKind.NO_MATCH:  # _import_answered completed it
+            return (None, None)
+        m = msg.answer.matched_ts
+        assert m is not None
+        schedule = rt._connections[handle.connection_id].schedule
+        assert schedule is not None
+        expected = len(schedule.recvs_for(self.rank))
+        # Keyed by (src_rank, region) so duplicated and re-sent pieces
+        # collapse to one piece per scheduled transfer.
+        pieces: dict[tuple[int, RectRegion], wire.DataPiece] = {}
+        while len(pieces) < expected:
+            piece = yield from wait(handle, wire.DataPiece, m)
+            pieces.setdefault((piece.src_rank, piece.region), piece)
+        return (m, rt._import_complete(self, handle, msg, list(pieces.values())))
+
 
 # ---------------------------------------------------------------------------
 # the driver
@@ -415,10 +444,10 @@ class ProtocolDriver:
     """Runtime-independent half of a coupled simulation.
 
     Subclasses (the runtime adapters) pass their :class:`RuntimePort`
-    and the resolved base retransmission timeout *rto*: the explicit
-    ``retransmit_timeout``, else the runtime's default when a fault
-    layer is installed, else ``None`` — the classic reliable-network
-    protocol, no retransmission.
+    and their own defaults: the base retransmission timeout is
+    ``retransmit_timeout``, else ``default_rto(fault_plan)`` when a plan
+    is given, else ``None`` (no retransmission); ``max_retransmits``
+    defaults to *default_max_retransmits*, and ``0`` gives up at once.
     """
 
     def __init__(
@@ -427,8 +456,8 @@ class ProtocolDriver:
         options: Any,
         port: RuntimePort,
         *,
-        rto: float | None,
-        max_retransmits: int,
+        default_rto: Callable[[Any], float],
+        default_max_retransmits: int,
     ) -> None:
         #: The frozen options this simulation was built from.
         self.options = options
@@ -440,6 +469,9 @@ class ProtocolDriver:
         self._lock = port.lock
         self.buddy_help = options.buddy_help
         self.tracer = options.tracer if options.tracer is not None else NullTracer()
+        rto = options.retransmit_timeout
+        if rto is None and options.fault_plan is not None:
+            rto = default_rto(options.fault_plan)
         if rto is not None:
             require_positive(rto, "retransmit_timeout")
         self._rto = rto
@@ -447,7 +479,12 @@ class ProtocolDriver:
         #: importer-side retransmission.
         self.resilient = rto is not None
         self.strict_order = not self.resilient
-        self.max_retransmits = max_retransmits
+        self.max_retransmits = n = (
+            default_max_retransmits if options.max_retransmits is None
+            else options.max_retransmits
+        )
+        if n < 0:
+            raise ValidationError(f"max_retransmits must be >= 0, got {n}")
         #: Which match engine every exporter process uses (validated by
         #: ``RunOptions.__post_init__``; decisions are backend-independent).
         self.match_backend = options.match_backend
@@ -684,6 +721,9 @@ class ProtocolDriver:
             left = "every main returned" if running else "the schedule drained"
             return Ending("stopped", f"stopped at until={self._stopped_at} before {left}")
         if running:
+            # Only a caller that drives the DES clock itself (``start()``,
+            # ``sim.run()``, then ``end()``) gets here: ``run()`` raises
+            # on a drained schedule, and the live runtime on a hung thread.
             return Ending("stopped", "the schedule drained before every main returned")
         return Ending("complete", None)
 
@@ -871,10 +911,9 @@ class ProtocolDriver:
             ),
         )
 
-    def _after_export(
-        self, ctx: ContextBase, region: str, ts: float, outcome: Any
-    ) -> None:
-        """Emit what one export call made due."""
+    def _exported(self, ctx: ContextBase, region: str, ts: float, outcome: Any) -> int:
+        """Emit what one export call made due, then evict; returns how
+        many entries went (the DES charges their free time)."""
         # Transfers: this export *is* the match for these connections.
         for cid in outcome.send_connections:
             self._send_pieces(ctx, region, cid, ts)
@@ -883,20 +922,22 @@ class ProtocolDriver:
         # Slow-path responses: open requests that became decidable.
         for cid, response in outcome.new_responses:
             self._send_response(ctx, cid, response)
+        return self._evict(ctx, ctx.export_states[region])
 
-    def _close_exports(self, ctx: ContextBase) -> None:
-        """End of one application main: close its export streams."""
+    def _main_ended(self, ctx: ContextBase, returned: bool) -> None:
+        """End of one application main: close its export streams, then,
+        if it *returned*, check each buddy answer its line has not yet
+        confirmed against the whole line.  A main a fault injector
+        crashed does neither: a fail-stopped rank decides nothing more."""
+        if ctx.crashed:
+            return
         for region, st in ctx.export_states.items():
             responses, post_sends = st.close()
             for cid, m in post_sends:
                 self._send_pieces(ctx, region, cid, m)
             for cid, response in responses:
                 self._send_response(ctx, cid, response)
-
-    def _main_returned(self, ctx: ContextBase) -> None:
-        """A main returned with its line whole: each buddy answer still
-        unconfirmed is checked against all of it (not after a crash)."""
-        if not ctx.crashed:
+        if returned:
             for st in ctx.export_states.values():
                 for conn in st.connections.values():
                     for _start, _high, answer in conn.unconfirmed.values():
@@ -1113,16 +1154,20 @@ class ProtocolDriver:
         self._send_request(ctx, cid, ts, tr)
         return ImportHandle(region=region, connection_id=cid, ts=ts, record=record)
 
-    def _retransmit(
-        self, ctx: ContextBase, handle: ImportHandle, attempt: int, rto: float
-    ) -> None:
+    def _backoff(self, attempt: int) -> float:
+        """How long a wait for an answer or piece lasts after *attempt*
+        retransmissions: the timeout doubles per attempt, up to 2^6."""
+        return self._rto * (2 ** min(attempt, 6))  # type: ignore[operator]
+
+    def _retransmit(self, ctx: ContextBase, handle: ImportHandle, attempt: int) -> None:
         """Re-send the request behind *handle* after its *attempt*-th timeout.
 
         The importing process owns the single retransmission timer of
         its request: the re-send is a fresh send (fresh sequence number)
         and every hop recovers idempotently — the rep re-drives the
         cross-program request, the exporter rep re-answers from its
-        final-answer cache, and agents re-send buffered pieces.
+        final-answer cache, and agents re-send buffered pieces.  The
+        announcement carries the backoff of the wait that follows.
         """
         cid, ts = handle.connection_id, handle.ts
         if attempt > self.max_retransmits:
@@ -1136,7 +1181,7 @@ class ProtocolDriver:
         if self._watch:
             tr = self._fold[spine.RETRANSMIT](ProtocolEvent(
                 spine.RETRANSMIT, ctx.who, self._now(), cid, ts,
-                rank=ctx.rank, values=(attempt, rto),
+                rank=ctx.rank, values=(attempt, self._backoff(attempt)),
             ))
         self._send_request(ctx, cid, ts, tr)
 

@@ -55,10 +55,9 @@ class ProcessFaultSpec:
         long).  Must be ``>= 1``.
     crash_at:
         Virtual time at (or after) which the process fail-stops: its
-        generator is closed and never resumes.  Streams it exports are
-        closed by the framework's normal end-of-process path, so peers
-        see clean NO_MATCH answers rather than a hang; buddy answers its
-        stream had not yet confirmed are left unchecked.
+        generator is closed and never resumes, and the framework decides
+        nothing more for it: its streams stay open, its open requests
+        unanswered (never NO_MATCH) and its adopted buddy answers unchecked.
     """
 
     stall_at: float | None = None

@@ -464,7 +464,12 @@ class TestAdoptedVerdictHoles:
 def test_a_crash_leaves_an_unconfirmed_verdict_unchecked():
     """One export line, and the slow rank fail-stops after adopting
     MATCH/19.6 and before exporting it: its line ends short because it
-    crashed, not because it differs, so no Property-1 error."""
+    crashed, not because it differs, so no Property-1 error.  Fail-stop
+    leaves its stream open, so request @20 is never answered: the
+    schedule drains with the importers waiting, and the run says so,
+    with buddy-help on or off.  (Closing the crashed stream answered
+    NO_MATCH for the rank: with buddy-help off, that raised a false
+    Property-1 error against MATCH/19.6.)"""
 
     def e_main(ctx):
         pause = 0.02 if ctx.rank == 1 else 0.001
@@ -478,18 +483,29 @@ def test_a_crash_leaves_an_unconfirmed_verdict_unchecked():
         yield from ctx.compute(0.01)
         yield from ctx.import_("d", 20.0)
 
-    result = repro.run(
-        DIVERGENT_CONFIG,
-        [
-            repro.Program("F", main=lambda ctx: (crashing if ctx.rank == 1 else e_main)(ctx),
-                          regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
-            repro.Program("U", main=i_main,
-                          regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
-        ],
-        RunOptions(buddy_help=True),
-    )
-    slow = result.context("F", 1)
-    assert slow.crashed
-    assert slow.stats.buddy_answers_received == 1
-    assert slow.export_states["d"].history.latest < 17.5  # the verdict was pending
-    assert list(slow.export_states["d"].connections["F.d->U.d"].unconfirmed) == [20.0]
+    def f_main(ctx):
+        return (crashing if ctx.rank == 1 else e_main)(ctx)
+
+    for buddy_help in (True, False):
+        cs = repro.build(
+            DIVERGENT_CONFIG,
+            [
+                repro.Program("F", main=f_main,
+                              regions={"d": RegionDef(BlockDecomposition((8, 8), (2, 1)))}),
+                repro.Program("U", main=i_main,
+                              regions={"d": RegionDef(BlockDecomposition((8, 8), (1, 2)))}),
+            ],
+            RunOptions(buddy_help=buddy_help),
+        )
+        with pytest.raises(FrameworkError) as raised:
+            cs.run()
+        assert type(raised.value) is FrameworkError
+        assert str(raised.value) == (
+            "the schedule drained while mains still wait: U.p0, U.p1 (crashed: F.p1)"
+        )
+        slow = cs.context("F", 1)
+        assert slow.crashed
+        assert slow.export_states["d"].history.latest < 17.5
+        if buddy_help:  # the verdict was pending, and stays unchecked
+            assert slow.stats.buddy_answers_received == 1
+            assert list(slow.export_states["d"].connections["F.d->U.d"].unconfirmed) == [20.0]
