@@ -107,11 +107,10 @@ class RunResult:
 
     @property
     def fault_stats(self) -> dict[str, Any] | None:
-        """What the fault layer did, when one was installed (DES)."""
-        stats = getattr(self.simulation.world.network, "stats", None) if isinstance(
-            self.simulation, CoupledSimulation
-        ) else None
-        return stats.as_dict() if stats is not None else None
+        """What the fault layer did: a DES run with a fault plan only."""
+        from repro.obs.collect import fault_stats
+
+        return fault_stats(self.simulation)
 
     @property
     def metrics(self) -> MetricsSnapshot:
@@ -165,18 +164,6 @@ class RunResult:
     def check_property1(self, raise_on_violation: bool = True) -> list[str]:
         """Check Property-1 conformance (needs ``record_operations``)."""
         return self.simulation.check_property1(raise_on_violation=raise_on_violation)
-
-
-def _counters(sim: CoupledSimulation | LiveCoupledSimulation) -> dict[str, int]:
-    names = (
-        "ctl_messages",
-        "ctl_bytes",
-        "data_messages",
-        "data_bytes",
-        "retransmissions",
-        "dup_discards",
-    )
-    return {n: int(getattr(sim, n)) for n in names}
 
 
 def build(
@@ -257,7 +244,7 @@ def run(
         simulation=sim,
         options=opts,
         sim_time=sim.sim.now if isinstance(sim, CoupledSimulation) else 0.0,
-        counters=_counters(sim),
+        counters=sim.run_counters(),
     )
     sim.end(result)
     return result

@@ -644,13 +644,21 @@ def _monitor_run(args: argparse.Namespace) -> int:
         print("error: monitor needs a PATH or --attach URL", file=sys.stderr)
         return EXIT_USAGE
 
+    from repro.obs.prov import open_text
+
     path = Path(args.path)
 
     def load_records() -> list[dict[str, Any]]:
         if not path.exists():
             return []
+        lines: list[str] = []
+        with open_text(path, "r") as fh:
+            try:
+                lines.extend(fh)
+            except EOFError:
+                pass  # a gzip member still being written: no new record yet
         records: list[dict[str, Any]] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in lines:
             line = line.strip()
             if not line:
                 continue

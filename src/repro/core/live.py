@@ -100,6 +100,8 @@ class LiveProcessContext(ContextBase):
             (("ledger", self.who, region), "write", "export.buffer"),
         ):
             outcome = st.on_export(ts, nbytes, memcpy_cost=0.0)
+            if outcome.buddy_skip:
+                rt._buddy_skip(self, ts, outcome)
             if outcome.decision in (ExportDecision.BUFFER, ExportDecision.SEND):
                 copy_start = time.perf_counter()
                 st.buffer.get(ts).payload = data.copy() if data is not None else None
@@ -113,8 +115,6 @@ class LiveProcessContext(ContextBase):
                 ))
             rt._exported(self, region, ts, outcome)
         cost = rt.elapsed() - t0
-        if outcome.buddy_skip:
-            rt._buddy_skip(self, ts, outcome)
         self.stats.export_records.append(
             ExportRecord(ts, outcome.decision, cost, t0)
         )

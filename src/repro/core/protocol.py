@@ -450,6 +450,18 @@ class ProtocolDriver:
     defaults to *default_max_retransmits*, and ``0`` gives up at once.
     """
 
+    #: The run's wire and resilience counters (attributes set below), as
+    #: :meth:`run_counters` reports them to ``RunResult.counters``, the
+    #: telemetry totals and the ``net.*``/``resilience.*`` metrics.
+    RUN_COUNTERS = (
+        "ctl_messages",
+        "ctl_bytes",
+        "data_messages",
+        "data_bytes",
+        "retransmissions",
+        "dup_discards",
+    )
+
     def __init__(
         self,
         config: CouplingConfig | str,
@@ -787,6 +799,10 @@ class ProtocolDriver:
     def buffer_stats(self, program: str, rank: int, region: str) -> Any:
         """Buffer counters (Eq. 1-2 ledgers) of one process's region."""
         return self.context(program, rank).export_states[region].buffer.stats()
+
+    def run_counters(self) -> dict[str, int]:
+        """The :attr:`RUN_COUNTERS` as they stand, by name."""
+        return {name: int(getattr(self, name)) for name in self.RUN_COUNTERS}
 
     # -- the one send path ---------------------------------------------------
     def _net_send(

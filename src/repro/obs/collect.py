@@ -8,16 +8,19 @@ the site, no registry lookups, no label hashing).  After the run,
 :class:`~repro.obs.metrics.MetricsRegistry` under the stable names
 documented in ``docs/observability.md``.
 
-Collection is getattr-defensive on purpose: the DES and live runtimes
-share most of their shape but not all of it (the live runtime has no
-virtual-time kernel, fault-free runs have no fault stats), and a
-counter that does not exist is simply not reported.
+Both runtimes are one :class:`~repro.core.protocol.ProtocolDriver`, and
+collection reads its programs, reps, communicators, contexts and
+engines by attribute.  Two sources exist only on the DES, and are read
+by name on a DES run: the kernel's ``sim.sim.kernel_counters()``
+(``des.*``) and, when ``options.fault_plan`` is set, the faulty
+network's ``sim.world.network.stats`` (``faults.*``).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core.coupler import CoupledSimulation
 from repro.obs.metrics import MetricsRegistry
 
 #: Aggregate-case keys reported under ``rep.aggregate_cases``.
@@ -30,92 +33,71 @@ AGGREGATE_CASES = (
 )
 
 
-def _collect_kernel(sim: Any, reg: MetricsRegistry) -> None:
-    kernel = getattr(sim, "sim", sim)
-    counters = getattr(kernel, "kernel_counters", None)
-    if not callable(counters):
-        return
-    kc = counters()
+def fault_stats(sim: Any) -> dict[str, Any] | None:
+    """What the fault layer did: a DES run with a fault plan only."""
+    if isinstance(sim, CoupledSimulation) and sim.options.fault_plan is not None:
+        return sim.world.network.stats.as_dict()
+    return None
+
+
+def _collect_des(sim: Any, reg: MetricsRegistry) -> None:
+    kc = sim.sim.kernel_counters()
     reg.counter("des.events.scheduled", lane="heap").inc(kc["heap_scheduled"])
     reg.counter("des.events.scheduled", lane="fast").inc(kc["fast_lane_scheduled"])
     reg.counter("des.events.dispatched").inc(kc["dispatched"])
     reg.counter("des.events.cancelled").inc(kc["cancelled"])
+    faults = fault_stats(sim)
+    if faults is not None:
+        for key in ("eligible", "dropped", "duplicated", "delayed", "reordered"):
+            reg.counter(f"faults.{key}").inc(faults[key])
 
 
 def _collect_net(sim: Any, reg: MetricsRegistry) -> None:
-    planes = (
-        ("ctl", "ctl_messages", "ctl_bytes"),
-        ("data", "data_messages", "data_bytes"),
-    )
-    for plane, msg_attr, byte_attr in planes:
-        msgs = getattr(sim, msg_attr, None)
-        if msgs is None:
-            continue
-        reg.counter("net.messages", plane=plane).inc(int(msgs))
-        reg.counter("net.bytes", plane=plane).inc(int(getattr(sim, byte_attr, 0)))
-    if getattr(sim, "retransmissions", None) is not None:
-        reg.counter("resilience.retransmissions").inc(int(sim.retransmissions))
-        reg.counter("resilience.dup_discards").inc(int(getattr(sim, "dup_discards", 0)))
-
-
-def _collect_faults(sim: Any, reg: MetricsRegistry) -> None:
-    network = getattr(getattr(sim, "world", None), "network", None)
-    stats = getattr(network, "stats", None)
-    if stats is None:
-        return
-    counts = stats.as_dict()
-    for key in ("eligible", "dropped", "duplicated", "delayed", "reordered"):
-        reg.counter(f"faults.{key}").inc(counts[key])
+    # ``<plane>_messages``/``<plane>_bytes`` are wire traffic; the rest
+    # of the run counters are resilience counters.
+    for name, value in sim.run_counters().items():
+        plane, _, unit = name.partition("_")
+        if unit in ("messages", "bytes"):
+            reg.counter(f"net.{unit}", plane=plane).inc(value)
+        else:
+            reg.counter(f"resilience.{name}").inc(value)
 
 
 def _collect_vmpi(prog: Any, reg: MetricsRegistry) -> None:
     name = prog.name
-    for comm in getattr(prog, "comms", ()) or ():
-        sent = int(getattr(comm, "sent_messages", 0))
+    for comm in prog.comms:
+        sent = comm.sent_messages
         if sent:
             reg.counter("vmpi.messages.sent", program=name).inc(sent)
-        received = int(getattr(comm, "received_messages", 0))
+        received = comm.received_messages
         if received:
             reg.counter("vmpi.messages.received", program=name).inc(received)
-        for kind in ("p2p", "coll"):
-            label = "p2p" if kind == "p2p" else "collective"
-            msgs = int(getattr(comm, f"{kind}_messages_sent", 0))
+        for label, msgs, nbytes in (
+            ("p2p", comm.p2p_messages_sent, comm.p2p_bytes_sent),
+            ("collective", comm.coll_messages_sent, comm.coll_bytes_sent),
+        ):
             if msgs:
                 reg.counter("vmpi.messages.sent.by_kind", program=name,
                             kind=label).inc(msgs)
-            nbytes = int(getattr(comm, f"{kind}_bytes_sent", 0))
             if nbytes:
                 reg.counter("vmpi.bytes.sent", program=name, kind=label).inc(nbytes)
 
 
 def _collect_rep(prog: Any, reg: MetricsRegistry) -> None:
-    rep = getattr(prog, "exp_rep", None)
+    name = prog.name
+    rep = prog.exp_rep
     if rep is not None:
-        name = prog.name
-        reg.counter("rep.requests", program=name).inc(
-            int(getattr(rep, "requests_seen", 0))
-        )
-        reg.counter("rep.finalized", program=name).inc(
-            int(getattr(rep, "finalized_count", 0))
-        )
-        reg.counter("rep.duplicate_requests", program=name).inc(
-            int(getattr(rep, "duplicate_requests", 0))
-        )
+        reg.counter("rep.requests", program=name).inc(rep.requests_seen)
+        reg.counter("rep.finalized", program=name).inc(rep.finalized_count)
+        reg.counter("rep.duplicate_requests", program=name).inc(rep.duplicate_requests)
         reg.counter("rep.cached_answers_served", program=name).inc(
-            int(getattr(rep, "cached_answers_served", 0))
+            rep.cached_answers_served
         )
-        reg.counter("buddy.helps_sent", program=name).inc(
-            int(getattr(rep, "buddy_messages_sent", 0))
-        )
-        counts = getattr(rep, "aggregate_case_counts", None)
-        cases = counts() if callable(counts) else getattr(rep, "aggregate_cases", {})
-        for case, count in cases.items():
-            reg.counter("rep.aggregate_cases", program=name, case=case).inc(int(count))
-    imp = getattr(prog, "imp_rep", None)
-    if imp is not None:
-        reg.counter("rep.forwarded", program=prog.name).inc(
-            int(getattr(imp, "forwarded_count", 0))
-        )
+        reg.counter("buddy.helps_sent", program=name).inc(rep.buddy_messages_sent)
+        for case, count in rep.aggregate_case_counts().items():
+            reg.counter("rep.aggregate_cases", program=name, case=case).inc(count)
+    if prog.imp_rep is not None:
+        reg.counter("rep.forwarded", program=name).inc(prog.imp_rep.forwarded_count)
 
 
 def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
@@ -152,8 +134,8 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
         for _export_ts, _request_ts, lead in stats.buddy_lead_times:
             lead_hist.observe(float(lead))
 
-    for region, st in getattr(ctx, "export_states", {}).items():
-        if not getattr(st, "is_connected", False):
+    for region, st in ctx.export_states.items():
+        if not st.is_connected:
             continue
         bstats = st.buffer.stats()
         labels = {"program": program, "rank": rank, "region": region}
@@ -164,16 +146,13 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
         peak.set(float(bstats.peak_bytes))
         reg.gauge("buffer.total_memcpy_time", **labels).set(bstats.total_memcpy_time)
         reg.gauge("buffer.t_ub", **labels).set(bstats.t_ub)
-        for cid, cst in getattr(st, "connections", {}).items():
-            engine = getattr(cst, "engine", None)
-            if engine is None:
-                continue
-            for outcome, attr in (
-                ("match", "match_count"),
-                ("no_match", "no_match_count"),
-                ("pending", "pending_count"),
+        for cid, cst in st.connections.items():
+            engine = cst.engine
+            for outcome, count in (
+                ("match", engine.match_count),
+                ("no_match", engine.no_match_count),
+                ("pending", engine.pending_count),
             ):
-                count = int(getattr(engine, attr, 0))
                 if count:
                     reg.counter(
                         "match.evaluations",
@@ -183,16 +162,16 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
                         outcome=outcome,
                     ).inc(count)
 
-    for region, ist in getattr(ctx, "import_states", {}).items():
+    for region, ist in ctx.import_states.items():
         labels = {"program": program, "rank": rank, "region": region}
-        match_count = int(getattr(ist, "match_count", 0))
-        no_match = int(getattr(ist, "no_match_count", 0))
-        if match_count:
-            reg.counter("import.completed", outcome="match", **labels).inc(match_count)
-        if no_match:
-            reg.counter("import.completed", outcome="no_match", **labels).inc(no_match)
+        if ist.match_count:
+            reg.counter("import.completed", outcome="match", **labels).inc(ist.match_count)
+        if ist.no_match_count:
+            reg.counter("import.completed", outcome="no_match", **labels).inc(
+                ist.no_match_count
+            )
         latency = reg.histogram("import.latency", program=program, rank=rank)
-        for rec in getattr(ist, "records", ()):
+        for rec in ist.records:
             if rec.completed_at is not None:
                 latency.observe(rec.latency)
 
@@ -200,23 +179,20 @@ def _collect_context(ctx: Any, reg: MetricsRegistry) -> None:
 def collect_metrics(sim: Any, registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Fill *registry* (a fresh one by default) from a finished run.
 
-    *sim* is a :class:`~repro.core.coupler.CoupledSimulation`,
-    :class:`~repro.core.live.LiveCoupledSimulation`, or a bare
-    :class:`~repro.des.core.Simulator` (kernel counters only).
+    *sim* is a :class:`~repro.core.coupler.CoupledSimulation` or
+    :class:`~repro.core.live.LiveCoupledSimulation`.
     """
     reg = registry if registry is not None else MetricsRegistry()
-    _collect_kernel(sim, reg)
+    if isinstance(sim, CoupledSimulation):
+        _collect_des(sim, reg)
     _collect_net(sim, reg)
-    _collect_faults(sim, reg)
-    backend = getattr(sim, "match_backend", None)
-    if backend is not None:
-        # Which engine produced the match.evaluations counters; the
-        # value is 1 and the information lives in the label, so reports
-        # from different backends stay diffable.
-        reg.gauge("match.backend", backend=str(backend)).set(1.0)
-    for prog in getattr(sim, "_programs", {}).values():
+    # Which engine produced the match.evaluations counters; the value is
+    # 1 and the information lives in the label, so reports from
+    # different backends stay diffable.
+    reg.gauge("match.backend", backend=str(sim.match_backend)).set(1.0)
+    for prog in sim._programs.values():
         _collect_vmpi(prog, reg)
         _collect_rep(prog, reg)
-        for ctx in getattr(prog, "contexts", []):
+        for ctx in prog.contexts:
             _collect_context(ctx, reg)
     return reg

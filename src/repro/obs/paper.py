@@ -109,9 +109,9 @@ class PaperMetrics:
 def _pending_latency_from_imports(sim: Any) -> OnlineStats:
     """Importer-side request→answer latency, one sample per request."""
     out = OnlineStats()
-    for prog in getattr(sim, "_programs", {}).values():
-        for ctx in getattr(prog, "contexts", []):
-            for ist in getattr(ctx, "import_states", {}).values():
+    for prog in sim._programs.values():
+        for ctx in prog.contexts:
+            for ist in ctx.import_states.values():
                 for rec in ist.records:
                     if rec.answered_at is not None:
                         out.add(rec.answered_at - rec.issued_at)
@@ -134,12 +134,11 @@ def compute_paper_metrics(sim: Any) -> PaperMetrics:
     helps_sent = 0
     lag: dict[str, float] = {}
 
-    for prog in getattr(sim, "_programs", {}).values():
-        rep = getattr(prog, "exp_rep", None)
-        if rep is not None:
-            helps_sent += int(getattr(rep, "buddy_messages_sent", 0))
+    for prog in sim._programs.values():
+        if prog.exp_rep is not None:
+            helps_sent += prog.exp_rep.buddy_messages_sent
         compute_times: list[float] = []
-        for ctx in getattr(prog, "contexts", []):
+        for ctx in prog.contexts:
             who = ctx.who
             stats = ctx.stats
             compute_times.append(stats.compute_time)
@@ -149,7 +148,7 @@ def compute_paper_metrics(sim: Any) -> PaperMetrics:
             buddy_skips += skips
             if skips or saved:
                 buddy_saved[who] = buddy_saved.get(who, 0.0) + saved
-            for st in getattr(ctx, "export_states", {}).values():
+            for st in ctx.export_states.values():
                 if not st.is_connected:
                     continue
                 bstats = st.buffer.stats()

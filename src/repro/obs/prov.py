@@ -307,7 +307,8 @@ def build_header(sim: Any, runtime: str) -> dict[str, Any]:
     rebuild the run from the log alone.
     """
     options = sim.options
-    preset = getattr(sim, "preset", None)
+    # Only the DES prices its time by a preset; a live header records none.
+    preset = sim.preset if runtime == "des" else None
     programs: dict[str, Any] = {}
     for name, prog in sim._programs.items():
         programs[name] = {

@@ -202,8 +202,8 @@ class SpanRecorder:
 
 
 def _export_spans(sim: Any) -> Iterable[Span]:
-    for prog in getattr(sim, "_programs", {}).values():
-        for ctx in getattr(prog, "contexts", []):
+    for prog in sim._programs.values():
+        for ctx in prog.contexts:
             for rec in ctx.stats.export_records:
                 yield Span(
                     name=f"export:{rec.decision}",
@@ -215,9 +215,9 @@ def _export_spans(sim: Any) -> Iterable[Span]:
 
 
 def _import_spans(sim: Any) -> Iterable[Span]:
-    for prog in getattr(sim, "_programs", {}).values():
-        for ctx in getattr(prog, "contexts", []):
-            for ist in getattr(ctx, "import_states", {}).values():
+    for prog in sim._programs.values():
+        for ctx in prog.contexts:
+            for ist in ctx.import_states.values():
                 for rec in ist.records:
                     if rec.answered_at is not None:
                         yield Span(
@@ -263,8 +263,8 @@ def build_timelines(
             recorder.flush_open(sim._now())
         for span in recorder.spans:
             out.timeline(span.who).spans.append(span)
-    tracer = tracer if tracer is not None else getattr(sim, "tracer", None)
-    for event in getattr(tracer, "events", ()):
+    tracer = tracer if tracer is not None else sim.tracer
+    for event in tracer.events:
         out.timeline(event.who).events.append(event)
     out.sort()
     return out

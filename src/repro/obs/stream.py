@@ -73,8 +73,7 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
     tot_pending = 0
     tot_skips = 0
     tot_t_ub = 0.0
-    for name, prog in getattr(sim, "_programs", {}).items():
-        contexts = getattr(prog, "contexts", [])
+    for name, prog in sim._programs.items():
         last_export: float | None = None
         exports = 0
         pending = 0
@@ -82,7 +81,7 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
         skips = 0
         t_ub = 0.0
         compute = 0.0
-        for ctx in contexts:
+        for ctx in prog.contexts:
             stats = ctx.stats
             exports += len(stats.export_records)
             if stats.export_records:
@@ -118,12 +117,7 @@ def build_snapshot(sim: Any, final: bool = False) -> dict[str, Any]:
             "pending_imports": tot_pending,
             "buddy_skips": tot_skips,
             "t_ub": tot_t_ub,
-            "ctl_messages": getattr(sim, "ctl_messages", 0),
-            "ctl_bytes": getattr(sim, "ctl_bytes", 0),
-            "data_messages": getattr(sim, "data_messages", 0),
-            "data_bytes": getattr(sim, "data_bytes", 0),
-            "retransmissions": getattr(sim, "retransmissions", 0),
-            "dup_discards": getattr(sim, "dup_discards", 0),
+            **sim.run_counters(),
         },
     }
 

@@ -368,6 +368,8 @@ def build_causal_report(source: Any) -> CausalReport:
     one pass over its columns finds roots, retransmits, first aggregates,
     end points and buddy skips.
     """
+    # Any other object (no ``causal`` at all) gets the same error as a
+    # run without the causal trace.
     log = source if isinstance(source, CausalLog) else getattr(source, "causal", None)
     require(isinstance(log, CausalLog), "no causal log: run with causal_trace=True")
     assert isinstance(log, CausalLog)

@@ -6,6 +6,9 @@ a property test asserting the framework's safety invariant: *a skipped
 export can never be a timestamp some request matches*.
 """
 
+import copy
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -424,3 +427,75 @@ class TestSkipSafetyProperty:
         assert not (matched & skipped), (
             f"skipped timestamps {sorted(matched & skipped)} were matched"
         )
+
+
+class TestWouldSkipIsTheVote:
+    """``would_skip`` previews an export for the ``buffer_policy="block"``
+    stall; it restates the skip rule of ``vote_export``, so the two copies
+    are held to one answer."""
+
+    @given(
+        kind=st.sampled_from(list(PolicyKind)),
+        tol=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+        n_conns=st.integers(0, 2),
+        strict=st.booleans(),
+        disjoint=st.booleans(),
+        gaps=st.lists(st.integers(1, 4), min_size=10, max_size=40),
+        requests=st.lists(
+            st.lists(st.integers(1, 12), min_size=1, max_size=8), min_size=2, max_size=2
+        ),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["export", "request", "buddy", "reask"]),
+                      st.integers(0, 1)),
+            min_size=40, max_size=120,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_would_skip_holds_exactly_when_the_export_skips(
+        self, kind, tol, n_conns, strict, disjoint, gaps, requests, ops
+    ):
+        """Requests, buddy answers and exports interleave in any order;
+        every buddy answer is the verdict the whole export stream gives
+        (Property 1), and a relaxed-order rank also gets re-asks."""
+        tol = 0.0 if kind is PolicyKind.EXACT else tol
+        state, cids = make_state(tolerance=tol, kind=kind, disjoint=disjoint,
+                                 n_conns=n_conns, strict_order=strict)
+        exports, ts = [], 0.0
+        for gap in gaps:
+            ts += 0.5 * gap
+            exports.append(ts)
+        policy = MatchPolicy(kind, tol)
+
+        def verdict(r):
+            m = policy.select_best(exports, r)
+            return FinalAnswer(r, MatchKind.NO_MATCH) if m is None else FinalAnswer(
+                r, MatchKind.MATCH, m
+            )
+
+        asked = [list(itertools.accumulate(0.5 * q for q in qs)) for qs in requests]
+        delivered = [0, 0]
+        answered = [0, 0]
+        exported = 0
+        for op, i in ops:
+            if op == "export":
+                if exported == len(exports):
+                    continue
+                ts = exports[exported]
+                exported += 1
+                preview = state.would_skip(ts)
+                state = copy.deepcopy(state)
+                decision = export(state, ts).decision
+                assert preview == (decision in (ExportDecision.SKIP, ExportDecision.NOOP)), (
+                    ts, decision
+                )
+                continue
+            if i >= n_conns:
+                continue
+            if op == "request" and delivered[i] < len(asked[i]):
+                state.on_request(cids[i], asked[i][delivered[i]])
+                delivered[i] += 1
+            elif op == "buddy" and answered[i] < len(asked[i]):
+                state.on_buddy_answer(cids[i], verdict(asked[i][answered[i]]))
+                answered[i] += 1
+            elif op == "reask" and not strict and delivered[i]:
+                state.on_request(cids[i], asked[i][delivered[i] - 1])

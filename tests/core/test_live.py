@@ -94,8 +94,6 @@ class TestLiveProtocol:
         """The shared send path counts live traffic too: exactly the
         six counter keys on both runtimes, and data bytes equal what
         importers received."""
-        from repro.api.facade import _counters
-
         sim, results = build()
         sim.run(join_timeout=60.0)
         schedule = sim._connections["F.d->U.d"].schedule
@@ -103,7 +101,7 @@ class TestLiveProtocol:
             item.region.size * 8 for rank in (0, 1) for item in schedule.recvs_for(rank)
         ]
         matches = len(results[0])
-        counters = _counters(sim)
+        counters = sim.run_counters()
         assert set(counters) == set(_run_on("des").counters) == {
             "ctl_messages", "ctl_bytes", "data_messages", "data_bytes",
             "retransmissions", "dup_discards",

@@ -3,9 +3,9 @@
 ``ProtocolDriver._exported``, ``ProtocolDriver._main_ended`` and
 ``ContextBase._import_flow`` are written once; the DES, the live runtime
 and the model checker keep only how they wait.  The tests here hold
-each runtime to those steps, and to the rules around them: the kind of
-main a runtime accepts, finite buffers on the live runtime, and one
-retransmission budget rule.
+each runtime to those steps, and to the rules around them: where an
+export's buddy-skip step falls, the kind of main a runtime accepts,
+finite buffers on the live runtime, and one retransmission budget rule.
 """
 
 from __future__ import annotations
@@ -13,15 +13,20 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+import threading
+
 import pytest
 
 import repro
 from repro.analysis.model.machine import ModelConfig, ModelMachine, clone_working
 from repro.api import RunOptions
+from repro.core import wire
 from repro.core.coupler import RegionDef
 from repro.core.exceptions import ConfigError, FrameworkError
+from repro.core.exporter import ExportDecision
 from repro.core.protocol import ContextBase, ProtocolDriver
 from repro.data import BlockDecomposition
+from repro.match.result import FinalAnswer, MatchKind
 from repro.scenarios import build
 from repro.util.validation import ValidationError
 
@@ -113,6 +118,77 @@ class TestEveryRuntimeReachesTheSharedSteps:
             machine.apply(w, ("close", r))
         assert reached == {"_exported": config.nexp * len(config.exports),
                            "_main_ended": config.nexp}
+
+
+class TestTheBuddySkipStep:
+    """A rank adopts its rep's buddy verdict MATCH/19.6 for request 20.0
+    (``REGL 2.5``), then exports 18.0: a skip only that verdict allows.
+    Every runtime accounts it right after the export's decision, before
+    what the export sets off, and the live runtime under the rank's lock."""
+
+    VERDICT = wire.BuddyMsg("E.d->I.d", FinalAnswer(20.0, MatchKind.MATCH, 19.6))
+
+    @pytest.mark.parametrize("runtime", ["des", "live"])
+    def test_the_skip_is_accounted_before_the_export_sets_anything_off(
+        self, runtime, monkeypatch
+    ):
+        calls: list[str] = []
+        lock_held: list[bool] = []
+        skip, exported = ProtocolDriver._buddy_skip, ProtocolDriver._exported
+
+        def counted_skip(rt: Any, ctx: Any, *args: Any) -> Any:
+            calls.append("buddy_skip")
+            if runtime == "live":
+                lock_held.append(is_held(ctx.lock))
+            return skip(rt, ctx, *args)
+
+        def counted_exported(*args: Any) -> Any:
+            calls.append("exported")
+            return exported(*args)
+
+        monkeypatch.setattr(ProtocolDriver, "_buddy_skip", counted_skip)
+        monkeypatch.setattr(ProtocolDriver, "_exported", counted_exported)
+        if runtime == "des":
+            sim = repro.build(CONFIG, des_programs())
+            sim.start()
+        else:
+            sim = repro.build(CONFIG, live_programs(), LIVE)
+            sim._finalize_setup()
+        ctx = sim.context("E", 0)
+        sim._agent_handle(ctx, self.VERDICT)
+        decision = ctx.export("d", 18.0)
+        if runtime == "des":
+            decision = run_to_end(decision)
+        assert decision is ExportDecision.SKIP
+        assert ctx.stats.buddy_skips == 1
+        assert calls == ["buddy_skip", "exported"]
+        assert lock_held == ([True] if runtime == "live" else [])
+
+
+def is_held(lock: Any) -> bool:
+    """Whether *lock* is held: another thread cannot take it (its owner
+    always could re-enter an RLock)."""
+    taken: list[bool] = []
+
+    def try_it() -> None:
+        taken.append(lock.acquire(blocking=False))
+        if taken[0]:
+            lock.release()
+
+    probe = threading.Thread(target=try_it)
+    probe.start()
+    probe.join(timeout=5.0)
+    assert not probe.is_alive()
+    return not taken[0]
+
+
+def run_to_end(gen: Any) -> Any:
+    """Drive a DES context call's generator outside the kernel."""
+    try:
+        while True:
+            next(gen)
+    except StopIteration as done:
+        return done.value
 
 
 class TestMainOfTheWrongKind:

@@ -1,9 +1,15 @@
 """collect_metrics over a finished coupled run — the full catalog."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro
+from repro.faults.plan import FaultPlan
 from repro.obs.collect import AGGREGATE_CASES, collect_metrics
 from repro.obs.metrics import MetricsRegistry
+from tests.core.test_shared_steps import CONFIG as LINE
+from tests.core.test_shared_steps import LIVE, des_programs, live_programs
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +119,35 @@ class TestCollectIntoExistingRegistry:
     def test_facade_metrics_carries_paper_block(self, demo_result):
         assert demo_result.metrics.paper is not None
         assert demo_result.metrics is demo_result.metrics  # cached
+
+
+
+
+class TestLiveCatalog:
+    """Both runtimes are one driver, read by attribute: on one fault-free
+    two-program line, a live run reports every name a DES run does but
+    the kernel's."""
+
+    KERNEL = {"des.events.scheduled", "des.events.dispatched", "des.events.cancelled"}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return repro.run(LINE, des_programs()), repro.run(LINE, live_programs(), LIVE)
+
+    def test_live_names_are_the_des_names_minus_the_kernel(self, runs):
+        des, live = runs
+        assert set(des.metrics.names()) >= self.KERNEL
+        assert live.metrics.names() == sorted(set(des.metrics.names()) - self.KERNEL)
+
+    def test_the_paper_blocks_have_the_same_keys(self, runs):
+        des, live = runs
+        assert des.metrics.paper.as_dict().keys() == live.metrics.paper.as_dict().keys()
+
+    def test_faults_come_from_a_des_run_with_a_fault_plan_only(self, runs):
+        assert [run.fault_stats for run in runs] == [None, None]
+        plan = FaultPlan(seed=1)  # a plan that injects nothing
+        des = repro.run(LINE, des_programs(), repro.RunOptions(fault_plan=plan))
+        live = repro.run(LINE, live_programs(), replace(LIVE, fault_plan=plan))
+        assert des.fault_stats is not None and live.fault_stats is None
+        assert des.metrics.value("faults.eligible") == des.fault_stats["eligible"] > 0
+        assert not [n for n in live.metrics.names() if n.startswith("faults.")]

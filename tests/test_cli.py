@@ -468,6 +468,40 @@ class TestMonitor:
         assert main(["monitor", str(log)]) == 0
         assert "FINAL" in capsys.readouterr().out
 
+    def test_a_finished_gzip_stream_is_read(self, tmp_path, capsys):
+        from repro.obs import JsonlSink
+        from repro.scenarios import build
+
+        log = tmp_path / "tele.jsonl.gz"
+        sink = JsonlSink(str(log))
+        build("demo").run(telemetry_sinks=(sink,), telemetry_interval=0.05)
+        assert sink.records >= 2
+        assert main(["monitor", str(log)]) == 0
+        assert "FINAL" in capsys.readouterr().out
+        assert main(["monitor", str(log), "--follow", "--timeout", "5"]) == 0
+        heads = [x for x in capsys.readouterr().out.splitlines() if not x.startswith(" ")]
+        assert len(heads) == sink.records and heads[-1].startswith("FINAL")
+
+    def test_a_gzip_member_still_being_written_has_no_new_record_yet(self, tmp_path, capsys):
+        from repro.obs import JsonlSink
+
+        log = tmp_path / "tele.jsonl.gz"
+        sink = JsonlSink(str(log))
+        try:
+            for t in (0.1, 0.2):
+                sink.emit(self.snapshot(t))
+            assert main(["monitor", str(log), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["time"] == 0.2
+            cut = tmp_path / "cut.jsonl.gz"
+            cut.write_bytes(log.read_bytes()[:-4])  # inside the last flushed block
+            rc = main(["monitor", str(cut), "--follow",
+                       "--timeout", "0.2", "--interval", "0.05"])
+            assert rc == 2  # waited for a final record, as on a plain file
+            captured = capsys.readouterr()
+            assert "t=0.100" in captured.out and "timeout" in captured.err
+        finally:
+            sink.close()
+
 
 class TestRecordReplay:
     def test_record_offers_every_scenario_but_the_process_killer(self, tmp_path, capsys):
