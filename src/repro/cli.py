@@ -644,57 +644,34 @@ def _monitor_run(args: argparse.Namespace) -> int:
         print("error: monitor needs a PATH or --attach URL", file=sys.stderr)
         return EXIT_USAGE
 
-    from repro.obs.prov import open_text
+    from repro.obs.stream import JsonlTail
 
-    path = Path(args.path)
+    tail = JsonlTail(args.path)
+    try:
+        if not args.follow:
+            records = tail.poll(final=True)
+            if not records:
+                print(f"no telemetry records in {args.path}", file=sys.stderr)
+                return EXIT_USAGE
+            _monitor_show(args, records[-1])
+            return EXIT_OK
 
-    def load_records() -> list[dict[str, Any]]:
-        if not path.exists():
-            return []
-        lines: list[str] = []
-        with open_text(path, "r") as fh:
-            try:
-                lines.extend(fh)
-            except EOFError:
-                pass  # a gzip member still being written: no new record yet
-        records: list[dict[str, Any]] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a partially-written tail line mid-run
-            if isinstance(rec, dict):
-                records.append(rec)
-        return records
-
-    if not args.follow:
-        records = load_records()
-        if not records:
-            print(f"no telemetry records in {args.path}", file=sys.stderr)
-            return EXIT_USAGE
-        _monitor_show(args, records[-1])
-        return EXIT_OK
-
-    deadline = _time.monotonic() + args.timeout
-    shown = 0
-    while True:
-        records = load_records()
-        for rec in records[shown:]:
-            _monitor_show(args, rec)
-            if rec.get("final"):
-                return EXIT_OK
-        shown = len(records)
-        if _time.monotonic() >= deadline:
-            print(
-                f"timeout: no final snapshot in {args.path} "
-                f"after {args.timeout:g}s",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        _time.sleep(args.interval)
+        deadline = _time.monotonic() + args.timeout
+        while True:
+            for rec in tail.poll():
+                _monitor_show(args, rec)
+                if rec.get("final"):
+                    return EXIT_OK
+            if _time.monotonic() >= deadline:
+                print(
+                    f"timeout: no final snapshot in {args.path} "
+                    f"after {args.timeout:g}s",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            _time.sleep(args.interval)
+    finally:
+        tail.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -369,9 +369,8 @@ class CoupledSimulation(ProtocolDriver):
             # draw of the run lands in the log.
             self.rng.set_recorder(self._prov.on_rng)
             self.world.rng.set_recorder(self._prov.on_rng)
-            fault_rngs = getattr(self.world.network, "_rngs", None)
-            if fault_rngs is not None:
-                fault_rngs.set_recorder(self._prov.on_rng)
+            if fault_plan is not None:  # the world's network is a FaultyNetwork
+                self.world.network._rngs.set_recorder(self._prov.on_rng)
         if fault_plan is not None:
             # The faulty network narrates drops/dups/delays into the
             # same tracer as the protocol.
@@ -427,7 +426,7 @@ class CoupledSimulation(ProtocolDriver):
                 )
             return
         require_non_negative(until - sim.now, "run-until horizon (must be >= now)")
-        sim._run_ticking(float(until))
+        sim._dispatch(float(until))
         if self._mains_running() or sim.peek() != float("inf"):
             self._stopped_at = until
             sim.run(until)  # fires nothing more: the clock goes to the horizon

@@ -622,6 +622,8 @@ class RegionExportState:
         new_responses: list[tuple[str, MatchResponse]] = []
         post_sends: list[tuple[str, float]] = []
         for cid, conn in self.connections.items():
+            if not conn.open_requests:
+                continue  # nothing pending (most exports): no call
             for response, applied in conn.newly_decidable():
                 new_responses.append((cid, response))
                 if applied.send_now is not None:

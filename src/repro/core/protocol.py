@@ -808,13 +808,11 @@ class ProtocolDriver:
     def _net_send(
         self, src: Any, dst: Any, payload: Any, nbytes: int = wire.CTL_NBYTES
     ) -> None:
-        """Stamp, count and record one wire unit, then hand it to the port.
+        """Count and record one wire unit, then hand it to the port.
 
-        An unstamped payload (``seq == -1``) gets a fresh wire sequence
-        number; a re-sent one keeps its own.
+        The sender built *payload* stamped with a fresh wire sequence
+        number (``seq=self._next_seq()``): each message is built once.
         """
-        if payload.seq == -1:
-            payload = wire.with_seq(payload, self._next_seq())
         is_data = type(payload) is wire.DataPiece
         with self._lock:
             if is_data:
@@ -838,7 +836,7 @@ class ProtocolDriver:
 
     def _seq_duplicate(self, msg: Any, seen: set[int], who: str) -> bool:
         """Wire-level duplicate detection by sequence number."""
-        seq = getattr(msg, "seq", -1)
+        seq = msg.seq
         if seq < 0:
             return False
         if seq in seen:
@@ -895,12 +893,7 @@ class ProtocolDriver:
                 src_addr,
                 ("cpl", imp_prog, dst_rank),
                 wire.DataPiece(
-                    connection_id=cid,
-                    match_ts=m,
-                    src_rank=ctx.rank,
-                    region=piece_region,
-                    data=data,
-                    nbytes=nbytes,
+                    cid, m, ctx.rank, piece_region, data, nbytes, self._next_seq()
                 ),
                 nbytes=nbytes,
             )
@@ -922,9 +915,7 @@ class ProtocolDriver:
         self._net_send(
             ("cpl", ctx.program, ctx.rank),
             ("rep", ctx.program),
-            wire.ProcResponse(
-                connection_id=cid, rank=ctx.rank, response=response, trace=tr
-            ),
+            wire.ProcResponse(cid, ctx.rank, response, self._next_seq(), tr),
         )
 
     def _exported(self, ctx: ContextBase, region: str, ts: float, outcome: Any) -> int:
@@ -938,7 +929,13 @@ class ProtocolDriver:
         # Slow-path responses: open requests that became decidable.
         for cid, response in outcome.new_responses:
             self._send_response(ctx, cid, response)
-        return self._evict(ctx, ctx.export_states[region])
+        st = ctx.export_states[region]
+        # Most exports free nothing: the pool's oldest entry is not
+        # below the eviction line, tested here before the eviction chain.
+        oldest = st.buffer.oldest()
+        if oldest is None or oldest >= st.evict_threshold():
+            return 0
+        return self._evict(ctx, st)
 
     def _main_ended(self, ctx: ContextBase, returned: bool) -> None:
         """End of one application main: close its export streams, then,
@@ -995,7 +992,8 @@ class ProtocolDriver:
 
     def _agent_handle(self, ctx: ContextBase, msg: Any) -> int:
         """Apply one rep→process message; returns the entries it evicted."""
-        if isinstance(msg, wire.FwdRequest):
+        kind = type(msg)  # kinds are told apart by exact type (core/wire.py)
+        if kind is wire.FwdRequest:
             cid, request_ts = msg.connection_id, msg.request_ts
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
@@ -1014,7 +1012,7 @@ class ProtocolDriver:
                 if outcome.applied is not None and outcome.applied.send_now is not None:
                     self._send_pieces(ctx, region, cid, outcome.applied.send_now)
                 return self._evict(ctx, st)
-        if isinstance(msg, wire.BuddyMsg):
+        if kind is wire.BuddyMsg:
             cid, answer = msg.connection_id, msg.answer
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
@@ -1049,41 +1047,42 @@ class ProtocolDriver:
     # -- representatives -------------------------------------------------------
     def _rep_handle(self, prog: _ProgramRuntime, msg: Any) -> None:
         """Dispatch one rep message to the right state machine."""
-        cause: TraceContext | None = getattr(msg, "trace", None)
+        kind = type(msg)  # kinds are told apart by exact type (core/wire.py)
         with self._guard(
             ("rep", prog.name),
             (("rep_cache", prog.rep_who), "write", "rep.dispatch"),
         ):
-            if isinstance(msg, wire.ReqToExpRep):
+            if kind is wire.ReqToExpRep:
                 assert prog.exp_rep is not None
                 directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
-            elif isinstance(msg, wire.ProcResponse):
+            elif kind is wire.ProcResponse:
                 assert prog.exp_rep is not None
                 if self._watch:
                     self._fold[spine.RESPONSE_RECV](ProtocolEvent(
                         spine.RESPONSE_RECV, prog.rep_who, self._now(),
                         msg.connection_id, msg.response.request_ts,
-                        rank=msg.rank, decision=msg.response, cause=cause,
+                        rank=msg.rank, decision=msg.response, cause=msg.trace,
                     ))
                 directives = prog.exp_rep.on_response(
                     msg.connection_id, msg.rank, msg.response
                 )
-            elif isinstance(msg, wire.ImpProcRequest):
+            elif kind is wire.ImpProcRequest:
                 assert prog.imp_rep is not None
                 directives = prog.imp_rep.on_process_request(
                     msg.connection_id, msg.request_ts, msg.rank
                 )
-            elif isinstance(msg, wire.AnswerToImpRep):
+            elif kind is wire.AnswerToImpRep:
                 assert prog.imp_rep is not None
                 if self._watch:
                     self._fold[spine.ANSWER_RECV](ProtocolEvent(
                         spine.ANSWER_RECV, prog.rep_who, self._now(),
                         msg.connection_id, msg.answer.request_ts,
-                        decision=msg.answer, cause=cause,
+                        decision=msg.answer, cause=msg.trace,
                     ))
                 directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
             else:
                 raise FrameworkError(f"rep received unexpected message {msg!r}")
+        cause = msg.trace
         for d in directives:
             self._execute_directive(prog, d, cause)
 
@@ -1101,25 +1100,22 @@ class ProtocolDriver:
         if self._watch:
             ev = self._directive_event(prog, d, cause)
             tr = self._fold[ev.kind](ev)
-        if isinstance(d, ForwardRequest):
+        kind = type(d)  # the rep's directive classes, by exact type
+        if kind is ForwardRequest:
             dst: Any = ("ctl", prog.name, d.rank)
-            payload: Any = wire.FwdRequest(
-                connection_id=cid, request_ts=d.request_ts, trace=tr
-            )
-        elif isinstance(d, AnswerImporter):
+            payload: Any = wire.FwdRequest(cid, d.request_ts, self._next_seq(), tr)
+        elif kind is AnswerImporter:
             dst = ("rep", self._connections[cid].spec.importer.program)
-            payload = wire.AnswerToImpRep(connection_id=cid, answer=d.answer, trace=tr)
-        elif isinstance(d, BuddyHelp):
+            payload = wire.AnswerToImpRep(cid, d.answer, self._next_seq(), tr)
+        elif kind is BuddyHelp:
             dst = ("ctl", prog.name, d.rank)
-            payload = wire.BuddyMsg(connection_id=cid, answer=d.answer, trace=tr)
-        elif isinstance(d, ForwardToExporter):
+            payload = wire.BuddyMsg(cid, d.answer, self._next_seq(), tr)
+        elif kind is ForwardToExporter:
             dst = ("rep", self._connections[cid].spec.exporter.program)
-            payload = wire.ReqToExpRep(
-                connection_id=cid, request_ts=d.request_ts, trace=tr
-            )
-        elif isinstance(d, DeliverAnswer):
+            payload = wire.ReqToExpRep(cid, d.request_ts, self._next_seq(), tr)
+        elif kind is DeliverAnswer:
             dst = ("cpl", prog.name, d.rank)
-            payload = wire.AnswerToProc(connection_id=cid, answer=d.answer, trace=tr)
+            payload = wire.AnswerToProc(cid, d.answer, self._next_seq(), tr)
         else:  # pragma: no cover - defensive
             raise FrameworkError(f"unknown directive {d!r}")
         self._net_send(("rep", prog.name), dst, payload)
@@ -1148,9 +1144,7 @@ class ProtocolDriver:
         self._net_send(
             ("cpl", ctx.program, ctx.rank),
             ("rep", ctx.program),
-            wire.ImpProcRequest(
-                connection_id=cid, request_ts=ts, rank=ctx.rank, trace=tr
-            ),
+            wire.ImpProcRequest(cid, ts, ctx.rank, self._next_seq(), tr),
         )
 
     def _import_begin(self, ctx: ContextBase, region: str, ts: float) -> ImportHandle:

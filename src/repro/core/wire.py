@@ -14,16 +14,28 @@ Shared by the two runtimes — the DES coupler
 * exporter process → importer process: :class:`DataPiece`
 * runtime → its own service loops:  :class:`Shutdown`  (no wire cost)
 
+Message classes
+---------------
+Each message is an immutable tuple class (:class:`typing.NamedTuple`),
+read by attribute: building one is its generated ``__new__`` and one
+``tuple.__new__``, with no per-field ``object.__setattr__`` and no
+``__dict__`` (a frozen dataclass pays both), and no field can be
+assigned afterwards.  A tuple equals any tuple with the same items, so
+two kinds with equal fields (a :class:`FwdRequest` and a
+:class:`ReqToExpRep`) compare equal: receivers tell kinds apart by
+``type(msg) is Kind``, never by ``==``.
+
 Sequence numbers
 ----------------
-Every message carries a ``seq`` field, stamped by the sending runtime
-from a per-coupler counter (``-1`` means "not stamped", e.g. in unit
-tests that build messages by hand).  Receivers discard a ``seq`` they
-have already processed, which makes *wire-level duplication* (a fault,
-or a duplicated delivery) harmless.  *Retransmissions* are new sends
-and get fresh sequence numbers — they are deduplicated one level up,
-by the rep state machines' idempotent request handling (see
-``docs/resilience.md``).
+Every message carries a ``seq`` field: the sending runtime builds the
+message with the next number of a per-coupler counter in place, so a
+send builds one message and never copies it to stamp it (``-1`` means
+"not stamped", e.g. in unit tests that build messages by hand).
+Receivers discard a ``seq`` they have already processed, which makes
+*wire-level duplication* (a fault, or a duplicated delivery) harmless.
+*Retransmissions* are new sends and get fresh sequence numbers — they
+are deduplicated one level up, by the rep state machines' idempotent
+request handling (see ``docs/resilience.md``).
 
 ``CTL_NBYTES`` models headers plus a few scalar fields — connection
 id, timestamp, rank, and the sequence word all fit comfortably, so the
@@ -47,8 +59,7 @@ of an import survives the fault layer intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +72,7 @@ from repro.obs.trace import TraceContext
 CTL_NBYTES = 64
 
 
-@dataclass(frozen=True)
-class ReqToExpRep:
+class ReqToExpRep(NamedTuple):
     """Importer rep → exporter rep: a deduplicated request."""
 
     connection_id: str
@@ -71,8 +81,7 @@ class ReqToExpRep:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class FwdRequest:
+class FwdRequest(NamedTuple):
     """Exporter rep → exporter process: evaluate this request."""
 
     connection_id: str
@@ -81,8 +90,7 @@ class FwdRequest:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class ProcResponse:
+class ProcResponse(NamedTuple):
     """Exporter process → exporter rep: a (possibly updated) response."""
 
     connection_id: str
@@ -92,8 +100,7 @@ class ProcResponse:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class BuddyMsg:
+class BuddyMsg(NamedTuple):
     """Exporter rep → exporter process: the final answer (buddy-help)."""
 
     connection_id: str
@@ -102,8 +109,7 @@ class BuddyMsg:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class AnswerToImpRep:
+class AnswerToImpRep(NamedTuple):
     """Exporter rep → importer rep: the final answer."""
 
     connection_id: str
@@ -112,8 +118,7 @@ class AnswerToImpRep:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class ImpProcRequest:
+class ImpProcRequest(NamedTuple):
     """Importer process → its own rep: this rank wants *request_ts*."""
 
     connection_id: str
@@ -123,8 +128,7 @@ class ImpProcRequest:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class AnswerToProc:
+class AnswerToProc(NamedTuple):
     """Importer rep → importer process: the final answer."""
 
     connection_id: str
@@ -133,8 +137,7 @@ class AnswerToProc:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
-class DataPiece:
+class DataPiece(NamedTuple):
     """Exporter process → importer process: one scheduled piece."""
 
     connection_id: str
@@ -146,25 +149,11 @@ class DataPiece:
     seq: int = -1
 
 
-def with_seq(msg: Any, seq: int) -> Any:
-    """A copy of wire message *msg* stamped with sequence number *seq*.
-
-    Every message here is a plain frozen dataclass without
-    ``__post_init__``, so copying the field dict is exactly what
-    ``dataclasses.replace(msg, seq=seq)`` builds — without re-running
-    ``__init__`` through ``object.__setattr__`` on every send.
-    """
-    stamped = object.__new__(type(msg))
-    fields = stamped.__dict__
-    fields.update(msg.__dict__)
-    fields["seq"] = seq
-    return stamped
-
-
-@dataclass(frozen=True)
 class Shutdown:
     """Runtime-internal: stop a service loop (live runtime only).
 
     Never crosses the modelled network, so it carries no sequence
     number and no wire cost.
     """
+
+    __slots__ = ()

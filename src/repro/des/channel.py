@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, NamedTuple
 
-from repro.des.core import Event, Simulator
+from repro.des.core import Event, Simulator, _new_event
 from repro.des.store import Store
 from repro.util.validation import ValidationError, require_non_negative, require_positive
 
 _INF = float("inf")
+#: Builds a :class:`Delivery` from one tuple in a single call (the
+#: class's own ``__new__`` is a Python frame more).
+_tuple_new = tuple.__new__
 
 
 class Delivery(NamedTuple):
@@ -81,6 +84,8 @@ class Network:
         self._last_delivery: dict[tuple[Hashable, Hashable], float] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: :meth:`_deliver`, bound once: every send's timer calls it.
+        self._on_delivery = self._deliver
 
     # -- endpoints -----------------------------------------------------
     def register(self, address: Hashable) -> Store:
@@ -134,15 +139,29 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += nbytes
         self._in_flight += 1
-        done = Event(sim)
-        timer = sim.timeout(deliver_at - sent_at)
-
-        def _deliver(_ev: Event) -> None:
-            self._in_flight -= 1
-            env = Delivery(src, dst, payload, nbytes, sent_at, sim._now)
-            mailbox.put_nowait(env)
-            done.succeed(env)
-
-        timer.callbacks.append(_deliver)
+        # ``Event(sim)`` inline, as ``Simulator.timeout`` builds its own.
+        done = _new_event(Event)
+        done.sim = sim
+        done.callbacks = []
+        done._value = None
+        done._ok = True
+        done._triggered = done._processed = done._defused = False
+        timer = sim.timeout(
+            deliver_at - sent_at, (mailbox, done, (src, dst, payload, nbytes, sent_at))
+        )
+        timer.callbacks.append(self._on_delivery)
         return done
 
+    def _deliver(self, timer: Event) -> None:
+        """The transfer delay has passed: the envelope goes into the
+        mailbox, and the send's ``done`` event fires with it."""
+        mailbox, done, head = timer._value
+        self._in_flight -= 1
+        sim = self.sim
+        env = _tuple_new(Delivery, head + (sim._now,))
+        mailbox.put_nowait(env)
+        # ``done.succeed(env)`` inline: a fresh event, never triggered.
+        done._triggered = True
+        done._value = env
+        sim._seq = seq = sim._seq + 1
+        sim._lanes[1].append((seq, done))

@@ -10,8 +10,10 @@ deterministic.
 
 Two structures back that order (the hot-path split):
 
-* a binary heap of ``(time, priority, seq, event)`` tuples for events
-  scheduled in the *future* (``delay > 0``), and
+* a binary heap of ``(time, seq, event)`` tuples for events scheduled
+  in the *future* (``delay > 0``: only :meth:`Simulator.timeout` puts
+  one there, always at the ``NORMAL`` level, so the level is not kept),
+  and
 * two *immediate lanes* — one FIFO deque per priority level — for
   events scheduled at the *current instant* (``delay == 0``: every
   ``succeed``/``fail``, process bootstrap and resume carrier).
@@ -22,7 +24,7 @@ deque append/popleft is O(1) versus the heap's O(log n) — with the
 heap holding thousands of pending timeouts, bypassing it for the
 same-instant traffic is where the events/sec headroom comes from
 (``des.events_per_self_s`` of ``perf/run.py --trace 1``).  Because
-every enqueue still consumes one ``seq`` and ``_step`` compares
+every enqueue still consumes one ``seq`` and the dispatch loop compares
 ``(time, priority, seq)`` across both structures, the firing order is
 *bit-identical* to the plain-heap implementation (asserted by the
 seed-replay golden tests).
@@ -63,6 +65,8 @@ class PriorityLevel(IntEnum):
 
 _new_event = object.__new__
 _heappush = heapq.heappush
+_heappop = heapq.heappop
+_INF = float("inf")
 
 
 class Event:
@@ -170,7 +174,7 @@ class Process(Event):
     the generator becomes this process-event's value.
     """
 
-    __slots__ = ("name", "_gen")
+    __slots__ = ("name", "_gen", "_wake")
 
     def __init__(
         self,
@@ -182,9 +186,11 @@ class Process(Event):
         require(hasattr(gen, "send") and hasattr(gen, "throw"), "gen must be a generator")
         self.name = name
         self._gen = gen
+        #: ``_resume`` bound once: every wait appends this callback.
+        self._wake = self._resume
         # Kick the generator at the current instant.
         bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._wake)
         bootstrap.succeed(None, priority=PriorityLevel.URGENT)
 
     @property
@@ -219,14 +225,14 @@ class Process(Event):
         if target._processed:
             # Already fired: resume immediately (same instant) with its value.
             carrier = Event(sim)
-            carrier.callbacks.append(self._resume)
+            carrier.callbacks.append(self._wake)
             if target._ok:
                 carrier.succeed(target._value, priority=PriorityLevel.URGENT)
             else:
                 carrier.fail(target._value, priority=PriorityLevel.URGENT)
                 carrier.defuse()
             return
-        target.callbacks.append(self._resume)
+        target.callbacks.append(self._wake)
 
 
 class AnyOf(Event):
@@ -280,8 +286,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Future events (``delay > 0``), ordered by (time, prio, seq).
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Future events (``delay > 0``), ordered by (time, seq); all
+        #: are at the ``NORMAL`` level.
+        self._heap: list[tuple[float, int, Event]] = []
         #: Immediate lanes: one FIFO of ``(seq, event)`` per priority
         #: level, holding events scheduled for the current instant.
         self._lanes: tuple[deque[tuple[int, Event]], deque[tuple[int, Event]]] = (
@@ -297,11 +304,11 @@ class Simulator:
         self._heap_scheduled = 0
         #: Optional observer called between events: when the next event
         #: lies past ``_tick_at`` and no same-instant lane is pending,
-        #: :meth:`run` sets the clock to ``_tick_at`` and calls it; it
-        #: returns the time of the next tick.  A tick schedules no event
-        #: and consumes no ``seq``, so watching cannot move the run.
+        #: the dispatch loop sets the clock to ``_tick_at`` and calls it;
+        #: it returns the time of the next tick.  A tick schedules no
+        #: event and consumes no ``seq``, so watching cannot move the run.
         self._tick: Optional[Callable[[], float]] = None
-        self._tick_at = float("inf")
+        self._tick_at = _INF
 
     @property
     def now(self) -> float:
@@ -334,7 +341,7 @@ class Simulator:
             self._lanes[1].append((seq, ev))
         else:
             self._heap_scheduled += 1
-            _heappush(self._heap, (self._now + delay, 1, seq, ev))
+            _heappush(self._heap, (self._now + delay, seq, ev))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "process") -> Process:
@@ -342,68 +349,52 @@ class Simulator:
         return Process(self, gen, name=name)
 
     # -- scheduling ------------------------------------------------------
-    def _step(self) -> None:
-        """Fire the next event in (time, prio, seq) order.
+    def _dispatch(self, horizon: float) -> None:
+        """Fire every event due by *horizon*, and every tick due between.
 
-        The selection is inlined here (no helper call): immediate-lane
-        events always carry the current time, so the clock never moves
-        while a lane is non-empty — lanes drain before time advances.
-        A heap event *at* the current instant with an earlier
-        (prio, seq) still fires first, preserving the exact total
-        order of the plain-heap implementation.
-        """
-        lanes = self._lanes
-        heap = self._heap
-        event: Event | None = None
-        for prio in (0, 1):
-            lane = lanes[prio]
-            if lane:
-                if heap:
-                    head = heap[0]
-                    if head[0] == self._now and (head[1], head[2]) < (
-                        prio,
-                        lane[0][0],
-                    ):
-                        event = heapq.heappop(heap)[3]
-                        break
-                event = lane.popleft()[1]
-                break
-        else:
-            if not heap:
-                raise SimulationError("no pending events to step")
-            when, _prio, _seq, event = heapq.heappop(heap)
-            self._now = when
-        event._processed = True
-        callbacks = event.callbacks
-        if callbacks:
-            event.callbacks = []
-            for cb in callbacks:
-                cb(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _run_ticking(self, horizon: float) -> None:
-        """Fire every event due by *horizon*, and the ticks due between.
-
-        Events run in segments that end where a tick is due: both lanes
-        empty and the heap's head past it.  Ticks fire while events
-        remain, or up to a finite *horizon*; once the tick is cleared or
-        lies past *horizon*, the last loop is the plain one.
+        The kernel's one dispatch loop, selection and firing inline.
+        Lane events carry the current time, so the clock moves only on
+        a heap pop, with both lanes empty.  The URGENT lane's head
+        always fires first (heap events are NORMAL); a heap event at
+        the current instant with an earlier seq fires before the NORMAL
+        lane's head — the exact total order of the plain-heap
+        implementation.  A tick is due when both lanes are empty and
+        the heap's head lies past ``_tick_at``; with the heap empty,
+        ticks go on only up to a finite *horizon*.  Lanes fire whatever
+        the horizon: they are at the current instant.
         """
         lane0, lane1 = self._lanes
         heap = self._heap
-        step = self._step
-        unbounded = horizon == float("inf")
-        while self._tick is not None and self._tick_at <= horizon:
-            at = self._tick_at
-            while lane0 or lane1 or (heap and heap[0][0] <= at):
-                step()
-            if self._tick is None or (unbounded and not heap):
-                break
-            self._now = at
-            self._tick_at = self._tick()
-        while lane0 or lane1 or (heap and heap[0][0] <= horizon):
-            step()
+        now = self._now
+        while True:
+            if lane0:
+                event = lane0.popleft()[1]
+            elif lane1:
+                if heap and heap[0][0] == now and heap[0][1] < lane1[0][0]:
+                    event = _heappop(heap)[2]
+                else:
+                    event = lane1.popleft()[1]
+            elif heap and heap[0][0] <= horizon and heap[0][0] <= self._tick_at:
+                now, _seq, event = _heappop(heap)
+                self._now = now
+            elif self._tick_at <= horizon and (heap or horizon < _INF):
+                tick = self._tick
+                if tick is None:  # cleared since it was set
+                    self._tick_at = _INF
+                else:
+                    now = self._now = self._tick_at
+                    self._tick_at = tick()
+                continue
+            else:
+                return
+            event._processed = True
+            callbacks = event.callbacks
+            if callbacks:
+                event.callbacks = []
+                for cb in callbacks:
+                    cb(event)
+            if not event._ok and not event._defused:
+                raise event._value
 
     def run(self, until: float | None = None) -> None:
         """Run the event loop.
@@ -412,19 +403,12 @@ class Simulator:
         until the clock would pass it (the clock is then advanced
         exactly to it, firing the ticks due up to it).
         """
-        if until is None and self._tick is not None:
-            self._run_ticking(float("inf"))
-            return
         if until is None:
-            step = self._step
-            heap = self._heap
-            lane0, lane1 = self._lanes
-            while heap or lane0 or lane1:
-                step()
+            self._dispatch(_INF)
             return
         horizon = float(until)
         require_non_negative(horizon - self._now, "run-until horizon (must be >= now)")
-        self._run_ticking(horizon)
+        self._dispatch(horizon)
         self._now = horizon
 
     def peek(self) -> float:
@@ -432,7 +416,7 @@ class Simulator:
         lane0, lane1 = self._lanes
         if lane0 or lane1:
             return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     # -- observability ---------------------------------------------------
     @property

@@ -11,7 +11,7 @@ run-wide wire totals.  The final record of a run carries
 Two sink implementations ship in-repo:
 
 * :class:`JsonlSink` appends one JSON line per snapshot — the format
-  ``repro monitor`` tails.
+  ``repro monitor`` tails, through :class:`JsonlTail`.
 * :class:`OpenMetricsSink` rewrites an OpenMetrics text exposition on
   every flush, suitable for a Prometheus file-based scrape.  The
   exposition is checked by :func:`validate_openmetrics` in CI.
@@ -29,12 +29,15 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import zlib
 from itertools import chain
-from typing import Any, Iterable, Protocol, runtime_checkable
+from pathlib import Path
+from typing import IO, Any, Iterable, Protocol, runtime_checkable
 
 __all__ = [
     "TelemetrySink",
     "JsonlSink",
+    "JsonlTail",
     "OpenMetricsSink",
     "ExpositionBuilder",
     "build_snapshot",
@@ -166,6 +169,74 @@ class JsonlSink:
     def close(self) -> None:
         """Close the file (idempotent)."""
         if not self._fh.closed:
+            self._fh.close()
+
+
+class JsonlTail:
+    """Read the records a :class:`JsonlSink` appends, as they come.
+
+    The file stays open, and each :meth:`poll` decodes only the bytes
+    appended since the previous one.  A ``.gz`` stream is inflated
+    incrementally, member after member: a member still being written
+    yields what its flushed blocks hold.  A line counts once its newline
+    is there, so a partly written tail line — like the undecodable end
+    of an unfinished member — is "no new record yet" and is read whole
+    by a later poll.  A path that does not exist yet reads as empty.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._gzip = self.path.name.endswith(".gz")
+        self._fh: IO[bytes] | None = None
+        #: Inflates the current gzip member (``None`` between members).
+        self._member: Any = None
+        #: Decoded bytes after the last newline seen.
+        self._tail = b""
+
+    def poll(self, final: bool = False) -> list[dict[str, Any]]:
+        """The records appended since the last poll, oldest first.
+
+        *final* says the stream is complete: a last line without its
+        newline is read too (a record if it parses).  Lines that are not
+        a JSON object are skipped.
+        """
+        if self._fh is None:
+            try:
+                self._fh = open(self.path, "rb")
+            except FileNotFoundError:
+                return []
+        data = self._fh.read()
+        if self._gzip:
+            data = self._inflate(data)
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        if final:
+            lines.append(self._tail)
+            self._tail = b""
+        records = []
+        for line in lines:
+            try:
+                rec = json.loads(line)
+            except ValueError:  # blank, cut or not JSON: not a record
+                continue
+            if isinstance(rec, dict):
+                records.append(rec)
+        return records
+
+    def _inflate(self, data: bytes) -> bytes:
+        out = []
+        while data:
+            if self._member is None:
+                self._member = zlib.decompressobj(16 + zlib.MAX_WBITS)  # gzip framing
+            out.append(self._member.decompress(data))
+            if not self._member.eof:
+                break  # the member goes on in bytes not written yet
+            data = self._member.unused_data  # the next member's first bytes
+            self._member = None
+        return b"".join(out)
+
+    def close(self) -> None:
+        """Close the file (idempotent)."""
+        if self._fh is not None:
             self._fh.close()
 
 

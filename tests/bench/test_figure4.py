@@ -4,7 +4,6 @@ Full-size (1001-export, 6-run) executions live in ``benchmarks/``; here
 we verify the builder and the qualitative regimes at reduced size.
 """
 
-import types
 from dataclasses import replace
 
 import pytest
@@ -206,13 +205,14 @@ class TestExportPathCost:
     itself grows.
     """
 
-    #: 7% above the measured 22.4: 21.95 plus the one Python frame each
-    #: jitter draw costs since streams serve blocks (the Cython
-    #: ``Generator.uniform`` it replaced was not counted); 27.8 before
-    #: timeouts became one call and per-event records tuples; the
-    #: scan-everything path this guards against measured 49.3 on the
-    #: same four runs.
-    CEILING = 24.0
+    #: 7% above the measured 19.5: one inline dispatch loop, wire
+    #: messages built once as tuples, exact-type dispatch and no
+    #: eviction call chain on a quiet export (22.3 before; 21.95 plus
+    #: the one Python frame each jitter draw costs since streams serve
+    #: blocks; 27.8 before timeouts became one call and per-event
+    #: records tuples); the scan-everything path this guards against
+    #: measured 49.3 on the same four runs.
+    CEILING = 20.8
 
     def test_calls_per_event_stay_under_the_ceiling(self):
         calls = events = 0
@@ -258,28 +258,23 @@ class TestKernelCounters:
 class TestMessagePathCost:
     """A count, not a timing: Python calls per wire message.
 
-    Counted from ``ProtocolDriver._net_send`` (stamp, count, hand to
+    Counted from ``ProtocolDriver._net_send`` (count, record, hand to
     the port) through ``Network.send`` and, when the transfer delay
-    has passed, its delivery callback (envelope into the mailbox, a
+    has passed, ``Network._deliver`` (envelope into the mailbox, a
     parked receiver woken) — everything a message costs before the
-    receiving process runs.
+    receiving process runs.  Building the message is the sender's.
     """
 
-    #: ≈10% above the measured 22.4 (22.5 before the mailbox lost its
-    #: bounded mode's ``is_full`` probe per delivery; 35.0 before the
-    #: send path lost its attribute probes, null-context pair and
-    #: per-message formatting).
-    CEILING = 24.7
+    #: 7% above the measured 17.4 (22.4 before messages were built once
+    #: as tuples and delivery became a method with ``done`` triggered
+    #: inline; 22.5 before the mailbox lost its bounded mode's
+    #: ``is_full`` probe per delivery; 35.0 before the send path lost
+    #: its attribute probes, null-context pair and per-message
+    #: formatting).
+    CEILING = 18.6
 
     def test_calls_per_message_stay_under_the_ceiling(self):
-        entries = {
-            ProtocolDriver._net_send.__code__,
-            next(
-                c
-                for c in Network.send.__code__.co_consts
-                if isinstance(c, types.CodeType) and c.co_name == "_deliver"
-            ),
-        }
+        entries = {ProtocolDriver._net_send.__code__, Network._deliver.__code__}
         calls = messages = 0
         for sub in "abcd":
             cs = build_figure4_simulation(spec_for_subfigure(sub, exports=121))

@@ -216,6 +216,9 @@ class TestDeterminism:
 
 
 _DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
+#: ``None`` drains at once; a number stops on an event's instant,
+#: between two, before the first or past the last the mixes reach.
+_HORIZONS = st.sampled_from([None, 0.0, 0.5, 1.0, 1.75, 2.5, 6.0])
 _OPS = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("succeed"), st.sampled_from(list(PriorityLevel))),
@@ -232,12 +235,13 @@ def _plain(value):
     return value
 
 
-def _drive(sim, scripts):
+def _drive(sim, scripts, horizon=None):
     """Run one process per script on *sim*; return everything observable.
 
     That is the firing order of every event and process step, the
     kernel counters and the clock.  A kernel error ends the run and is
-    part of the outcome.
+    part of the outcome.  With a *horizon*, the run goes to it first
+    (``run(until=horizon)``, the clock logged there), then drains.
     """
     log = []
 
@@ -268,6 +272,9 @@ def _drive(sim, scripts):
     for pid, script in enumerate(scripts):
         sim.process(body(pid, script))
     try:
+        if horizon is not None:
+            sim.run(until=horizon)
+            log.append(("horizon", sim.now, sim.kernel_counters()))
         sim.run()
         error = None
     except Exception as exc:  # both kernels must fail alike
@@ -303,10 +310,13 @@ class TestLegacySimulatorFidelity:
 
         assert drive(_LegacySimulator()) == drive(Simulator())
 
-    @given(scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_random_mixes_match_the_plain_heap(self, scripts):
-        assert _drive(Simulator(), scripts) == _drive(_LegacySimulator(), scripts)
+    @given(scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5),
+           horizon=_HORIZONS)
+    @settings(max_examples=250, deadline=None)
+    def test_random_mixes_match_the_plain_heap(self, scripts, horizon):
+        assert _drive(Simulator(), scripts, horizon) == _drive(
+            _LegacySimulator(), scripts, horizon
+        )
 
 
 def _ticking(interval, log):
@@ -366,12 +376,22 @@ class TestTick:
     @given(
         scripts=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5),
         interval=st.sampled_from([0.25, 0.5, 0.75]),
+        horizon=_HORIZONS,
     )
-    @settings(max_examples=100, deadline=None)
-    def test_random_mixes_run_as_unwatched(self, scripts, interval):
+    @settings(max_examples=150, deadline=None)
+    def test_random_mixes_run_as_unwatched(self, scripts, interval, horizon):
         ticks: list = []
-        assert _drive(_ticking(interval, ticks), scripts) == _drive(Simulator(), scripts)
+        outcome = _drive(_ticking(interval, ticks), scripts, horizon)
+        assert outcome == _drive(_LegacySimulator(), scripts, horizon)
         assert ticks == sorted(ticks)
+        if horizon is not None and outcome[-1] is None:
+            # Every tick due by the horizon fired by then (a kernel
+            # error ends the ticks with the run).
+            due, at = [], interval
+            while at <= horizon:
+                due.append(at)
+                at += interval
+            assert [t for _, t in ticks if t <= horizon] == due
 
 
 class TestEvents:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs.stream import (
     SCHEMA,
     ExpositionBuilder,
     JsonlSink,
+    JsonlTail,
     OpenMetricsSink,
     TelemetrySink,
     build_snapshot,
@@ -309,6 +311,46 @@ class TestLiveStreaming:
             assert "answer" in r.chain
             assert sum(r.stages.values()) == pytest.approx(r.latency, abs=1e-9)
         assert any(r.chain[0] == "request" for r in report.resolutions)
+
+
+class TestJsonlTail:
+    """The reader ``repro monitor`` follows a stream with."""
+
+    @pytest.mark.parametrize("name", ["tele.jsonl", "tele.jsonl.gz"])
+    def test_a_stream_grown_byte_chunk_by_chunk_reads_once_in_order(self, tmp_path, name):
+        full = tmp_path / ("full-" + name)
+        records = [{"time": float(i), "final": i == 1999} for i in range(2000)]
+        for part in (records[:1200], records[1200:]):  # two sinks: two gzip members
+            sink = JsonlSink(str(full))
+            for rec in part:
+                sink.emit(rec)
+            sink.close()
+        data = full.read_bytes()
+        grown = tmp_path / name
+        tail = JsonlTail(grown)
+        assert tail.poll() == []  # not written yet
+        rng = random.Random(7)
+        got, at = [], 0
+        with open(grown, "wb") as fh:
+            while at < len(data):
+                # Cuts land anywhere: in a header, a flushed block, a line.
+                step = rng.choice((1, 3, 17, 250, 4096))
+                fh.write(data[at : at + step])
+                fh.flush()
+                at += step
+                new = tail.poll()
+                assert new == records[len(got) : len(got) + len(new)]
+                got += new
+        tail.close()
+        assert got == records
+
+    def test_a_finished_stream_reads_its_last_line_without_a_newline(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"time": 1.0}\n\nnot json\n{"time": 2.0}')
+        tail = JsonlTail(path)
+        assert tail.poll() == [{"time": 1.0}]  # the last line may still grow
+        assert tail.poll(final=True) == [{"time": 2.0}]
+        tail.close()
 
 
 class TestOpenMetricsValidator:

@@ -503,6 +503,51 @@ class TestMonitor:
             sink.close()
 
 
+    def test_follow_reads_each_record_of_a_growing_gzip_stream_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """20 000 records appended in bursts while ``--follow`` polls:
+        every record is shown once, in order, and decoded once."""
+        import threading
+        import time
+
+        from repro.obs import JsonlSink
+
+        log = tmp_path / "tele.jsonl.gz"
+        n, burst = 20_000, 500
+        sink = JsonlSink(str(log))
+        sink.emit({"time": 0.0, "final": False})
+
+        def grow():
+            for i in range(1, n):
+                sink.emit({"time": float(i), "final": i == n - 1})
+                if i % burst == 0:
+                    time.sleep(0.005)  # a poll lands mid-stream
+            sink.close()
+
+        decoded = 0
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            nonlocal decoded
+            decoded += 1
+            return loads(text, *args, **kwargs)
+
+        writer = threading.Thread(target=grow)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        writer.start()
+        try:
+            rc = main(["monitor", str(log), "--follow", "--json",
+                       "--interval", "0.002", "--timeout", "60"])
+        finally:
+            writer.join()
+            monkeypatch.undo()
+        assert rc == 0
+        assert decoded == n  # no record is parsed twice
+        shown = [json.loads(line)["time"] for line in capsys.readouterr().out.splitlines()]
+        assert shown == [float(i) for i in range(n)]
+
+
 class TestRecordReplay:
     def test_record_offers_every_scenario_but_the_process_killer(self, tmp_path, capsys):
         from repro.scenarios import scenario_names
