@@ -67,7 +67,7 @@ from repro.core.protocol import (
     RuntimePort,
     _ProgramRuntime,
 )
-from repro.core.spine import ProtocolEvent
+from repro.core.spine import new_event
 from repro.des import AnyOf, Event, Process, Simulator
 from repro.util.rng import RngRegistry
 from repro.util.validation import require, require_non_negative
@@ -103,10 +103,10 @@ class ProcessContext(ContextBase):
         yield self.sim.timeout(seconds)
         self.stats.compute_time += seconds
         if self._rt._watch and (fold := self._rt._fold[spine.COMPUTE]) is not spine.ignore:
-            fold(ProtocolEvent(
-                spine.COMPUTE, self.who, self.sim._now,
-                program=self.program, rank=self.rank, values=(seconds,),
-            ))
+            fold(new_event((
+                spine.COMPUTE, self.who, self.sim._now, None, None, self.program, self.rank,
+                None, None, None, (seconds,), None,
+            )))
         return seconds
 
     def compute_elements(
@@ -125,11 +125,10 @@ class ProcessContext(ContextBase):
             # Announced as (elements, scale), not the drawn time: replay
             # re-issues the same draw from the same named stream, which
             # keeps the shared per-rank RNG in lock-step with exports.
-            fold(ProtocolEvent(
-                spine.COMPUTE_ELEMENTS, self.who, self.sim._now,
-                program=self.program, rank=self.rank,
-                values=(int(elements), float(scale)),
-            ))
+            fold(new_event((
+                spine.COMPUTE_ELEMENTS, self.who, self.sim._now, None, None, self.program,
+                self.rank, None, None, None, (int(elements), float(scale)), None,
+            )))
         return t
 
     # -- export -----------------------------------------------------------------
@@ -204,11 +203,10 @@ class ProcessContext(ContextBase):
         if outcome.replaced:
             charge += memory.free_buffers_time(len(outcome.replaced))
         if coupler._watch and (fold := coupler._fold[spine.EXPORT]) is not spine.ignore:
-            fold(ProtocolEvent(
-                spine.EXPORT, self.who, t0, program=self.program, rank=self.rank,
-                region=region, ts=ts, decision=outcome,
-                values=(None if data is None else data.dtype.name,),
-            ))
+            fold(new_event((
+                spine.EXPORT, self.who, t0, None, None, self.program, self.rank, region, ts,
+                outcome, (None if data is None else data.dtype.name,), None,
+            )))
         if charge > 0:
             yield sim.timeout(charge)
 
@@ -248,10 +246,10 @@ class ProcessContext(ContextBase):
         require(not handle.done, "import handle already completed")
         coupler = self._rt
         if coupler._watch and (fold := coupler._fold[spine.IMPORT_WAIT]) is not spine.ignore:
-            fold(ProtocolEvent(
-                spine.IMPORT_WAIT, self.who, self.sim._now, handle.connection_id,
-                handle.ts, program=self.program, rank=self.rank, region=handle.region,
-            ))
+            fold(new_event((
+                spine.IMPORT_WAIT, self.who, self.sim._now, handle.connection_id, handle.ts,
+                self.program, self.rank, handle.region, None, None, (), None,
+            )))
         return self._import_flow(handle, self._wait)
 
     def _wait(

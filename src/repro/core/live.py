@@ -49,13 +49,22 @@ from repro.core.protocol import (
     RuntimePort,
     _ProgramRuntime,
 )
-from repro.core.spine import ProtocolEvent
+from repro.core.spine import new_event
 from repro.faults.injectors import LiveFaultInjector
 from repro.util.validation import require, require_positive
 from repro.vmpi.thread_backend import MailboxTimeout, ThreadWorld
 
 if TYPE_CHECKING:
     from repro.api.options import RunOptions
+
+
+#: The race-monitor sites an agent message writes: its match state's,
+#: then its buffer ledger's.  Only what the monitor hears: every agent
+#: message, of a kind named here or not, runs under its process's lock.
+_AGENT_SITES: dict[type, tuple[str, str]] = {
+    wire.FwdRequest: ("agent.on_request", "agent.pieces"),
+    wire.BuddyMsg: ("agent.on_buddy_answer", "agent.buddy_pieces"),
+}
 
 
 class LiveProcessContext(ContextBase):
@@ -78,10 +87,10 @@ class LiveProcessContext(ContextBase):
         require(seconds >= 0, "compute time must be >= 0")
         time.sleep(seconds * self._rt.time_scale)
         if self._rt._watch:
-            self._rt._fold[spine.COMPUTE](ProtocolEvent(
-                spine.COMPUTE, self.who, self._rt.elapsed(),
-                program=self.program, rank=self.rank, values=(seconds,),
-            ))
+            self._rt._fold[spine.COMPUTE](new_event((
+                spine.COMPUTE, self.who, self._rt.elapsed(), None, None, self.program,
+                self.rank, None, None, None, (seconds,), None,
+            )))
 
     # -- export ------------------------------------------------------------------
     def export(self, region: str, ts: float, data: np.ndarray | None = None) -> ExportDecision:
@@ -107,12 +116,10 @@ class LiveProcessContext(ContextBase):
                 st.buffer.get(ts).payload = data.copy() if data is not None else None
                 st.buffer.record_cost(ts, time.perf_counter() - copy_start)
             if rt._watch:
-                rt._fold[spine.EXPORT](ProtocolEvent(
-                    spine.EXPORT, self.who, rt.elapsed(),
-                    program=self.program, rank=self.rank, region=region, ts=ts,
-                    decision=outcome,
-                    values=(None if data is None else data.dtype.name,),
-                ))
+                rt._fold[spine.EXPORT](new_event((
+                    spine.EXPORT, self.who, rt.elapsed(), None, None, self.program, self.rank,
+                    region, ts, outcome, (None if data is None else data.dtype.name,), None,
+                )))
             rt._exported(self, region, ts, outcome)
         cost = rt.elapsed() - t0
         self.stats.export_records.append(
@@ -235,7 +242,6 @@ class LiveCoupledSimulation(ProtocolDriver):
             RuntimePort(
                 now=self.elapsed,
                 send=self._deliver,
-                guard=self._locked,
             ),
             default_rto=lambda _plan: 0.25,
             default_max_retransmits=8,
@@ -294,6 +300,30 @@ class LiveCoupledSimulation(ProtocolDriver):
             finally:
                 if mon is not None:
                     mon.release(key)
+
+    # -- the service handlers, under their locks -------------------------------
+    def _rep_handle(self, prog: _ProgramRuntime, msg: Any) -> None:
+        """The driver's rep dispatch, holding the rep's lock."""
+        with self._locked(
+            ("rep", prog.name),
+            (("rep_cache", prog.rep_who), "write", "rep.dispatch"),
+        ):
+            super()._rep_handle(prog, msg)
+
+    def _agent_handle(self, ctx: ContextBase, msg: Any) -> int:
+        """The driver's agent step, holding the process's lock; the race
+        monitor hears of the match and ledger state a known message
+        kind writes (any other kind takes the lock all the same)."""
+        accesses: tuple[tuple[tuple[str, ...], str, str], ...] = ()
+        sites = _AGENT_SITES.get(type(msg))
+        if sites is not None:
+            region = self._exported_region(ctx.program, msg.connection_id)
+            accesses = (
+                (("match", ctx.who, region), "write", sites[0]),
+                (("ledger", ctx.who, region), "write", sites[1]),
+            )
+        with self._locked(("ctx", ctx.who), *accesses):
+            return super()._agent_handle(ctx, msg)
 
     # -- run --------------------------------------------------------------
     def run(self, join_timeout: float = 120.0) -> None:

@@ -15,18 +15,20 @@ sanitizer); which of them watch is decided here, for every runtime.
 
 It never touches a clock, a mailbox, a lock or a scheduler.  A runtime
 subclasses :class:`ProtocolDriver` and hands it a :class:`RuntimePort`
-— three callables bound once at construction:
+— two callables bound once at construction:
 
 ``now()``
     the run clock (virtual seconds on the DES, run-relative wall
     seconds on threads) — every announced event of a run is stamped
     from it;
 ``send(src, dst, payload, nbytes)``
-    deliver one already stamped, already counted wire unit;
-``guard(key, *accesses)``
-    a context manager entered around every state-machine mutation; the
-    thread runtime fills it with its lock and race-monitor calls, the
-    DES leaves it empty.
+    deliver one already stamped, already counted wire unit.
+
+The driver holds no lock around a state-machine mutation: on the DES
+and in the model checker one step runs at a time, so a rep or agent
+message pays nothing for a guard.  The thread runtime wraps the two
+service handlers, ``_rep_handle`` and ``_agent_handle``, in its lock
+and race-monitor calls.
 
 What an export, an import and a main's end set off is written here once
 (:meth:`ProtocolDriver._exported`, :meth:`ContextBase._import_flow`,
@@ -69,7 +71,7 @@ from repro.core.rep import (
     ForwardToExporter,
     ImporterRep,
 )
-from repro.core.spine import ProtocolEvent
+from repro.core.spine import ProtocolEvent, new_event
 from repro.data.decomposition import BlockDecomposition
 from repro.data.region import RectRegion
 from repro.data.schedule import CommSchedule
@@ -77,8 +79,6 @@ from repro.match.result import MatchKind, MatchResponse
 from repro.obs.trace import CausalLog, TraceContext
 from repro.util.tracing import NullTracer
 from repro.util.validation import ValidationError, require, require_positive
-
-_UNGUARDED: ContextManager[Any] = contextlib.nullcontext()
 
 #: The spine kind announcing each rep directive.
 _DIRECTIVE_KINDS: dict[type, str] = {
@@ -102,18 +102,12 @@ class Ending(NamedTuple):
     reason: str | None
 
 
-def _unguarded(key: Any, *accesses: Any) -> ContextManager[Any]:
-    """The guard of a single-threaded runtime: nothing to hold."""
-    return _UNGUARDED
-
-
 @dataclass(frozen=True)
 class RuntimePort:
     """What a runtime supplies to :class:`ProtocolDriver` (module docstring)."""
 
     now: Callable[[], float]
     send: Callable[[Any, Any, Any, int], Any]
-    guard: Callable[..., ContextManager[Any]] = _unguarded
     #: Serializes counter updates.  A real lock on every runtime: held
     #: by one thread it is a C-level enter/exit, cheaper per message
     #: than the two Python calls of a null context.
@@ -477,7 +471,6 @@ class ProtocolDriver:
         self.config.validate()
         self._now = port.now
         self._send = port.send
-        self._guard = port.guard
         self._lock = port.lock
         self.buddy_help = options.buddy_help
         self.tracer = options.tracer if options.tracer is not None else NullTracer()
@@ -843,10 +836,10 @@ class ProtocolDriver:
             with self._lock:
                 self.dup_discards += 1
             if self._watch:
-                self._fold[spine.DUP_DISCARD](ProtocolEvent(
-                    spine.DUP_DISCARD, who, self._now(),
-                    values=(type(msg).__name__, seq),
-                ))
+                self._fold[spine.DUP_DISCARD](new_event((
+                    spine.DUP_DISCARD, who, self._now(), None, None, None, None, None, None,
+                    None, (type(msg).__name__, seq), None,
+                )))
             return True
         seen.add(seq)
         return False
@@ -898,9 +891,10 @@ class ProtocolDriver:
                 nbytes=nbytes,
             )
         if self._watch and (fold := self._fold[spine.EXPORT_SEND]) is not spine.ignore:
-            fold(ProtocolEvent(
-                spine.EXPORT_SEND, ctx.who, self._now(), cid, rank=ctx.rank, ts=m
-            ))
+            fold(new_event((
+                spine.EXPORT_SEND, ctx.who, self._now(), cid, None, None, ctx.rank, None, m,
+                None, (), None,
+            )))
 
     def _send_response(
         self, ctx: ContextBase, cid: str, response: MatchResponse
@@ -908,10 +902,10 @@ class ProtocolDriver:
         """Send one per-process match response to the program's rep."""
         tr: TraceContext | None = None
         if self._watch:
-            tr = self._fold[spine.MATCH](ProtocolEvent(
-                spine.MATCH, ctx.who, self._now(), cid, response.request_ts,
-                rank=ctx.rank, decision=response,
-            ))
+            tr = self._fold[spine.MATCH](new_event((
+                spine.MATCH, ctx.who, self._now(), cid, response.request_ts, None, ctx.rank,
+                None, None, response, (), None,
+            )))
         self._net_send(
             ("cpl", ctx.program, ctx.rank),
             ("rep", ctx.program),
@@ -962,10 +956,10 @@ class ProtocolDriver:
         if not evicted:
             return 0
         if self._watch and (fold := self._fold[spine.EVICT]) is not spine.ignore:
-            fold(ProtocolEvent(
-                spine.EVICT, ctx.who, self._now(),
-                rank=ctx.rank, ts=evicted[-1].ts, decision=evicted,
-            ))
+            fold(new_event((
+                spine.EVICT, ctx.who, self._now(), None, None, None, ctx.rank, None,
+                evicted[-1].ts, evicted, (), None,
+            )))
         return len(evicted)
 
     def _buddy_skip(self, ctx: ContextBase, ts: float, outcome: Any) -> None:
@@ -985,10 +979,10 @@ class ProtocolDriver:
         lead = now - arrived_at
         ctx.stats.buddy_lead_times.append((ts, request_ts, lead))
         if self._watch:
-            self._fold[spine.BUDDY_SKIP](ProtocolEvent(
-                spine.BUDDY_SKIP, ctx.who, now, cid, request_ts,
-                rank=ctx.rank, ts=ts, values=(lead,),
-            ))
+            self._fold[spine.BUDDY_SKIP](new_event((
+                spine.BUDDY_SKIP, ctx.who, now, cid, request_ts, None, ctx.rank, None, ts, None,
+                (lead,), None,
+            )))
 
     def _agent_handle(self, ctx: ContextBase, msg: Any) -> int:
         """Apply one rep→process message; returns the entries it evicted."""
@@ -998,44 +992,34 @@ class ProtocolDriver:
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
             if self._watch:
-                self._fold[spine.REQUEST_RECV](ProtocolEvent(
-                    spine.REQUEST_RECV, ctx.who, self._now(), cid, request_ts,
-                    rank=ctx.rank, cause=msg.trace,
-                ))
-            with self._guard(
-                ("ctx", ctx.who),
-                (("match", ctx.who, region), "write", "agent.on_request"),
-                (("ledger", ctx.who, region), "write", "agent.pieces"),
-            ):
-                outcome = st.on_request(cid, request_ts)
-                self._send_response(ctx, cid, outcome.response)
-                if outcome.applied is not None and outcome.applied.send_now is not None:
-                    self._send_pieces(ctx, region, cid, outcome.applied.send_now)
-                return self._evict(ctx, st)
+                self._fold[spine.REQUEST_RECV](new_event((
+                    spine.REQUEST_RECV, ctx.who, self._now(), cid, request_ts, None, ctx.rank,
+                    None, None, None, (), msg.trace,
+                )))
+            outcome = st.on_request(cid, request_ts)
+            self._send_response(ctx, cid, outcome.response)
+            if outcome.applied is not None and outcome.applied.send_now is not None:
+                self._send_pieces(ctx, region, cid, outcome.applied.send_now)
+            return self._evict(ctx, st)
         if kind is wire.BuddyMsg:
             cid, answer = msg.connection_id, msg.answer
             region = self._exported_region(ctx.program, cid)
             st = ctx.export_states[region]
             now = self._now()
             if self._watch:
-                self._fold[spine.BUDDY_RECV](ProtocolEvent(
-                    spine.BUDDY_RECV, ctx.who, now, cid, answer.request_ts,
-                    rank=ctx.rank, decision=answer, cause=msg.trace,
-                ))
+                self._fold[spine.BUDDY_RECV](new_event((
+                    spine.BUDDY_RECV, ctx.who, now, cid, answer.request_ts, None, ctx.rank,
+                    None, None, answer, (), msg.trace,
+                )))
             # Arrival bookkeeping is unconditional (one dict write, off
             # the hot path): buddy-help lead times are reported even
             # when nothing watches the run.
             ctx._buddy_arrivals[(cid, answer.request_ts)] = now
-            with self._guard(
-                ("ctx", ctx.who),
-                (("match", ctx.who, region), "write", "agent.on_buddy_answer"),
-                (("ledger", ctx.who, region), "write", "agent.buddy_pieces"),
-            ):
-                applied = st.on_buddy_answer(cid, answer)
-                ctx.stats.buddy_answers_received += 1
-                if applied.send_now is not None:
-                    self._send_pieces(ctx, region, cid, applied.send_now)
-                return self._evict(ctx, st)
+            applied = st.on_buddy_answer(cid, answer)
+            ctx.stats.buddy_answers_received += 1
+            if applied.send_now is not None:
+                self._send_pieces(ctx, region, cid, applied.send_now)
+            return self._evict(ctx, st)
         raise FrameworkError(f"agent received unexpected message {msg!r}")
 
     def _exported_region(self, prog: str, cid: str) -> str:
@@ -1048,40 +1032,36 @@ class ProtocolDriver:
     def _rep_handle(self, prog: _ProgramRuntime, msg: Any) -> None:
         """Dispatch one rep message to the right state machine."""
         kind = type(msg)  # kinds are told apart by exact type (core/wire.py)
-        with self._guard(
-            ("rep", prog.name),
-            (("rep_cache", prog.rep_who), "write", "rep.dispatch"),
-        ):
-            if kind is wire.ReqToExpRep:
-                assert prog.exp_rep is not None
-                directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
-            elif kind is wire.ProcResponse:
-                assert prog.exp_rep is not None
-                if self._watch:
-                    self._fold[spine.RESPONSE_RECV](ProtocolEvent(
-                        spine.RESPONSE_RECV, prog.rep_who, self._now(),
-                        msg.connection_id, msg.response.request_ts,
-                        rank=msg.rank, decision=msg.response, cause=msg.trace,
-                    ))
-                directives = prog.exp_rep.on_response(
-                    msg.connection_id, msg.rank, msg.response
-                )
-            elif kind is wire.ImpProcRequest:
-                assert prog.imp_rep is not None
-                directives = prog.imp_rep.on_process_request(
-                    msg.connection_id, msg.request_ts, msg.rank
-                )
-            elif kind is wire.AnswerToImpRep:
-                assert prog.imp_rep is not None
-                if self._watch:
-                    self._fold[spine.ANSWER_RECV](ProtocolEvent(
-                        spine.ANSWER_RECV, prog.rep_who, self._now(),
-                        msg.connection_id, msg.answer.request_ts,
-                        decision=msg.answer, cause=msg.trace,
-                    ))
-                directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
-            else:
-                raise FrameworkError(f"rep received unexpected message {msg!r}")
+        if kind is wire.ReqToExpRep:
+            assert prog.exp_rep is not None
+            directives = prog.exp_rep.on_request(msg.connection_id, msg.request_ts)
+        elif kind is wire.ProcResponse:
+            assert prog.exp_rep is not None
+            if self._watch:
+                self._fold[spine.RESPONSE_RECV](new_event((
+                    spine.RESPONSE_RECV, prog.rep_who, self._now(), msg.connection_id,
+                    msg.response.request_ts, None, msg.rank, None, None, msg.response, (),
+                    msg.trace,
+                )))
+            directives = prog.exp_rep.on_response(
+                msg.connection_id, msg.rank, msg.response
+            )
+        elif kind is wire.ImpProcRequest:
+            assert prog.imp_rep is not None
+            directives = prog.imp_rep.on_process_request(
+                msg.connection_id, msg.request_ts, msg.rank
+            )
+        elif kind is wire.AnswerToImpRep:
+            assert prog.imp_rep is not None
+            if self._watch:
+                self._fold[spine.ANSWER_RECV](new_event((
+                    spine.ANSWER_RECV, prog.rep_who, self._now(), msg.connection_id,
+                    msg.answer.request_ts, None, None, None, None, msg.answer, (),
+                    msg.trace,
+                )))
+            directives = prog.imp_rep.on_answer(msg.connection_id, msg.answer)
+        else:
+            raise FrameworkError(f"rep received unexpected message {msg!r}")
         cause = msg.trace
         for d in directives:
             self._execute_directive(prog, d, cause)
@@ -1131,11 +1111,10 @@ class ProtocolDriver:
         if type(d) is AnswerImporter:
             assert prog.exp_rep is not None
             info = prog.exp_rep.finalize_info(d.connection_id, request_ts) or ()
-        return ProtocolEvent(
-            _DIRECTIVE_KINDS[type(d)], prog.rep_who, self._now(), d.connection_id,
-            request_ts, rank=getattr(d, "rank", None), decision=answer,
-            values=info, cause=cause,
-        )
+        return new_event((
+            _DIRECTIVE_KINDS[type(d)], prog.rep_who, self._now(), d.connection_id, request_ts,
+            None, getattr(d, "rank", None), None, None, answer, info, cause,
+        ))
 
     # -- importer side -----------------------------------------------------------
     def _send_request(
@@ -1157,10 +1136,10 @@ class ProtocolDriver:
         record = ist.start_request(ts, now)
         tr: TraceContext | None = None
         if self._watch:
-            tr = self._fold[spine.IMPORT_REQUEST](ProtocolEvent(
-                spine.IMPORT_REQUEST, ctx.who, now, cid, ts,
-                program=ctx.program, rank=ctx.rank, region=region,
-            ))
+            tr = self._fold[spine.IMPORT_REQUEST](new_event((
+                spine.IMPORT_REQUEST, ctx.who, now, cid, ts, ctx.program, ctx.rank, region,
+                None, None, (), None,
+            )))
         self._send_request(ctx, cid, ts, tr)
         return ImportHandle(region=region, connection_id=cid, ts=ts, record=record)
 
@@ -1189,10 +1168,10 @@ class ProtocolDriver:
             self.retransmissions += 1
         tr: TraceContext | None = None
         if self._watch:
-            tr = self._fold[spine.RETRANSMIT](ProtocolEvent(
-                spine.RETRANSMIT, ctx.who, self._now(), cid, ts,
-                rank=ctx.rank, values=(attempt, self._backoff(attempt)),
-            ))
+            tr = self._fold[spine.RETRANSMIT](new_event((
+                spine.RETRANSMIT, ctx.who, self._now(), cid, ts, None, ctx.rank, None, None,
+                None, (attempt, self._backoff(attempt)), None,
+            )))
         self._send_request(ctx, cid, ts, tr)
 
     def _import_answered(
@@ -1208,10 +1187,10 @@ class ProtocolDriver:
         ctx.import_states[handle.region].on_answer(handle.record, answer, now)
         handle.done = True
         if self._watch:
-            self._fold[spine.ANSWERED](ProtocolEvent(
-                spine.ANSWERED, ctx.who, now, handle.connection_id, handle.ts,
-                rank=ctx.rank, decision=answer, cause=msg.trace,
-            ))
+            self._fold[spine.ANSWERED](new_event((
+                spine.ANSWERED, ctx.who, now, handle.connection_id, handle.ts, None, ctx.rank,
+                None, None, answer, (), msg.trace,
+            )))
         if answer.kind is MatchKind.NO_MATCH:
             self._import_complete(ctx, handle, msg, None)
 
@@ -1230,9 +1209,9 @@ class ProtocolDriver:
         now = self._now()
         ctx.import_states[handle.region].complete(handle.record, now)
         if self._watch:
-            self._fold[spine.IMPORT_COMPLETE](ProtocolEvent(
-                spine.IMPORT_COMPLETE, ctx.who, now, handle.connection_id, handle.ts,
-                rank=ctx.rank, ts=msg.answer.matched_ts, decision=msg.answer,
-                values=(None if pieces is None else len(pieces),),
-            ))
+            self._fold[spine.IMPORT_COMPLETE](new_event((
+                spine.IMPORT_COMPLETE, ctx.who, now, handle.connection_id, handle.ts, None,
+                ctx.rank, None, msg.answer.matched_ts, msg.answer,
+                (None if pieces is None else len(pieces),), None,
+            )))
         return block

@@ -15,7 +15,8 @@ sanitizer rule table is in ``docs/observability.md``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+from functools import partial
+from typing import Any, Callable, NamedTuple, cast
 
 from repro.core.exporter import ExportDecision
 from repro.obs.trace import CausalLog, TraceContext
@@ -54,7 +55,8 @@ KINDS = (
 
 
 class ProtocolEvent(NamedTuple):
-    """One announced protocol decision (a tuple: one is built per event)."""
+    """One announced protocol decision (a tuple: one is built per event,
+    by :data:`new_event`)."""
 
     kind: str
     #: Acting process (``"F.p2"``) or rep (``"F.rep"``).
@@ -78,6 +80,14 @@ class ProtocolEvent(NamedTuple):
     #: Context of the wire message that caused the decision.
     cause: TraceContext | None = None
 
+
+#: Builds a :class:`ProtocolEvent` from the tuple of all twelve fields,
+#: in declaration order, in one C-level call (the class's own keyword
+#: ``__new__`` is a Python frame more): ``new_event((kind, who, time,
+#: cid, request, program, rank, region, ts, decision, values, cause))``.
+new_event = cast(
+    Callable[[tuple[Any, ...]], ProtocolEvent], partial(tuple.__new__, ProtocolEvent)
+)
 
 Handler = Callable[[ProtocolEvent], Any]
 
@@ -171,6 +181,16 @@ class PaperFold(Fold):
         self.tracer.record(tracing.DUP_DISCARD, ev.who, ev.time, msg=msg, seq=seq)
 
 
+#: The attr keys of causal spans, in the order their values are passed.
+_AT = ("connection", "request")
+_AT_RANK = (*_AT, "rank")
+_AT_KIND = (*_AT, "kind")
+_AT_ATTEMPT = (*_AT, "attempt")
+_AT_PIECES = (*_AT_KIND, "pieces")
+_AT_MATCH = (*_AT_KIND, "rank")
+_AT_SKIP = (*_AT, "export_ts", "lead")
+
+
 class CausalFold(Fold):
     """The causal DAG, and the one owner of its bookkeeping.
 
@@ -198,39 +218,39 @@ class CausalFold(Fold):
 
     def _span(
         self, ev: ProtocolEvent, name: str, cause: TraceContext | None,
-        extra: tuple[int, ...] = (), **attrs: Any,
+        keys: tuple[str, ...], values: tuple[Any, ...], extra: tuple[int, ...] = (),
     ) -> TraceContext:
-        """Record a span caused by *cause* (or rooted at the request key),
-        its fields handed straight to the log's columns."""
+        """Record a span caused by *cause* (or rooted at the request key)
+        whose attrs are *keys* → *values*, handed straight to the log's
+        columns."""
         if cause is None:
             tid, parents = self.log.trace_for(ev.cid, ev.request), extra
         else:
             tid, parents = cause.trace_id, (cause.span_id, *extra)
         if extra:  # a gathered response may also be the cause
             parents = tuple(dict.fromkeys(parents))
-        return self.log.append(
-            tid, name, ev.who, ev.time, parents,
-            {"connection": ev.cid, "request": ev.request, **attrs},
-        )
+        return self.log.append(tid, name, ev.who, ev.time, parents, keys, values)
 
     # -- importer processes ----------------------------------------------------
     def _import_request(self, ev: ProtocolEvent) -> TraceContext:
-        tr = self._span(ev, "request", None, rank=ev.rank)
+        tr = self._span(ev, "request", None, _AT_RANK, (ev.cid, ev.request, ev.rank))
         self._roots[(ev.who, ev.cid, ev.request)] = tr
         return tr
 
     def _retransmit(self, ev: ProtocolEvent) -> TraceContext:
         # The ORIGINAL trace id: one import's DAG survives the fault layer.
         root = self._roots.get((ev.who, ev.cid, ev.request))
-        return self._span(ev, "retransmit", root, attempt=ev.values[0])
+        return self._span(
+            ev, "retransmit", root, _AT_ATTEMPT, (ev.cid, ev.request, ev.values[0])
+        )
 
     def _answered(self, ev: ProtocolEvent) -> TraceContext:
         key = (ev.who, ev.cid, ev.request)
         root, incoming = self._roots.get(key), ev.cause
         self._answered_spans[key] = span = self._span(
             ev, "answered", incoming if incoming is not None else root,
+            _AT_KIND, (ev.cid, ev.request, str(ev.decision.kind)),
             () if incoming is None or root is None else (root.span_id,),
-            kind=str(ev.decision.kind),
         )
         return span
 
@@ -238,7 +258,8 @@ class CausalFold(Fold):
         span = self._answered_spans.pop((ev.who, ev.cid, ev.request), None)
         if span is not None:
             self._span(
-                ev, "complete", span, kind=str(ev.decision.kind), pieces=ev.values[0] or 0
+                ev, "complete", span, _AT_PIECES,
+                (ev.cid, ev.request, str(ev.decision.kind), ev.values[0] or 0),
             )
 
     # -- exporter processes ----------------------------------------------------
@@ -247,23 +268,29 @@ class CausalFold(Fold):
 
     def _match(self, ev: ProtocolEvent) -> TraceContext:
         cause = self._forwards.get((ev.who, ev.cid, ev.request))
-        return self._span(ev, "match", cause, kind=str(ev.decision.kind), rank=ev.rank)
+        return self._span(
+            ev, "match", cause, _AT_MATCH,
+            (ev.cid, ev.request, str(ev.decision.kind), ev.rank),
+        )
 
     def _buddy_recv(self, ev: ProtocolEvent) -> TraceContext:
-        span = self._span(ev, "buddy_recv", ev.cause, rank=ev.rank)
+        span = self._span(ev, "buddy_recv", ev.cause, _AT_RANK, (ev.cid, ev.request, ev.rank))
         self._buddy_spans[(ev.who, ev.cid, ev.request)] = span
         return span
 
     def _buddy_skip(self, ev: ProtocolEvent) -> TraceContext:
         cause = self._buddy_spans.get((ev.who, ev.cid, ev.request))
-        return self._span(ev, "buddy_skip", cause, export_ts=ev.ts, lead=ev.values[0])
+        return self._span(
+            ev, "buddy_skip", cause, _AT_SKIP,
+            (ev.cid, ev.request, ev.ts, ev.values[0]),
+        )
 
     # -- representatives -------------------------------------------------------
     def _rep_forward(self, ev: ProtocolEvent) -> TraceContext:
-        return self._span(ev, "rep_forward", ev.cause)
+        return self._span(ev, "rep_forward", ev.cause, _AT, (ev.cid, ev.request))
 
     def _fan_out(self, ev: ProtocolEvent) -> TraceContext:
-        return self._span(ev, "fan_out", ev.cause, rank=ev.rank)
+        return self._span(ev, "fan_out", ev.cause, _AT_RANK, (ev.cid, ev.request, ev.rank))
 
     def _response_recv(self, ev: ProtocolEvent) -> None:
         if ev.cause is not None:
@@ -273,20 +300,20 @@ class CausalFold(Fold):
         key = (ev.cid, ev.request)
         prior = self._aggregates.get(key)
         extra = tuple(self._gathered.pop(key, ()))
-        attrs: dict[str, Any] = {"kind": str(ev.decision.kind)}
+        keys, values = _AT_KIND, (ev.cid, ev.request, str(ev.decision.kind))
         if ev.values:
-            attrs["case"], attrs["finalizing_rank"] = ev.values
+            keys, values = (*keys, "case", "finalizing_rank"), (*values, *ev.values)
         if prior is not None:
             extra = (prior.span_id, *extra)
-            attrs["cached"] = True
-        tr = self._span(ev, "aggregate", ev.cause, extra, **attrs)
+            keys, values = (*keys, "cached"), (*values, True)
+        tr = self._span(ev, "aggregate", ev.cause, keys, values, extra)
         self._aggregates.setdefault(key, tr)
         return tr
 
     def _buddy_send(self, ev: ProtocolEvent) -> TraceContext:
         agg = self._aggregates.get((ev.cid, ev.request))
         cause = agg if agg is not None else ev.cause
-        return self._span(ev, "buddy_notify", cause, rank=ev.rank)
+        return self._span(ev, "buddy_notify", cause, _AT_RANK, (ev.cid, ev.request, ev.rank))
 
     def _answer_recv(self, ev: ProtocolEvent) -> None:
         if ev.cause is not None:
@@ -295,16 +322,21 @@ class CausalFold(Fold):
     def _deliver(self, ev: ProtocolEvent) -> TraceContext:
         ans = self._answers.get((ev.cid, ev.request))
         extra = () if ans is None else (ans.span_id,)
-        return self._span(ev, "answer", ev.cause, extra, rank=ev.rank)
+        return self._span(
+            ev, "answer", ev.cause, _AT_RANK, (ev.cid, ev.request, ev.rank), extra
+        )
 
 
 class ProvenanceFold(Fold):
-    """Match and operation rows of a provenance log; an operation row
-    carries the ``OP_FIELDS`` values of :mod:`repro.obs.prov`, in order."""
+    """Match and operation rows of a provenance log.  An operation row
+    goes on its own process's columns (``ProvenanceRecorder.op_columns``):
+    its kind on the kind list, its ``OP_FIELDS`` values of
+    :mod:`repro.obs.prov`, in order, on that kind's value list."""
 
     def __init__(self, prov: Any, backend: str) -> None:
         self.prov = prov
         self.backend = backend
+        self.op_columns = prov.op_columns
 
     def _match(self, ev: ProtocolEvent) -> None:
         r = ev.decision
@@ -314,16 +346,24 @@ class ProvenanceFold(Fold):
         )
 
     def _export(self, ev: ProtocolEvent) -> None:
-        self.prov.on_op(ev.program, ev.rank, "export", ev.region, ev.ts, ev.values[0])
+        kinds, values = self.op_columns[ev.program, ev.rank]
+        kinds.append("export")
+        values["export"].extend((ev.region, ev.ts, ev.values[0]))
 
     def _import_request(self, ev: ProtocolEvent) -> None:
-        self.prov.on_op(ev.program, ev.rank, "import_begin", ev.region, ev.request)
+        kinds, values = self.op_columns[ev.program, ev.rank]
+        kinds.append("import_begin")
+        values["import_begin"].extend((ev.region, ev.request))
 
     def _import_wait(self, ev: ProtocolEvent) -> None:
-        self.prov.on_op(ev.program, ev.rank, "import_wait", ev.region, ev.request)
+        kinds, values = self.op_columns[ev.program, ev.rank]
+        kinds.append("import_wait")
+        values["import_wait"].extend((ev.region, ev.request))
 
     def _compute(self, ev: ProtocolEvent) -> None:
-        self.prov.on_op(ev.program, ev.rank, ev.kind, *ev.values)
+        kinds, values = self.op_columns[ev.program, ev.rank]
+        kinds.append(ev.kind)
+        values[ev.kind].extend(ev.values)
 
     _compute_elements = _compute
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.des.core import Event, Simulator
+from repro.des.core import Event, Simulator, _new_event
 
 #: A parked getter: the event to trigger plus an optional predicate the
 #: item must satisfy (``None`` accepts anything).
@@ -48,32 +48,45 @@ class Store:
         for idx, (getter, predicate) in enumerate(self._getters):
             if predicate is None or predicate(item):
                 del self._getters[idx]
-                getter.succeed(item)
+                # ``getter.succeed(item)`` inline: a parked getter is
+                # pending, and its ``_ok`` was set when it was built.
+                getter._triggered = True
+                getter._value = item
+                sim = self.sim
+                sim._seq = seq = sim._seq + 1
+                sim._lanes[1].append((seq, getter))
                 return
         self._items.append(item)
 
-    def get(self) -> Event:
-        """Take the oldest item; returns an event carrying the item."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append((ev, None))
-        return ev
+    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
+        """Take the oldest item, or with *predicate* the oldest item it
+        accepts; returns an event carrying the item.
 
-    def get_matching(self, predicate: Callable[[Any], bool]) -> Event:
-        """Take the oldest item satisfying *predicate*.
-
-        Unlike :meth:`get`, a non-matching item is left in place for
-        other getters.  If no buffered item matches, the caller blocks
-        until a matching item is put.  Matching getters are served in
-        arrival order.
+        A non-matching item is left in place for other getters.  If no
+        buffered item matches, the caller blocks until a matching item
+        is put.  Getters are served in arrival order.
         """
-        ev = Event(self.sim)
-        for i, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[i]
-                ev.succeed(item)
+        # ``Event(sim)`` inline, as ``Simulator.timeout`` builds its own
+        # (one Python frame fewer per receive); a buffered item triggers
+        # it at once, as ``succeed`` would.
+        sim = self.sim
+        ev = _new_event(Event)
+        ev.sim = sim
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = True
+        ev._triggered = ev._processed = ev._defused = False
+        items = self._items
+        for i, item in enumerate(items):
+            if predicate is None or predicate(item):
+                del items[i]
+                ev._value = item
+                ev._triggered = True
+                sim._seq = seq = sim._seq + 1
+                sim._lanes[1].append((seq, ev))
                 return ev
         self._getters.append((ev, predicate))
         return ev
+
+    #: A *matched* receive: :meth:`get` with a predicate.
+    get_matching = get

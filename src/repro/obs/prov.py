@@ -41,6 +41,7 @@ Paths ending in ``.gz`` are written/read gzip-compressed.
 from __future__ import annotations
 
 import base64
+import binascii
 import contextlib
 import gzip
 import hashlib
@@ -50,8 +51,8 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain, compress, groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping, Sequence
 
@@ -155,8 +156,9 @@ def payload_digest(payload: dict[str, Any]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _b64(arr: np.ndarray) -> str:
-    return base64.b64encode(arr.tobytes()).decode("ascii")
+def _b64(data: np.ndarray | bytes) -> str:
+    """Base64 text of *data*'s bytes: a C-contiguous array's buffer, or bytes."""
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def _unb64(text: str, dtype: str) -> np.ndarray:
@@ -376,20 +378,27 @@ def _column(values: Sequence[Any]) -> list[Any]:
     if kinds == {int}:
         with contextlib.suppress(OverflowError):
             return ["i8", _b64(np.array(values, dtype=np.int64))]
-    # Keyed by type too unless all are names, so 1 and 1.0 stay apart,
-    # and a float by its IEEE-754 bits, so 0.0 and -0.0 do, inside a
-    # tuple too: a call per value, paid only by a column holding a float
-    # or a tuple of more than names and ints (not by addresses or trace
-    # contexts), which ``(type, value)`` keys exactly.
-    if kinds <= {str, type(None)}:
+    # A value is its own key when equal values are written alike: names,
+    # ``None`` and tuples of one class holding only names and ints (the
+    # wire's addresses and trace contexts).  Any other column is keyed
+    # by type too, so 1 and 1.0 stay apart, and a float by its IEEE-754
+    # bits, so 0.0 and -0.0 do, inside a tuple too: a call per value,
+    # paid only by a column holding a float or a tuple of more than
+    # names and ints, which ``(type, value)`` keys exactly.
+    others = kinds - {str, type(None)}
+    if not others or (
+        len(others) == 1 and issubclass(next(iter(others)), tuple) and _flat(values)
+    ):
         keys: Sequence[Any] = values
     elif any(issubclass(kind, float) for kind in kinds) or not _flat(values):
         keys = list(map(_key, values))
     else:
         keys = list(zip(map(type, values), values))
     table = dict(zip(keys, values))
-    index = {key: i for i, key in enumerate(table)}
-    code = "u1" if len(index) <= 1 << 8 else "u2" if len(index) <= 1 << 16 else "u4"
+    index = dict(zip(table, range(len(table))))
+    if len(index) <= 1 << 8:  # one byte per code, written as bytes
+        return ["u1", _b64(bytes(map(index.__getitem__, keys))), list(table.values())]
+    code = "u2" if len(index) <= 1 << 16 else "u4"
     codes = np.array(list(map(index.__getitem__, keys)), dtype=code)
     return [code, _b64(codes), list(table.values())]
 
@@ -461,28 +470,44 @@ def causal_digest(report: Any) -> str:
 # -- recorder ---------------------------------------------------------------
 
 
+def _op_columns() -> tuple[list[str], dict[str, list[Any]]]:
+    """One process's operation rows as columns: each row's kind, in
+    issue order, and per kind its rows' ``OP_FIELDS`` values, back to
+    back (row *i* of a kind of *w* fields is ``values[i * w:(i + 1) * w]``)."""
+    return [], {kind: [] for kind in OP_FIELDS}
+
+
 class ProvenanceRecorder:
     """Buffered writer of one run's ``repro.prov/v2`` log.
 
     Hot-path hooks are designed to be as close to free as recording
-    allows: wire/match/op events append one small tuple to a Python
-    list (``on_op`` takes the op's kind and its ``OP_FIELDS`` values,
-    not a dict), and RNG draws go through one bound-method call.
+    allows, and keep no object per row (each would be one more for
+    every cyclic-GC pass of the run to walk): a wire or match row's
+    fields go on one flat list, row after row, and RNG draws go through
+    one bound-method call.  Operation rows are kept as columns, in
+    their own process's entry of :attr:`op_columns`: the row's kind on
+    the process's kind list and its ``OP_FIELDS`` values, back to back,
+    on that kind's value list.  The event spine's provenance fold
+    appends to them directly; ``on_op`` is the same appends as a call.
     Everything except the header is encoded and written once, at
-    :meth:`close`: op rows as one ``ops`` block per ``(program, rank)``,
-    wire and match rows as one block each, RNG draws as base64 binary
-    columns.
+    :meth:`close`, each column one slice of its list: op rows as one
+    ``ops`` block per ``(program, rank)``, wire and match rows as one
+    block each, RNG draws as base64 binary columns.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
         self._fh: IO[str] | None = None
         self._header: dict[str, Any] | None = None
-        self._wire: list[
-            tuple[float, int, Any, Any, str, str, int, Any]
-        ] = []
-        self._match: list[tuple[float, str, int, float, str, float, str]] = []
-        self._ops: list[tuple[Any, ...]] = []
+        #: The wire and the match rows' ``_FIELDS`` values, row after row
+        #: (no object kept per row; a field's column is one slice).
+        self._wire: list[Any] = []
+        self._match: list[Any] = []
+        #: ``(program, rank)`` → that process's operation rows as
+        #: :func:`_op_columns`, made on its first row.
+        self.op_columns: defaultdict[
+            tuple[str, int], tuple[list[str], dict[str, list[Any]]]
+        ] = defaultdict(_op_columns)
         #: Per stream, the method and the value of each draw in order;
         #: methods are coded at :meth:`close`, not per draw.
         self._rng: dict[str, tuple[list[str], list[float]]] = {}
@@ -502,7 +527,7 @@ class ProvenanceRecorder:
         trace: Any = None,
     ) -> None:
         """One control- or data-plane message send."""
-        self._wire.append((now, seq, src, dst, msg, plane, nbytes, trace))
+        self._wire.extend((now, seq, src, dst, msg, plane, nbytes, trace))
 
     def on_match(
         self,
@@ -515,16 +540,18 @@ class ProvenanceRecorder:
         backend: str,
     ) -> None:
         """One match-engine resolution leaving an exporter process."""
-        self._match.append(
-            (now, cid, rank, request_ts, kind, latest_export_ts, backend)
-        )
+        self._match.extend((now, cid, rank, request_ts, kind, latest_export_ts, backend))
 
     def on_op(self, program: str, rank: int, kind: str, *fields: Any) -> None:
         """One process-context operation (the replay ground truth).
 
         *fields* are the values of ``OP_FIELDS[kind]``, in that order.
         """
-        self._ops.append((program, rank, kind, *fields))
+        if len(fields) != len(OP_FIELDS[kind]):  # would shift the kind's later rows
+            raise ValueError(f"{kind} takes {OP_FIELDS[kind]}, got {fields!r}")
+        kinds, values = self.op_columns[program, rank]
+        kinds.append(kind)
+        values[kind].extend(fields)
 
     def on_rng(self, stream: str, method: str, value: float) -> None:
         """One scalar draw from a named RNG stream."""
@@ -588,21 +615,20 @@ class ProvenanceRecorder:
             self._fh.write(json.dumps(self._header, sort_keys=True) + "\n")
         fh = self._fh
         write = fh.write
-        # One ops block per (program, rank), rows in recorded order (stable
-        # sorts), with no tuple built per row: each wakes the cyclic GC.
-        ops = sorted(sorted(self._ops, key=itemgetter(1)), key=itemgetter(0))
-        for program, of_program in groupby(ops, itemgetter(0)):
-            for rank, group in groupby(of_program, itemgetter(1)):
-                rows = list(group)
-                cols: dict[str, Sequence[Any]] = {"op": [row[2] for row in rows]}
-                for kind in dict.fromkeys(cols["op"]):
-                    of_kind = [row for row in rows if row[2] == kind]
-                    for i, f in enumerate(OP_FIELDS[kind], start=3):
-                        cols[f"{kind}.{f}"] = [row[i] for row in of_kind]
-                write(_block("ops", len(rows), cols, p=program, r=rank))
+        # One ops block per (program, rank), in that order, rows in issue
+        # order: a field's column is one slice of its kind's values.
+        for (program, rank), (kinds, by_kind) in sorted(self.op_columns.items()):
+            cols: dict[str, Sequence[Any]] = {"op": kinds}
+            for kind in dict.fromkeys(kinds):
+                fields = OP_FIELDS[kind]
+                for i, f in enumerate(fields):
+                    cols[f"{kind}.{f}"] = by_kind[kind][i::len(fields)]
+            write(_block("ops", len(kinds), cols, p=program, r=rank))
         for t, flat in (("wire", self._wire), ("match", self._match)):
             if flat:
-                write(_block(t, len(flat), dict(zip(_FIELDS[t], zip(*flat)))))
+                fields = _FIELDS[t]
+                columns = {f: flat[i::len(fields)] for i, f in enumerate(fields)}
+                write(_block(t, len(flat) // len(fields), columns))
         for stream, (drawn, values) in sorted(self._rng.items()):
             methods = list(dict.fromkeys(drawn))  # in first-drawn order
             code = {method: i for i, method in enumerate(methods)}

@@ -44,7 +44,8 @@ import json
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, cast
 
 from repro.util.validation import require
 
@@ -76,6 +77,13 @@ class TraceContext(NamedTuple):
     def as_dict(self) -> dict[str, int]:
         """JSON-ready form."""
         return {"trace_id": self.trace_id, "span_id": self.span_id}
+
+
+#: Builds a :class:`TraceContext` from ``(trace_id, span_id)`` in one
+#: C-level call: one is made per recorded span.
+_context = cast(
+    Callable[[tuple[int, int]], TraceContext], partial(tuple.__new__, TraceContext)
+)
 
 
 class CausalSpan(NamedTuple):
@@ -123,6 +131,8 @@ class CausalLog:
         self.parents: list[tuple[int, ...]] = []
         self.shapes: list[tuple[str, ...]] = []
         self.attrs: defaultdict[str, dict[int, Any]] = defaultdict(dict)
+        #: Shape → the :attr:`attrs` columns of its keys, in order.
+        self._columns: dict[tuple[str, ...], tuple[dict[int, Any], ...]] = {}
         self._spans: tuple[CausalSpan, ...] = ()
         self._trace_keys: dict[tuple[str, float], int] = {}
         self._lock = threading.Lock()
@@ -156,24 +166,32 @@ class CausalLog:
     ) -> TraceContext:
         """Append a span; returns the context to stamp onto messages."""
         parent_ids = tuple(dict.fromkeys(map(int, parents)))
-        return self.append(int(trace_id), name, who, time, parent_ids, attrs)
+        return self.append(
+            int(trace_id), name, who, float(time), parent_ids, tuple(attrs), tuple(attrs.values())
+        )
 
     def append(self, trace_id: int, name: str, who: str, time: float,
-               parents: tuple[int, ...], attrs: dict[str, Any]) -> TraceContext:
-        """:meth:`record` for a caller whose trace id is an int and whose
-        parent ids are distinct ints (the causal fold's path)."""
-        columns = self.attrs
+               parents: tuple[int, ...], keys: tuple[str, ...],
+               values: tuple[Any, ...]) -> TraceContext:
+        """:meth:`record` for a caller whose trace id is an int, whose
+        time is a float, whose parent ids are distinct ints and whose
+        attrs are *keys* → *values* (the causal fold's path: no dict is
+        built per span)."""
         with self._lock:
             span_id = len(self.times)
             self.trace_ids.append(trace_id)
             self.names.append(name)
             self.whos.append(who)
-            self.times.append(float(time))
+            self.times.append(time)
             self.parents.append(parents)
-            self.shapes.append(tuple(attrs))
-            for key in attrs:
-                columns[key][span_id] = attrs[key]
-        return TraceContext(trace_id, span_id)
+            self.shapes.append(keys)
+            try:
+                columns = self._columns[keys]
+            except KeyError:
+                columns = self._columns[keys] = tuple(map(self.attrs.__getitem__, keys))
+            for column, value in zip(columns, values):
+                column[span_id] = value
+        return _context((trace_id, span_id))
 
     @property
     def spans(self) -> tuple[CausalSpan, ...]:
@@ -341,10 +359,12 @@ def _critical_path(log: CausalLog, end: int, issued_at: float) -> tuple[list[int
     times, names, parents, known = log.times, log.names, log.parents, range(len(log))
     path: list[int] = [end]
     stages: dict[str, float] = {}
-    while parents[end] and times[end] > issued_at:
-        ids = [p for p in parents[end] if p in known]
-        if not ids:
-            break
+    while times[end] > issued_at:
+        ids = parents[end]
+        if not (len(ids) == 1 and ids[0] in known):  # most spans have one cause
+            ids = [p for p in ids if p in known]
+            if not ids:
+                break
         parent = max(ids, key=lambda p: (times[p], p)) if ids[1:] else ids[0]
         dur = times[end] - max(times[parent], issued_at)
         if dur > 0.0:

@@ -205,14 +205,15 @@ class TestExportPathCost:
     itself grows.
     """
 
-    #: 7% above the measured 19.5: one inline dispatch loop, wire
-    #: messages built once as tuples, exact-type dispatch and no
-    #: eviction call chain on a quiet export (22.3 before; 21.95 plus
-    #: the one Python frame each jitter draw costs since streams serve
-    #: blocks; 27.8 before timeouts became one call and per-event
-    #: records tuples); the scan-everything path this guards against
-    #: measured 49.3 on the same four runs.
-    CEILING = 20.8
+    #: 7% above the measured 19.1: a mailbox receive builds its event
+    #: inline and a rep or agent message pays for no guard (19.5 before;
+    #: 22.3 before one inline dispatch loop, wire messages built once as
+    #: tuples, exact-type dispatch and no eviction call chain on a quiet
+    #: export; 21.95 plus the one Python frame each jitter draw costs
+    #: since streams serve blocks; 27.8 before timeouts became one call
+    #: and per-event records tuples); the scan-everything path this
+    #: guards against measured 49.3 on the same four runs.
+    CEILING = 20.4
 
     def test_calls_per_event_stay_under_the_ceiling(self):
         calls = events = 0
@@ -265,13 +266,14 @@ class TestMessagePathCost:
     receiving process runs.  Building the message is the sender's.
     """
 
-    #: 7% above the measured 17.4 (22.4 before messages were built once
-    #: as tuples and delivery became a method with ``done`` triggered
-    #: inline; 22.5 before the mailbox lost its bounded mode's
-    #: ``is_full`` probe per delivery; 35.0 before the send path lost
-    #: its attribute probes, null-context pair and per-message
-    #: formatting).
-    CEILING = 18.6
+    #: 7% above the measured 16.5 (17.4 before the mailbox woke a parked
+    #: receiver inline, not through ``Event.succeed``; 22.4 before
+    #: messages were built once as tuples and delivery became a method
+    #: with ``done`` triggered inline; 22.5 before the mailbox lost its
+    #: bounded mode's ``is_full`` probe per delivery; 35.0 before the
+    #: send path lost its attribute probes, null-context pair and
+    #: per-message formatting).
+    CEILING = 17.7
 
     def test_calls_per_message_stay_under_the_ceiling(self):
         entries = {ProtocolDriver._net_send.__code__, Network._deliver.__code__}

@@ -33,6 +33,10 @@ def _watched_options(tmp_path, **extra):
     return b, options
 
 
+#: The ``prov_record`` workload's ``demo`` parameters.
+PROV_RECORD = {"exports": 2000, "imports": [20.0 * (j + 1) for j in range(99)], "seed": 1}
+
+
 def _count_calls(sim):
     """Python calls made, and DES events dispatched, running *sim* (its
     wiring and the provenance header not counted)."""
@@ -49,11 +53,15 @@ class TestWatchedPathCost:
     builds one event tuple and hands it to the folds reading its kind.
     """
 
-    #: 7% above the measured 29.7 (33.0 before the kernel's one
-    #: dispatch loop and messages built once as tuples; 30.1 before the
-    #: spine, when each consumer was fed by hand at each site, 32.8 with
-    #: it, 33.0 since the causal log appends one column per span field).
-    CEILING = 31.8
+    #: 3.6% above the measured 27.5 (29.7 before events were built in one
+    #: C-level call, op rows kept as their process's columns by the fold
+    #: — two C calls a row, its kind and its fields, and no object kept —
+    #: and spans recorded with no dict built; 33.0 before the
+    #: kernel's one dispatch loop and messages built once as tuples;
+    #: 30.1 before the spine, when each consumer was fed by hand at each
+    #: site, 32.8 with it, 33.0 since the causal log appends one column
+    #: per span field).
+    CEILING = 28.5
 
     def test_calls_per_event_stay_under_the_ceiling(self, tmp_path):
         b, options = _watched_options(tmp_path)
@@ -74,10 +82,11 @@ class TestSanitizedPathCost:
     29.2 calls per event when it wrapped both reps and forced the tracer
     on (a ``TraceEvent`` built per decision, then dropped); 27.7 as a
     fold (23.8 unwatched); 24.0 since the kernel's one dispatch loop and
-    messages built once as tuples.
+    messages built once as tuples; 22.8 since events are built in one
+    C-level call and a rep or agent message pays for no guard.
     """
 
-    CEILING = 25.7
+    CEILING = 24.4
 
     def test_calls_per_event_stay_under_the_ceiling(self):
         b = build("demo")
@@ -100,14 +109,14 @@ class TestCausalOnlyPathCost:
     30.5 calls per event when they built one and dropped it, 28.4 then,
     28.7 since the causal log appends one column per span field, 25.9
     since the kernel's one dispatch loop and messages built once as
-    tuples (ceiling 7% above).
+    tuples, 25.0 since events are built in one C-level call and spans
+    recorded with no dict built (ceiling 6% above).
     """
 
-    CEILING = 27.7
+    CEILING = 26.6
 
     def test_calls_per_event_stay_under_the_ceiling(self):
-        params = {"exports": 2000, "imports": [20.0 * (j + 1) for j in range(99)], "seed": 1}
-        b = build("demo", params)
+        b = build("demo", PROV_RECORD)
         options = replace(b.options, causal_trace=True)
         sim = build_simulation(b.config, list(b.programs), options)
         calls, events = _count_calls(sim)
@@ -115,6 +124,32 @@ class TestCausalOnlyPathCost:
         assert calls / events < self.CEILING, (
             f"{calls} calls for {events} events = {calls / events:.1f} per event: "
             "a site builds an event no fold reads (see core/spine.py, ignore)"
+        )
+
+
+class TestRecordedPathCost:
+    """The same count for the ``prov_record`` workload's inputs (the
+    ``demo``, 2 000 exports, 99 imports, seed 1) with the provenance
+    log on, which implies the causal trace: every export and compute
+    is an operation row, every decision a span.  27.4 calls per event
+    (29.7 before events were built in one C-level call, op rows kept
+    as their process's columns by the fold and spans recorded with no
+    dict built; 22.7 unwatched); ceiling 4% above.
+    """
+
+    CEILING = 28.5
+
+    def test_calls_per_event_stay_under_the_ceiling(self, tmp_path):
+        b = build("demo", PROV_RECORD)
+        options = replace(b.options, provenance=str(tmp_path / "record.prov"))
+        sim = build_simulation(b.config, list(b.programs), options)
+        calls, events = _count_calls(sim)
+        sim._prov.close()
+        assert events == 12968
+        assert sum(len(kinds) for kinds, _ in sim._prov.op_columns.values()) == 2 * 4000 + 2 * 3 * 99
+        assert calls / events < self.CEILING, (
+            f"{calls} calls for {events} events = {calls / events:.1f} per event: "
+            "the recorded path grew (see docs/observability.md, Record-mode overhead)"
         )
 
 

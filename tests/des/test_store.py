@@ -164,3 +164,41 @@ class TestMatchedReceive:
         sim.run()
         assert ("plain", "ordinary") in got
         assert ("filtered", "special") in got
+
+
+class TestInlineEvents:
+    """``get`` builds and triggers its event without ``Event.__init__``
+    or ``succeed``: these pin every slot those would have set."""
+
+    @staticmethod
+    def _slots(ev):
+        from repro.des.core import Event
+
+        return {name: getattr(ev, name) for name in Event.__slots__}
+
+    def test_buffered_item_event_has_every_slot_of_a_succeeded_one(self):
+        from repro.des.core import Event
+
+        sim = Simulator()
+        store = Store(sim)
+        store.put_nowait("a")
+        store.put_nowait("b")
+        expected = self._slots(Event(sim).succeed("a"))
+        assert self._slots(store.get()) == expected
+        assert self._slots(store.get_matching(lambda item: item == "b")) == {
+            **expected, "_value": "b",
+        }
+
+    def test_parked_getter_event_has_every_slot_of_a_pending_one(self):
+        from repro.des.core import Event
+
+        sim = Simulator()
+        store = Store(sim)
+        pending = self._slots(Event(sim))
+        matched, plain = store.get_matching(lambda item: item == "m"), store.get()
+        assert self._slots(plain) == pending
+        assert self._slots(matched) == pending
+        store.put_nowait("x")  # wakes the plain getter, as ``succeed`` would
+        store.put_nowait("m")
+        assert self._slots(matched) == self._slots(Event(sim).succeed("m"))
+        assert self._slots(plain) == self._slots(Event(sim).succeed("x"))

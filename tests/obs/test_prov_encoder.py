@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import spine
 from repro.obs import prov
-from repro.obs.prov import PROV_SCHEMA, ProvenanceRecorder, read_log
+from repro.obs.prov import OP_FIELDS, PROV_SCHEMA, ProvenanceRecorder, read_log
 from repro.obs.trace import TraceContext
 
 HEADER = {"schema": PROV_SCHEMA, "t": "header", "runtime": "des"}
@@ -134,15 +135,15 @@ times = st.one_of(
 )
 clocks = st.one_of(times, st.sampled_from([math.inf, -math.inf, math.nan]))
 ranks = st.integers(0, 3)
-ops = st.one_of(
-    st.tuples(st.just("compute"), st.tuples(clocks)),
-    st.tuples(st.just("compute_elements"), st.tuples(st.integers(0, 10**9), times)),
-    st.tuples(
-        st.just("export"),
-        st.tuples(names, times, st.sampled_from([None, "float64", "int32"])),
-    ),
-    st.tuples(st.sampled_from(["import_begin", "import_wait"]), st.tuples(names, times)),
-)
+#: Each op kind's fields, in ``OP_FIELDS`` order.
+op_fields = {
+    "compute": st.tuples(clocks),
+    "compute_elements": st.tuples(st.integers(0, 10**9), times),
+    "export": st.tuples(names, times, st.sampled_from([None, "float64", "int32"])),
+    "import_begin": st.tuples(names, times),
+    "import_wait": st.tuples(names, times),
+}
+ops = st.one_of([st.tuples(st.just(kind), fields) for kind, fields in op_fields.items()])
 op_rows = st.lists(
     st.tuples(names, ranks, ops).map(lambda x: (x[0], x[1], x[2][0], x[2][1])),
     max_size=24,
@@ -245,3 +246,92 @@ class TestEncoderOracle:
 
         monkeypatch.setattr(prov, "_column", rotated)
         assert not same_rows(ops, wire, [], log_path)
+
+
+# -- op rows through the recorder's hook and through the spine -------------
+#: Each op kind's spine kind, and the event carrying its fields.
+_SPINE_KINDS = {
+    "export": spine.EXPORT,
+    "import_begin": spine.IMPORT_REQUEST,
+    "import_wait": spine.IMPORT_WAIT,
+    "compute": spine.COMPUTE,
+    "compute_elements": spine.COMPUTE_ELEMENTS,
+}
+
+
+def _event(program, rank, kind, fields):
+    """The announcement the provenance fold turns into this op row."""
+    region = ts = request = None
+    values: tuple = ()
+    if kind == "export":
+        region, ts, dtype = fields
+        values = (dtype,)
+    elif kind in ("import_begin", "import_wait"):
+        region, request = fields
+    else:
+        values = tuple(fields)
+    return spine.new_event((
+        _SPINE_KINDS[kind], f"{program}.p{rank}", 0.0, None, request, program, rank,
+        region, ts, None, values, None,
+    ))
+
+
+def _ops_lines(path, ops, through):
+    """The ``ops`` lines of a log whose op rows went *through* ``on_op``
+    or the spine's provenance fold."""
+    rec = ProvenanceRecorder(path)
+    rec.set_header(HEADER)
+    fold = spine.ProvenanceFold(rec, "sorted").handlers()
+    for program, rank, kind, fields in ops:
+        if through == "on_op":
+            rec.on_op(program, rank, kind, *fields)
+        else:
+            ev = _event(program, rank, kind, fields)
+            fold[ev.kind](ev)
+    rec.close()
+    return [line for line in path.read_text().splitlines() if '"t": "ops"' in line]
+
+
+processes = st.lists(st.tuples(names, ranks), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def interleaved_ops(draw):
+    """Op rows of 1-4 ``(program, rank)`` pairs, interleaved, every kind possible."""
+    pairs = draw(processes)
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        program, rank = draw(st.sampled_from(pairs))
+        kind = draw(st.sampled_from(sorted(OP_FIELDS)))
+        fields = draw(op_fields[kind])
+        rows.append((program, rank, kind, fields))
+    return rows
+
+
+class TestOpRowsPerProcess:
+    """Rows kept per process: whichever way they arrive — the recorder's
+    ``on_op`` or the spine's provenance fold — the ``ops`` lines are the
+    same, and read back they are the reference writer's rows."""
+
+    @settings(max_examples=100)
+    @given(rows=interleaved_ops())
+    def test_on_op_and_the_fold_write_the_reference_rows(self, log_path, rows):
+        by_hook = _ops_lines(log_path, rows, "on_op")
+        by_fold = _ops_lines(log_path, rows, "fold")
+        assert by_fold == by_hook
+        assert len(by_hook) == len({(program, rank) for program, rank, _, _ in rows})
+        written = [row for block in read_log(log_path).ops.values() for row in block]
+        assert json.dumps(written, sort_keys=True) == json.dumps(
+            reference_rows(rows, [], []), sort_keys=True
+        )
+
+    def test_blocks_come_in_program_then_rank_order(self, log_path):
+        rows = [
+            ("U", 1, "compute", (1.0,)), ("F", 1, "compute", (2.0,)),
+            ("U", 0, "compute", (3.0,)), ("F", 0, "compute", (4.0,)),
+            ("F", 1, "compute", (5.0,)),
+        ]
+        lines = _ops_lines(log_path, rows, "fold")
+        assert [(json.loads(line)["p"], json.loads(line)["r"]) for line in lines] == [
+            ("F", 0), ("F", 1), ("U", 0), ("U", 1),
+        ]
